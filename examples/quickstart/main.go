@@ -13,10 +13,8 @@ import (
 	gmdj "github.com/olaplab/gmdj"
 )
 
-func main() {
-	db := gmdj.Open()
-
-	// The paper's Figure 1 input tables.
+// load creates the paper's Figure 1 input tables.
+func load(db *gmdj.DB) {
 	db.MustCreateTable("Hours",
 		gmdj.Col("HourDsc", gmdj.Int),
 		gmdj.Col("StartInterval", gmdj.Int),
@@ -37,6 +35,11 @@ func main() {
 		[]any{132, "HTTP", 24},
 		[]any{156, "HTTP", 24},
 		[]any{161, "FTP", 48})
+}
+
+func main() {
+	db := gmdj.Open()
+	load(db)
 
 	// Example 2.1 expressed with subqueries: per hour, HTTP bytes and
 	// total bytes. (The engine's rewriter turns the correlated
@@ -87,11 +90,12 @@ func main() {
 	fmt.Println("\nGMDJOpt physical plan:")
 	fmt.Print(plan)
 
-	// Query governance: budgets and cancellation. A budget bounds every
-	// query on the connection; errors are typed, so callers can tell a
-	// governed abort from a genuine failure.
-	db.SetBudget(gmdj.Budget{Timeout: 5 * time.Second, MaxRows: 2})
-	_, err = db.Query(query)
+	// Query governance: budgets and cancellation. A budget is set when
+	// the database is opened and bounds every query on it; errors are
+	// typed, so callers can tell a governed abort from a genuine failure.
+	governed := gmdj.Open(gmdj.WithBudget(gmdj.Budget{Timeout: 5 * time.Second, MaxRows: 2}))
+	load(governed)
+	_, err = governed.Query(query)
 	switch {
 	case errors.Is(err, gmdj.ErrRowBudget):
 		fmt.Println("\nGovernance: row budget aborted the query, as configured:")
@@ -99,7 +103,6 @@ func main() {
 	case err != nil:
 		log.Fatal(err)
 	}
-	db.SetBudget(gmdj.Budget{}) // lift the budget again
 
 	// Per-call cancellation via context: QueryContext aborts mid-scan
 	// when the context is done and reports gmdj.ErrCanceled.

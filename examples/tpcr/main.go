@@ -62,7 +62,6 @@ func main() {
 	if err := db.DropIndexes("orders"); err != nil {
 		log.Fatal(err)
 	}
-	db.SetUseIndexes(false)
 	fmt.Println("\nwith indexes dropped (GMDJ should be unaffected):")
 	run("EXISTS again", exists)
 }

@@ -96,7 +96,7 @@ const (
 
 // Budget bounds one query evaluation: wall-clock timeout, materialized
 // rows, and approximate materialized bytes. The zero Budget is
-// unlimited. Apply with DB.SetBudget.
+// unlimited. Apply with WithBudget.
 type Budget = engine.Budget
 
 // Query-governance errors. A query aborted by its budget, its caller,
@@ -145,33 +145,6 @@ func newDB(cat *storage.Catalog, opts []Option) *DB {
 	}
 	return db
 }
-
-// SetParallelism sets the morsel-driven execution degree (0 or 1
-// means serial; see WithParallelism for the full contract).
-//
-// Deprecated: pass WithParallelism to Open.
-func (db *DB) SetParallelism(workers int) { db.eng.SetGMDJWorkers(workers) }
-
-// SetBudget bounds every subsequent query on this DB. Exceeding a
-// bound aborts that query (typed error; see ErrTimeout, ErrRowBudget,
-// ErrMemBudget) without affecting the DB or other queries. Not safe to
-// call concurrently with running queries.
-//
-// Deprecated: pass WithBudget to Open.
-func (db *DB) SetBudget(b Budget) { db.eng.SetBudget(b) }
-
-// SetUseIndexes toggles secondary-index use by the Native strategy.
-// GMDJ evaluation never depends on it — one of the paper's points.
-//
-// Deprecated: pass WithUseIndexes to Open.
-func (db *DB) SetUseIndexes(on bool) { db.eng.SetUseIndexes(on) }
-
-// SetMemoizeSubqueries toggles invariant reuse (Rao & Ross) in the
-// Native strategy: subquery outcomes are cached per distinct outer
-// correlation binding, so duplicate bindings share one evaluation.
-//
-// Deprecated: pass WithMemoizeSubqueries to Open.
-func (db *DB) SetMemoizeSubqueries(on bool) { db.eng.SetMemoizeSubqueries(on) }
 
 // CreateTable registers an empty table. Registering a name that
 // already exists fails with an error matching ErrTableExists.

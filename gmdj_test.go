@@ -3,6 +3,7 @@ package gmdj
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -221,6 +222,45 @@ func TestIndexManagementThroughFacade(t *testing.T) {
 	}
 }
 
+// TestInsertAfterIndexBuild: rows inserted after an index was built
+// must be visible through it. Native answers correlated subqueries
+// from the secondary indexes, so a stale index shows as Native
+// disagreeing with GMDJOpt on rows only the new tuples satisfy — for
+// the hash access path (equality) and the sorted one (range) alike.
+func TestInsertAfterIndexBuild(t *testing.T) {
+	db := Open()
+	db.MustCreateTable("customers", Col("k", Int))
+	db.MustCreateTable("orders", Col("custkey", Int), Col("price", Int))
+	db.MustInsert("customers", []any{1}, []any{2}, []any{3}, []any{4})
+	db.MustInsert("orders", []any{1, 10}, []any{2, 20})
+	if err := db.BuildHashIndex("orders", "custkey"); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.BuildSortedIndex("orders", "price"); err != nil {
+		t.Fatal(err)
+	}
+	db.MustInsert("orders", []any{3, 500})
+	if _, err := db.Exec(`INSERT INTO orders VALUES (4, 600)`); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []string{
+		`SELECT c.k FROM customers c WHERE EXISTS (SELECT * FROM orders o WHERE o.custkey = c.k)`,
+		`SELECT c.k FROM customers c WHERE EXISTS (SELECT * FROM orders o WHERE o.price > c.k * 100)`,
+	} {
+		want, err := db.QueryStrategy(q, GMDJOpt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := db.QueryStrategy(q, Native)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want.Len() != 4 || !reflect.DeepEqual(got.Rows, want.Rows) {
+			t.Errorf("%s:\nnative  %v\ngmdjopt %v (want all 4 customers)", q, got.Rows, want.Rows)
+		}
+	}
+}
+
 func TestTables(t *testing.T) {
 	db := flowDB(t)
 	names := db.Tables()
@@ -273,7 +313,7 @@ func TestParallelQueryEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db.SetParallelism(4)
+	db.eng.SetParallelism(4)
 	par, err := db.Query(q)
 	if err != nil {
 		t.Fatal(err)

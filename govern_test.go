@@ -73,7 +73,7 @@ func waitGoroutines(t *testing.T, want int) {
 // with its matching typed error, promptly, without leaking goroutines.
 func TestBudgetAbortsAllStrategies(t *testing.T) {
 	db := governDB(t, 50, 4000)
-	db.SetParallelism(4) // exercise the GMDJ worker pool's abort path too
+	db.eng.SetParallelism(4) // exercise the GMDJ worker pool's abort path too
 	cases := []struct {
 		name   string
 		budget Budget
@@ -87,8 +87,8 @@ func TestBudgetAbortsAllStrategies(t *testing.T) {
 	for _, s := range allStrategies {
 		for _, c := range cases {
 			t.Run(fmt.Sprintf("%v/%s", s, c.name), func(t *testing.T) {
-				db.SetBudget(c.budget)
-				defer db.SetBudget(Budget{})
+				db.eng.SetBudget(c.budget)
+				defer db.eng.SetBudget(Budget{})
 				start := time.Now()
 				_, err := db.QueryStrategy(governQuery, s)
 				elapsed := time.Since(start)
@@ -104,8 +104,8 @@ func TestBudgetAbortsAllStrategies(t *testing.T) {
 	waitGoroutines(t, before)
 
 	// Budget errors carry the observed and configured limits.
-	db.SetBudget(Budget{MaxRows: 10})
-	defer db.SetBudget(Budget{})
+	db.eng.SetBudget(Budget{MaxRows: 10})
+	defer db.eng.SetBudget(Budget{})
 	_, err := db.Query(governQuery)
 	var be *govern.BudgetError
 	if !errors.As(err, &be) {
@@ -190,7 +190,7 @@ func TestInjectedPanicAllStrategies(t *testing.T) {
 // leaking the other workers.
 func TestWorkerPanicIsolated(t *testing.T) {
 	db := governDB(t, 50, 4000)
-	db.SetParallelism(4)
+	db.eng.SetParallelism(4)
 	db.eng.SetFaultInjector(govern.NewInjector(map[string]string{"gmdj.worker": "panic"}))
 	defer db.eng.SetFaultInjector(nil)
 	before := runtime.NumGoroutine()
@@ -207,7 +207,7 @@ func TestWorkerPanicIsolated(t *testing.T) {
 // the error path is wired through each operator.
 func TestFaultSitesPerStrategy(t *testing.T) {
 	db := governDB(t, 20, 500)
-	db.SetParallelism(2)
+	db.eng.SetParallelism(2)
 	defer db.eng.SetFaultInjector(nil)
 	cases := []struct {
 		site       string

@@ -125,6 +125,20 @@ func DefaultRunner() *Runner {
 	return &Runner{Scale: 1.0 / 16.0, Repeat: 1, Verify: true}
 }
 
+// degree is the execution degree one cell runs at: the variant's
+// override, else the runner's, with the runner's 0 meaning serial —
+// Engine.SetParallelism would read 0 as "the GOMAXPROCS default", and
+// figures measure algorithmic work unless asked otherwise.
+func (r *Runner) degree(v Variant) int {
+	if v.Workers > 0 {
+		return v.Workers
+	}
+	if r.Workers > 1 {
+		return r.Workers
+	}
+	return 1
+}
+
 func (r *Runner) scaleN(n int) int {
 	v := int(float64(n) * r.Scale)
 	if v < 10 {
@@ -174,11 +188,7 @@ func (r *Runner) RunCell(exp *Experiment, s Size, v Variant) (Result, error) {
 	}
 	eng := engine.New(cat)
 	eng.SetUseIndexes(v.UseIndexes)
-	if v.Workers > 0 {
-		eng.SetParallelism(v.Workers)
-	} else {
-		eng.SetGMDJWorkers(r.Workers)
-	}
+	eng.SetParallelism(r.degree(v))
 	eng.SetBudget(r.Budget)
 	plan := exp.Query(s)
 	// Plan once outside the timed region: the paper measures query

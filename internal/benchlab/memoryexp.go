@@ -65,7 +65,7 @@ func (r *Runner) runMemory(_ *Runner, exp *Experiment, s Size, v Variant) (Resul
 	res := Result{Figure: exp.ID, Variant: v.Name, Label: s.Label, Outer: s.Outer, Inner: s.Inner}
 	cat := datagen.Netflow(datagen.NetflowOpts{Flows: s.Inner, Hours: s.Outer, Users: 40, Seed: 11})
 	eng := engine.New(cat)
-	eng.SetGMDJWorkers(r.Workers)
+	eng.SetParallelism(r.degree(v))
 	eng.SetBudget(r.Budget)
 	switch v.Name {
 	case "spill":

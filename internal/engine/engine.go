@@ -261,18 +261,6 @@ func (e *Engine) applyParallelism() {
 	e.exec.Parallelism = mem.ClampParallelism(e.memLimit, e.parallelism)
 }
 
-// SetGMDJWorkers sets GMDJ scan parallelism.
-//
-// Deprecated: parallelism is engine-wide now; use SetParallelism. This
-// alias keeps old callers working (n <= 0 means serial here, matching
-// the historical contract).
-func (e *Engine) SetGMDJWorkers(n int) {
-	if n <= 0 {
-		n = 1
-	}
-	e.SetParallelism(n)
-}
-
 // SetMemoizeSubqueries toggles Rao-Ross invariant reuse in the native
 // strategy: subquery outcomes are cached per distinct correlation
 // binding.

@@ -166,7 +166,7 @@ func TestParallelWorkersAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.SetGMDJWorkers(4)
+	e.SetParallelism(4)
 	par, err := e.Run(plan, GMDJOpt)
 	if err != nil {
 		t.Fatal(err)

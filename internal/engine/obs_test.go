@@ -5,47 +5,81 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/olaplab/gmdj/internal/datagen"
 	"github.com/olaplab/gmdj/internal/obs"
 )
 
 // TestRunObservedReconciliation cross-checks the stats tree against
 // the returned relation for every strategy: the root operator's
 // reported cardinality must equal the result's, and the GMDJ
-// operator's detail accounting must cover the whole detail relation
-// (rows fed + rows short-circuited = detail size, serial execution).
+// operator's detail accounting must cover every pass over the detail
+// relation (rows fed + rows short-circuited = detail scans × detail
+// size) — at any degree, and when the base state spills.
 func TestRunObservedReconciliation(t *testing.T) {
-	e := testEngine() // 300-flow netflow catalog
-	plan := existsPlan()
 	const detailSize = 300
+	cat := datagen.Netflow(datagen.NetflowOpts{Flows: detailSize, Hours: 24, Users: 6, Seed: 3})
+	plan := existsPlan()
 
-	for _, s := range Strategies() {
-		rel, root, err := e.RunObserved(context.Background(), plan, s)
-		if err != nil {
-			t.Fatalf("%v: %v", s, err)
+	regimes := []struct {
+		name     string
+		degree   int
+		memLimit int64
+		scans    int64 // 0: however many partitions the limit forces, but more than one
+	}{
+		{"serial", 1, 0, 1},
+		{"2 workers", 2, 0, 2},
+		{"4 workers", 4, 0, 4},
+		{"spill", 1, 2048, 0},
+	}
+	for _, r := range regimes {
+		e := New(cat)
+		e.SetParallelism(r.degree)
+		if r.memLimit > 0 {
+			e.SetMemoryLimit(r.memLimit)
+			e.SetSpillDir(t.TempDir())
 		}
-		if root == nil {
-			t.Fatalf("%v: no stats tree", s)
-		}
-		if root.Rows != int64(rel.Len()) {
-			t.Errorf("%v: root rows = %d, result rows = %d", s, root.Rows, rel.Len())
-		}
-		if s == GMDJ || s == GMDJOpt {
+		for _, s := range Strategies() {
+			rel, root, err := e.RunObserved(context.Background(), plan, s)
+			if err != nil {
+				t.Fatalf("%s/%v: %v", r.name, s, err)
+			}
+			if root == nil {
+				t.Fatalf("%s/%v: no stats tree", r.name, s)
+			}
+			if root.Rows != int64(rel.Len()) {
+				t.Errorf("%s/%v: root rows = %d, result rows = %d", r.name, s, root.Rows, rel.Len())
+			}
+			if s != GMDJ && s != GMDJOpt {
+				continue
+			}
 			gm := root.Find("GMDJ")
 			if gm == nil {
-				t.Fatalf("%v: stats tree lacks a GMDJ operator:\n%s", s, obs.FormatTree(root))
+				t.Fatalf("%s/%v: stats tree lacks a GMDJ operator:\n%s", r.name, s, obs.FormatTree(root))
+			}
+			scans := gm.Get("detail_scans")
+			if scans == 0 {
+				scans = 1 // a single scan goes unsaid
+			}
+			if r.scans > 0 && scans != r.scans {
+				t.Errorf("%s/%v: detail_scans = %d, want %d:\n%s", r.name, s, scans, r.scans, obs.FormatTree(root))
+			}
+			if r.scans == 0 && (scans < 2 || scans != 1+gm.Get("extra_detail_scans")) {
+				t.Errorf("%s/%v: detail_scans = %d, want 1 + extra_detail_scans(%d) > 1:\n%s",
+					r.name, s, scans, gm.Get("extra_detail_scans"), obs.FormatTree(root))
 			}
 			fed, skipped := gm.Get("detail_rows"), gm.Get("short_circuit_rows")
-			if fed+skipped != detailSize {
-				t.Errorf("%v: detail_rows(%d) + short_circuit_rows(%d) != %d:\n%s",
-					s, fed, skipped, detailSize, obs.FormatTree(root))
+			if fed+skipped != scans*detailSize {
+				t.Errorf("%s/%v: detail_rows(%d) + short_circuit_rows(%d) != detail_scans(%d) × %d:\n%s",
+					r.name, s, fed, skipped, scans, detailSize, obs.FormatTree(root))
 			}
 			if s == GMDJ && skipped != 0 {
-				t.Errorf("basic gmdj has no completion, short_circuit_rows = %d", skipped)
+				t.Errorf("%s: basic gmdj has no completion, short_circuit_rows = %d", r.name, skipped)
 			}
 			if s == GMDJOpt && gm.Get("completed") == 0 {
-				t.Errorf("gmdj-opt should retire tuples by completion:\n%s", obs.FormatTree(root))
+				t.Errorf("%s: gmdj-opt should retire tuples by completion:\n%s", r.name, obs.FormatTree(root))
 			}
 		}
+		e.Close()
 	}
 }
 
@@ -99,6 +133,18 @@ Project [H.HourDsc, H.StartInterval, H.EndInterval] (time=X act=4 est=1 bytes=57
       Scan Flow->F (time=X act=300 est=300 bytes=75000)
 `
 
+// goldenAnalyzeTwoWorkers is goldenAnalyze at degree 2: each worker
+// owns two of the four hours and scans the detail for them, so the
+// GMDJ line says detail_scans=2 and its detail counters sum both scans.
+const goldenAnalyzeTwoWorkers = `strategy: gmdj-opt (analyzed)
+Project [H.HourDsc, H.StartInterval, H.EndInterval] (time=X act=4 est=1 bytes=576 workers=1 batches=1)
+  Select [cnt1 > 0] (time=X act=4 est=1 bytes=736 workers=1 batches=1)
+    GMDJ +completion+freeze (1 conditions) (time=X act=4 est=3 bytes=736 workers=2 detail_scans=2 batches=2 detail_rows=64 probes=12 matches=4 completed=4 short_circuit_rows=536 fallback_conds=1 worker0_rows=31 worker1_rows=33)
+      cond: (count(*) -> cnt1 | θ: (F.StartTime >= H.StartInterval AND F.StartTime < H.EndInterval AND F.Protocol = 'FTP'))
+      Scan Hours->H (time=X act=4 est=4 bytes=576)
+      Scan Flow->F (time=X act=300 est=300 bytes=75000)
+`
+
 const goldenAnalyzeNative = `strategy: native (analyzed)
 Select [∃(σ[(F.StartTime >= H.StartInterval AND F.StartTime < H.EndInterval AND F.Protocol = 'FTP')](Flow->F))] (time=X act=4 est=2 bytes=576 workers=1 batches=1)
   Scan Hours->H (time=X act=4 est=4 bytes=576)
@@ -110,6 +156,7 @@ Select [∃(σ[(F.StartTime >= H.StartInterval AND F.StartTime < H.EndInterval A
 // cardinalities, and tree shape are all part of the contract.
 func TestExplainGolden(t *testing.T) {
 	e := testEngine()
+	e.SetParallelism(1)
 	plan := existsPlan()
 
 	plain, err := e.Explain(plan, GMDJOpt)
@@ -134,6 +181,15 @@ func TestExplainGolden(t *testing.T) {
 	}
 	if got := obs.NormalizeTimings(native); got != goldenAnalyzeNative {
 		t.Errorf("native EXPLAIN ANALYZE drifted:\n--- got ---\n%s--- want ---\n%s", got, goldenAnalyzeNative)
+	}
+
+	e.SetParallelism(2)
+	analyzed, err = e.ExplainAnalyze(context.Background(), plan, GMDJOpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := obs.NormalizeTimings(analyzed); got != goldenAnalyzeTwoWorkers {
+		t.Errorf("two-worker EXPLAIN ANALYZE drifted:\n--- got ---\n%s--- want ---\n%s", got, goldenAnalyzeTwoWorkers)
 	}
 }
 

@@ -165,6 +165,7 @@ func TestLiveQueryDashboardDuringScan(t *testing.T) {
 // breaking every downstream slowlog consumer.
 func TestSlowLogGoldenJSON(t *testing.T) {
 	e := testEngine()
+	e.SetParallelism(1)
 	o := obs.NewObserver(obs.ObserverConfig{})
 	e.SetObserver(o)
 	const sql = "SELECT * FROM Hours H WHERE EXISTS (...)"
@@ -181,6 +182,18 @@ func TestSlowLogGoldenJSON(t *testing.T) {
 	}
 	if got := strings.TrimRight(buf.String(), "\n"); got != goldenSlowLog {
 		t.Errorf("slowlog JSON drifted:\n--- got ---\n%s\n--- want ---\n%s", got, goldenSlowLog)
+	}
+
+	// At degree 2 the logged GMDJ operator carries the scan multiplier.
+	e.SetParallelism(2)
+	if _, err := e.RunQueryContext(context.Background(), sql, existsPlan(), GMDJOpt); err != nil {
+		t.Fatal(err)
+	}
+	entries := o.SlowLog().Entries()
+	gm := entries[len(entries)-1].Stats.Find("GMDJ")
+	if gm == nil || gm.Get("workers") != 2 || gm.Get("detail_scans") != 2 {
+		t.Errorf("two-worker slowlog record: want workers=2 detail_scans=2 on the GMDJ operator:\n%s",
+			obs.FormatTree(entries[len(entries)-1].Stats))
 	}
 }
 

@@ -778,6 +778,13 @@ func (e *Executor) evalGMDJ(g *algebra.GMDJ, ev *env) (*relation.Relation, error
 			workers = 1 // serial scan (or partitioned serial scans)
 		}
 		op.Add("workers", workers)
+		// One scan is the paper's guarantee and goes unsaid; more — one
+		// per worker range, per spilled partition — multiply the detail
+		// counters below: detail_rows + short_circuit_rows is
+		// detail_scans × |detail|.
+		if local.DetailScans > 1 {
+			op.Add("detail_scans", local.DetailScans)
+		}
 		op.Add("batches", local.Batches)
 		op.Add("detail_rows", local.DetailRows)
 		op.Add("probes", local.Probes)

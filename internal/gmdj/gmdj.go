@@ -47,7 +47,13 @@ import (
 // Stats reports work performed by one Evaluate call. All counters are
 // cumulative across conditions.
 type Stats struct {
-	// DetailRows is the number of detail tuples scanned.
+	// DetailScans counts passes over the detail relation: one per
+	// worker range per partition. It is the multiplier the paper's
+	// one-scan guarantee relaxes by, and the counter invariant at every
+	// degree and in every regime is
+	// DetailRows + ShortCircuitRows == DetailScans × |detail|.
+	DetailScans int64
+	// DetailRows is the number of detail tuples fed, summed over scans.
 	DetailRows int64
 	// Probes counts hash-index probes plus fallback base-entry visits.
 	Probes int64
@@ -55,22 +61,22 @@ type Stats struct {
 	Matches int64
 	// Completed counts base tuples retired early by tuple completion.
 	Completed int64
-	// ShortCircuitRows counts detail tuples skipped because tuple
-	// completion decided every base tuple before the scan finished —
+	// ShortCircuitRows counts detail tuples a scan skipped because tuple
+	// completion decided every base tuple it owned before it finished —
 	// the strongest form of the §4.2 win.
 	ShortCircuitRows int64
 	// FallbackConds is the number of conditions lacking equi-bindings
 	// (evaluated by scanning active base entries).
 	FallbackConds int
 	// Batches counts the detail-side morsel chunks fed through the
-	// scan (relation.DefaultBatchCap rows each); parallel scans count
-	// every worker's chunks. This is the batches= figure EXPLAIN
-	// ANALYZE shows for GMDJ operators.
+	// scans (relation.DefaultBatchCap rows each), summed over scans.
+	// This is the batches= figure EXPLAIN ANALYZE shows for GMDJ
+	// operators.
 	Batches int64
-	// WorkerRows records, for a parallel scan, how many detail rows
-	// each worker fed (per-worker locals, recorded at drain time). Nil
-	// for serial evaluation. Merge concatenates, so partitioned runs
-	// list every scan's workers in order.
+	// WorkerRows records, for a partition split across workers, how
+	// many detail rows each worker fed (per-worker locals, recorded at
+	// drain time). Nil for serial evaluation. Merge concatenates, so a
+	// spilled run lists every partition's workers in order.
 	WorkerRows []int64
 	// HashCacheHits / HashCacheMisses count detail-side key-hash
 	// partitions reused from (or computed and published to) the
@@ -102,6 +108,7 @@ func (s *Stats) Merge(src *Stats) {
 	if s == nil || src == nil {
 		return
 	}
+	s.DetailScans += src.DetailScans
 	s.DetailRows += src.DetailRows
 	s.Probes += src.Probes
 	s.Matches += src.Matches
@@ -128,12 +135,6 @@ type Options struct {
 	// are byte-identical to serial evaluation at any degree. 0 and 1
 	// mean serial.
 	Workers int
-	// MaxBaseRows bounds the in-memory base-values structure: when the
-	// base exceeds it, evaluation proceeds in base partitions of this
-	// size, scanning the detail relation once per partition — the
-	// paper's "well-defined cost" memory-management regime for bases
-	// that do not fit in memory. 0 means unbounded (single scan).
-	MaxBaseRows int
 	// Stats, when non-nil, receives evaluation counters.
 	Stats *Stats
 	// Gov, when non-nil, governs the scan: cooperative cancellation
@@ -143,8 +144,8 @@ type Options struct {
 	// Faults injects deterministic failures at the gmdj.compile,
 	// gmdj.worker, and gmdj.emit sites (nil = no injection).
 	Faults *govern.Injector
-	// Tracer, when non-nil, records one span per parallel worker
-	// partition (Perfetto track per worker). Nil disables tracing.
+	// Tracer, when non-nil, records one span per detail scan (Perfetto
+	// track per worker). Nil disables tracing.
 	Tracer *obs.Tracer
 	// Live, when non-nil, receives per-detail-row progress for the live
 	// query dashboard. Shared by parallel workers (atomic counters), so
@@ -200,7 +201,7 @@ type detailHashVec struct {
 
 // condProg is one compiled θᵢ with its aggregate list.
 type condProg struct {
-	baseKey    []int     // base-schema positions of equi-binding keys
+	baseKey    []int     // base-schema positions of equi-binding keys (empty ⇒ fallback)
 	detailKey  []int     // detail-schema positions of equi-binding keys
 	basePred   expr.Expr // bound to base schema; nil when absent
 	detailPred expr.Expr // bound to detail schema; nil when absent
@@ -209,8 +210,6 @@ type condProg struct {
 	specs      []agg.Spec
 	aggOffset  int   // position of this cond's first aggregate column
 	atoms      []int // completion atom indexes watching this condition
-
-	index map[uint64][]int32 // base positions by key hash (nil ⇒ fallback)
 
 	// detailHash, when non-nil, holds the (possibly cache-shared)
 	// precomputed key hash per detail row, replacing per-row keyHash
@@ -224,6 +223,9 @@ type condProg struct {
 	detailPredOK []bool
 }
 
+// program is one compiled GMDJ: everything about the evaluation that
+// does not depend on which base tuples are resident. It is built once
+// per Evaluate and shared by every partition the driver runs.
 type program struct {
 	base, detail *relation.Relation
 	baseW        int
@@ -231,6 +233,8 @@ type program struct {
 	totalAggs    int
 	comp         *algebra.CompletionInfo
 	outSchema    *relation.Schema
+	workers      int
+	stats        *Stats // never nil: a discarded local when the caller wants none
 	gov          *govern.Governor
 	faults       *govern.Injector
 	tracer       *obs.Tracer
@@ -240,14 +244,19 @@ type program struct {
 	packed func(key []int) (h []uint64, ok []bool)
 }
 
+// result holds, by base position, what the single emit pass needs:
+// each tuple's completion decision (0 undecided, +1 accept (frozen),
+// -1 drop) and its accumulator row.
+type result struct {
+	decided []int8
+	accs    [][]agg.Accumulator
+}
+
 // Evaluate computes the GMDJ of base and detail under conds.
 // The output schema is base's columns followed by each condition's
 // aggregate columns in order; output rows appear in base order (minus
 // tuples dropped by completion).
 func Evaluate(base, detail *relation.Relation, conds []algebra.GMDJCond, opts Options) (*relation.Relation, error) {
-	if opts.MaxBaseRows > 0 && len(base.Rows) > opts.MaxBaseRows {
-		return evaluatePartitioned(base, detail, conds, opts)
-	}
 	if err := opts.Faults.Fire("gmdj.compile", opts.Gov); err != nil {
 		return nil, err
 	}
@@ -256,59 +265,33 @@ func Evaluate(base, detail *relation.Relation, conds []algebra.GMDJCond, opts Op
 	// supply the bytes sends evaluation down the spill path — or, with
 	// no spill store, fails with the typed memory-budget error (the
 	// pre-spill "kill" regime).
-	if opts.Mem != nil && len(base.Rows) > 0 {
-		est := estimateStateBytes(base, conds, opts.Completion)
-		if err := opts.Mem.Grow(est); err != nil {
-			if opts.Spill == nil {
-				return nil, &govern.BudgetError{Kind: govern.ErrMemBudget, Limit: opts.Mem.Available(), Observed: est}
-			}
-			return evaluateSpilled(base, detail, conds, opts, est)
+	nBase := len(base.Rows)
+	var est int64
+	spilling := false
+	if opts.Mem != nil && nBase > 0 {
+		est = estimateStateBytes(base, conds, opts.Completion)
+		if err := opts.Mem.Grow(est); err == nil {
+			defer opts.Mem.Shrink(est)
+		} else if opts.Spill != nil {
+			spilling = true
+		} else {
+			return nil, &govern.BudgetError{Kind: govern.ErrMemBudget, Limit: opts.Mem.Available(), Observed: est}
 		}
-		defer opts.Mem.Shrink(est)
 	}
-	p, err := compile(base, detail, conds, opts.Completion)
+	p, err := compile(base, detail, conds, opts)
 	if err != nil {
 		return nil, err
 	}
-	p.gov, p.faults, p.tracer, p.live = opts.Gov, opts.Faults, opts.Tracer, opts.Live
-	p.packed = opts.PackedHash
-	if opts.HashCache != nil && opts.DetailID != "" {
-		p.attachDetailHashes(opts.HashCache, opts.DetailID, opts.Stats)
-	} else if p.packed != nil {
-		p.attachPackedHashes(opts.Stats)
+	out := result{decided: make([]int8, nBase), accs: make([][]agg.Accumulator, nBase)}
+	if spilling {
+		err = p.evalSpilled(opts.Mem, opts.Spill, est, out)
+	} else {
+		err = p.evalPartition(partition{rows: base.Rows}, out)
 	}
-	if opts.Stats != nil {
-		for _, c := range p.conds {
-			if c.index == nil && len(c.baseKey) == 0 {
-				opts.Stats.FallbackConds++
-			}
-		}
-	}
-	decided, accs, err := p.run(opts.Workers, opts.Stats)
 	if err != nil {
 		return nil, err
 	}
-	return p.emit(decided, accs)
-}
-
-// run executes the detail scan (serial or parallel) and returns the
-// per-base decisions and accumulator rows, leaving materialization to
-// emit — the split that lets the spill path evaluate partitions
-// independently and still emit once, in base order.
-func (p *program) run(workers int, stats *Stats) ([]int8, [][]agg.Accumulator, error) {
-	if workers <= 0 {
-		workers = 1
-	}
-	// Parallel evaluation shards the base, so it needs enough base rows
-	// for every worker to own a real range, and enough detail rows for
-	// the scan to be worth sharding at all.
-	if workers > 1 && len(p.base.Rows) >= 2*workers && len(p.detail.Rows) >= 2*workers {
-		if err := p.prepareParallel(stats); err != nil {
-			return nil, nil, err
-		}
-		return p.runParallel(workers, stats)
-	}
-	return p.runSerial(stats)
+	return p.emit(out)
 }
 
 // prepareParallel hoists the per-detail-row work every worker would
@@ -317,13 +300,14 @@ func (p *program) run(workers int, stats *Stats) ([]int8, [][]agg.Accumulator, e
 // already supplied one), and conditions with a detail-only predicate
 // get its outcome bitmap. One O(detail) pass here replaces
 // workers× passes inside the scan, leaving only the index probes
-// themselves as duplicated work.
-func (p *program) prepareParallel(stats *Stats) error {
+// themselves as duplicated work. Idempotent, so spilled partitions
+// share the first one's vectors.
+func (p *program) prepareParallel() error {
 	n := len(p.detail.Rows)
 	for ci := range p.conds {
 		cp := &p.conds[ci]
-		if cp.index != nil && len(cp.detailKey) > 0 && cp.detailHash == nil {
-			cp.detailHash = p.computeDetailVec(cp.detailKey, stats)
+		if len(cp.baseKey) > 0 && cp.detailHash == nil {
+			cp.detailHash = p.computeDetailVec(cp.detailKey)
 		}
 		if cp.detailPred != nil && cp.detailPredOK == nil {
 			oks := make([]bool, n)
@@ -364,15 +348,28 @@ func estimateStateBytes(base *relation.Relation, conds []algebra.GMDJCond, comp 
 	return nBase * per
 }
 
-// compile binds and classifies every condition.
-func compile(base, detail *relation.Relation, conds []algebra.GMDJCond, comp *algebra.CompletionInfo) (*program, error) {
+// compile is the preamble every regime shares: it binds and classifies
+// every condition, resolves the detail-side key-hash vectors, and
+// counts the fallback conditions — once per Evaluate, however many
+// partitions the base is then evaluated in.
+func compile(base, detail *relation.Relation, conds []algebra.GMDJCond, opts Options) (*program, error) {
 	combined := base.Schema.Concat(detail.Schema)
 	p := &program{
-		base:   base,
-		detail: detail,
-		baseW:  base.Schema.Len(),
-		comp:   comp,
-		conds:  make([]condProg, len(conds)),
+		base:    base,
+		detail:  detail,
+		baseW:   base.Schema.Len(),
+		comp:    opts.Completion,
+		conds:   make([]condProg, len(conds)),
+		workers: opts.Workers,
+		stats:   opts.Stats,
+		gov:     opts.Gov,
+		faults:  opts.Faults,
+		tracer:  opts.Tracer,
+		live:    opts.Live,
+		packed:  opts.PackedHash,
+	}
+	if p.stats == nil {
+		p.stats = new(Stats)
 	}
 	outCols := append([]relation.Column{}, base.Schema.Columns...)
 	for i, c := range conds {
@@ -390,9 +387,12 @@ func compile(base, detail *relation.Relation, conds []algebra.GMDJCond, comp *al
 		if err := classifyTheta(cp, c.Theta, base.Schema, detail.Schema, combined); err != nil {
 			return nil, fmt.Errorf("gmdj: condition %d (%s): %w", i, c.Theta, err)
 		}
+		if len(cp.baseKey) == 0 {
+			p.stats.FallbackConds++
+		}
 	}
-	if comp != nil {
-		for ai, a := range comp.Atoms {
+	if p.comp != nil {
+		for ai, a := range p.comp.Atoms {
 			if a.Cond < 0 || a.Cond >= len(conds) {
 				return nil, fmt.Errorf("gmdj: completion atom %d references condition %d of %d", ai, a.Cond, len(conds))
 			}
@@ -400,22 +400,35 @@ func compile(base, detail *relation.Relation, conds []algebra.GMDJCond, comp *al
 		}
 	}
 	p.outSchema = relation.NewSchema(outCols...)
-	// Build hash indexes for conditions with bindings.
-	for i := range p.conds {
-		cp := &p.conds[i]
+	if opts.HashCache != nil && opts.DetailID != "" {
+		p.attachDetailHashes(opts.HashCache, opts.DetailID)
+	} else if p.packed != nil {
+		p.attachPackedHashes()
+	}
+	return p, nil
+}
+
+// buildIndex hashes a partition's tuples under every condition with
+// equi-bindings: index[c][h] lists the partition positions whose key
+// hashes to h. Fallback conditions get a nil entry.
+func (p *program) buildIndex(rows []relation.Tuple) []map[uint64][]int32 {
+	index := make([]map[uint64][]int32, len(p.conds))
+	for ci := range p.conds {
+		cp := &p.conds[ci]
 		if len(cp.baseKey) == 0 {
 			continue
 		}
-		cp.index = make(map[uint64][]int32, len(base.Rows))
-		for bi, row := range base.Rows {
+		m := make(map[uint64][]int32, len(rows))
+		for i, row := range rows {
 			h, ok := keyHash(row, cp.baseKey)
 			if !ok {
 				continue // NULL key never matches through equality
 			}
-			cp.index[h] = append(cp.index[h], int32(bi))
+			m[h] = append(m[h], int32(i))
 		}
+		index[ci] = m
 	}
-	return p, nil
+	return index
 }
 
 // attachDetailHashes resolves each indexed condition's detail-side
@@ -425,10 +438,10 @@ func compile(base, detail *relation.Relation, conds []algebra.GMDJCond, comp *al
 // (coalesced subqueries probing the same binding, the common GMDJOpt
 // shape) resolve to the same entry, so the second condition is free
 // even on a cold cache.
-func (p *program) attachDetailHashes(cache HashCache, detailID string, stats *Stats) {
+func (p *program) attachDetailHashes(cache HashCache, detailID string) {
 	for i := range p.conds {
 		cp := &p.conds[i]
-		if cp.index == nil || len(cp.detailKey) == 0 {
+		if len(cp.baseKey) == 0 {
 			continue
 		}
 		keyCols := make([]string, len(cp.detailKey))
@@ -439,18 +452,14 @@ func (p *program) attachDetailHashes(cache HashCache, detailID string, stats *St
 		if v, ok := cache.Get(key); ok {
 			if vec, ok := v.(*detailHashVec); ok && len(vec.H) == len(p.detail.Rows) {
 				cp.detailHash = vec
-				if stats != nil {
-					stats.HashCacheHits++
-				}
+				p.stats.HashCacheHits++
 				continue
 			}
 		}
-		vec := p.computeDetailVec(cp.detailKey, stats)
+		vec := p.computeDetailVec(cp.detailKey)
 		cache.Put(key, vec, int64(len(vec.H))*9)
 		cp.detailHash = vec
-		if stats != nil {
-			stats.HashCacheMisses++
-		}
+		p.stats.HashCacheMisses++
 	}
 }
 
@@ -459,11 +468,11 @@ func (p *program) attachDetailHashes(cache HashCache, detailID string, stats *St
 // configured. Only trusted vectors attach: a supplier whose vector
 // length disagrees with the detail relation (a stale segment) is
 // dropped entirely and evaluation falls back to row hashing.
-func (p *program) attachPackedHashes(stats *Stats) {
+func (p *program) attachPackedHashes() {
 	n := len(p.detail.Rows)
 	for i := range p.conds {
 		cp := &p.conds[i]
-		if cp.index == nil || len(cp.detailKey) == 0 || cp.detailHash != nil {
+		if len(cp.baseKey) == 0 {
 			continue
 		}
 		h, ok := p.packed(cp.detailKey)
@@ -472,22 +481,18 @@ func (p *program) attachPackedHashes(stats *Stats) {
 			return
 		}
 		cp.detailHash = &detailHashVec{H: h, OK: ok}
-		if stats != nil {
-			stats.PackedHashConds++
-		}
+		p.stats.PackedHashConds++
 	}
 }
 
 // computeDetailVec builds the key-hash vector for one detail key set,
 // reading the packed columnar segment when a trusted supplier is
 // attached and falling back to hashing the row-oriented tuples.
-func (p *program) computeDetailVec(key []int, stats *Stats) *detailHashVec {
+func (p *program) computeDetailVec(key []int) *detailHashVec {
 	n := len(p.detail.Rows)
 	if p.packed != nil {
 		if h, ok := p.packed(key); len(h) == n && len(ok) == n {
-			if stats != nil {
-				stats.PackedHashConds++
-			}
+			p.stats.PackedHashConds++
 			return &detailHashVec{H: h, OK: ok}
 		}
 		p.packed = nil // stale supplier: never consult it again
@@ -613,33 +618,38 @@ func keysEqual(baseRow, detailRow relation.Tuple, baseKey, detailKey []int) bool
 	return true
 }
 
-// state is the per-run mutable evaluation state. Serial evaluation
-// uses one state spanning the whole base; parallel evaluation gives
-// each worker a state owning a contiguous base range.
+// state is the mutable evaluation state of one detail scan: the base
+// range it owns, sized to that range.
 type state struct {
 	p *program
-	// lo, hi bound the base range this state owns. Arrays are
-	// full-length and globally indexed — hash-index buckets hand out
-	// global base positions, so global indexing keeps the probe path
-	// offset-free — but only [lo,hi) is populated.
-	lo, hi   int
-	accs     [][]agg.Accumulator // [base][agg]
+	// rows are the owned tuples: partition positions [lo, lo+len(rows)).
+	// Every per-tuple array below is indexed by offset into rows.
+	rows []relation.Tuple
+	lo   int
+	// index is the partition's hash index (buildIndex), shared read-only
+	// by every range of the partition. Its buckets hand out partition
+	// positions, so a hit outside the owned range is another worker's.
+	index []map[uint64][]int32
+	// accs and decided are the owned windows of the partition's result
+	// arrays: what this scan folds is already where emit reads it.
+	accs     [][]agg.Accumulator // [tuple][agg]
+	decided  []int8
 	active   []bool
-	decided  []int8 // 0 undecided, +1 accept (frozen), -1 drop
 	matched  [][]bool
 	combined relation.Tuple
-	// basePredOK[c][b] caches base-only conjunct outcomes.
+	// basePredOK[c][i] caches base-only conjunct outcomes.
 	basePredOK [][]bool
-	// condScan is, per condition, the fallback iteration list of base
-	// positions (nil for indexed conditions). Conditions with a
+	// condScan is, per condition, the fallback iteration list of owned
+	// tuples (nil for indexed conditions). Conditions with a
 	// base-only predicate list only the rows that pass it, so e.g. an
 	// "x IS NULL" counterexample condition costs nothing on NULL-free
-	// data. Lists are compacted lazily as completion retires entries.
+	// data. Lists are compacted lazily as completion retires entries:
+	// inactive counts retirements since the last compaction.
 	condScan [][]int32
 	inactive int
-	// remaining counts still-active base entries in [lo,hi); when
-	// completion retires the last one the detail scan short-circuits
-	// (no base tuple this state owns can change its output anymore).
+	// remaining counts still-active owned tuples; when completion
+	// retires the last one the detail scan short-circuits (no base
+	// tuple this state owns can change its output anymore).
 	remaining int
 	// liveFlushed tracks how many fed detail rows have been published
 	// to the live-query registry; flushLive publishes per chunk, so
@@ -657,37 +667,39 @@ func (s *state) flushLive() {
 	}
 }
 
-// newState builds evaluation state for the base range [lo,hi): the
-// per-entry accumulator rows, completion flags, base-predicate cache,
-// and fallback scan lists cover only the owned range, so a parallel
-// run splits the O(base) construction cost across workers instead of
-// repeating it.
-func (p *program) newState(lo, hi int) (*state, error) {
-	nBase := len(p.base.Rows)
+// newState builds evaluation state for positions [lo,hi) of a
+// partition: the per-tuple accumulator rows, completion flags,
+// base-predicate cache, and fallback scan lists cover only the owned
+// range, so a parallel run splits the O(base) construction cost and
+// memory across workers instead of repeating them. decided and accs
+// are the partition's result arrays.
+func (p *program) newState(part []relation.Tuple, index []map[uint64][]int32, lo, hi int, decided []int8, accs [][]agg.Accumulator) (*state, error) {
+	n := hi - lo
 	s := &state{
 		p:         p,
+		rows:      part[lo:hi],
 		lo:        lo,
-		hi:        hi,
-		accs:      make([][]agg.Accumulator, nBase),
-		active:    make([]bool, nBase),
-		decided:   make([]int8, nBase),
+		index:     index,
+		accs:      accs[lo:hi],
+		decided:   decided[lo:hi],
+		active:    make([]bool, n),
 		combined:  make(relation.Tuple, p.baseW+p.detail.Schema.Len()),
-		remaining: hi - lo,
+		remaining: n,
 	}
-	for bi := lo; bi < hi; bi++ {
-		s.active[bi] = true
+	for i := range s.rows {
+		s.active[i] = true
 		row := make([]agg.Accumulator, 0, p.totalAggs)
 		for ci := range p.conds {
 			for _, spec := range p.conds[ci].specs {
 				row = append(row, agg.NewAccumulator(spec))
 			}
 		}
-		s.accs[bi] = row
+		s.accs[i] = row
 	}
 	if p.comp != nil {
-		s.matched = make([][]bool, nBase)
-		for bi := lo; bi < hi; bi++ {
-			s.matched[bi] = make([]bool, len(p.comp.Atoms))
+		s.matched = make([][]bool, n)
+		for i := range s.matched {
+			s.matched[i] = make([]bool, len(p.comp.Atoms))
 		}
 	}
 	s.basePredOK = make([][]bool, len(p.conds))
@@ -696,26 +708,26 @@ func (p *program) newState(lo, hi int) (*state, error) {
 		if cp.basePred == nil {
 			continue
 		}
-		oks := make([]bool, nBase)
-		for bi := lo; bi < hi; bi++ {
-			tr, err := expr.EvalTri(cp.basePred, p.base.Rows[bi])
+		oks := make([]bool, n)
+		for i, row := range s.rows {
+			tr, err := expr.EvalTri(cp.basePred, row)
 			if err != nil {
 				return nil, err
 			}
-			oks[bi] = tr == value.True
+			oks[i] = tr == value.True
 		}
 		s.basePredOK[ci] = oks
 	}
 	s.condScan = make([][]int32, len(p.conds))
 	for ci := range p.conds {
-		if p.conds[ci].index != nil {
+		if index[ci] != nil {
 			continue
 		}
-		list := make([]int32, 0, hi-lo)
+		list := make([]int32, 0, n)
 		oks := s.basePredOK[ci]
-		for bi := lo; bi < hi; bi++ {
-			if oks == nil || oks[bi] {
-				list = append(list, int32(bi))
+		for i := range s.rows {
+			if oks == nil || oks[i] {
+				list = append(list, int32(i))
 			}
 		}
 		s.condScan[ci] = list
@@ -725,6 +737,9 @@ func (p *program) newState(lo, hi int) (*state, error) {
 
 // feed folds one detail row (at detail position di) into the state.
 func (s *state) feed(di int) error {
+	if s.inactive*2 > len(s.rows) {
+		s.compact()
+	}
 	p := s.p
 	detailRow := p.detail.Rows[di]
 	copy(s.combined[p.baseW:], detailRow)
@@ -746,7 +761,7 @@ func (s *state) feed(di int) error {
 				}
 			}
 		}
-		if cp.index != nil {
+		if index := s.index[ci]; index != nil {
 			var h uint64
 			var ok bool
 			if vec := cp.detailHash; vec != nil {
@@ -757,16 +772,17 @@ func (s *state) feed(di int) error {
 			if !ok {
 				continue
 			}
-			for _, bi := range cp.index[h] {
+			for _, pos := range index[h] {
 				s.stats.Probes++
-				if !s.active[bi] {
+				i := int(pos) - s.lo
+				if uint(i) >= uint(len(s.active)) || !s.active[i] {
 					continue
 				}
-				baseRow := p.base.Rows[bi]
+				baseRow := s.rows[i]
 				if !keysEqual(baseRow, detailRow, cp.baseKey, cp.detailKey) {
 					continue
 				}
-				if oks := s.basePredOK[ci]; oks != nil && !oks[bi] {
+				if oks := s.basePredOK[ci]; oks != nil && !oks[i] {
 					continue
 				}
 				if cp.mixedPred != nil {
@@ -779,20 +795,20 @@ func (s *state) feed(di int) error {
 						continue
 					}
 				}
-				if err := s.match(int(bi), ci, detailRow); err != nil {
+				if err := s.match(i, ci, detailRow); err != nil {
 					return err
 				}
 			}
 			continue
 		}
-		// Fallback: no equi-binding — visit every active base entry
+		// Fallback: no equi-binding — visit every active owned tuple
 		// that passes the condition's base-only predicate.
-		for _, bi := range s.condScan[ci] {
-			if !s.active[bi] {
+		for _, i := range s.condScan[ci] {
+			if !s.active[i] {
 				continue
 			}
 			s.stats.Probes++
-			copy(s.combined[:p.baseW], p.base.Rows[bi])
+			copy(s.combined[:p.baseW], s.rows[i])
 			tr, err := expr.EvalTri(cp.fullTheta, s.combined)
 			if err != nil {
 				return err
@@ -800,7 +816,7 @@ func (s *state) feed(di int) error {
 			if tr != value.True {
 				continue
 			}
-			if err := s.match(int(bi), ci, detailRow); err != nil {
+			if err := s.match(int(i), ci, detailRow); err != nil {
 				return err
 			}
 		}
@@ -808,13 +824,13 @@ func (s *state) feed(di int) error {
 	return nil
 }
 
-// match records that detailRow satisfied condition ci for base entry
-// bi: aggregates are folded and completion is advanced.
-func (s *state) match(bi, ci int, detailRow relation.Tuple) error {
+// match records that detailRow satisfied condition ci for owned tuple
+// i: aggregates are folded and completion is advanced.
+func (s *state) match(i, ci int, detailRow relation.Tuple) error {
 	p := s.p
 	cp := &p.conds[ci]
 	s.stats.Matches++
-	accRow := s.accs[bi]
+	accRow := s.accs[i]
 	for k := range cp.specs {
 		if err := accRow[cp.aggOffset+k].Add(detailRow); err != nil {
 			return err
@@ -825,50 +841,52 @@ func (s *state) match(bi, ci int, detailRow relation.Tuple) error {
 	}
 	changed := false
 	for _, ai := range cp.atoms {
-		if !s.matched[bi][ai] {
-			s.matched[bi][ai] = true
+		if !s.matched[i][ai] {
+			s.matched[i][ai] = true
 			changed = true
 		}
 	}
 	if !changed {
 		return nil
 	}
-	switch evalTree(p.comp.Tree, p.comp.Atoms, s.matched[bi]) {
+	switch evalTree(p.comp.Tree, p.comp.Atoms, s.matched[i]) {
 	case value.False:
-		s.retire(bi, -1)
+		s.retire(i, -1)
 	case value.True:
 		if p.comp.FreezeTrue {
-			s.retire(bi, 1)
+			s.retire(i, 1)
 		}
 	}
 	return nil
 }
 
-// retire removes a base entry from the active set.
-func (s *state) retire(bi int, decision int8) {
-	if !s.active[bi] {
+// retire removes an owned tuple from the active set.
+func (s *state) retire(i int, decision int8) {
+	if !s.active[i] {
 		return
 	}
-	s.active[bi] = false
-	s.decided[bi] = decision
+	s.active[i] = false
+	s.decided[i] = decision
 	s.stats.Completed++
 	s.inactive++
 	s.remaining--
-	if s.inactive*2 > s.hi-s.lo {
-		for ci, list := range s.condScan {
-			if list == nil {
-				continue
+}
+
+// compact drops retired tuples from the fallback scan lists. feed
+// calls it between detail rows, never from retire: a list compacted
+// while feed iterates it would skip some tuples and visit others twice
+// for the current row.
+func (s *state) compact() {
+	for ci, list := range s.condScan {
+		kept := list[:0]
+		for _, x := range list {
+			if s.active[x] {
+				kept = append(kept, x)
 			}
-			kept := list[:0]
-			for _, x := range list {
-				if s.active[x] {
-					kept = append(kept, x)
-				}
-			}
-			s.condScan[ci] = kept
 		}
-		s.inactive = 0
+		s.condScan[ci] = kept
 	}
+	s.inactive = 0
 }
 
 // evalTree Kleene-evaluates the completion formula: unmatched atoms are
@@ -914,20 +932,20 @@ func evalTree(t *algebra.BoolTree, atoms []algebra.CompletionAtom, matched []boo
 	}
 }
 
-// emit materializes the output relation from final state, charging
-// each emitted row against the query budgets.
-func (p *program) emit(decided []int8, accs [][]agg.Accumulator) (*relation.Relation, error) {
+// emit materializes the output relation from the final result,
+// charging each emitted row against the query budgets.
+func (p *program) emit(res result) (*relation.Relation, error) {
 	if err := p.faults.Fire("gmdj.emit", p.gov); err != nil {
 		return nil, err
 	}
 	out := relation.New(p.outSchema)
 	for bi, baseRow := range p.base.Rows {
-		if decided[bi] == -1 {
+		if res.decided[bi] == -1 {
 			continue
 		}
 		row := make(relation.Tuple, 0, p.baseW+p.totalAggs)
 		row = append(row, baseRow...)
-		for _, a := range accs[bi] {
+		for _, a := range res.accs[bi] {
 			row = append(row, a.Result())
 		}
 		if p.gov != nil || p.live != nil {
@@ -944,48 +962,40 @@ func (p *program) emit(decided []int8, accs [][]agg.Accumulator) (*relation.Rela
 	return out, nil
 }
 
-func (p *program) runSerial(stats *Stats) ([]int8, [][]agg.Accumulator, error) {
-	s, err := p.newState(0, len(p.base.Rows))
-	if err != nil {
-		return nil, nil, err
-	}
-	// The detail scan proceeds in batch-sized chunks — the same morsel
-	// discipline the rest of the engine runs on, and the unit the
-	// batches= counter reports.
-	n := len(p.detail.Rows)
-	defer s.flushLive()
-scan:
-	for lo := 0; lo < n; lo += relation.DefaultBatchCap {
-		hi := lo + relation.DefaultBatchCap
-		if hi > n {
-			hi = n
-		}
-		s.stats.Batches++
-		for di := lo; di < hi; di++ {
-			if s.remaining == 0 {
-				// Every base tuple is decided: no remaining detail row can
-				// change the output, so the scan short-circuits (§4.2 taken
-				// to its limit).
-				s.stats.ShortCircuitRows += int64(n - di)
-				break scan
-			}
-			if err := p.gov.Tick(); err != nil {
-				return nil, nil, err
-			}
-			if err := s.feed(di); err != nil {
-				return nil, nil, err
-			}
-		}
-		s.flushLive()
-	}
-	stats.Merge(&s.stats)
-	return s.decided, s.accs, nil
+// partition is a set of base positions the driver evaluates together:
+// its tuples are resident at once and one hash index covers exactly
+// them. Evaluate hands the driver the whole base; the spill regime
+// hands it one hash-prefix slice of the base at a time.
+type partition struct {
+	rows []relation.Tuple // the partition's tuples, in base order
+	// idx[i] is rows[i]'s base position. Nil for the whole base, where
+	// it is i.
+	idx []int32
 }
 
-// runParallel shards the BASE relation: each worker owns a contiguous
-// range of base tuples, builds state for that range only, and scans
-// the whole detail relation against it. Sharding the base rather than
-// the detail wins three ways:
+// degree is the degree policy: how many ranges a partition of nBase
+// tuples is split into, one detail scan each. Sharding needs enough
+// base rows for every worker to own a real range, and enough detail
+// rows for the scan to be worth sharding at all.
+func (p *program) degree(nBase int) int {
+	w := p.workers
+	if w <= 1 || nBase < 2*w || len(p.detail.Rows) < 2*w {
+		return 1
+	}
+	if limit := runtime.GOMAXPROCS(0) * 4; w > limit {
+		w = limit
+	}
+	return w
+}
+
+// evalPartition is the one driver behind serial, parallel and spilled
+// evaluation. It indexes the partition, splits its positions into one
+// contiguous range per worker, builds state sized to each range, runs
+// the detail scan once per range — inline for a single range, one
+// goroutine each otherwise — and leaves every tuple's decision and
+// accumulators in out by base position, for the single emit.
+//
+// Sharding the base rather than the detail wins three ways:
 //
 //   - The O(base) state construction (accumulator rows, base-predicate
 //     cache, fallback scan lists) splits across workers instead of
@@ -996,43 +1006,44 @@ scan:
 //     cross-worker accumulator merge (order-sensitive aggregates
 //     included). Completion decisions are likewise final per range.
 //   - Tuple completion short-circuits per range: a worker whose
-//     entries are all decided stops scanning immediately, so the
+//     tuples are all decided stops scanning immediately, so the
 //     aggregate detail work tracks the serial scan's effective work,
 //     not workers × detail.
 //
-// The price is that indexed conditions probe the shared hash index
-// from every worker and discard hits outside the owned range (one
-// active-flag load each); fallback θ-conditions pay nothing extra —
-// each worker iterates only its own scan lists. Merging is pure
-// concatenation of ranges in base order.
+// The price is one detail scan per range (Stats.DetailScans), and that
+// indexed conditions probe the partition's shared hash index from
+// every worker and discard hits outside the owned range; fallback
+// θ-conditions pay nothing extra — each worker iterates only its own
+// scan lists.
 //
-// Failure semantics: the first worker to fail (operator error, budget
+// Failure semantics: the first scan to fail (operator error, budget
 // violation, cancellation, or recovered panic) records its error and
-// trips a shared stop flag; every other worker observes the flag on
-// its next detail row and returns without finishing its scan. The
-// pool therefore drains within one row of the first failure, and
-// Evaluate returns the first error in order of occurrence. Worker
-// panics are recovered on the worker goroutine itself — the engine's
-// panic boundary lives on the query goroutine and cannot shield
-// workers — and surface as *govern.InternalError.
-func (p *program) runParallel(workers int, stats *Stats) ([]int8, [][]agg.Accumulator, error) {
-	if workers > runtime.GOMAXPROCS(0)*4 {
-		workers = runtime.GOMAXPROCS(0) * 4
+// trips a shared stop flag; every other scan observes the flag on its
+// next detail row and returns without finishing. The pool therefore
+// drains within one row of the first failure, and Evaluate returns the
+// first error in order of occurrence.
+func (p *program) evalPartition(part partition, out result) error {
+	n := len(part.rows)
+	// The whole base folds straight into out; a position list folds
+	// into scratch arrays that are scattered once the scans are done.
+	decided, accs := out.decided, out.accs
+	if part.idx != nil {
+		decided, accs = make([]int8, n), make([][]agg.Accumulator, n)
 	}
-	nBase := len(p.base.Rows)
-	if workers > nBase {
-		workers = nBase
+	workers := p.degree(n)
+	if workers > 1 {
+		if err := p.prepareParallel(); err != nil {
+			return err
+		}
 	}
-	if workers <= 1 {
-		return p.runSerial(stats)
-	}
-	// Allocate every worker state before launching any goroutine, so an
-	// allocation error cannot strand already-started workers.
+	index := p.buildIndex(part.rows)
+	// Build every state before starting any scan, so a failed build
+	// cannot strand already-started workers.
 	states := make([]*state, workers)
 	for w := range states {
-		st, err := p.newState(w*nBase/workers, (w+1)*nBase/workers)
+		st, err := p.newState(part.rows, index, w*n/workers, (w+1)*n/workers, decided, accs)
 		if err != nil {
-			return nil, nil, err
+			return err
 		}
 		states[w] = st
 	}
@@ -1041,110 +1052,92 @@ func (p *program) runParallel(workers int, stats *Stats) ([]int8, [][]agg.Accumu
 		failOnce sync.Once
 		firstErr error
 	)
-	fail := func(err error) {
-		failOnce.Do(func() { firstErr = err })
-		stop.Store(true)
+	run := func(w int) {
+		if err := p.scan(w, states[w], &stop); err != nil {
+			failOnce.Do(func() { firstErr = err })
+			stop.Store(true)
+		}
 	}
-	var wg sync.WaitGroup
-	n := len(p.detail.Rows)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int, st *state) {
-			start := time.Now()
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					fail(&govern.InternalError{Panic: r, Node: "*algebra.GMDJ", Stack: debug.Stack()})
-				}
-			}()
-			defer st.flushLive()
-			defer func() {
-				p.tracer.Span("gmdj", fmt.Sprintf("worker %d base [%d:%d)", w, st.lo, st.hi), int64(2+w), start, time.Since(start))
-			}()
-			if err := p.faults.Fire("gmdj.worker", p.gov); err != nil {
-				fail(err)
-				return
-			}
-			// Each worker walks the full detail scan in batch-sized
-			// chunks, mirroring the serial scan's morsel discipline.
-			for blo := 0; blo < n; blo += relation.DefaultBatchCap {
-				bhi := blo + relation.DefaultBatchCap
-				if bhi > n {
-					bhi = n
-				}
-				st.stats.Batches++
-				for di := blo; di < bhi; di++ {
-					if stop.Load() {
-						return
-					}
-					if st.remaining == 0 {
-						// Range short-circuit: every base entry this worker
-						// owns is decided, so the rest of the scan is dead
-						// work for it.
-						st.stats.ShortCircuitRows += int64(n - di)
-						return
-					}
-					if err := p.gov.Tick(); err != nil {
-						fail(err)
-						return
-					}
-					if err := st.feed(di); err != nil {
-						fail(err)
-						return
-					}
-				}
-				st.flushLive()
-			}
-		}(w, states[w])
+	if workers == 1 {
+		run(0)
+	} else {
+		var wg sync.WaitGroup
+		for w := range states {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				run(w)
+			}(w)
+		}
+		wg.Wait()
 	}
-	wg.Wait()
 	if firstErr != nil {
-		return nil, nil, firstErr
+		return firstErr
 	}
-	// Record per-worker row counts before merging collapses the locals.
-	workerRows := make([]int64, workers)
-	for w := range states {
-		workerRows[w] = states[w].stats.DetailRows
+	for _, st := range states {
+		p.stats.Merge(&st.stats)
+		if workers > 1 {
+			p.stats.WorkerRows = append(p.stats.WorkerRows, st.stats.DetailRows)
+		}
 	}
-	// Each worker's range is disjoint and final: concatenate.
-	root := states[0]
-	for w := 1; w < workers; w++ {
-		st := states[w]
-		copy(root.accs[st.lo:st.hi], st.accs[st.lo:st.hi])
-		copy(root.decided[st.lo:st.hi], st.decided[st.lo:st.hi])
-		root.stats.Merge(&st.stats)
+	for i, bi := range part.idx {
+		out.decided[bi], out.accs[bi] = decided[i], accs[i]
 	}
-	root.stats.WorkerRows = workerRows
-	stats.Merge(&root.stats)
-	return root.decided, root.accs, nil
+	return nil
 }
 
-// evaluatePartitioned processes the base relation in bounded chunks,
-// scanning the detail relation once per chunk. Output order (base
-// order) and completion semantics are preserved: every base tuple's
-// aggregates and decisions depend only on its own matches.
-func evaluatePartitioned(base, detail *relation.Relation, conds []algebra.GMDJCond, opts Options) (*relation.Relation, error) {
-	chunkOpts := opts
-	chunkOpts.MaxBaseRows = 0
-	var out *relation.Relation
-	for lo := 0; lo < len(base.Rows); lo += opts.MaxBaseRows {
-		hi := lo + opts.MaxBaseRows
-		if hi > len(base.Rows) {
-			hi = len(base.Rows)
+// scan is the detail-scan loop — the only place a GMDJ reads detail
+// tuples. It walks the detail relation once in batch-sized chunks (the
+// morsel discipline the rest of the engine runs on, and the unit the
+// batches= counter reports), folding each row into st, and defines the
+// scan counters: one DetailScans, and every detail row either fed
+// (DetailRows) or skipped (ShortCircuitRows). A panic is recovered
+// here, on the goroutine that scans — the engine's panic boundary
+// lives on the query goroutine and cannot shield workers — and
+// surfaces as *govern.InternalError.
+func (p *program) scan(w int, st *state, stop *atomic.Bool) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = &govern.InternalError{Panic: r, Node: "*algebra.GMDJ", Stack: debug.Stack()}
 		}
-		chunk := &relation.Relation{Schema: base.Schema, Rows: base.Rows[lo:hi]}
-		res, err := Evaluate(chunk, detail, conds, chunkOpts)
-		if err != nil {
-			return nil, err
-		}
-		if out == nil {
-			out = res
-		} else {
-			out.Rows = append(out.Rows, res.Rows...)
-		}
+	}()
+	if p.tracer != nil {
+		start := time.Now()
+		defer func() {
+			p.tracer.Span("gmdj", fmt.Sprintf("worker %d base [%d:%d)", w, st.lo, st.lo+len(st.rows)), int64(2+w), start, time.Since(start))
+		}()
 	}
-	if out == nil {
-		out = relation.New(base.Schema)
+	defer st.flushLive()
+	if err := p.faults.Fire("gmdj.worker", p.gov); err != nil {
+		return err
 	}
-	return out, nil
+	st.stats.DetailScans++
+	n := len(p.detail.Rows)
+	for blo := 0; blo < n; blo += relation.DefaultBatchCap {
+		bhi := blo + relation.DefaultBatchCap
+		if bhi > n {
+			bhi = n
+		}
+		st.stats.Batches++
+		for di := blo; di < bhi; di++ {
+			if stop.Load() {
+				return nil
+			}
+			if st.remaining == 0 {
+				// Every base tuple this scan owns is decided: no remaining
+				// detail row can change its output, so the scan
+				// short-circuits (§4.2 taken to its limit).
+				st.stats.ShortCircuitRows += int64(n - di)
+				return nil
+			}
+			if err := p.gov.Tick(); err != nil {
+				return err
+			}
+			if err := st.feed(di); err != nil {
+				return err
+			}
+		}
+		st.flushLive()
+	}
+	return nil
 }

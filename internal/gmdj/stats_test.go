@@ -87,6 +87,10 @@ func TestStatsParitySerialParallel(t *testing.T) {
 		if effective < 2 {
 			t.Fatalf("workers=%d: WorkerRows = %v, want at least two workers", workers, par.WorkerRows)
 		}
+		if serial.DetailScans != 1 || par.DetailScans != effective {
+			t.Fatalf("workers=%d: DetailScans = %d (serial %d), want %d (1): one scan per worker",
+				workers, par.DetailScans, serial.DetailScans, effective)
+		}
 		if par.DetailRows != serial.DetailRows*effective {
 			t.Fatalf("workers=%d: DetailRows = %d, want %d×%d (every worker scans the full detail)",
 				workers, par.DetailRows, effective, serial.DetailRows)

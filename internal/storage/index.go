@@ -144,8 +144,14 @@ type Table struct {
 	Name string
 	Rel  *relation.Relation
 
-	hashIdx   map[string]*HashIndex
-	sortedIdx map[string]*SortedIndex
+	// idxMu guards the secondary indexes, which concurrent read-only
+	// queries may refresh; idxVersion records which table version they
+	// reflect, so rows appended since are indexed before the next lookup
+	// (refreshIndexes) instead of being invisible to it.
+	idxMu      sync.Mutex
+	hashIdx    map[string]*HashIndex
+	sortedIdx  map[string]*SortedIndex
+	idxVersion uint64
 
 	// id is the process-unique identity assigned at registration;
 	// version counts data and index mutations. Cache keys embed
@@ -185,8 +191,7 @@ func (t *Table) BuildHashIndex(col string) error {
 	if err != nil {
 		return fmt.Errorf("storage: table %s: %w", t.Name, err)
 	}
-	t.hashIdx[col] = NewHashIndex(t.Rel, pos)
-	t.BumpVersion()
+	t.changeIndexes(func() { t.hashIdx[col] = NewHashIndex(t.Rel, pos) })
 	return nil
 }
 
@@ -197,19 +202,26 @@ func (t *Table) BuildSortedIndex(col string) error {
 	if err != nil {
 		return fmt.Errorf("storage: table %s: %w", t.Name, err)
 	}
-	t.sortedIdx[col] = NewSortedIndex(t.Rel, pos)
-	t.BumpVersion()
+	t.changeIndexes(func() { t.sortedIdx[col] = NewSortedIndex(t.Rel, pos) })
 	return nil
 }
 
-// HashIndexOn returns the hash index on col, if one exists.
+// HashIndexOn returns the hash index on col, if one exists, covering
+// every row the table holds now.
 func (t *Table) HashIndexOn(col string) (*HashIndex, bool) {
+	t.idxMu.Lock()
+	defer t.idxMu.Unlock()
+	t.refreshIndexes()
 	ix, ok := t.hashIdx[col]
 	return ix, ok
 }
 
-// SortedIndexOn returns the sorted index on col, if one exists.
+// SortedIndexOn returns the sorted index on col, if one exists,
+// covering every row the table holds now.
 func (t *Table) SortedIndexOn(col string) (*SortedIndex, bool) {
+	t.idxMu.Lock()
+	defer t.idxMu.Unlock()
+	t.refreshIndexes()
 	ix, ok := t.sortedIdx[col]
 	return ix, ok
 }
@@ -217,9 +229,41 @@ func (t *Table) SortedIndexOn(col string) (*SortedIndex, bool) {
 // DropIndexes removes all secondary indexes (for the unindexed
 // benchmark variants).
 func (t *Table) DropIndexes() {
-	t.hashIdx = make(map[string]*HashIndex)
-	t.sortedIdx = make(map[string]*SortedIndex)
+	t.changeIndexes(func() {
+		t.hashIdx = make(map[string]*HashIndex)
+		t.sortedIdx = make(map[string]*SortedIndex)
+	})
+}
+
+// refreshIndexes rebuilds every index when the table was written after
+// they were built. Writers only append rows and bump the version, so
+// an index can lag the data but never otherwise disagree with it.
+// Callers hold idxMu.
+func (t *Table) refreshIndexes() {
+	v := t.version.Load()
+	if v == t.idxVersion {
+		return
+	}
+	for col, ix := range t.hashIdx {
+		t.hashIdx[col] = NewHashIndex(t.Rel, ix.col)
+	}
+	for col, ix := range t.sortedIdx {
+		t.sortedIdx[col] = NewSortedIndex(t.Rel, ix.col)
+	}
+	t.idxVersion = v
+}
+
+// changeIndexes applies one change to the index set. Index changes
+// bump the table version like data writes do (compiled plans freeze
+// access-path choices), so the indexes are brought up to date first
+// and marked current again after the bump.
+func (t *Table) changeIndexes(change func()) {
+	t.idxMu.Lock()
+	defer t.idxMu.Unlock()
+	t.refreshIndexes()
+	change()
 	t.BumpVersion()
+	t.idxVersion = t.version.Load()
 }
 
 // ID returns the table's process-unique identity (0 before the table
@@ -244,6 +288,8 @@ func (t *Table) BumpVersion() {
 // IndexedColumns lists columns that carry any index, sorted for
 // deterministic EXPLAIN output.
 func (t *Table) IndexedColumns() []string {
+	t.idxMu.Lock()
+	defer t.idxMu.Unlock()
 	set := map[string]bool{}
 	for c := range t.hashIdx {
 		set[c] = true

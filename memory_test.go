@@ -35,8 +35,8 @@ func TestMemSpillParityAllStrategies(t *testing.T) {
 	memdb := memGovernDB(t, 800, 4000,
 		WithMemoryLimit(memSpillLimit), WithSpillDir(t.TempDir()))
 	for _, workers := range []int{1, 4} {
-		plain.SetParallelism(workers)
-		memdb.SetParallelism(workers)
+		plain.eng.SetParallelism(workers)
+		memdb.eng.SetParallelism(workers)
 		for _, s := range allStrategies {
 			t.Run(fmt.Sprintf("%v/workers=%d", s, workers), func(t *testing.T) {
 				want, err := plain.QueryStrategy(governQuery, s)

@@ -54,13 +54,12 @@ func TestQueryAnalyzeReconciles(t *testing.T) {
 // TestTraceRoundTrip checks the full tracing path through the facade:
 // enable, run, export, parse.
 func TestTraceRoundTrip(t *testing.T) {
-	db := gmdj.OpenNetflowSample(500)
+	db := gmdj.OpenNetflowSample(500, gmdj.WithParallelism(4))
 	var buf bytes.Buffer
 	if err := db.WriteTrace(&buf); err == nil {
 		t.Fatal("WriteTrace before EnableTracing must error")
 	}
 	db.EnableTracing(1 << 10)
-	db.SetParallelism(4)
 	if _, err := db.Query(obsTestQuery); err != nil {
 		t.Fatal(err)
 	}

@@ -4,9 +4,8 @@ import (
 	"github.com/olaplab/gmdj/internal/plancache"
 )
 
-// Option configures a DB at Open time. Options replace the historical
-// Set* mutators (still available, deprecated) so a fully configured
-// database is built in one expression:
+// Option configures a DB at Open time, so a fully configured database
+// is built in one expression:
 //
 //	db := gmdj.Open(
 //		gmdj.WithParallelism(4),
@@ -27,8 +26,8 @@ type Option func(*DB)
 //	n <= 0 — keep the default
 //
 // The default is runtime.GOMAXPROCS(0), overridable process-wide by
-// the GMDJ_PARALLEL environment variable (which explicit options and
-// setters in turn override). When a memory limit is configured the
+// the GMDJ_PARALLEL environment variable (which an explicit option in
+// turn overrides). When a memory limit is configured the
 // effective degree is additionally clamped so per-worker pipeline
 // scratch fits the limit. Small inputs run serial regardless — the
 // morsel scheduler only spins up workers when there is enough work to

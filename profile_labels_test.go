@@ -18,11 +18,15 @@ import (
 // sets around query execution must survive the GMDJ worker-pool
 // handoff onto the parallel detail-scan goroutines. The goroutine
 // profile (debug=1) groups stacks with their labels, so a stanza
-// holding both the tenant label and the parallel-scan frame proves the
-// inheritance end to end. Run with -race to also pin the handoff's
+// holding the tenant label and the detail-scan frame, on a goroutine
+// other than the query's own (no engine frame beneath the scan), proves
+// the inheritance end to end. Run with -race to also pin the handoff's
 // memory ordering.
 func TestWorkerPoolInheritsProfileLabels(t *testing.T) {
-	db := gmdj.OpenNetflowSample(20_000, gmdj.WithParallelism(4))
+	// 200k flows make one worker's scan outlast the scheduler's
+	// preemption slice, so even on a single P the profile below catches
+	// a worker mid-scan instead of only ever running between queries.
+	db := gmdj.OpenNetflowSample(200_000, gmdj.WithParallelism(4))
 	defer db.Close()
 	ctx := obs.WithTenant(obs.WithRequestID(context.Background(), "req-labels-1"), "acme")
 
@@ -46,11 +50,12 @@ func TestWorkerPoolInheritsProfileLabels(t *testing.T) {
 			t.Fatalf("goroutine profile: %v", err)
 		}
 		for _, stanza := range strings.Split(buf.String(), "\n\n") {
-			if strings.Contains(stanza, `"tenant":"acme"`) && strings.Contains(stanza, "runParallel") {
+			if strings.Contains(stanza, `"tenant":"acme"`) && strings.Contains(stanza, "gmdj.(*program).scan") &&
+				!strings.Contains(stanza, "internal/engine.") {
 				return // a labeled worker goroutine, caught in the act
 			}
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	t.Fatal("no goroutine profile stanza carried the tenant label on a runParallel worker within 10s")
+	t.Fatal("no goroutine profile stanza carried the tenant label on a detail-scan worker within 10s")
 }

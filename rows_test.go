@@ -135,7 +135,7 @@ func TestQueryRowsCloseCancelsRunningQuery(t *testing.T) {
 
 func TestQueryRowsRealError(t *testing.T) {
 	db := usersDB(t)
-	db.SetBudget(Budget{MaxRows: 1})
+	db.eng.SetBudget(Budget{MaxRows: 1})
 	r, err := db.QueryRows(`SELECT name FROM users`)
 	if err != nil {
 		t.Fatal(err)

@@ -54,7 +54,7 @@ serve_fig() { # $1 = 1 to re-record the baseline
   local target="http://127.0.0.1:${PORT}"
   go build -o "$bindir/olapd" ./cmd/olapd
   go build -o "$bindir/loadgen" ./cmd/loadgen
-  "$bindir/olapd" -addr ":${PORT}" -data netflow -scale 0.2 -workers 2 \
+  "$bindir/olapd" -addr ":${PORT}" -data netflow -scale 0.2 -parallel 2 \
     -timeout 10s -log-level off &
   OLAPD_PID=$!
   for _ in $(seq 1 100); do

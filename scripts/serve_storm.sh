@@ -39,7 +39,7 @@ BENCH_OUT="${BENCH_OUT:-${OUT_DIR}/BENCH_serve_storm.json}"
 FAULTS="${FAULTS:-serve.accept=error@25,serve.write=error@50,serve.cancel=error@3}"
 TARGET="http://127.0.0.1:${PORT}"
 PROFILE_DIR="${OUT_DIR}/profiles"
-OLAPD_ARGS=(-addr ":${PORT}" -data netflow -scale "${SCALE}" -workers 2
+OLAPD_ARGS=(-addr ":${PORT}" -data netflow -scale "${SCALE}" -parallel 2
   -timeout 5s -max-timeout 30s -drain-timeout 8s -admin -leak-check
   -slow-ms 250 -slowlog "${OUT_DIR}/serve_slowlog.json"
   -slo "default:avail=0.75"
