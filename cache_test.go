@@ -40,6 +40,7 @@ func TestPlanCacheHitMiss(t *testing.T) {
 
 func TestPlanCacheDisabled(t *testing.T) {
 	db := Open(WithPlanCache(-1))
+	defer db.Close()
 	db.MustCreateTable("t", Col("x", Int))
 	db.MustInsert("t", []any{int64(1)})
 	if _, err := db.Query(`SELECT x FROM t`); err != nil {
@@ -81,6 +82,7 @@ func TestOpenOptions(t *testing.T) {
 		WithMemoizeSubqueries(true),
 		WithResultCache(1<<20),
 	)
+	defer db.Close()
 	db.MustCreateTable("t", Col("x", Int))
 	db.MustCreateTable("u", Col("y", Int))
 	db.MustInsert("t", []any{int64(7)})
@@ -96,6 +98,7 @@ func TestOpenOptions(t *testing.T) {
 
 func TestResultCacheSubqueryMemo(t *testing.T) {
 	db := Open(WithResultCache(0))
+	defer db.Close()
 	db.MustCreateTable("flows", Col("src", String), Col("bytes", Int))
 	db.MustCreateTable("users", Col("name", String), Col("ip", String))
 	db.MustInsert("users", []any{"ann", "10.0.0.1"}, []any{"bob", "10.0.0.2"})

@@ -1,4 +1,22 @@
-// Command storetort is the crash/recovery torture driver for the
+package main
+
+import (
+	"errors"
+	"flag"
+	"fmt"
+	"os"
+	"time"
+
+	"github.com/olaplab/gmdj/internal/algebra"
+	"github.com/olaplab/gmdj/internal/benchlab"
+	"github.com/olaplab/gmdj/internal/datagen"
+	"github.com/olaplab/gmdj/internal/engine"
+	"github.com/olaplab/gmdj/internal/relation"
+	"github.com/olaplab/gmdj/internal/storage"
+	"github.com/olaplab/gmdj/internal/value"
+)
+
+// olapcheck store is the crash/recovery torture driver for the
 // durable columnar store. It writes a fully deterministic corpus —
 // the Figure 4 key-pair tables and a Figure 5 TPC-R-like warehouse,
 // both derived from (-rows, -seed, round) — so that after the harness
@@ -8,9 +26,9 @@
 //
 // Usage:
 //
-//	storetort -dir DIR load  [-rows n] [-seed s]
-//	storetort -dir DIR churn [-rows n] [-seed s] [-rounds r] [-sleep-ms m]
-//	storetort -dir DIR verify [-rows n] [-seed s] [-expect-quarantine t1,t2]
+//	olapcheck store -dir DIR load  [-rows n] [-seed s]
+//	olapcheck store -dir DIR churn [-rows n] [-seed s] [-rounds r] [-sleep-ms m]
+//	olapcheck store -dir DIR verify [-rows n] [-seed s] [-expect-quarantine t1,t2]
 //
 // load initializes round 0 and checkpoints it. churn recovers the
 // store, then per round re-creates every table from the round-derived
@@ -33,48 +51,25 @@
 // GMDJ_FAULTS applies to every subcommand, so the harness can aim
 // enospc/shortwrite/corrupt/torn at storage.{write,read,manifest}
 // during both churn and recovery.
-package main
-
-import (
-	"errors"
-	"flag"
-	"fmt"
-	"os"
-	"strings"
-	"time"
-
-	"github.com/olaplab/gmdj/internal/algebra"
-	"github.com/olaplab/gmdj/internal/datagen"
-	"github.com/olaplab/gmdj/internal/engine"
-	"github.com/olaplab/gmdj/internal/expr"
-	"github.com/olaplab/gmdj/internal/govern"
-	"github.com/olaplab/gmdj/internal/relation"
-	"github.com/olaplab/gmdj/internal/storage"
-	"github.com/olaplab/gmdj/internal/value"
-)
-
-func main() {
-	os.Exit(run())
-}
-
-func run() int {
-	dir := flag.String("dir", "", "durable store directory (required)")
-	rows := flag.Int("rows", 8_000, "corpus cardinality: key-pair rows and warehouse orders per round")
-	seed := flag.Uint64("seed", 1, "corpus base seed")
-	rounds := flag.Int("rounds", 50, "churn: rounds to run")
-	sleepMS := flag.Int("sleep-ms", 0, "churn: pause between rounds (widens the kill window)")
-	expectQuarantine := flag.String("expect-quarantine", "", "verify: comma-separated tables that must be quarantined")
-	allowQuarantine := flag.Bool("allow-quarantine", false, "verify: tolerate quarantined tables (torn-write churn legitimately loses tables to quarantine)")
-	flag.Parse()
+func runStore(args []string) int {
+	fs := flag.NewFlagSet("olapcheck store", flag.ExitOnError)
+	dir := fs.String("dir", "", "durable store directory (required)")
+	rows := fs.Int("rows", 8_000, "corpus cardinality: key-pair rows and warehouse orders per round")
+	seed := fs.Uint64("seed", 1, "corpus base seed")
+	rounds := fs.Int("rounds", 50, "churn: rounds to run")
+	sleepMS := fs.Int("sleep-ms", 0, "churn: pause between rounds (widens the kill window)")
+	expectQuarantine := fs.String("expect-quarantine", "", "verify: comma-separated tables that must be quarantined")
+	allowQuarantine := fs.Bool("allow-quarantine", false, "verify: tolerate quarantined tables (torn-write churn legitimately loses tables to quarantine)")
+	fs.Parse(args) // ExitOnError: a bad flag exits 2 here
 
 	// Flags may appear on either side of the subcommand: re-parse
 	// whatever followed it against the same flag set.
-	cmd := flag.Arg(0)
-	if flag.NArg() >= 1 {
-		flag.CommandLine.Parse(flag.Args()[1:])
+	cmd := fs.Arg(0)
+	if fs.NArg() >= 1 {
+		fs.Parse(fs.Args()[1:])
 	}
-	if *dir == "" || cmd == "" || flag.NArg() > 0 {
-		fmt.Fprintln(os.Stderr, "usage: storetort -dir DIR {load|churn|verify} [flags]")
+	if *dir == "" || cmd == "" || fs.NArg() > 0 {
+		fmt.Fprintln(os.Stderr, "usage: olapcheck store -dir DIR {load|churn|verify} [flags]")
 		return 2
 	}
 	var err error
@@ -89,20 +84,10 @@ func run() int {
 		err = fmt.Errorf("unknown subcommand %q (want load, churn, or verify)", cmd)
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "storetort:", err)
+		fmt.Fprintln(os.Stderr, "olapcheck store:", err)
 		return 1
 	}
 	return 0
-}
-
-func splitList(s string) []string {
-	var out []string
-	for _, p := range strings.Split(s, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
 }
 
 // mix derives the per-round corpus seed. Every table of a round is a
@@ -155,45 +140,19 @@ func registerCorpus(e *engine.Engine, rows int, seed uint64, round int) {
 	merge(e.Catalog(), buildCorpus(rows, seed, round))
 }
 
-// fig4Query is the quantified-ALL shape of Figure 4: A-rows whose
-// value differs from every B-value carried by a different key.
-func fig4Query() algebra.Node {
-	sub := &algebra.Subquery{
-		Source: algebra.NewScan("B", "B"),
-		Where:  &algebra.Atom{E: expr.NewCmp(value.NE, expr.C("B.b_key"), expr.C("A.a_key"))},
-		OutCol: expr.C("B.b_val"),
-	}
-	return algebra.NewRestrict(algebra.NewScan("A", "A"),
-		&algebra.SubPred{Kind: algebra.CmpAll, Op: value.NE, Left: expr.C("A.a_val"), Sub: sub})
-}
-
-// fig5Query is the tree-nested EXISTS shape of Figure 5 over the
-// warehouse tables; its literal comparisons also exercise zone-map
-// pruning on the recovered segments.
-func fig5Query() algebra.Node {
-	mk := func(alias, status string, op value.CmpOp, price float64) *algebra.Subquery {
-		return &algebra.Subquery{
-			Source: algebra.NewScan("orders", alias),
-			Where: &algebra.Atom{E: expr.NewAnd(
-				expr.Eq(expr.C(alias+".o_custkey"), expr.C("C.c_custkey")),
-				expr.Eq(expr.C(alias+".o_orderstatus"), expr.StrLit(status)),
-				expr.NewCmp(op, expr.C(alias+".o_totalprice"), expr.FloatLit(price)),
-			)},
-		}
-	}
-	return algebra.NewRestrict(algebra.NewScan("customer", "C"),
-		algebra.And(
-			algebra.ExistsPred(mk("O1", "O", value.GT, 300_000)),
-			algebra.ExistsPred(mk("O2", "F", value.LT, 150_000)),
-		))
-}
+// fig4Query and fig5Query are the plans the benchmarks run for the
+// paper's Figure 4 (quantified ALL: A-rows whose value differs from
+// every B-value carried by a different key) and Figure 5 (tree-nested
+// EXISTS over the warehouse tables; its literal comparisons also
+// exercise zone-map pruning on the recovered segments).
+func fig4Query() algebra.Node { return new(benchlab.Runner).Fig4().Query(benchlab.Size{}) }
+func fig5Query() algebra.Node { return new(benchlab.Runner).Fig5().Query(benchlab.Size{}) }
 
 // openStore builds an engine over the durable directory, recovering
-// whatever the last run committed. GMDJ_FAULTS is honored so the
-// harness can inject recovery-time faults.
+// whatever the last run committed. engine.New honors GMDJ_FAULTS, so
+// the harness can inject recovery-time faults.
 func openStore(dir string) (*engine.Engine, *storage.RecoveryReport, error) {
 	e := engine.New(storage.NewCatalog())
-	e.SetFaultInjector(govern.FromEnv())
 	rep, err := e.SetDataDir(dir)
 	if err != nil {
 		return nil, nil, err
@@ -221,21 +180,21 @@ func churn(dir string, rows int, seed uint64, rounds int, sleep time.Duration) e
 		return err
 	}
 	start := committedRound(e.Catalog()) + 1
-	fmt.Fprintf(os.Stderr, "storetort: churn from round %d (recovered gen=%d, %d quarantined)\n",
+	fmt.Fprintf(os.Stderr, "olapcheck store: churn from round %d (recovered gen=%d, %d quarantined)\n",
 		start, rep.Generation, len(rep.Quarantined))
 	for r := start; r < start+rounds; r++ {
 		registerCorpus(e, rows, seed, r)
 		// One query per round drives the read path (and the transparent
 		// maybeCheckpoint hook) between explicit checkpoints.
 		if _, err := e.Run(fig5Query(), engine.GMDJOpt); err != nil {
-			fmt.Fprintf(os.Stderr, "storetort: round %d query: %v\n", r, err)
+			fmt.Fprintf(os.Stderr, "olapcheck store: round %d query: %v\n", r, err)
 		}
 		gen, err := e.Checkpoint()
 		if err != nil {
 			// Not committed: the previous generation remains the durable
 			// truth, which is still a valid earlier round. Keep churning —
 			// rate-limited injected faults let later rounds succeed.
-			fmt.Fprintf(os.Stderr, "storetort: round %d checkpoint: %v\n", r, err)
+			fmt.Fprintf(os.Stderr, "olapcheck store: round %d checkpoint: %v\n", r, err)
 			continue
 		}
 		fmt.Printf("round=%d gen=%d\n", r, gen)

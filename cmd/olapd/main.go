@@ -94,7 +94,7 @@
 // ring, slow-query log, /metrics scrape, goroutine dump, config
 // snapshot) under <profile-dir>/incidents, rate-limited to one per
 // -incident-min-interval. POST /debug/olap/incident forces a bundle.
-// cmd/bundlecheck validates bundles offline.
+// olapcheck bundle validates bundles offline.
 //
 // Exit codes: 0 clean shutdown, 1 server error, 2 usage,
 // 12 goroutine leak detected (with -leak-check).
@@ -267,13 +267,17 @@ func run() int {
 		}
 	}
 
+	// The engine resolved GMDJ_FAULTS for its own sites and already
+	// reported a malformed spec, hence the dropped error; the server
+	// arms the serve.* sites from the same spec.
+	serveFaults, _ := govern.ParseFaults(os.Getenv(govern.EnvFaults))
 	srv := serve.NewServer(db, serve.Config{
 		DefaultQuota:        defaultQuota,
 		Tenants:             tenantQuotas,
 		DefaultTimeout:      *timeout,
 		MaxTimeout:          *maxTimeout,
 		Admin:               *admin,
-		Faults:              govern.FromEnv(),
+		Faults:              serveFaults,
 		Logger:              logger,
 		SLOs:                slos,
 		Profiler:            profiler,
@@ -289,6 +293,8 @@ func run() int {
 	mux := http.NewServeMux()
 	mux.Handle("/", srv.Handler())
 	if *admin {
+		// The DB's counters live on the DB; this process publishes them.
+		expvar.Publish("gmdj", expvar.Func(func() any { return db.Metrics() }))
 		mux.Handle("/debug/vars", expvar.Handler())
 	}
 	hs := &http.Server{Addr: *addr, Handler: mux}

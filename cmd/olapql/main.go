@@ -36,7 +36,7 @@
 // drift flags, bytes, and counters — alongside the result; -trace
 // records spans for every query and writes Chrome trace_event JSON on
 // exit (load in https://ui.perfetto.dev); -metrics-addr serves the
-// engine's expvar counters at /debug/vars, the Prometheus text
+// DB's event counters at /debug/vars (expvar "gmdj"), the Prometheus text
 // exposition of the gmdj_* families at /metrics, plus the live
 // workload dashboard at /debug/olap/queries (in-flight queries with
 // advancing row counters), /debug/olap/hist (latency/row histograms),
@@ -88,6 +88,7 @@ import (
 	"bufio"
 	"context"
 	"errors"
+	"expvar"
 	"flag"
 	"fmt"
 	"net/http"
@@ -290,10 +291,11 @@ func main() {
 		db.Close()
 	}
 	if *metricsAddr != "" {
-		// The expvar handler registers itself on the default mux (the
-		// engine's "gmdj" map appears at /debug/vars); the live workload
+		// Importing expvar registers /debug/vars on the default mux; the
+		// DB's counters are published there as "gmdj". The live workload
 		// dashboard mounts next to it under /debug/olap/, and the
 		// Prometheus text exposition of the engine families at /metrics.
+		expvar.Publish("gmdj", expvar.Func(func() any { return db.Metrics() }))
 		http.Handle("/debug/olap/", db.ObsHTTPHandler())
 		http.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set("Content-Type", gmdj.PromContentType)

@@ -5,8 +5,8 @@ import (
 )
 
 // Durable storage. A DB is in-memory by default; WithDataDir (or
-// SetDataDir, or the GMDJ_DATA_DIR environment variable) attaches a
-// directory of immutable columnar segment files committed by
+// SetDataDir, or the GMDJ_DATA_DIR default described on Open) attaches
+// a directory of immutable columnar segment files committed by
 // generation-numbered manifests. Checkpointing is transparent: the
 // first query after any write flushes the tables that changed and
 // commits a new generation, so a crash at any instant loses at most

@@ -7,6 +7,7 @@ import (
 
 func TestExecCreateInsertSelect(t *testing.T) {
 	db := Open()
+	defer db.Close()
 	if _, err := db.Exec(`CREATE TABLE t (a INT, b TEXT, c FLOAT, d BOOL)`); err != nil {
 		t.Fatal(err)
 	}
@@ -29,6 +30,7 @@ func TestExecCreateInsertSelect(t *testing.T) {
 
 func TestExecCreateValidation(t *testing.T) {
 	db := Open()
+	defer db.Close()
 	if _, err := db.Exec(`CREATE TABLE t (a INT)`); err != nil {
 		t.Fatal(err)
 	}
@@ -45,6 +47,7 @@ func TestExecCreateValidation(t *testing.T) {
 
 func TestExecInsertAtomicity(t *testing.T) {
 	db := Open()
+	defer db.Close()
 	db.MustCreateTable("t", Col("a", Int))
 	// Second row has a type error; the first must not be applied.
 	if _, err := db.Exec(`INSERT INTO t VALUES (1), ('oops')`); err == nil {
@@ -64,6 +67,7 @@ func TestExecInsertAtomicity(t *testing.T) {
 
 func TestExecDropTable(t *testing.T) {
 	db := Open()
+	defer db.Close()
 	db.MustCreateTable("t", Col("a", Int))
 	if _, err := db.Exec(`DROP TABLE t`); err != nil {
 		t.Fatal(err)
@@ -78,6 +82,7 @@ func TestExecDropTable(t *testing.T) {
 
 func TestExecSelectUsesStrategy(t *testing.T) {
 	db := Open()
+	defer db.Close()
 	db.MustCreateTable("l", Col("n", Int))
 	db.MustCreateTable("r", Col("n", Int))
 	db.MustInsert("l", []any{1}, []any{2})
@@ -96,6 +101,7 @@ func TestExecSelectUsesStrategy(t *testing.T) {
 
 func TestExecErrors(t *testing.T) {
 	db := Open()
+	defer db.Close()
 	bad := []string{
 		"",
 		"UPDATE t SET a = 1",
@@ -113,6 +119,7 @@ func TestExecErrors(t *testing.T) {
 
 func TestExecNegativeLiterals(t *testing.T) {
 	db := Open()
+	defer db.Close()
 	if _, err := db.Exec(`CREATE TABLE t (a INT, f FLOAT)`); err != nil {
 		t.Fatal(err)
 	}

@@ -131,18 +131,33 @@ type DB struct {
 // (16 MiB LRU; see WithPlanCache), secondary-index use on,
 // morsel-driven parallelism at runtime.GOMAXPROCS(0) (see
 // WithParallelism), no budget, and no cross-query result memo.
+//
+// Configuration precedence, for every knob: an explicit option beats
+// the process environment, which beats the built-in default. The
+// environment contributes GMDJ_PARALLEL (execution degree), GMDJ_MEM
+// ("limit=64MiB,spill=/tmp/x,admission=2s": memory limit, scratch
+// root, admission timeout), GMDJ_DATA_DIR (a root under which each DB
+// claims a private data directory, deleted on Close) and GMDJ_FAULTS
+// (fault injection); all four are read once per Open, in one place
+// (internal/engine's envDefaults), and the memory pool, scratch
+// directory and durable store are built once, after the options.
 func Open(opts ...Option) *DB {
 	return newDB(storage.NewCatalog(), opts)
 }
 
 // newDB is the shared constructor behind Open and the sample openers:
-// defaults first, then the caller's options in order.
+// defaults first, then the caller's options in order — inside
+// engine.New, so the pool, scratch store and durable store are built
+// once, from the folded configuration.
 func newDB(cat *storage.Catalog, opts []Option) *DB {
-	db := &DB{cat: cat, eng: engine.New(cat)}
-	db.eng.SetPlanCache(plancache.New(0))
-	for _, opt := range opts {
-		opt(db)
-	}
+	db := &DB{cat: cat}
+	engine.New(cat, func(e *engine.Engine) {
+		db.eng = e
+		e.SetPlanCache(plancache.New(0))
+		for _, opt := range opts {
+			opt(db)
+		}
+	})
 	return db
 }
 
@@ -529,11 +544,13 @@ func (db *DB) WriteTrace(w io.Writer) error {
 // WriteTrace.
 func (db *DB) Tracer() *obs.Tracer { return db.eng.Tracer() }
 
-// Metrics returns a snapshot of the process-wide engine counters
-// (queries per strategy, rows scanned, governance trips, GMDJ work).
-// The same counters are published under the "gmdj" expvar map for any
-// embedder that mounts net/http's /debug/vars.
-func (db *DB) Metrics() map[string]int64 { return obs.MetricsSnapshot() }
+// Metrics returns a snapshot of this database's event counters by
+// name (queries per strategy, rows scanned, governance trips, GMDJ
+// work, cache, pool, spill and storage traffic). Counters are per DB:
+// two databases in one process do not see each other's events. A
+// counter that is still zero has no key. WritePromMetrics renders the
+// same snapshot as gmdj_engine_events_total{event=...}.
+func (db *DB) Metrics() map[string]int64 { return db.eng.Metrics() }
 
 // ObsConfig configures workload-level observability
 // (EnableObservability).

@@ -12,6 +12,7 @@ import (
 func flowDB(t *testing.T) *DB {
 	t.Helper()
 	db := Open()
+	t.Cleanup(func() { db.Close() })
 	db.MustCreateTable("flows",
 		Col("src", String), Col("dst", String), Col("start", Int),
 		Col("proto", String), Col("bytes", Int))
@@ -32,6 +33,7 @@ func flowDB(t *testing.T) *DB {
 
 func TestCreateTableValidation(t *testing.T) {
 	db := Open()
+	defer db.Close()
 	if err := db.CreateTable(""); err == nil {
 		t.Error("empty name must fail")
 	}
@@ -51,6 +53,7 @@ func TestCreateTableValidation(t *testing.T) {
 
 func TestInsertValidation(t *testing.T) {
 	db := Open()
+	defer db.Close()
 	db.MustCreateTable("t", Col("a", Int), Col("b", String))
 	if err := db.Insert("missing", []any{1, "x"}); err == nil {
 		t.Error("unknown table must fail")
@@ -74,6 +77,7 @@ func TestInsertValidation(t *testing.T) {
 
 func TestInsertIntIntoFloatWidens(t *testing.T) {
 	db := Open()
+	defer db.Close()
 	db.MustCreateTable("t", Col("f", Float))
 	db.MustInsert("t", []any{3})
 	res, err := db.Query("SELECT f FROM t")
@@ -164,6 +168,7 @@ func TestExplainShowsGMDJ(t *testing.T) {
 
 func TestNullRoundTrip(t *testing.T) {
 	db := Open()
+	defer db.Close()
 	db.MustCreateTable("t", Col("a", Int))
 	db.MustInsert("t", []any{nil}, []any{7})
 	res, err := db.Query("SELECT a FROM t WHERE a IS NULL")
@@ -182,6 +187,7 @@ func TestCSVThroughFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	db2 := Open()
+	defer db2.Close()
 	db2.MustCreateTable("flows",
 		Col("src", String), Col("dst", String), Col("start", Int),
 		Col("proto", String), Col("bytes", Int))
@@ -229,6 +235,7 @@ func TestIndexManagementThroughFacade(t *testing.T) {
 // the hash access path (equality) and the sorted one (range) alike.
 func TestInsertAfterIndexBuild(t *testing.T) {
 	db := Open()
+	defer db.Close()
 	db.MustCreateTable("customers", Col("k", Int))
 	db.MustCreateTable("orders", Col("custkey", Int), Col("price", Int))
 	db.MustInsert("customers", []any{1}, []any{2}, []any{3}, []any{4})
@@ -271,6 +278,7 @@ func TestTables(t *testing.T) {
 
 func TestSamples(t *testing.T) {
 	nf := OpenNetflowSample(1000)
+	defer nf.Close()
 	res, err := nf.Query("SELECT COUNT(*) AS n FROM Flow")
 	if err != nil {
 		t.Fatal(err)
@@ -279,6 +287,7 @@ func TestSamples(t *testing.T) {
 		t.Errorf("netflow rows = %v", res.Rows[0][0])
 	}
 	tp := OpenTPCRSample(0.1)
+	defer tp.Close()
 	res, err = tp.Query("SELECT COUNT(*) AS n FROM customer")
 	if err != nil {
 		t.Fatal(err)
@@ -290,6 +299,7 @@ func TestSamples(t *testing.T) {
 
 func TestSubqueryThroughFacadeMatchesPaperSemantics(t *testing.T) {
 	db := Open()
+	defer db.Close()
 	db.MustCreateTable("l", Col("n", Int))
 	db.MustCreateTable("r", Col("n", Int))
 	db.MustInsert("l", []any{1}, []any{2}, []any{3}, []any{nil})
@@ -305,6 +315,7 @@ func TestSubqueryThroughFacadeMatchesPaperSemantics(t *testing.T) {
 
 func TestParallelQueryEquivalence(t *testing.T) {
 	db := OpenNetflowSample(20_000)
+	defer db.Close()
 	q := `SELECT h.HourDsc FROM Hours h WHERE EXISTS (
 	        SELECT * FROM Flow f
 	        WHERE f.StartTime >= h.StartInterval AND f.StartTime < h.EndInterval
@@ -333,6 +344,7 @@ func TestSaveDirOpenDir(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer back.Close()
 	res, err := back.Query("SELECT COUNT(*) AS n FROM flows WHERE proto = 'FTP'")
 	if err != nil {
 		t.Fatal(err)

@@ -29,6 +29,7 @@ const governQuery = `
 func governDB(t testing.TB, hours, flows int) *DB {
 	t.Helper()
 	db := Open()
+	t.Cleanup(func() { db.Close() })
 	db.MustCreateTable("hours", Col("hr", Int), Col("lo", Int), Col("hi", Int))
 	rows := make([][]any, 0, hours)
 	for i := 0; i < hours; i++ {

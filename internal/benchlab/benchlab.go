@@ -187,6 +187,7 @@ func (r *Runner) RunCell(exp *Experiment, s Size, v Variant) (Result, error) {
 		}
 	}
 	eng := engine.New(cat)
+	defer eng.Close()
 	eng.SetUseIndexes(v.UseIndexes)
 	eng.SetParallelism(r.degree(v))
 	eng.SetBudget(r.Budget)

@@ -65,6 +65,7 @@ func (r *Runner) runMemory(_ *Runner, exp *Experiment, s Size, v Variant) (Resul
 	res := Result{Figure: exp.ID, Variant: v.Name, Label: s.Label, Outer: s.Outer, Inner: s.Inner}
 	cat := datagen.Netflow(datagen.NetflowOpts{Flows: s.Inner, Hours: s.Outer, Users: 40, Seed: 11})
 	eng := engine.New(cat)
+	defer eng.Close()
 	eng.SetParallelism(r.degree(v))
 	eng.SetBudget(r.Budget)
 	switch v.Name {
@@ -76,7 +77,6 @@ func (r *Runner) runMemory(_ *Runner, exp *Experiment, s Size, v Variant) (Resul
 		defer os.RemoveAll(dir)
 		eng.SetMemoryLimit(memoryPoolBytes)
 		eng.SetSpillDir(dir)
-		defer eng.Close()
 	case "kill":
 		eng.SetMemoryLimit(memoryPoolBytes)
 		eng.SetSpillDir("") // exhaustion aborts instead of degrading

@@ -83,6 +83,7 @@ func TestParallelDeterminism(t *testing.T) {
 			}
 			t.Run(fmt.Sprintf("%s/%s/%s", c.exp.ID, c.size.Label, v.Name), func(t *testing.T) {
 				eng := engine.New(cat)
+				defer eng.Close()
 				eng.SetUseIndexes(v.UseIndexes)
 				phys, err := eng.Plan(plan, v.Strategy)
 				if err != nil {

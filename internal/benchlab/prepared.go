@@ -70,6 +70,7 @@ func (r *Runner) runPrepared(_ *Runner, exp *Experiment, s Size, v Variant) (Res
 	res := Result{Figure: exp.ID, Variant: v.Name, Label: s.Label, Outer: s.Outer, Inner: s.Inner}
 	cat := datagen.Netflow(datagen.NetflowOpts{Flows: s.Inner, Hours: 24, Users: s.Outer, Seed: 9})
 	eng := engine.New(cat)
+	defer eng.Close()
 	eng.SetParallelism(r.degree(v))
 	eng.SetBudget(r.Budget)
 	if v.Name == "prepared-memo" {

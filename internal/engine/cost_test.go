@@ -11,7 +11,9 @@ import (
 
 func TestEstimateCostMonotoneInTableSize(t *testing.T) {
 	small := New(datagen.Netflow(datagen.NetflowOpts{Flows: 100, Hours: 4, Users: 4, Seed: 1}))
+	defer small.Close()
 	big := New(datagen.Netflow(datagen.NetflowOpts{Flows: 10_000, Hours: 4, Users: 4, Seed: 1}))
+	defer big.Close()
 	plan := existsPlan()
 	if small.EstimateCost(plan) >= big.EstimateCost(plan) {
 		t.Error("cost must grow with table size")
@@ -23,6 +25,7 @@ func TestCostPrefersGMDJOverNestedLoopNative(t *testing.T) {
 	// whole query in one hash-bound scan, while tuple iteration pays
 	// |outer| × |inner|. The model must rank accordingly.
 	e := New(datagen.Netflow(datagen.NetflowOpts{Flows: 50_000, Hours: 24, Users: 200, Seed: 2}))
+	defer e.Close()
 	sub := &algebra.Subquery{
 		Source: algebra.NewScan("Flow", "F"),
 		Where:  &algebra.Atom{E: expr.Eq(expr.C("F.SourceIP"), expr.C("U.IPAddress"))},
@@ -49,6 +52,7 @@ func TestCostPrefersGMDJOverNestedLoopNative(t *testing.T) {
 
 func TestCostRanksCompletionAboveBasicOnBindingless(t *testing.T) {
 	e := New(datagen.KeyPair(datagen.KeyPairOpts{Rows: 10_000, Seed: 3}))
+	defer e.Close()
 	sub := &algebra.Subquery{
 		Source: algebra.NewScan("B", "B"),
 		Where:  &algebra.Atom{E: expr.NewCmp(value.NE, expr.C("B.b_key"), expr.C("A.a_key"))},
@@ -72,6 +76,7 @@ func TestCostRanksCompletionAboveBasicOnBindingless(t *testing.T) {
 
 func TestAutoStrategyPicksAndRuns(t *testing.T) {
 	e := New(datagen.Netflow(datagen.NetflowOpts{Flows: 2_000, Hours: 6, Users: 6, Seed: 4}))
+	defer e.Close()
 	plan := existsPlan()
 	chosen, strat, err := e.PlanAuto(plan)
 	if err != nil {
@@ -102,6 +107,7 @@ func TestAutoSurvivesUnnestFailure(t *testing.T) {
 	// Disjunctive subqueries break the Unnest rewriting; Auto must
 	// skip it and still deliver a correct plan.
 	e := New(datagen.Netflow(datagen.NetflowOpts{Flows: 500, Hours: 4, Users: 4, Seed: 5}))
+	defer e.Close()
 	mk := func(alias, proto string) *algebra.Subquery {
 		return &algebra.Subquery{
 			Source: algebra.NewScan("Flow", alias),
@@ -133,6 +139,7 @@ func TestCostSubqueryPenalizesTupleIteration(t *testing.T) {
 	// A plan containing a raw subquery predicate must price in the
 	// per-outer-row inner scans.
 	e := New(datagen.Netflow(datagen.NetflowOpts{Flows: 20_000, Hours: 24, Users: 8, Seed: 6}))
+	defer e.Close()
 	withSub := e.EstimateCost(existsPlan())
 	plain := e.EstimateCost(algebra.Filter(algebra.NewScan("Hours", "H"),
 		expr.NewCmp(value.GT, expr.C("H.HourDsc"), expr.IntLit(1))))

@@ -25,7 +25,6 @@ import (
 
 	"github.com/olaplab/gmdj/internal/algebra"
 	"github.com/olaplab/gmdj/internal/exec"
-	"github.com/olaplab/gmdj/internal/gmdj"
 	"github.com/olaplab/gmdj/internal/govern"
 	"github.com/olaplab/gmdj/internal/mem"
 	"github.com/olaplab/gmdj/internal/obs"
@@ -109,6 +108,9 @@ type Engine struct {
 	admission   time.Duration
 	spillRoot   string
 	spillDirSet bool
+	// built is false while New is still folding options: the memory
+	// setters then only record their knob (see reconfigureMemory).
+	built bool
 	// parallelism is the configured morsel-driven execution degree
 	// (default runtime.GOMAXPROCS(0), overridable by GMDJ_PARALLEL or
 	// SetParallelism); the executor receives it clamped by the memory
@@ -120,15 +122,19 @@ type Engine struct {
 	pool       *mem.Pool
 	spillStore *spill.Store
 	// store is the durable columnar tier (nil when persistence is off);
-	// recovery is the report from opening it, dataDirOwned marks an
-	// env-derived directory the engine removes on Close, and
+	// recovery is the report from opening it, dataDirSet records that
+	// SetDataDir ran (so "" means persistence explicitly off, not "use
+	// the GMDJ_DATA_DIR default"), dataDirOwned marks an env-derived
+	// directory the engine removes when it lets go of it, and
 	// lastCkptEpoch is the catalog schema epoch as of the last
 	// successful checkpoint (-1 = never), driving transparent
 	// checkpointing in maybeCheckpoint.
 	store         *storage.DiskStore
 	recovery      *storage.RecoveryReport
+	dataDirSet    bool
 	dataDirOwned  bool
 	lastCkptEpoch atomic.Int64
+	counters      counters // the events the engine itself owns; see Metrics
 }
 
 // Budget bounds one query evaluation: wall clock, materialized rows,
@@ -170,22 +176,21 @@ func WithObserver(o *obs.Observer) Option {
 }
 
 // New creates an engine over a catalog, with index use enabled and the
-// governor fast path on. Fault injection honors the GMDJ_FAULTS
-// environment variable (see govern.EnvFaults) and memory limits honor
-// GMDJ_MEM (see mem.EnvMem); production deployments configure both
-// explicitly or leave them unset.
+// governor fast path on. The GMDJ_* environment (envDefaults) supplies
+// defaults; opts override them, their Set* calls only recording knobs;
+// then the memory pool, the scratch store and (when no option opened
+// one) the GMDJ_DATA_DIR durable store are constructed, once each.
 func New(cat *storage.Catalog, opts ...Option) *Engine {
-	ex := exec.New(cat)
-	ex.Faults = govern.FromEnv()
-	e := &Engine{cat: cat, exec: ex, fastPath: true}
-	e.parallelism = runtime.GOMAXPROCS(0)
-	e.applyEnvParallelism()
+	e := &Engine{cat: cat, exec: exec.New(cat), fastPath: true}
+	dataRoot := e.envDefaults()
 	for _, opt := range opts {
 		opt(e)
 	}
-	e.applyEnvMem()
-	e.applyEnvData()
-	e.applyParallelism()
+	e.built = true
+	e.reconfigureMemory()
+	if dataRoot != "" && !e.dataDirSet {
+		e.openEnvDataDir(dataRoot)
+	}
 	return e
 }
 
@@ -195,20 +200,36 @@ func New(cat *storage.Catalog, opts ...Option) *Engine {
 // it; malformed or non-positive values are ignored.
 const EnvParallel = "GMDJ_PARALLEL"
 
-// applyEnvParallelism folds the GMDJ_PARALLEL default under any
-// explicit configuration (explicit setters run after New and
-// override).
-func (e *Engine) applyEnvParallelism() {
-	s := strings.TrimSpace(os.Getenv(EnvParallel))
-	if s == "" {
-		return
+// envDefaults seeds a new engine from GMDJ_PARALLEL, GMDJ_MEM and
+// GMDJ_FAULTS and returns the GMDJ_DATA_DIR root. It is the only place
+// the library reads the environment (a CI lint keeps it so); the spec
+// grammars stay with their owners. A malformed value is reported on
+// stderr and ignored rather than failing engine construction.
+func (e *Engine) envDefaults() (dataRoot string) {
+	ignore := func(name string, err error) {
+		fmt.Fprintf(os.Stderr, "engine: ignoring %s: %v\n", name, err)
 	}
-	n, err := strconv.Atoi(s)
-	if err != nil || n <= 0 {
-		fmt.Fprintf(os.Stderr, "engine: ignoring %s=%q: want a positive integer\n", EnvParallel, s)
-		return
+	e.parallelism = runtime.GOMAXPROCS(0)
+	if s := strings.TrimSpace(os.Getenv(EnvParallel)); s != "" {
+		if n, err := strconv.Atoi(s); err == nil && n > 0 {
+			e.parallelism = n
+		} else {
+			ignore(EnvParallel, fmt.Errorf("%q: want a positive integer", s))
+		}
 	}
-	e.parallelism = n
+	if spec := strings.TrimSpace(os.Getenv(mem.EnvMem)); spec != "" {
+		if m, err := mem.ParseEnv(spec); err != nil {
+			ignore(mem.EnvMem, err)
+		} else {
+			e.memLimit, e.admission = m.Limit, m.Admission
+			e.spillRoot, e.spillDirSet = m.SpillDir, m.SpillDir != ""
+		}
+	}
+	var err error
+	if e.exec.Faults, err = govern.ParseFaults(os.Getenv(govern.EnvFaults)); err != nil {
+		ignore(govern.EnvFaults, err)
+	}
+	return strings.TrimSpace(os.Getenv(EnvDataDir))
 }
 
 // SetBudget applies a per-query budget to every subsequent Run and
@@ -281,31 +302,11 @@ func (e *Engine) PlanCache() *plancache.Cache { return e.plans }
 func (e *Engine) SetResultCache(c *plancache.ResultCache) {
 	e.results = c
 	e.exec.Results = c
-	// Rewire the cache into the memory subsystem: the pool reclaims
-	// pressure by demoting the cache's LRU tail, and the cache's cold
-	// tier shares the engine scratch store.
-	if e.pool != nil {
-		if c != nil {
-			e.pool.SetReclaim(c.SpillDown)
-		} else {
-			e.pool.SetReclaim(nil)
-		}
-	}
-	if c != nil && e.spillStore != nil {
-		c.EnableSpill(e.spillStore)
-	}
+	e.wireResultCache()
 }
 
 // ResultCache returns the engine's result memo, or nil.
 func (e *Engine) ResultCache() *plancache.ResultCache { return e.results }
-
-// GMDJStats exposes the GMDJ operator counters collector.
-func (e *Engine) GMDJStats() *gmdj.Stats {
-	if e.exec.GMDJStats == nil {
-		e.exec.GMDJStats = &gmdj.Stats{}
-	}
-	return e.exec.GMDJStats
-}
 
 // TableSchema implements algebra.SchemaResolver.
 func (e *Engine) TableSchema(name string) (*relation.Schema, error) {
@@ -327,7 +328,12 @@ func (e *Engine) Plan(plan algebra.Node, s Strategy) (algebra.Node, error) {
 		if err != nil {
 			return nil, err
 		}
-		return rewrite.Optimize(p, e.exec)
+		opt, err := rewrite.Optimize(p, e.exec)
+		if err == nil {
+			// Each Proposition 4.1 merge turns two GMDJ nodes into one.
+			e.counters.coalesced.Add(int64(gmdjNodes(p) - gmdjNodes(opt)))
+		}
+		return opt, err
 	case Auto:
 		p, _, err := e.PlanAuto(plan)
 		return p, err
@@ -548,40 +554,44 @@ func (e *Engine) execute(ctx context.Context, p algebra.Node, col *obs.Collector
 	return e.exec.RunLive(p, gov, col, live)
 }
 
-// finishQuery flushes the per-query process metrics and records
-// governance trips into the trace.
+// finishQuery counts the finished query and records governance trips
+// into the trace.
 func (e *Engine) finishQuery(s Strategy, err error) {
-	obs.MetricAdd("queries."+s.String(), 1)
+	if int(s) < len(e.counters.queries) {
+		e.counters.queries[s].Add(1)
+	}
 	if err != nil {
-		kind := errKind(err)
-		obs.MetricAdd("errors."+kind, 1)
-		e.tracer.Instant("govern", kind, err.Error())
+		i := errKind(err)
+		e.counters.errors[i].Add(1)
+		e.tracer.Instant("govern", errKinds[i].kind, err.Error())
 	}
 }
 
-// errKind maps a query error onto the governance taxonomy used by the
-// errors.<kind> process metrics.
-func errKind(err error) string {
-	switch {
-	case errors.Is(err, govern.ErrCanceled):
-		return "canceled"
-	case errors.Is(err, govern.ErrTimeout):
-		return "timeout"
-	case errors.Is(err, govern.ErrRowBudget):
-		return "row_budget"
-	case errors.Is(err, govern.ErrMemBudget):
-		return "mem_budget"
-	case errors.Is(err, mem.ErrAdmissionTimeout):
-		return "admission_timeout"
-	case errors.Is(err, mem.ErrPoolClosed):
-		return "closed"
-	case errors.Is(err, storage.ErrSegmentCorrupt):
-		return "segment_corrupt"
-	case errors.Is(err, spill.ErrSpillIO):
-		return "spill_io"
-	case errors.Is(err, govern.ErrInternal):
-		return "internal"
-	default:
-		return "other"
+// errKinds is the governance taxonomy behind the errors.<kind>
+// counters and the observer's outcome label, in match order; the last
+// entry is the default.
+var errKinds = [...]struct {
+	is   error
+	kind string
+}{
+	{govern.ErrCanceled, "canceled"},
+	{govern.ErrTimeout, "timeout"},
+	{govern.ErrRowBudget, "row_budget"},
+	{govern.ErrMemBudget, "mem_budget"},
+	{mem.ErrAdmissionTimeout, "admission_timeout"},
+	{mem.ErrPoolClosed, "closed"},
+	{storage.ErrSegmentCorrupt, "segment_corrupt"},
+	{spill.ErrSpillIO, "spill_io"},
+	{govern.ErrInternal, "internal"},
+	{nil, "other"},
+}
+
+// errKind maps a query error onto its index in errKinds.
+func errKind(err error) int {
+	for i, k := range errKinds[:len(errKinds)-1] {
+		if errors.Is(err, k.is) {
+			return i
+		}
 	}
+	return len(errKinds) - 1
 }

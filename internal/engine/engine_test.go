@@ -10,9 +10,10 @@ import (
 	"github.com/olaplab/gmdj/internal/value"
 )
 
-func testEngine() *Engine {
-	cat := datagen.Netflow(datagen.NetflowOpts{Flows: 300, Hours: 4, Users: 6, Seed: 3})
-	return New(cat)
+func testEngine(t *testing.T) *Engine {
+	e := New(datagen.Netflow(datagen.NetflowOpts{Flows: 300, Hours: 4, Users: 6, Seed: 3}))
+	t.Cleanup(func() { e.Close() })
+	return e
 }
 
 func existsPlan() algebra.Node {
@@ -40,7 +41,7 @@ func TestStrategyStrings(t *testing.T) {
 }
 
 func TestAllStrategiesAgree(t *testing.T) {
-	e := testEngine()
+	e := testEngine(t)
 	plan := existsPlan()
 	base, err := e.Run(plan, Native)
 	if err != nil {
@@ -58,7 +59,7 @@ func TestAllStrategiesAgree(t *testing.T) {
 }
 
 func TestPlanShapesPerStrategy(t *testing.T) {
-	e := testEngine()
+	e := testEngine(t)
 	plan := existsPlan()
 
 	native, err := e.Plan(plan, Native)
@@ -99,7 +100,7 @@ func TestPlanShapesPerStrategy(t *testing.T) {
 }
 
 func TestExplainOutputs(t *testing.T) {
-	e := testEngine()
+	e := testEngine(t)
 	plan := existsPlan()
 	for _, s := range Strategies() {
 		out, err := e.Explain(plan, s)
@@ -120,12 +121,11 @@ func TestExplainOutputs(t *testing.T) {
 }
 
 func TestGMDJStatsCollection(t *testing.T) {
-	e := testEngine()
-	stats := e.GMDJStats()
+	e := testEngine(t)
 	if _, err := e.Run(existsPlan(), GMDJ); err != nil {
 		t.Fatal(err)
 	}
-	if stats.DetailRows == 0 {
+	if e.Metrics()["gmdj.detail_rows"] == 0 {
 		t.Error("stats should record detail rows scanned")
 	}
 }
@@ -137,6 +137,7 @@ func TestSetUseIndexesAffectsOnlyNative(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := New(cat)
+	defer e.Close()
 	plan := existsPlan()
 	a, err := e.Run(plan, Native)
 	if err != nil {
@@ -160,7 +161,7 @@ func TestSetUseIndexesAffectsOnlyNative(t *testing.T) {
 }
 
 func TestParallelWorkersAgree(t *testing.T) {
-	e := testEngine()
+	e := testEngine(t)
 	plan := existsPlan()
 	serial, err := e.Run(plan, GMDJOpt)
 	if err != nil {
@@ -177,7 +178,7 @@ func TestParallelWorkersAgree(t *testing.T) {
 }
 
 func TestTableSchemaResolver(t *testing.T) {
-	e := testEngine()
+	e := testEngine(t)
 	s, err := e.TableSchema("Flow")
 	if err != nil || s.Len() != 5 {
 		t.Errorf("TableSchema(Flow) = %v, %v", s, err)

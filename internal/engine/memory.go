@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"github.com/olaplab/gmdj/internal/mem"
-	"github.com/olaplab/gmdj/internal/obs"
 	"github.com/olaplab/gmdj/internal/spill"
 )
 
@@ -80,74 +79,60 @@ func (e *Engine) MemStatus() MemStatus {
 // admission.
 func (e *Engine) Close() error {
 	e.pool.Close()
-	var err error
-	if e.spillStore != nil {
-		err = e.spillStore.RemoveAll()
-		e.spillStore = nil
-		e.exec.Spill = nil
-	}
+	err := e.dropSpillStore()
 	e.closeDataDir()
 	return err
 }
 
-// applyEnvMem folds GMDJ_MEM defaults under any explicit configuration
-// (explicit setters run after New and override).
-func (e *Engine) applyEnvMem() {
-	cfg, ok := mem.FromEnv()
-	if !ok {
-		return
-	}
-	if cfg.Limit > 0 {
-		e.memLimit = cfg.Limit
-	}
-	if cfg.SpillDir != "" {
-		e.spillRoot = cfg.SpillDir
-		e.spillDirSet = true
-	}
-	if cfg.Admission > 0 {
-		e.admission = cfg.Admission
-	}
-	e.reconfigureMemory()
+// dropSpillStore removes the scratch store and its directory, if any.
+func (e *Engine) dropSpillStore() error {
+	err := e.spillStore.RemoveAll()
+	e.spillStore, e.exec.Spill = nil, nil
+	return err
 }
 
 // reconfigureMemory rebuilds the pool and scratch store from the
 // current knobs. It tears down any previous store (removing its
-// directory), so it must not run while queries are in flight.
+// directory), so it must not run while queries are in flight. While
+// New is still folding options it does nothing: New calls it once,
+// after the last one.
 func (e *Engine) reconfigureMemory() {
+	if !e.built {
+		return
+	}
 	// The memory limit bounds the morsel-parallel degree too: re-clamp
 	// whenever the limit changes.
 	e.applyParallelism()
-	if e.spillStore != nil {
-		e.spillStore.RemoveAll()
-		e.spillStore = nil
-		e.exec.Spill = nil
-	}
+	_ = e.dropSpillStore() // as before: a scratch directory that will not go is not fatal here
 	// Shed anything still queued on a previous pool so reconfiguration
 	// can never strand a waiter (typed error, not a deadlock).
 	e.pool.Close()
-	e.pool = nil
-	if e.memLimit <= 0 {
+	e.pool = mem.NewPool(e.memLimit, e.admission) // nil without a limit
+	// An explicitly empty spill root is the kill regime: no spill store,
+	// exhaustion is fatal.
+	if e.pool != nil && !(e.spillDirSet && e.spillRoot == "") {
+		if store, err := spill.NewScratch(e.spillRoot, e.exec.Faults); err != nil {
+			// A broken scratch dir degrades to the kill regime rather than
+			// failing engine construction; the counter makes it visible.
+			e.counters.scratchErrors.Add(1)
+		} else {
+			e.spillStore, e.exec.Spill = store, store
+		}
+	}
+	e.wireResultCache()
+}
+
+// wireResultCache connects the result cache to the memory subsystem:
+// memory pressure first drains the cache's resident tier (the pool
+// reclaims by demoting its LRU tail) before any query is forced to
+// spill or die, and the cache's cold tier shares the scratch store.
+func (e *Engine) wireResultCache() {
+	if e.results == nil {
+		e.pool.SetReclaim(nil)
 		return
 	}
-	e.pool = mem.NewPool(e.memLimit, e.admission)
-	if e.results != nil {
-		// Memory pressure first drains the result cache's resident tier
-		// before any query is forced to spill or die.
-		e.pool.SetReclaim(e.results.SpillDown)
-	}
-	if e.spillDirSet && e.spillRoot == "" {
-		return // kill regime: no spill store, exhaustion is fatal
-	}
-	store, err := spill.NewScratch(e.spillRoot, e.exec.Faults)
-	if err != nil {
-		// A broken scratch dir degrades to the kill regime rather than
-		// failing engine construction; the metric makes it visible.
-		obs.MetricAdd("spill.scratch_errors", 1)
-		return
-	}
-	e.spillStore = store
-	e.exec.Spill = store
-	if e.results != nil {
-		e.results.EnableSpill(store)
+	e.pool.SetReclaim(e.results.SpillDown)
+	if e.spillStore != nil {
+		e.results.EnableSpill(e.spillStore)
 	}
 }

@@ -33,6 +33,7 @@ func TestRunObservedReconciliation(t *testing.T) {
 	}
 	for _, r := range regimes {
 		e := New(cat)
+		defer e.Close()
 		e.SetParallelism(r.degree)
 		if r.memLimit > 0 {
 			e.SetMemoryLimit(r.memLimit)
@@ -88,7 +89,7 @@ func TestRunObservedReconciliation(t *testing.T) {
 // so a plan read from EXPLAIN can be matched line-by-line against its
 // EXPLAIN ANALYZE run.
 func TestExplainAnalyzeAgreesWithExplain(t *testing.T) {
-	e := testEngine()
+	e := testEngine(t)
 	plan := existsPlan()
 	for _, s := range Strategies() {
 		plain, err := e.Explain(plan, s)
@@ -155,7 +156,7 @@ Select [∃(σ[(F.StartTime >= H.StartInterval AND F.StartTime < H.EndInterval A
 // the deterministic 300-flow catalog (timings normalized): counters,
 // cardinalities, and tree shape are all part of the contract.
 func TestExplainGolden(t *testing.T) {
-	e := testEngine()
+	e := testEngine(t)
 	e.SetParallelism(1)
 	plan := existsPlan()
 
@@ -197,7 +198,7 @@ func TestExplainGolden(t *testing.T) {
 // RunContext records operator spans; without one, it records nothing
 // and costs nothing.
 func TestTracerRecordsQuerySpans(t *testing.T) {
-	e := testEngine()
+	e := testEngine(t)
 	plan := existsPlan()
 
 	if _, err := e.RunContext(context.Background(), plan, GMDJOpt); err != nil {

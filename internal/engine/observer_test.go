@@ -24,7 +24,7 @@ import (
 // samples, a slow-query log record carrying the full stats tree, and
 // cost-model estimates annotated onto it.
 func TestObserverFastPathRecordsSamples(t *testing.T) {
-	e := testEngine()
+	e := testEngine(t)
 	o := obs.NewObserver(obs.ObserverConfig{})
 	e.SetObserver(o)
 
@@ -65,6 +65,7 @@ func TestGovernorFastPathOption(t *testing.T) {
 	var want string
 	for _, fast := range []bool{true, false} {
 		e := New(cat, WithGovernorFastPath(fast))
+		defer e.Close()
 		o := obs.NewObserver(obs.ObserverConfig{})
 		e.SetObserver(o)
 		rel, err := e.Run(existsPlan(), GMDJOpt)
@@ -90,6 +91,7 @@ func TestLiveQueryDashboardDuringScan(t *testing.T) {
 	cat := datagen.Netflow(datagen.NetflowOpts{Flows: 250_000, Hours: 24, Users: 6, Seed: 1})
 	o := obs.NewObserver(obs.ObserverConfig{})
 	e := New(cat, WithObserver(o))
+	defer e.Close()
 	srv := httptest.NewServer(o.Handler())
 	defer srv.Close()
 
@@ -164,7 +166,7 @@ func TestLiveQueryDashboardDuringScan(t *testing.T) {
 // and compare against the golden document. Breaking this golden means
 // breaking every downstream slowlog consumer.
 func TestSlowLogGoldenJSON(t *testing.T) {
-	e := testEngine()
+	e := testEngine(t)
 	e.SetParallelism(1)
 	o := obs.NewObserver(obs.ObserverConfig{})
 	e.SetObserver(o)

@@ -27,13 +27,19 @@ func TestParallelismConfig(t *testing.T) {
 	// Isolate from any ambient GMDJ_PARALLEL (CI runs the whole suite
 	// under a forced degree); empty means unset.
 	t.Setenv(EnvParallel, "")
+	fresh := func() int { // a new engine's degree
+		e := New(cat)
+		defer e.Close()
+		return e.Parallelism()
+	}
 
-	if got, want := New(cat).Parallelism(), runtime.GOMAXPROCS(0); got != want {
+	if got, want := fresh(), runtime.GOMAXPROCS(0); got != want {
 		t.Errorf("default parallelism = %d, want GOMAXPROCS = %d", got, want)
 	}
 
 	t.Setenv(EnvParallel, "3")
 	e := New(cat)
+	defer e.Close()
 	if got := e.Parallelism(); got != 3 {
 		t.Errorf("with %s=3, parallelism = %d", EnvParallel, got)
 	}
@@ -48,7 +54,7 @@ func TestParallelismConfig(t *testing.T) {
 
 	for _, bad := range []string{"zero", "-2", "0"} {
 		t.Setenv(EnvParallel, bad)
-		if got, want := New(cat).Parallelism(), runtime.GOMAXPROCS(0); got != want {
+		if got, want := fresh(), runtime.GOMAXPROCS(0); got != want {
 			t.Errorf("with %s=%q, parallelism = %d, want default %d", EnvParallel, bad, got, want)
 		}
 	}
@@ -90,6 +96,7 @@ func TestCancellationMidMorsel(t *testing.T) {
 	cat := storage.NewCatalog()
 	cat.Register(storage.NewTable("big", rel))
 	e := New(cat)
+	defer e.Close()
 	e.SetParallelism(8)
 	plan := algebra.NewRestrict(algebra.NewScan("big", "b"),
 		&algebra.Atom{E: expr.NewCmp(value.GE, expr.C("b.x"), expr.IntLit(0))})
@@ -122,6 +129,7 @@ func TestSpillUnderParallelism(t *testing.T) {
 	plan := existsPlan()
 
 	serial := New(cat)
+	defer serial.Close()
 	serial.SetParallelism(1)
 	want, err := serial.RunContext(context.Background(), plan, GMDJOpt)
 	if err != nil {
@@ -129,6 +137,7 @@ func TestSpillUnderParallelism(t *testing.T) {
 	}
 
 	e := New(cat)
+	defer e.Close()
 	e.SetParallelism(4)
 	e.SetMemoryLimit(2 * mem.PerWorkerBytes)
 	e.SetSpillDir(t.TempDir())
@@ -136,7 +145,6 @@ func TestSpillUnderParallelism(t *testing.T) {
 	if got := e.exec.Parallelism; got != 2 {
 		t.Fatalf("effective degree = %d, want 2 (spill and parallelism must coexist)", got)
 	}
-	stats := e.GMDJStats() // install the collector before running
 	got, err := e.RunContext(context.Background(), plan, GMDJOpt)
 	if err != nil {
 		t.Fatal(err)
@@ -144,7 +152,7 @@ func TestSpillUnderParallelism(t *testing.T) {
 	if got.String() != want.String() {
 		t.Fatalf("spilled parallel run differs from unlimited serial run:\n%s", want.Diff(got))
 	}
-	if stats.SpillPartitions == 0 {
+	if e.Metrics()["gmdj.spill_partitions"] == 0 {
 		t.Error("pool sized below the base-state estimate, yet nothing spilled")
 	}
 }
@@ -173,7 +181,7 @@ func (r *batchRecorder) Push(b *relation.Batch) error {
 // in order in bounded batches; stats collection rides along when
 // requested.
 func TestPhysicalPlanSink(t *testing.T) {
-	e := testEngine()
+	e := testEngine(t)
 	plan := existsPlan()
 	want, err := e.Run(plan, GMDJOpt)
 	if err != nil {

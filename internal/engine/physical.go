@@ -148,7 +148,7 @@ func (p *PhysicalPlan) Run(ctx context.Context, sink Sink) error {
 	}
 	outcome, errText := "ok", ""
 	if err != nil {
-		outcome, errText = errKind(err), err.Error()
+		outcome, errText = errKinds[errKind(err)].kind, err.Error()
 	}
 	e.observer.QueryEnd(live, elapsed, rows, root, outcome, errText)
 	if err != nil {

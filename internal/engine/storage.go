@@ -5,10 +5,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync/atomic"
 
-	"github.com/olaplab/gmdj/internal/obs"
 	"github.com/olaplab/gmdj/internal/storage"
 )
 
@@ -39,9 +37,10 @@ var dataSeq atomic.Int64
 // transparent checkpointing. The empty string disables persistence.
 // Not safe to call concurrently with running queries.
 func (e *Engine) SetDataDir(dir string) (*storage.RecoveryReport, error) {
-	e.store = nil
-	e.recovery = nil
-	e.dataDirOwned = false
+	// Let go of the store being replaced — deleting it when it is an
+	// env-derived directory the engine owns.
+	e.closeDataDir()
+	e.dataDirSet = true
 	if dir == "" {
 		return nil, nil
 	}
@@ -56,7 +55,7 @@ func (e *Engine) SetDataDir(dir string) (*storage.RecoveryReport, error) {
 	e.store = ds
 	e.recovery = rep
 	e.lastCkptEpoch.Store(-1) // force a checkpoint on the first query
-	obs.MetricAdd("storage.opens", 1)
+	e.counters.storageOpens.Add(1)
 	return rep, nil
 }
 
@@ -87,7 +86,7 @@ func (e *Engine) Checkpoint() (uint64, error) {
 	epoch := int64(e.cat.SchemaEpoch())
 	gen, err := e.store.Checkpoint(e.cat)
 	if err != nil {
-		obs.MetricAdd("storage.checkpoint_errors", 1)
+		e.counters.checkpointErrors.Add(1)
 		return gen, err
 	}
 	e.lastCkptEpoch.Store(epoch)
@@ -102,27 +101,15 @@ func (e *Engine) Checkpoint() (uint64, error) {
 // but never fails the read — the error is counted and the query runs
 // on the in-memory data.
 func (e *Engine) maybeCheckpoint() {
-	if e.store == nil {
-		return
+	if e.store != nil && e.lastCkptEpoch.Load() != int64(e.cat.SchemaEpoch()) {
+		_, _ = e.Checkpoint() // counted there; the read proceeds regardless
 	}
-	epoch := int64(e.cat.SchemaEpoch())
-	if e.lastCkptEpoch.Load() == epoch {
-		return
-	}
-	if _, err := e.store.Checkpoint(e.cat); err != nil {
-		obs.MetricAdd("storage.checkpoint_errors", 1)
-		return
-	}
-	e.lastCkptEpoch.Store(epoch)
 }
 
-// applyEnvData folds the GMDJ_DATA_DIR default in at construction: a
-// fresh per-process subdirectory under the root, removed on Close.
-func (e *Engine) applyEnvData() {
-	root := strings.TrimSpace(os.Getenv(EnvDataDir))
-	if root == "" {
-		return
-	}
+// openEnvDataDir applies the GMDJ_DATA_DIR default at construction,
+// when no option configured a data directory: a fresh per-process
+// subdirectory under root, removed when the engine lets go of it.
+func (e *Engine) openEnvDataDir(root string) {
 	dir := filepath.Join(root, fmt.Sprintf("gmdj-data-%d-%d", os.Getpid(), dataSeq.Add(1)))
 	if _, err := e.SetDataDir(dir); err != nil {
 		fmt.Fprintf(os.Stderr, "engine: ignoring %s: %v\n", EnvDataDir, err)
@@ -131,10 +118,10 @@ func (e *Engine) applyEnvData() {
 	e.dataDirOwned = true
 }
 
-// closeDataDir releases engine-owned durable state on Close: an
-// env-derived directory is deleted (it exists to exercise the write
-// path in hermetic tests), an explicitly configured one is left fully
-// committed on disk.
+// closeDataDir releases the durable store, on Close or when
+// SetDataDir replaces it: an env-derived directory is deleted (it
+// exists to exercise the write path in hermetic tests), an explicitly
+// configured one is left fully committed on disk.
 func (e *Engine) closeDataDir() {
 	if e.store != nil && e.dataDirOwned {
 		os.RemoveAll(e.store.Dir())

@@ -69,6 +69,7 @@ func durableCorpus() *storage.Catalog {
 func TestDurableRestartRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	e := New(durableCorpus())
+	defer e.Close()
 	if _, err := e.SetDataDir(dir); err != nil {
 		t.Fatal(err)
 	}
@@ -87,6 +88,7 @@ func TestDurableRestartRoundTrip(t *testing.T) {
 	// committed, exactly the crash-recovery contract.
 
 	e2 := New(storage.NewCatalog())
+	defer e2.Close()
 	rep, err := e2.SetDataDir(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -129,6 +131,7 @@ func TestDurableRestartRoundTrip(t *testing.T) {
 func TestTransparentCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	e := New(datagen.KeyPair(datagen.KeyPairOpts{Rows: 300, Seed: 5}))
+	defer e.Close()
 	if _, err := e.SetDataDir(dir); err != nil {
 		t.Fatal(err)
 	}
@@ -136,6 +139,7 @@ func TestTransparentCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	e2 := New(storage.NewCatalog())
+	defer e2.Close()
 	rep, err := e2.SetDataDir(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -154,6 +158,7 @@ func TestTransparentCheckpoint(t *testing.T) {
 func TestQuarantinedTableFailsTyped(t *testing.T) {
 	dir := t.TempDir()
 	e := New(datagen.KeyPair(datagen.KeyPairOpts{Rows: 500, Seed: 7}))
+	defer e.Close()
 	if _, err := e.SetDataDir(dir); err != nil {
 		t.Fatal(err)
 	}
@@ -177,6 +182,7 @@ func TestQuarantinedTableFailsTyped(t *testing.T) {
 	}
 
 	e2 := New(storage.NewCatalog())
+	defer e2.Close()
 	rep, err := e2.SetDataDir(dir)
 	if err != nil {
 		t.Fatalf("recovery must quarantine, not fail: %v", err)
@@ -205,6 +211,7 @@ func TestEnvDataDirLifecycle(t *testing.T) {
 	root := t.TempDir()
 	t.Setenv(EnvDataDir, root)
 	e := New(datagen.KeyPair(datagen.KeyPairOpts{Rows: 50, Seed: 3}))
+	defer e.Close()
 	sub := e.DataDir()
 	if sub == "" || !strings.HasPrefix(sub, root) {
 		t.Fatalf("env data dir = %q, want under %q", sub, root)
@@ -236,6 +243,7 @@ func TestZonePruningProvesBlocksAndAgrees(t *testing.T) {
 	cat := storage.NewCatalog()
 	cat.Register(storage.NewTable("t", rel))
 	e := New(cat)
+	defer e.Close()
 
 	threshold := int64(rows - storage.ZoneBlockRows/2) // keeps only the last block
 	plan := algebra.NewRestrict(algebra.NewScan("t", "t"),
@@ -282,6 +290,7 @@ func TestZonePruningProvesBlocksAndAgrees(t *testing.T) {
 // scan — the binding belongs to the enclosing block.
 func TestZonePruningCorrelatedOuterNameDoesNotPrune(t *testing.T) {
 	e := New(datagen.KeyPair(datagen.KeyPairOpts{Rows: 3 * storage.ZoneBlockRows, Seed: 9}))
+	defer e.Close()
 	// EXISTS (B where B.b_key = A.a_key and B.b_val >= 0): the b_val
 	// literal conjunct may prune, but A.a_key must never be treated as
 	// a B column even though pruning runs inside B's restrict.

@@ -14,6 +14,8 @@ package exec
 import (
 	"fmt"
 	"runtime/debug"
+	"sync"
+	"sync/atomic"
 
 	"github.com/olaplab/gmdj/internal/agg"
 	"github.com/olaplab/gmdj/internal/algebra"
@@ -47,8 +49,6 @@ type Executor struct {
 	// scans). 0 and 1 mean serial. Operators clamp further so small
 	// inputs never pay goroutine overhead (see pipelineWorkers).
 	Parallelism int
-	// GMDJStats, when non-nil, accumulates GMDJ operator counters.
-	GMDJStats *gmdj.Stats
 	// Faults injects deterministic failures at named operator sites
 	// (nil = no injection). Set once at engine construction; read-only
 	// during evaluation, so concurrent queries are safe.
@@ -65,6 +65,24 @@ type Executor struct {
 	// the governor) is exhausted. Nil keeps the pre-spill behavior:
 	// reservation exhaustion is a hard memory-budget error.
 	Spill *spill.Store
+
+	// The executor-level event counters, over every query run and each
+	// bumped where its event happens — so a query that aborts has still
+	// counted the work it did: base-table rows produced by Scan
+	// operators, the zone-map blocks they skipped, materialized subquery
+	// sources that did not fit their query's reservation (see
+	// chargeSubquery), and the summed GMDJ operator counters (except
+	// WorkerRows, which describes one evaluation).
+	rowsScanned, segmentsPruned, subqueryOvercommit atomic.Int64
+	gmdjMu                                          sync.Mutex
+	gmdjTotals                                      gmdj.Stats
+}
+
+// Counters snapshots the executor's event counters.
+func (e *Executor) Counters() (rowsScanned, segmentsPruned, subqueryOvercommit int64, g gmdj.Stats) {
+	e.gmdjMu.Lock()
+	defer e.gmdjMu.Unlock()
+	return e.rowsScanned.Load(), e.segmentsPruned.Load(), e.subqueryOvercommit.Load(), e.gmdjTotals
 }
 
 // New builds an executor with index use enabled.
@@ -123,16 +141,6 @@ func (e *Executor) RunLive(plan algebra.Node, gov *govern.Governor, col *obs.Col
 		for _, t := range q.trackers {
 			t.Release()
 		}
-		// Flush per-query totals into the process metrics regardless of
-		// outcome: partial work is still work done.
-		obs.MetricAdd("rows_scanned", q.scanned)
-		obs.MetricAdd("gmdj.detail_rows", q.gstats.DetailRows)
-		obs.MetricAdd("gmdj.probes", q.gstats.Probes)
-		obs.MetricAdd("gmdj.matches", q.gstats.Matches)
-		obs.MetricAdd("gmdj.completed", q.gstats.Completed)
-		obs.MetricAdd("gmdj.spill_partitions", q.gstats.SpillPartitions)
-		obs.MetricAdd("gmdj.spill_bytes_written", q.gstats.SpillBytesWritten)
-		obs.MetricAdd("gmdj.extra_detail_scans", q.gstats.ExtraDetailScans)
 	}()
 	if err := gov.Check(); err != nil {
 		return nil, err
@@ -142,20 +150,14 @@ func (e *Executor) RunLive(plan algebra.Node, gov *govern.Governor, col *obs.Col
 
 // query is the per-run state shared by every operator of one
 // evaluation: the budget governor, the fault injector, the optional
-// stats collector, per-query metric accumulators, and the most
-// recently entered plan node (recorded so a recovered panic can report
-// where it fired).
+// stats collector, and the most recently entered plan node (recorded so
+// a recovered panic can report where it fired).
 type query struct {
 	gov    *govern.Governor
 	faults *govern.Injector
 	col    *obs.Collector
 	live   *obs.LiveQuery
 	node   algebra.Node
-	// scanned totals base-table rows produced by Scan operators; gstats
-	// totals GMDJ operator counters. Both are flushed to the process
-	// metrics once per query.
-	scanned int64
-	gstats  gmdj.Stats
 	// trackers collects the per-operator memory trackers handed out
 	// during this evaluation so RunLive can release their charges even
 	// when an operator aborts or panics mid-flight.
@@ -339,7 +341,7 @@ func (e *Executor) evalScan(s *algebra.Scan, ev *env) (*relation.Relation, error
 	if err := t.CheckQuarantine(); err != nil {
 		return nil, err
 	}
-	ev.q.scanned += int64(t.Rel.Len())
+	e.rowsScanned.Add(int64(t.Rel.Len()))
 	ev.q.live.AddScanned(int64(t.Rel.Len()))
 	return t.Rel.Rename(s.EffectiveAlias()), nil
 }
@@ -735,7 +737,7 @@ func (e *Executor) evalGMDJ(g *algebra.GMDJ, ev *env) (*relation.Relation, error
 	ev.q.node = g
 	// Collect this operator's counters separately so the stats tree can
 	// attribute them to this GMDJ node, then fold them into the
-	// per-query totals.
+	// executor's totals.
 	var local gmdj.Stats
 	opts := gmdj.Options{
 		Completion: g.Completion,
@@ -768,10 +770,10 @@ func (e *Executor) evalGMDJ(g *algebra.GMDJ, ev *env) (*relation.Relation, error
 		}
 	}
 	out, err := gmdj.Evaluate(base, detail, g.Conds, opts)
-	ev.q.gstats.Merge(&local)
-	if e.GMDJStats != nil {
-		e.GMDJStats.Merge(&local)
-	}
+	e.gmdjMu.Lock()
+	e.gmdjTotals.Merge(&local)
+	e.gmdjTotals.WorkerRows = nil
+	e.gmdjMu.Unlock()
 	if op := ev.q.col.Current(); op != nil {
 		workers := int64(len(local.WorkerRows))
 		if workers == 0 {

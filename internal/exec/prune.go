@@ -14,7 +14,6 @@ package exec
 import (
 	"github.com/olaplab/gmdj/internal/algebra"
 	"github.com/olaplab/gmdj/internal/expr"
-	"github.com/olaplab/gmdj/internal/obs"
 	"github.com/olaplab/gmdj/internal/relation"
 	"github.com/olaplab/gmdj/internal/storage"
 	"github.com/olaplab/gmdj/internal/value"
@@ -157,6 +156,6 @@ func (e *Executor) pruneScanInput(r *algebra.Restrict, in *relation.Relation, ev
 	if pruned == 0 {
 		return in
 	}
-	obs.MetricAdd("storage.segments_pruned", int64(pruned))
+	e.segmentsPruned.Add(int64(pruned))
 	return out
 }

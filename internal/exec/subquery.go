@@ -6,7 +6,6 @@ import (
 	"github.com/olaplab/gmdj/internal/agg"
 	"github.com/olaplab/gmdj/internal/algebra"
 	"github.com/olaplab/gmdj/internal/expr"
-	"github.com/olaplab/gmdj/internal/obs"
 	"github.com/olaplab/gmdj/internal/plancache"
 	"github.com/olaplab/gmdj/internal/relation"
 	"github.com/olaplab/gmdj/internal/storage"
@@ -174,7 +173,7 @@ func (e *Executor) evalSubquerySource(src algebra.Node, q *query) (*relation.Rel
 	for _, row := range rel.Rows {
 		bytes += row.ApproxBytes()
 	}
-	q.chargeSubquery(bytes)
+	e.chargeSubquery(q, bytes)
 	e.Results.Put(key, rel, bytes)
 	return rel, nil
 }
@@ -185,7 +184,7 @@ func (e *Executor) evalSubquerySource(src algebra.Node, q *query) (*relation.Rel
 // the overcommit is recorded and the query proceeds. The real relief
 // valve is the result cache's cold tier, which the pool's reclaim hook
 // drains when reservations cannot grow.
-func (q *query) chargeSubquery(bytes int64) {
+func (e *Executor) chargeSubquery(q *query, bytes int64) {
 	if q == nil || bytes <= 0 {
 		return
 	}
@@ -194,7 +193,7 @@ func (q *query) chargeSubquery(bytes int64) {
 		return
 	}
 	if err := t.Grow(bytes); err != nil {
-		obs.MetricAdd("mem.subquery_overcommit", 1)
+		e.subqueryOvercommit.Add(1)
 	}
 }
 

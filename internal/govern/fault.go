@@ -3,18 +3,17 @@ package govern
 import (
 	"errors"
 	"fmt"
-	"os"
 	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
-
-	"github.com/olaplab/gmdj/internal/obs"
 )
 
-// EnvFaults is the environment variable read by FromEnv: a fault spec
-// of the form "site=action[,site=action...]" where action is "panic",
-// "error", or "delay:<duration>" (Go duration syntax). Example:
+// EnvFaults is the environment variable the engine resolves at
+// construction (see engine.New; olapd parses it again for the serve.*
+// sites): a fault spec of the form "site=action[,site=action...]"
+// where action is "panic", "error", or "delay:<duration>" (Go duration
+// syntax). Example:
 //
 //	GMDJ_FAULTS="gmdj.worker=panic,exec.project=delay:50ms"
 //
@@ -101,10 +100,21 @@ func (f fault) due() bool {
 
 // Injector triggers deterministic faults at named operator sites. A
 // nil Injector is inert; Fire on it costs one nil check, so production
-// paths carry no overhead when no faults are configured. Injectors are
-// immutable after construction and safe for concurrent Fire calls.
+// paths carry no overhead when no faults are configured. The fault
+// table is immutable after construction and Fire is safe for
+// concurrent calls.
 type Injector struct {
-	faults map[string]fault
+	faults   map[string]fault
+	injected atomic.Int64 // faults that fired
+}
+
+// Injected reports how many faults this injector has fired (0 for a
+// nil Injector).
+func (in *Injector) Injected() int64 {
+	if in == nil {
+		return 0
+	}
+	return in.injected.Load()
 }
 
 // ParseFaults builds an Injector from a spec (see EnvFaults). An empty
@@ -178,18 +188,6 @@ func NewInjector(sites map[string]string) *Injector {
 	return in
 }
 
-// FromEnv builds an Injector from the GMDJ_FAULTS environment
-// variable. A malformed spec is reported on stderr and ignored rather
-// than failing engine construction.
-func FromEnv() *Injector {
-	in, err := ParseFaults(os.Getenv(EnvFaults))
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "govern: ignoring %s: %v\n", EnvFaults, err)
-		return nil
-	}
-	return in
-}
-
 // Fire triggers the fault configured at site, if any: it returns an
 // error wrapping ErrInjected, panics, or sleeps for the configured
 // delay (respecting ctx so delayed sites still cancel promptly).
@@ -212,12 +210,11 @@ func (in *Injector) Fire(site string, g *Governor) error {
 	if !f.due() {
 		return nil
 	}
+	in.injected.Add(1)
 	switch f.kind {
 	case faultPanic:
-		obs.MetricAdd("faults.injected", 1)
 		panic(fmt.Sprintf("govern: injected panic at %s", site))
 	case faultDelay:
-		obs.MetricAdd("faults.injected", 1)
 		t := time.NewTimer(f.delay)
 		defer t.Stop()
 		select {
@@ -227,7 +224,6 @@ func (in *Injector) Fire(site string, g *Governor) error {
 			return g.Check()
 		}
 	default:
-		obs.MetricAdd("faults.injected", 1)
 		return fmt.Errorf("%w at %s", ErrInjected, site)
 	}
 }
@@ -257,6 +253,6 @@ func (in *Injector) Disk(site string) DiskFault {
 	if !f.due() {
 		return DiskNone
 	}
-	obs.MetricAdd("faults.injected", 1)
+	in.injected.Add(1)
 	return kind
 }

@@ -175,6 +175,7 @@ func TestExpandTemplates(t *testing.T) {
 // against a live server; every outcome is ok, aborted, or a typed kind.
 func TestRunScenarioAgainstServer(t *testing.T) {
 	db := gmdj.Open()
+	defer db.Close()
 	db.MustCreateTable("users",
 		gmdj.Col("name", gmdj.String), gmdj.Col("ip", gmdj.String), gmdj.Col("score", gmdj.Int))
 	db.MustInsert("users",

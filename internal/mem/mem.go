@@ -29,13 +29,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
-
-	"github.com/olaplab/gmdj/internal/obs"
 )
 
 // ErrAdmissionTimeout reports that a query waited in the admission
@@ -76,10 +73,11 @@ type Pool struct {
 	admission time.Duration
 	closed    bool
 
-	admitted  int64
-	queued    int64
-	timeouts  int64
-	reclaimed int64
+	admitted    int64
+	queued      int64
+	timeouts    int64
+	closedSheds int64
+	reclaimed   int64
 }
 
 type waiter struct {
@@ -152,14 +150,12 @@ func (p *Pool) Acquire(ctx context.Context, want int64) (*Reservation, error) {
 		p.used += want
 		p.admitted++
 		p.mu.Unlock()
-		obs.MetricAdd("mem.admitted", 1)
 		return &Reservation{pool: p, granted: want}, nil
 	}
 	w := &waiter{need: want, granted: make(chan struct{})}
 	p.waiters = append(p.waiters, w)
 	p.queued++
 	p.mu.Unlock()
-	obs.MetricAdd("mem.queued", 1)
 
 	deadline := time.NewTimer(p.admission)
 	defer deadline.Stop()
@@ -176,7 +172,6 @@ func (p *Pool) Acquire(ctx context.Context, want int64) (*Reservation, error) {
 		return p.granted(w, want)
 	case <-deadline.C:
 		if p.abandon(w, true) {
-			obs.MetricAdd("mem.admission_timeouts", 1)
 			return nil, fmt.Errorf("%w after %v (pool %d/%d bytes in use)",
 				ErrAdmissionTimeout, p.admission, p.inUse(), p.capacity)
 		}
@@ -192,7 +187,6 @@ func (p *Pool) granted(w *waiter, want int64) (*Reservation, error) {
 	if w.err != nil {
 		return nil, w.err
 	}
-	obs.MetricAdd("mem.admitted", 1)
 	return &Reservation{pool: p, granted: want}, nil
 }
 
@@ -219,12 +213,10 @@ func (p *Pool) Close() {
 		w.done = true
 		w.err = fmt.Errorf("%w: query shed from admission queue", ErrPoolClosed)
 	}
+	p.closedSheds += int64(len(ws))
 	p.mu.Unlock()
 	for _, w := range ws {
 		close(w.granted)
-	}
-	if n := len(ws); n > 0 {
-		obs.MetricAdd("mem.closed_sheds", int64(n))
 	}
 }
 
@@ -274,7 +266,6 @@ func (p *Pool) tryGrow(n int64) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.reclaimed += freed
-	obs.MetricAdd("mem.reclaimed_bytes", freed)
 	if p.used+n <= p.capacity {
 		p.used += n
 		return true
@@ -300,6 +291,7 @@ func (p *Pool) release(n int64) {
 			break
 		}
 		p.used += w.need
+		p.admitted++
 		w.done = true
 		p.waiters = p.waiters[1:]
 		close(w.granted)
@@ -331,11 +323,14 @@ type PoolStats struct {
 	// Capacity and InUse describe the byte budget.
 	Capacity int64 `json:"capacity"`
 	InUse    int64 `json:"in_use"`
-	// Queued is the current admission-queue length; Admitted, TimedOut
+	// Queued is the current admission-queue length; Admitted, TimedOut,
+	// QueuedTotal (had to wait at all) and ClosedSheds (shed by Close)
 	// count queries over the pool's lifetime.
-	Queued   int   `json:"queued"`
-	Admitted int64 `json:"admitted"`
-	TimedOut int64 `json:"timed_out"`
+	Queued      int   `json:"queued"`
+	Admitted    int64 `json:"admitted"`
+	TimedOut    int64 `json:"timed_out"`
+	QueuedTotal int64 `json:"queued_total"`
+	ClosedSheds int64 `json:"closed_sheds"`
 	// ReclaimedBytes counts bytes freed by the reclaim hook (cache
 	// spill-down) under pressure.
 	ReclaimedBytes int64 `json:"reclaimed_bytes"`
@@ -368,6 +363,8 @@ func (p *Pool) Stats() PoolStats {
 		Queued:         len(p.waiters),
 		Admitted:       p.admitted,
 		TimedOut:       p.timeouts,
+		QueuedTotal:    p.queued,
+		ClosedSheds:    p.closedSheds,
 		ReclaimedBytes: p.reclaimed,
 	}
 }
@@ -539,9 +536,9 @@ func (t *Tracker) Release() {
 	t.used = 0
 }
 
-// EnvMem is the environment variable read by FromEnv: a comma-
-// separated spec configuring a constrained-memory engine for a whole
-// test run, e.g.
+// EnvMem is the environment variable the engine resolves at
+// construction (see engine.New): a comma-separated spec configuring a
+// constrained-memory engine for a whole test run, e.g.
 //
 //	GMDJ_MEM="limit=8MiB,spill=/tmp/scratch,admission=2s"
 //
@@ -555,22 +552,6 @@ type EnvConfig struct {
 	Limit     int64
 	SpillDir  string
 	Admission time.Duration
-}
-
-// FromEnv parses GMDJ_MEM; ok is false when unset or malformed
-// (malformed specs are reported on stderr and ignored, mirroring
-// govern.FromEnv).
-func FromEnv() (EnvConfig, bool) {
-	spec := strings.TrimSpace(os.Getenv(EnvMem))
-	if spec == "" {
-		return EnvConfig{}, false
-	}
-	cfg, err := ParseEnv(spec)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "mem: ignoring %s: %v\n", EnvMem, err)
-		return EnvConfig{}, false
-	}
-	return cfg, true
 }
 
 // ParseEnv parses a GMDJ_MEM spec (see EnvMem).

@@ -1,55 +1,14 @@
 package obs
 
 import (
-	"expvar"
 	"sort"
 	"strconv"
 	"strings"
 )
 
-// Process-wide engine metrics, published under the "gmdj" expvar map
-// so any embedder that mounts net/http's /debug/vars (or olapql's
-// -metrics-addr) exposes them for scraping. Updates are atomic
-// expvar.Map adds — at query granularity, not per row — so they stay
-// on unconditionally.
-//
-// Key taxonomy (dot-separated):
-//
-//	queries.<strategy>   completed queries per evaluation strategy
-//	errors.<kind>        governed aborts: canceled, timeout, row_budget,
-//	                     mem_budget, internal, other
-//	rows_scanned         base-table rows produced by Scan operators
-//	gmdj.detail_rows     detail tuples fed through GMDJ programs
-//	gmdj.probes          hash-index probes + fallback θ-scans
-//	gmdj.matches         (base, detail, θ) triples that matched
-//	gmdj.completed       base tuples retired early by tuple completion
-//	gmdj.coalesced       GMDJ nodes merged by Proposition 4.1 coalescing
-//	faults.injected      fault-injection sites that fired
-var metrics = expvar.NewMap("gmdj")
-
-// MetricAdd bumps a process metric by delta (no-op for delta 0, so
-// unconditional flush sites stay cheap).
-func MetricAdd(name string, delta int64) {
-	if delta == 0 {
-		return
-	}
-	metrics.Add(name, delta)
-}
-
-// MetricsSnapshot returns the current value of every published
-// integer metric.
-func MetricsSnapshot() map[string]int64 {
-	out := map[string]int64{}
-	metrics.Do(func(kv expvar.KeyValue) {
-		if i, ok := kv.Value.(*expvar.Int); ok {
-			out[kv.Key] = i.Value()
-		}
-	})
-	return out
-}
-
-// FormatMetrics renders a snapshot as sorted "name value" lines (the
-// REPL's \stats output).
+// FormatMetrics renders a counter snapshot (see engine.Engine.Metrics
+// for where the counters live) as sorted "name value" lines — the
+// REPL's \stats output.
 func FormatMetrics(snap map[string]int64) string {
 	keys := make([]string, 0, len(snap))
 	for k := range snap {

@@ -11,7 +11,7 @@ import (
 	"github.com/olaplab/gmdj/internal/obs"
 )
 
-// Bundle validation: the logic behind cmd/bundlecheck, shared with the
+// Bundle validation: the logic behind olapcheck bundle, shared with the
 // serving-layer tests and the chaos harness. A bundle is valid when
 // its manifest parses, every member the manifest claims exists with
 // the recorded size and checksum, no unlisted files hide in the

@@ -13,8 +13,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"github.com/olaplab/gmdj/internal/obs"
 )
 
 // The flight recorder answers the question "what was the process doing
@@ -51,7 +49,7 @@ type ManifestEntry struct {
 }
 
 // Manifest is the bundle's MANIFEST.json: what fired, when, and the
-// checksummed member list. cmd/bundlecheck validates a bundle against
+// checksummed member list. olapcheck bundle validates a bundle against
 // it.
 type Manifest struct {
 	Version    int             `json:"version"`
@@ -78,10 +76,11 @@ type RecorderConfig struct {
 
 // RecorderStats is a Recorder snapshot.
 type RecorderStats struct {
-	Triggered  int64  `json:"triggered"`
-	Suppressed int64  `json:"suppressed"`
-	Written    int64  `json:"written"`
-	LastBundle string `json:"last_bundle,omitempty"`
+	Triggered    int64  `json:"triggered"`
+	Suppressed   int64  `json:"suppressed"`
+	Written      int64  `json:"written"`
+	LastBundle   string `json:"last_bundle,omitempty"`
+	BundleErrors int64  `json:"bundle_errors"` // admitted triggers whose write failed
 }
 
 type probe struct {
@@ -108,9 +107,10 @@ type Recorder struct {
 	last    time.Time
 	lastDir string
 
-	triggered  atomic.Int64
-	suppressed atomic.Int64
-	written    atomic.Int64
+	triggered    atomic.Int64
+	suppressed   atomic.Int64
+	written      atomic.Int64
+	bundleErrors atomic.Int64
 
 	startOnce sync.Once
 	closeOnce sync.Once
@@ -295,14 +295,13 @@ func (r *Recorder) TriggerSync(kind, reason string) (string, bool) {
 
 	dir, err := r.writeBundle(kind, reason, seq, when, sources)
 	if err != nil {
-		obs.MetricAdd("profile.bundle_errors", 1)
+		r.bundleErrors.Add(1)
 		return "", false
 	}
 	r.mu.Lock()
 	r.lastDir = dir
 	r.mu.Unlock()
 	r.written.Add(1)
-	obs.MetricAdd("profile.bundles", 1)
 	r.pruneBundles()
 	return dir, true
 }
@@ -495,9 +494,10 @@ func (r *Recorder) Stats() RecorderStats {
 	last := r.lastDir
 	r.mu.Unlock()
 	return RecorderStats{
-		Triggered:  r.triggered.Load(),
-		Suppressed: r.suppressed.Load(),
-		Written:    r.written.Load(),
-		LastBundle: last,
+		Triggered:    r.triggered.Load(),
+		Suppressed:   r.suppressed.Load(),
+		Written:      r.written.Load(),
+		BundleErrors: r.bundleErrors.Load(),
+		LastBundle:   last,
 	}
 }

@@ -9,13 +9,10 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
-	"syscall"
 	"time"
 
-	"github.com/olaplab/gmdj/internal/obs"
+	"github.com/olaplab/gmdj/internal/spill"
 )
 
 // The on-disk profile ring follows the spill store's scratch-dir
@@ -29,8 +26,7 @@ import (
 // process that wrote them.
 
 const (
-	ringStem        = "olap-prof"
-	janitorLockName = ".janitor.lock"
+	ringStem = "olap-prof"
 	// IncidentsDirName is the bundle directory under the profile root.
 	IncidentsDirName = "incidents"
 )
@@ -71,6 +67,8 @@ type Stats struct {
 	Errors    int64            `json:"errors"`
 	LastError string           `json:"last_error,omitempty"`
 	RingBytes int64            `json:"ring_bytes"`
+	// StaleRingsRemoved: dead processes' rings swept when this one opened.
+	StaleRingsRemoved int `json:"stale_rings_removed"`
 }
 
 // FileInfo describes one ring file for the /debug/olap/profiles index.
@@ -85,8 +83,9 @@ type FileInfo struct {
 // waits (the profiler owns exactly one goroutine, so olapd's leak
 // check holds across a profiler lifecycle).
 type Profiler struct {
-	cfg     Config
-	ringDir string
+	cfg          Config
+	ringDir      string
+	staleRemoved int // by the opening janitor sweep
 
 	mu         sync.Mutex
 	seq        int
@@ -129,22 +128,25 @@ func New(cfg Config) (*Profiler, error) {
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("profile: %w", err)
 	}
-	lock, err := lockProfileRoot(cfg.Dir)
+	// The janitor is the spill store's: one lock file and one dead-pid
+	// sweep implementation for every pid-stamped directory family.
+	unlock, err := spill.LockRoot(cfg.Dir)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("profile: %w", err)
 	}
-	defer lock.unlock()
-	sweepStaleRings(cfg.Dir)
+	defer unlock()
+	staleRemoved := spill.SweepStale(cfg.Dir, ringStem)
 	ringDir, err := claimRingDir(cfg.Dir)
 	if err != nil {
 		return nil, err
 	}
 	p := &Profiler{
-		cfg:        cfg,
-		ringDir:    ringDir,
-		cpuSeconds: map[string]float64{},
-		captures:   map[string]int64{},
-		done:       make(chan struct{}),
+		cfg:          cfg,
+		ringDir:      ringDir,
+		staleRemoved: staleRemoved,
+		cpuSeconds:   map[string]float64{},
+		captures:     map[string]int64{},
+		done:         make(chan struct{}),
 	}
 	if cfg.MutexFraction > 0 {
 		p.prevMutexFraction = runtime.SetMutexProfileFraction(cfg.MutexFraction)
@@ -285,7 +287,6 @@ func (p *Profiler) captureCPU() error {
 	p.mu.Lock()
 	p.captures["cpu"]++
 	p.mu.Unlock()
-	obs.MetricAdd("profile.captures", 1)
 	if data, err := os.ReadFile(path); err == nil {
 		if prof, err := ParseProfile(data); err == nil {
 			p.attribute(prof)
@@ -338,7 +339,6 @@ func (p *Profiler) captureSnapshot(kind string) (string, error) {
 	p.mu.Lock()
 	p.captures[kind]++
 	p.mu.Unlock()
-	obs.MetricAdd("profile.captures", 1)
 	return path, nil
 }
 
@@ -419,17 +419,17 @@ func (p *Profiler) noteError(err error) {
 	p.errs++
 	p.lastErr = err.Error()
 	p.mu.Unlock()
-	obs.MetricAdd("profile.errors", 1)
 }
 
 // Stats snapshots the profiler.
 func (p *Profiler) Stats() Stats {
 	p.mu.Lock()
 	st := Stats{
-		RingDir:   p.ringDir,
-		Captures:  make(map[string]int64, len(p.captures)),
-		Errors:    p.errs,
-		LastError: p.lastErr,
+		RingDir:           p.ringDir,
+		Captures:          make(map[string]int64, len(p.captures)),
+		Errors:            p.errs,
+		LastError:         p.lastErr,
+		StaleRingsRemoved: p.staleRemoved,
 	}
 	for k, v := range p.captures {
 		st.Captures[k] = v
@@ -459,50 +459,6 @@ func (p *Profiler) Index() []FileInfo {
 	return out
 }
 
-// --- janitor (spill-store discipline) ---
-
-type profRootLock struct{ f *os.File }
-
-func (l profRootLock) unlock() { _ = l.f.Close() }
-
-// lockProfileRoot takes the root's exclusive janitor lock, serializing
-// stale sweeps against concurrent ring creation across processes.
-func lockProfileRoot(root string) (profRootLock, error) {
-	f, err := os.OpenFile(filepath.Join(root, janitorLockName), os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return profRootLock{}, fmt.Errorf("profile: opening janitor lock: %w", err)
-	}
-	if err := syscall.Flock(int(f.Fd()), syscall.LOCK_EX); err != nil {
-		f.Close()
-		return profRootLock{}, fmt.Errorf("profile: locking janitor lock: %w", err)
-	}
-	return profRootLock{f: f}, nil
-}
-
-// sweepStaleRings removes ring directories owned by dead pids. The
-// caller holds the janitor lock. Incident bundles are never swept.
-func sweepStaleRings(root string) int {
-	entries, err := os.ReadDir(root)
-	if err != nil {
-		return 0
-	}
-	removed := 0
-	for _, e := range entries {
-		if !e.IsDir() {
-			continue
-		}
-		pid, ok := ringPid(e.Name())
-		if !ok || pid == os.Getpid() || pidAlive(pid) {
-			continue
-		}
-		if os.RemoveAll(filepath.Join(root, e.Name())) == nil {
-			removed++
-			obs.MetricAdd("profile.stale_rings_removed", 1)
-		}
-	}
-	return removed
-}
-
 // claimRingDir creates this process's ring directory, bumping the seq
 // suffix past any the pid already owns (several profilers in one
 // process, or pid reuse against a live ring).
@@ -517,32 +473,4 @@ func claimRingDir(root string) (string, error) {
 			return "", fmt.Errorf("profile: %w", err)
 		}
 	}
-}
-
-// ringPid parses the owning pid out of "olap-prof-<pid>-<seq>".
-func ringPid(name string) (int, bool) {
-	rest, ok := strings.CutPrefix(name, ringStem+"-")
-	if !ok {
-		return 0, false
-	}
-	pidStr, _, ok := strings.Cut(rest, "-")
-	if !ok {
-		return 0, false
-	}
-	pid, err := strconv.Atoi(pidStr)
-	if err != nil || pid <= 0 {
-		return 0, false
-	}
-	return pid, true
-}
-
-// pidAlive reports whether pid names a live process (signal 0 probe;
-// EPERM means alive but not ours).
-func pidAlive(pid int) bool {
-	proc, err := os.FindProcess(pid)
-	if err != nil {
-		return false
-	}
-	err = proc.Signal(syscall.Signal(0))
-	return err == nil || errors.Is(err, syscall.EPERM)
 }

@@ -325,7 +325,7 @@ func ValidateExposition(doc []byte) error {
 }
 
 // ParsePromSample parses one exposition sample line into its name,
-// labels, and value — promcheck's monotonicity diff is built on it.
+// labels, and value — olapcheck prom's monotonicity diff is built on it.
 func ParsePromSample(line string) (name string, labels map[string]string, value float64, err error) {
 	return parsePromSample(line)
 }

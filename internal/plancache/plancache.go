@@ -14,8 +14,9 @@
 //     invalidate old entries as make them unreachable; LRU pressure
 //     eventually evicts them.
 //
-// Both caches are safe for concurrent use and surface hit/miss/
-// eviction counters through internal/obs expvars.
+// Both caches are safe for concurrent use and keep their own hit/miss/
+// eviction counters (Stats), which the engine's counter snapshot and
+// the Prometheus families both render.
 package plancache
 
 import (
@@ -24,7 +25,6 @@ import (
 
 	"github.com/olaplab/gmdj/internal/algebra"
 	"github.com/olaplab/gmdj/internal/expr"
-	"github.com/olaplab/gmdj/internal/obs"
 )
 
 // Key identifies a cached plan: the normalized query text (literals
@@ -62,6 +62,7 @@ type Stats struct {
 	SpillWrites, SpillReads int64
 	ColdEntries             int
 	ColdBytes               int64
+	SpillDowns              int64 // demoted by the pool's reclaim hook, not LRU-evicted
 }
 
 // Cache is a byte-budgeted LRU plan cache.
@@ -102,7 +103,6 @@ func (c *Cache) Get(k Key, schemaEpoch uint64) (*Entry, bool) {
 	el, ok := c.items[k]
 	if !ok {
 		c.stats.Misses++
-		obs.MetricAdd("plancache.miss", 1)
 		return nil, false
 	}
 	it := el.Value.(*planItem)
@@ -110,13 +110,10 @@ func (c *Cache) Get(k Key, schemaEpoch uint64) (*Entry, bool) {
 		c.removeLocked(el)
 		c.stats.Invalidations++
 		c.stats.Misses++
-		obs.MetricAdd("plancache.invalidation", 1)
-		obs.MetricAdd("plancache.miss", 1)
 		return nil, false
 	}
 	c.ll.MoveToFront(el)
 	c.stats.Hits++
-	obs.MetricAdd("plancache.hit", 1)
 	return it.entry, true
 }
 
@@ -143,7 +140,6 @@ func (c *Cache) Put(k Key, e *Entry) {
 	c.cur += e.bytes
 	for c.cur > c.max && c.ll.Len() > 1 {
 		c.stats.Evictions++
-		obs.MetricAdd("plancache.eviction", 1)
 		c.removeLocked(c.ll.Back())
 	}
 }
@@ -155,8 +151,11 @@ func (c *Cache) removeLocked(el *list.Element) {
 	c.cur -= it.entry.bytes
 }
 
-// Stats snapshots the cache counters.
+// Stats snapshots the cache counters (zero value for a nil cache).
 func (c *Cache) Stats() Stats {
+	if c == nil {
+		return Stats{}
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	s := c.stats

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"sync"
 
-	"github.com/olaplab/gmdj/internal/obs"
 	"github.com/olaplab/gmdj/internal/spill"
 )
 
@@ -59,16 +58,13 @@ func (c *ResultCache) Get(key string) (any, bool) {
 	if !ok {
 		if v, ok := c.promoteLocked(key); ok {
 			c.stats.Hits++
-			obs.MetricAdd("resultcache.hit", 1)
 			return v, true
 		}
 		c.stats.Misses++
-		obs.MetricAdd("resultcache.miss", 1)
 		return nil, false
 	}
 	c.ll.MoveToFront(el)
 	c.stats.Hits++
-	obs.MetricAdd("resultcache.hit", 1)
 	return el.Value.(*resultItem).value, true
 }
 
@@ -105,8 +101,11 @@ func (c *ResultCache) removeLocked(el *list.Element) {
 	c.cur -= it.bytes
 }
 
-// Stats snapshots the cache counters.
+// Stats snapshots the cache counters (zero value for a nil cache).
 func (c *ResultCache) Stats() Stats {
+	if c == nil {
+		return Stats{}
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	s := c.stats

@@ -1,7 +1,6 @@
 package plancache
 
 import (
-	"github.com/olaplab/gmdj/internal/obs"
 	"github.com/olaplab/gmdj/internal/spill"
 )
 
@@ -51,7 +50,6 @@ func (c *ResultCache) demoteLocked(it *resultItem) bool {
 	}
 	c.cold[it.key] = &coldItem{file: f, codec: name, bytes: it.bytes}
 	c.stats.SpillWrites++
-	obs.MetricAdd("resultcache.spill_write", 1)
 	return true
 }
 
@@ -74,7 +72,6 @@ func (c *ResultCache) promoteLocked(key string) (any, bool) {
 		return nil, false
 	}
 	c.stats.SpillReads++
-	obs.MetricAdd("resultcache.spill_read", 1)
 	el := c.ll.PushFront(&resultItem{key: key, value: v, bytes: ci.bytes})
 	c.items[key] = el
 	c.cur += ci.bytes
@@ -89,7 +86,6 @@ func (c *ResultCache) shrinkLocked() {
 		el := c.ll.Back()
 		it := el.Value.(*resultItem)
 		c.stats.Evictions++
-		obs.MetricAdd("resultcache.eviction", 1)
 		c.demoteLocked(it)
 		c.removeLocked(el)
 	}
@@ -110,7 +106,7 @@ func (c *ResultCache) SpillDown(n int64) int64 {
 		c.demoteLocked(it)
 		c.removeLocked(el)
 		freed += it.bytes
-		obs.MetricAdd("resultcache.spilldown", 1)
+		c.stats.SpillDowns++
 	}
 	return freed
 }

@@ -4,7 +4,6 @@ import (
 	"github.com/olaplab/gmdj/internal/agg"
 	"github.com/olaplab/gmdj/internal/algebra"
 	"github.com/olaplab/gmdj/internal/expr"
-	"github.com/olaplab/gmdj/internal/obs"
 	"github.com/olaplab/gmdj/internal/value"
 )
 
@@ -239,7 +238,6 @@ peel:
 		merged = append(merged, algebra.GMDJCond{Theta: theta, Aggs: aggs})
 	}
 	next := algebra.NewGMDJ(ig.Base, ig.Detail, merged...)
-	obs.MetricAdd("gmdj.coalesced", 1)
 	// Re-apply wrappers innermost-first; projections additionally carry
 	// the outer aggregate columns upward.
 	var result algebra.Node = next

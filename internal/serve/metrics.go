@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"io"
 	"net/http"
 	"runtime"
@@ -127,8 +128,7 @@ func (m *metricsRegistry) get(label string) *tenantMetrics {
 // promCollect appends the serving-layer metric families. Everything
 // here is deterministic given the registry state (sorted label and
 // kind order) — the golden exposition test depends on that.
-func (s *Server) promCollect(p *obs.PromWriter) {
-	st := s.Stats()
+func (s *Server) promCollect(p *obs.PromWriter, st Stats) {
 	draining := 0.0
 	if st.State != "accepting" {
 		draining = 1
@@ -265,13 +265,45 @@ func (s *Server) promCollectProfile(p *obs.PromWriter) {
 	}
 }
 
+// events are the serving layer's contributions to the
+// gmdj_engine_events_total family, from the fields the typed olap_*
+// families read: serve.* (server, tenant gates), profile.* (profiler,
+// recorder), and the server's own injector's serve-site fires (summed
+// into the DB's faults.injected).
+func (s *Server) events(st Stats) map[string]int64 {
+	ev := map[string]int64{
+		"serve.panics_recovered": s.panics.Load() + s.cancelPanics.Load(),
+		"serve.drains":           s.drains.Load(),
+		"serve.hard_cancels":     s.hardCanceled.Load(),
+		"faults.injected":        s.faults.Injected(),
+	}
+	for _, ts := range st.Tenants {
+		ev["serve.queued"] += ts.QueuedTotal
+		ev["serve.shed"] += ts.Shed
+	}
+	if s.profiler != nil {
+		st := s.profiler.Stats()
+		for _, n := range st.Captures {
+			ev["profile.captures"] += n
+		}
+		ev["profile.errors"], ev["profile.stale_rings_removed"] = st.Errors, int64(st.StaleRingsRemoved)
+	}
+	if s.recorder != nil {
+		rs := s.recorder.Stats()
+		ev["profile.bundles"], ev["profile.bundle_errors"] = rs.Written, rs.BundleErrors
+	}
+	return ev
+}
+
 // writePromText renders the full exposition: the serving families,
-// the engine-level families (gmdj_*), and two process gauges. Shared
-// by /metrics and the flight recorder's metrics.prom bundle member.
+// the engine-level families (gmdj_*, with the serving layer's events
+// folded into the events family), and two process gauges. Shared by
+// /metrics and the flight recorder's metrics.prom bundle member.
 func (s *Server) writePromText(w io.Writer) error {
 	p := obs.NewPromWriter()
-	s.promCollect(p)
-	s.db.PromCollect(p)
+	st := s.Stats() // one snapshot feeds the typed families and the events
+	s.promCollect(p, st)
+	s.db.PromCollect(p, s.events(st))
 	p.Gauge("process_goroutines", "Live goroutines.", nil, float64(runtime.NumGoroutine()))
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
@@ -285,17 +317,11 @@ func (s *Server) writePromText(w io.Writer) error {
 
 // handleMetrics serves the Prometheus text exposition.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	p := obs.NewPromWriter()
-	s.promCollect(p)
-	s.db.PromCollect(p)
-	p.Gauge("process_goroutines", "Live goroutines.", nil, float64(runtime.NumGoroutine()))
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	p.Gauge("process_heap_alloc_bytes", "Bytes of allocated heap objects.", nil, float64(ms.HeapAlloc))
-	if err := p.Err(); err != nil {
+	var doc bytes.Buffer
+	if err := s.writePromText(&doc); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
 	w.Header().Set("Content-Type", obs.PromContentType)
-	_, _ = p.WriteTo(w)
+	_, _ = doc.WriteTo(w)
 }

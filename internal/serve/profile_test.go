@@ -1,22 +1,28 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"reflect"
+	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	gmdj "github.com/olaplab/gmdj"
+	"github.com/olaplab/gmdj/internal/govern"
 	"github.com/olaplab/gmdj/internal/obs/profile"
 )
 
 // profiledServer wires a server to a live profiler and recorder the
-// way olapd does: ring under a temp root, incidents beneath it.
-func profiledServer(t *testing.T) (*Server, *profile.Profiler, *profile.Recorder) {
+// way olapd does: ring under a temp root, incidents beneath it. cfg
+// supplies everything else.
+func profiledServer(t *testing.T, cfg Config) (*Server, *profile.Profiler, *profile.Recorder) {
 	t.Helper()
 	root := t.TempDir()
 	p, err := profile.New(profile.Config{Dir: root, Retain: 4})
@@ -34,12 +40,12 @@ func profiledServer(t *testing.T) (*Server, *profile.Profiler, *profile.Recorder
 	t.Cleanup(func() { rec.Close() })
 	db := usersDB(t)
 	db.EnableObservability(gmdj.ObsConfig{})
-	s := NewServer(db, Config{Admin: true, Profiler: p, Recorder: rec})
-	return s, p, rec
+	cfg.Profiler, cfg.Recorder = p, rec
+	return NewServer(db, cfg), p, rec
 }
 
 func TestProfilesIndexAndForcedIncident(t *testing.T) {
-	s, p, _ := profiledServer(t)
+	s, p, _ := profiledServer(t, Config{Admin: true})
 	if _, err := p.CaptureNow(0); err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +153,7 @@ func TestProfilesIndexAndForcedIncident(t *testing.T) {
 // appear on /metrics when a profiler and recorder are attached (the
 // golden exposition test pins the families' absence without them).
 func TestMetricsIncludeProfilingFamilies(t *testing.T) {
-	s, p, rec := profiledServer(t)
+	s, p, rec := profiledServer(t, Config{Admin: true})
 	if _, err := p.CaptureNow(0); err != nil {
 		t.Fatal(err)
 	}
@@ -192,4 +198,90 @@ func grepLines(text, needle string) string {
 		}
 	}
 	return strings.Join(out, "\n")
+}
+
+// TestServeEventLabels drives one server through every serving-layer
+// event a test can provoke — a queued and a shed request, a profile
+// capture, an incident bundle, a drain that has to hard-cancel — and
+// pins olapd's gmdj_engine_events_total label set: the DB's own
+// events plus the serve.* and profile.* ones the server folds in (the
+// list was recorded at the commit before the process-global registry
+// went). Each folded event must equal the typed family reading the
+// same field.
+func TestServeEventLabels(t *testing.T) {
+	for _, name := range []string{"GMDJ_MEM", "GMDJ_DATA_DIR"} {
+		t.Setenv(name, "") // their owners' events are pinned in the root package
+	}
+	// Slow scans hold the tenant's only slot while later requests queue.
+	t.Setenv(govern.EnvFaults, "exec.scan=delay:300ms")
+	s, p, rec := profiledServer(t, Config{
+		Tenants: map[string]Quota{"small": {MaxInFlight: 1, Admission: 100 * time.Millisecond}},
+	})
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+
+	if _, err := p.CaptureNow(0); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := rec.TriggerSync(profile.TriggerManual, "event labels"); !ok {
+		t.Fatal("bundle not written")
+	}
+	body := map[string]any{"sql": "SELECT name FROM users"}
+	var wg sync.WaitGroup
+	hold := func() {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			post(t, srv, "small", body)
+		}()
+		waitFor(t, "a query in flight", func() bool { return s.InFlight() > 0 })
+	}
+	hold()
+	if resp, raw := post(t, srv, "small", body); resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("second request on a full tenant: status %d: %s", resp.StatusCode, raw)
+	}
+	wg.Wait()
+	hold()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+	defer cancel()
+	if err := s.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+
+	events := map[string]float64{}
+	typed := map[string]float64{}
+	for _, smp := range mustScrape(t, srv) {
+		if smp.name == "gmdj_engine_events_total" {
+			events[smp.labels["event"]] = smp.value
+		} else if _, isHist := smp.labels["le"]; !isHist {
+			typed[smp.name] += smp.value // tenant and kind series sum
+		}
+	}
+	var got []string
+	for ev := range events {
+		got = append(got, ev)
+	}
+	sort.Strings(got)
+	want := []string{
+		"errors.canceled", "faults.injected",
+		"plancache.hit", "plancache.miss",
+		"profile.bundles", "profile.captures",
+		"queries.gmdj-opt", "rows_scanned",
+		"serve.drains", "serve.hard_cancels", "serve.queued", "serve.shed",
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("event labels drifted:\n got %v\nwant %v", got, want)
+	}
+	for ev, fam := range map[string]string{
+		"serve.hard_cancels": "olap_hard_cancels_total",
+		"serve.shed":         "olap_tenant_shed_total",
+		"profile.captures":   "olap_profiles_captured_total",
+		"profile.bundles":    "olap_incident_bundles_total",
+		"profile.errors":     "olap_profile_errors_total",
+	} {
+		if events[ev] != typed[fam] {
+			t.Errorf("event %s = %v but %s = %v", ev, events[ev], fam, typed[fam])
+		}
+	}
 }

@@ -244,7 +244,9 @@ type Server struct {
 	rejected     atomic.Int64 // drain-time 503s
 	hardCanceled atomic.Int64
 	faultsFired  atomic.Int64
-	panics       atomic.Int64
+	panics       atomic.Int64 // handler panics recovered
+	cancelPanics atomic.Int64 // injected serve.cancel panics contained by hardCancel
+	drains       atomic.Int64
 	tidSeq       atomic.Int64 // trace-timeline row allocator
 }
 
@@ -706,7 +708,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// never a crashed connection without a body.
 	defer func() {
 		if p := recover(); p != nil {
-			obs.MetricAdd("serve.panics_recovered", 1)
 			s.panics.Add(1)
 			rw.fail(fmt.Errorf("%w: serving panic: %v", govern.ErrInternal, p), 0)
 		}
@@ -913,7 +914,7 @@ func (s *Server) StartDrain() {
 	for _, g := range gates {
 		g.close()
 	}
-	obs.MetricAdd("serve.drains", 1)
+	s.drains.Add(1)
 	s.logw(slog.LevelInfo, "drain started", "in_flight", s.InFlight())
 }
 
@@ -930,7 +931,6 @@ func (s *Server) Drain(ctx context.Context) error {
 		return nil
 	}
 	n := s.hardCancel()
-	obs.MetricAdd("serve.hard_cancels", int64(n))
 	s.logw(slog.LevelWarn, "drain budget expired", "hard_canceled", n)
 	// Post-cancel grace: cooperative abort latency is bounded by the
 	// operator tick interval, not the drain budget that just expired.
@@ -972,7 +972,7 @@ func (s *Server) hardCancel() int {
 		func() {
 			defer func() {
 				if p := recover(); p != nil {
-					obs.MetricAdd("serve.panics_recovered", 1)
+					s.cancelPanics.Add(1)
 				}
 			}()
 			if err := s.faults.Fire(SiteCancel, nil); err != nil {

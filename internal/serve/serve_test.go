@@ -21,6 +21,7 @@ import (
 func usersDB(t *testing.T) *gmdj.DB {
 	t.Helper()
 	db := gmdj.Open()
+	t.Cleanup(func() { db.Close() })
 	db.MustCreateTable("users",
 		gmdj.Col("name", gmdj.String), gmdj.Col("ip", gmdj.String), gmdj.Col("score", gmdj.Int))
 	db.MustInsert("users",

@@ -7,7 +7,7 @@ import (
 )
 
 // storageFamilies is every olap_storage_* family prom.go exports; the
-// exposition test and cmd/promcheck agree on this set.
+// exposition test and olapcheck prom agree on this set.
 var storageFamilies = []string{
 	"olap_storage_generation",
 	"olap_storage_tables",
@@ -64,7 +64,7 @@ func TestMetricsStorageFamilies(t *testing.T) {
 			known = known || fam == want
 		}
 		if !known {
-			t.Errorf("unexpected storage family %s (add it to storageFamilies and promcheck)", fam)
+			t.Errorf("unexpected storage family %s (add it to storageFamilies and olapcheck prom)", fam)
 		}
 	}
 	if got["olap_storage_generation"] != float64(gen) {

@@ -447,7 +447,7 @@ func TestMetricsGolden(t *testing.T) {
 	beta.countResponse("query", 5*time.Millisecond)
 
 	p := obs.NewPromWriter()
-	s.promCollect(p)
+	s.promCollect(p, s.Stats())
 	if err := p.Err(); err != nil {
 		t.Fatal(err)
 	}

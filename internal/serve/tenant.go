@@ -9,7 +9,6 @@ import (
 
 	"github.com/olaplab/gmdj/internal/govern"
 	"github.com/olaplab/gmdj/internal/mem"
-	"github.com/olaplab/gmdj/internal/obs"
 )
 
 // Quota is one tenant's admission envelope. The zero Quota selects the
@@ -138,6 +137,7 @@ type gate struct {
 	closed   bool
 
 	admitted int64
+	queued   int64 // requests that had to wait at all, ever
 	shed     int64
 	drained  int64
 	peak     int
@@ -173,11 +173,11 @@ func (g *gate) Enter(ctx context.Context) (func(), error) {
 	}
 	w := &slotWaiter{ch: make(chan struct{})}
 	g.queue = append(g.queue, w)
+	g.queued++
 	if len(g.queue) > g.peak {
 		g.peak = len(g.queue)
 	}
 	g.mu.Unlock()
-	obs.MetricAdd("serve.queued", 1)
 
 	deadline := time.NewTimer(g.admission)
 	defer deadline.Stop()
@@ -192,7 +192,6 @@ func (g *gate) Enter(ctx context.Context) (func(), error) {
 		return g.granted(w)
 	case <-deadline.C:
 		if g.abandon(w, true) {
-			obs.MetricAdd("serve.shed", 1)
 			return nil, fmt.Errorf("tenant %q: %w after %v (%d in flight, cap %d)",
 				g.tenant, mem.ErrAdmissionTimeout, g.admission, g.snapshotInFlight(), g.max)
 		}
@@ -287,6 +286,7 @@ type TenantStats struct {
 	Admitted    int64  `json:"admitted"`
 	Shed        int64  `json:"shed"`
 	Drained     int64  `json:"drained"`
+	QueuedTotal int64  `json:"queued_total"` // requests that ever waited
 }
 
 func (g *gate) stats() TenantStats {
@@ -301,5 +301,6 @@ func (g *gate) stats() TenantStats {
 		Admitted:    g.admitted,
 		Shed:        g.shed,
 		Drained:     g.drained,
+		QueuedTotal: g.queued,
 	}
 }

@@ -31,7 +31,6 @@ import (
 	"syscall"
 
 	"github.com/olaplab/gmdj/internal/govern"
-	"github.com/olaplab/gmdj/internal/obs"
 )
 
 // ErrSpillIO classifies every spill-store failure: disk-full, short
@@ -61,8 +60,9 @@ var scratchSeq atomic.Int64
 // spill capacity (callers must hold state in memory or fail their
 // budget).
 type Store struct {
-	dir    string
-	faults *govern.Injector
+	dir          string
+	faults       *govern.Injector
+	staleRemoved int // crashed runs' directories swept when this store opened
 
 	mu   sync.Mutex
 	seq  int64
@@ -82,6 +82,8 @@ type StoreStats struct {
 	Reads        int64  `json:"reads"`
 	BytesWritten int64  `json:"bytes_written"`
 	BytesRead    int64  `json:"bytes_read"`
+	// StaleDirsRemoved: crashed runs' directories swept by NewScratch.
+	StaleDirsRemoved int `json:"stale_dirs_removed"`
 }
 
 // NewStore opens a store rooted at dir, creating it if needed. faults
@@ -97,7 +99,7 @@ func NewStore(dir string, faults *govern.Injector) (*Store, error) {
 // runs: gmdj-scratch-<pid>-* where pid is no longer alive), then
 // creates a fresh per-process scratch directory there and opens a
 // store on it. The sweep and the create happen under one exclusive
-// root lock (see lockRoot): without it, a second store opening
+// root lock (see LockRoot): without it, a second store opening
 // concurrently under the same root can create its directory between a
 // sweeping janitor's stale decision and its RemoveAll — under pid
 // reuse the names collide and the janitor deletes the newcomer's live
@@ -109,60 +111,50 @@ func NewScratch(root string, faults *govern.Injector) (*Store, error) {
 	if err := os.MkdirAll(root, 0o755); err != nil {
 		return nil, fmt.Errorf("%w: creating scratch root: %v", ErrSpillIO, err)
 	}
-	lock, err := lockRoot(root)
+	unlock, err := LockRoot(root)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %v", ErrSpillIO, err)
 	}
-	defer lock.unlock()
-	cleanStaleLocked(root)
+	defer unlock()
+	removed := SweepStale(root, scratchStem)
 	dir := filepath.Join(root, fmt.Sprintf("%s-%d-%d", scratchStem, os.Getpid(), scratchSeq.Add(1)))
-	return NewStore(dir, faults)
+	s, err := NewStore(dir, faults)
+	if err == nil {
+		s.staleRemoved = removed
+	}
+	return s, err
 }
 
 // janitorLockName is the advisory lock file serializing every janitor
-// sweep and scratch-directory creation under one root, across
-// processes (flock) and across stores within a process (flock contends
-// between file descriptions).
+// sweep and directory creation under one root, across processes
+// (flock) and across owners within a process (flock contends between
+// file descriptions).
 const janitorLockName = ".janitor.lock"
 
-// rootLock is a held janitor lock.
-type rootLock struct{ f *os.File }
-
-func (l rootLock) unlock() {
-	// Closing the descriptor releases the flock.
-	_ = l.f.Close()
-}
-
-// lockRoot takes the exclusive janitor lock for root, blocking until
-// any concurrent sweep or scratch creation finishes.
-func lockRoot(root string) (rootLock, error) {
+// LockRoot takes the exclusive janitor lock for root, blocking until
+// any concurrent sweep or directory creation finishes, and returns the
+// function that releases it (closing the descriptor releases the
+// flock). Exported with SweepStale because the profile ring
+// (internal/obs/profile) keeps its pid-stamped directories under the
+// same discipline.
+func LockRoot(root string) (unlock func(), err error) {
 	f, err := os.OpenFile(filepath.Join(root, janitorLockName), os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
-		return rootLock{}, fmt.Errorf("%w: opening janitor lock: %v", ErrSpillIO, err)
+		return nil, fmt.Errorf("opening janitor lock: %w", err)
 	}
 	if err := syscall.Flock(int(f.Fd()), syscall.LOCK_EX); err != nil {
 		f.Close()
-		return rootLock{}, fmt.Errorf("%w: locking janitor lock: %v", ErrSpillIO, err)
+		return nil, fmt.Errorf("locking janitor lock: %w", err)
 	}
-	return rootLock{f: f}, nil
+	return func() { _ = f.Close() }, nil
 }
 
-// CleanStale removes scratch directories under root left behind by
-// dead processes, returning how many it removed. Directories belonging
-// to live pids (including this process) are kept. The sweep holds the
-// root's janitor lock so it cannot race a concurrently opening store.
-func CleanStale(root string) int {
-	lock, err := lockRoot(root)
-	if err != nil {
-		return 0
-	}
-	defer lock.unlock()
-	return cleanStaleLocked(root)
-}
-
-// cleanStaleLocked is CleanStale's body; the caller holds the root
-// janitor lock.
-func cleanStaleLocked(root string) int {
+// SweepStale removes the "<stem>-<pid>-<seq>" directories under root
+// left behind by dead processes, returning how many it removed.
+// Directories of live pids (including this process) are kept. The
+// caller holds root's janitor lock, so the sweep cannot race a
+// concurrently opening owner.
+func SweepStale(root, stem string) int {
 	entries, err := os.ReadDir(root)
 	if err != nil {
 		return 0
@@ -172,21 +164,20 @@ func cleanStaleLocked(root string) int {
 		if !e.IsDir() {
 			continue
 		}
-		pid, ok := scratchPid(e.Name())
+		pid, ok := stalePid(e.Name(), stem)
 		if !ok || pid == os.Getpid() || pidAlive(pid) {
 			continue
 		}
 		if os.RemoveAll(filepath.Join(root, e.Name())) == nil {
 			removed++
-			obs.MetricAdd("spill.stale_dirs_removed", 1)
 		}
 	}
 	return removed
 }
 
-// scratchPid parses the owning pid out of "gmdj-scratch-<pid>-<seq>".
-func scratchPid(name string) (int, bool) {
-	rest, ok := strings.CutPrefix(name, scratchStem+"-")
+// stalePid parses the owning pid out of "<stem>-<pid>-<seq>".
+func stalePid(name, stem string) (int, bool) {
+	rest, ok := strings.CutPrefix(name, stem+"-")
 	if !ok {
 		return 0, false
 	}
@@ -265,8 +256,6 @@ func (s *Store) Write(prefix string, payload []byte) (*File, error) {
 	s.mu.Unlock()
 	s.writes.Add(1)
 	s.bytesWritten.Add(int64(len(frame)))
-	obs.MetricAdd("spill.writes", 1)
-	obs.MetricAdd("spill.bytes_written", int64(len(frame)))
 	return &File{store: s, path: path, Bytes: int64(len(frame))}, nil
 }
 
@@ -289,12 +278,13 @@ func (s *Store) Stats() StoreStats {
 	live := len(s.live)
 	s.mu.Unlock()
 	return StoreStats{
-		Dir:          s.dir,
-		LiveFiles:    live,
-		Writes:       s.writes.Load(),
-		Reads:        s.reads.Load(),
-		BytesWritten: s.bytesWritten.Load(),
-		BytesRead:    s.bytesRead.Load(),
+		Dir:              s.dir,
+		LiveFiles:        live,
+		Writes:           s.writes.Load(),
+		Reads:            s.reads.Load(),
+		BytesWritten:     s.bytesWritten.Load(),
+		BytesRead:        s.bytesRead.Load(),
+		StaleDirsRemoved: s.staleRemoved,
 	}
 }
 
@@ -346,8 +336,6 @@ func (f *File) Read() ([]byte, error) {
 	}
 	s.reads.Add(1)
 	s.bytesRead.Add(int64(len(frame)))
-	obs.MetricAdd("spill.reads", 1)
-	obs.MetricAdd("spill.bytes_read", int64(len(frame)))
 	return payload, nil
 }
 

@@ -261,9 +261,9 @@ func TestScratchPid(t *testing.T) {
 		{"other-1234-1", 0, false},
 	}
 	for _, c := range cases {
-		pid, ok := scratchPid(c.name)
+		pid, ok := stalePid(c.name, scratchStem)
 		if ok != c.ok || (ok && pid != c.pid) {
-			t.Errorf("scratchPid(%q) = %d, %v; want %d, %v", c.name, pid, ok, c.pid, c.ok)
+			t.Errorf("stalePid(%q) = %d, %v; want %d, %v", c.name, pid, ok, c.pid, c.ok)
 		}
 	}
 }
@@ -291,7 +291,7 @@ func TestRemoveAll(t *testing.T) {
 
 func TestJanitorLockSerializes(t *testing.T) {
 	root := t.TempDir()
-	lock, err := lockRoot(root)
+	unlock, err := LockRoot(root)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +310,7 @@ func TestJanitorLockSerializes(t *testing.T) {
 		t.Fatal("NewScratch completed while the janitor lock was held")
 	case <-time.After(100 * time.Millisecond):
 	}
-	lock.unlock()
+	unlock()
 	select {
 	case s := <-done:
 		if s != nil {
@@ -341,7 +341,10 @@ func TestConcurrentScratchOpensAndSweeps(t *testing.T) {
 			}
 			stale := filepath.Join(root, "gmdj-scratch-4000123-"+strconv.Itoa(i))
 			_ = os.MkdirAll(stale, 0o755)
-			CleanStale(root)
+			if unlock, err := LockRoot(root); err == nil {
+				SweepStale(root, scratchStem)
+				unlock()
+			}
 		}
 	}()
 	for w := 0; w < openers; w++ {

@@ -7,7 +7,7 @@ import (
 )
 
 func TestUnionDistinctAndAll(t *testing.T) {
-	e := testEngine()
+	e := testEngine(t)
 	u := runQuery(t, e,
 		"SELECT Protocol FROM Flow UNION SELECT Protocol FROM Flow", engine.Native)
 	d := runQuery(t, e, "SELECT DISTINCT Protocol FROM Flow", engine.Native)
@@ -22,7 +22,7 @@ func TestUnionDistinctAndAll(t *testing.T) {
 }
 
 func TestExceptIntersect(t *testing.T) {
-	e := testEngine()
+	e := testEngine(t)
 	ex := runQuery(t, e,
 		`SELECT Protocol FROM Flow EXCEPT SELECT Protocol FROM Flow WHERE Protocol = 'HTTP'`,
 		engine.Native)
@@ -43,7 +43,7 @@ func TestExceptIntersect(t *testing.T) {
 // division in the set-difference style the APPLY comparison produces:
 // users minus users with a missing hour.
 func TestDivisionViaExcept(t *testing.T) {
-	e := testEngine()
+	e := testEngine(t)
 	division := `
 	  SELECT u.IPAddress FROM User u
 	  EXCEPT
@@ -70,7 +70,7 @@ func TestDivisionViaExcept(t *testing.T) {
 }
 
 func TestSetOpThroughAllStrategies(t *testing.T) {
-	e := testEngine()
+	e := testEngine(t)
 	q := `SELECT h.HourDsc FROM Hours h WHERE EXISTS (
 	        SELECT * FROM Flow f
 	        WHERE f.StartTime >= h.StartInterval AND f.StartTime < h.EndInterval
@@ -87,7 +87,7 @@ func TestSetOpThroughAllStrategies(t *testing.T) {
 }
 
 func TestSetOpWidthMismatch(t *testing.T) {
-	e := testEngine()
+	e := testEngine(t)
 	plan := mustParse(t, "SELECT HourDsc FROM Hours UNION SELECT HourDsc, StartInterval FROM Hours")
 	if _, err := e.Run(plan, engine.Native); err == nil {
 		t.Error("width mismatch must error")
@@ -95,7 +95,7 @@ func TestSetOpWidthMismatch(t *testing.T) {
 }
 
 func TestSetOpInDerivedTable(t *testing.T) {
-	e := testEngine()
+	e := testEngine(t)
 	q := `SELECT COUNT(*) AS n FROM (
 	        SELECT Protocol FROM Flow WHERE Protocol = 'FTP'
 	        UNION

@@ -8,7 +8,7 @@ import (
 )
 
 func TestOrderByAndLimit(t *testing.T) {
-	e := testEngine()
+	e := testEngine(t)
 	out := runQuery(t, e, "SELECT HourDsc FROM Hours ORDER BY HourDsc DESC", engine.Native)
 	if out.Len() != 6 || out.Rows[0][0].AsInt() != 6 || out.Rows[5][0].AsInt() != 1 {
 		t.Errorf("DESC order wrong: %v", out.Rows)
@@ -25,7 +25,7 @@ func TestOrderByAndLimit(t *testing.T) {
 }
 
 func TestOrderByMultipleKeys(t *testing.T) {
-	e := testEngine()
+	e := testEngine(t)
 	out := runQuery(t, e,
 		"SELECT Protocol, NumBytes FROM Flow ORDER BY Protocol ASC, NumBytes DESC LIMIT 50",
 		engine.Native)
@@ -41,7 +41,7 @@ func TestOrderByMultipleKeys(t *testing.T) {
 }
 
 func TestOrderByThroughGMDJStrategy(t *testing.T) {
-	e := testEngine()
+	e := testEngine(t)
 	q := `SELECT h.HourDsc FROM Hours h WHERE EXISTS (
 	        SELECT * FROM Flow f
 	        WHERE f.StartTime >= h.StartInterval AND f.StartTime < h.EndInterval)
@@ -61,7 +61,7 @@ func TestOrderByThroughGMDJStrategy(t *testing.T) {
 }
 
 func TestHaving(t *testing.T) {
-	e := testEngine()
+	e := testEngine(t)
 	out := runQuery(t, e,
 		`SELECT Protocol, COUNT(*) AS n FROM Flow GROUP BY Protocol HAVING n > 50`,
 		engine.Native)
@@ -76,7 +76,7 @@ func TestHaving(t *testing.T) {
 }
 
 func TestBetween(t *testing.T) {
-	e := testEngine()
+	e := testEngine(t)
 	out := runQuery(t, e, "SELECT * FROM Hours WHERE HourDsc BETWEEN 2 AND 4", engine.Native)
 	if out.Len() != 3 {
 		t.Errorf("BETWEEN rows = %d, want 3", out.Len())
@@ -88,7 +88,7 @@ func TestBetween(t *testing.T) {
 }
 
 func TestLike(t *testing.T) {
-	e := testEngine()
+	e := testEngine(t)
 	out := runQuery(t, e, "SELECT DISTINCT Protocol FROM Flow WHERE Protocol LIKE 'H%'", engine.Native)
 	if out.Len() != 1 || out.Rows[0][0].AsString() != "HTTP" {
 		t.Errorf("LIKE = %v", out.Rows)
@@ -106,7 +106,7 @@ func TestLike(t *testing.T) {
 }
 
 func TestDerivedTable(t *testing.T) {
-	e := testEngine()
+	e := testEngine(t)
 	q := `SELECT big.Protocol, COUNT(*) AS n
 	      FROM (SELECT Protocol, NumBytes FROM Flow WHERE NumBytes > 500000) AS big
 	      GROUP BY big.Protocol`
@@ -128,7 +128,7 @@ func TestDerivedTable(t *testing.T) {
 }
 
 func TestCountDistinctAndStddev(t *testing.T) {
-	e := testEngine()
+	e := testEngine(t)
 	out := runQuery(t, e,
 		"SELECT COUNT(DISTINCT Protocol) AS p, STDDEV(NumBytes) AS s, VARIANCE(NumBytes) AS v FROM Flow",
 		engine.Native)
@@ -145,7 +145,7 @@ func TestCountDistinctAndStddev(t *testing.T) {
 }
 
 func TestSubqueryInsideDerivedTable(t *testing.T) {
-	e := testEngine()
+	e := testEngine(t)
 	q := `SELECT d.HourDsc FROM (
 	        SELECT h.HourDsc FROM Hours h WHERE EXISTS (
 	          SELECT * FROM Flow f
@@ -162,7 +162,7 @@ func TestSubqueryInsideDerivedTable(t *testing.T) {
 }
 
 func TestOrderByNullsFirstAscending(t *testing.T) {
-	e := testEngine()
+	e := testEngine(t)
 	// Build a table with NULLs via the engine's own catalog path is
 	// exercised elsewhere; here check the comparator through a query
 	// over existing data sorted by an expression that can be NULL.

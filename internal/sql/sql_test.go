@@ -10,9 +10,10 @@ import (
 	"github.com/olaplab/gmdj/internal/relation"
 )
 
-func testEngine() *engine.Engine {
-	cat := datagen.Netflow(datagen.NetflowOpts{Flows: 400, Hours: 6, Users: 8, Seed: 21})
-	return engine.New(cat)
+func testEngine(t *testing.T) *engine.Engine {
+	e := engine.New(datagen.Netflow(datagen.NetflowOpts{Flows: 400, Hours: 6, Users: 8, Seed: 21}))
+	t.Cleanup(func() { e.Close() })
+	return e
 }
 
 func mustParse(t *testing.T, q string) algebra.Node {
@@ -35,7 +36,7 @@ func runQuery(t *testing.T, e *engine.Engine, q string, s engine.Strategy) *rela
 }
 
 func TestParseSimpleSelect(t *testing.T) {
-	e := testEngine()
+	e := testEngine(t)
 	out := runQuery(t, e, "SELECT * FROM Hours", engine.Native)
 	if out.Len() != 6 {
 		t.Errorf("rows = %d", out.Len())
@@ -47,7 +48,7 @@ func TestParseSimpleSelect(t *testing.T) {
 }
 
 func TestParseAliasAndQualified(t *testing.T) {
-	e := testEngine()
+	e := testEngine(t)
 	out := runQuery(t, e, "SELECT H.HourDsc FROM Hours H WHERE H.HourDsc = 3", engine.Native)
 	if out.Len() != 1 || out.Rows[0][0].AsInt() != 3 {
 		t.Errorf("got %v", out.Rows)
@@ -59,7 +60,7 @@ func TestParseAliasAndQualified(t *testing.T) {
 }
 
 func TestParseDistinctAndExpressions(t *testing.T) {
-	e := testEngine()
+	e := testEngine(t)
 	out := runQuery(t, e, "SELECT DISTINCT Protocol FROM Flow", engine.Native)
 	if out.Len() < 2 || out.Len() > 6 {
 		t.Errorf("distinct protocols = %d", out.Len())
@@ -71,7 +72,7 @@ func TestParseDistinctAndExpressions(t *testing.T) {
 }
 
 func TestParseStringAndArithPrecedence(t *testing.T) {
-	e := testEngine()
+	e := testEngine(t)
 	out := runQuery(t, e,
 		"SELECT * FROM Flow WHERE Protocol = 'HTTP' AND NumBytes + 2 * 10 > 60", engine.Native)
 	for _, row := range out.Rows {
@@ -85,7 +86,7 @@ func TestParseStringAndArithPrecedence(t *testing.T) {
 }
 
 func TestParseGroupBy(t *testing.T) {
-	e := testEngine()
+	e := testEngine(t)
 	out := runQuery(t, e,
 		"SELECT Protocol, COUNT(*) AS cnt, SUM(NumBytes) AS total FROM Flow GROUP BY Protocol",
 		engine.Native)
@@ -111,7 +112,7 @@ func TestParseGroupByValidation(t *testing.T) {
 }
 
 func TestParseExistsSubquery(t *testing.T) {
-	e := testEngine()
+	e := testEngine(t)
 	q := `SELECT H.HourDsc FROM Hours H WHERE EXISTS (
 	        SELECT * FROM Flow F
 	        WHERE F.StartTime >= H.StartInterval AND F.StartTime < H.EndInterval
@@ -126,7 +127,7 @@ func TestParseExistsSubquery(t *testing.T) {
 }
 
 func TestParseNotExistsAndNot(t *testing.T) {
-	e := testEngine()
+	e := testEngine(t)
 	q := `SELECT H.HourDsc FROM Hours H WHERE NOT EXISTS (
 	        SELECT * FROM Flow F
 	        WHERE F.StartTime >= H.StartInterval AND F.StartTime < H.EndInterval
@@ -139,7 +140,7 @@ func TestParseNotExistsAndNot(t *testing.T) {
 }
 
 func TestParseInNotIn(t *testing.T) {
-	e := testEngine()
+	e := testEngine(t)
 	q := `SELECT U.Name FROM User U WHERE U.IPAddress IN (SELECT F.SourceIP FROM Flow F)`
 	native := runQuery(t, e, q, engine.Native)
 	for _, s := range []engine.Strategy{engine.Unnest, engine.GMDJ, engine.GMDJOpt} {
@@ -158,7 +159,7 @@ func TestParseInNotIn(t *testing.T) {
 }
 
 func TestParseQuantified(t *testing.T) {
-	e := testEngine()
+	e := testEngine(t)
 	q := `SELECT H.HourDsc FROM Hours H WHERE H.StartInterval < ANY
 	        (SELECT F.StartTime FROM Flow F WHERE F.Protocol = 'HTTP')`
 	native := runQuery(t, e, q, engine.Native)
@@ -178,7 +179,7 @@ func TestParseQuantified(t *testing.T) {
 }
 
 func TestParseScalarAggregateSubquery(t *testing.T) {
-	e := testEngine()
+	e := testEngine(t)
 	q := `SELECT F.SourceIP, F.NumBytes FROM Flow F WHERE F.NumBytes > (
 	        SELECT AVG(G.NumBytes) FROM Flow G WHERE G.Protocol = F.Protocol)`
 	native := runQuery(t, e, q, engine.Native)
@@ -193,7 +194,7 @@ func TestParseScalarAggregateSubquery(t *testing.T) {
 }
 
 func TestParseIsNull(t *testing.T) {
-	e := testEngine()
+	e := testEngine(t)
 	out := runQuery(t, e, "SELECT * FROM Flow WHERE NumBytes IS NOT NULL", engine.Native)
 	if out.Len() != 400 {
 		t.Errorf("IS NOT NULL rows = %d", out.Len())
@@ -205,7 +206,7 @@ func TestParseIsNull(t *testing.T) {
 }
 
 func TestParseParenthesizedPredicates(t *testing.T) {
-	e := testEngine()
+	e := testEngine(t)
 	q := `SELECT * FROM Hours H WHERE (H.HourDsc = 1 OR H.HourDsc = 2) AND H.StartInterval >= 0`
 	out := runQuery(t, e, q, engine.Native)
 	if out.Len() != 2 {
@@ -219,7 +220,7 @@ func TestParseParenthesizedPredicates(t *testing.T) {
 }
 
 func TestParseMultiTableFrom(t *testing.T) {
-	e := testEngine()
+	e := testEngine(t)
 	q := `SELECT H.HourDsc, COUNT(*) AS cnt FROM Hours H, Flow F
 	       WHERE F.StartTime >= H.StartInterval AND F.StartTime < H.EndInterval
 	       GROUP BY H.HourDsc`
@@ -234,7 +235,7 @@ func TestParseMultiTableFrom(t *testing.T) {
 }
 
 func TestParseNestedTwoLevels(t *testing.T) {
-	e := testEngine()
+	e := testEngine(t)
 	q := `SELECT U.Name FROM User U WHERE NOT EXISTS (
 	        SELECT * FROM Hours H WHERE NOT EXISTS (
 	          SELECT * FROM Flow F
@@ -277,7 +278,7 @@ func TestParseErrors(t *testing.T) {
 }
 
 func TestParseNegativeNumbersAndFloats(t *testing.T) {
-	e := testEngine()
+	e := testEngine(t)
 	out := runQuery(t, e, "SELECT * FROM Flow WHERE NumBytes > -1 AND NumBytes > 0.5", engine.Native)
 	if out.Len() != 400 {
 		t.Errorf("rows = %d", out.Len())
@@ -285,7 +286,7 @@ func TestParseNegativeNumbersAndFloats(t *testing.T) {
 }
 
 func TestParsedPlansAgreeAcrossStrategiesRandomly(t *testing.T) {
-	e := testEngine()
+	e := testEngine(t)
 	queries := []string{
 		`SELECT H.HourDsc FROM Hours H WHERE EXISTS (SELECT * FROM Flow F WHERE F.StartTime >= H.StartInterval AND F.StartTime < H.EndInterval) AND H.HourDsc > 1`,
 		`SELECT U.Name FROM User U WHERE U.IPAddress IN (SELECT F.SourceIP FROM Flow F WHERE F.Protocol = 'HTTP') AND U.Name <> 'user0003'`,

@@ -8,7 +8,6 @@ import (
 	"syscall"
 
 	"github.com/olaplab/gmdj/internal/govern"
-	"github.com/olaplab/gmdj/internal/obs"
 	"github.com/olaplab/gmdj/internal/relation"
 	"github.com/olaplab/gmdj/internal/spill"
 	"github.com/olaplab/gmdj/internal/value"
@@ -122,10 +121,10 @@ func readSchema(r *byteReader) (*relation.Schema, error) {
 	return relation.NewSchema(cols...), nil
 }
 
-// writeDurableFile persists data at dir/name with crash-safe
-// discipline — write to a temp file, fsync it, rename into place,
-// fsync the directory — enacting any disk fault configured at site
-// (storage.write or storage.manifest):
+// writeDurableFile persists data at name in the store's directory
+// with crash-safe discipline — write to a temp file, fsync it, rename
+// into place, fsync the directory — enacting any disk fault configured
+// at site (storage.write or storage.manifest):
 //
 //	enospc      fail as if the device were full; nothing durable
 //	shortwrite  a partial temp file, then failure (the partial file
@@ -134,7 +133,8 @@ func readSchema(r *byteReader) (*relation.Schema, error) {
 //	            corruption only recovery's checksums notice
 //	torn        persist only a prefix at the FINAL name and report
 //	            success — a torn write behind a lying fsync
-func writeDurableFile(dir, name string, data []byte, site string, faults *govern.Injector) error {
+func (ds *DiskStore) writeDurableFile(name string, data []byte, site string) error {
+	dir, faults := ds.dir, ds.faults
 	if err := faults.Fire(site, nil); err != nil {
 		return fmt.Errorf("storage: %s: %w", site, err)
 	}
@@ -158,7 +158,7 @@ func writeDurableFile(dir, name string, data []byte, site string, faults *govern
 		if err := os.WriteFile(path, data[:len(data)/2], 0o644); err != nil {
 			return fmt.Errorf("storage: writing %s: %v", path, err)
 		}
-		obs.MetricAdd("storage.torn_writes", 1)
+		ds.tornWrites.Add(1)
 		return nil
 	}
 	tmp := path + ".tmp"

@@ -11,7 +11,6 @@ import (
 	"sync/atomic"
 
 	"github.com/olaplab/gmdj/internal/govern"
-	"github.com/olaplab/gmdj/internal/obs"
 	"github.com/olaplab/gmdj/internal/relation"
 	"github.com/olaplab/gmdj/internal/spill"
 )
@@ -67,6 +66,7 @@ type DiskStore struct {
 	skippedMans   atomic.Int64
 	bytesWritten  atomic.Int64
 	bytesRead     atomic.Int64
+	tornWrites    atomic.Int64
 }
 
 // QuarantinedTable describes one table recovery had to quarantine.
@@ -104,6 +104,7 @@ type DiskStoreStats struct {
 	SkippedManifests  int64  `json:"skipped_manifests"`
 	BytesWritten      int64  `json:"bytes_written"`
 	BytesRead         int64  `json:"bytes_read"`
+	TornWrites        int64  `json:"torn_writes"` // injected "torn" disk faults
 }
 
 // SegmentInfo describes one table's durable state (olapql \segments).
@@ -165,14 +166,12 @@ func (ds *DiskStore) Recover(cat *Catalog) (*RecoveryReport, error) {
 		if err != nil {
 			report.SkippedManifests++
 			ds.skippedMans.Add(1)
-			obs.MetricAdd("storage.manifests_skipped", 1)
 			continue
 		}
 		m = cand
 		break
 	}
 	ds.recoveries.Add(1)
-	obs.MetricAdd("storage.recoveries", 1)
 	if m == nil {
 		return report, nil // fresh store (or nothing valid: start empty)
 	}
@@ -192,13 +191,11 @@ func (ds *DiskStore) Recover(cat *Catalog) (*RecoveryReport, error) {
 			t.Quarantine(err.Error())
 			report.Quarantined = append(report.Quarantined, QuarantinedTable{Table: e.Table, File: e.File, Reason: err.Error()})
 			ds.quarantined.Add(1)
-			obs.MetricAdd("storage.segments_quarantined", 1)
 		} else {
 			t = NewTable(e.Table, seg.Relation())
 			t.setSegment(seg)
 			report.Tables = append(report.Tables, e.Table)
 			ds.segsRecovered.Add(1)
-			obs.MetricAdd("storage.segments_recovered", 1)
 		}
 		cat.Register(t)
 		ds.state[e.Table] = &tableState{entry: e, id: t.ID(), version: t.Version(), carry: err != nil}
@@ -244,13 +241,11 @@ func (ds *DiskStore) Checkpoint(cat *Catalog) (uint64, error) {
 		seg := t.Segment()
 		data := encodeSegment(seg)
 		file := fmt.Sprintf("%s-%d-%d.seg", sanitizeFileStem(name), gen, idx)
-		if err := writeDurableFile(ds.dir, file, data, SiteWrite, ds.faults); err != nil {
+		if err := ds.writeDurableFile(file, data, SiteWrite); err != nil {
 			return ds.gen, err
 		}
 		ds.segsWritten.Add(1)
 		ds.bytesWritten.Add(int64(len(data)))
-		obs.MetricAdd("storage.segments_written", 1)
-		obs.MetricAdd("storage.bytes_written", int64(len(data)))
 		e := manifestEntry{Table: name, File: file, Rows: uint64(seg.Rows), Schema: seg.Schema}
 		entries = append(entries, e)
 		newState[name] = &tableState{entry: e, id: t.ID(), version: t.Version()}
@@ -265,7 +260,7 @@ func (ds *DiskStore) Checkpoint(cat *Catalog) (uint64, error) {
 		return ds.gen, nil // nothing changed since the committed generation
 	}
 	m := &manifest{Generation: gen, Entries: entries}
-	if err := writeDurableFile(ds.dir, manifestName(gen), encodeManifest(m), SiteManifest, ds.faults); err != nil {
+	if err := ds.writeDurableFile(manifestName(gen), encodeManifest(m), SiteManifest); err != nil {
 		return ds.gen, err
 	}
 	prev := ds.gen
@@ -276,7 +271,6 @@ func (ds *DiskStore) Checkpoint(cat *Catalog) (uint64, error) {
 	ds.gen = gen
 	ds.state = newState
 	ds.checkpoints.Add(1)
-	obs.MetricAdd("storage.checkpoints", 1)
 	ds.gcLocked(prev, prevFiles)
 	ds.prevFiles = prevFiles
 	return gen, nil
@@ -362,6 +356,7 @@ func (ds *DiskStore) Stats(cat *Catalog) DiskStoreStats {
 		Checkpoints:       ds.checkpoints.Load(),
 		Recoveries:        ds.recoveries.Load(),
 		SkippedManifests:  ds.skippedMans.Load(),
+		TornWrites:        ds.tornWrites.Load(),
 		BytesWritten:      ds.bytesWritten.Load(),
 		BytesRead:         ds.bytesRead.Load(),
 	}
@@ -434,7 +429,6 @@ func (ds *DiskStore) readSegmentFile(name string) (*Segment, error) {
 		data[spill.FrameOverhead] ^= 0xFF
 	}
 	ds.bytesRead.Add(int64(len(data)))
-	obs.MetricAdd("storage.bytes_read", int64(len(data)))
 	seg, err := decodeSegment(data)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %s: %v", ErrSegmentCorrupt, name, err)

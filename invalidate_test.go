@@ -20,6 +20,7 @@ var invalidationQueries = []string{
 func invalidationDB(t *testing.T) *DB {
 	t.Helper()
 	db := Open(WithResultCache(0))
+	t.Cleanup(func() { db.Close() })
 	db.MustCreateTable("users",
 		Col("name", String), Col("ip", String), Col("score", Int))
 	db.MustCreateTable("flows", Col("src", String), Col("bytes", Int))

@@ -23,9 +23,8 @@ import (
 // Open (stale leftovers from crashed runs are removed) and deleted on
 // Close, when a query finishes, or when it is canceled.
 //
-// The GMDJ_MEM environment variable ("limit=64MiB,spill=/tmp/x,
-// admission=2s") supplies defaults for all three knobs; explicit
-// options override it.
+// The GMDJ_MEM environment variable supplies defaults for all three
+// knobs; see Open for its format and the precedence.
 
 // WithMemoryLimit bounds tracked operator state across all concurrent
 // queries to maxBytes (<= 0 leaves memory untracked and unlimited, the
@@ -52,8 +51,7 @@ func WithAdmissionTimeout(d time.Duration) Option {
 
 // MemStats is a point-in-time snapshot of the DB's memory posture.
 type MemStats struct {
-	// Enabled reports whether WithMemoryLimit (or GMDJ_MEM) installed a
-	// pool; every other field is zero when false.
+	// Enabled reports whether a memory limit installed a pool; every other field is zero when false.
 	Enabled bool
 	// Capacity and InUse are the pool bounds, in bytes.
 	Capacity, InUse int64

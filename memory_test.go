@@ -233,6 +233,7 @@ func TestMemNetflowSpillParity(t *testing.T) {
 	        WHERE f.StartTime >= h.StartInterval AND f.StartTime < h.EndInterval
 	          AND f.Protocol = 'FTP')`
 	plain := OpenNetflowSample(8000)
+	defer plain.Close()
 	// The Hours base is only 24 rows (~4 KiB of estimated state), so the
 	// limit must be tiny to force the spill regime.
 	memdb := OpenNetflowSample(8000,

@@ -20,6 +20,7 @@ const obsTestQuery = `SELECT f.SourceIP FROM Flow f
 func TestQueryAnalyzeReconciles(t *testing.T) {
 	for _, s := range []gmdj.Strategy{gmdj.Native, gmdj.Unnest, gmdj.GMDJ, gmdj.GMDJOpt} {
 		db := gmdj.OpenNetflowSample(1000)
+		defer db.Close()
 		res, plan, err := db.QueryAnalyze(obsTestQuery, s)
 		if err != nil {
 			t.Fatalf("%v: %v", s, err)
@@ -55,6 +56,7 @@ func TestQueryAnalyzeReconciles(t *testing.T) {
 // enable, run, export, parse.
 func TestTraceRoundTrip(t *testing.T) {
 	db := gmdj.OpenNetflowSample(500, gmdj.WithParallelism(4))
+	defer db.Close()
 	var buf bytes.Buffer
 	if err := db.WriteTrace(&buf); err == nil {
 		t.Fatal("WriteTrace before EnableTracing must error")
@@ -95,22 +97,33 @@ func TestTraceRoundTrip(t *testing.T) {
 	}
 }
 
-// TestMetricsAccumulate checks the process-counter surface through the
-// facade. Metrics are process-global, so assert on deltas.
+// TestMetricsAccumulate checks the counter surface through the facade.
+// Counters are per DB, so a fresh database starts from nothing and the
+// values are absolute.
 func TestMetricsAccumulate(t *testing.T) {
 	db := gmdj.OpenNetflowSample(500)
-	before := db.Metrics()
-	if _, err := db.QueryStrategy(obsTestQuery, gmdj.GMDJOpt); err != nil {
-		t.Fatal(err)
+	defer db.Close()
+	if n := db.Metrics()["queries.gmdj-opt"]; n != 0 {
+		t.Fatalf("a fresh DB already counts %d queries", n)
 	}
-	after := db.Metrics()
-	if d := after["queries.gmdj-opt"] - before["queries.gmdj-opt"]; d != 1 {
-		t.Errorf("queries.gmdj-opt delta = %d, want 1", d)
+	for i := 0; i < 2; i++ {
+		if _, err := db.QueryStrategy(obsTestQuery, gmdj.GMDJOpt); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if d := after["rows_scanned"] - before["rows_scanned"]; d <= 0 {
-		t.Errorf("rows_scanned delta = %d, want > 0", d)
+	m := db.Metrics()
+	if m["queries.gmdj-opt"] != 2 {
+		t.Errorf("queries.gmdj-opt = %d, want 2", m["queries.gmdj-opt"])
 	}
-	if d := after["gmdj.detail_rows"] - before["gmdj.detail_rows"]; d <= 0 {
-		t.Errorf("gmdj.detail_rows delta = %d, want > 0", d)
+	if m["plancache.miss"] != 1 || m["plancache.hit"] != 1 {
+		t.Errorf("plancache miss/hit = %d/%d, want 1/1", m["plancache.miss"], m["plancache.hit"])
+	}
+	// Each query scans the 500-row Flow table twice: as base and as
+	// detail of the GMDJ.
+	if m["rows_scanned"] != 2*(500+500) {
+		t.Errorf("rows_scanned = %d, want %d", m["rows_scanned"], 2*(500+500))
+	}
+	if m["gmdj.detail_rows"] <= 0 || m["gmdj.detail_rows"]%2 != 0 {
+		t.Errorf("gmdj.detail_rows = %d, want the same positive count twice", m["gmdj.detail_rows"])
 	}
 }

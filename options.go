@@ -25,10 +25,9 @@ type Option func(*DB)
 //	n == 1 — force serial execution
 //	n <= 0 — keep the default
 //
-// The default is runtime.GOMAXPROCS(0), overridable process-wide by
-// the GMDJ_PARALLEL environment variable (which an explicit option in
-// turn overrides). When a memory limit is configured the
-// effective degree is additionally clamped so per-worker pipeline
+// The default is runtime.GOMAXPROCS(0), or GMDJ_PARALLEL when set
+// (see Open for the precedence). When a memory limit is configured
+// the effective degree is additionally clamped so per-worker pipeline
 // scratch fits the limit. Small inputs run serial regardless — the
 // morsel scheduler only spins up workers when there is enough work to
 // split.
@@ -111,18 +110,8 @@ func toCacheStats(s plancache.Stats) CacheStats {
 
 // PlanCacheStats snapshots the plan cache's counters. All zeros when
 // plan caching is disabled.
-func (db *DB) PlanCacheStats() CacheStats {
-	if c := db.eng.PlanCache(); c != nil {
-		return toCacheStats(c.Stats())
-	}
-	return CacheStats{}
-}
+func (db *DB) PlanCacheStats() CacheStats { return toCacheStats(db.eng.PlanCache().Stats()) }
 
 // ResultCacheStats snapshots the cross-query memo's counters. All
 // zeros unless WithResultCache enabled it.
-func (db *DB) ResultCacheStats() CacheStats {
-	if c := db.eng.ResultCache(); c != nil {
-		return toCacheStats(c.Stats())
-	}
-	return CacheStats{}
-}
+func (db *DB) ResultCacheStats() CacheStats { return toCacheStats(db.eng.ResultCache().Stats()) }

@@ -11,6 +11,7 @@ import (
 func usersDB(t *testing.T) *DB {
 	t.Helper()
 	db := Open()
+	t.Cleanup(func() { db.Close() })
 	db.MustCreateTable("users",
 		Col("name", String), Col("ip", String), Col("score", Int))
 	db.MustInsert("users",

@@ -20,8 +20,8 @@ const PromContentType = obs.PromContentType
 // PromCollect appends the engine-level metric families to an
 // exposition document under construction:
 //
-//	gmdj_engine_events_total{event=...}   every process counter from the
-//	                                      "gmdj" expvar map (queries per
+//	gmdj_engine_events_total{event=...}   every counter of this DB's
+//	                                      Metrics snapshot (queries per
 //	                                      strategy, governance trips,
 //	                                      spill traffic, cache churn)
 //	gmdj_plan_cache_*_total               plan-cache hits/misses/evictions
@@ -31,11 +31,22 @@ const PromContentType = obs.PromContentType
 //	gmdj_query_duration_seconds{strategy} latency histograms (observer)
 //	gmdj_op_duration_seconds{kind}        per-operator-kind histograms
 //
+// Everything is per DB, and the events family and the typed families
+// read the same fields (see engine.Engine.Metrics). extra is summed
+// into the events family — the serving layer's serve.*/profile.*
+// counters, so olapd exposes one family; nil for none.
+//
 // The concrete writer type is internal; callers outside this module
 // use WritePromMetrics instead.
-func (db *DB) PromCollect(p *obs.PromWriter) {
-	for name, v := range obs.MetricsSnapshot() {
-		p.Counter("gmdj_engine_events_total", "Process-wide engine event counters from the gmdj expvar map.",
+func (db *DB) PromCollect(p *obs.PromWriter, extra map[string]int64) {
+	events := db.Metrics()
+	for name, v := range extra {
+		if v != 0 { // a zero counter has no key, here as in Metrics
+			events[name] += v
+		}
+	}
+	for name, v := range events {
+		p.Counter("gmdj_engine_events_total", "Engine event counters of this database, by event.",
 			map[string]string{"event": name}, v)
 	}
 
@@ -51,7 +62,7 @@ func (db *DB) PromCollect(p *obs.PromWriter) {
 	p.Counter("gmdj_result_cache_invalidations_total", "Cross-query result memo invalidations.", nil, rc.Invalidations)
 
 	// Pool families are emitted unconditionally (zero without a pool):
-	// dashboards and promcheck -require can rely on their presence, and
+	// dashboards and olapcheck prom -require can rely on their presence, and
 	// a pool enabled mid-fleet does not make series appear from nowhere.
 	// gmdj_mem_pool_enabled distinguishes "no pool" from "idle pool".
 	ms := db.MemStats()
@@ -107,7 +118,7 @@ func (db *DB) PromCollect(p *obs.PromWriter) {
 // serving-layer families from the server's own /metrics endpoint.
 func (db *DB) WritePromMetrics(w io.Writer) error {
 	p := obs.NewPromWriter()
-	db.PromCollect(p)
+	db.PromCollect(p, nil)
 	if err := p.Err(); err != nil {
 		return err
 	}

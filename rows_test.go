@@ -100,6 +100,7 @@ func TestQueryRowsParseErrorIsSynchronous(t *testing.T) {
 
 func TestQueryRowsCloseCancelsRunningQuery(t *testing.T) {
 	db := Open()
+	defer db.Close()
 	db.MustCreateTable("big", Col("x", Int))
 	rows := make([][]any, 0, 3000)
 	for i := 0; i < 3000; i++ {
@@ -150,6 +151,7 @@ func TestQueryRowsRealError(t *testing.T) {
 
 func TestSentinelErrors(t *testing.T) {
 	db := Open()
+	defer db.Close()
 	db.MustCreateTable("t", Col("x", Int))
 	if err := db.CreateTable("t", Col("x", Int)); !errors.Is(err, ErrTableExists) {
 		t.Fatalf("CreateTable dup: %v, want ErrTableExists", err)

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # check_metrics.sh — scrape (or read) a Prometheus exposition and
-# validate it with promcheck: parseable text format, required serving
+# validate it with olapcheck prom: parseable text format, required serving
 # and engine families declared, per-tenant funnel counters reconciling,
 # tenant label cardinality under the cap.
 #
@@ -21,7 +21,7 @@ MAX_TENANTS="${MAX_TENANTS:-33}"
 REQUIRE="${REQUIRE:-olap_requests_total,olap_responses_total,olap_request_duration_seconds,olap_tenant_admitted_total,gmdj_engine_events_total,gmdj_spill_bytes_written_total}"
 
 mkdir -p bin
-go build -o bin/promcheck ./cmd/promcheck
+go build -o bin/olapcheck ./cmd/olapcheck
 
 args=(-reconcile -max-tenant-labels "${MAX_TENANTS}" -require "${REQUIRE}")
 if [[ "${QUIESCED:-0}" = "1" ]]; then
@@ -29,7 +29,7 @@ if [[ "${QUIESCED:-0}" = "1" ]]; then
 fi
 
 if [[ "${SRC}" == http://* || "${SRC}" == https://* ]]; then
-  curl -fsS "${SRC}" | bin/promcheck "${args[@]}"
+  curl -fsS "${SRC}" | bin/olapcheck prom "${args[@]}"
 else
-  bin/promcheck "${args[@]}" "${SRC}"
+  bin/olapcheck prom "${args[@]}" "${SRC}"
 fi

@@ -12,10 +12,10 @@
 #     invalid, fails per-tenant reconciliation, or exceeds the tenant
 #     label cap (scripts/check_metrics.sh),
 #   - a CPU profile sampled mid-storm fails to attribute samples to
-#     tenants/strategies via pprof labels (cmd/bundlecheck file mode),
+#     tenants/strategies via pprof labels (olapcheck bundle, file mode),
 #   - the forced SLO-burn trigger (-incident-burn 0.05, under the
 #     storm's ~0.16 burn) fails to produce exactly one incident bundle,
-#     or the bundle fails validation (cmd/bundlecheck),
+#     or the bundle fails validation (olapcheck bundle),
 #   - olapd exits non-zero after drain (either phase), including exit
 #     12 from the leak check,
 #   - drain overruns its budget.
@@ -52,8 +52,7 @@ mkdir -p bin "${OUT_DIR}"
 rm -rf "${PROFILE_DIR}"
 go build -o bin/olapd ./cmd/olapd
 go build -o bin/loadgen ./cmd/loadgen
-go build -o bin/promcheck ./cmd/promcheck
-go build -o bin/bundlecheck ./cmd/bundlecheck
+go build -o bin/olapcheck ./cmd/olapcheck
 
 OLAPD_PID=""
 cleanup() {
@@ -115,7 +114,7 @@ LOADGEN_PID=$!
 # mutation.
 sleep 8
 curl -fsS "${TARGET}/metrics" > "${OUT_DIR}/metrics_midstorm.prom"
-bin/promcheck -reconcile -storage -max-tenant-labels 33 \
+bin/olapcheck prom -reconcile -storage -max-tenant-labels 33 \
   -require "olap_requests_total,olap_responses_total,olap_request_duration_seconds,olap_slo_error_budget_burn,gmdj_engine_events_total" \
   "${OUT_DIR}/metrics_midstorm.prom"
 echo "serve_storm: mid-storm /metrics scrape valid"
@@ -137,7 +136,7 @@ if [[ ${PROFILE_OK} -ne 1 ]]; then
   echo "serve_storm: could not sample /debug/pprof/profile mid-storm" >&2
   exit 1
 fi
-bin/bundlecheck -labels "tenant,strategy" "${OUT_DIR}/cpu_midstorm.pprof"
+bin/olapcheck bundle -labels "tenant,strategy" "${OUT_DIR}/cpu_midstorm.pprof"
 echo "serve_storm: mid-storm CPU profile attributes samples by tenant/strategy"
 
 LOADGEN_RC=0
@@ -152,7 +151,7 @@ echo "serve_storm: phase 1 clean (results in ${OUT_DIR}/serve_storm_result.json,
 # counter must exactly equal its summed responses.
 sleep 1
 curl -fsS "${TARGET}/metrics" > "${OUT_DIR}/metrics_quiesced.prom"
-bin/promcheck -reconcile -quiesced -storage -max-tenant-labels 33 "${OUT_DIR}/metrics_quiesced.prom"
+bin/olapcheck prom -reconcile -quiesced -storage -max-tenant-labels 33 "${OUT_DIR}/metrics_quiesced.prom"
 echo "serve_storm: quiesced /metrics reconciles exactly"
 
 # The trace ring holds the storm's tail: serving-phase spans (request,
@@ -175,7 +174,7 @@ if [[ ${#BUNDLES[@]} -ne 1 || ! -d "${BUNDLES[0]}" ]]; then
   echo "serve_storm: expected exactly one incident bundle, found: ${BUNDLES[*]}" >&2
   exit 1
 fi
-bin/bundlecheck \
+bin/olapcheck bundle \
   -require "goroutines.txt,metrics.prom,trace.json,slowlog.json,config.json,heap.pprof,goroutine.pprof,mutex.pprof,cpu.pprof" \
   -cpu-labels "tenant,strategy" \
   "${BUNDLES[0]}"

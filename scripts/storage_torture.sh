@@ -2,7 +2,7 @@
 # storage_torture.sh — crash/recovery torture for the durable columnar
 # store.
 #
-# Drives cmd/storetort through four gauntlets against one store
+# Drives olapcheck store through four gauntlets against one store
 # directory:
 #
 #   1. kill -9 mid-churn, repeatedly: churn rewrites the deterministic
@@ -40,10 +40,9 @@ CHURN_LOG="${OUT_DIR}/torture-churn.log"
 
 mkdir -p bin "${OUT_DIR}"
 rm -rf "${DIR}"
-go build -o bin/storetort ./cmd/storetort
-go build -race -o bin/storetort.race ./cmd/storetort
+go build -o bin/olapcheck ./cmd/olapcheck
+go build -race -o bin/olapcheck.race ./cmd/olapcheck
 go build -o bin/olapd ./cmd/olapd
-go build -o bin/promcheck ./cmd/promcheck
 
 CHURN_PID=""
 cleanup() {
@@ -53,18 +52,18 @@ cleanup() {
 }
 trap cleanup EXIT
 
-verify() { # $@ = extra storetort flags
-  bin/storetort.race -dir "${DIR}" -rows "${ROWS}" -seed "${SEED}" verify "$@"
+verify() { # $@ = extra olapcheck store flags
+  bin/olapcheck.race store -dir "${DIR}" -rows "${ROWS}" -seed "${SEED}" verify "$@"
 }
 
 echo "== phase 0: initial load =="
-bin/storetort -dir "${DIR}" -rows "${ROWS}" -seed "${SEED}" load
+bin/olapcheck store -dir "${DIR}" -rows "${ROWS}" -seed "${SEED}" load
 verify
 
 echo "== phase 1: kill -9 mid-churn (${KILLS} rounds) =="
 for i in $(seq 1 "${KILLS}"); do
   : > "${CHURN_LOG}"
-  bin/storetort -dir "${DIR}" -rows "${ROWS}" -seed "${SEED}" churn \
+  bin/olapcheck store -dir "${DIR}" -rows "${ROWS}" -seed "${SEED}" churn \
     -rounds 100000 > "${CHURN_LOG}" 2>/dev/null &
   CHURN_PID=$!
   # Land the kill at a random instant inside the churn stream.
@@ -101,7 +100,7 @@ for FAULT in \
   "storage.write=shortwrite@23" \
   "storage.manifest=enospc@4"; do
   echo "-- churn under GMDJ_FAULTS=${FAULT}"
-  GMDJ_FAULTS="${FAULT}" bin/storetort -dir "${DIR}" -rows "${ROWS}" \
+  GMDJ_FAULTS="${FAULT}" bin/olapcheck store -dir "${DIR}" -rows "${ROWS}" \
     -seed "${SEED}" churn -rounds 12 > "${CHURN_LOG}" 2>/dev/null
   COMMITTED=$(grep -c '^round=' "${CHURN_LOG}" || true)
   if [[ "${COMMITTED}" -eq 0 ]]; then
@@ -115,10 +114,10 @@ for FAULT in \
   "storage.write=torn@23" \
   "storage.manifest=torn@4"; do
   echo "-- churn under GMDJ_FAULTS=${FAULT} (torn: quarantine tolerated, then healed)"
-  GMDJ_FAULTS="${FAULT}" bin/storetort -dir "${DIR}" -rows "${ROWS}" \
+  GMDJ_FAULTS="${FAULT}" bin/olapcheck store -dir "${DIR}" -rows "${ROWS}" \
     -seed "${SEED}" churn -rounds 12 > "${CHURN_LOG}" 2>/dev/null
   verify -allow-quarantine
-  bin/storetort -dir "${DIR}" -rows "${ROWS}" -seed "${SEED}" churn -rounds 1 > /dev/null
+  bin/olapcheck store -dir "${DIR}" -rows "${ROWS}" -seed "${SEED}" churn -rounds 1 > /dev/null
   verify
 done
 echo "storage_torture: phase 2 clean (failed checkpoints never corrupted the committed generation)"
@@ -141,14 +140,14 @@ if verify 2>/dev/null; then
   exit 1
 fi
 # One churn round rewrites every table, healing the quarantine.
-bin/storetort -dir "${DIR}" -rows "${ROWS}" -seed "${SEED}" churn -rounds 1
+bin/olapcheck store -dir "${DIR}" -rows "${ROWS}" -seed "${SEED}" churn -rounds 1
 verify
 echo "storage_torture: phase 3 clean (quarantine isolated the corrupt table, churn healed it)"
 
 echo "== phase 4: torn manifest falls back one generation =="
 # One more clean round first: the fallback generation must not be the
 # one phase 3 vandalized.
-bin/storetort -dir "${DIR}" -rows "${ROWS}" -seed "${SEED}" churn -rounds 1 > /dev/null
+bin/olapcheck store -dir "${DIR}" -rows "${ROWS}" -seed "${SEED}" churn -rounds 1 > /dev/null
 NEWEST=$(ls "${DIR}"/MANIFEST-* | sort | tail -1)
 truncate -s 10 "${NEWEST}"
 OUT=$(verify)
@@ -176,7 +175,7 @@ curl -fsS "${TARGET}/metrics" > "${OUT_DIR}/torture_metrics.prom"
 kill -TERM "${OLAPD_PID}" 2>/dev/null || true
 wait "${OLAPD_PID}" 2>/dev/null || true
 OLAPD_PID=""
-bin/promcheck -storage \
+bin/olapcheck prom -storage \
   -require "olap_storage_generation,olap_storage_tables,olap_storage_quarantined_tables,olap_storage_segments_written_total,olap_storage_segments_recovered_total,olap_storage_segments_quarantined_total,olap_storage_checkpoints_total,olap_storage_recoveries_total,olap_storage_manifests_skipped_total,olap_storage_bytes_written_total,olap_storage_bytes_read_total" \
   "${OUT_DIR}/torture_metrics.prom"
 echo "storage_torture: phase 5 clean (recovered store served with full olap_storage_* exposition)"
