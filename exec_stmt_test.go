@@ -1,6 +1,7 @@
 package gmdj
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -134,4 +135,67 @@ func TestExecNegativeLiterals(t *testing.T) {
 		!strings.Contains(err.Error(), "number") {
 		t.Errorf("minus before string should fail: %v", err)
 	}
+}
+
+// TestSignedZeroJoinsAcrossStrategies: 0.0 and -0.0 are equal under
+// value.Compare, so a hash-bound strategy must put them in one bucket
+// exactly as tuple iteration matches them. The durable run reopens the
+// store so the detail's key hashes come from the decoded segment
+// (Segment.KeyHashes), which must keep the stored -0.0 bit pattern yet
+// hash it as +0.0.
+func TestSignedZeroJoinsAcrossStrategies(t *testing.T) {
+	load := func(t *testing.T, db *DB) {
+		t.Helper()
+		for _, stmt := range []string{
+			`CREATE TABLE A (k FLOAT)`,
+			`CREATE TABLE B (k FLOAT, v INT)`,
+			`INSERT INTO A VALUES (0.0)`,
+			`INSERT INTO B VALUES (-0.0, 7)`,
+		} {
+			if _, err := db.Exec(stmt); err != nil {
+				t.Fatalf("%s: %v", stmt, err)
+			}
+		}
+	}
+	check := func(t *testing.T, db *DB) {
+		t.Helper()
+		res, err := db.Exec(`SELECT b.k FROM B b`)
+		if err != nil || !math.Signbit(res.Rows[0][0].(float64)) {
+			t.Fatalf("stored cell lost its sign bit: %v, %v", res, err)
+		}
+		const q = `SELECT a.k FROM A a WHERE EXISTS (SELECT * FROM B b WHERE b.k = a.k)`
+		for _, s := range []Strategy{Native, Unnest, GMDJ, GMDJOpt} {
+			res, err := db.ExecStrategy(q, s)
+			if err != nil {
+				t.Fatalf("%v: %v", s, err)
+			}
+			if res.Len() != 1 {
+				t.Errorf("%v: %d rows, want 1 (0.0 = -0.0)", s, res.Len())
+			}
+		}
+		res, err = db.Exec(`SELECT DISTINCT u.k FROM (SELECT a.k FROM A a UNION ALL SELECT b.k FROM B b) u`)
+		if err != nil || res.Len() != 1 {
+			t.Errorf("DISTINCT over 0.0 and -0.0: %v, %v; want 1 row", res, err)
+		}
+	}
+	t.Run("memory", func(t *testing.T) {
+		db := Open()
+		defer db.Close()
+		load(t, db)
+		check(t, db)
+	})
+	t.Run("durable", func(t *testing.T) {
+		dir := t.TempDir()
+		db := Open(WithDataDir(dir))
+		load(t, db)
+		if _, err := db.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		db = Open(WithDataDir(dir))
+		defer db.Close()
+		check(t, db)
+	})
 }

@@ -18,6 +18,7 @@ import (
 	"math"
 	"os"
 	"runtime"
+	"runtime/pprof"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -28,6 +29,7 @@ import (
 	"github.com/olaplab/gmdj/internal/govern"
 	"github.com/olaplab/gmdj/internal/mem"
 	"github.com/olaplab/gmdj/internal/obs"
+	"github.com/olaplab/gmdj/internal/obs/profile"
 	"github.com/olaplab/gmdj/internal/plancache"
 	"github.com/olaplab/gmdj/internal/relation"
 	"github.com/olaplab/gmdj/internal/rewrite"
@@ -504,17 +506,62 @@ func (e *Engine) RunObservedQuery(ctx context.Context, text string, plan algebra
 	return e.runQuery(ctx, text, p, s, true)
 }
 
-// runQuery executes an already-rewritten physical plan through the
-// single PhysicalPlan.Run contract (see physical.go, where all the
-// observability and governance wiring lives), materializing the batch
-// stream back into a relation for the row-oriented public surface.
+// runQuery executes an already-rewritten physical plan under the
+// caller's context and the engine budget — the one funnel behind every
+// entry point (Run, RunContext, RunObserved, ExplainAnalyze, prepared
+// statements, QueryRows), so all cross-cutting wiring lives here rather
+// than per strategy or per entry point: the per-operator stats
+// collector (forced by forceCollect, the EXPLAIN ANALYZE path, or
+// wanted by an attached tracer or observer), the observer's live
+// in-flight registry, pprof tenant labels, cost-model estimate
+// annotation (the est= drift column), the workload histograms, and the
+// slow-query log. With none of those attached the collector stays nil
+// and each executor hook is one nil check. text is the query's source
+// SQL ("" for hand-built plans). The stats root is returned on failure
+// too.
 func (e *Engine) runQuery(ctx context.Context, text string, p algebra.Node, s Strategy, forceCollect bool) (*relation.Relation, *obs.Op, error) {
-	pp := &PhysicalPlan{eng: e, root: p, strategy: s, text: text, collect: forceCollect}
-	var sink RelationSink
-	if err := pp.Run(ctx, &sink); err != nil {
-		return nil, pp.stats, err
+	var col *obs.Collector
+	if forceCollect || e.tracer != nil || e.observer != nil {
+		col = obs.NewCollector(e.tracer)
 	}
-	return sink.Rel, pp.stats, nil
+	live := e.observer.QueryStart(ctx, text, s.String())
+	start := time.Now()
+	var rel *relation.Relation
+	var err error
+	// pprof labels attribute CPU samples to the query's tenant, request
+	// ID, and strategy. Go propagates labels to child goroutines, so
+	// morsel worker pools inherit them — profiles bill parallel scan
+	// work to the tenant that scheduled it. Unattributed queries (no
+	// request identity on the context) skip the label plumbing
+	// entirely, keeping the benchmark hot path label-free.
+	tenant, rid := obs.ContextTenant(ctx), obs.ContextRequestID(ctx)
+	if tenant != "" || rid != "" {
+		pprof.Do(ctx, profile.QueryLabels(tenant, rid, s.String(), "execute"), func(lctx context.Context) {
+			rel, err = e.execute(lctx, p, col, live)
+		})
+	} else {
+		rel, err = e.execute(ctx, p, col, live)
+	}
+	elapsed := time.Since(start)
+	e.finishQuery(s, err)
+	root := col.Root()
+	if root != nil {
+		root.RequestID = rid
+	}
+	e.annotateEstimates(p, root)
+	var rows int64
+	if rel != nil {
+		rows = int64(rel.Len())
+	}
+	outcome, errText := "ok", ""
+	if err != nil {
+		outcome, errText = errKinds[errKind(err)].kind, err.Error()
+	}
+	e.observer.QueryEnd(live, elapsed, rows, root, outcome, errText)
+	if err != nil {
+		return nil, root, err
+	}
+	return rel, root, nil
 }
 
 // execute runs an already-rewritten physical plan under the engine

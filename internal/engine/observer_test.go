@@ -216,10 +216,6 @@ const goldenSlowLog = `[
         {
           "name": "workers",
           "value": 1
-        },
-        {
-          "name": "batches",
-          "value": 1
         }
       ],
       "children": [
@@ -231,10 +227,6 @@ const goldenSlowLog = `[
           "counters": [
             {
               "name": "workers",
-              "value": 1
-            },
-            {
-              "name": "batches",
               "value": 1
             }
           ],
@@ -250,10 +242,6 @@ const goldenSlowLog = `[
               "counters": [
                 {
                   "name": "workers",
-                  "value": 1
-                },
-                {
-                  "name": "batches",
                   "value": 1
                 },
                 {

@@ -156,65 +156,3 @@ func TestSpillUnderParallelism(t *testing.T) {
 		t.Error("pool sized below the base-state estimate, yet nothing spilled")
 	}
 }
-
-// batchRecorder is a Sink that records everything Run delivers.
-type batchRecorder struct {
-	schema *relation.Schema
-	rows   []relation.Tuple
-	pushes int
-	maxLen int
-}
-
-func (r *batchRecorder) Open(s *relation.Schema) error { r.schema = s; return nil }
-
-func (r *batchRecorder) Push(b *relation.Batch) error {
-	r.pushes++
-	if b.Len() > r.maxLen {
-		r.maxLen = b.Len()
-	}
-	r.rows = append(r.rows, b.Rows()...)
-	return nil
-}
-
-// TestPhysicalPlanSink drives the batched PhysicalPlan.Run contract
-// directly: the sink sees the result schema once, then the result rows
-// in order in bounded batches; stats collection rides along when
-// requested.
-func TestPhysicalPlanSink(t *testing.T) {
-	e := testEngine(t)
-	plan := existsPlan()
-	want, err := e.Run(plan, GMDJOpt)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	pp, err := e.Physical(plan, GMDJOpt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pp.CollectStats()
-	var sink batchRecorder
-	if err := pp.Run(context.Background(), &sink); err != nil {
-		t.Fatal(err)
-	}
-	if sink.schema == nil {
-		t.Fatal("sink never opened")
-	}
-	if sink.maxLen > relation.DefaultBatchCap {
-		t.Errorf("batch of %d rows exceeds DefaultBatchCap", sink.maxLen)
-	}
-	if len(sink.rows) != want.Len() {
-		t.Fatalf("sink got %d rows, want %d", len(sink.rows), want.Len())
-	}
-	for i, row := range sink.rows {
-		if row.String() != want.Rows[i].String() {
-			t.Fatalf("row %d: %s != %s", i, row, want.Rows[i])
-		}
-	}
-	if pp.Stats() == nil {
-		t.Error("CollectStats was on but no stats tree recorded")
-	}
-	if pp.Strategy() != GMDJOpt || pp.Root() == nil {
-		t.Error("plan accessors lost the strategy or root")
-	}
-}

@@ -101,13 +101,7 @@ func (e *Executor) TableSchema(name string) (*relation.Schema, error) {
 
 // Run evaluates a plan to a materialized relation, ungoverned.
 func (e *Executor) Run(plan algebra.Node) (*relation.Relation, error) {
-	return e.RunGoverned(plan, nil)
-}
-
-// RunGoverned evaluates a plan under a per-query governor (nil = no
-// budgets, no cancellation), without statistics collection.
-func (e *Executor) RunGoverned(plan algebra.Node, gov *govern.Governor) (*relation.Relation, error) {
-	return e.RunObserved(plan, gov, nil)
+	return e.RunObserved(plan, nil, nil)
 }
 
 // RunObserved evaluates a plan under a per-query governor and an
@@ -281,17 +275,9 @@ func (e *Executor) evalNode(n algebra.Node, ev *env) (*relation.Relation, error)
 		cols := append(append([]relation.Column{}, in.Schema.Columns...),
 			relation.Column{Name: node.As, Type: value.KindInt})
 		out := relation.New(relation.NewSchema(cols...))
-		// Row numbering is ordinal by definition, so the pipeline stays
-		// serial: one batch cursor, numbered in arrival order.
-		it := relIter(in)
-		for i := 0; ; i++ {
-			row, ok, err := it.Next()
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				break
-			}
+		// Row numbering is ordinal by definition, so the loop stays
+		// serial: rows are numbered in arrival order.
+		for i, row := range in.Rows {
 			if err := ev.q.tick(); err != nil {
 				return nil, err
 			}
@@ -301,7 +287,7 @@ func (e *Executor) evalNode(n algebra.Node, ev *env) (*relation.Relation, error)
 			}
 			out.Append(numbered)
 		}
-		ev.q.recordPipe(pipeInfo{workers: 1, batches: it.batches})
+		ev.q.recordWorkers(1)
 		return out, nil
 	case *algebra.Restrict:
 		return e.evalRestrict(node, ev)
@@ -367,52 +353,38 @@ func (e *Executor) evalRestrict(r *algebra.Restrict, ev *env) (*relation.Relatio
 		// the query goroutine, so they keep the serial pipeline.
 		workers = 1
 	}
-	// One scan→filter pipeline per worker; workers pull morsels and
-	// buffer passing rows per morsel index, so concatenating the
-	// buffers in order reproduces the serial emit order exactly.
-	type wstate struct {
-		src   *relSource
-		f     *filterOp
-		batch *relation.Batch
-	}
-	states := make([]*wstate, workers)
-	for w := range states {
-		full := make(relation.Tuple, len(ev.row)+in.Schema.Len())
-		copy(full, ev.row)
-		src := newRelSource(in, 0, 0)
-		states[w] = &wstate{
-			src:   src,
-			f:     &filterOp{child: src, pred: cp, full: full, prefixW: len(ev.row), q: ev.q},
-			batch: relation.NewBatch(in.Schema, relation.DefaultBatchCap),
-		}
-	}
+	// Workers pull morsels and buffer passing rows per morsel index, so
+	// concatenating the buffers in order reproduces the serial emit
+	// order exactly. Passing rows are appended by reference: output
+	// tuples are the input's.
+	fulls := workerScratch(workers, ev.row, in.Schema.Len())
 	outs := make([][]relation.Tuple, morselCount(in.Len()))
 	used, err := runMorsels(in.Len(), workers, func(w, m, lo, hi int) error {
-		st := states[w]
-		st.src.reset(lo, hi)
-		for {
-			if err := st.f.NextBatch(st.batch); err != nil {
+		full := fulls[w]
+		for _, row := range in.Rows[lo:hi] {
+			if err := ev.q.tick(); err != nil {
 				return err
 			}
-			if st.batch.Len() == 0 {
-				return nil
+			copy(full[len(ev.row):], row)
+			tr, err := cp.eval(full)
+			if err != nil {
+				return err
 			}
-			outs[m] = append(outs[m], st.batch.Rows()...)
+			if tr != value.True { // where-clause truncation
+				continue
+			}
+			if err := ev.q.account(row); err != nil {
+				return err
+			}
+			outs[m] = append(outs[m], row)
 		}
+		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	out := relation.New(in.Schema)
-	for _, rows := range outs {
-		out.Rows = append(out.Rows, rows...)
-	}
-	var batches int64
-	for _, st := range states {
-		batches += st.src.batches
-	}
-	ev.q.recordPipe(pipeInfo{workers: used, batches: batches})
-	return out, nil
+	ev.q.recordWorkers(used)
+	return concatMorsels(in.Schema, outs), nil
 }
 
 // predHasSub reports whether a compiled predicate contains a subquery
@@ -470,33 +442,33 @@ func (e *Executor) evalProject(p *algebra.Project, ev *env) (*relation.Relation,
 		}
 		bound[i] = b
 	}
-	out := relation.New(outSchema)
-	if p.Distinct {
-		// Distinct projection folds rows into first-seen order — a
-		// serial consumer, fed through the batch adapter.
-		it := relIter(in)
-		fullRow := make(relation.Tuple, len(ev.row)+in.Schema.Len())
-		copy(fullRow, ev.row)
-		seen := map[string]bool{}
-		for {
-			row, ok, err := it.Next()
+	// project evaluates the bound items over one scratch row (outer
+	// context ++ input row) into a freshly materialized output tuple.
+	project := func(full, row relation.Tuple) (relation.Tuple, error) {
+		copy(full[len(ev.row):], row)
+		outRow := make(relation.Tuple, len(bound))
+		for i, b := range bound {
+			v, err := b.Eval(full)
 			if err != nil {
 				return nil, err
 			}
-			if !ok {
-				break
-			}
+			outRow[i] = v
+		}
+		return outRow, nil
+	}
+	if p.Distinct {
+		// Distinct projection folds rows into first-seen order — a
+		// serial consumer.
+		out := relation.New(outSchema)
+		fullRow := workerScratch(1, ev.row, in.Schema.Len())[0]
+		seen := map[string]bool{}
+		for _, row := range in.Rows {
 			if err := ev.q.tick(); err != nil {
 				return nil, err
 			}
-			copy(fullRow[len(ev.row):], row)
-			outRow := make(relation.Tuple, len(bound))
-			for i, b := range bound {
-				v, err := b.Eval(fullRow)
-				if err != nil {
-					return nil, err
-				}
-				outRow[i] = v
+			outRow, err := project(fullRow, row)
+			if err != nil {
+				return nil, err
 			}
 			k := outRow.Key()
 			if seen[k] {
@@ -508,61 +480,36 @@ func (e *Executor) evalProject(p *algebra.Project, ev *env) (*relation.Relation,
 			}
 			out.Append(outRow)
 		}
-		ev.q.recordPipe(pipeInfo{workers: 1, batches: it.batches})
+		ev.q.recordWorkers(1)
 		return out, nil
 	}
 	// Non-distinct projection is embarrassingly parallel: bound
 	// expression trees are immutable, so workers share them and differ
-	// only in scratch (input batch, concatenated outer row).
+	// only in their scratch row.
 	workers := e.pipelineWorkers(in.Len())
-	type wstate struct {
-		src   *relSource
-		op    *projectOp
-		batch *relation.Batch
-	}
-	states := make([]*wstate, workers)
-	for w := range states {
-		full := make(relation.Tuple, len(ev.row)+in.Schema.Len())
-		copy(full, ev.row)
-		src := newRelSource(in, 0, 0)
-		states[w] = &wstate{
-			src: src,
-			op: &projectOp{
-				child: src, schema: outSchema, bound: bound,
-				in:      relation.NewBatch(in.Schema, relation.DefaultBatchCap),
-				full:    full,
-				prefixW: len(ev.row),
-				q:       ev.q,
-			},
-			batch: relation.NewBatch(outSchema, relation.DefaultBatchCap),
-		}
-	}
+	fulls := workerScratch(workers, ev.row, in.Schema.Len())
 	outs := make([][]relation.Tuple, morselCount(in.Len()))
 	used, err := runMorsels(in.Len(), workers, func(w, m, lo, hi int) error {
-		st := states[w]
-		st.src.reset(lo, hi)
-		for {
-			if err := st.op.NextBatch(st.batch); err != nil {
+		for _, row := range in.Rows[lo:hi] {
+			if err := ev.q.tick(); err != nil {
 				return err
 			}
-			if st.batch.Len() == 0 {
-				return nil
+			outRow, err := project(fulls[w], row)
+			if err != nil {
+				return err
 			}
-			outs[m] = append(outs[m], st.batch.Rows()...)
+			if err := ev.q.account(outRow); err != nil {
+				return err
+			}
+			outs[m] = append(outs[m], outRow)
 		}
+		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	for _, rows := range outs {
-		out.Rows = append(out.Rows, rows...)
-	}
-	var batches int64
-	for _, st := range states {
-		batches += st.src.batches
-	}
-	ev.q.recordPipe(pipeInfo{workers: used, batches: batches})
-	return out, nil
+	ev.q.recordWorkers(used)
+	return concatMorsels(outSchema, outs), nil
 }
 
 // projectSchemaFrom infers a projection schema directly from a
@@ -601,17 +548,8 @@ func (e *Executor) evalDistinct(d *algebra.Distinct, ev *env) (*relation.Relatio
 	}
 	out := relation.New(in.Schema)
 	seen := map[string]bool{}
-	// Duplicate elimination keeps first-seen order — a serial fold over
-	// the batch stream.
-	it := relIter(in)
-	for {
-		row, ok, err := it.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			break
-		}
+	// Duplicate elimination keeps first-seen order — a serial fold.
+	for _, row := range in.Rows {
 		if err := ev.q.tick(); err != nil {
 			return nil, err
 		}
@@ -625,7 +563,7 @@ func (e *Executor) evalDistinct(d *algebra.Distinct, ev *env) (*relation.Relatio
 		}
 		out.Append(row)
 	}
-	ev.q.recordPipe(pipeInfo{workers: 1, batches: it.batches})
+	ev.q.recordWorkers(1)
 	return out, nil
 }
 
@@ -661,16 +599,8 @@ func (e *Executor) evalGroupBy(g *algebra.GroupBy, ev *env) (*relation.Relation,
 	groups := map[string]*group{}
 	var order []string
 	// Grouped aggregation folds into hash state in arrival order — a
-	// serial consumer over the batch stream.
-	it := relIter(in)
-	for {
-		row, ok, err := it.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			break
-		}
+	// serial consumer.
+	for _, row := range in.Rows {
 		if err := ev.q.tick(); err != nil {
 			return nil, err
 		}
@@ -721,7 +651,7 @@ func (e *Executor) evalGroupBy(g *algebra.GroupBy, ev *env) (*relation.Relation,
 		}
 		out.Append(row)
 	}
-	ev.q.recordPipe(pipeInfo{workers: 1, batches: it.batches})
+	ev.q.recordWorkers(1)
 	return out, nil
 }
 
@@ -787,7 +717,6 @@ func (e *Executor) evalGMDJ(g *algebra.GMDJ, ev *env) (*relation.Relation, error
 		if local.DetailScans > 1 {
 			op.Add("detail_scans", local.DetailScans)
 		}
-		op.Add("batches", local.Batches)
 		op.Add("detail_rows", local.DetailRows)
 		op.Add("probes", local.Probes)
 		op.Add("matches", local.Matches)

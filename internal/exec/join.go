@@ -16,7 +16,7 @@ import (
 // baseline suffers under a ≠ correlation.
 //
 // Both phases are morsel-parallel under Executor.Parallelism. The
-// build side hashes its key columns batch-wise over the columnar view
+// build side hashes each row's key columns (hashKey, as the probe does)
 // and partitions the hash table by hash modulo shard, each shard built
 // by one worker in right-row order; the probe side pulls left-row
 // morsels, emitting per-morsel buffers that concatenate in morsel
@@ -74,14 +74,12 @@ func (e *Executor) evalJoin(j *algebra.Join, ev *env) (*relation.Relation, error
 		rightPos = append(rightPos, rp)
 	}
 
-	var batches int64
 	var probe func(lRow relation.Tuple) ([]int, bool)
 	if len(leftPos) > 0 {
-		index, buildBatches, err := e.buildJoinIndex(right, rightPos, ev)
+		index, err := e.buildJoinIndex(right, rightPos, ev)
 		if err != nil {
 			return nil, err
 		}
-		batches += buildBatches
 		probe = index.probeFor(leftPos)
 	} else {
 		all := make([]int, len(right.Rows))
@@ -92,23 +90,10 @@ func (e *Executor) evalJoin(j *algebra.Join, ev *env) (*relation.Relation, error
 	}
 
 	// Probe phase: morsel-parallel over the left rows. Each worker
-	// carries its own scan pipeline and scratch full row; each morsel
-	// buffers its emissions so the final concatenation preserves
-	// left-row order.
+	// carries its own scratch full row; each morsel buffers its
+	// emissions so the final concatenation preserves left-row order.
 	workers := e.pipelineWorkers(len(left.Rows))
-	type wstate struct {
-		src     *relSource
-		batch   *relation.Batch
-		fullRow relation.Tuple
-	}
-	states := make([]*wstate, workers)
-	for w := range states {
-		states[w] = &wstate{
-			src:     newRelSource(left, 0, 0),
-			batch:   relation.NewBatch(left.Schema, relation.DefaultBatchCap),
-			fullRow: make(relation.Tuple, combined.Len()),
-		}
-	}
+	fulls := workerScratch(workers, nil, combined.Len())
 	nullPad := make(relation.Tuple, right.Schema.Len())
 	outs := make([][]relation.Tuple, morselCount(len(left.Rows)))
 
@@ -116,15 +101,15 @@ func (e *Executor) evalJoin(j *algebra.Join, ev *env) (*relation.Relation, error
 	// to the morsel buffer; semantics per kind match the serial engine
 	// (first match suffices for semi, first match disqualifies for
 	// anti).
-	matchRows := func(st *wstate, lRow relation.Tuple, candidates []int, buf *[]relation.Tuple) (bool, error) {
-		copy(st.fullRow, lRow)
+	matchRows := func(fullRow, lRow relation.Tuple, candidates []int, buf *[]relation.Tuple) (bool, error) {
+		copy(fullRow, lRow)
 		matched := false
 		for _, ri := range candidates {
 			if err := ev.q.tick(); err != nil {
 				return false, err
 			}
-			copy(st.fullRow[lw:], right.Rows[ri])
-			tr, err := expr.EvalTri(on, st.fullRow)
+			copy(fullRow[lw:], right.Rows[ri])
+			tr, err := expr.EvalTri(on, fullRow)
 			if err != nil {
 				return false, err
 			}
@@ -134,7 +119,7 @@ func (e *Executor) evalJoin(j *algebra.Join, ev *env) (*relation.Relation, error
 			matched = true
 			switch j.Kind {
 			case algebra.InnerJoin, algebra.LeftOuterJoin:
-				joined := st.fullRow.Clone()
+				joined := fullRow.Clone()
 				if err := ev.q.account(joined); err != nil {
 					return false, err
 				}
@@ -153,60 +138,43 @@ func (e *Executor) evalJoin(j *algebra.Join, ev *env) (*relation.Relation, error
 	}
 
 	used, err := runMorsels(len(left.Rows), workers, func(w, m, lo, hi int) error {
-		st := states[w]
-		st.src.reset(lo, hi)
-		for {
-			if err := st.src.NextBatch(st.batch); err != nil {
+		for _, lRow := range left.Rows[lo:hi] {
+			if err := ev.q.tick(); err != nil {
 				return err
 			}
-			if st.batch.Len() == 0 {
-				return nil
-			}
-			for i := 0; i < st.batch.Len(); i++ {
-				lRow := st.batch.Row(i)
-				if err := ev.q.tick(); err != nil {
+			candidates, keyOK := probe(lRow)
+			matched := false
+			if keyOK {
+				var err error
+				matched, err = matchRows(fulls[w], lRow, candidates, &outs[m])
+				if err != nil {
 					return err
 				}
-				candidates, keyOK := probe(lRow)
-				matched := false
-				if keyOK {
-					var err error
-					matched, err = matchRows(st, lRow, candidates, &outs[m])
-					if err != nil {
-						return err
-					}
+			}
+			if matched {
+				continue
+			}
+			switch j.Kind {
+			case algebra.LeftOuterJoin:
+				padded := lRow.Concat(nullPad)
+				if err := ev.q.account(padded); err != nil {
+					return err
 				}
-				if matched {
-					continue
+				outs[m] = append(outs[m], padded)
+			case algebra.AntiJoin:
+				if err := ev.q.account(lRow); err != nil {
+					return err
 				}
-				switch j.Kind {
-				case algebra.LeftOuterJoin:
-					padded := lRow.Concat(nullPad)
-					if err := ev.q.account(padded); err != nil {
-						return err
-					}
-					outs[m] = append(outs[m], padded)
-				case algebra.AntiJoin:
-					if err := ev.q.account(lRow); err != nil {
-						return err
-					}
-					outs[m] = append(outs[m], lRow)
-				}
+				outs[m] = append(outs[m], lRow)
 			}
 		}
+		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	out := relation.New(outSchema)
-	for _, rows := range outs {
-		out.Rows = append(out.Rows, rows...)
-	}
-	for _, st := range states {
-		batches += st.src.batches
-	}
-	ev.q.recordPipe(pipeInfo{workers: used, batches: batches})
-	return out, nil
+	ev.q.recordWorkers(used)
+	return concatMorsels(outSchema, outs), nil
 }
 
 // joinIndex is the hash-join build side: row positions bucketed by key
@@ -229,67 +197,24 @@ func (ix *joinIndex) probeFor(leftPos []int) func(relation.Tuple) ([]int, bool) 
 	}
 }
 
-// buildJoinIndex computes the key-hash vector over the build side's
-// columnar batches (morsel-parallel: workers write disjoint ranges of
-// the vector), then builds the shard maps, one worker per shard.
-func (e *Executor) buildJoinIndex(right *relation.Relation, rightPos []int, ev *env) (*joinIndex, int64, error) {
+// buildJoinIndex computes the key-hash vector over the build side
+// (morsel-parallel: workers write disjoint ranges of the vector), then
+// builds the shard maps, one worker per shard.
+func (e *Executor) buildJoinIndex(right *relation.Relation, rightPos []int, ev *env) (*joinIndex, error) {
 	n := len(right.Rows)
 	hs := make([]uint64, n)
 	okv := make([]bool, n)
-	workers := e.pipelineWorkers(n)
-	type wstate struct {
-		src   *relSource
-		batch *relation.Batch
-	}
-	states := make([]*wstate, workers)
-	for w := range states {
-		states[w] = &wstate{
-			src:   newRelSource(right, 0, 0),
-			batch: relation.NewBatch(right.Schema, relation.DefaultBatchCap),
+	used, err := runMorsels(n, e.pipelineWorkers(n), func(w, m, lo, hi int) error {
+		if err := ev.q.tick(); err != nil {
+			return err
 		}
-	}
-	used, err := runMorsels(n, workers, func(w, m, lo, hi int) error {
-		st := states[w]
-		st.src.reset(lo, hi)
-		base := lo
-		for {
-			if err := ev.q.tick(); err != nil {
-				return err
-			}
-			if err := st.src.NextBatch(st.batch); err != nil {
-				return err
-			}
-			bn := st.batch.Len()
-			if bn == 0 {
-				return nil
-			}
-			// Column-major hashing over the batch's columnar view: one
-			// pass per key column, FNV-folding into the hash lane.
-			cols := st.batch.Columns()
-			for i := 0; i < bn; i++ {
-				hs[base+i] = 14695981039346656037
-				okv[base+i] = true
-			}
-			for _, p := range rightPos {
-				col := cols[p]
-				for i, v := range col {
-					if v.IsNull() {
-						okv[base+i] = false
-						continue
-					}
-					hs[base+i] ^= v.Hash()
-					hs[base+i] *= 1099511628211
-				}
-			}
-			base += bn
+		for i, row := range right.Rows[lo:hi] {
+			hs[lo+i], okv[lo+i] = hashKey(row, rightPos)
 		}
+		return nil
 	})
 	if err != nil {
-		return nil, 0, err
-	}
-	var batches int64
-	for _, st := range states {
-		batches += st.src.batches
+		return nil, err
 	}
 	nShards := used
 	ix := &joinIndex{shards: make([]map[uint64][]int, nShards)}
@@ -319,7 +244,7 @@ func (e *Executor) buildJoinIndex(right *relation.Relation, rightPos []int, ev *
 		}
 		wg.Wait()
 	}
-	return ix, batches, nil
+	return ix, nil
 }
 
 func schemaQualifiers(s *relation.Schema) map[string]bool {

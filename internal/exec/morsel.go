@@ -11,10 +11,10 @@ import (
 	"github.com/olaplab/gmdj/internal/relation"
 )
 
-// MorselRows is how many input rows one morsel covers: a few batches'
-// worth, small enough that workers rebalance across skewed predicates,
-// large enough that the atomic claim is amortized into noise.
-const MorselRows = 4 * relation.DefaultBatchCap
+// MorselRows is how many input rows one morsel covers: small enough
+// that workers rebalance across skewed predicates, large enough that
+// the atomic claim is amortized into noise.
+const MorselRows = 4096
 
 // morselCount returns how many morsels cover n input rows.
 func morselCount(n int) int {
@@ -22,13 +22,6 @@ func morselCount(n int) int {
 		return 0
 	}
 	return (n-1)/MorselRows + 1
-}
-
-// pipeInfo reports what one morsel-parallel pipeline actually did, for
-// the operator's workers= and batches= counters.
-type pipeInfo struct {
-	workers int
-	batches int64
 }
 
 // pipelineWorkers resolves the degree for one operator pipeline over n
@@ -129,14 +122,39 @@ func runMorsels(n, workers int, fn func(worker, morsel, lo, hi int) error) (int,
 	return workers, firstErr
 }
 
-// recordPipe attaches the pipeline's workers= and batches= counters to
-// the operator's stats-tree node, feeding the EXPLAIN ANALYZE drift
-// column. Nil-safe through Op.Add.
-func (q *query) recordPipe(info pipeInfo) {
+// workerScratch allocates each worker's scratch tuple: the outer
+// context followed by room for width more values, which the operator's
+// row loop overwrites per input row before evaluating against it.
+func workerScratch(workers int, outer relation.Tuple, width int) []relation.Tuple {
+	fulls := make([]relation.Tuple, workers)
+	for w := range fulls {
+		fulls[w] = make(relation.Tuple, len(outer)+width)
+		copy(fulls[w], outer)
+	}
+	return fulls
+}
+
+// concatMorsels joins the per-morsel output buffers in morsel order,
+// which is what makes the output independent of which worker claimed
+// which morsel.
+func concatMorsels(s *relation.Schema, outs [][]relation.Tuple) *relation.Relation {
+	n := 0
+	for _, rows := range outs {
+		n += len(rows)
+	}
+	out := relation.New(s)
+	out.Rows = make([]relation.Tuple, 0, n)
+	for _, rows := range outs {
+		out.Rows = append(out.Rows, rows...)
+	}
+	return out
+}
+
+// recordWorkers attaches the pipeline's workers= counter to the
+// operator's stats-tree node. Nil-safe through Op.Add.
+func (q *query) recordWorkers(workers int) {
 	if q == nil || q.col == nil {
 		return
 	}
-	op := q.col.Current()
-	op.Add("workers", int64(info.workers))
-	op.Add("batches", info.batches)
+	q.col.Current().Add("workers", int64(workers))
 }

@@ -34,20 +34,9 @@ func (e *Executor) evalSetOp(s *algebra.SetOp, ev *env) (*relation.Relation, err
 		return nil
 	}
 	// Set operations preserve left-then-right arrival order — serial
-	// folds over batch cursors; each drains its side and reports the
-	// batch count.
-	var batches int64
+	// folds over each side.
 	each := func(rel *relation.Relation, fn func(row relation.Tuple) error) error {
-		it := relIter(rel)
-		for {
-			row, ok, err := it.Next()
-			if err != nil {
-				return err
-			}
-			if !ok {
-				batches += it.batches
-				return nil
-			}
+		for _, row := range rel.Rows {
 			if err := ev.q.tick(); err != nil {
 				return err
 			}
@@ -55,9 +44,10 @@ func (e *Executor) evalSetOp(s *algebra.SetOp, ev *env) (*relation.Relation, err
 				return err
 			}
 		}
+		return nil
 	}
 	finish := func() (*relation.Relation, error) {
-		ev.q.recordPipe(pipeInfo{workers: 1, batches: batches})
+		ev.q.recordWorkers(1)
 		return out, nil
 	}
 	switch s.Kind {

@@ -31,20 +31,9 @@ func (e *Executor) evalSort(s *algebra.Sort, ev *env) (*relation.Relation, error
 	}
 	// Precompute key tuples so comparisons during sorting are cheap and
 	// expression errors surface before sort.Slice (which cannot fail).
-	// Sorting is a blocking operator: it drains its input through the
-	// batch cursor, then orders the buffered rows.
 	keys := make([]relation.Tuple, in.Len())
-	fullRow := make(relation.Tuple, len(ev.row)+in.Schema.Len())
-	copy(fullRow, ev.row)
-	it := relIter(in)
-	for i := 0; ; i++ {
-		row, ok, err := it.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			break
-		}
+	fullRow := workerScratch(1, ev.row, in.Schema.Len())[0]
+	for i, row := range in.Rows {
 		if err := ev.q.tick(); err != nil {
 			return nil, err
 		}
@@ -88,7 +77,7 @@ func (e *Executor) evalSort(s *algebra.Sort, ev *env) (*relation.Relation, error
 		}
 		out.Append(in.Rows[i])
 	}
-	ev.q.recordPipe(pipeInfo{workers: 1, batches: it.batches})
+	ev.q.recordWorkers(1)
 	return out, nil
 }
 

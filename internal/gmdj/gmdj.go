@@ -68,11 +68,6 @@ type Stats struct {
 	// FallbackConds is the number of conditions lacking equi-bindings
 	// (evaluated by scanning active base entries).
 	FallbackConds int
-	// Batches counts the detail-side morsel chunks fed through the
-	// scans (relation.DefaultBatchCap rows each), summed over scans.
-	// This is the batches= figure EXPLAIN ANALYZE shows for GMDJ
-	// operators.
-	Batches int64
 	// WorkerRows records, for a partition split across workers, how
 	// many detail rows each worker fed (per-worker locals, recorded at
 	// drain time). Nil for serial evaluation. Merge concatenates, so a
@@ -115,7 +110,6 @@ func (s *Stats) Merge(src *Stats) {
 	s.Completed += src.Completed
 	s.ShortCircuitRows += src.ShortCircuitRows
 	s.FallbackConds += src.FallbackConds
-	s.Batches += src.Batches
 	s.WorkerRows = append(s.WorkerRows, src.WorkerRows...)
 	s.HashCacheHits += src.HashCacheHits
 	s.HashCacheMisses += src.HashCacheMisses
@@ -1087,9 +1081,8 @@ func (p *program) evalPartition(part partition, out result) error {
 }
 
 // scan is the detail-scan loop — the only place a GMDJ reads detail
-// tuples. It walks the detail relation once in batch-sized chunks (the
-// morsel discipline the rest of the engine runs on, and the unit the
-// batches= counter reports), folding each row into st, and defines the
+// tuples. It walks the detail relation once, folding each row into st
+// and publishing live progress every liveChunk rows, and defines the
 // scan counters: one DetailScans, and every detail row either fed
 // (DetailRows) or skipped (ShortCircuitRows). A panic is recovered
 // here, on the goroutine that scans — the engine's panic boundary
@@ -1112,13 +1105,16 @@ func (p *program) scan(w int, st *state, stop *atomic.Bool) (err error) {
 		return err
 	}
 	st.stats.DetailScans++
+	// liveChunk is the flushLive cadence: often enough that the live
+	// dashboard moves during a long scan, rarely enough that its atomics
+	// stay out of the per-row cost.
+	const liveChunk = 1024
 	n := len(p.detail.Rows)
-	for blo := 0; blo < n; blo += relation.DefaultBatchCap {
-		bhi := blo + relation.DefaultBatchCap
+	for blo := 0; blo < n; blo += liveChunk {
+		bhi := blo + liveChunk
 		if bhi > n {
 			bhi = n
 		}
-		st.stats.Batches++
 		for di := blo; di < bhi; di++ {
 			if stop.Load() {
 				return nil

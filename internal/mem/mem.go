@@ -611,9 +611,8 @@ func ParseBytes(s string) (int64, error) {
 
 // PerWorkerBytes is the pipeline scratch footprint budgeted per morsel
 // worker when clamping parallelism against an engine memory limit:
-// each worker holds a couple of fixed-capacity batches (row-reference
-// and columnar vectors), a concatenated scratch tuple, and per-morsel
-// output buffers in flight. An estimate — what an admission-style
+// each worker holds a concatenated scratch tuple and the output buffers
+// of the morsels it has in flight. An estimate — what an admission-style
 // clamp needs — not an allocation count. Kept well above the measured
 // steady-state footprint (a few tens of KiB) so the clamp errs toward
 // serial under tight limits, and well below typical pool sizes so

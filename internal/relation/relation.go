@@ -70,12 +70,16 @@ func (t Tuple) ApproxBytes() int64 {
 }
 
 // Key renders the tuple as a canonical string, usable as a map key when
-// exact (collision-free) grouping is needed.
+// exact (collision-free) grouping is needed. -0.0 renders as 0.0: the
+// two compare equal, so DISTINCT and GROUP BY must not split them.
 func (t Tuple) Key() string {
 	var b strings.Builder
 	for i, v := range t {
 		if i > 0 {
 			b.WriteByte('\x1f')
+		}
+		if v.Kind() == value.KindFloat && v.AsFloat() == 0 {
+			v = value.Float(0)
 		}
 		b.WriteByte(byte(v.Kind()) + '0')
 		b.WriteString(v.String())

@@ -217,8 +217,9 @@ func Equal(a, b Value) bool {
 var hashSeed = maphash.MakeSeed()
 
 // Hash returns a hash of v suitable for hash-join and GMDJ buckets.
-// Values that are Equal hash identically (INT 1 and FLOAT 1.0 share a
-// hash because they compare equal).
+// Values that are Equal hash identically: INT 1 and FLOAT 1.0 share a
+// hash, and so do 0.0 and -0.0 (stored cells keep their sign bit; only
+// the hash folds it away).
 func (v Value) Hash() uint64 {
 	var h maphash.Hash
 	h.SetSeed(hashSeed)
@@ -230,7 +231,11 @@ func (v Value) Hash() uint64 {
 		writeUint64(&h, math.Float64bits(float64(v.i)))
 	case KindFloat:
 		h.WriteByte(1) // same tag as INT: 1 and 1.0 must collide
-		writeUint64(&h, math.Float64bits(v.f))
+		f := v.f
+		if f == 0 {
+			f = 0 // drops the sign bit of -0.0, which compares equal to 0.0
+		}
+		writeUint64(&h, math.Float64bits(f))
 	case KindString:
 		h.WriteByte(2)
 		h.WriteString(v.s)

@@ -133,6 +133,8 @@ func TestEqualTreatsNullAsEqual(t *testing.T) {
 func TestHashConsistentWithEqual(t *testing.T) {
 	pairs := [][2]Value{
 		{Int(1), Float(1.0)},
+		{Float(0), Float(math.Copysign(0, -1))},
+		{Int(0), Float(math.Copysign(0, -1))},
 		{Int(-7), Int(-7)},
 		{Str("x"), Str("x")},
 		{Null, Null},

@@ -176,12 +176,25 @@ func TestSentinelErrors(t *testing.T) {
 func TestQueryRowsAbandonedNoLeak(t *testing.T) {
 	db := usersDB(t)
 	baseline := runtime.NumGoroutine()
+	var cursors []*Rows
 	for i := 0; i < 20; i++ {
-		if _, err := db.QueryRows(`SELECT name FROM users`); err != nil {
+		rows, err := db.QueryRows(`SELECT name FROM users`)
+		if err != nil {
 			t.Fatal(err)
 		}
+		cursors = append(cursors, rows)
 	}
 	waitGoroutines(t, baseline+2)
+	joinRunners(cursors)
+}
+
+// joinRunners closes cursors a test abandoned, after its leak check has
+// passed: the DB's cleanup Close must happen after the runners' last
+// engine read, and a goroutine count is not a synchronization edge.
+func joinRunners(cursors []*Rows) {
+	for _, rows := range cursors {
+		rows.Close()
+	}
 }
 
 // opaqueCtx hides its parent's identity from the context package, the
@@ -210,12 +223,16 @@ func TestQueryRowsAbandonedMidQueryNoLeak(t *testing.T) {
 	parent, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	baseline := runtime.NumGoroutine()
+	var cursors []*Rows
 	for i := 0; i < 8; i++ {
-		if _, err := db.QueryRowsContext(opaqueCtx{parent}, `SELECT name FROM users`); err != nil {
+		rows, err := db.QueryRowsContext(opaqueCtx{parent}, `SELECT name FROM users`)
+		if err != nil {
 			t.Fatal(err)
 		}
+		cursors = append(cursors, rows)
 	}
 	// All 8 runners are mid-delay now; none gets a Next or Close, and
 	// parent stays alive past the check.
 	waitGoroutines(t, baseline+2)
+	joinRunners(cursors)
 }
