@@ -2,6 +2,8 @@ package gmdj
 
 import (
 	"math"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -198,4 +200,69 @@ func TestSignedZeroJoinsAcrossStrategies(t *testing.T) {
 		defer db.Close()
 		check(t, db)
 	})
+}
+
+// TestGroupingAgreesWithEquality: "same key" has one definition. The
+// set operations, DISTINCT and GROUP BY group by Tuple.Key while =, IN,
+// joins and the GMDJ compare and hash, so a question phrased either way
+// must get one answer — INT 1 and FLOAT 1.0 are one value in both, and
+// a separator byte inside a string never merges two rows. Every
+// strategy shares exec's set operations, so the four-strategy oracle
+// alone cannot see a disagreement between the two phrasings.
+func TestGroupingAgreesWithEquality(t *testing.T) {
+	db := Open()
+	defer db.Close()
+	for _, stmt := range []string{
+		`CREATE TABLE A (x INT)`,
+		`CREATE TABLE B (y FLOAT)`,
+		`INSERT INTO A VALUES (1), (2)`,
+		`INSERT INTO B VALUES (1.0), (3.0)`,
+		`CREATE TABLE S (p STRING, q STRING)`,
+		"INSERT INTO S VALUES ('a\x1f3b', 'c'), ('a', 'b\x1f3c')",
+	} {
+		if _, err := db.Exec(stmt); err != nil {
+			t.Fatalf("%s: %v", stmt, err)
+		}
+	}
+	cases := []struct {
+		q    string
+		want []float64 // first column, sorted; nil checks the row count only
+		rows int
+	}{
+		{`SELECT a.x FROM A a INTERSECT SELECT b.y FROM B b`, []float64{1}, 1},
+		{`SELECT a.x FROM A a WHERE a.x IN (SELECT b.y FROM B b)`, []float64{1}, 1},
+		{`SELECT a.x FROM A a EXCEPT SELECT b.y FROM B b`, []float64{2}, 1},
+		{`SELECT a.x FROM A a WHERE a.x NOT IN (SELECT b.y FROM B b)`, []float64{2}, 1},
+		{`SELECT a.x FROM A a UNION SELECT b.y FROM B b`, []float64{1, 2, 3}, 3},
+		{`SELECT DISTINCT s.p, s.q FROM S s`, nil, 2},
+		{`SELECT s.p, s.q, COUNT(*) FROM S s GROUP BY s.p, s.q`, nil, 2},
+	}
+	for _, c := range cases {
+		for _, s := range []Strategy{Native, Unnest, GMDJ, GMDJOpt} {
+			res, err := db.ExecStrategy(c.q, s)
+			if err != nil {
+				t.Fatalf("%v: %s: %v", s, c.q, err)
+			}
+			if res.Len() != c.rows {
+				t.Errorf("%v: %s: %d rows %v, want %d", s, c.q, res.Len(), res.Rows, c.rows)
+				continue
+			}
+			if c.want == nil {
+				continue
+			}
+			got := make([]float64, res.Len())
+			for i, row := range res.Rows {
+				switch v := row[0].(type) {
+				case int64:
+					got[i] = float64(v)
+				case float64:
+					got[i] = v
+				}
+			}
+			sort.Float64s(got)
+			if !slices.Equal(got, c.want) {
+				t.Errorf("%v: %s = %v, want %v", s, c.q, got, c.want)
+			}
+		}
+	}
 }

@@ -16,8 +16,8 @@ import (
 // baseline suffers under a ≠ correlation.
 //
 // Both phases are morsel-parallel under Executor.Parallelism. The
-// build side hashes each row's key columns (hashKey, as the probe does)
-// and partitions the hash table by hash modulo shard, each shard built
+// build side hashes each row's key columns (Tuple.KeyHash, as the probe
+// does) and partitions the hash table by hash modulo shard, each shard built
 // by one worker in right-row order; the probe side pulls left-row
 // morsels, emitting per-morsel buffers that concatenate in morsel
 // order. Candidate lists and per-left-row emit order are therefore
@@ -189,7 +189,7 @@ type joinIndex struct {
 func (ix *joinIndex) probeFor(leftPos []int) func(relation.Tuple) ([]int, bool) {
 	n := uint64(len(ix.shards))
 	return func(lRow relation.Tuple) ([]int, bool) {
-		h, ok := hashKey(lRow, leftPos)
+		h, ok := lRow.KeyHash(leftPos)
 		if !ok {
 			return nil, false
 		}
@@ -209,7 +209,7 @@ func (e *Executor) buildJoinIndex(right *relation.Relation, rightPos []int, ev *
 			return err
 		}
 		for i, row := range right.Rows[lo:hi] {
-			hs[lo+i], okv[lo+i] = hashKey(row, rightPos)
+			hs[lo+i], okv[lo+i] = row.KeyHash(rightPos)
 		}
 		return nil
 	})
@@ -253,17 +253,4 @@ func schemaQualifiers(s *relation.Schema) map[string]bool {
 		out[c.Qualifier] = true
 	}
 	return out
-}
-
-func hashKey(row relation.Tuple, pos []int) (uint64, bool) {
-	var h uint64 = 14695981039346656037
-	for _, p := range pos {
-		v := row[p]
-		if v.IsNull() {
-			return 0, false
-		}
-		h ^= v.Hash()
-		h *= 1099511628211
-	}
-	return h, true
 }

@@ -83,25 +83,10 @@ func splitCmp(c *expr.Cmp) (*expr.Col, *expr.Lit, value.CmpOp, bool) {
 	}
 	if lit, ok := c.L.(*expr.Lit); ok {
 		if col, ok := c.R.(*expr.Col); ok {
-			return col, lit, flipCmp(c.Op), true
+			return col, lit, c.Op.Flip(), true
 		}
 	}
 	return nil, nil, 0, false
-}
-
-// flipCmp mirrors a comparison across its operands.
-func flipCmp(op value.CmpOp) value.CmpOp {
-	switch op {
-	case value.LT:
-		return value.GT
-	case value.LE:
-		return value.GE
-	case value.GT:
-		return value.LT
-	case value.GE:
-		return value.LE
-	}
-	return op // EQ and NE are symmetric
 }
 
 // pruneScanInput applies zone-map pruning to a Restrict whose input is

@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -186,7 +187,7 @@ type HashCache interface {
 }
 
 // detailHashVec is the cached per-detail-row key-hash partition for
-// one key-column set: H[i] is the FNV hash of row i's key columns and
+// one key-column set: H[i] is the KeyHash of row i's key columns and
 // OK[i] is false where any key component is NULL (never matches).
 type detailHashVec struct {
 	H  []uint64
@@ -206,7 +207,7 @@ type condProg struct {
 	atoms      []int // completion atom indexes watching this condition
 
 	// detailHash, when non-nil, holds the (possibly cache-shared)
-	// precomputed key hash per detail row, replacing per-row keyHash
+	// precomputed key hash per detail row, replacing per-row KeyHash
 	// calls in feed. Read-only once attached (shared across workers and
 	// across queries).
 	detailHash *detailHashVec
@@ -414,7 +415,7 @@ func (p *program) buildIndex(rows []relation.Tuple) []map[uint64][]int32 {
 		}
 		m := make(map[uint64][]int32, len(rows))
 		for i, row := range rows {
-			h, ok := keyHash(row, cp.baseKey)
+			h, ok := row.KeyHash(cp.baseKey)
 			if !ok {
 				continue // NULL key never matches through equality
 			}
@@ -459,41 +460,60 @@ func (p *program) attachDetailHashes(cache HashCache, detailID string) {
 
 // attachPackedHashes resolves indexed conditions' detail hash vectors
 // from the packed columnar segment when no cross-query cache is
-// configured. Only trusted vectors attach: a supplier whose vector
-// length disagrees with the detail relation (a stale segment) is
-// dropped entirely and evaluation falls back to row hashing.
+// configured. Conditions sharing a key-column set (coalesced subqueries
+// probing the same binding) share one vector, as on the cache path, and
+// each counts as served.
 func (p *program) attachPackedHashes() {
-	n := len(p.detail.Rows)
 	for i := range p.conds {
 		cp := &p.conds[i]
 		if len(cp.baseKey) == 0 {
 			continue
 		}
-		h, ok := p.packed(cp.detailKey)
-		if len(h) != n || len(ok) != n {
-			p.packed = nil
+		for j := 0; j < i && cp.detailHash == nil; j++ {
+			if prev := &p.conds[j]; prev.detailHash != nil && slices.Equal(prev.detailKey, cp.detailKey) {
+				cp.detailHash = prev.detailHash
+				p.stats.PackedHashConds++
+			}
+		}
+		if cp.detailHash != nil {
+			continue
+		}
+		if cp.detailHash = p.packedVec(cp.detailKey); cp.detailHash == nil {
 			return
 		}
-		cp.detailHash = &detailHashVec{H: h, OK: ok}
-		p.stats.PackedHashConds++
 	}
+}
+
+// packedVec reads one key set's hash vector from the packed-segment
+// supplier; nil when there is none. Only trusted vectors are used: a
+// supplier whose vector length disagrees with the detail relation (a
+// stale segment) is dropped for good and evaluation falls back to row
+// hashing.
+func (p *program) packedVec(key []int) *detailHashVec {
+	if p.packed == nil {
+		return nil
+	}
+	n := len(p.detail.Rows)
+	h, ok := p.packed(key)
+	if len(h) != n || len(ok) != n {
+		p.packed = nil
+		return nil
+	}
+	p.stats.PackedHashConds++
+	return &detailHashVec{H: h, OK: ok}
 }
 
 // computeDetailVec builds the key-hash vector for one detail key set,
 // reading the packed columnar segment when a trusted supplier is
 // attached and falling back to hashing the row-oriented tuples.
 func (p *program) computeDetailVec(key []int) *detailHashVec {
-	n := len(p.detail.Rows)
-	if p.packed != nil {
-		if h, ok := p.packed(key); len(h) == n && len(ok) == n {
-			p.stats.PackedHashConds++
-			return &detailHashVec{H: h, OK: ok}
-		}
-		p.packed = nil // stale supplier: never consult it again
+	if vec := p.packedVec(key); vec != nil {
+		return vec
 	}
+	n := len(p.detail.Rows)
 	vec := &detailHashVec{H: make([]uint64, n), OK: make([]bool, n)}
 	for di, row := range p.detail.Rows {
-		vec.H[di], vec.OK[di] = keyHash(row, key)
+		vec.H[di], vec.OK[di] = row.KeyHash(key)
 	}
 	return vec
 }
@@ -586,21 +606,6 @@ func classifyTheta(cp *condProg, theta expr.Expr, baseS, detailS, combined *rela
 		return err
 	}
 	return nil
-}
-
-// keyHash hashes the key columns of a row; ok is false when any key
-// component is NULL.
-func keyHash(row relation.Tuple, key []int) (uint64, bool) {
-	var h uint64 = 14695981039346656037
-	for _, pos := range key {
-		v := row[pos]
-		if v.IsNull() {
-			return 0, false
-		}
-		h ^= v.Hash()
-		h *= 1099511628211
-	}
-	return h, true
 }
 
 func keysEqual(baseRow, detailRow relation.Tuple, baseKey, detailKey []int) bool {
@@ -761,7 +766,7 @@ func (s *state) feed(di int) error {
 			if vec := cp.detailHash; vec != nil {
 				h, ok = vec.H[di], vec.OK[di]
 			} else {
-				h, ok = keyHash(detailRow, cp.detailKey)
+				h, ok = detailRow.KeyHash(cp.detailKey)
 			}
 			if !ok {
 				continue

@@ -96,7 +96,7 @@ func TestPackedHashSegmentMatchesRowHash(t *testing.T) {
 			t.Fatalf("key %v: vector lengths %d/%d, want %d", key, len(h), len(ok), detail.Len())
 		}
 		for i, row := range detail.Rows {
-			wh, wok := keyHash(row, key)
+			wh, wok := row.KeyHash(key)
 			if ok[i] != wok || (wok && h[i] != wh) {
 				t.Fatalf("key %v row %d: packed (%#x,%v), row hash (%#x,%v)",
 					key, i, h[i], ok[i], wh, wok)
@@ -140,5 +140,40 @@ func TestPackedHashStaleSupplierFallsBack(t *testing.T) {
 		if !got.Rows[i].Equal(want.Rows[i]) {
 			t.Fatalf("row %d: fallback %v, want %v", i, got.Rows[i], want.Rows[i])
 		}
+	}
+}
+
+// TestPackedHashSharedAcrossConds: coalesced subqueries probing the
+// same binding (the Fig 5 tree_exists shape) hash the detail once —
+// conditions with equal key columns share one supplier vector — while
+// the counter still reports every condition served.
+func TestPackedHashSharedAcrossConds(t *testing.T) {
+	base, detail := packedCorpus()
+	conds := append(packedConds(), algebra.GMDJCond{
+		Theta: expr.NewAnd(expr.Eq(expr.C("R.k"), expr.C("B.k")), expr.Eq(expr.C("R.tag"), expr.StrLit("odd"))),
+		Aggs:  []agg.Spec{{Func: agg.CountStar, As: "odd"}},
+	})
+	want, err := Evaluate(base, detail, conds, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg := storage.BuildSegment("R", detail)
+	calls := 0
+	var stats Stats
+	got, err := Evaluate(base, detail, conds, Options{
+		Stats: &stats,
+		PackedHash: func(key []int) ([]uint64, []bool) {
+			calls++
+			return seg.KeyHashes(key)
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if calls != 1 || stats.PackedHashConds != 2 {
+		t.Errorf("supplier called %d times for PackedHashConds = %d; want 1 call serving 2 conditions", calls, stats.PackedHashConds)
+	}
+	if d := want.Diff(got); d != "" {
+		t.Errorf("shared vector changed the result: %s", d)
 	}
 }

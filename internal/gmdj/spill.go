@@ -7,6 +7,7 @@ import (
 	"github.com/olaplab/gmdj/internal/mem"
 	"github.com/olaplab/gmdj/internal/relation"
 	"github.com/olaplab/gmdj/internal/spill"
+	"github.com/olaplab/gmdj/internal/value"
 )
 
 // This file is the memory-adaptive evaluation regime: when the query's
@@ -190,19 +191,16 @@ func init() {
 			return buf, true
 		},
 		Decode: func(data []byte) (any, error) {
-			n, w := binary.Uvarint(data)
-			if w <= 0 || uint64(len(data)-w) != n*9 {
-				return nil, fmt.Errorf("spill codec: bad hash-vector frame")
+			r := value.NewReader(data)
+			n := r.Count()
+			hs, oks := r.Take(8*n), r.Take(n)
+			if err := r.Finish(); err != nil {
+				return nil, fmt.Errorf("spill codec: hash vector: %w", err)
 			}
 			vec := &detailHashVec{H: make([]uint64, n), OK: make([]bool, n)}
-			pos := w
 			for i := range vec.H {
-				vec.H[i] = binary.LittleEndian.Uint64(data[pos:])
-				pos += 8
-			}
-			for i := range vec.OK {
-				vec.OK[i] = data[pos] != 0
-				pos++
+				vec.H[i] = binary.LittleEndian.Uint64(hs[8*i:])
+				vec.OK[i] = oks[i] != 0
 			}
 			return vec, nil
 		},

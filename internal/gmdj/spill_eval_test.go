@@ -101,6 +101,29 @@ func TestSpillParity(t *testing.T) {
 	}
 }
 
+// TestSpillCutsAreReproducible pins the spill regime's observable
+// footprint for a fixed input under a fixed reservation. The cuts come
+// from Tuple.Hash's top bits and the file sizes from the cell codec,
+// both fixed functions, so the numbers are the same in every process —
+// a shrunk failure replays, and a change to either shows up here.
+func TestSpillCutsAreReproducible(t *testing.T) {
+	base, detail, conds := spillFixture()
+	tr, release := tinyTracker(t)
+	defer release()
+	store, err := spill.NewStore(filepath.Join(t.TempDir(), "scratch"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stats Stats
+	if _, err := Evaluate(base, detail, conds, Options{Workers: 1, Mem: tr, Spill: store, Stats: &stats}); err != nil {
+		t.Fatal(err)
+	}
+	if stats.SpillPartitions != 3 || stats.SpillBytesWritten != 807 || stats.SpillBytesRead != 807 {
+		t.Errorf("spill footprint = %d partitions, %d bytes written, %d read; want 3, 807, 807",
+			stats.SpillPartitions, stats.SpillBytesWritten, stats.SpillBytesRead)
+	}
+}
+
 // TestSpillParityWithCompletion: tuple completion (the Theorem 3.1
 // machinery) must survive the spill regime unchanged.
 func TestSpillParityWithCompletion(t *testing.T) {

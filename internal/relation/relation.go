@@ -40,14 +40,30 @@ func (t Tuple) Equal(o Tuple) bool {
 	return true
 }
 
-// Hash combines the hashes of all values; Equal tuples hash alike.
+// Hash folds the hashes of all values (NULLs included); Equal tuples
+// hash alike.
 func (t Tuple) Hash() uint64 {
-	var h uint64 = 14695981039346656037 // FNV offset basis
+	h := value.HashInit
 	for _, v := range t {
-		h ^= v.Hash()
-		h *= 1099511628211 // FNV prime
+		h = value.FoldHash(h, v)
 	}
 	return h
+}
+
+// KeyHash hashes the cells at cols as an equality key: ok is false when
+// any of them is NULL, which never matches through equality. Hash-join
+// build and probe, the GMDJ base index and its detail probe all hash
+// through here, and storage.Segment.KeyHashes applies the same fold to
+// packed columns (TestPackedHashSegmentMatchesRowHash).
+func (t Tuple) KeyHash(cols []int) (h uint64, ok bool) {
+	h = value.HashInit
+	for _, c := range cols {
+		if t[c].IsNull() {
+			return 0, false
+		}
+		h = value.FoldHash(h, t[c])
+	}
+	return h, true
 }
 
 // ApproxBytes estimates the in-memory footprint of the tuple: slice
@@ -69,22 +85,20 @@ func (t Tuple) ApproxBytes() int64 {
 	return n
 }
 
-// Key renders the tuple as a canonical string, usable as a map key when
-// exact (collision-free) grouping is needed. -0.0 renders as 0.0: the
-// two compare equal, so DISTINCT and GROUP BY must not split them.
+// Key encodes the tuple as a map key for exact grouping (DISTINCT,
+// GROUP BY, set operations, the result memo): the concatenation of each
+// cell's value.AppendKey form. That form is self-delimiting and
+// canonical, so Key is collision-free and two tuples share a Key exactly
+// when Equal holds — INT 1 ≡ FLOAT 1.0 and -0.0 ≡ 0.0, as under = and
+// IN (TestKeyConsistentWithEqual). The only allocation is the returned
+// string unless the key outgrows the stack buffer.
 func (t Tuple) Key() string {
-	var b strings.Builder
-	for i, v := range t {
-		if i > 0 {
-			b.WriteByte('\x1f')
-		}
-		if v.Kind() == value.KindFloat && v.AsFloat() == 0 {
-			v = value.Float(0)
-		}
-		b.WriteByte(byte(v.Kind()) + '0')
-		b.WriteString(v.String())
+	var stack [128]byte
+	b := stack[:0]
+	for _, v := range t {
+		b = value.AppendKey(b, v)
 	}
-	return b.String()
+	return string(b)
 }
 
 // String renders the tuple as "[a, b, c]".
@@ -137,33 +151,34 @@ func (r *Relation) Rename(alias string) *Relation {
 	return &Relation{Schema: r.Schema.Rename(alias), Rows: r.Rows}
 }
 
-// canonicalRows returns sorted textual row keys, for order-insensitive
-// comparison.
-func (r *Relation) canonicalRows() []string {
-	keys := make([]string, len(r.Rows))
+// canonicalRows returns each row's exact encoding and the row order
+// that sorts them, for order-insensitive comparison. Unlike Key it
+// keeps the kind — INT 3 and FLOAT 3.0 differ, so a strategy that
+// changes a result cell's kind fails the oracle — and folds only -0.0
+// into 0.0, which compare equal and may legitimately come out either
+// way.
+func (r *Relation) canonicalRows() (keys []string, order []int) {
+	keys, order = make([]string, len(r.Rows)), make([]int, len(r.Rows))
+	var b []byte
 	for i, t := range r.Rows {
-		keys[i] = t.Key()
+		b = b[:0]
+		for _, v := range t {
+			if v.Kind() == value.KindFloat && v.AsFloat() == 0 {
+				v = value.Float(0)
+			}
+			b = value.AppendBinary(b, v)
+		}
+		keys[i], order[i] = string(b), i
 	}
-	sort.Strings(keys)
-	return keys
+	sort.Slice(order, func(i, j int) bool { return keys[order[i]] < keys[order[j]] })
+	return keys, order
 }
 
 // EqualBag reports whether two relations contain the same bag of rows,
 // ignoring order and schema qualifiers (but requiring equal width).
 // This is the equivalence the paper's correctness claims are about: all
 // evaluation strategies must yield the same bag.
-func (r *Relation) EqualBag(o *Relation) bool {
-	if r.Schema.Len() != o.Schema.Len() || len(r.Rows) != len(o.Rows) {
-		return false
-	}
-	a, b := r.canonicalRows(), o.canonicalRows()
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
+func (r *Relation) EqualBag(o *Relation) bool { return r.Diff(o) == "" }
 
 // Diff describes the first difference between two relations as a
 // human-readable string, or "" when EqualBag holds. Useful in tests.
@@ -174,10 +189,11 @@ func (r *Relation) Diff(o *Relation) string {
 	if len(r.Rows) != len(o.Rows) {
 		return fmt.Sprintf("row count mismatch: %d vs %d", len(r.Rows), len(o.Rows))
 	}
-	a, b := r.canonicalRows(), o.canonicalRows()
-	for i := range a {
-		if a[i] != b[i] {
-			return fmt.Sprintf("row %d differs: %q vs %q", i, a[i], b[i])
+	a, ai := r.canonicalRows()
+	b, bi := o.canonicalRows()
+	for i := range ai {
+		if a[ai[i]] != b[bi[i]] {
+			return fmt.Sprintf("row %d differs: %v vs %v", i, r.Rows[ai[i]], o.Rows[bi[i]])
 		}
 	}
 	return ""

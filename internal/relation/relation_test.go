@@ -1,6 +1,8 @@
 package relation
 
 import (
+	"math"
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -126,6 +128,104 @@ func TestTupleHashKeyConsistency(t *testing.T) {
 	}
 }
 
+// TestKeyConsistentWithEqual is Key's contract: two tuples share a Key
+// exactly when Equal holds, so DISTINCT, GROUP BY and the set operations
+// (which group by Key) agree with =, IN, joins and the GMDJ (which
+// compare and hash). The cells are the ones a textual or kind-tagged
+// key gets wrong: INT/FLOAT twins up to ±2^53, signed zero, strings
+// holding separators, digits and other cells' renderings.
+func TestKeyConsistentWithEqual(t *testing.T) {
+	pool := []value.Value{
+		value.Null, value.Str("NULL"), value.Str(""),
+		value.Int(0), value.Float(0), value.Float(math.Copysign(0, -1)),
+		value.Int(1), value.Float(1), value.Str("1"), value.Str("11"), value.Float(1.5),
+		value.Int(1 << 53), value.Float(1 << 53), value.Int(-(1 << 53)), value.Float(-(1 << 53)),
+		value.Bool(true), value.Bool(false), value.Str("true"),
+		value.Str("a\x1f3b"), value.Str("c"), value.Str("a"), value.Str("b\x1f3c"),
+		value.Float(math.Inf(1)), value.Float(-1e300),
+	}
+	cell := func(r *rand.Rand) value.Value {
+		switch r.Intn(4) {
+		case 0:
+			return value.Int(r.Int63n(1<<54) - 1<<53)
+		case 1:
+			return value.Float(float64(r.Int63n(1<<54) - 1<<53))
+		}
+		return pool[r.Intn(len(pool))]
+	}
+	// twin returns a differently represented cell Equal to v, if any.
+	twin := func(v value.Value) value.Value {
+		switch v.Kind() {
+		case value.KindInt:
+			return value.Float(float64(v.AsInt()))
+		case value.KindFloat:
+			if f := v.AsFloat(); f == math.Trunc(f) && math.Abs(f) <= 1<<53 {
+				return value.Int(int64(f))
+			}
+		}
+		return v
+	}
+	equalPairs := 0
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		a := make(Tuple, 1+r.Intn(3))
+		for i := range a {
+			a[i] = cell(r)
+		}
+		b := make(Tuple, len(a), len(a)+1)
+		for i, v := range a {
+			switch r.Intn(4) {
+			case 0:
+				b[i] = cell(r)
+			case 1:
+				b[i] = v
+			default:
+				b[i] = twin(v)
+			}
+		}
+		if r.Intn(8) == 0 {
+			b = append(b, cell(r))
+		}
+		eq := a.Equal(b)
+		if eq {
+			equalPairs++
+		}
+		if (a.Key() == b.Key()) != eq {
+			t.Logf("a=%v b=%v Equal=%v keys %q %q", a, b, eq, a.Key(), b.Key())
+			return false
+		}
+		return !eq || a.Hash() == b.Hash()
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
+		t.Error(err)
+	}
+	if equalPairs < 500 {
+		t.Errorf("only %d Equal pairs generated; the ⇐ direction is under-tested", equalPairs)
+	}
+	// The two reproduced collisions, spelled out.
+	if (Tuple{value.Str("a\x1f3b"), value.Str("c")}).Key() == (Tuple{value.Str("a"), value.Str("b\x1f3c")}).Key() {
+		t.Error("separator inside a string collapses two distinct rows")
+	}
+	if (Tuple{value.Int(1)}).Key() != (Tuple{value.Float(1)}).Key() {
+		t.Error("INT 1 and FLOAT 1.0 are Equal but Key apart")
+	}
+}
+
+// TestKeyHashStable pins the key fold next to value's TestHashStable,
+// and that Key costs one allocation (the string) for ordinary rows.
+func TestKeyHashStable(t *testing.T) {
+	row := Tuple{value.Str("pad"), value.Int(7), value.Str("FTP"), value.Float(0.5), value.Null}
+	if h, ok := row.KeyHash([]int{1, 2, 3}); !ok || h != 0xd3983abab9376a7e {
+		t.Errorf("KeyHash = %#x, %v; want 0xd3983abab9376a7e, true", h, ok)
+	}
+	if h, ok := row.KeyHash([]int{1, 4}); ok || h != 0 {
+		t.Errorf("KeyHash over a NULL = %#x, %v; want 0, false", h, ok)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = row.Key() }); allocs > 1 {
+		t.Errorf("Key allocates %v times per call, want at most 1", allocs)
+	}
+}
+
 func TestTupleKeyDistinguishesKinds(t *testing.T) {
 	a := Tuple{value.Int(1)}
 	b := Tuple{value.Str("1")}
@@ -198,6 +298,26 @@ func TestEqualBagCountsDuplicates(t *testing.T) {
 	}
 	if a.Diff(b) == "" {
 		t.Error("Diff should report the difference")
+	}
+}
+
+// TestEqualBagKeepsKinds: the oracle is stricter than Key. Key unifies
+// INT 3 with FLOAT 3.0 because = does; a result that changed kind
+// between strategies is still a different result.
+func TestEqualBagKeepsKinds(t *testing.T) {
+	one := func(v value.Value) *Relation {
+		r := New(NewSchema(Column{Name: "N", Type: v.Kind()}))
+		r.Append(Tuple{v})
+		return r
+	}
+	if one(value.Int(3)).EqualBag(one(value.Float(3))) {
+		t.Error("EqualBag treats INT 3 and FLOAT 3.0 as the same result")
+	}
+	if d := one(value.Int(3)).Diff(one(value.Str("3"))); !strings.Contains(d, "[3] vs [3]") {
+		t.Errorf("Diff = %q, want the differing rows printed", d)
+	}
+	if !one(value.Float(0)).EqualBag(one(value.Float(math.Copysign(0, -1)))) {
+		t.Error("EqualBag splits 0.0 from -0.0, which compare equal")
 	}
 }
 

@@ -8,6 +8,7 @@
 package relation
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strings"
 
@@ -133,4 +134,32 @@ func (s *Schema) Equal(o *Schema) bool {
 		}
 	}
 	return true
+}
+
+// AppendBinary appends the wire form of the schema — column count,
+// then qualifier, name and type byte per column — as held by segment
+// headers, manifests and spilled relations alike.
+func (s *Schema) AppendBinary(dst []byte) []byte {
+	dst = binary.AppendUvarint(dst, uint64(s.Len()))
+	for _, c := range s.Columns {
+		dst = value.AppendString(dst, c.Qualifier)
+		dst = value.AppendString(dst, c.Name)
+		dst = append(dst, byte(c.Type))
+	}
+	return dst
+}
+
+// ReadSchema decodes a schema written by AppendBinary. Malformed input
+// (an unknown column type included) is recorded on r; check r.Err.
+func ReadSchema(r *value.Reader) *Schema {
+	ncols := r.Count()
+	cols := make([]Column, 0, min(ncols, 256))
+	for i := 0; i < ncols && r.Err() == nil; i++ {
+		c := Column{Qualifier: r.Str(), Name: r.Str(), Type: value.Kind(r.Byte())}
+		if c.Type > value.KindBool {
+			r.Failf("schema column %d has unknown type %d", i, c.Type)
+		}
+		cols = append(cols, c)
+	}
+	return NewSchema(cols...)
 }

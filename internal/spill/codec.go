@@ -3,122 +3,45 @@ package spill
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"sync"
 
 	"github.com/olaplab/gmdj/internal/relation"
 	"github.com/olaplab/gmdj/internal/value"
 )
 
-// This file is the spill wire format: a compact binary encoding of the
-// engine's data plane (values, tuples, schemas, relations) plus a
+// This file is the spill wire format: relations, tuples and GMDJ base
+// partitions in the engine's one cell encoding (value.AppendBinary,
+// Schema.AppendBinary — the same bytes the durable tier stores), plus a
 // codec registry so heterogeneous cached values (result-cache entries)
 // can round-trip through the store without the store knowing their
 // types.
 //
-// All integers are unsigned varints except float payloads (8B LE).
-// Decoding is defensive — any structural violation is an error, never
-// a panic — because the bytes may have survived a disk and the
-// checksum is only 64 bits.
+// Every decoder reads through value.Reader, so any structural
+// violation is an error, never a panic or an oversized allocation —
+// the bytes may have survived a disk and the checksum is only 64 bits
+// (FuzzSpillDecode leans on this).
 
-// Value encoding: kind byte, then a kind-specific payload.
-func appendValue(buf []byte, v value.Value) []byte {
-	buf = append(buf, byte(v.Kind()))
-	switch v.Kind() {
-	case value.KindNull:
-	case value.KindInt:
-		buf = binary.AppendUvarint(buf, uint64(v.AsInt()))
-	case value.KindFloat:
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v.AsFloat()))
-	case value.KindString:
-		s := v.AsString()
-		buf = binary.AppendUvarint(buf, uint64(len(s)))
-		buf = append(buf, s...)
-	case value.KindBool:
-		b := byte(0)
-		if v.AsBool() {
-			b = 1
-		}
-		buf = append(buf, b)
-	}
-	return buf
-}
-
-func readValue(data []byte, pos int) (value.Value, int, error) {
-	if pos >= len(data) {
-		return value.Null, 0, fmt.Errorf("spill codec: truncated value")
-	}
-	kind := value.Kind(data[pos])
-	pos++
-	switch kind {
-	case value.KindNull:
-		return value.Null, pos, nil
-	case value.KindInt:
-		u, n := binary.Uvarint(data[pos:])
-		if n <= 0 {
-			return value.Null, 0, fmt.Errorf("spill codec: bad int varint")
-		}
-		return value.Int(int64(u)), pos + n, nil
-	case value.KindFloat:
-		if pos+8 > len(data) {
-			return value.Null, 0, fmt.Errorf("spill codec: truncated float")
-		}
-		f := math.Float64frombits(binary.LittleEndian.Uint64(data[pos:]))
-		return value.Float(f), pos + 8, nil
-	case value.KindString:
-		u, n := binary.Uvarint(data[pos:])
-		if n <= 0 || pos+n+int(u) > len(data) {
-			return value.Null, 0, fmt.Errorf("spill codec: truncated string")
-		}
-		pos += n
-		return value.Str(string(data[pos : pos+int(u)])), pos + int(u), nil
-	case value.KindBool:
-		if pos >= len(data) {
-			return value.Null, 0, fmt.Errorf("spill codec: truncated bool")
-		}
-		return value.Bool(data[pos] != 0), pos + 1, nil
-	default:
-		return value.Null, 0, fmt.Errorf("spill codec: unknown value kind %d", kind)
-	}
-}
-
-// AppendTuple encodes one tuple (width varint + values).
+// AppendTuple encodes one tuple (width uvarint + cells).
 func AppendTuple(buf []byte, t relation.Tuple) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(t)))
 	for _, v := range t {
-		buf = appendValue(buf, v)
+		buf = value.AppendBinary(buf, v)
 	}
 	return buf
 }
 
-// ReadTuple decodes one tuple from data at pos.
-func ReadTuple(data []byte, pos int) (relation.Tuple, int, error) {
-	width, n := binary.Uvarint(data[pos:])
-	if n <= 0 || width > uint64(len(data)) {
-		return nil, 0, fmt.Errorf("spill codec: bad tuple width")
-	}
-	pos += n
-	t := make(relation.Tuple, width)
+// ReadTuple decodes one tuple at r; malformed input is recorded on r.
+func ReadTuple(r *value.Reader) relation.Tuple {
+	t := make(relation.Tuple, r.Count())
 	for i := range t {
-		var err error
-		t[i], pos, err = readValue(data, pos)
-		if err != nil {
-			return nil, 0, err
-		}
+		t[i] = r.Value()
 	}
-	return t, pos, nil
+	return t
 }
 
 // EncodeRelation encodes schema and rows.
 func EncodeRelation(rel *relation.Relation) []byte {
-	buf := binary.AppendUvarint(nil, uint64(rel.Schema.Len()))
-	for _, c := range rel.Schema.Columns {
-		buf = binary.AppendUvarint(buf, uint64(len(c.Qualifier)))
-		buf = append(buf, c.Qualifier...)
-		buf = binary.AppendUvarint(buf, uint64(len(c.Name)))
-		buf = append(buf, c.Name...)
-		buf = append(buf, byte(c.Type))
-	}
+	buf := rel.Schema.AppendBinary(nil)
 	buf = binary.AppendUvarint(buf, uint64(len(rel.Rows)))
 	for _, t := range rel.Rows {
 		buf = AppendTuple(buf, t)
@@ -128,50 +51,15 @@ func EncodeRelation(rel *relation.Relation) []byte {
 
 // DecodeRelation is the inverse of EncodeRelation.
 func DecodeRelation(data []byte) (*relation.Relation, error) {
-	readStr := func(pos int) (string, int, error) {
-		u, n := binary.Uvarint(data[pos:])
-		if n <= 0 || pos+n+int(u) > len(data) {
-			return "", 0, fmt.Errorf("spill codec: truncated schema string")
-		}
-		pos += n
-		return string(data[pos : pos+int(u)]), pos + int(u), nil
-	}
-	ncols, n := binary.Uvarint(data)
-	if n <= 0 || ncols > uint64(len(data)) {
-		return nil, fmt.Errorf("spill codec: bad column count")
-	}
-	pos := n
-	cols := make([]relation.Column, ncols)
-	for i := range cols {
-		var err error
-		cols[i].Qualifier, pos, err = readStr(pos)
-		if err != nil {
-			return nil, err
-		}
-		cols[i].Name, pos, err = readStr(pos)
-		if err != nil {
-			return nil, err
-		}
-		if pos >= len(data) {
-			return nil, fmt.Errorf("spill codec: truncated column type")
-		}
-		cols[i].Type = value.Kind(data[pos])
-		pos++
-	}
-	rel := relation.New(relation.NewSchema(cols...))
-	nrows, n := binary.Uvarint(data[pos:])
-	if n <= 0 || nrows > uint64(len(data)) {
-		return nil, fmt.Errorf("spill codec: bad row count")
-	}
-	pos += n
+	r := value.NewReader(data)
+	rel := relation.New(relation.ReadSchema(r))
+	nrows := r.Count()
 	rel.Rows = make([]relation.Tuple, 0, nrows)
-	for i := uint64(0); i < nrows; i++ {
-		t, next, err := ReadTuple(data, pos)
-		if err != nil {
-			return nil, err
-		}
-		rel.Rows = append(rel.Rows, t)
-		pos = next
+	for i := 0; i < nrows && r.Err() == nil; i++ {
+		rel.Rows = append(rel.Rows, ReadTuple(r))
+	}
+	if err := r.Finish(); err != nil {
+		return nil, fmt.Errorf("spill codec: relation: %w", err)
 	}
 	return rel, nil
 }
@@ -190,26 +78,16 @@ func EncodePartition(idx []int32, rows []relation.Tuple) []byte {
 
 // DecodePartition is the inverse of EncodePartition.
 func DecodePartition(data []byte) ([]int32, []relation.Tuple, error) {
-	nrows, n := binary.Uvarint(data)
-	if n <= 0 || nrows > uint64(len(data)) {
-		return nil, nil, fmt.Errorf("spill codec: bad partition row count")
-	}
-	pos := n
+	r := value.NewReader(data)
+	nrows := r.Count()
 	idx := make([]int32, 0, nrows)
 	rows := make([]relation.Tuple, 0, nrows)
-	for i := uint64(0); i < nrows; i++ {
-		u, n := binary.Uvarint(data[pos:])
-		if n <= 0 {
-			return nil, nil, fmt.Errorf("spill codec: bad partition index")
-		}
-		pos += n
-		t, next, err := ReadTuple(data, pos)
-		if err != nil {
-			return nil, nil, err
-		}
-		idx = append(idx, int32(u))
-		rows = append(rows, t)
-		pos = next
+	for i := 0; i < nrows && r.Err() == nil; i++ {
+		idx = append(idx, int32(r.Uvarint()))
+		rows = append(rows, ReadTuple(r))
+	}
+	if err := r.Finish(); err != nil {
+		return nil, nil, fmt.Errorf("spill codec: partition: %w", err)
 	}
 	return idx, rows, nil
 }

@@ -1,6 +1,8 @@
 package spill
 
 import (
+	"encoding/binary"
+	"math"
 	"reflect"
 	"testing"
 
@@ -38,12 +40,10 @@ func TestRelationRoundTrip(t *testing.T) {
 func TestTupleRoundTrip(t *testing.T) {
 	in := relation.Tuple{value.Int(1 << 40), value.Str("x"), value.Null}
 	buf := AppendTuple(nil, in)
-	out, pos, err := ReadTuple(buf, 0)
-	if err != nil {
+	r := value.NewReader(buf)
+	out := ReadTuple(r)
+	if err := r.Finish(); err != nil {
 		t.Fatal(err)
-	}
-	if pos != len(buf) {
-		t.Fatalf("consumed %d of %d bytes", pos, len(buf))
 	}
 	if !reflect.DeepEqual(in, out) {
 		t.Fatalf("tuple mismatch: %v vs %v", in, out)
@@ -84,6 +84,19 @@ func TestDefensiveDecoding(t *testing.T) {
 	}
 	if _, err := DecodeRelation([]byte{0xFF, 0xFF, 0xFF}); err == nil {
 		t.Fatal("garbage relation decoded")
+	}
+	// A forged string length of 2^64-1 wraps to -1 as an int; bounds
+	// arithmetic on it used to slice backwards and panic.
+	forged := append([]byte{1, byte(value.KindString)}, binary.AppendUvarint(nil, math.MaxUint64)...)
+	r := value.NewReader(forged)
+	if ReadTuple(r); r.Err() == nil {
+		t.Fatal("tuple with a 2^64-1 byte string decoded")
+	}
+	if _, _, err := DecodePartition(append([]byte{1, 0}, forged...)); err == nil {
+		t.Fatal("partition with a 2^64-1 byte string decoded")
+	}
+	if _, err := DecodeRelation(append([]byte{0, 1}, forged...)); err == nil {
+		t.Fatal("relation with a 2^64-1 byte string decoded")
 	}
 }
 

@@ -1,0 +1,125 @@
+package spill_test
+
+import (
+	"encoding/binary"
+	"math"
+	"runtime"
+	"testing"
+
+	_ "github.com/olaplab/gmdj/internal/gmdj" // registers the gmdjhashvec codec
+	"github.com/olaplab/gmdj/internal/relation"
+	"github.com/olaplab/gmdj/internal/spill"
+	"github.com/olaplab/gmdj/internal/value"
+)
+
+// forgedInputs are payloads whose lengths and counts lie: a 2^64-1 byte
+// string in a one-cell tuple (bare, inside a partition, inside a
+// relation), a tuple and a relation claiming as many cells/rows as
+// Reader.Count lets through, and a hash vector whose row count times
+// nine wraps around to its two bytes.
+func forgedInputs() [][]byte {
+	forged := append([]byte{1, byte(value.KindString)}, binary.AppendUvarint(nil, math.MaxUint64)...)
+	wide := append(binary.AppendUvarint(nil, 4000), make([]byte, 4000)...)
+	return [][]byte{
+		forged,
+		append([]byte{1, 0}, forged...),
+		append([]byte{0, 1}, forged...),
+		wide,
+		append([]byte{0}, wide...),
+		append(binary.AppendUvarint(nil, math.MaxUint64/9+1), 0, 0),
+	}
+}
+
+// decoders are the entry points that take untrusted bytes. Each reports
+// how many rows, cells and string bytes it handed back, which a
+// well-behaved decoder cannot make exceed the input's length: every
+// row, cell and string byte costs at least one payload byte.
+var decoders = map[string]func(data []byte) (rows, cells, strBytes int){
+	"DecodeRelation": func(data []byte) (int, int, int) {
+		rel, err := spill.DecodeRelation(data)
+		if err != nil {
+			return 0, 0, 0
+		}
+		return measure(rel.Rows)
+	},
+	"DecodePartition": func(data []byte) (int, int, int) {
+		idx, rows, _ := spill.DecodePartition(data)
+		if len(idx) != len(rows) {
+			panic("partition positions and rows differ in number")
+		}
+		return measure(rows)
+	},
+	"ReadTuple": func(data []byte) (int, int, int) {
+		return measure([]relation.Tuple{spill.ReadTuple(value.NewReader(data))})
+	},
+	"gmdjhashvec": func(data []byte) (int, int, int) {
+		_, _ = spill.DecodeAny("gmdjhashvec", data)
+		return 0, 0, 0
+	},
+}
+
+func measure(rows []relation.Tuple) (n, cells, strBytes int) {
+	for _, t := range rows {
+		cells += len(t)
+		for _, v := range t {
+			if v.Kind() == value.KindString {
+				strBytes += len(v.AsString())
+			}
+		}
+	}
+	return len(rows), cells, strBytes
+}
+
+// FuzzSpillDecode holds every spill decoder to the codec's contract:
+// arbitrary bytes yield an error or a value, never a panic, and what
+// comes back is no larger than the input accounts for.
+func FuzzSpillDecode(f *testing.F) {
+	rel := relation.New(relation.NewSchema(
+		relation.Column{Qualifier: "t", Name: "id", Type: value.KindInt},
+		relation.Column{Name: "tag", Type: value.KindString},
+	))
+	rel.Append(relation.Tuple{value.Int(-42), value.Str("alpha")})
+	rel.Append(relation.Tuple{value.Float(math.Copysign(0, -1)), value.Null})
+	rel.Append(relation.Tuple{value.Bool(true), value.Str("")})
+	f.Add(spill.EncodeRelation(rel))
+	f.Add(spill.EncodePartition([]int32{7, 3, 11}, rel.Rows))
+	f.Add(spill.AppendTuple(nil, rel.Rows[0]))
+	vec := binary.AppendUvarint(nil, 2) // two hashes, then two validity bytes
+	vec = binary.LittleEndian.AppendUint64(vec, 0xfeedface)
+	vec = binary.LittleEndian.AppendUint64(vec, 0)
+	f.Add(append(vec, 1, 0))
+	for _, data := range forgedInputs() {
+		f.Add(data)
+	}
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for name, decode := range decoders {
+			// ReadTuple alone returns its (count-capped) tuple on error
+			// too, hence the +1 a one-byte input can claim.
+			if rows, cells, strBytes := decode(data); rows > len(data)+1 || cells > len(data)+1 || strBytes > len(data) {
+				t.Fatalf("%s returned %d rows, %d cells, %d string bytes from %d input bytes", name, rows, cells, strBytes, len(data))
+			}
+		}
+	})
+}
+
+// TestForgedLengthsAllocateLittle measures what the fuzz target cannot
+// see, the allocations of a decode that fails: a forged count or length
+// buys at most the count cap's worth of 40-byte cells, never the forged
+// figure. (Here, not in the fuzz target: TotalAlloc is process-wide and
+// a fuzz worker's own goroutines allocate concurrently.)
+func TestForgedLengthsAllocateLittle(t *testing.T) {
+	for i, data := range forgedInputs() {
+		limit := uint64(128*len(data) + 16<<10)
+		for name, decode := range decoders {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			decode(data)
+			runtime.ReadMemStats(&after)
+			if got := after.TotalAlloc - before.TotalAlloc; got > limit {
+				t.Errorf("input %d: %s allocated %d bytes decoding %d input bytes (limit %d)", i, name, got, len(data), limit)
+			}
+		}
+	}
+}

@@ -88,34 +88,32 @@ func buildColVec(rel *relation.Relation, col int) *ColVec {
 		return c
 	}
 	c := &ColVec{Kind: kind, Nulls: make([]bool, n)}
-	switch kind {
-	case value.KindInt, value.KindBool:
-		c.Ints = make([]int64, n)
-	case value.KindFloat:
-		c.Floats = make([]float64, n)
-	case value.KindString:
-		c.Strs = make([]string, n)
-	}
+	allocTyped(c, n)
 	for i, row := range rel.Rows {
-		v := row[col]
-		if v.IsNull() {
+		if v := row[col]; v.IsNull() {
 			c.Nulls[i] = true
-			continue
-		}
-		switch kind {
-		case value.KindInt:
-			c.Ints[i] = v.AsInt()
-		case value.KindFloat:
-			c.Floats[i] = v.AsFloat()
-		case value.KindString:
-			c.Strs[i] = v.AsString()
-		case value.KindBool:
-			if v.AsBool() {
-				c.Ints[i] = 1
-			}
+		} else {
+			c.set(i, v)
 		}
 	}
 	return c
+}
+
+// set stores v, a non-NULL cell of the column's kind, at row i of a
+// typed column.
+func (c *ColVec) set(i int, v value.Value) {
+	switch c.Kind {
+	case value.KindInt:
+		c.Ints[i] = v.AsInt()
+	case value.KindFloat:
+		c.Floats[i] = v.AsFloat()
+	case value.KindString:
+		c.Strs[i] = v.AsString()
+	case value.KindBool:
+		if v.AsBool() {
+			c.Ints[i] = 1
+		}
+	}
 }
 
 // sameCell reports whether rows i and j of the column hold

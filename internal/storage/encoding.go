@@ -3,7 +3,6 @@ package storage
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 
 	"github.com/olaplab/gmdj/internal/value"
 )
@@ -20,10 +19,10 @@ import (
 //	encRLE    runs of bit-identical cells (NULL runs included)
 //	encBoxed  kind-tagged cells verbatim (mixed-kind columns)
 //
-// Typed cell payloads: INT varint, FLOAT 8B LE IEEE-754 bits, STRING
-// uvarint length + bytes, BOOL one byte. Decoding is defensive — any
-// malformed input yields an error, never a panic or an oversized
-// allocation (FuzzSegmentDecode leans on this).
+// Typed cells are written by value.AppendPayload (no kind tag: the
+// header carries it). Decoding is defensive — any malformed input
+// yields an error, never a panic or an oversized allocation
+// (FuzzSegmentDecode leans on this).
 const (
 	encPlain byte = iota
 	encDict
@@ -40,7 +39,7 @@ func encodeColumn(c *ColVec) []byte {
 	case c.Boxed != nil:
 		out[0] = encBoxed
 		for _, v := range c.Boxed {
-			out = appendTagged(out, v)
+			out = value.AppendBinary(out, v)
 		}
 	case runCount(c)*2 <= n:
 		out[0] = encRLE
@@ -54,7 +53,7 @@ func encodeColumn(c *ColVec) []byte {
 		out = appendBitmap(out, c.Nulls)
 		for i := 0; i < n; i++ {
 			if !c.Nulls[i] {
-				out = appendTypedCell(out, c, i)
+				out = value.AppendPayload(out, c.Value(i))
 			}
 		}
 	}
@@ -66,19 +65,19 @@ func encodeColumn(c *ColVec) []byte {
 // describe before anything row-sized is allocated, so a forged header
 // cannot force an oversized allocation.
 func decodeColumn(buf []byte) (*ColVec, error) {
-	r := &byteReader{buf: buf}
-	enc := r.byteVal()
-	kind := value.Kind(r.byteVal())
-	n64 := r.uvarint()
-	if r.err != nil {
-		return nil, r.err
+	r := value.NewReader(buf)
+	enc := r.Byte()
+	kind := value.Kind(r.Byte())
+	n64 := r.Uvarint()
+	if r.Err() != nil {
+		return nil, r.Err()
 	}
 	switch kind {
 	case value.KindNull, value.KindInt, value.KindFloat, value.KindString, value.KindBool:
 	default:
 		return nil, fmt.Errorf("column kind %d unknown", kind)
 	}
-	remaining := uint64(len(buf) - r.off)
+	remaining := uint64(r.Len())
 	switch enc {
 	case encBoxed:
 		// Every boxed cell takes at least its kind byte.
@@ -105,7 +104,7 @@ func decodeColumn(buf []byte) (*ColVec, error) {
 		c.Nulls = make([]bool, n)
 		c.Boxed = make([]value.Value, n)
 		for i := 0; i < n; i++ {
-			c.Boxed[i] = r.tagged()
+			c.Boxed[i] = r.Value()
 			c.Nulls[i] = c.Boxed[i].IsNull()
 		}
 	case encRLE:
@@ -117,25 +116,22 @@ func decodeColumn(buf []byte) (*ColVec, error) {
 			return nil, fmt.Errorf("dict column with kind %s", kind)
 		}
 		c.Nulls = make([]bool, n)
-		r.bitmap(c.Nulls)
+		readBitmap(r, c.Nulls)
 		if err := readDict(r, c, n); err != nil {
 			return nil, err
 		}
 	case encPlain:
 		c.Nulls = make([]bool, n)
-		r.bitmap(c.Nulls)
+		readBitmap(r, c.Nulls)
 		allocTyped(c, n)
 		for i := 0; i < n; i++ {
 			if !c.Nulls[i] {
-				r.typedCell(c, i)
+				c.set(i, r.Payload(c.Kind))
 			}
 		}
 	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	if r.off != len(r.buf) {
-		return nil, fmt.Errorf("column payload has %d trailing bytes", len(r.buf)-r.off)
+	if err := r.Finish(); err != nil {
+		return nil, err
 	}
 	return c, nil
 }
@@ -185,48 +181,6 @@ func allocTyped(c *ColVec, n int) {
 	}
 }
 
-// appendTypedCell appends the payload of non-NULL cell i without a
-// kind tag (the column header carries the kind).
-func appendTypedCell(dst []byte, c *ColVec, i int) []byte {
-	switch c.Kind {
-	case value.KindInt:
-		return binary.AppendVarint(dst, c.Ints[i])
-	case value.KindFloat:
-		return binary.LittleEndian.AppendUint64(dst, math.Float64bits(c.Floats[i]))
-	case value.KindString:
-		dst = binary.AppendUvarint(dst, uint64(len(c.Strs[i])))
-		return append(dst, c.Strs[i]...)
-	case value.KindBool:
-		if c.Ints[i] != 0 {
-			return append(dst, 1)
-		}
-		return append(dst, 0)
-	}
-	return dst
-}
-
-// appendTagged appends kind byte + payload (boxed cells, manifest and
-// zone values).
-func appendTagged(dst []byte, v value.Value) []byte {
-	dst = append(dst, byte(v.Kind()))
-	switch v.Kind() {
-	case value.KindInt:
-		return binary.AppendVarint(dst, v.AsInt())
-	case value.KindFloat:
-		return binary.LittleEndian.AppendUint64(dst, math.Float64bits(v.AsFloat()))
-	case value.KindString:
-		s := v.AsString()
-		dst = binary.AppendUvarint(dst, uint64(len(s)))
-		return append(dst, s...)
-	case value.KindBool:
-		if v.AsBool() {
-			return append(dst, 1)
-		}
-		return append(dst, 0)
-	}
-	return dst
-}
-
 func appendBitmap(dst []byte, nulls []bool) []byte {
 	var cur byte
 	for i, isNull := range nulls {
@@ -262,73 +216,60 @@ func appendRLE(dst []byte, c *ColVec) []byte {
 			dst = append(dst, 0)
 		} else {
 			dst = append(dst, 1)
-			dst = appendTypedCell(dst, c, run[0])
+			dst = value.AppendPayload(dst, c.Value(run[0]))
 		}
 	}
 	return dst
 }
 
-func readRLE(r *byteReader, c *ColVec, n int) error {
-	// Pre-scan the run structure without allocating anything row-sized:
-	// the declared row count is only trusted once the runs add up to it.
-	start := r.off
-	runs := r.count()
+func readRLE(r *value.Reader, c *ColVec, n int) error {
+	// Pre-scan the run structure on a copy of the cursor without
+	// allocating anything row-sized: the declared row count is only
+	// trusted once the runs add up to it. A run covers 1..n-total rows;
+	// an empty or overflowing one would index past the column below.
+	scan := *r
+	runs := scan.Count()
 	total := uint64(0)
-	for ri := 0; ri < runs && r.err == nil; ri++ {
-		length := r.uvarint()
-		flag := r.byteVal()
-		total += length
-		if total > uint64(n) {
-			return fmt.Errorf("rle runs exceed row count %d", n)
+	for ri := 0; ri < runs; ri++ {
+		length := scan.Uvarint()
+		flag := scan.Byte()
+		if scan.Err() != nil {
+			return scan.Err()
 		}
+		if length == 0 || length > uint64(n)-total {
+			return fmt.Errorf("rle run of %d rows at row %d of %d", length, total, n)
+		}
+		total += length
 		if flag != 0 {
-			r.skipTypedCell(c.Kind)
+			scan.Payload(c.Kind)
 		}
 	}
-	if r.err != nil {
-		return r.err
+	if scan.Err() != nil {
+		return scan.Err()
 	}
 	if total != uint64(n) {
 		return fmt.Errorf("rle runs cover %d of %d rows", total, n)
 	}
-	end := r.off
-	r.off = start
 
 	c.Nulls = make([]bool, n)
 	allocTyped(c, n)
-	r.count()
+	r.Count()
 	at := 0
-	for ri := 0; ri < runs && r.err == nil; ri++ {
-		length := int(r.uvarint())
-		flag := r.byteVal()
-		if flag == 0 {
+	for ri := 0; ri < runs; ri++ {
+		length := int(r.Uvarint())
+		if r.Byte() == 0 {
 			for i := at; i < at+length; i++ {
 				c.Nulls[i] = true
 			}
 		} else {
-			r.typedCell(c, at)
-			for i := at + 1; i < at+length; i++ {
-				copyTypedCell(c, at, i)
+			v := r.Payload(c.Kind)
+			for i := at; i < at+length; i++ {
+				c.set(i, v)
 			}
 		}
 		at += length
 	}
-	if r.err != nil {
-		return r.err
-	}
-	r.off = end
 	return nil
-}
-
-func copyTypedCell(c *ColVec, from, to int) {
-	switch c.Kind {
-	case value.KindInt, value.KindBool:
-		c.Ints[to] = c.Ints[from]
-	case value.KindFloat:
-		c.Floats[to] = c.Floats[from]
-	case value.KindString:
-		c.Strs[to] = c.Strs[from]
-	}
 }
 
 func appendDict(dst []byte, c *ColVec) []byte {
@@ -345,8 +286,7 @@ func appendDict(dst []byte, c *ColVec) []byte {
 	}
 	dst = binary.AppendUvarint(dst, uint64(len(dict)))
 	for _, s := range dict {
-		dst = binary.AppendUvarint(dst, uint64(len(s)))
-		dst = append(dst, s...)
+		dst = value.AppendString(dst, s)
 	}
 	for i, s := range c.Strs {
 		if !c.Nulls[i] {
@@ -356,23 +296,23 @@ func appendDict(dst []byte, c *ColVec) []byte {
 	return dst
 }
 
-func readDict(r *byteReader, c *ColVec, n int) error {
+func readDict(r *value.Reader, c *ColVec, n int) error {
 	c.Strs = make([]string, n)
-	dictLen := r.count()
+	dictLen := r.Count()
 	dict := make([]string, 0, min(dictLen, 1024))
-	for i := 0; i < dictLen && r.err == nil; i++ {
-		dict = append(dict, r.str())
+	for i := 0; i < dictLen && r.Err() == nil; i++ {
+		dict = append(dict, r.Str())
 	}
-	if r.err != nil {
-		return r.err
+	if r.Err() != nil {
+		return r.Err()
 	}
 	for i := 0; i < n; i++ {
 		if c.Nulls[i] {
 			continue
 		}
-		idx := r.uvarint()
-		if r.err != nil {
-			return r.err
+		idx := r.Uvarint()
+		if r.Err() != nil {
+			return r.Err()
 		}
 		if idx >= uint64(len(dict)) {
 			return fmt.Errorf("dict index %d out of range (%d entries)", idx, len(dict))
@@ -382,157 +322,13 @@ func readDict(r *byteReader, c *ColVec, n int) error {
 	return nil
 }
 
-// byteReader is a defensive cursor over an untrusted payload: every
-// getter validates bounds and sets a sticky error instead of
-// panicking, and length-prefixed reads are capped by the bytes that
-// actually remain so a forged length cannot force a huge allocation.
-type byteReader struct {
-	buf []byte
-	off int
-	err error
-}
-
-func (r *byteReader) fail(format string, args ...any) {
-	if r.err == nil {
-		r.err = fmt.Errorf(format, args...)
-	}
-}
-
-func (r *byteReader) byteVal() byte {
-	if r.err != nil {
-		return 0
-	}
-	if r.off >= len(r.buf) {
-		r.fail("unexpected end of payload at offset %d", r.off)
-		return 0
-	}
-	b := r.buf[r.off]
-	r.off++
-	return b
-}
-
-func (r *byteReader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	u, n := binary.Uvarint(r.buf[r.off:])
-	if n <= 0 {
-		r.fail("bad uvarint at offset %d", r.off)
-		return 0
-	}
-	r.off += n
-	return u
-}
-
-func (r *byteReader) varint() int64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(r.buf[r.off:])
-	if n <= 0 {
-		r.fail("bad varint at offset %d", r.off)
-		return 0
-	}
-	r.off += n
-	return v
-}
-
-// count reads a uvarint that counts in-payload items; it can never
-// meaningfully exceed the bytes remaining, which caps allocations.
-func (r *byteReader) count() int {
-	u := r.uvarint()
-	if r.err != nil {
-		return 0
-	}
-	if u > uint64(len(r.buf)-r.off)+1 {
-		r.fail("count %d exceeds %d remaining payload bytes", u, len(r.buf)-r.off)
-		return 0
-	}
-	return int(u)
-}
-
-func (r *byteReader) take(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if n < 0 || r.off+n > len(r.buf) {
-		r.fail("unexpected end of payload at offset %d (want %d bytes)", r.off, n)
-		return nil
-	}
-	b := r.buf[r.off : r.off+n]
-	r.off += n
-	return b
-}
-
-func (r *byteReader) str() string {
-	n := r.count()
-	return string(r.take(n))
-}
-
-func (r *byteReader) float() float64 {
-	b := r.take(8)
-	if r.err != nil {
-		return 0
-	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(b))
-}
-
-func (r *byteReader) bitmap(nulls []bool) {
+func readBitmap(r *value.Reader, nulls []bool) {
 	nbytes := (len(nulls) + 7) / 8
-	b := r.take(nbytes)
-	if r.err != nil {
+	b := r.Take(nbytes)
+	if r.Err() != nil {
 		return
 	}
 	for i := range nulls {
 		nulls[i] = b[i/8]&(1<<(i%8)) != 0
-	}
-}
-
-// skipTypedCell advances past one typed cell payload without storing
-// it (the RLE pre-scan).
-func (r *byteReader) skipTypedCell(kind value.Kind) {
-	switch kind {
-	case value.KindInt:
-		r.varint()
-	case value.KindFloat:
-		r.take(8)
-	case value.KindString:
-		r.take(r.count())
-	case value.KindBool:
-		r.byteVal()
-	}
-}
-
-func (r *byteReader) typedCell(c *ColVec, i int) {
-	switch c.Kind {
-	case value.KindInt:
-		c.Ints[i] = r.varint()
-	case value.KindFloat:
-		c.Floats[i] = r.float()
-	case value.KindString:
-		c.Strs[i] = r.str()
-	case value.KindBool:
-		if r.byteVal() != 0 {
-			c.Ints[i] = 1
-		}
-	}
-}
-
-func (r *byteReader) tagged() value.Value {
-	kind := value.Kind(r.byteVal())
-	switch kind {
-	case value.KindNull:
-		return value.Null
-	case value.KindInt:
-		return value.Int(r.varint())
-	case value.KindFloat:
-		return value.Float(r.float())
-	case value.KindString:
-		return value.Str(r.str())
-	case value.KindBool:
-		return value.Bool(r.byteVal() != 0)
-	default:
-		r.fail("unknown value kind %d", kind)
-		return value.Null
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"github.com/olaplab/gmdj/internal/relation"
 	"github.com/olaplab/gmdj/internal/spill"
+	"github.com/olaplab/gmdj/internal/value"
 )
 
 // The manifest is the commit record of the durable store: one GSPL
@@ -64,10 +65,10 @@ func encodeManifest(m *manifest) []byte {
 	payload = binary.AppendUvarint(payload, m.Generation)
 	payload = binary.AppendUvarint(payload, uint64(len(m.Entries)))
 	for _, e := range m.Entries {
-		payload = appendString(payload, e.Table)
-		payload = appendString(payload, e.File)
+		payload = value.AppendString(payload, e.Table)
+		payload = value.AppendString(payload, e.File)
 		payload = binary.AppendUvarint(payload, e.Rows)
-		payload = appendSchema(payload, e.Schema)
+		payload = e.Schema.AppendBinary(payload)
 	}
 	return spill.AppendFrame(nil, payload)
 }
@@ -82,32 +83,24 @@ func decodeManifest(buf []byte) (*manifest, error) {
 	if n != len(buf) {
 		return nil, fmt.Errorf("manifest has %d trailing bytes", len(buf)-n)
 	}
-	r := &byteReader{buf: payload}
-	version := r.uvarint()
-	if r.err == nil && version != manifestFormatVersion {
+	r := value.NewReader(payload)
+	version := r.Uvarint()
+	if r.Err() == nil && version != manifestFormatVersion {
 		return nil, fmt.Errorf("manifest format version %d (want %d)", version, manifestFormatVersion)
 	}
-	m := &manifest{Generation: r.uvarint()}
-	nentries := r.count()
-	for i := 0; i < nentries && r.err == nil; i++ {
-		e := manifestEntry{Table: r.str(), File: r.str(), Rows: r.uvarint()}
-		schema, serr := readSchema(r)
-		if serr != nil {
-			return nil, fmt.Errorf("manifest entry %d: %w", i, serr)
-		}
-		e.Schema = schema
-		if r.err == nil {
+	m := &manifest{Generation: r.Uvarint()}
+	nentries := r.Count()
+	for i := 0; i < nentries && r.Err() == nil; i++ {
+		e := manifestEntry{Table: r.Str(), File: r.Str(), Rows: r.Uvarint(), Schema: relation.ReadSchema(r)}
+		if r.Err() == nil {
 			if e.Table == "" || e.File == "" || strings.ContainsAny(e.File, "/\\") {
 				return nil, fmt.Errorf("manifest entry %d is malformed (table %q, file %q)", i, e.Table, e.File)
 			}
 			m.Entries = append(m.Entries, e)
 		}
 	}
-	if r.err != nil {
-		return nil, fmt.Errorf("manifest payload: %w", r.err)
-	}
-	if r.off != len(payload) {
-		return nil, fmt.Errorf("manifest payload has %d trailing bytes", len(payload)-r.off)
+	if err := r.Finish(); err != nil {
+		return nil, fmt.Errorf("manifest payload: %w", err)
 	}
 	return m, nil
 }

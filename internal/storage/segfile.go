@@ -29,9 +29,9 @@ const segFormatVersion = 1
 // encodeSegment serializes s into segment-file bytes.
 func encodeSegment(s *Segment) []byte {
 	header := binary.AppendUvarint(nil, segFormatVersion)
-	header = appendString(header, s.Table)
+	header = value.AppendString(header, s.Table)
 	header = binary.AppendUvarint(header, uint64(s.Rows))
-	header = appendSchema(header, s.Schema)
+	header = s.Schema.AppendBinary(header)
 	buf := spill.AppendFrame(nil, header)
 	for _, col := range s.Cols {
 		buf = spill.AppendFrame(buf, encodeColumn(col))
@@ -47,22 +47,16 @@ func decodeSegment(buf []byte) (*Segment, error) {
 	if err != nil {
 		return nil, fmt.Errorf("header frame: %w", err)
 	}
-	r := &byteReader{buf: header}
-	version := r.uvarint()
-	table := r.str()
-	rows := r.uvarint()
-	schema, serr := readSchema(r)
-	if r.err != nil {
-		return nil, fmt.Errorf("segment header: %w", r.err)
-	}
-	if serr != nil {
-		return nil, serr
-	}
-	if version != segFormatVersion {
+	r := value.NewReader(header)
+	version := r.Uvarint()
+	if r.Err() == nil && version != segFormatVersion {
 		return nil, fmt.Errorf("segment format version %d (want %d)", version, segFormatVersion)
 	}
-	if r.off != len(header) {
-		return nil, fmt.Errorf("segment header has %d trailing bytes", len(header)-r.off)
+	table := r.Str()
+	rows := r.Uvarint()
+	schema := relation.ReadSchema(r)
+	if err := r.Finish(); err != nil {
+		return nil, fmt.Errorf("segment header: %w", err)
 	}
 	s := &Segment{Table: table, Schema: schema, Rows: int(rows), Cols: make([]*ColVec, schema.Len())}
 	rest := buf[n:]
@@ -86,39 +80,6 @@ func decodeSegment(buf []byte) (*Segment, error) {
 	}
 	s.buildZones()
 	return s, nil
-}
-
-func appendString(dst []byte, s string) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(s)))
-	return append(dst, s...)
-}
-
-func appendSchema(dst []byte, s *relation.Schema) []byte {
-	dst = binary.AppendUvarint(dst, uint64(s.Len()))
-	for _, c := range s.Columns {
-		dst = appendString(dst, c.Qualifier)
-		dst = appendString(dst, c.Name)
-		dst = append(dst, byte(c.Type))
-	}
-	return dst
-}
-
-func readSchema(r *byteReader) (*relation.Schema, error) {
-	ncols := r.count()
-	cols := make([]relation.Column, 0, min(ncols, 256))
-	for i := 0; i < ncols && r.err == nil; i++ {
-		c := relation.Column{Qualifier: r.str(), Name: r.str(), Type: value.Kind(r.byteVal())}
-		switch c.Type {
-		case value.KindNull, value.KindInt, value.KindFloat, value.KindString, value.KindBool:
-		default:
-			return nil, fmt.Errorf("schema column %d has unknown type %d", i, c.Type)
-		}
-		cols = append(cols, c)
-	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	return relation.NewSchema(cols...), nil
 }
 
 // writeDurableFile persists data at name in the store's directory

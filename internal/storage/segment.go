@@ -142,16 +142,16 @@ func (s *Segment) Relation() *relation.Relation {
 }
 
 // KeyHashes computes the GMDJ detail-key hash vector straight from the
-// packed columns: for each row, the FNV-1a mix of value.Hash over the
-// key columns, with ok=false (and hash 0) when any key cell is NULL.
-// The result is bit-identical to hashing the row-oriented tuples —
-// both sides reduce to value.Hash on structurally equal cells — so the
-// GMDJ can consume either interchangeably.
+// packed columns: for each row, value.FoldHash over the key columns,
+// with ok=false (and hash 0) when any key cell is NULL. That is
+// relation.Tuple.KeyHash applied column-wise, so the result is
+// bit-identical to hashing the row-oriented tuples and the GMDJ can
+// consume either interchangeably.
 func (s *Segment) KeyHashes(key []int) (h []uint64, ok []bool) {
 	h = make([]uint64, s.Rows)
 	ok = make([]bool, s.Rows)
 	for i := 0; i < s.Rows; i++ {
-		acc := uint64(14695981039346656037)
+		acc := value.HashInit
 		valid := true
 		for _, c := range key {
 			col := s.Cols[c]
@@ -159,8 +159,7 @@ func (s *Segment) KeyHashes(key []int) (h []uint64, ok []bool) {
 				valid = false
 				break
 			}
-			acc ^= col.Value(i).Hash()
-			acc *= 1099511628211
+			acc = value.FoldHash(acc, col.Value(i))
 		}
 		if valid {
 			h[i], ok[i] = acc, true

@@ -1,8 +1,11 @@
 package storage
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
+	"os"
 	"testing"
 
 	"github.com/olaplab/gmdj/internal/relation"
@@ -128,6 +131,52 @@ func TestSegmentDecodeRejectsCorruption(t *testing.T) {
 	// Trailing garbage is structural corruption, not slack.
 	if _, err := decodeSegment(append(append([]byte(nil), clean...), 0x00)); err == nil {
 		t.Fatal("trailing byte went undetected")
+	}
+}
+
+// TestSegmentFormatFixture decodes a segment file written by the commit
+// before the cell codec moved to package value (PR 16: trickyRel(250),
+// so RLE, dictionary, plain and boxed columns are all present). The
+// durable format must not move with the code: the old bytes decode cell
+// for cell, and re-encoding reproduces them exactly.
+func TestSegmentFormatFixture(t *testing.T) {
+	fixture, err := os.ReadFile("testdata/tricky250_pr16.seg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := decodeSegment(fixture)
+	if err != nil {
+		t.Fatalf("fixture rejected: %v", err)
+	}
+	want := trickyRel(250)
+	if got.Table != "tricky" || got.Rows != want.Len() || !got.Schema.Equal(want.Schema) {
+		t.Fatalf("fixture header: table=%q rows=%d schema=%v", got.Table, got.Rows, got.Schema)
+	}
+	back := got.Relation()
+	for i := range want.Rows {
+		for c := range want.Rows[i] {
+			if !cellIdentical(want.Rows[i][c], back.Rows[i][c]) {
+				t.Fatalf("cell (%d,%d): got %v want %v", i, c, back.Rows[i][c], want.Rows[i][c])
+			}
+		}
+	}
+	if !bytes.Equal(encodeSegment(BuildSegment("tricky", want)), fixture) {
+		t.Fatal("re-encoding the fixture's relation no longer yields the fixture's bytes")
+	}
+}
+
+// TestRLEDecodeRejectsDegenerateRuns: an empty run carrying a cell, and
+// a run whose length wraps the running total, both pass a plain
+// sum-of-runs check and then index past the column.
+func TestRLEDecodeRejectsDegenerateRuns(t *testing.T) {
+	huge := binary.AppendUvarint(nil, math.MaxUint64)
+	for name, payload := range map[string][]byte{
+		"empty run with a cell": {encRLE, byte(value.KindInt), 0, 1, 0, 1, 0},
+		"wrapping run length":   append(append([]byte{encRLE, byte(value.KindInt), 1, 3, 1, 1, 0}, huge...), 1, 0, 1, 1, 0),
+	} {
+		if _, err := decodeColumn(payload); err == nil {
+			t.Errorf("%s: decoded", name)
+		}
 	}
 }
 

@@ -9,7 +9,6 @@ package value
 
 import (
 	"fmt"
-	"hash/maphash"
 	"math"
 	"strconv"
 )
@@ -213,45 +212,59 @@ func Equal(a, b Value) bool {
 	return ok && c == 0
 }
 
-// hashSeed is the process-wide seed for value hashing.
-var hashSeed = maphash.MakeSeed()
+// HashInit and FoldHash are the engine's one key fold: a multi-column
+// key hashes as FoldHash applied left to right from HashInit (FNV-1a
+// over the cells' 64-bit hashes). relation.Tuple.KeyHash folds rows
+// with it and storage.Segment.KeyHashes folds packed columns with it,
+// which is what keeps build side, probe side and segment bit-compatible.
+const HashInit uint64 = 14695981039346656037 // FNV offset basis
+
+const fnvPrime = 1099511628211
+
+// FoldHash folds one more cell into a running key hash.
+func FoldHash(acc uint64, v Value) uint64 { return (acc ^ v.Hash()) * fnvPrime }
 
 // Hash returns a hash of v suitable for hash-join and GMDJ buckets.
 // Values that are Equal hash identically: INT 1 and FLOAT 1.0 share a
 // hash, and so do 0.0 and -0.0 (stored cells keep their sign bit; only
-// the hash folds it away).
+// the hash folds it away). It is a fixed function — the same in every
+// process, so spill cuts and shard assignments replay (TestHashStable
+// pins it) — and ends in an avalanche step, so callers may use the low
+// bits (h % shards) and the high bits (h >> (64-k)) alike.
 func (v Value) Hash() uint64 {
-	var h maphash.Hash
-	h.SetSeed(hashSeed)
+	// salt separates the kind domains before mixing; INT and FLOAT share
+	// one so that 1 and 1.0 collide.
+	const salt = 0x9E3779B97F4A7C15
 	switch v.kind {
-	case KindNull:
-		h.WriteByte(0)
 	case KindInt:
-		h.WriteByte(1)
-		writeUint64(&h, math.Float64bits(float64(v.i)))
+		return mix64(math.Float64bits(float64(v.i)) + salt)
 	case KindFloat:
-		h.WriteByte(1) // same tag as INT: 1 and 1.0 must collide
 		f := v.f
 		if f == 0 {
 			f = 0 // drops the sign bit of -0.0, which compares equal to 0.0
 		}
-		writeUint64(&h, math.Float64bits(f))
+		return mix64(math.Float64bits(f) + salt)
 	case KindString:
-		h.WriteByte(2)
-		h.WriteString(v.s)
+		h := HashInit
+		for i := 0; i < len(v.s); i++ {
+			h = (h ^ uint64(v.s[i])) * fnvPrime
+		}
+		return mix64(h + salt>>1)
 	case KindBool:
-		h.WriteByte(3)
-		h.WriteByte(byte(v.i))
+		return mix64(uint64(v.i) + salt>>2)
 	}
-	return h.Sum64()
+	return mix64(salt >> 3) // NULL
 }
 
-func writeUint64(h *maphash.Hash, u uint64) {
-	var buf [8]byte
-	for i := 0; i < 8; i++ {
-		buf[i] = byte(u >> (8 * i))
-	}
-	h.Write(buf[:])
+// mix64 is the 64-bit avalanche finalizer of MurmurHash3: every input
+// bit flips every output bit with probability about one half.
+func mix64(x uint64) uint64 {
+	x ^= x >> 33
+	x *= 0xff51afd7ed558ccd
+	x ^= x >> 33
+	x *= 0xc4ceb9fe1a85ec53
+	x ^= x >> 33
+	return x
 }
 
 // Add returns a+b with SQL NULL propagation: NULL if either side is

@@ -1,6 +1,7 @@
 package value
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -150,13 +151,67 @@ func TestHashConsistentWithEqual(t *testing.T) {
 	}
 }
 
+// TestHashSpreads checks what the hash's consumers rely on: distinct
+// keys rarely collide, and both ends of the word are usable — the join
+// index shards by h % n and the spill regime cuts by the top bits.
 func TestHashSpreads(t *testing.T) {
-	seen := map[uint64]bool{}
-	for i := int64(0); i < 1000; i++ {
-		seen[Int(i).Hash()] = true
+	const n = 4000
+	ints := make([]Value, n)
+	ips := make([]Value, n)
+	for i := range ints {
+		ints[i] = Int(int64(i))
+		ips[i] = Str(fmt.Sprintf("10.0.%d.%d", i/250, i%250+1)) // datagen's netflow user IPs
 	}
-	if len(seen) < 990 {
-		t.Errorf("integer hashes collide too much: %d distinct of 1000", len(seen))
+	for name, keys := range map[string][]Value{"sequential ints": ints, "netflow IPs": ips} {
+		seen := map[uint64]bool{}
+		buckets := map[string][]int{"h%2": make([]int, 2), "h%4": make([]int, 4), "h>>61": make([]int, 8)}
+		for _, k := range keys {
+			h := k.Hash()
+			seen[h] = true
+			buckets["h%2"][h%2]++
+			buckets["h%4"][h%4]++
+			buckets["h>>61"][h>>61]++
+		}
+		if len(seen) != n {
+			t.Errorf("%s: %d distinct hashes of %d", name, len(seen), n)
+		}
+		for cut, counts := range buckets {
+			uniform := float64(n) / float64(len(counts))
+			for b, c := range counts {
+				if math.Abs(float64(c)-uniform) > 0.10*uniform {
+					t.Errorf("%s: %s bucket %d holds %d keys, uniform is %.0f ±10%%", name, cut, b, c, uniform)
+				}
+			}
+		}
+	}
+}
+
+// TestHashStable pins the hash function itself. It is the same in every
+// process (spill cuts, shard assignment and a shrunk oracle failure all
+// replay), so changing it is a visible diff here, not an accident.
+func TestHashStable(t *testing.T) {
+	cells := []struct {
+		v    Value
+		want uint64
+	}{
+		{Null, 0x7038322720852220},
+		{Int(42), 0x7e4397218aa2887d},
+		{Float(42), 0x7e4397218aa2887d},
+		{Float(-2.5), 0x20f7d3e446e3e43d},
+		{Str("10.0.0.5"), 0x4cff78c08f00465a},
+		{Bool(true), 0xc10b72c9b0390e44},
+	}
+	for _, c := range cells {
+		if got := c.v.Hash(); got != c.want {
+			t.Errorf("%v (%s): Hash = %#x, want %#x", c.v, c.v.Kind(), got, c.want)
+		}
+	}
+	fold := HashInit
+	for _, v := range []Value{Int(7), Str("FTP"), Float(0.5)} {
+		fold = FoldHash(fold, v)
+	}
+	if want := uint64(0xd3983abab9376a7e); fold != want {
+		t.Errorf("three-cell fold = %#x, want %#x", fold, want)
 	}
 }
 
