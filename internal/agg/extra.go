@@ -131,40 +131,3 @@ func (a *momentsAcc) Result() value.Value {
 	}
 	return value.Float(variance)
 }
-
-// mergeExtended merges extended accumulators; ok is false when dst is
-// not an extended accumulator.
-func mergeExtended(dst, src Accumulator) (bool, error) {
-	switch d := dst.(type) {
-	case *distinctAcc:
-		s, ok := src.(*distinctAcc)
-		if !ok {
-			return true, mergeMismatch(dst, src)
-		}
-		for k := range s.seen {
-			d.seen[k] = true
-		}
-		return true, nil
-	case *momentsAcc:
-		s, ok := src.(*momentsAcc)
-		if !ok || s.sqrt != d.sqrt {
-			return true, mergeMismatch(dst, src)
-		}
-		if s.n == 0 {
-			return true, nil
-		}
-		if d.n == 0 {
-			*d = *s
-			return true, nil
-		}
-		// Chan et al. parallel-moments combination.
-		n := float64(d.n + s.n)
-		delta := s.mean - d.mean
-		d.m2 += s.m2 + delta*delta*float64(d.n)*float64(s.n)/n
-		d.mean += delta * float64(s.n) / n
-		d.n += s.n
-		return true, nil
-	default:
-		return false, nil
-	}
-}

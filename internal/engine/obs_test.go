@@ -2,29 +2,46 @@ package engine
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
+	"github.com/olaplab/gmdj/internal/algebra"
 	"github.com/olaplab/gmdj/internal/datagen"
+	"github.com/olaplab/gmdj/internal/expr"
+	"github.com/olaplab/gmdj/internal/govern"
 	"github.com/olaplab/gmdj/internal/obs"
+	"github.com/olaplab/gmdj/internal/value"
 )
+
+// userExistsPlan is the hash-bound counterpart of existsPlan: users
+// with a large flow, correlated by an equi-binding.
+func userExistsPlan() algebra.Node {
+	return algebra.NewRestrict(algebra.NewScan("User", "U"), algebra.ExistsPred(&algebra.Subquery{
+		Source: algebra.NewScan("Flow", "F"),
+		Where: &algebra.Atom{E: expr.NewAnd(
+			expr.Eq(expr.C("F.SourceIP"), expr.C("U.IPAddress")),
+			expr.NewCmp(value.GT, expr.C("F.NumBytes"), expr.IntLit(1000)),
+		)},
+	}))
+}
 
 // TestRunObservedReconciliation cross-checks the stats tree against
 // the returned relation for every strategy: the root operator's
 // reported cardinality must equal the result's, and the GMDJ
 // operator's detail accounting must cover every pass over the detail
 // relation (rows fed + rows short-circuited = detail scans × detail
-// size) — at any degree, and when the base state spills.
+// size) — at any degree, and when the base state spills. A fallback-θ
+// plan scans once per fold range; a hash-bound one scans once, whatever
+// the degree.
 func TestRunObservedReconciliation(t *testing.T) {
 	const detailSize = 300
 	cat := datagen.Netflow(datagen.NetflowOpts{Flows: detailSize, Hours: 24, Users: 6, Seed: 3})
-	plan := existsPlan()
-
 	regimes := []struct {
 		name     string
 		degree   int
 		memLimit int64
-		scans    int64 // 0: however many partitions the limit forces, but more than one
+		scans    int64 // of the fallback-θ plan. 0: however many partitions the limit forces, but more than one
 	}{
 		{"serial", 1, 0, 1},
 		{"2 workers", 2, 0, 2},
@@ -39,48 +56,81 @@ func TestRunObservedReconciliation(t *testing.T) {
 			e.SetMemoryLimit(r.memLimit)
 			e.SetSpillDir(t.TempDir())
 		}
-		for _, s := range Strategies() {
-			rel, root, err := e.RunObserved(context.Background(), plan, s)
-			if err != nil {
-				t.Fatalf("%s/%v: %v", r.name, s, err)
-			}
-			if root == nil {
-				t.Fatalf("%s/%v: no stats tree", r.name, s)
-			}
-			if root.Rows != int64(rel.Len()) {
-				t.Errorf("%s/%v: root rows = %d, result rows = %d", r.name, s, root.Rows, rel.Len())
-			}
-			if s != GMDJ && s != GMDJOpt {
-				continue
-			}
-			gm := root.Find("GMDJ")
-			if gm == nil {
-				t.Fatalf("%s/%v: stats tree lacks a GMDJ operator:\n%s", r.name, s, obs.FormatTree(root))
-			}
-			scans := gm.Get("detail_scans")
-			if scans == 0 {
-				scans = 1 // a single scan goes unsaid
-			}
-			if r.scans > 0 && scans != r.scans {
-				t.Errorf("%s/%v: detail_scans = %d, want %d:\n%s", r.name, s, scans, r.scans, obs.FormatTree(root))
-			}
-			if r.scans == 0 && (scans < 2 || scans != 1+gm.Get("extra_detail_scans")) {
-				t.Errorf("%s/%v: detail_scans = %d, want 1 + extra_detail_scans(%d) > 1:\n%s",
-					r.name, s, scans, gm.Get("extra_detail_scans"), obs.FormatTree(root))
-			}
-			fed, skipped := gm.Get("detail_rows"), gm.Get("short_circuit_rows")
-			if fed+skipped != scans*detailSize {
-				t.Errorf("%s/%v: detail_rows(%d) + short_circuit_rows(%d) != detail_scans(%d) × %d:\n%s",
-					r.name, s, fed, skipped, scans, detailSize, obs.FormatTree(root))
-			}
-			if s == GMDJ && skipped != 0 {
-				t.Errorf("%s: basic gmdj has no completion, short_circuit_rows = %d", r.name, skipped)
-			}
-			if s == GMDJOpt && gm.Get("completed") == 0 {
-				t.Errorf("%s: gmdj-opt should retire tuples by completion:\n%s", r.name, obs.FormatTree(root))
+		type planCase struct {
+			name  string
+			plan  algebra.Node
+			scans int64
+		}
+		plans := []planCase{{"fallback", existsPlan(), r.scans}}
+		if r.memLimit == 0 { // six users are too few to spill
+			plans = append(plans, planCase{"hash-bound", userExistsPlan(), 1})
+		}
+		for _, pl := range plans {
+			for _, s := range Strategies() {
+				name := fmt.Sprintf("%s/%s/%v", r.name, pl.name, s)
+				rel, root, err := e.RunObserved(context.Background(), pl.plan, s)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if root == nil {
+					t.Fatalf("%s: no stats tree", name)
+				}
+				if root.Rows != int64(rel.Len()) {
+					t.Errorf("%s: root rows = %d, result rows = %d", name, root.Rows, rel.Len())
+				}
+				if s != GMDJ && s != GMDJOpt {
+					continue
+				}
+				gm := root.Find("GMDJ")
+				if gm == nil {
+					t.Fatalf("%s: stats tree lacks a GMDJ operator:\n%s", name, obs.FormatTree(root))
+				}
+				scans := gm.Get("detail_scans")
+				if scans == 0 {
+					scans = 1 // a single scan goes unsaid
+				}
+				if pl.scans > 0 && scans != pl.scans {
+					t.Errorf("%s: detail_scans = %d, want %d:\n%s", name, scans, pl.scans, obs.FormatTree(root))
+				}
+				if pl.scans == 0 && (scans < 2 || scans != 1+gm.Get("extra_detail_scans")) {
+					t.Errorf("%s: detail_scans = %d, want 1 + extra_detail_scans(%d) > 1:\n%s",
+						name, scans, gm.Get("extra_detail_scans"), obs.FormatTree(root))
+				}
+				fed, skipped := gm.Get("detail_rows"), gm.Get("short_circuit_rows")
+				if fed+skipped != scans*detailSize {
+					t.Errorf("%s: detail_rows(%d) + short_circuit_rows(%d) != detail_scans(%d) × %d:\n%s",
+						name, fed, skipped, scans, detailSize, obs.FormatTree(root))
+				}
+				if s == GMDJ && skipped != 0 {
+					t.Errorf("%s: basic gmdj has no completion, short_circuit_rows = %d", name, skipped)
+				}
+				if s == GMDJOpt && gm.Get("completed") == 0 {
+					t.Errorf("%s: gmdj-opt should retire tuples by completion:\n%s", name, obs.FormatTree(root))
+				}
 			}
 		}
 		e.Close()
+	}
+}
+
+// TestExplainDetailPassWorkers: over a detail of two morsels or more a
+// hash-bound GMDJ at degree 2 reports the detail pass's workers beside
+// workers=1 (its fold is one range, one scan); at degree 1 there is no
+// pass and no counter.
+func TestExplainDetailPassWorkers(t *testing.T) {
+	cat := datagen.Netflow(datagen.NetflowOpts{Flows: 2*govern.MorselRows + 1, Hours: 2, Users: 6, Seed: 3})
+	for degree, want := range map[int]int64{1: 0, 2: 2} {
+		e := New(cat)
+		e.SetParallelism(degree)
+		_, root, err := e.RunObserved(context.Background(), userExistsPlan(), GMDJOpt)
+		e.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		gm := root.Find("GMDJ")
+		if gm.Get("detail_pass_workers") != want || gm.Get("workers") != 1 || gm.Get("detail_scans") != 0 {
+			t.Errorf("degree %d: want detail_pass_workers=%d workers=1 and one unsaid scan:\n%s", degree, want, obs.FormatTree(root))
+		}
 	}
 }
 

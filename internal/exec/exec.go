@@ -358,8 +358,8 @@ func (e *Executor) evalRestrict(r *algebra.Restrict, ev *env) (*relation.Relatio
 	// order exactly. Passing rows are appended by reference: output
 	// tuples are the input's.
 	fulls := workerScratch(workers, ev.row, in.Schema.Len())
-	outs := make([][]relation.Tuple, morselCount(in.Len()))
-	used, err := runMorsels(in.Len(), workers, func(w, m, lo, hi int) error {
+	outs := make([][]relation.Tuple, govern.MorselCount(in.Len()))
+	used, err := govern.RunMorsels(in.Len(), workers, func(w, m, lo, hi int) error {
 		full := fulls[w]
 		for _, row := range in.Rows[lo:hi] {
 			if err := ev.q.tick(); err != nil {
@@ -488,8 +488,8 @@ func (e *Executor) evalProject(p *algebra.Project, ev *env) (*relation.Relation,
 	// only in their scratch row.
 	workers := e.pipelineWorkers(in.Len())
 	fulls := workerScratch(workers, ev.row, in.Schema.Len())
-	outs := make([][]relation.Tuple, morselCount(in.Len()))
-	used, err := runMorsels(in.Len(), workers, func(w, m, lo, hi int) error {
+	outs := make([][]relation.Tuple, govern.MorselCount(in.Len()))
+	used, err := govern.RunMorsels(in.Len(), workers, func(w, m, lo, hi int) error {
 		for _, row := range in.Rows[lo:hi] {
 			if err := ev.q.tick(); err != nil {
 				return err
@@ -707,11 +707,14 @@ func (e *Executor) evalGMDJ(g *algebra.GMDJ, ev *env) (*relation.Relation, error
 	if op := ev.q.col.Current(); op != nil {
 		workers := int64(len(local.WorkerRows))
 		if workers == 0 {
-			workers = 1 // serial scan (or partitioned serial scans)
+			workers = 1 // single-range fold (or partitioned single-range folds)
 		}
-		op.Add("workers", workers)
+		op.Add("workers", workers) // fold ranges; the detail pass's degree is its own counter
+		if local.DetailPassWorkers > 1 {
+			op.Add("detail_pass_workers", local.DetailPassWorkers)
+		}
 		// One scan is the paper's guarantee and goes unsaid; more — one
-		// per worker range, per spilled partition — multiply the detail
+		// per fold range, per spilled partition — multiply the detail
 		// counters below: detail_rows + short_circuit_rows is
 		// detail_scans × |detail|.
 		if local.DetailScans > 1 {

@@ -5,6 +5,7 @@ import (
 
 	"github.com/olaplab/gmdj/internal/algebra"
 	"github.com/olaplab/gmdj/internal/expr"
+	"github.com/olaplab/gmdj/internal/govern"
 	"github.com/olaplab/gmdj/internal/relation"
 	"github.com/olaplab/gmdj/internal/value"
 )
@@ -95,7 +96,7 @@ func (e *Executor) evalJoin(j *algebra.Join, ev *env) (*relation.Relation, error
 	workers := e.pipelineWorkers(len(left.Rows))
 	fulls := workerScratch(workers, nil, combined.Len())
 	nullPad := make(relation.Tuple, right.Schema.Len())
-	outs := make([][]relation.Tuple, morselCount(len(left.Rows)))
+	outs := make([][]relation.Tuple, govern.MorselCount(len(left.Rows)))
 
 	// matchRows visits one left row's candidates, appending emissions
 	// to the morsel buffer; semantics per kind match the serial engine
@@ -137,7 +138,7 @@ func (e *Executor) evalJoin(j *algebra.Join, ev *env) (*relation.Relation, error
 		return matched, nil
 	}
 
-	used, err := runMorsels(len(left.Rows), workers, func(w, m, lo, hi int) error {
+	used, err := govern.RunMorsels(len(left.Rows), workers, func(w, m, lo, hi int) error {
 		for _, lRow := range left.Rows[lo:hi] {
 			if err := ev.q.tick(); err != nil {
 				return err
@@ -204,7 +205,7 @@ func (e *Executor) buildJoinIndex(right *relation.Relation, rightPos []int, ev *
 	n := len(right.Rows)
 	hs := make([]uint64, n)
 	okv := make([]bool, n)
-	used, err := runMorsels(n, e.pipelineWorkers(n), func(w, m, lo, hi int) error {
+	used, err := govern.RunMorsels(n, e.pipelineWorkers(n), func(w, m, lo, hi int) error {
 		if err := ev.q.tick(); err != nil {
 			return err
 		}

@@ -6,6 +6,7 @@ import (
 
 	"github.com/olaplab/gmdj/internal/algebra"
 	"github.com/olaplab/gmdj/internal/expr"
+	"github.com/olaplab/gmdj/internal/govern"
 	"github.com/olaplab/gmdj/internal/relation"
 	"github.com/olaplab/gmdj/internal/storage"
 	"github.com/olaplab/gmdj/internal/value"
@@ -37,7 +38,7 @@ func TestMorselBoundaries(t *testing.T) {
 	}
 	on := expr.Eq(expr.C("L.r"), expr.C("R.r"))
 
-	for _, n := range []int{0, 1, MorselRows - 1, MorselRows, MorselRows + 1, 2*MorselRows + 1} {
+	for _, n := range []int{0, 1, govern.MorselRows - 1, govern.MorselRows, govern.MorselRows + 1, 2*govern.MorselRows + 1} {
 		left := morselInput(n)
 		var restrict, project, inner, outer, semi, anti []relation.Tuple
 		for _, l := range left.Rows {
@@ -104,7 +105,7 @@ func TestMorselBoundaries(t *testing.T) {
 func TestRestrictAllocsPerMorsel(t *testing.T) {
 	const morsels = 8
 	cat := storage.NewCatalog()
-	cat.Register(storage.NewTable("L", morselInput(morsels*MorselRows)))
+	cat.Register(storage.NewTable("L", morselInput(morsels*govern.MorselRows)))
 	e := New(cat)
 	plan := algebra.Filter(algebra.NewScan("L", "L"), expr.NewCmp(value.LT, expr.C("L.k"), expr.IntLit(0)))
 	if out := run(t, e, plan); out.Len() != 0 {
@@ -113,6 +114,6 @@ func TestRestrictAllocsPerMorsel(t *testing.T) {
 	allocs := testing.AllocsPerRun(10, func() { run(t, e, plan) })
 	if limit := float64(8 * morsels); allocs > limit {
 		t.Errorf("reject-all Restrict over %d rows allocated %.0f times, want at most %.0f (O(morsels))",
-			morsels*MorselRows, allocs, limit)
+			morsels*govern.MorselRows, allocs, limit)
 	}
 }

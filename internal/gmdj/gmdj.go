@@ -11,11 +11,20 @@
 //   - detail-only conjuncts, evaluated once per detail tuple, and
 //   - mixed residual conjuncts, evaluated per candidate pair;
 //
-// the detail relation R is then streamed exactly once, each detail
-// tuple probing the index (or, when θᵢ has no equi-binding, scanning
-// the active base entries) and folding into per-base aggregate
-// accumulators. Intermediate state is bounded by |B| — the property
-// the paper's cost argument rests on.
+// the detail relation R is then streamed, each detail tuple probing the
+// index (or, when θᵢ has no equi-binding, scanning the active base
+// entries) and folding into per-base aggregate accumulators.
+// Intermediate state is bounded by |B| — the property the paper's cost
+// argument rests on.
+//
+// Evaluation has two phases (DESIGN §14). The detail pass (detailPass)
+// does what depends on the detail row alone — detail-only conjuncts,
+// key hashes — once per row, in morsels, off the query goroutine. The
+// fold (evalPartition, scan, feed) owns base tuples: each tuple's
+// accumulators are fed by one goroutine in detail order, so results are
+// byte-identical at any degree. A hash-bound program folds in one scan
+// of R per resident partition at every degree — the paper's guarantee;
+// only a fallback θ shards the fold by base range (degree).
 //
 // The optional tuple-completion optimization (§4.2) drops a base tuple
 // from the active set the moment the downstream selection's outcome is
@@ -26,7 +35,6 @@ package gmdj
 import (
 	"fmt"
 	"runtime"
-	"runtime/debug"
 	"slices"
 	"strconv"
 	"strings"
@@ -48,12 +56,15 @@ import (
 // Stats reports work performed by one Evaluate call. All counters are
 // cumulative across conditions.
 type Stats struct {
-	// DetailScans counts passes over the detail relation: one per
-	// worker range per partition. It is the multiplier the paper's
-	// one-scan guarantee relaxes by, and the counter invariant at every
-	// degree and in every regime is
+	// DetailScans counts folds over the detail relation: one per base
+	// range per partition (a hash-bound program has one range). It is the
+	// multiplier the paper's one-scan guarantee relaxes by, and the
+	// counter invariant at every degree and in every regime is
 	// DetailRows + ShortCircuitRows == DetailScans × |detail|.
 	DetailScans int64
+	// DetailPassWorkers is how many goroutines shared the detail pass;
+	// 0 when the pass did not run (serial, or a detail under two morsels).
+	DetailPassWorkers int64
 	// DetailRows is the number of detail tuples fed, summed over scans.
 	DetailRows int64
 	// Probes counts hash-index probes plus fallback base-entry visits.
@@ -69,10 +80,10 @@ type Stats struct {
 	// FallbackConds is the number of conditions lacking equi-bindings
 	// (evaluated by scanning active base entries).
 	FallbackConds int
-	// WorkerRows records, for a partition split across workers, how
-	// many detail rows each worker fed (per-worker locals, recorded at
-	// drain time). Nil for serial evaluation. Merge concatenates, so a
-	// spilled run lists every partition's workers in order.
+	// WorkerRows records, for a partition whose fold is split across
+	// base ranges, how many detail rows each range's worker fed (recorded
+	// at drain time). Nil for a single-range fold. Merge concatenates, so
+	// a spilled run lists every partition's workers in order.
 	WorkerRows []int64
 	// HashCacheHits / HashCacheMisses count detail-side key-hash
 	// partitions reused from (or computed and published to) the
@@ -105,6 +116,7 @@ func (s *Stats) Merge(src *Stats) {
 		return
 	}
 	s.DetailScans += src.DetailScans
+	s.DetailPassWorkers += src.DetailPassWorkers
 	s.DetailRows += src.DetailRows
 	s.Probes += src.Probes
 	s.Matches += src.Matches
@@ -125,56 +137,51 @@ func (s *Stats) Merge(src *Stats) {
 type Options struct {
 	// Completion enables §4.2 tuple completion when non-nil.
 	Completion *algebra.CompletionInfo
-	// Workers > 1 partitions the base relation across goroutines, each
-	// scanning the detail relation against its own base range; results
-	// are byte-identical to serial evaluation at any degree. 0 and 1
-	// mean serial.
+	// Workers > 1 is the degree on offer: the detail pass takes it when
+	// the detail has two morsels or more, the fold when the program has
+	// a fallback θ (degree). Results are byte-identical to serial
+	// evaluation at any degree. 0 and 1 mean serial.
 	Workers int
 	// Stats, when non-nil, receives evaluation counters.
 	Stats *Stats
-	// Gov, when non-nil, governs the scan: cooperative cancellation
-	// ticks per detail row (shared across workers) and budget
-	// accounting for the emitted output rows.
+	// Gov, when non-nil, governs the evaluation: cancellation is polled
+	// every scanChunk rows per scan and once per detail-pass morsel (no
+	// shared write), and emitted rows are charged against the budgets.
 	Gov *govern.Governor
 	// Faults injects deterministic failures at the gmdj.compile,
 	// gmdj.worker, and gmdj.emit sites (nil = no injection).
 	Faults *govern.Injector
-	// Tracer, when non-nil, records one span per detail scan (Perfetto
-	// track per worker). Nil disables tracing.
+	// Tracer, when non-nil, records one span per detail scan and one per
+	// detail-pass worker (Perfetto track per worker).
 	Tracer *obs.Tracer
-	// Live, when non-nil, receives per-detail-row progress for the live
-	// query dashboard. Shared by parallel workers (atomic counters), so
-	// a long detail scan shows advancing numbers while it runs.
+	// Live, when non-nil, receives detail-row progress for the live query
+	// dashboard, so a long detail scan shows advancing numbers as it runs.
 	Live *obs.LiveQuery
 	// HashCache, together with a non-empty DetailID, lets the evaluator
 	// reuse detail-side key-hash partitions across queries: the vector
-	// of key hashes for (detail relation, key columns) is looked up
-	// before being recomputed, and published after. The caller is
-	// responsible for DetailID capturing the detail relation's identity
-	// AND version, so a stale vector is unreachable by construction.
+	// for (detail relation, key columns) is looked up before being
+	// computed, and published — complete — after. DetailID must capture
+	// the detail relation's identity AND version, so a stale vector is
+	// unreachable by construction.
 	HashCache HashCache
 	// DetailID identifies the detail relation for HashCache keys
 	// (e.g. "Flow#3@7"). Empty disables hash-partition caching.
 	DetailID string
-	// PackedHash, when non-nil, supplies detail-side key-hash vectors
-	// straight from the detail table's packed columnar segment
-	// (storage.Segment.KeyHashes): given the detail-schema positions of
-	// a condition's key columns, it returns the per-row hash and
-	// validity vectors, bit-identical to hashing the row-oriented
-	// tuples. The caller must guarantee the vectors describe exactly
-	// the rows of the detail relation passed to Evaluate (the executor
-	// sets this only for bare table scans, the same gate as DetailID).
+	// PackedHash, when non-nil, supplies a serial evaluation's key-hash
+	// vectors from the detail table's packed columnar segment
+	// (storage.Segment.KeyHashes): per-row hash and validity for the
+	// given detail-schema key positions, bit-identical to hashing the
+	// tuples. The vectors must describe exactly the rows passed to
+	// Evaluate (the executor sets this only for bare table scans).
 	PackedHash func(key []int) (h []uint64, ok []bool)
 	// Mem, when non-nil, charges the estimated base-state footprint
-	// (hash indexes, accumulators, completion flags) against the
-	// query's memory reservation before building it. When the
-	// reservation cannot supply the bytes, evaluation spills (Spill
-	// non-nil) or fails with govern.ErrMemBudget (Spill nil).
+	// (hash indexes, accumulators, completion flags) against the query's
+	// memory reservation before building it. When that cannot supply the
+	// bytes, evaluation spills or — Spill nil — fails (govern.ErrMemBudget).
 	Mem *mem.Tracker
 	// Spill, when non-nil, is the file-backed store used to evict base
-	// partitions under memory pressure. Nil turns reservation
-	// exhaustion into a hard govern.ErrMemBudget error — the pre-spill
-	// "kill" regime.
+	// partitions under memory pressure. Nil turns reservation exhaustion
+	// into a hard govern.ErrMemBudget error — the "kill" regime.
 	Spill *spill.Store
 }
 
@@ -186,12 +193,28 @@ type HashCache interface {
 	Put(key string, v any, bytes int64)
 }
 
-// detailHashVec is the cached per-detail-row key-hash partition for
-// one key-column set: H[i] is the KeyHash of row i's key columns and
-// OK[i] is false where any key component is NULL (never matches).
+// detailHashVec is the per-detail-row key-hash partition for one
+// key-column set: H[i] is the KeyHash of row i's key columns and OK[i]
+// is false where any key component is NULL (never matches) — or, in a
+// vector the detail pass filled for this query only, where no condition
+// accepted row i and so none will read it.
 type detailHashVec struct {
 	H  []uint64
 	OK []bool
+}
+
+// vecPool recycles the vectors the detail pass fills for one query only
+// (nine bytes a detail row, most of what a hash-bound query allocates):
+// Evaluate returns them after the fold, newVec hands them out again.
+var vecPool sync.Pool
+
+func newVec(n int) *detailHashVec {
+	if v, _ := vecPool.Get().(*detailHashVec); v != nil && cap(v.H) >= n {
+		v.H, v.OK = v.H[:n], v.OK[:n]
+		clear(v.OK) // H is read only where OK is set
+		return v
+	}
+	return &detailHashVec{H: make([]uint64, n), OK: make([]bool, n)}
 }
 
 // condProg is one compiled θᵢ with its aggregate list.
@@ -206,15 +229,17 @@ type condProg struct {
 	aggOffset  int   // position of this cond's first aggregate column
 	atoms      []int // completion atom indexes watching this condition
 
-	// detailHash, when non-nil, holds the (possibly cache-shared)
-	// precomputed key hash per detail row, replacing per-row KeyHash
-	// calls in feed. Read-only once attached (shared across workers and
-	// across queries).
+	// detailHash, when non-nil, holds the precomputed key hash per detail
+	// row, replacing per-row KeyHash calls in feed; conditions on one
+	// detailKey share it. passHash marks it as owed to the detail pass,
+	// which hashes the rows this condition accepts — every row when
+	// publish names the cross-query cache key the complete vector goes
+	// out under. Read-only during the fold.
 	detailHash *detailHashVec
-	// detailPredOK, when non-nil, caches the detail-only predicate
-	// outcome per detail row. prepareParallel fills it before a
-	// parallel run so workers share one evaluation pass instead of
-	// each repeating it. Read-only once built.
+	passHash   bool
+	publish    string
+	// detailPredOK, when non-nil, is the detail pass's outcome of
+	// detailPred per detail row. Read-only during the fold.
 	detailPredOK []bool
 }
 
@@ -222,21 +247,22 @@ type condProg struct {
 // does not depend on which base tuples are resident. It is built once
 // per Evaluate and shared by every partition the driver runs.
 type program struct {
+	// Options are the caller's, normalized: Stats is never nil, HashCache
+	// is nil without a DetailID, PackedHash is dropped once found stale.
+	Options
 	base, detail *relation.Relation
 	baseW        int
 	conds        []condProg
 	totalAggs    int
-	comp         *algebra.CompletionInfo
 	outSchema    *relation.Schema
-	workers      int
-	stats        *Stats // never nil: a discarded local when the caller wants none
-	gov          *govern.Governor
-	faults       *govern.Injector
-	tracer       *obs.Tracer
-	live         *obs.LiveQuery
-	// packed mirrors Options.PackedHash: the detail table's columnar
-	// key-hash supplier, consulted before any row-oriented hashing pass.
-	packed func(key []int) (h []uint64, ok []bool)
+	// passWorkers is the detail pass's degree; 1 — serial, or a detail
+	// under two morsels, too small to repay the goroutines — means no
+	// pass: feed does the per-row work inline. fallback records that some
+	// condition lacks an equi-binding, which is what makes sharding the
+	// fold pay (degree).
+	passWorkers int
+	fallback    bool
+	pooled      []*detailHashVec // unpublished pass vectors, back to vecPool after the fold
 }
 
 // result holds, by base position, what the single emit pass needs:
@@ -257,9 +283,8 @@ func Evaluate(base, detail *relation.Relation, conds []algebra.GMDJCond, opts Op
 	}
 	// Memory admission for the resident base state: charge the
 	// estimated footprint before building it. A reservation that cannot
-	// supply the bytes sends evaluation down the spill path — or, with
-	// no spill store, fails with the typed memory-budget error (the
-	// pre-spill "kill" regime).
+	// supply the bytes sends evaluation down the spill path — or, with no
+	// spill store, fails with the typed memory-budget error ("kill").
 	nBase := len(base.Rows)
 	var est int64
 	spilling := false
@@ -277,6 +302,9 @@ func Evaluate(base, detail *relation.Relation, conds []algebra.GMDJCond, opts Op
 	if err != nil {
 		return nil, err
 	}
+	if err := p.detailPass(); err != nil {
+		return nil, err
+	}
 	out := result{decided: make([]int8, nBase), accs: make([][]agg.Accumulator, nBase)}
 	if spilling {
 		err = p.evalSpilled(opts.Mem, opts.Spill, est, out)
@@ -286,44 +314,86 @@ func Evaluate(base, detail *relation.Relation, conds []algebra.GMDJCond, opts Op
 	if err != nil {
 		return nil, err
 	}
+	for _, v := range p.pooled {
+		vecPool.Put(v) // the fold is over: emit reads accumulators only
+	}
 	return p.emit(out)
 }
 
-// prepareParallel hoists the per-detail-row work every worker would
-// otherwise repeat into shared read-only vectors: indexed conditions
-// get their key-hash partition (when the cross-query cache hasn't
-// already supplied one), and conditions with a detail-only predicate
-// get its outcome bitmap. One O(detail) pass here replaces
-// workers× passes inside the scan, leaving only the index probes
-// themselves as duplicated work. Idempotent, so spilled partitions
-// share the first one's vectors.
-func (p *program) prepareParallel() error {
-	n := len(p.detail.Rows)
+// detailPass is the first phase: it walks the detail once, in morsels
+// claimed from an atomic counter, filling every condition's
+// detailPredOK and every owed key-hash vector. Workers write disjoint
+// index ranges of shared vectors, so there is no merge and the outcome
+// cannot depend on which worker claimed which morsel. Spilled partitions
+// share its vectors. At passWorkers 1 feed evaluates the predicates
+// inline and the pass only fills a vector the cross-query cache is owed.
+func (p *program) detailPass() error {
+	n, work := len(p.detail.Rows), false
 	for ci := range p.conds {
 		cp := &p.conds[ci]
-		if len(cp.baseKey) > 0 && cp.detailHash == nil {
-			cp.detailHash = p.computeDetailVec(cp.detailKey)
+		if cp.detailPred != nil && p.passWorkers > 1 {
+			cp.detailPredOK = make([]bool, n)
 		}
-		if cp.detailPred != nil && cp.detailPredOK == nil {
-			oks := make([]bool, n)
-			for di, row := range p.detail.Rows {
+		work = work || cp.detailPredOK != nil || cp.passHash
+	}
+	if !work {
+		return nil
+	}
+	// One span per worker, from the pass's start to its last morsel's end.
+	start, ends := time.Now(), make([]time.Time, p.passWorkers)
+	used, err := govern.RunMorsels(n, p.passWorkers, func(w, _, lo, hi int) error {
+		defer func() { ends[w] = time.Now() }()
+		return p.detailMorsel(lo, hi)
+	})
+	if err != nil {
+		return err
+	}
+	for w, end := range ends {
+		if p.Tracer != nil && !end.IsZero() { // zero: the others claimed every morsel first
+			p.Tracer.Span("gmdj", fmt.Sprintf("detail pass worker %d", w), int64(2+w), start, end.Sub(start))
+		}
+	}
+	p.Stats.DetailPassWorkers += int64(used)
+	for ci := range p.conds {
+		if cp := &p.conds[ci]; cp.publish != "" {
+			p.HashCache.Put(cp.publish, cp.detailHash, int64(n)*9)
+		}
+	}
+	return nil
+}
+
+// detailMorsel is the detail pass over rows [lo, hi): each row visited
+// once, cancellation polled once. A row an earlier condition on the key
+// already hashed is not hashed again (a NULL key is: OK stays false).
+func (p *program) detailMorsel(lo, hi int) error {
+	if err := p.Gov.Check(); err != nil {
+		return err
+	}
+	for di := lo; di < hi; di++ {
+		row := p.detail.Rows[di]
+		for ci := range p.conds {
+			cp := &p.conds[ci]
+			accepted := true
+			if cp.detailPredOK != nil {
 				tr, err := expr.EvalTri(cp.detailPred, row)
 				if err != nil {
 					return err
 				}
-				oks[di] = tr == value.True
+				accepted = tr == value.True
+				cp.detailPredOK[di] = accepted
 			}
-			cp.detailPredOK = oks
+			if vec := cp.detailHash; cp.passHash && (accepted || cp.publish != "") && !vec.OK[di] {
+				vec.H[di], vec.OK[di] = row.KeyHash(cp.detailKey)
+			}
 		}
 	}
 	return nil
 }
 
 // estimateStateBytes approximates the resident footprint of the GMDJ
-// base state: per base row, the re-materialized tuple (spilled
-// partitions decode rows from disk), hash-index entries per condition,
-// accumulator structs, and completion flags. It is an estimate — what
-// an admission decision needs — not an allocation count.
+// base state — an admission estimate, not an allocation count: per base
+// row, the re-materialized tuple (spilled partitions decode rows from
+// disk), index entries per condition, accumulators, completion flags.
 func estimateStateBytes(base *relation.Relation, conds []algebra.GMDJCond, comp *algebra.CompletionInfo) int64 {
 	nBase := int64(len(base.Rows))
 	if nBase == 0 {
@@ -344,27 +414,24 @@ func estimateStateBytes(base *relation.Relation, conds []algebra.GMDJCond, comp 
 }
 
 // compile is the preamble every regime shares: it binds and classifies
-// every condition, resolves the detail-side key-hash vectors, and
-// counts the fallback conditions — once per Evaluate, however many
-// partitions the base is then evaluated in.
+// every condition, resolves the detail-side key-hash vectors (or leaves
+// them to the detail pass), and counts the fallback conditions — once
+// per Evaluate, however many partitions the base is then evaluated in.
 func compile(base, detail *relation.Relation, conds []algebra.GMDJCond, opts Options) (*program, error) {
 	combined := base.Schema.Concat(detail.Schema)
 	p := &program{
-		base:    base,
-		detail:  detail,
-		baseW:   base.Schema.Len(),
-		comp:    opts.Completion,
-		conds:   make([]condProg, len(conds)),
-		workers: opts.Workers,
-		stats:   opts.Stats,
-		gov:     opts.Gov,
-		faults:  opts.Faults,
-		tracer:  opts.Tracer,
-		live:    opts.Live,
-		packed:  opts.PackedHash,
+		Options:     opts,
+		base:        base,
+		detail:      detail,
+		baseW:       base.Schema.Len(),
+		conds:       make([]condProg, len(conds)),
+		passWorkers: govern.MorselWorkers(opts.Workers, len(detail.Rows)),
 	}
-	if p.stats == nil {
-		p.stats = new(Stats)
+	if p.Stats == nil {
+		p.Stats = new(Stats)
+	}
+	if p.DetailID == "" {
+		p.HashCache = nil
 	}
 	outCols := append([]relation.Column{}, base.Schema.Columns...)
 	for i, c := range conds {
@@ -383,11 +450,12 @@ func compile(base, detail *relation.Relation, conds []algebra.GMDJCond, opts Opt
 			return nil, fmt.Errorf("gmdj: condition %d (%s): %w", i, c.Theta, err)
 		}
 		if len(cp.baseKey) == 0 {
-			p.stats.FallbackConds++
+			p.Stats.FallbackConds++
+			p.fallback = true
 		}
 	}
-	if p.comp != nil {
-		for ai, a := range p.comp.Atoms {
+	if p.Completion != nil {
+		for ai, a := range p.Completion.Atoms {
 			if a.Cond < 0 || a.Cond >= len(conds) {
 				return nil, fmt.Errorf("gmdj: completion atom %d references condition %d of %d", ai, a.Cond, len(conds))
 			}
@@ -395,11 +463,7 @@ func compile(base, detail *relation.Relation, conds []algebra.GMDJCond, opts Opt
 		}
 	}
 	p.outSchema = relation.NewSchema(outCols...)
-	if opts.HashCache != nil && opts.DetailID != "" {
-		p.attachDetailHashes(opts.HashCache, opts.DetailID)
-	} else if p.packed != nil {
-		p.attachPackedHashes()
-	}
+	p.attachHashes()
 	return p, nil
 }
 
@@ -426,44 +490,14 @@ func (p *program) buildIndex(rows []relation.Tuple) []map[uint64][]int32 {
 	return index
 }
 
-// attachDetailHashes resolves each indexed condition's detail-side
-// key-hash partition against the cross-query cache: a hit replaces the
-// per-row hashing feed would otherwise do; a miss computes the vector
-// once here and publishes it. Conditions sharing a key-column set
-// (coalesced subqueries probing the same binding, the common GMDJOpt
-// shape) resolve to the same entry, so the second condition is free
-// even on a cold cache.
-func (p *program) attachDetailHashes(cache HashCache, detailID string) {
-	for i := range p.conds {
-		cp := &p.conds[i]
-		if len(cp.baseKey) == 0 {
-			continue
-		}
-		keyCols := make([]string, len(cp.detailKey))
-		for k, pos := range cp.detailKey {
-			keyCols[k] = strconv.Itoa(pos)
-		}
-		key := "gmdjhash|" + detailID + "|k" + strings.Join(keyCols, ",")
-		if v, ok := cache.Get(key); ok {
-			if vec, ok := v.(*detailHashVec); ok && len(vec.H) == len(p.detail.Rows) {
-				cp.detailHash = vec
-				p.stats.HashCacheHits++
-				continue
-			}
-		}
-		vec := p.computeDetailVec(cp.detailKey)
-		cache.Put(key, vec, int64(len(vec.H))*9)
-		cp.detailHash = vec
-		p.stats.HashCacheMisses++
-	}
-}
-
-// attachPackedHashes resolves indexed conditions' detail hash vectors
-// from the packed columnar segment when no cross-query cache is
-// configured. Conditions sharing a key-column set (coalesced subqueries
-// probing the same binding) share one vector, as on the cache path, and
-// each counts as served.
-func (p *program) attachPackedHashes() {
+// attachHashes gives every indexed condition its detail-side key-hash
+// vector, one per distinct key-column set (coalesced subqueries probing
+// the same binding, the common GMDJOpt shape, share it). A cross-query
+// cache hit always replaces the hashing. Otherwise a parallel run owes
+// the vector to the detail pass; a serial one reads it from the packed
+// columnar segment, or — a cache miss with no segment — owes it to an
+// inline pass that publishes it, or leaves feed to hash per row.
+func (p *program) attachHashes() {
 	for i := range p.conds {
 		cp := &p.conds[i]
 		if len(cp.baseKey) == 0 {
@@ -471,51 +505,69 @@ func (p *program) attachPackedHashes() {
 		}
 		for j := 0; j < i && cp.detailHash == nil; j++ {
 			if prev := &p.conds[j]; prev.detailHash != nil && slices.Equal(prev.detailKey, cp.detailKey) {
-				cp.detailHash = prev.detailHash
-				p.stats.PackedHashConds++
+				cp.detailHash, cp.passHash = prev.detailHash, prev.passHash
 			}
 		}
-		if cp.detailHash != nil {
+		if cp.detailHash != nil { // served by the earlier condition's source
+			if p.HashCache != nil {
+				p.Stats.HashCacheHits++
+			} else if p.passWorkers <= 1 {
+				p.Stats.PackedHashConds++
+			}
 			continue
 		}
-		if cp.detailHash = p.packedVec(cp.detailKey); cp.detailHash == nil {
-			return
+		key := ""
+		if p.HashCache != nil {
+			keyCols := make([]string, len(cp.detailKey))
+			for k, pos := range cp.detailKey {
+				keyCols[k] = strconv.Itoa(pos)
+			}
+			key = "gmdjhash|" + p.DetailID + "|k" + strings.Join(keyCols, ",")
+			if v, ok := p.HashCache.Get(key); ok {
+				if vec, ok := v.(*detailHashVec); ok && len(vec.H) == len(p.detail.Rows) {
+					cp.detailHash = vec
+					p.Stats.HashCacheHits++
+					continue
+				}
+			}
+			p.Stats.HashCacheMisses++
+		}
+		n := len(p.detail.Rows)
+		if p.passWorkers <= 1 {
+			cp.detailHash = p.packedVec(cp.detailKey)
+		}
+		switch {
+		case cp.detailHash != nil:
+			if key != "" {
+				p.HashCache.Put(key, cp.detailHash, int64(n)*9)
+			}
+		case p.passWorkers > 1 || key != "":
+			cp.detailHash, cp.passHash, cp.publish = newVec(n), true, key
+			if key == "" {
+				p.pooled = append(p.pooled, cp.detailHash)
+			}
+		default:
+			return // no supplier: feed hashes inline
 		}
 	}
 }
 
 // packedVec reads one key set's hash vector from the packed-segment
-// supplier; nil when there is none. Only trusted vectors are used: a
-// supplier whose vector length disagrees with the detail relation (a
-// stale segment) is dropped for good and evaluation falls back to row
-// hashing.
+// supplier; nil when there is none. A supplier whose vector length
+// disagrees with the detail relation (a stale segment) is dropped for
+// good and evaluation falls back to row hashing.
 func (p *program) packedVec(key []int) *detailHashVec {
-	if p.packed == nil {
+	if p.PackedHash == nil {
 		return nil
 	}
 	n := len(p.detail.Rows)
-	h, ok := p.packed(key)
+	h, ok := p.PackedHash(key)
 	if len(h) != n || len(ok) != n {
-		p.packed = nil
+		p.PackedHash = nil
 		return nil
 	}
-	p.stats.PackedHashConds++
+	p.Stats.PackedHashConds++
 	return &detailHashVec{H: h, OK: ok}
-}
-
-// computeDetailVec builds the key-hash vector for one detail key set,
-// reading the packed columnar segment when a trusted supplier is
-// attached and falling back to hashing the row-oriented tuples.
-func (p *program) computeDetailVec(key []int) *detailHashVec {
-	if vec := p.packedVec(key); vec != nil {
-		return vec
-	}
-	n := len(p.detail.Rows)
-	vec := &detailHashVec{H: make([]uint64, n), OK: make([]bool, n)}
-	for di, row := range p.detail.Rows {
-		vec.H[di], vec.OK[di] = row.KeyHash(key)
-	}
-	return vec
 }
 
 // classifyTheta splits θ's conjuncts into bindings and side-local
@@ -631,11 +683,15 @@ type state struct {
 	index []map[uint64][]int32
 	// accs and decided are the owned windows of the partition's result
 	// arrays: what this scan folds is already where emit reads it.
-	accs     [][]agg.Accumulator // [tuple][agg]
-	decided  []int8
-	active   []bool
-	matched  [][]bool
-	combined relation.Tuple
+	accs    [][]agg.Accumulator // [tuple][agg]
+	decided []int8
+	active  []bool
+	matched [][]bool
+	// combined is the base++detail scratch tuple mixed predicates and
+	// fallback θs read; combinedDi is the detail row its detail half
+	// holds, copied only when one of them is about to read it (pair).
+	combined   relation.Tuple
+	combinedDi int
 	// basePredOK[c][i] caches base-only conjunct outcomes.
 	basePredOK [][]bool
 	// condScan is, per condition, the fallback iteration list of owned
@@ -650,9 +706,8 @@ type state struct {
 	// retires the last one the detail scan short-circuits (no base
 	// tuple this state owns can change its output anymore).
 	remaining int
-	// liveFlushed tracks how many fed detail rows have been published
-	// to the live-query registry; flushLive publishes per chunk, so
-	// parallel workers don't contend on the shared atomic per row.
+	// liveFlushed is how many fed detail rows flushLive has published to
+	// the live-query registry: per chunk, not per row (a shared atomic).
 	liveFlushed int64
 	stats       Stats
 }
@@ -661,7 +716,7 @@ type state struct {
 // flush to the live-query registry.
 func (s *state) flushLive() {
 	if d := s.stats.DetailRows - s.liveFlushed; d > 0 {
-		s.p.live.AddDetail(d)
+		s.p.Live.AddDetail(d)
 		s.liveFlushed = s.stats.DetailRows
 	}
 }
@@ -669,21 +724,21 @@ func (s *state) flushLive() {
 // newState builds evaluation state for positions [lo,hi) of a
 // partition: the per-tuple accumulator rows, completion flags,
 // base-predicate cache, and fallback scan lists cover only the owned
-// range, so a parallel run splits the O(base) construction cost and
-// memory across workers instead of repeating them. decided and accs
-// are the partition's result arrays.
+// range, so a sharded fold splits the O(base) construction cost and
+// memory across workers. decided and accs are the partition's arrays.
 func (p *program) newState(part []relation.Tuple, index []map[uint64][]int32, lo, hi int, decided []int8, accs [][]agg.Accumulator) (*state, error) {
 	n := hi - lo
 	s := &state{
-		p:         p,
-		rows:      part[lo:hi],
-		lo:        lo,
-		index:     index,
-		accs:      accs[lo:hi],
-		decided:   decided[lo:hi],
-		active:    make([]bool, n),
-		combined:  make(relation.Tuple, p.baseW+p.detail.Schema.Len()),
-		remaining: n,
+		p:          p,
+		rows:       part[lo:hi],
+		lo:         lo,
+		index:      index,
+		accs:       accs[lo:hi],
+		decided:    decided[lo:hi],
+		active:     make([]bool, n),
+		combined:   make(relation.Tuple, p.baseW+p.detail.Schema.Len()),
+		combinedDi: -1,
+		remaining:  n,
 	}
 	for i := range s.rows {
 		s.active[i] = true
@@ -695,10 +750,10 @@ func (p *program) newState(part []relation.Tuple, index []map[uint64][]int32, lo
 		}
 		s.accs[i] = row
 	}
-	if p.comp != nil {
+	if p.Completion != nil {
 		s.matched = make([][]bool, n)
 		for i := range s.matched {
-			s.matched[i] = make([]bool, len(p.comp.Atoms))
+			s.matched[i] = make([]bool, len(p.Completion.Atoms))
 		}
 	}
 	s.basePredOK = make([][]bool, len(p.conds))
@@ -734,6 +789,16 @@ func (p *program) newState(part []relation.Tuple, index []map[uint64][]int32, lo
 	return s, nil
 }
 
+// pair returns the scratch tuple holding baseRow ++ detail row di.
+func (s *state) pair(baseRow relation.Tuple, di int) relation.Tuple {
+	if s.combinedDi != di {
+		copy(s.combined[s.p.baseW:], s.p.detail.Rows[di])
+		s.combinedDi = di
+	}
+	copy(s.combined, baseRow)
+	return s.combined
+}
+
 // feed folds one detail row (at detail position di) into the state.
 func (s *state) feed(di int) error {
 	if s.inactive*2 > len(s.rows) {
@@ -741,28 +806,24 @@ func (s *state) feed(di int) error {
 	}
 	p := s.p
 	detailRow := p.detail.Rows[di]
-	copy(s.combined[p.baseW:], detailRow)
 	s.stats.DetailRows++
 	for ci := range p.conds {
 		cp := &p.conds[ci]
-		if cp.detailPred != nil {
-			if cp.detailPredOK != nil {
-				if !cp.detailPredOK[di] {
-					continue
-				}
-			} else {
-				tr, err := expr.EvalTri(cp.detailPred, detailRow)
-				if err != nil {
-					return err
-				}
-				if tr != value.True {
-					continue
-				}
+		if cp.detailPredOK != nil {
+			if !cp.detailPredOK[di] {
+				continue
+			}
+		} else if cp.detailPred != nil {
+			tr, err := expr.EvalTri(cp.detailPred, detailRow)
+			if err != nil {
+				return err
+			}
+			if tr != value.True {
+				continue
 			}
 		}
 		if index := s.index[ci]; index != nil {
-			var h uint64
-			var ok bool
+			h, ok := uint64(0), false
 			if vec := cp.detailHash; vec != nil {
 				h, ok = vec.H[di], vec.OK[di]
 			} else {
@@ -785,8 +846,7 @@ func (s *state) feed(di int) error {
 					continue
 				}
 				if cp.mixedPred != nil {
-					copy(s.combined[:p.baseW], baseRow)
-					tr, err := expr.EvalTri(cp.mixedPred, s.combined)
+					tr, err := expr.EvalTri(cp.mixedPred, s.pair(baseRow, di))
 					if err != nil {
 						return err
 					}
@@ -807,8 +867,7 @@ func (s *state) feed(di int) error {
 				continue
 			}
 			s.stats.Probes++
-			copy(s.combined[:p.baseW], s.rows[i])
-			tr, err := expr.EvalTri(cp.fullTheta, s.combined)
+			tr, err := expr.EvalTri(cp.fullTheta, s.pair(s.rows[i], di))
 			if err != nil {
 				return err
 			}
@@ -835,7 +894,7 @@ func (s *state) match(i, ci int, detailRow relation.Tuple) error {
 			return err
 		}
 	}
-	if p.comp == nil || len(cp.atoms) == 0 {
+	if p.Completion == nil || len(cp.atoms) == 0 {
 		return nil
 	}
 	changed := false
@@ -848,11 +907,11 @@ func (s *state) match(i, ci int, detailRow relation.Tuple) error {
 	if !changed {
 		return nil
 	}
-	switch evalTree(p.comp.Tree, p.comp.Atoms, s.matched[i]) {
+	switch evalTree(p.Completion.Tree, p.Completion.Atoms, s.matched[i]) {
 	case value.False:
 		s.retire(i, -1)
 	case value.True:
-		if p.comp.FreezeTrue {
+		if p.Completion.FreezeTrue {
 			s.retire(i, 1)
 		}
 	}
@@ -924,9 +983,7 @@ func evalTree(t *algebra.BoolTree, atoms []algebra.CompletionAtom, matched []boo
 		return acc
 	case algebra.BoolNot:
 		return evalTree(t.Kids[0], atoms, matched).Not()
-	case algebra.BoolOpaque:
-		return value.Unknown
-	default:
+	default: // BoolOpaque included
 		return value.Unknown
 	}
 }
@@ -934,7 +991,7 @@ func evalTree(t *algebra.BoolTree, atoms []algebra.CompletionAtom, matched []boo
 // emit materializes the output relation from the final result,
 // charging each emitted row against the query budgets.
 func (p *program) emit(res result) (*relation.Relation, error) {
-	if err := p.faults.Fire("gmdj.emit", p.gov); err != nil {
+	if err := p.Faults.Fire("gmdj.emit", p.Gov); err != nil {
 		return nil, err
 	}
 	out := relation.New(p.outSchema)
@@ -947,13 +1004,11 @@ func (p *program) emit(res result) (*relation.Relation, error) {
 		for _, a := range res.accs[bi] {
 			row = append(row, a.Result())
 		}
-		if p.gov != nil || p.live != nil {
+		if p.Gov != nil || p.Live != nil {
 			bytes := row.ApproxBytes()
-			p.live.AddOut(1, bytes)
-			if p.gov != nil {
-				if err := p.gov.AccountAppend(1, bytes); err != nil {
-					return nil, err
-				}
+			p.Live.AddOut(1, bytes)
+			if err := p.Gov.AccountAppend(1, bytes); err != nil {
+				return nil, err
 			}
 		}
 		out.Append(row)
@@ -972,55 +1027,40 @@ type partition struct {
 	idx []int32
 }
 
-// degree is the degree policy: how many ranges a partition of nBase
-// tuples is split into, one detail scan each. Sharding needs enough
-// base rows for every worker to own a real range, and enough detail
-// rows for the scan to be worth sharding at all.
+// degree is the fold's degree policy: how many base ranges a partition
+// of nBase tuples is split into, one detail scan each — chosen by what
+// a detail row costs the fold, not by the cores on offer. A hash-bound
+// row costs a bitmap test and a probe, and a second walker would repeat
+// both (every scan probes the partition's shared index and discards
+// hits outside its range): one scan. A fallback θ costs |active base|
+// evaluations per row, which split perfectly by base range: shard, given
+// base and detail rows enough for every worker to own a real range.
 func (p *program) degree(nBase int) int {
-	w := p.workers
-	if w <= 1 || nBase < 2*w || len(p.detail.Rows) < 2*w {
+	w := p.Workers
+	if !p.fallback || w <= 1 || nBase < 2*w || len(p.detail.Rows) < 2*w {
 		return 1
 	}
-	if limit := runtime.GOMAXPROCS(0) * 4; w > limit {
-		w = limit
-	}
-	return w
+	return min(w, runtime.GOMAXPROCS(0)*4)
 }
 
 // evalPartition is the one driver behind serial, parallel and spilled
-// evaluation. It indexes the partition, splits its positions into one
-// contiguous range per worker, builds state sized to each range, runs
-// the detail scan once per range — inline for a single range, one
-// goroutine each otherwise — and leaves every tuple's decision and
-// accumulators in out by base position, for the single emit.
+// folds. It indexes the partition, splits its positions into one
+// contiguous range per worker (degree), builds state sized to each
+// range, runs the detail scan once per range — inline for one range, on
+// govern.RunTasks' pool otherwise — and leaves every tuple's decision
+// and accumulators in out by base position, for the single emit.
 //
-// Sharding the base rather than the detail wins three ways:
-//
-//   - The O(base) state construction (accumulator rows, base-predicate
-//     cache, fallback scan lists) splits across workers instead of
-//     being repeated per worker.
-//   - Every base tuple's accumulators are fed by exactly one worker,
-//     in detail order — the same fold order the serial scan uses — so
-//     results are byte-identical to serial at any degree with no
-//     cross-worker accumulator merge (order-sensitive aggregates
-//     included). Completion decisions are likewise final per range.
-//   - Tuple completion short-circuits per range: a worker whose
-//     tuples are all decided stops scanning immediately, so the
-//     aggregate detail work tracks the serial scan's effective work,
-//     not workers × detail.
-//
-// The price is one detail scan per range (Stats.DetailScans), and that
-// indexed conditions probe the partition's shared hash index from
-// every worker and discard hits outside the owned range; fallback
-// θ-conditions pay nothing extra — each worker iterates only its own
-// scan lists.
+// The fold is base-owned, never detail-sharded: every base tuple's
+// accumulators are fed by one goroutine in detail order, so results are
+// byte-identical to serial at any degree with no accumulator merge
+// (float sums and order-sensitive aggregates included); completion is
+// final, and short-circuits, per range; the O(base) state construction
+// splits across ranges. The price is one detail scan per range.
 //
 // Failure semantics: the first scan to fail (operator error, budget
-// violation, cancellation, or recovered panic) records its error and
-// trips a shared stop flag; every other scan observes the flag on its
-// next detail row and returns without finishing. The pool therefore
-// drains within one row of the first failure, and Evaluate returns the
-// first error in order of occurrence.
+// violation, cancellation, or recovered panic) trips the pool's stop
+// flag; every other scan sees it on its next detail row and returns,
+// and Evaluate returns the first error in order of occurrence.
 func (p *program) evalPartition(part partition, out result) error {
 	n := len(part.rows)
 	// The whole base folds straight into out; a position list folds
@@ -1030,11 +1070,6 @@ func (p *program) evalPartition(part partition, out result) error {
 		decided, accs = make([]int8, n), make([][]agg.Accumulator, n)
 	}
 	workers := p.degree(n)
-	if workers > 1 {
-		if err := p.prepareParallel(); err != nil {
-			return err
-		}
-	}
 	index := p.buildIndex(part.rows)
 	// Build every state before starting any scan, so a failed build
 	// cannot strand already-started workers.
@@ -1046,37 +1081,15 @@ func (p *program) evalPartition(part partition, out result) error {
 		}
 		states[w] = st
 	}
-	var (
-		stop     atomic.Bool
-		failOnce sync.Once
-		firstErr error
-	)
-	run := func(w int) {
-		if err := p.scan(w, states[w], &stop); err != nil {
-			failOnce.Do(func() { firstErr = err })
-			stop.Store(true)
-		}
-	}
-	if workers == 1 {
-		run(0)
-	} else {
-		var wg sync.WaitGroup
-		for w := range states {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				run(w)
-			}(w)
-		}
-		wg.Wait()
-	}
-	if firstErr != nil {
-		return firstErr
+	if _, err := govern.RunTasks(workers, workers, func(_, w int, stop *atomic.Bool) error {
+		return p.scan(w, states[w], stop)
+	}); err != nil {
+		return err
 	}
 	for _, st := range states {
-		p.stats.Merge(&st.stats)
+		p.Stats.Merge(&st.stats)
 		if workers > 1 {
-			p.stats.WorkerRows = append(p.stats.WorkerRows, st.stats.DetailRows)
+			p.Stats.WorkerRows = append(p.Stats.WorkerRows, st.stats.DetailRows)
 		}
 	}
 	for i, bi := range part.idx {
@@ -1085,42 +1098,32 @@ func (p *program) evalPartition(part partition, out result) error {
 	return nil
 }
 
-// scan is the detail-scan loop — the only place a GMDJ reads detail
-// tuples. It walks the detail relation once, folding each row into st
-// and publishing live progress every liveChunk rows, and defines the
-// scan counters: one DetailScans, and every detail row either fed
-// (DetailRows) or skipped (ShortCircuitRows). A panic is recovered
-// here, on the goroutine that scans — the engine's panic boundary
-// lives on the query goroutine and cannot shield workers — and
-// surfaces as *govern.InternalError.
-func (p *program) scan(w int, st *state, stop *atomic.Bool) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = &govern.InternalError{Panic: r, Node: "*algebra.GMDJ", Stack: debug.Stack()}
-		}
-	}()
-	if p.tracer != nil {
-		start := time.Now()
-		defer func() {
-			p.tracer.Span("gmdj", fmt.Sprintf("worker %d base [%d:%d)", w, st.lo, st.lo+len(st.rows)), int64(2+w), start, time.Since(start))
-		}()
+// scanChunk is the cadence, in detail rows, of what a scan shares with
+// other goroutines — the cancellation poll and live-dashboard progress:
+// prompt for both, yet out of the per-row cost.
+const scanChunk = 256
+
+// scan is the fold's detail-scan loop. It walks the detail relation
+// once, folding each row into st, and defines the scan counters: one
+// DetailScans, and every detail row either fed (DetailRows) or skipped
+// (ShortCircuitRows).
+func (p *program) scan(w int, st *state, stop *atomic.Bool) error {
+	if p.Tracer != nil {
+		defer func(start time.Time) {
+			p.Tracer.Span("gmdj", fmt.Sprintf("worker %d base [%d:%d)", w, st.lo, st.lo+len(st.rows)), int64(2+w), start, time.Since(start))
+		}(time.Now())
 	}
 	defer st.flushLive()
-	if err := p.faults.Fire("gmdj.worker", p.gov); err != nil {
+	if err := p.Faults.Fire("gmdj.worker", p.Gov); err != nil {
 		return err
 	}
 	st.stats.DetailScans++
-	// liveChunk is the flushLive cadence: often enough that the live
-	// dashboard moves during a long scan, rarely enough that its atomics
-	// stay out of the per-row cost.
-	const liveChunk = 1024
 	n := len(p.detail.Rows)
-	for blo := 0; blo < n; blo += liveChunk {
-		bhi := blo + liveChunk
-		if bhi > n {
-			bhi = n
+	for blo := 0; blo < n; blo += scanChunk {
+		if err := p.Gov.Check(); err != nil {
+			return err
 		}
-		for di := blo; di < bhi; di++ {
+		for di, bhi := blo, min(blo+scanChunk, n); di < bhi; di++ {
 			if stop.Load() {
 				return nil
 			}
@@ -1130,9 +1133,6 @@ func (p *program) scan(w int, st *state, stop *atomic.Bool) (err error) {
 				// short-circuits (§4.2 taken to its limit).
 				st.stats.ShortCircuitRows += int64(n - di)
 				return nil
-			}
-			if err := p.gov.Tick(); err != nil {
-				return err
 			}
 			if err := st.feed(di); err != nil {
 				return err

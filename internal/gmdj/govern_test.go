@@ -3,7 +3,9 @@ package gmdj
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -43,6 +45,19 @@ func nonEquiCond() []algebra.GMDJCond {
 	}}
 }
 
+// waitGoroutines fails the test unless the goroutine count falls back
+// to before within five seconds: pools must leave no worker behind.
+func waitGoroutines(t *testing.T, before int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines leaked: %d running, started with %d", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
 // TestParallelConcurrentCancellation races a 4-worker scan against
 // cancellation arriving at varied offsets. Run under -race this also
 // checks the pool's stop-flag/first-error synchronization. Either the
@@ -75,13 +90,7 @@ func TestParallelConcurrentCancellation(t *testing.T) {
 			<-done
 		}
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > before {
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines leaked: %d running, started with %d", runtime.NumGoroutine(), before)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	waitGoroutines(t, before)
 }
 
 // TestParallelBudgetAbort: a row budget breached at emit time aborts a
@@ -138,4 +147,68 @@ func TestSerialCancellation(t *testing.T) {
 	if !errors.Is(err, govern.ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
+}
+
+// cancelAt is a detail-only predicate, always true, that cancels the
+// query the moment it is evaluated over the detail row keyed at; seen
+// counts the rows evaluated once that has happened.
+type cancelAt struct {
+	col    expr.Expr
+	at     int64
+	cancel context.CancelFunc
+	fired  *atomic.Bool
+	seen   *atomic.Int64
+}
+
+func (c *cancelAt) Bind(s *relation.Schema) (expr.Expr, error) {
+	col, err := c.col.Bind(s)
+	b := *c
+	b.col = col
+	return &b, err
+}
+
+func (c *cancelAt) Eval(row relation.Tuple) (value.Value, error) {
+	v, err := c.col.Eval(row)
+	if c.fired.Load() {
+		c.seen.Add(1)
+	} else if err == nil && v.AsInt() == c.at {
+		c.cancel()
+		c.fired.Store(true)
+	}
+	return value.Bool(true), err
+}
+
+func (c *cancelAt) Children() []expr.Expr { return []expr.Expr{c.col} }
+func (c *cancelAt) String() string        { return fmt.Sprintf("cancelAt(%s, %d)", c.col, c.at) }
+
+// TestDetailPassCancellation: a context canceled while the detail pass
+// is running aborts the evaluation with ErrCanceled before any worker
+// claims a morsel beyond the one it holds, and leaves no goroutine
+// behind.
+func TestDetailPassCancellation(t *testing.T) {
+	const workers, morsels = 4, 40
+	base := relation.New(relation.NewSchema(relation.Column{Qualifier: "B", Name: "k", Type: value.KindInt}))
+	base.Append(relation.Tuple{value.Int(1)})
+	detail := relation.New(relation.NewSchema(relation.Column{Qualifier: "R", Name: "k", Type: value.KindInt}))
+	for i := 0; i < morsels*govern.MorselRows; i++ {
+		detail.Append(relation.Tuple{value.Int(int64(i))})
+	}
+	before := runtime.NumGoroutine()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var fired atomic.Bool
+	var seen atomic.Int64
+	conds := []algebra.GMDJCond{{
+		Theta: expr.NewAnd(expr.Eq(expr.C("B.k"), expr.C("R.k")),
+			&cancelAt{col: expr.C("R.k"), at: 3 * govern.MorselRows, cancel: cancel, fired: &fired, seen: &seen}),
+		Aggs: []agg.Spec{{Func: agg.CountStar, As: "cnt"}},
+	}}
+	_, err := Evaluate(base, detail, conds, Options{Workers: workers, Gov: govern.New(ctx, govern.Budget{})})
+	if !errors.Is(err, govern.ErrCanceled) {
+		t.Fatalf("err = %v, want ErrCanceled", err)
+	}
+	if n := seen.Load(); n >= workers*govern.MorselRows {
+		t.Errorf("%d rows evaluated after the cancel, want under one morsel per worker (%d)", n, workers*govern.MorselRows)
+	}
+	waitGoroutines(t, before)
 }

@@ -3,12 +3,15 @@ package gmdj
 import (
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"testing"
 
 	"github.com/olaplab/gmdj/internal/agg"
 	"github.com/olaplab/gmdj/internal/algebra"
 	"github.com/olaplab/gmdj/internal/expr"
+	"github.com/olaplab/gmdj/internal/govern"
 	"github.com/olaplab/gmdj/internal/relation"
+	"github.com/olaplab/gmdj/internal/spill"
 	"github.com/olaplab/gmdj/internal/value"
 )
 
@@ -55,6 +58,9 @@ func evalParts(t *testing.T, base, detail *relation.Relation, conds []algebra.GM
 	t.Helper()
 	p, err := compile(base, detail, conds, opts)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.detailPass(); err != nil {
 		t.Fatal(err)
 	}
 	out := result{decided: make([]int8, len(base.Rows)), accs: make([][]agg.Accumulator, len(base.Rows))}
@@ -175,6 +181,189 @@ func TestPartitionEquivalence(t *testing.T) {
 					}
 				})
 			}
+		}
+	}
+}
+
+// passDetail builds R(k, tag, v) with n rows: keys 0..19 with every
+// 13th NULL, tags alternating, v cycling below 100.
+func passDetail(n int) *relation.Relation {
+	detail := relation.New(relation.NewSchema(
+		relation.Column{Qualifier: "R", Name: "k", Type: value.KindInt},
+		relation.Column{Qualifier: "R", Name: "tag", Type: value.KindString},
+		relation.Column{Qualifier: "R", Name: "v", Type: value.KindInt},
+	))
+	for i := 0; i < n; i++ {
+		k := value.Int(int64(i * 7 % 20))
+		if i%13 == 0 {
+			k = value.Null
+		}
+		detail.Append(relation.Tuple{k, value.Str([]string{"even", "odd"}[i%2]), value.Int(int64(i * 31 % 100))})
+	}
+	return detail
+}
+
+// TestDetailPassEquivalence: at every detail size around the morsel
+// edges, every degree, with the base resident or spilled, evaluation
+// returns the Workers: 1 answer with the Workers: 1 counters — the
+// detail pass (which runs only at two morsels or more and Workers > 1)
+// changes who computes the per-row work, never what the fold sees. A
+// hash-bound program scans the detail once per resident partition and
+// probes the same buckets at every degree; a fallback θ beside it
+// shards the fold and keeps the counter invariant.
+func TestDetailPassEquivalence(t *testing.T) {
+	base := relation.New(relation.NewSchema(
+		relation.Column{Qualifier: "B", Name: "id", Type: value.KindInt},
+		relation.Column{Qualifier: "B", Name: "k", Type: value.KindInt},
+	))
+	for i := 0; i < 64; i++ {
+		base.Append(relation.Tuple{value.Int(int64(i)), value.Int(int64(i * 11 % 30))})
+	}
+	bind := expr.Eq(expr.C("B.k"), expr.C("R.k"))
+	count := []agg.Spec{{Func: agg.CountStar, As: "cnt"}}
+	exists := func(atoms ...int) *algebra.CompletionInfo {
+		c := &algebra.CompletionInfo{FreezeTrue: true}
+		kids := make([]*algebra.BoolTree, len(atoms))
+		for i, cond := range atoms {
+			c.Atoms = append(c.Atoms, algebra.CompletionAtom{Cond: cond, Kind: algebra.AtomNonZero})
+			kids[i] = algebra.Leaf(i)
+		}
+		c.Tree = algebra.AndTree(kids...)
+		return c
+	}
+	shapes := []struct {
+		name      string
+		conds     []algebra.GMDJCond
+		comp      *algebra.CompletionInfo
+		hashBound bool
+	}{
+		{"no detail predicate", []algebra.GMDJCond{
+			{Theta: bind, Aggs: []agg.Spec{{Func: agg.CountStar, As: "cnt"}, {Func: agg.Avg, Arg: expr.C("R.v"), As: "a"}}},
+		}, nil, true},
+		{"one detail predicate", []algebra.GMDJCond{
+			{Theta: expr.NewAnd(bind, expr.NewCmp(value.GT, expr.C("R.v"), expr.IntLit(50))), Aggs: count},
+		}, exists(0), true},
+		{"shared key, two predicates", []algebra.GMDJCond{
+			{Theta: expr.NewAnd(bind, expr.Eq(expr.C("R.tag"), expr.StrLit("odd")), expr.NewCmp(value.GT, expr.C("R.v"), expr.IntLit(30))), Aggs: count},
+			{Theta: expr.NewAnd(bind, expr.Eq(expr.C("R.tag"), expr.StrLit("even")), expr.NewCmp(value.LT, expr.C("R.v"), expr.IntLit(70))), Aggs: []agg.Spec{{Func: agg.CountStar, As: "cnt2"}}},
+		}, exists(0, 1), true},
+		{"NULL keys", []algebra.GMDJCond{
+			{Theta: bind, Aggs: count},
+			{Theta: expr.NewAnd(bind, expr.NewIsNull(expr.C("R.k"), false)), Aggs: []agg.Spec{{Func: agg.CountStar, As: "nulls"}}},
+		}, nil, true},
+		{"fallback beside hash-bound", []algebra.GMDJCond{
+			{Theta: expr.NewAnd(bind, expr.NewCmp(value.GT, expr.C("R.v"), expr.IntLit(50))), Aggs: count},
+			{Theta: expr.NewAnd(expr.NewCmp(value.LT, expr.C("B.k"), expr.C("R.k")), expr.NewCmp(value.LT, expr.C("R.v"), expr.IntLit(10))),
+				Aggs: []agg.Spec{{Func: agg.Sum, Arg: expr.C("R.v"), As: "s"}}},
+		}, nil, false},
+	}
+	const m = govern.MorselRows
+	for _, n := range []int{0, 1, m - 1, m, m + 1, 2*m + 1} {
+		detail := passDetail(n)
+		for _, sh := range shapes {
+			for _, spilled := range []bool{false, true} {
+				var want string
+				var ref Stats
+				for _, workers := range []int{1, 2, 4, 8} {
+					var stats Stats
+					opts := Options{Completion: sh.comp, Workers: workers, Stats: &stats}
+					release := func() {}
+					if spilled {
+						store, err := spill.NewStore(filepath.Join(t.TempDir(), "scratch"), nil)
+						if err != nil {
+							t.Fatal(err)
+						}
+						opts.Spill = store
+						opts.Mem, release = tinyTracker(t)
+					}
+					out, err := Evaluate(base, detail, sh.conds, opts)
+					release()
+					name := fmt.Sprintf("n=%d/%s/spilled=%v/workers=%d", n, sh.name, spilled, workers)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					if spilled && stats.SpillPartitions == 0 {
+						t.Fatalf("%s: nothing spilled", name)
+					}
+					if pass := workers > 1 && n >= 2*m; (stats.DetailPassWorkers > 1) != pass {
+						t.Errorf("%s: DetailPassWorkers = %d, want the pass to run: %v", name, stats.DetailPassWorkers, pass)
+					}
+					if fed, skipped, all := stats.DetailRows, stats.ShortCircuitRows, stats.DetailScans*int64(n); fed+skipped != all {
+						t.Errorf("%s: DetailRows(%d) + ShortCircuitRows(%d) != DetailScans(%d) × %d", name, fed, skipped, stats.DetailScans, n)
+					}
+					if sh.hashBound && stats.DetailScans != 1+stats.ExtraDetailScans {
+						t.Errorf("%s: DetailScans = %d over %d partitions, want one each", name, stats.DetailScans, 1+stats.ExtraDetailScans)
+					}
+					if workers == 1 {
+						want, ref = out.String(), stats
+						continue
+					}
+					if out.String() != want {
+						t.Errorf("%s: output differs from Workers: 1", name)
+					}
+					if stats.Matches != ref.Matches || stats.Completed != ref.Completed || stats.ShortCircuitRows != ref.ShortCircuitRows ||
+						(sh.hashBound && stats.Probes != ref.Probes) {
+						t.Errorf("%s: counters diverge from Workers: 1:\nserial   %+v\nparallel %+v", name, ref, stats)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestDetailPassError: a detail predicate that fails on one row of the
+// last morsel fails the evaluation with that error at every degree.
+func TestDetailPassError(t *testing.T) {
+	base := relation.New(relation.NewSchema(relation.Column{Qualifier: "B", Name: "k", Type: value.KindInt}))
+	for i := 0; i < 8; i++ {
+		base.Append(relation.Tuple{value.Int(int64(i))})
+	}
+	detail := passDetail(2*govern.MorselRows + 1)
+	detail.Rows[len(detail.Rows)-1][2] = value.Str("not a number")
+	conds := []algebra.GMDJCond{{
+		Theta: expr.NewAnd(expr.Eq(expr.C("B.k"), expr.C("R.k")),
+			expr.NewCmp(value.GE, expr.NewArith(expr.OpAdd, expr.C("R.v"), expr.IntLit(0)), expr.IntLit(0))),
+		Aggs: []agg.Spec{{Func: agg.CountStar, As: "cnt"}},
+	}}
+	var want string
+	for _, workers := range []int{1, 2, 4, 8} {
+		_, err := Evaluate(base, detail, conds, Options{Workers: workers})
+		if err == nil {
+			t.Fatalf("workers=%d: evaluation succeeded over a row the predicate cannot evaluate", workers)
+		}
+		if workers == 1 {
+			want = err.Error()
+		} else if err.Error() != want {
+			t.Errorf("workers=%d: err = %v, want %s", workers, err, want)
+		}
+	}
+}
+
+// TestPassVectorReuse: a hash vector recycled from an earlier query —
+// other key columns, every row hashed — carries nothing over: the next
+// query's answers are the Workers: 1 answers.
+func TestPassVectorReuse(t *testing.T) {
+	base := relation.New(relation.NewSchema(relation.Column{Qualifier: "B", Name: "k", Type: value.KindInt}))
+	for i := 0; i < 20; i++ {
+		base.Append(relation.Tuple{value.Int(int64(i))})
+	}
+	detail := passDetail(2*govern.MorselRows + 1)
+	count := []agg.Spec{{Func: agg.CountStar, As: "cnt"}}
+	for _, theta := range []expr.Expr{
+		expr.Eq(expr.C("B.k"), expr.C("R.v")),
+		expr.NewAnd(expr.Eq(expr.C("B.k"), expr.C("R.k")), expr.Eq(expr.C("R.tag"), expr.StrLit("odd"))),
+	} {
+		conds := []algebra.GMDJCond{{Theta: theta, Aggs: count}}
+		want, err := Evaluate(base, detail, conds, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Evaluate(base, detail, conds, Options{Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := want.Diff(got); d != "" {
+			t.Errorf("θ = %s: %s", theta, d)
 		}
 	}
 }

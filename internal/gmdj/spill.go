@@ -106,15 +106,15 @@ func (p *program) evalSpilled(tracker *mem.Tracker, store *spill.Store, est int6
 		}
 		liveFiles = append(liveFiles, f)
 		work = append(work, spillPart{file: f, n: len(g)})
-		p.stats.SpillPartitions++
-		p.stats.SpillBytesWritten += f.Bytes
+		p.Stats.SpillPartitions++
+		p.Stats.SpillBytesWritten += f.Bytes
 	}
 
 	scans := 0
 	for len(work) > 0 {
 		part := work[0]
 		work = work[1:]
-		if err := p.gov.Check(); err != nil {
+		if err := p.Gov.Check(); err != nil {
 			return err
 		}
 		if part.file != nil {
@@ -122,7 +122,7 @@ func (p *program) evalSpilled(tracker *mem.Tracker, store *spill.Store, est int6
 			if err != nil {
 				return err
 			}
-			p.stats.SpillBytesRead += part.file.Bytes
+			p.Stats.SpillBytesRead += part.file.Bytes
 			part.file.Remove()
 			for i, f := range liveFiles {
 				if f == part.file {
@@ -162,7 +162,7 @@ func (p *program) evalSpilled(tracker *mem.Tracker, store *spill.Store, est int6
 		scans++
 	}
 	if scans > 1 {
-		p.stats.ExtraDetailScans += int64(scans - 1)
+		p.Stats.ExtraDetailScans += int64(scans - 1)
 	}
 	return nil
 }

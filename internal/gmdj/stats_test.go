@@ -2,11 +2,13 @@ package gmdj
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"github.com/olaplab/gmdj/internal/agg"
 	"github.com/olaplab/gmdj/internal/algebra"
 	"github.com/olaplab/gmdj/internal/expr"
+	"github.com/olaplab/gmdj/internal/govern"
 	"github.com/olaplab/gmdj/internal/obs"
 	"github.com/olaplab/gmdj/internal/relation"
 	"github.com/olaplab/gmdj/internal/value"
@@ -177,5 +179,26 @@ func TestShortCircuitStopsScan(t *testing.T) {
 	// Serial evaluation stops at exactly the deciding row.
 	if stats.DetailRows != 10 {
 		t.Fatalf("DetailRows = %d, want 10", stats.DetailRows)
+	}
+}
+
+// TestDetailPassSpans: the tracer gets a span per detail-pass worker
+// that claimed a morsel, beside the single scan span of a hash-bound
+// fold.
+func TestDetailPassSpans(t *testing.T) {
+	base, _ := packedCorpus()
+	tracer := obs.NewTracer(1 << 10)
+	var stats Stats
+	if _, err := Evaluate(base, passDetail(2*govern.MorselRows+1), packedConds(), Options{Workers: 2, Stats: &stats, Tracer: tracer}); err != nil {
+		t.Fatal(err)
+	}
+	var buf strings.Builder
+	if err := tracer.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	pass, scans := strings.Count(buf.String(), `"detail pass worker `), strings.Count(buf.String(), `"worker 0 base [0:40)"`)
+	if stats.DetailPassWorkers != 2 || pass < 1 || pass > 2 || scans != 1 || tracer.Len() != pass+scans {
+		t.Errorf("DetailPassWorkers = %d with %d pass spans and %d scan spans of %d events; want 2, 1–2, 1 and no others:\n%s",
+			stats.DetailPassWorkers, pass, scans, tracer.Len(), buf.String())
 	}
 }

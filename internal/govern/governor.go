@@ -87,7 +87,10 @@ func (g *Governor) Check() error {
 
 // Tick is the cooperative cancellation check for operator inner loops:
 // it increments a shared counter and performs a full Check every 256
-// calls. One atomic add per row is the steady-state cost.
+// calls. One atomic add per row is the steady-state cost — on a cache
+// line every worker of the query writes, so a loop hot enough for that
+// to show (the GMDJ's scans and detail pass) calls Check on a cadence
+// it counts locally instead.
 func (g *Governor) Tick() error {
 	if g == nil {
 		return nil

@@ -16,16 +16,17 @@ import (
 // TestWorkerPoolInheritsProfileLabels pins the attribution contract
 // behind olap_tenant_cpu_seconds_total: the pprof labels the engine
 // sets around query execution must survive the GMDJ worker-pool
-// handoff onto the parallel detail-scan goroutines. The goroutine
-// profile (debug=1) groups stacks with their labels, so a stanza
-// holding the tenant label and the detail-scan frame, on a goroutine
-// other than the query's own (no engine frame beneath the scan), proves
-// the inheritance end to end. Run with -race to also pin the handoff's
-// memory ordering.
+// handoff. The query is hash-bound, so its fold stays on the query
+// goroutine and the pool is the detail pass's. The goroutine profile
+// (debug=1) groups stacks with their labels, so a stanza holding the
+// tenant label and the detail-pass frame, on a goroutine other than
+// the query's own (no engine frame beneath it), proves the inheritance
+// end to end. Run with -race to also pin the handoff's memory ordering.
 func TestWorkerPoolInheritsProfileLabels(t *testing.T) {
-	// 200k flows make one worker's scan outlast the scheduler's
-	// preemption slice, so even on a single P the profile below catches
-	// a worker mid-scan instead of only ever running between queries.
+	// 200k flows make one worker's share of the pass outlast the
+	// scheduler's preemption slice, so even on a single P the profile
+	// below catches a worker mid-morsel instead of only ever running
+	// between queries.
 	db := gmdj.OpenNetflowSample(200_000, gmdj.WithParallelism(4))
 	defer db.Close()
 	ctx := obs.WithTenant(obs.WithRequestID(context.Background(), "req-labels-1"), "acme")
@@ -50,12 +51,12 @@ func TestWorkerPoolInheritsProfileLabels(t *testing.T) {
 			t.Fatalf("goroutine profile: %v", err)
 		}
 		for _, stanza := range strings.Split(buf.String(), "\n\n") {
-			if strings.Contains(stanza, `"tenant":"acme"`) && strings.Contains(stanza, "gmdj.(*program).scan") &&
+			if strings.Contains(stanza, `"tenant":"acme"`) && strings.Contains(stanza, "gmdj.(*program).detailMorsel") &&
 				!strings.Contains(stanza, "internal/engine.") {
 				return // a labeled worker goroutine, caught in the act
 			}
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	t.Fatal("no goroutine profile stanza carried the tenant label on a detail-scan worker within 10s")
+	t.Fatal("no goroutine profile stanza carried the tenant label on a detail-pass worker within 10s")
 }
