@@ -89,6 +89,40 @@ func (g *GMDJ) String() string {
 	return fmt.Sprintf("MD%s(%s, %s, %s)", suffix, g.Base, g.Detail, strings.Join(conds, ", "))
 }
 
+// Side says which inputs of a GMDJ an expression over base ++ detail
+// reads: SideBase | SideDetail for both, 0 for neither (a constant).
+type Side uint8
+
+const (
+	SideBase Side = 1 << iota
+	SideDetail
+)
+
+// ConjunctSide classifies one conjunct of a θ by the inputs its columns
+// resolve in. It is the one definition behind the evaluator's split of θ
+// (a base-only conjunct is evaluated once per base tuple, a detail-only
+// one once per detail tuple) and the rewriter's selection push-down,
+// which moves exactly those conjuncts below the operator. A column that
+// resolves in both inputs, or in neither, is an error.
+func ConjunctSide(e expr.Expr, base, detail *relation.Schema) (Side, error) {
+	var side Side
+	for _, c := range expr.Cols(e) {
+		_, errB := base.Find(c.Qualifier, c.Name)
+		_, errD := detail.Find(c.Qualifier, c.Name)
+		switch {
+		case errB == nil && errD == nil:
+			return 0, fmt.Errorf("column %s is ambiguous between base and detail", c)
+		case errB == nil:
+			side |= SideBase
+		case errD == nil:
+			side |= SideDetail
+		default:
+			return 0, fmt.Errorf("column %s resolves in neither base nor detail", c)
+		}
+	}
+	return side, nil
+}
+
 // ---------------------------------------------------------------------------
 // Tuple completion (§4.2)
 

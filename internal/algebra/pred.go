@@ -227,6 +227,46 @@ func HasSubquery(p Pred) bool {
 	return found
 }
 
+// PredExpr flattens a subquery-free predicate tree to the expression
+// it denotes; a subquery predicate is an error.
+func PredExpr(p Pred) (expr.Expr, error) {
+	terms := func(ps []Pred) ([]expr.Expr, error) {
+		out := make([]expr.Expr, len(ps))
+		for i, t := range ps {
+			e, err := PredExpr(t)
+			if err != nil {
+				return nil, err
+			}
+			out[i] = e
+		}
+		return out, nil
+	}
+	switch n := p.(type) {
+	case *Atom:
+		return n.E, nil
+	case *PredAnd:
+		ts, err := terms(n.Terms)
+		if err != nil {
+			return nil, err
+		}
+		return expr.NewAnd(ts...), nil
+	case *PredOr:
+		ts, err := terms(n.Terms)
+		if err != nil {
+			return nil, err
+		}
+		return expr.NewOr(ts...), nil
+	case *PredNot:
+		e, err := PredExpr(n.P)
+		if err != nil {
+			return nil, err
+		}
+		return expr.NewNot(e), nil
+	default:
+		return nil, fmt.Errorf("algebra: predicate %s is not a plain expression", p)
+	}
+}
+
 // PushDownNegations rewrites p so that no PredNot remains above a
 // subquery predicate or conjunction/disjunction: De Morgan's laws push
 // ¬ to the atoms, and negations directly on subquery predicates are

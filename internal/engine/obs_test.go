@@ -30,10 +30,12 @@ func userExistsPlan() algebra.Node {
 // the returned relation for every strategy: the root operator's
 // reported cardinality must equal the result's, and the GMDJ
 // operator's detail accounting must cover every pass over the detail
-// relation (rows fed + rows short-circuited = detail scans × detail
-// size) — at any degree, and when the base state spills. A fallback-θ
-// plan scans once per fold range; a hash-bound one scans once, whatever
-// the degree.
+// relation (rows fed + rows short-circuited = detail scans × the rows
+// its detail input handed on — the table's, less any block a fused
+// selection's zone maps skipped) — at any degree, and when the base
+// state spills. A fallback-θ plan scans once per fold range; a
+// hash-bound one scans once, whatever the degree. rows_scanned moves by
+// what the Scan operators handed on, summed.
 func TestRunObservedReconciliation(t *testing.T) {
 	const detailSize = 300
 	cat := datagen.Netflow(datagen.NetflowOpts{Flows: detailSize, Hours: 24, Users: 6, Seed: 3})
@@ -68,9 +70,13 @@ func TestRunObservedReconciliation(t *testing.T) {
 		for _, pl := range plans {
 			for _, s := range Strategies() {
 				name := fmt.Sprintf("%s/%s/%v", r.name, pl.name, s)
+				scannedBefore := e.Metrics()["rows_scanned"]
 				rel, root, err := e.RunObserved(context.Background(), pl.plan, s)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
+				}
+				if got, want := e.Metrics()["rows_scanned"]-scannedBefore, scanRows(root); got != want {
+					t.Errorf("%s: rows_scanned moved by %d, the Scan operators handed on %d:\n%s", name, got, want, obs.FormatTree(root))
 				}
 				if root == nil {
 					t.Fatalf("%s: no stats tree", name)
@@ -96,10 +102,14 @@ func TestRunObservedReconciliation(t *testing.T) {
 					t.Errorf("%s: detail_scans = %d, want 1 + extra_detail_scans(%d) > 1:\n%s",
 						name, scans, gm.Get("extra_detail_scans"), obs.FormatTree(root))
 				}
+				handed := gm.Children[1].Rows // base first, detail second
+				if handed != detailSize {
+					t.Errorf("%s: the detail input handed on %d rows, want all %d (one block, nothing to skip)", name, handed, detailSize)
+				}
 				fed, skipped := gm.Get("detail_rows"), gm.Get("short_circuit_rows")
-				if fed+skipped != scans*detailSize {
+				if fed+skipped != scans*handed {
 					t.Errorf("%s: detail_rows(%d) + short_circuit_rows(%d) != detail_scans(%d) × %d:\n%s",
-						name, fed, skipped, scans, detailSize, obs.FormatTree(root))
+						name, fed, skipped, scans, handed, obs.FormatTree(root))
 				}
 				if s == GMDJ && skipped != 0 {
 					t.Errorf("%s: basic gmdj has no completion, short_circuit_rows = %d", name, skipped)
@@ -111,6 +121,19 @@ func TestRunObservedReconciliation(t *testing.T) {
 		}
 		e.Close()
 	}
+}
+
+// scanRows sums the output cardinalities of a stats tree's Scan
+// operators.
+func scanRows(op *obs.Op) int64 {
+	var n int64
+	if strings.HasPrefix(op.Label, "Scan ") {
+		n = op.Rows
+	}
+	for _, ch := range op.Children {
+		n += scanRows(ch)
+	}
+	return n
 }
 
 // TestExplainDetailPassWorkers: over a detail of two morsels or more a
@@ -170,18 +193,20 @@ const goldenExplain = `strategy: gmdj-opt
 Project [H.HourDsc, H.StartInterval, H.EndInterval]
   Select [cnt1 > 0]
     GMDJ +completion+freeze (1 conditions)
-      cond: (count(*) -> cnt1 | θ: (F.StartTime >= H.StartInterval AND F.StartTime < H.EndInterval AND F.Protocol = 'FTP'))
+      cond: (count(*) -> cnt1 | θ: (F.StartTime >= H.StartInterval AND F.StartTime < H.EndInterval))
       Scan Hours->H
-      Scan Flow->F
+      Select [F.Protocol = 'FTP']
+        Scan Flow->F
 `
 
 const goldenAnalyze = `strategy: gmdj-opt (analyzed)
 Project [H.HourDsc, H.StartInterval, H.EndInterval] (time=X act=4 est=1 bytes=576 workers=1)
   Select [cnt1 > 0] (time=X act=4 est=1 bytes=736 workers=1)
     GMDJ +completion+freeze (1 conditions) (time=X act=4 est=3 bytes=736 workers=1 detail_rows=33 probes=12 matches=4 completed=4 short_circuit_rows=267 fallback_conds=1)
-      cond: (count(*) -> cnt1 | θ: (F.StartTime >= H.StartInterval AND F.StartTime < H.EndInterval AND F.Protocol = 'FTP'))
+      cond: (count(*) -> cnt1 | θ: (F.StartTime >= H.StartInterval AND F.StartTime < H.EndInterval))
       Scan Hours->H (time=X act=4 est=4 bytes=576)
-      Scan Flow->F (time=X act=300 est=300 bytes=75000)
+      Select [F.Protocol = 'FTP'] (time=X rows=300 bytes=75000 fused=1 segments_total=1)
+        Scan Flow->F (time=X act=300 est=300 bytes=75000)
 `
 
 // goldenAnalyzeTwoWorkers is goldenAnalyze at degree 2: each worker
@@ -191,9 +216,10 @@ const goldenAnalyzeTwoWorkers = `strategy: gmdj-opt (analyzed)
 Project [H.HourDsc, H.StartInterval, H.EndInterval] (time=X act=4 est=1 bytes=576 workers=1)
   Select [cnt1 > 0] (time=X act=4 est=1 bytes=736 workers=1)
     GMDJ +completion+freeze (1 conditions) (time=X act=4 est=3 bytes=736 workers=2 detail_scans=2 detail_rows=64 probes=12 matches=4 completed=4 short_circuit_rows=536 fallback_conds=1 worker0_rows=31 worker1_rows=33)
-      cond: (count(*) -> cnt1 | θ: (F.StartTime >= H.StartInterval AND F.StartTime < H.EndInterval AND F.Protocol = 'FTP'))
+      cond: (count(*) -> cnt1 | θ: (F.StartTime >= H.StartInterval AND F.StartTime < H.EndInterval))
       Scan Hours->H (time=X act=4 est=4 bytes=576)
-      Scan Flow->F (time=X act=300 est=300 bytes=75000)
+      Select [F.Protocol = 'FTP'] (time=X rows=300 bytes=75000 fused=1 segments_total=1)
+        Scan Flow->F (time=X act=300 est=300 bytes=75000)
 `
 
 const goldenAnalyzeNative = `strategy: native (analyzed)

@@ -234,7 +234,7 @@ const goldenSlowLog = `[
             {
               "label": "GMDJ +completion+freeze (1 conditions)",
               "extras": [
-                "cond: (count(*) -> cnt1 | θ: (F.StartTime >= H.StartInterval AND F.StartTime < H.EndInterval AND F.Protocol = 'FTP'))"
+                "cond: (count(*) -> cnt1 | θ: (F.StartTime >= H.StartInterval AND F.StartTime < H.EndInterval))"
               ],
               "rows": 4,
               "bytes": 736,
@@ -278,11 +278,29 @@ const goldenSlowLog = `[
                   "est_rows": 4
                 },
                 {
-                  "label": "Scan Flow->F",
+                  "label": "Select [F.Protocol = 'FTP']",
                   "rows": 300,
                   "bytes": 75000,
                   "elapsed_ns": 0,
-                  "est_rows": 300
+                  "counters": [
+                    {
+                      "name": "fused",
+                      "value": 1
+                    },
+                    {
+                      "name": "segments_total",
+                      "value": 1
+                    }
+                  ],
+                  "children": [
+                    {
+                      "label": "Scan Flow->F",
+                      "rows": 300,
+                      "bytes": 75000,
+                      "elapsed_ns": 0,
+                      "est_rows": 300
+                    }
+                  ]
                 }
               ],
               "est_rows": 3

@@ -234,9 +234,18 @@ func (e *Executor) eval(n algebra.Node, ev *env) (*relation.Relation, error) {
 	if ev.q.col == nil {
 		return e.evalNode(n, ev)
 	}
+	return e.observe(n, ev, func() (*relation.Relation, error) { return e.evalNode(n, ev) })
+}
+
+// observe runs one operator's evaluation under its stats-tree node
+// (none without a collector).
+func (e *Executor) observe(n algebra.Node, ev *env, run func() (*relation.Relation, error)) (*relation.Relation, error) {
+	if ev.q.col == nil {
+		return run()
+	}
 	label, extras := algebra.Describe(n)
 	op := ev.q.col.Enter(label, extras...)
-	out, err := e.evalNode(n, ev)
+	out, err := run()
 	var rows, bytes int64
 	if out != nil {
 		rows = int64(out.Len())
@@ -314,26 +323,48 @@ func (e *Executor) evalNode(n algebra.Node, ev *env) (*relation.Relation, error)
 // the stored rows (renaming is metadata-only), so nothing is charged
 // against the materialization budgets here.
 func (e *Executor) evalScan(s *algebra.Scan, ev *env) (*relation.Relation, error) {
-	if err := ev.q.fire("exec.scan"); err != nil {
+	_, rel, err := e.scanTable(s, ev)
+	if err != nil {
 		return nil, err
+	}
+	e.chargeScan(rel.Len(), ev)
+	return rel, nil
+}
+
+// scanTable resolves a Scan to its table and the table's rows under
+// the scan's alias.
+func (e *Executor) scanTable(s *algebra.Scan, ev *env) (*storage.Table, *relation.Relation, error) {
+	if err := ev.q.fire("exec.scan"); err != nil {
+		return nil, nil, err
 	}
 	t, err := e.Cat.Table(s.Table)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	// A quarantined table (its durable segment failed verification at
 	// recovery) refuses queries with the typed corruption error instead
 	// of serving rows that never matched the committed bytes.
 	if err := t.CheckQuarantine(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	e.rowsScanned.Add(int64(t.Rel.Len()))
-	ev.q.live.AddScanned(int64(t.Rel.Len()))
-	return t.Rel.Rename(s.EffectiveAlias()), nil
+	return t, t.Rel.Rename(s.EffectiveAlias()), nil
+}
+
+// chargeScan counts the rows a scan hands on: the table's, less the
+// blocks zone maps skipped (pruneScanInput).
+func (e *Executor) chargeScan(rows int, ev *env) {
+	e.rowsScanned.Add(int64(rows))
+	ev.q.live.AddScanned(int64(rows))
 }
 
 func (e *Executor) evalRestrict(r *algebra.Restrict, ev *env) (*relation.Relation, error) {
-	in, err := e.eval(r.Input, ev)
+	var in *relation.Relation
+	var err error
+	if s, ok := r.Input.(*algebra.Scan); ok {
+		in, _, err = e.pruneScanInput(s, r.Where, ev)
+	} else {
+		in, err = e.eval(r.Input, ev)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -345,7 +376,6 @@ func (e *Executor) evalRestrict(r *algebra.Restrict, ev *env) (*relation.Relatio
 	if err != nil {
 		return nil, err
 	}
-	in = e.pruneScanInput(r, in, ev)
 	workers := e.pipelineWorkers(in.Len())
 	if predHasSub(cp) {
 		// Subquery predicates carry per-query mutable state (the
@@ -660,7 +690,7 @@ func (e *Executor) evalGMDJ(g *algebra.GMDJ, ev *env) (*relation.Relation, error
 	if err != nil {
 		return nil, err
 	}
-	detail, err := e.eval(g.Detail, ev)
+	detail, conds, table, err := e.gmdjDetail(g, ev)
 	if err != nil {
 		return nil, err
 	}
@@ -681,25 +711,22 @@ func (e *Executor) evalGMDJ(g *algebra.GMDJ, ev *env) (*relation.Relation, error
 		Spill:      e.Spill,
 	}
 	// Cross-query hash-partition reuse and packed-column hashing are
-	// sound only when the detail relation IS a base table (a bare scan
-	// shares the table's row slice, so row positions and versions line
-	// up); any operator in between produces a fresh derived relation
-	// per query. The PackedHash closure is lazy — the columnar segment
-	// is only built (or fetched from the per-version cache) when the
-	// evaluator actually needs a hash vector the cross-query cache
-	// cannot supply.
-	if s, ok := g.Detail.(*algebra.Scan); ok {
-		if t, err := e.Cat.Table(s.Table); err == nil {
-			if e.Results != nil {
-				opts.HashCache = e.Results
-				opts.DetailID = plancache.EpochTag(s.Table, t.ID(), t.Version())
-			}
-			opts.PackedHash = func(key []int) ([]uint64, []bool) {
-				return t.Segment().KeyHashes(key)
-			}
+	// sound only when the detail relation IS a base table, row for row
+	// (gmdjDetail); any operator in between, or a skipped block, makes
+	// it a relation of this query's own. The PackedHash closure is lazy
+	// — the columnar segment is only built (or fetched from the
+	// per-version cache) when the evaluator actually needs a hash vector
+	// the cross-query cache cannot supply.
+	if table != nil {
+		if e.Results != nil {
+			opts.HashCache = e.Results
+			opts.DetailID = plancache.EpochTag(table.Name, table.ID(), table.Version())
+		}
+		opts.PackedHash = func(key []int) ([]uint64, []bool) {
+			return table.Segment().KeyHashes(key)
 		}
 	}
-	out, err := gmdj.Evaluate(base, detail, g.Conds, opts)
+	out, err := gmdj.Evaluate(base, detail, conds, opts)
 	e.gmdjMu.Lock()
 	e.gmdjTotals.Merge(&local)
 	e.gmdjTotals.WorkerRows = nil
@@ -744,4 +771,62 @@ func (e *Executor) evalGMDJ(g *algebra.GMDJ, ev *env) (*relation.Relation, error
 		}
 	}
 	return out, err
+}
+
+// gmdjDetail evaluates a GMDJ's detail and returns the conditions to
+// fold it under. table is the base table the returned relation is, row
+// for row; nil for a derived detail.
+func (e *Executor) gmdjDetail(g *algebra.GMDJ, ev *env) (detail *relation.Relation, conds []algebra.GMDJCond, table *storage.Table, err error) {
+	switch d := g.Detail.(type) {
+	case *algebra.Scan:
+		if detail, err = e.eval(d, ev); err == nil {
+			table, err = e.Cat.Table(d.Table)
+		}
+		return detail, g.Conds, table, err
+	case *algebra.Restrict:
+		if s, ok := d.Input.(*algebra.Scan); ok {
+			if c, cerr := algebra.PredExpr(d.Where); cerr == nil {
+				return e.fusedDetail(g, d, s, c, ev)
+			}
+		}
+	}
+	detail, err = e.eval(g.Detail, ev)
+	return detail, g.Conds, nil, err
+}
+
+// fusedDetail evaluates a detail σ[c](Scan t) — what selection
+// push-down makes of a θ whose conjuncts c read t alone
+// (rewrite.PushSelections) — without building the filtered relation:
+// t's blocks are zone-pruned by c, the rows of the surviving blocks are
+// handed on as they are, and c is conjoined back onto every θ, so the
+// detail pass evaluates it once per row as it did before c moved. The
+// selection's stats node reports the rows handed on. A detail that lost
+// a block is no longer the table's rows, hence no table.
+func (e *Executor) fusedDetail(g *algebra.GMDJ, r *algebra.Restrict, s *algebra.Scan, c expr.Expr, ev *env) (detail *relation.Relation, conds []algebra.GMDJCond, table *storage.Table, err error) {
+	detail, err = e.observe(r, ev, func() (*relation.Relation, error) {
+		ev.q.node = r
+		if err := ev.q.fire("exec.restrict"); err != nil {
+			return nil, err
+		}
+		ev.q.col.Current().Add("fused", 1)
+		var in *relation.Relation
+		in, table, err = e.pruneScanInput(s, r.Where, ev)
+		return in, err
+	})
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	// One flat conjunction, as θ was before c left it: a fallback θ is
+	// interpreted once per (base, detail) pair, where a nested AND costs
+	// a level of calls.
+	moved := expr.Conjuncts(c)
+	conds = make([]algebra.GMDJCond, len(g.Conds))
+	for i, cond := range g.Conds {
+		terms := moved
+		if l, ok := cond.Theta.(*expr.Lit); !ok || l.V != value.Bool(true) { // TRUE: every conjunct moved
+			terms = append(expr.Conjuncts(cond.Theta), moved...)
+		}
+		conds[i] = algebra.GMDJCond{Theta: expr.Conj(terms), Aggs: cond.Aggs}
+	}
+	return detail, conds, table, nil
 }

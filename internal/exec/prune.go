@@ -1,7 +1,8 @@
-// Zone-map scan pruning: a Restrict directly over a base-table Scan
-// consults the table's packed columnar segment (storage.Segment) and
-// skips whole ZoneBlockRows blocks whose per-column min/max statistics
-// prove no row can satisfy the predicate. Only top-level AND conjuncts
+// Zone-map scan pruning: a selection directly over a base-table Scan —
+// a Restrict, or the one a GMDJ evaluation fuses with its detail scan —
+// consults the table's per-column zone maps (storage.Table.Zones) and
+// skips whole ZoneBlockRows blocks whose min/max statistics prove no
+// row can satisfy the predicate. Only top-level AND conjuncts
 // of the shape column ⟨cmp⟩ literal prune — they must hold for every
 // emitted row, so a block where one of them is unsatisfiable
 // contributes nothing. Pruning is a strict subset operation on the
@@ -89,36 +90,58 @@ func splitCmp(c *expr.Cmp) (*expr.Col, *expr.Lit, value.CmpOp, bool) {
 	return nil, nil, 0, false
 }
 
-// pruneScanInput applies zone-map pruning to a Restrict whose input is
-// a bare table scan, returning the (possibly) reduced input relation
-// and recording segments_pruned / segments_total on the current stats
-// node. Any mismatch — derived input, unresolvable table, segment row
-// count out of sync with the materialized relation — returns the input
-// untouched.
-func (e *Executor) pruneScanInput(r *algebra.Restrict, in *relation.Relation, ev *env) *relation.Relation {
-	s, ok := r.Input.(*algebra.Scan)
-	if !ok || in.Len() == 0 {
-		return in
+// pruneScanInput evaluates Scan s as the input of a selection on where —
+// an evalRestrict's, or the one a GMDJ evaluation fuses with its detail
+// — handing on only the rows of the blocks whose zone maps cannot rule
+// where out, and records segments_pruned / segments_total on the
+// selection's stats node. The scan keeps its own stats node and charges
+// the rows it hands on. whole is the table when no block was skipped —
+// the relation is then the table's, row for row — and nil otherwise.
+func (e *Executor) pruneScanInput(s *algebra.Scan, where algebra.Pred, ev *env) (in *relation.Relation, whole *storage.Table, err error) {
+	pruned, total := 0, 0
+	in, err = e.observe(s, ev, func() (*relation.Relation, error) {
+		t, rel, err := e.scanTable(s, ev)
+		if err != nil {
+			return nil, err
+		}
+		rel, pruned, total = pruneBlocks(t, rel, pruneConjuncts(where, rel.Schema, ev.schema))
+		if pruned == 0 {
+			whole = t
+		}
+		e.chargeScan(rel.Len(), ev)
+		return rel, nil
+	})
+	if op := ev.q.col.Current(); op != nil && total > 0 {
+		op.Add("segments_pruned", int64(pruned))
+		op.Add("segments_total", int64(total))
 	}
-	conjs := pruneConjuncts(r.Where, in.Schema, ev.schema)
-	if len(conjs) == 0 {
-		return in
+	e.segmentsPruned.Add(int64(pruned))
+	return in, whole, err
+}
+
+// pruneBlocks drops from in — t's rows — the blocks one of conjs rules
+// out, reading the table's per-column zone maps (which describe exactly
+// those rows: both are the table at its current version). Survivors
+// that form one run, as the newest keys of an append-ordered table do,
+// are returned as a sub-slice of in's rows; scattered ones have their
+// row headers copied, when that is less than what was skipped.
+func pruneBlocks(t *storage.Table, in *relation.Relation, conjs []pruneConjunct) (out *relation.Relation, pruned, total int) {
+	if len(conjs) == 0 || in.Len() == 0 {
+		return in, 0, 0
 	}
-	t, err := e.Cat.Table(s.Table)
-	if err != nil {
-		return in
+	zones := make([][]storage.ZoneMap, len(conjs))
+	for i, c := range conjs {
+		zones[i] = t.Zones(c.col)
 	}
-	seg := t.Segment()
-	if seg.Rows != in.Len() {
-		return in
-	}
-	nblocks := seg.NumBlocks()
-	out := &relation.Relation{Schema: in.Schema}
-	pruned := 0
-	for b := 0; b < nblocks; b++ {
+	total = len(zones[0])
+	// runs holds the surviving row ranges, adjacent blocks joined; kept
+	// is their rows.
+	var runs [][2]int
+	kept := 0
+	for b := 0; b < total; b++ {
 		skip := false
-		for _, c := range conjs {
-			if seg.Zones[c.col][b].CanPrune(c.op, c.lit) {
+		for i, c := range conjs {
+			if zones[i][b].CanPrune(c.op, c.lit) {
 				skip = true
 				break
 			}
@@ -127,20 +150,28 @@ func (e *Executor) pruneScanInput(r *algebra.Restrict, in *relation.Relation, ev
 			pruned++
 			continue
 		}
-		lo := b * storage.ZoneBlockRows
-		hi := lo + storage.ZoneBlockRows
-		if hi > in.Len() {
-			hi = in.Len()
+		lo, hi := b*storage.ZoneBlockRows, min((b+1)*storage.ZoneBlockRows, in.Len())
+		kept += hi - lo
+		if n := len(runs); n > 0 && runs[n-1][1] == lo {
+			runs[n-1][1] = hi
+		} else {
+			runs = append(runs, [2]int{lo, hi})
 		}
-		out.Rows = append(out.Rows, in.Rows[lo:hi]...)
 	}
-	if op := ev.q.col.Current(); op != nil {
-		op.Add("segments_pruned", int64(pruned))
-		op.Add("segments_total", int64(nblocks))
+	switch {
+	case pruned == 0:
+		return in, 0, total
+	case len(runs) == 1:
+		return &relation.Relation{Schema: in.Schema, Rows: in.Rows[runs[0][0]:runs[0][1]]}, pruned, total
+	case kept > in.Len()-kept:
+		// Scattered survivors have to be copied, and the copy would be
+		// larger than what it lets the reader skip: a few skipped blocks
+		// are not worth a second set of row headers for the whole table.
+		return in, 0, total
 	}
-	if pruned == 0 {
-		return in
+	out = &relation.Relation{Schema: in.Schema, Rows: make([]relation.Tuple, 0, kept)}
+	for _, r := range runs {
+		out.Rows = append(out.Rows, in.Rows[r[0]:r[1]]...)
 	}
-	e.segmentsPruned.Add(int64(pruned))
-	return out
+	return out, pruned, total
 }

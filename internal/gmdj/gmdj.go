@@ -571,32 +571,9 @@ func (p *program) packedVec(key []int) *detailHashVec {
 }
 
 // classifyTheta splits θ's conjuncts into bindings and side-local
-// predicates as described in the package comment.
+// predicates as described in the package comment; which side a conjunct
+// reads is algebra.ConjunctSide's call.
 func classifyTheta(cp *condProg, theta expr.Expr, baseS, detailS, combined *relation.Schema) error {
-	resolves := func(c *expr.Col, s *relation.Schema) bool {
-		_, err := s.Find(c.Qualifier, c.Name)
-		return err == nil
-	}
-	side := func(e expr.Expr) (baseOnly, detailOnly bool, err error) {
-		baseOnly, detailOnly = true, true
-		for _, c := range expr.Cols(e) {
-			inB, inD := resolves(c, baseS), resolves(c, detailS)
-			if inB && inD {
-				return false, false, fmt.Errorf("column %s is ambiguous between base and detail", c)
-			}
-			if !inB && !inD {
-				return false, false, fmt.Errorf("column %s resolves in neither base nor detail", c)
-			}
-			if !inB {
-				baseOnly = false
-			}
-			if !inD {
-				detailOnly = false
-			}
-		}
-		return baseOnly, detailOnly, nil
-	}
-
 	var basePreds, detailPreds, mixedPreds []expr.Expr
 	for _, cj := range expr.Conjuncts(theta) {
 		// Equi-binding detection: col = col across sides.
@@ -604,36 +581,30 @@ func classifyTheta(cp *condProg, theta expr.Expr, baseS, detailS, combined *rela
 			lc, lok := cmp.L.(*expr.Col)
 			rc, rok := cmp.R.(*expr.Col)
 			if lok && rok {
-				lInB, lInD := resolves(lc, baseS), resolves(lc, detailS)
-				rInB, rInD := resolves(rc, baseS), resolves(rc, detailS)
-				if lInB && !lInD && rInD && !rInB {
+				ls, lerr := algebra.ConjunctSide(lc, baseS, detailS)
+				rs, rerr := algebra.ConjunctSide(rc, baseS, detailS)
+				if lerr == nil && rerr == nil && ls != rs {
+					if ls == algebra.SideDetail {
+						lc, rc = rc, lc
+					}
 					bi, _ := baseS.Find(lc.Qualifier, lc.Name)
 					di, _ := detailS.Find(rc.Qualifier, rc.Name)
 					cp.baseKey = append(cp.baseKey, bi)
 					cp.detailKey = append(cp.detailKey, di)
 					continue
 				}
-				if rInB && !rInD && lInD && !lInB {
-					bi, _ := baseS.Find(rc.Qualifier, rc.Name)
-					di, _ := detailS.Find(lc.Qualifier, lc.Name)
-					cp.baseKey = append(cp.baseKey, bi)
-					cp.detailKey = append(cp.detailKey, di)
-					continue
-				}
 			}
 		}
-		bOnly, dOnly, err := side(cj)
+		side, err := algebra.ConjunctSide(cj, baseS, detailS)
 		if err != nil {
 			return err
 		}
-		switch {
-		case bOnly && dOnly: // constant-only conjunct
-			mixedPreds = append(mixedPreds, cj)
-		case bOnly:
+		switch side {
+		case algebra.SideBase:
 			basePreds = append(basePreds, cj)
-		case dOnly:
+		case algebra.SideDetail:
 			detailPreds = append(detailPreds, cj)
-		default:
+		default: // both sides, or a constant
 			mixedPreds = append(mixedPreds, cj)
 		}
 	}

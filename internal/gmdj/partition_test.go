@@ -210,7 +210,9 @@ func passDetail(n int) *relation.Relation {
 // changes who computes the per-row work, never what the fold sees. A
 // hash-bound program scans the detail once per resident partition and
 // probes the same buckets at every degree; a fallback θ beside it
-// shards the fold and keeps the counter invariant.
+// shards the fold and keeps the counter invariant. The last detail is a
+// window into a larger table's rows, which is what a fused, zone-pruned
+// detail scan hands over (exec.fusedDetail).
 func TestDetailPassEquivalence(t *testing.T) {
 	base := relation.New(relation.NewSchema(
 		relation.Column{Qualifier: "B", Name: "id", Type: value.KindInt},
@@ -258,8 +260,17 @@ func TestDetailPassEquivalence(t *testing.T) {
 		}, nil, false},
 	}
 	const m = govern.MorselRows
+	var details []*relation.Relation
 	for _, n := range []int{0, 1, m - 1, m, m + 1, 2*m + 1} {
-		detail := passDetail(n)
+		details = append(details, passDetail(n))
+	}
+	// A zone-pruned detail: the run of table rows that survived, as a
+	// window into the table's row slice. Its morsels do not start where
+	// the table's do, and there is no hash vector to take from the table.
+	table := passDetail(4 * m)
+	details = append(details, &relation.Relation{Schema: table.Schema, Rows: table.Rows[m+7 : 3*m+8]})
+	for _, detail := range details {
+		n := len(detail.Rows)
 		for _, sh := range shapes {
 			for _, spilled := range []bool{false, true} {
 				var want string

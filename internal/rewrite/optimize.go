@@ -9,12 +9,19 @@ import (
 
 // Optimize applies the §4 GMDJ optimizations to a rewritten plan:
 // coalescing of adjacent GMDJs over the same detail table (Proposition
-// 4.1, including the selection push-up of Example 4.1) followed by
-// tuple-completion detection (Theorems 4.1/4.2). The result computes
-// the same bag as the input plan.
+// 4.1, including the selection push-up of Example 4.1), selection
+// push-down through the GMDJs that remain (PushSelections), and
+// tuple-completion detection (Theorems 4.1/4.2). The order matters:
+// coalescing matches bare detail scans, which push-down would cover
+// with selections, and push-down leaves behind the bare σ[C](MD) pairs
+// completion detection looks for. The result computes the same bag as
+// the input plan.
 func Optimize(plan algebra.Node, res algebra.SchemaResolver) (algebra.Node, error) {
 	out, err := Coalesce(plan, res)
 	if err != nil {
+		return nil, err
+	}
+	if out, err = PushSelections(out, res); err != nil {
 		return nil, err
 	}
 	return AttachCompletion(out), nil
@@ -30,76 +37,17 @@ func Optimize(plan algebra.Node, res algebra.SchemaResolver) (algebra.Node, erro
 // After coalescing, all merged subqueries are answered in one scan of
 // the shared detail table.
 func Coalesce(plan algebra.Node, res algebra.SchemaResolver) (algebra.Node, error) {
-	switch n := plan.(type) {
-	case *algebra.Scan, *algebra.Raw:
-		return plan, nil
-	case *algebra.Alias:
-		in, err := Coalesce(n.Input, res)
-		if err != nil {
-			return nil, err
-		}
-		return algebra.NewAlias(in, n.Name), nil
-	case *algebra.Restrict:
-		in, err := Coalesce(n.Input, res)
-		if err != nil {
-			return nil, err
-		}
-		return algebra.NewRestrict(in, coalescePred(n.Where, res)), nil
-	case *algebra.Project:
-		in, err := Coalesce(n.Input, res)
-		if err != nil {
-			return nil, err
-		}
-		return algebra.NewProject(in, n.Distinct, n.Items...), nil
-	case *algebra.Distinct:
-		in, err := Coalesce(n.Input, res)
-		if err != nil {
-			return nil, err
-		}
-		return algebra.NewDistinct(in), nil
-	case *algebra.Join:
-		l, err := Coalesce(n.Left, res)
-		if err != nil {
-			return nil, err
-		}
-		r, err := Coalesce(n.Right, res)
-		if err != nil {
-			return nil, err
-		}
-		return algebra.NewJoin(n.Kind, l, r, n.On), nil
-	case *algebra.GroupBy:
-		in, err := Coalesce(n.Input, res)
-		if err != nil {
-			return nil, err
-		}
-		return algebra.NewGroupBy(in, n.Keys, n.Aggs), nil
-	case *algebra.GMDJ:
-		return coalesceGMDJ(n, res)
-	case *algebra.Sort:
-		in, err := Coalesce(n.Input, res)
-		if err != nil {
-			return nil, err
-		}
-		return algebra.NewSort(in, n.Keys, n.Limit), nil
-	case *algebra.SetOp:
-		l, err := Coalesce(n.Left, res)
-		if err != nil {
-			return nil, err
-		}
-		r, err := Coalesce(n.Right, res)
-		if err != nil {
-			return nil, err
-		}
-		return algebra.NewSetOp(n.Kind, l, r), nil
-	case *algebra.Number:
-		in, err := Coalesce(n.Input, res)
-		if err != nil {
-			return nil, err
-		}
-		return algebra.NewNumber(in, n.As), nil
-	default:
-		return plan, nil
+	if g, ok := plan.(*algebra.GMDJ); ok {
+		return coalesceGMDJ(g, res)
 	}
+	out, err := algebra.MapInputs(plan, func(in algebra.Node) (algebra.Node, error) { return Coalesce(in, res) })
+	if err != nil {
+		return nil, err
+	}
+	if r, ok := out.(*algebra.Restrict); ok {
+		return algebra.NewRestrict(r.Input, coalescePred(r.Where, res)), nil
+	}
+	return out, nil
 }
 
 // coalescePred recurses into subquery sources inside predicates.

@@ -71,86 +71,14 @@ func (rw *rewriter) fresh(prefix string) string {
 
 // rewriteNode walks the plan, transforming subquery-bearing Restricts.
 func (rw *rewriter) rewriteNode(n algebra.Node) (algebra.Node, error) {
-	switch node := n.(type) {
-	case *algebra.Scan, *algebra.Raw:
-		return n, nil
-	case *algebra.Alias:
-		in, err := rw.rewriteNode(node.Input)
-		if err != nil {
-			return nil, err
-		}
-		return algebra.NewAlias(in, node.Name), nil
-	case *algebra.Restrict:
-		in, err := rw.rewriteNode(node.Input)
-		if err != nil {
-			return nil, err
-		}
-		return rw.rewriteRestrict(in, node.Where)
-	case *algebra.Project:
-		in, err := rw.rewriteNode(node.Input)
-		if err != nil {
-			return nil, err
-		}
-		return algebra.NewProject(in, node.Distinct, node.Items...), nil
-	case *algebra.Distinct:
-		in, err := rw.rewriteNode(node.Input)
-		if err != nil {
-			return nil, err
-		}
-		return algebra.NewDistinct(in), nil
-	case *algebra.Join:
-		l, err := rw.rewriteNode(node.Left)
-		if err != nil {
-			return nil, err
-		}
-		r, err := rw.rewriteNode(node.Right)
-		if err != nil {
-			return nil, err
-		}
-		return algebra.NewJoin(node.Kind, l, r, node.On), nil
-	case *algebra.GroupBy:
-		in, err := rw.rewriteNode(node.Input)
-		if err != nil {
-			return nil, err
-		}
-		return algebra.NewGroupBy(in, node.Keys, node.Aggs), nil
-	case *algebra.GMDJ:
-		b, err := rw.rewriteNode(node.Base)
-		if err != nil {
-			return nil, err
-		}
-		d, err := rw.rewriteNode(node.Detail)
-		if err != nil {
-			return nil, err
-		}
-		out := algebra.NewGMDJ(b, d, node.Conds...)
-		out.Completion = node.Completion
-		return out, nil
-	case *algebra.Sort:
-		in, err := rw.rewriteNode(node.Input)
-		if err != nil {
-			return nil, err
-		}
-		return algebra.NewSort(in, node.Keys, node.Limit), nil
-	case *algebra.SetOp:
-		l, err := rw.rewriteNode(node.Left)
-		if err != nil {
-			return nil, err
-		}
-		r, err := rw.rewriteNode(node.Right)
-		if err != nil {
-			return nil, err
-		}
-		return algebra.NewSetOp(node.Kind, l, r), nil
-	case *algebra.Number:
-		in, err := rw.rewriteNode(node.Input)
-		if err != nil {
-			return nil, err
-		}
-		return algebra.NewNumber(in, node.As), nil
-	default:
-		return nil, fmt.Errorf("rewrite: unsupported node %T", n)
+	out, err := algebra.MapInputs(n, rw.rewriteNode)
+	if err != nil {
+		return nil, err
 	}
+	if r, ok := out.(*algebra.Restrict); ok {
+		return rw.rewriteRestrict(r.Input, r.Where)
+	}
+	return out, nil
 }
 
 // rewriteRestrict is the top-level entry of the algorithm: it receives
@@ -168,7 +96,7 @@ func (rw *rewriter) rewriteRestrict(input algebra.Node, w algebra.Pred) (algebra
 	if err != nil {
 		return nil, err
 	}
-	sel, err := predToExpr(w2)
+	sel, err := algebra.PredExpr(w2)
 	if err != nil {
 		return nil, err
 	}
@@ -355,7 +283,7 @@ func (rw *rewriter) lift(sub *algebra.Subquery, env []envEntry) (algebra.Node, e
 		replacements[ls.sp] = &algebra.Atom{E: ls.repl}
 	}
 	pred2 := substitute(pred, replacements)
-	theta, err := predToExpr(pred2)
+	theta, err := algebra.PredExpr(pred2)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -505,43 +433,5 @@ func substitute(p algebra.Pred, repl map[*algebra.SubPred]algebra.Pred) algebra.
 		return n
 	default:
 		return p
-	}
-}
-
-// predToExpr flattens a subquery-free predicate tree to an expression.
-func predToExpr(p algebra.Pred) (expr.Expr, error) {
-	switch n := p.(type) {
-	case *algebra.Atom:
-		return n.E, nil
-	case *algebra.PredAnd:
-		terms := make([]expr.Expr, len(n.Terms))
-		for i, t := range n.Terms {
-			e, err := predToExpr(t)
-			if err != nil {
-				return nil, err
-			}
-			terms[i] = e
-		}
-		return expr.NewAnd(terms...), nil
-	case *algebra.PredOr:
-		terms := make([]expr.Expr, len(n.Terms))
-		for i, t := range n.Terms {
-			e, err := predToExpr(t)
-			if err != nil {
-				return nil, err
-			}
-			terms[i] = e
-		}
-		return expr.NewOr(terms...), nil
-	case *algebra.PredNot:
-		e, err := predToExpr(n.P)
-		if err != nil {
-			return nil, err
-		}
-		return expr.NewNot(e), nil
-	case *algebra.SubPred:
-		return nil, fmt.Errorf("rewrite: internal error — unsubstituted subquery predicate %s", n)
-	default:
-		return nil, fmt.Errorf("rewrite: unknown predicate %T", p)
 	}
 }

@@ -486,17 +486,43 @@ func TestRandomizedEquivalence(t *testing.T) {
 }
 
 // randomPlan builds a Restrict over Hours with 1-3 random subquery
-// predicates combined by random connectives.
+// predicates combined by random connectives. A predicate's block may
+// carry a detail-only conjunct FIi.NumBytes > k — one k for every
+// predicate in a third of the plans, so that coalesced conditions share
+// it — and may nest a further EXISTS over User, so that both selection
+// push-down rules have something to move.
 func randomPlan(rng *rand.Rand) algebra.Node {
 	dests := []string{"167.167.167.0", "168.168.168.0", "10.0.0.1"}
+	sharedK := int64(-1)
+	if rng.Intn(3) == 0 {
+		sharedK = int64(rng.Intn(100))
+	}
 	mkPred := func(i int) algebra.Pred {
 		alias := "FI" + string(rune('0'+i))
-		base := &algebra.Subquery{
-			Source: algebra.NewScan("Flow", alias),
-			Where: &algebra.Atom{E: expr.NewAnd(
-				expr.Eq(expr.C(alias+".DestIP"), expr.StrLit(dests[rng.Intn(len(dests))])),
-				timeWindow(alias, "H"),
-			)},
+		terms := []expr.Expr{
+			expr.Eq(expr.C(alias+".DestIP"), expr.StrLit(dests[rng.Intn(len(dests))])),
+			timeWindow(alias, "H"),
+		}
+		switch {
+		case sharedK >= 0:
+			terms = append(terms, expr.NewCmp(value.GT, expr.C(alias+".NumBytes"), expr.IntLit(sharedK)))
+		case rng.Intn(2) == 0:
+			terms = append(terms, expr.NewCmp(value.GT, expr.C(alias+".NumBytes"), expr.IntLit(int64(rng.Intn(100)))))
+		}
+		base := &algebra.Subquery{Source: algebra.NewScan("Flow", alias), Where: &algebra.Atom{E: expr.NewAnd(terms...)}}
+		if rng.Intn(3) == 0 {
+			user := "U" + string(rune('0'+i))
+			nested := algebra.Pred(algebra.ExistsPred(&algebra.Subquery{
+				Source: algebra.NewScan("User", user),
+				Where: &algebra.Atom{E: expr.NewAnd(
+					expr.Eq(expr.C(user+".IPAddress"), expr.C(alias+".SourceIP")),
+					expr.NewCmp(value.GT, expr.C(user+".Name"), expr.StrLit("usera")),
+				)},
+			}))
+			if rng.Intn(2) == 0 {
+				nested = algebra.Not(nested)
+			}
+			base.Where = algebra.And(base.Where, nested)
 		}
 		switch rng.Intn(4) {
 		case 0:

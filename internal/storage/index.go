@@ -162,11 +162,14 @@ type Table struct {
 	// registration) so index changes invalidate compiled plans too.
 	epochs *atomic.Uint64
 
-	// segMu guards the lazily built packed-columnar image of the table;
-	// segVersion records which table version it reflects.
-	segMu      sync.Mutex
-	seg        *Segment
-	segVersion uint64
+	// segMu guards the lazily built packed-columnar image of the table
+	// and the per-column zone maps built without one (Zones); segVersion
+	// and zonesVersion record which table version each reflects.
+	segMu        sync.Mutex
+	seg          *Segment
+	segVersion   uint64
+	zones        map[int][]ZoneMap
+	zonesVersion uint64
 
 	// quarantine, when set, records why the table's durable segment
 	// failed recovery; queries touching the table fail with

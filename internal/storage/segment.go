@@ -81,6 +81,17 @@ func BuildSegment(table string, rel *relation.Relation) *Segment {
 	return s
 }
 
+// add folds one non-NULL cell into the block's bounds.
+func (z *ZoneMap) add(v value.Value) {
+	if z.Min.IsNull() {
+		z.Min, z.Max = v, v
+	} else if c, ok := value.Compare(v, z.Min); ok && c < 0 {
+		z.Min = v
+	} else if c, ok := value.Compare(v, z.Max); ok && c > 0 {
+		z.Max = v
+	}
+}
+
 // buildZones computes the per-block min/max statistics from the packed
 // columns. Zone maps are derived data: never persisted, always rebuilt
 // (BuildSegment and decodeSegment both end here), so disk corruption
@@ -97,29 +108,46 @@ func (s *Segment) buildZones() {
 			for i := lo; i < hi; i++ {
 				if col.Nulls[i] {
 					z.HasNull = true
-					continue
-				}
-				if col.Boxed != nil {
+				} else if col.Boxed == nil {
 					// Mixed columns keep no min/max: cross-kind Compare
 					// is partial, so the stats could be unsound.
-					continue
-				}
-				v := col.Value(i)
-				if z.Min.IsNull() {
-					z.Min, z.Max = v, v
-					continue
-				}
-				if c, ok := value.Compare(v, z.Min); ok && c < 0 {
-					z.Min = v
-				}
-				if c, ok := value.Compare(v, z.Max); ok && c > 0 {
-					z.Max = v
+					z.add(col.Value(i))
 				}
 			}
 			zones[b] = z
 		}
 		s.Zones[ci] = zones
 	}
+}
+
+// rowZones is buildZones for one column of row-oriented tuples: the
+// zone maps a segment packed from rows would carry for column col.
+func rowZones(rows []relation.Tuple, col int) []ZoneMap {
+	zones := make([]ZoneMap, (len(rows)+ZoneBlockRows-1)/ZoneBlockRows)
+	kind, mixed := value.KindNull, false
+	for b := range zones {
+		block := rows[b*ZoneBlockRows : min((b+1)*ZoneBlockRows, len(rows))]
+		z := ZoneMap{Rows: len(block)}
+		for _, row := range block {
+			v := row[col]
+			if v.IsNull() {
+				z.HasNull = true
+				continue
+			}
+			if kind == value.KindNull {
+				kind = v.Kind()
+			}
+			mixed = mixed || v.Kind() != kind
+			z.add(v)
+		}
+		zones[b] = z
+	}
+	if mixed { // what buildColVec stores Boxed
+		for b := range zones {
+			zones[b].Min, zones[b].Max = value.Null, value.Null
+		}
+	}
+	return zones
 }
 
 // NumBlocks returns how many zone-map blocks the segment spans.
@@ -180,6 +208,29 @@ func (t *Table) Segment() *Segment {
 		t.segVersion = v
 	}
 	return t.seg
+}
+
+// Zones returns the zone maps of column col over the table's rows as
+// they are at its current version, one per ZoneBlockRows rows: the
+// resident segment's when it is current, otherwise built from the rows
+// for this column alone and kept until the version moves. Pruning a
+// scan therefore never packs a segment. Safe for concurrent readers.
+func (t *Table) Zones(col int) []ZoneMap {
+	t.segMu.Lock()
+	defer t.segMu.Unlock()
+	v := t.Version()
+	if t.seg != nil && t.segVersion == v {
+		return t.seg.Zones[col]
+	}
+	if t.zones == nil || t.zonesVersion != v {
+		t.zones, t.zonesVersion = map[int][]ZoneMap{}, v
+	}
+	z, ok := t.zones[col]
+	if !ok {
+		z = rowZones(t.Rel.Rows, col)
+		t.zones[col] = z
+	}
+	return z
 }
 
 // setSegment seeds the cache with a freshly decoded segment (recovery:

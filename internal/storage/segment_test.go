@@ -341,6 +341,53 @@ func TestTableSegmentCachedPerVersion(t *testing.T) {
 	}
 }
 
+// TestTableZonesWithoutSegment: Table.Zones gives, per column, exactly
+// the zone maps a segment packed from the same rows carries — NaN, ±0,
+// NULL runs and the mixed-kind column included — without packing one;
+// follows the table's version; and hands out the resident segment's own
+// when that is current.
+func TestTableZonesWithoutSegment(t *testing.T) {
+	rel := trickyRel(2*ZoneBlockRows + 100)
+	tab := NewTable("t", rel)
+	want := BuildSegment("t", rel).Zones
+	for c := range rel.Schema.Columns {
+		got := tab.Zones(c)
+		if len(got) != 3 {
+			t.Fatalf("column %d: %d zone maps, want 3", c, len(got))
+		}
+		for b := range got {
+			w := want[c][b]
+			if got[b].Rows != w.Rows || got[b].HasNull != w.HasNull ||
+				!cellIdentical(got[b].Min, w.Min) || !cellIdentical(got[b].Max, w.Max) {
+				t.Errorf("column %d block %d: zones from rows %+v, from a segment %+v", c, b, got[b], w)
+			}
+		}
+	}
+	if tab.seg != nil {
+		t.Fatal("Zones packed a segment")
+	}
+	if len(tab.zones) != rel.Schema.Len() {
+		t.Fatalf("%d columns cached, want every column asked for and no other", len(tab.zones))
+	}
+
+	first := tab.Zones(0)
+	if again := tab.Zones(0); &again[0] != &first[0] {
+		t.Fatal("zone maps rebuilt within one table version")
+	}
+	for i := 0; i < ZoneBlockRows; i++ {
+		rel.Append(rel.Rows[i].Clone())
+	}
+	tab.BumpVersion()
+	if grown := tab.Zones(0); len(grown) != 4 {
+		t.Fatalf("after an append: %d zone maps, want 4", len(grown))
+	}
+
+	seg := tab.Segment()
+	if z := tab.Zones(0); &z[0] != &seg.Zones[0][0] {
+		t.Fatal("with a current segment resident, Zones should hand out the segment's")
+	}
+}
+
 func TestQuarantine(t *testing.T) {
 	tab := NewTable("q", trickyRel(5))
 	if err := tab.CheckQuarantine(); err != nil {

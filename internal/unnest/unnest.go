@@ -189,7 +189,7 @@ func splitConjuncts(w algebra.Pred) ([]expr.Expr, []*algebra.SubPred, error) {
 			if algebra.HasSubquery(n) {
 				return fmt.Errorf("unnest: disjunctive subquery predicates cannot be unnested into joins")
 			}
-			e, err := predExpr(n)
+			e, err := algebra.PredExpr(n)
 			if err != nil {
 				return err
 			}
@@ -199,7 +199,7 @@ func splitConjuncts(w algebra.Pred) ([]expr.Expr, []*algebra.SubPred, error) {
 			if algebra.HasSubquery(n) {
 				return fmt.Errorf("unnest: residual negated subquery predicate %s", n)
 			}
-			e, err := predExpr(n)
+			e, err := algebra.PredExpr(n)
 			if err != nil {
 				return err
 			}
@@ -213,42 +213,6 @@ func splitConjuncts(w algebra.Pred) ([]expr.Expr, []*algebra.SubPred, error) {
 		return nil, nil, err
 	}
 	return atoms, subs, nil
-}
-
-// predExpr converts a subquery-free predicate to an expression.
-func predExpr(p algebra.Pred) (expr.Expr, error) {
-	switch n := p.(type) {
-	case *algebra.Atom:
-		return n.E, nil
-	case *algebra.PredAnd:
-		terms := make([]expr.Expr, len(n.Terms))
-		for i, t := range n.Terms {
-			e, err := predExpr(t)
-			if err != nil {
-				return nil, err
-			}
-			terms[i] = e
-		}
-		return expr.NewAnd(terms...), nil
-	case *algebra.PredOr:
-		terms := make([]expr.Expr, len(n.Terms))
-		for i, t := range n.Terms {
-			e, err := predExpr(t)
-			if err != nil {
-				return nil, err
-			}
-			terms[i] = e
-		}
-		return expr.NewOr(terms...), nil
-	case *algebra.PredNot:
-		e, err := predExpr(n.P)
-		if err != nil {
-			return nil, err
-		}
-		return expr.NewNot(e), nil
-	default:
-		return nil, fmt.Errorf("unnest: predicate %T contains a subquery", p)
-	}
 }
 
 // buildInner translates a subquery block into (plan, correlation

@@ -188,9 +188,12 @@ func Compare(a, b Value) (cmp int, ok bool) {
 		}
 		return 0, true
 	}
-	af, bf, _, ok := numericPair(a, b)
-	if !ok {
-		return 0, false
+	af, bf := a.f, b.f
+	if a.kind != KindFloat || b.kind != KindFloat { // INT beside FLOAT widens; anything else is incomparable
+		var ok bool
+		if af, bf, _, ok = numericPair(a, b); !ok {
+			return 0, false
+		}
 	}
 	switch {
 	case af < bf:

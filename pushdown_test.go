@@ -1,0 +1,167 @@
+package gmdj
+
+import (
+	"fmt"
+	"reflect"
+	"sort"
+	"testing"
+
+	"github.com/olaplab/gmdj/internal/obs"
+)
+
+// eventsDB holds a key-ordered detail table of eight zone-map blocks
+// (ev.k ascending, as an append-ordered table's keys are) and the
+// sixteen groups its rows fall in.
+func eventsDB(t *testing.T, opts ...Option) *DB {
+	t.Helper()
+	db := Open(opts...)
+	t.Cleanup(func() { db.Close() })
+	db.MustCreateTable("grp", Col("g", Int))
+	db.MustCreateTable("ev", Col("k", Int), Col("g", Int), Col("v", Int))
+	for g := 0; g < 16; g++ {
+		db.MustInsert("grp", []any{int64(g)})
+	}
+	rows := make([][]any, 8*1024)
+	for i := range rows {
+		rows[i] = []any{int64(i), int64(i * 7 % 16), int64(i * 13 % 100)}
+	}
+	db.MustInsert("ev", rows...)
+	return db
+}
+
+const eventsExists = `SELECT b.g FROM grp b WHERE EXISTS (SELECT * FROM ev e WHERE e.g = b.g AND e.k > %s AND e.v > %s)`
+
+func sortedCells(r *Result) []string {
+	out := make([]string, r.Len())
+	for i, row := range r.Rows {
+		out[i] = fmt.Sprint(row...)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// TestPushSelectionsPreparedPrunes: the plan of a prepared statement is
+// optimized once, with placeholders where the literals will be; the
+// range conjunct moves beneath the detail as `e.k > $1` and prunes by
+// whatever value each execution binds.
+func TestPushSelectionsPreparedPrunes(t *testing.T) {
+	db := eventsDB(t)
+	stmt, err := db.Prepare(fmt.Sprintf(eventsExists, "?", "?"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stmt.Close()
+	for _, c := range []struct {
+		above  int64
+		pruned int64 // blocks no row of which has k > above
+	}{{8*1024 - 10, 7}, {5 * 1024, 5}, {-1, 0}} {
+		before := db.Metrics()["storage.segments_pruned"]
+		got, err := stmt.Query(c.above, 90)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pruned := db.Metrics()["storage.segments_pruned"] - before; pruned != c.pruned {
+			t.Errorf("k > %d: %d blocks pruned, want %d", c.above, pruned, c.pruned)
+		}
+		want, err := db.QueryStrategy(fmt.Sprintf(eventsExists, fmt.Sprint(c.above), "90"), Native)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(sortedCells(got), sortedCells(want)) {
+			t.Errorf("k > %d: prepared gmdj-opt %v, native %v", c.above, sortedCells(got), sortedCells(want))
+		}
+	}
+}
+
+// TestPushSelectionsResultCache: with the cross-query cache on, a
+// detail that lost blocks to pruning is not the table's rows, so its
+// evaluation neither looks a hash vector up nor publishes one (a vector
+// over the survivors filed under the table's id would poison the next
+// query); a detail no block was pruned from still shares its vector;
+// and after an INSERT the pruned query sees the new rows.
+func TestPushSelectionsResultCache(t *testing.T) {
+	db := eventsDB(t, WithResultCache(0))
+	pruning := fmt.Sprintf(eventsExists, "8000", "90")
+	check := func(q string) {
+		t.Helper()
+		got, err := db.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := db.QueryStrategy(q, Native)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(sortedCells(got), sortedCells(want)) {
+			t.Fatalf("%s:\n gmdj-opt %v\n native   %v", q, sortedCells(got), sortedCells(want))
+		}
+	}
+
+	check(pruning)
+	check(pruning)
+	if s := db.ResultCacheStats(); s.Hits+s.Misses != 0 || s.Entries != 0 {
+		t.Fatalf("a pruned detail touched the hash-vector cache: %+v", s)
+	}
+
+	whole := fmt.Sprintf(eventsExists, "-1", "90")
+	check(whole)
+	published := db.ResultCacheStats()
+	if published.Entries != 1 || published.Misses != 1 {
+		t.Fatalf("an unpruned fused detail should publish its hash vector once: %+v", published)
+	}
+	check(whole)
+	if s := db.ResultCacheStats(); s.Hits != published.Hits+1 {
+		t.Fatalf("replay over the unpruned detail should reuse the vector: %+v", s)
+	}
+	check(pruning) // beside a published vector for the whole table: still not read
+	if s := db.ResultCacheStats(); s.Hits != published.Hits+1 || s.Misses != published.Misses {
+		t.Fatalf("a pruned detail read the whole table's vector: %+v", s)
+	}
+
+	// Group 3 gains its only qualifying row in a new ninth block.
+	none := fmt.Sprintf(eventsExists, "8191", "90")
+	if r, err := db.Query(none); err != nil || r.Len() != 0 {
+		t.Fatalf("before the insert: %v rows, err %v", r, err)
+	}
+	if _, err := db.Exec(`INSERT INTO ev VALUES (8192, 3, 99)`); err != nil {
+		t.Fatal(err)
+	}
+	r, err := db.Query(none)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Len() != 1 || r.Rows[0][0] != int64(3) {
+		t.Fatalf("after the insert: %v, want [[3]]", r.Rows)
+	}
+	check(none)
+	check(whole)
+}
+
+// TestPushSelectionsExplainFused pins what EXPLAIN ANALYZE shows for an
+// EXISTS over a key-ordered durable table: the range conjunct on a
+// selection of its own beneath the GMDJ, marked fused, carrying the
+// blocks the zone maps skipped, and the scan beneath it charged with
+// the one block handed on.
+func TestPushSelectionsExplainFused(t *testing.T) {
+	db := eventsDB(t, WithDataDir(t.TempDir()), WithParallelism(1))
+	if _, err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	out, err := db.ExplainAnalyze(fmt.Sprintf(eventsExists, "8000", "90"), GMDJOpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const golden = `strategy: gmdj-opt (analyzed)
+Project [b.g] (time=X act=15 est=4 bytes=960 workers=1)
+  Project [b.g] (time=X act=15 est=4 bytes=960 workers=1)
+    Select [cnt1 > 0] (time=X act=15 est=4 bytes=1560 workers=1)
+      GMDJ +completion+freeze (1 conditions) (time=X act=16 est=13 bytes=1664 workers=1 detail_rows=1024 probes=17 matches=15 completed=15)
+        cond: (count(*) -> cnt1 | θ: e.g = b.g)
+        Scan grp->b (time=X act=16 est=16 bytes=1024)
+        Select [(e.k > 8000 AND e.v > 90)] (time=X rows=1024 bytes=147456 fused=1 segments_pruned=7 segments_total=8)
+          Scan ev->e (time=X act=1024 est=8192 bytes=147456)
+`
+	if got := obs.NormalizeTimings(out); got != golden {
+		t.Errorf("EXPLAIN ANALYZE drifted:\n--- got ---\n%s--- want ---\n%s", got, golden)
+	}
+}
