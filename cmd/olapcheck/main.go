@@ -3,7 +3,7 @@
 //
 //	olapcheck prom   [flags] [file]       validate a /metrics scrape
 //	olapcheck bundle [flags] dir|profile  validate an incident bundle or a pprof profile
-//	olapcheck store  -dir DIR load|churn|verify [flags]
+//	olapcheck store  -dir DIR load|churn|verify|segments [flags]
 //	                                      crash/recovery torture driver
 //
 // Exit codes, for every subcommand: 0 all checks pass, 1 a check

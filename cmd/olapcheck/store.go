@@ -5,6 +5,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"github.com/olaplab/gmdj/internal/algebra"
@@ -19,26 +20,31 @@ import (
 // olapcheck store is the crash/recovery torture driver for the
 // durable columnar store. It writes a fully deterministic corpus —
 // the Figure 4 key-pair tables and a Figure 5 TPC-R-like warehouse,
-// both derived from (-rows, -seed, round) — so that after the harness
-// kills the process at an arbitrary instant, a fresh run can rebuild
-// the exact in-memory oracle for whatever round the store last
-// committed and compare byte-for-byte.
+// both derived from (-rows, -seed, round), and the append-only
+// tort_log, which gains rows/10 rows derived from (-seed, round) every
+// round — so that after the harness kills the process at an arbitrary
+// instant, a fresh run can rebuild the exact in-memory oracle for
+// whatever round the store last committed and compare byte-for-byte.
 //
 // Usage:
 //
 //	olapcheck store -dir DIR load  [-rows n] [-seed s]
 //	olapcheck store -dir DIR churn [-rows n] [-seed s] [-rounds r] [-sleep-ms m]
 //	olapcheck store -dir DIR verify [-rows n] [-seed s] [-expect-quarantine t1,t2]
+//	olapcheck store -dir DIR segments
 //
 // load initializes round 0 and checkpoints it. churn recovers the
-// store, then per round re-creates every table from the round-derived
-// seed, runs one GMDJ query (exercising the transparent-checkpoint
-// and packed-hash read paths), checkpoints, and prints one
-// "round=<r> gen=<g>" line per committed generation — the harness
-// kill -9s it mid-stream. A failed checkpoint (injected disk fault)
-// logs to stderr and prints no round line: the previous generation
-// stays the committed one and the on-disk state remains a valid
-// earlier round.
+// store, then per round re-creates every table but tort_log from the
+// round-derived seed and appends the round's rows to tort_log (the one
+// table whose checkpoints write a tail, not a table), runs one GMDJ
+// query (exercising the transparent-checkpoint and packed-hash read
+// paths), checkpoints, and prints one "round=<r> gen=<g>" line per
+// committed generation — the harness kill -9s it mid-stream. A failed
+// checkpoint (injected disk fault) logs to stderr and prints no round
+// line: the previous generation stays the committed one and the
+// on-disk state remains a valid earlier round. segments prints one
+// line per committed table, "<table> rows=<n> <file>...", files in row
+// order — how the harness finds a middle file of tort_log to corrupt.
 //
 // verify recovers, reads the committed round from the tort_meta
 // table, rebuilds the oracle for that round, and asserts (a) every
@@ -69,7 +75,7 @@ func runStore(args []string) int {
 		fs.Parse(fs.Args()[1:])
 	}
 	if *dir == "" || cmd == "" || fs.NArg() > 0 {
-		fmt.Fprintln(os.Stderr, "usage: olapcheck store -dir DIR {load|churn|verify} [flags]")
+		fmt.Fprintln(os.Stderr, "usage: olapcheck store -dir DIR {load|churn|verify|segments} [flags]")
 		return 2
 	}
 	var err error
@@ -80,8 +86,10 @@ func runStore(args []string) int {
 		err = churn(*dir, *rows, *seed, *rounds, time.Duration(*sleepMS)*time.Millisecond)
 	case "verify":
 		err = verify(*dir, *rows, *seed, splitList(*expectQuarantine), *allowQuarantine)
+	case "segments":
+		err = segments(*dir)
 	default:
-		err = fmt.Errorf("unknown subcommand %q (want load, churn, or verify)", cmd)
+		err = fmt.Errorf("unknown subcommand %q (want load, churn, verify, or segments)", cmd)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "olapcheck store:", err)
@@ -133,11 +141,62 @@ func merge(dst, src *storage.Catalog) {
 	}
 }
 
-// registerCorpus replaces every table of the engine's catalog with the
-// given round's corpus (recovered tables from older rounds are
-// overwritten, clearing any quarantine).
+// logTable is the append-only table: it is never re-created from one
+// round to the next, so its checkpoints take the store's append path
+// and it comes to span several segment files.
+const logTable = "tort_log"
+
+// logRowsPerRound is how many rows every round adds to tort_log.
+func logRowsPerRound(rows int) int { return max(rows/10, 1) }
+
+// appendLogRound appends the rows round adds to tort_log, a pure
+// function of (seed, rows, round), about half with a NULL note.
+func appendLogRound(rel *relation.Relation, rows int, seed uint64, round int) {
+	rng := datagen.NewPRNG(mix(seed, round) + 2)
+	for i := 0; i < logRowsPerRound(rows); i++ {
+		note := value.Null
+		if rng.Intn(2) == 0 {
+			note = value.Str(fmt.Sprintf("n%d", rng.Intn(64)))
+		}
+		rel.Append(relation.Tuple{value.Int(int64(round)), value.Int(int64(i)), value.Int(int64(rng.Intn(1 << 20))), note})
+	}
+}
+
+// logThrough builds tort_log as it stands after rounds 0..round.
+func logThrough(rows int, seed uint64, round int) *storage.Table {
+	rel := relation.New(relation.NewSchema(
+		relation.Column{Qualifier: logTable, Name: "round", Type: value.KindInt},
+		relation.Column{Qualifier: logTable, Name: "seq", Type: value.KindInt},
+		relation.Column{Qualifier: logTable, Name: "v", Type: value.KindInt},
+		relation.Column{Qualifier: logTable, Name: "note", Type: value.KindString},
+	))
+	for r := 0; r <= round; r++ {
+		appendLogRound(rel, rows, seed, r)
+	}
+	return storage.NewTable(logTable, rel)
+}
+
+// registerCorpus replaces every table of the engine's catalog but
+// tort_log with the given round's corpus (recovered tables from older
+// rounds are overwritten, clearing any quarantine) and appends the
+// round's rows to tort_log — re-creating it whole when what is there is
+// not rounds 0..round-1 intact: absent, quarantined, or left behind by
+// a later round than the one tort_meta could vouch for.
 func registerCorpus(e *engine.Engine, rows int, seed uint64, round int) {
-	merge(e.Catalog(), buildCorpus(rows, seed, round))
+	cat := e.Catalog()
+	merge(cat, buildCorpus(rows, seed, round))
+	t, err := cat.Table(logTable)
+	intact := err == nil && t.Rel.Len() == round*logRowsPerRound(rows)
+	if intact {
+		_, quarantined := t.QuarantineReason()
+		intact = !quarantined
+	}
+	if !intact {
+		cat.Register(logThrough(rows, seed, round))
+		return
+	}
+	appendLogRound(t.Rel, rows, seed, round)
+	t.BumpVersion()
 }
 
 // fig4Query and fig5Query are the plans the benchmarks run for the
@@ -201,6 +260,18 @@ func churn(dir string, rows int, seed uint64, rounds int, sleep time.Duration) e
 		if sleep > 0 {
 			time.Sleep(sleep)
 		}
+	}
+	return nil
+}
+
+// segments prints the committed generation's tables and their files.
+func segments(dir string) error {
+	e, _, err := openStore(dir)
+	if err != nil {
+		return err
+	}
+	for _, s := range e.DiskStore().Segments(e.Catalog()) {
+		fmt.Printf("%s rows=%d %s\n", s.Table, s.Rows, strings.Join(s.Files, " "))
 	}
 	return nil
 }
@@ -284,6 +355,7 @@ func verify(dir string, rows int, seed uint64, expectQuarantine []string, allowQ
 	// (a) byte-identical recovery: every non-quarantined table matches
 	// the oracle row for row, in order.
 	oracle := buildCorpus(rows, seed, round)
+	oracle.Register(logThrough(rows, seed, round))
 	checked := 0
 	for _, name := range oracle.Names() {
 		if quarantined[name] {

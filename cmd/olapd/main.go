@@ -333,7 +333,11 @@ func run() int {
 	if err := writeSlowLog(db, *slowlogOut); err != nil {
 		fmt.Fprintln(os.Stderr, "olapd:", err)
 	}
-	db.Close()
+	// Close commits what no query has checkpointed yet; a failure means
+	// acknowledged writes are not on disk.
+	if err := db.Close(); err != nil {
+		fmt.Fprintln(os.Stderr, "olapd:", err)
+	}
 	// The profiler and recorder goroutines are part of the serving
 	// footprint; stop them before the leak check so only a real leak
 	// fails it. The recorder itself stays usable for DumpGoroutines

@@ -280,15 +280,18 @@ func main() {
 		profiler.Start()
 	}
 	// flush also closes the DB so the scratch spill directory (if any)
-	// is removed on every exit path, and stops the profiler so its last
-	// capture cycle finishes before the ring is read.
+	// is removed and unflushed writes reach the data directory on every
+	// exit path, and stops the profiler so its last capture cycle
+	// finishes before the ring is read.
 	flush := func() {
 		writeTrace()
 		writeSlowLog()
 		if profiler != nil {
 			profiler.Close()
 		}
-		db.Close()
+		if err := db.Close(); err != nil {
+			fmt.Fprintln(os.Stderr, "olapql:", err)
+		}
 	}
 	if *metricsAddr != "" {
 		// Importing expvar registers /debug/vars on the default mux; the
@@ -496,7 +499,7 @@ func printSegments(db *gmdj.DB) {
 		if s.Quarantined {
 			status = "QUARANTINED: " + s.Reason
 		}
-		fmt.Printf("  %-20s rows=%-8d file=%s %s\n", s.Table, s.Rows, s.File, status)
+		fmt.Printf("  %-20s rows=%-8d files=%-3d %s\n", s.Table, s.Rows, s.Files, status)
 	}
 }
 

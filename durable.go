@@ -7,15 +7,17 @@ import (
 // Durable storage. A DB is in-memory by default; WithDataDir (or
 // SetDataDir, or the GMDJ_DATA_DIR default described on Open) attaches
 // a directory of immutable columnar segment files committed by
-// generation-numbered manifests. Checkpointing is transparent: the
-// first query after any write flushes the tables that changed and
-// commits a new generation, so a crash at any instant loses at most
-// the writes since the last completed query boundary. Opening a
-// directory recovers the newest committed generation; a segment whose
-// bytes fail checksum or structural verification quarantines its
-// table — the rest of the catalog keeps serving, and queries touching
-// the quarantined table return an error matching ErrSegmentCorrupt
-// until the table is re-created.
+// generation-numbered manifests. A table is a list of such files over
+// consecutive row ranges, so a checkpoint writes the rows appended
+// since the last one rather than the table. Checkpointing is
+// transparent: the first query after any write, and Close, flush what
+// was written and commit a new generation, so a crash at any instant
+// loses at most the writes since the last completed query boundary.
+// Opening a directory recovers the newest committed generation; a
+// segment whose bytes fail checksum or structural verification
+// quarantines its table — the rest of the catalog keeps serving, and
+// queries touching the quarantined table return an error matching
+// ErrSegmentCorrupt until the table is re-created.
 
 // WithDataDir enables durable storage rooted at dir, recovering
 // whatever a previous run committed there. Intended for setup code: it
@@ -92,20 +94,22 @@ func (db *DB) DataDir() string { return db.eng.DataDir() }
 // when persistence is off).
 func (db *DB) Recovery() *RecoveryReport { return toRecoveryReport(db.eng.Recovery()) }
 
-// Checkpoint persists every table whose data changed since the last
-// checkpoint and commits a new manifest generation, returning the
-// committed generation number. Checkpoints also run transparently
-// before the first query after any write; call this explicitly to
+// Checkpoint persists the rows written since the last checkpoint and
+// commits a new manifest generation, returning the committed
+// generation number. Checkpoints also run transparently before the
+// first query after any write and on Close; call this explicitly to
 // bound data loss without issuing a query (olapql's \checkpoint).
 // Errors when no data directory is configured.
 func (db *DB) Checkpoint() (uint64, error) { return db.eng.Checkpoint() }
 
 // SegmentInfo describes one table's durable state.
 type SegmentInfo struct {
-	// Table is the table name; File its committed segment file.
-	Table, File string
-	// Rows is the committed row count.
-	Rows uint64
+	// Table is the table name.
+	Table string
+	// Rows is the committed row count, over all the table's segment
+	// files; Files is how many of those there are.
+	Rows  uint64
+	Files int
 	// Quarantined marks a table whose segment failed verification;
 	// Reason says why.
 	Quarantined bool
@@ -122,7 +126,7 @@ func (db *DB) Segments() []SegmentInfo {
 	infos := ds.Segments(db.cat)
 	out := make([]SegmentInfo, len(infos))
 	for i, s := range infos {
-		out[i] = SegmentInfo{Table: s.Table, File: s.File, Rows: s.Rows, Quarantined: s.Quarantined, Reason: s.Reason}
+		out[i] = SegmentInfo{Table: s.Table, Rows: s.Rows, Files: len(s.Files), Quarantined: s.Quarantined, Reason: s.Reason}
 	}
 	return out
 }

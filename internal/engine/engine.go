@@ -128,7 +128,7 @@ type Engine struct {
 	// SetDataDir ran (so "" means persistence explicitly off, not "use
 	// the GMDJ_DATA_DIR default"), dataDirOwned marks an env-derived
 	// directory the engine removes when it lets go of it, and
-	// lastCkptEpoch is the catalog schema epoch as of the last
+	// lastCkptEpoch is the catalog write epoch as of the last
 	// successful checkpoint (-1 = never), driving transparent
 	// checkpointing in maybeCheckpoint.
 	store         *storage.DiskStore

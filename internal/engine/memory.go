@@ -71,7 +71,9 @@ func (e *Engine) MemStatus() MemStatus {
 
 // Close releases engine-owned disk state (the scratch spill directory
 // and any env-derived data directory; an explicitly configured data
-// directory stays committed on disk) and closes the memory pool:
+// directory stays on disk, and writes not yet checkpointed are
+// committed to it first, an error doing so returned) and closes the
+// memory pool:
 // queries queued for admission are shed promptly with a typed error
 // wrapping mem.ErrPoolClosed instead of waiting out their deadlines,
 // and subsequent queries run unaccounted (purely in-memory). Safe to
@@ -79,7 +81,10 @@ func (e *Engine) MemStatus() MemStatus {
 // admission.
 func (e *Engine) Close() error {
 	e.pool.Close()
-	err := e.dropSpillStore()
+	err := e.flushDataDir()
+	if serr := e.dropSpillStore(); err == nil {
+		err = serr
+	}
 	e.closeDataDir()
 	return err
 }

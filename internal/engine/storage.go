@@ -11,12 +11,13 @@ import (
 )
 
 // Durable storage: the engine optionally owns a storage.DiskStore that
-// persists every table as an immutable columnar segment and commits
-// checkpoints as manifest generations. Checkpointing is transparent —
-// the first query after any write (the catalog's schema epoch moves on
-// every insert, DDL, or index change) flushes dirty tables before
-// executing — and explicit via Checkpoint for \checkpoint and
-// shutdown paths.
+// persists every table as a list of immutable columnar segment files
+// over consecutive row ranges and commits checkpoints as manifest
+// generations; a checkpoint writes the rows appended since the last
+// one, not the table. Checkpointing is transparent — the first query
+// after any write (the catalog's write epoch moves on every insert,
+// DDL, or index change) flushes dirty tables before executing, and so
+// does Close — and explicit via Checkpoint for \checkpoint.
 
 // EnvDataDir is the environment variable enabling durable storage for
 // a whole process, e.g. GMDJ_DATA_DIR=/var/lib/gmdj. Because several
@@ -75,15 +76,14 @@ func (e *Engine) Recovery() *storage.RecoveryReport { return e.recovery }
 // DiskStore exposes the durable store (nil when persistence is off).
 func (e *Engine) DiskStore() *storage.DiskStore { return e.store }
 
-// Checkpoint persists every table whose data changed since the last
-// checkpoint and commits a new manifest generation, returning the
-// committed generation. It is an error when no data directory is
-// configured.
+// Checkpoint persists what was written since the last checkpoint and
+// commits a new manifest generation, returning the committed
+// generation. It is an error when no data directory is configured.
 func (e *Engine) Checkpoint() (uint64, error) {
 	if e.store == nil {
 		return 0, errors.New("engine: no data directory configured")
 	}
-	epoch := int64(e.cat.SchemaEpoch())
+	epoch := int64(e.cat.WriteEpoch())
 	gen, err := e.store.Checkpoint(e.cat)
 	if err != nil {
 		e.counters.checkpointErrors.Add(1)
@@ -93,17 +93,34 @@ func (e *Engine) Checkpoint() (uint64, error) {
 	return gen, nil
 }
 
-// maybeCheckpoint runs at query start: when the catalog's schema epoch
-// moved since the last successful checkpoint (any write), dirty tables
-// are flushed before the query executes, so a crash at any instant
+// unflushed reports whether the catalog's write epoch moved since the
+// last successful checkpoint (any write).
+func (e *Engine) unflushed() bool {
+	return e.store != nil && e.lastCkptEpoch.Load() != int64(e.cat.WriteEpoch())
+}
+
+// maybeCheckpoint runs at query start: unflushed writes are
+// checkpointed before the query executes, so a crash at any instant
 // loses at most the writes since the last completed query boundary. A
 // checkpoint failure (disk full, injected fault) degrades durability
 // but never fails the read — the error is counted and the query runs
 // on the in-memory data.
 func (e *Engine) maybeCheckpoint() {
-	if e.store != nil && e.lastCkptEpoch.Load() != int64(e.cat.SchemaEpoch()) {
+	if e.unflushed() {
 		_, _ = e.Checkpoint() // counted there; the read proceeds regardless
 	}
+}
+
+// flushDataDir runs at Close: a clean close is not a crash, so writes
+// no query or Checkpoint has flushed yet are committed before the store
+// is let go — except into an env-derived directory, which is about to
+// be deleted.
+func (e *Engine) flushDataDir() error {
+	if e.dataDirOwned || !e.unflushed() {
+		return nil
+	}
+	_, err := e.Checkpoint()
+	return err
 }
 
 // openEnvDataDir applies the GMDJ_DATA_DIR default at construction,

@@ -168,7 +168,7 @@ func TestQuarantinedTableFailsTyped(t *testing.T) {
 	var aFile string
 	for _, s := range e.DiskStore().Segments(e.Catalog()) {
 		if s.Table == "A" {
-			aFile = s.File
+			aFile = s.Files[0]
 		}
 	}
 	path := filepath.Join(dir, aFile)

@@ -82,20 +82,23 @@ func TestPushSelectionsPruneBlocks(t *testing.T) {
 	// leaves two runs of seven blocks in all: a copy of seven to skip one
 	// is not worth it. With g = 9 throughout every odd block, half is
 	// skipped and half copied, in table order.
-	setG := func(odd bool) {
-		for i, row := range in.Rows {
+	// Each arrangement is a table of its own: rows are only appended, so
+	// the zone maps of a table whose cells were rewritten would be stale.
+	withG := func(odd bool) (*storage.Table, *relation.Relation) {
+		tab, _ := keyedCatalog(8).Table("R")
+		for i, row := range tab.Rel.Rows {
 			if b := i / block; b == 3 || (odd && b%2 == 1) {
 				row[1] = value.Int(9)
 			}
 		}
-		tab.BumpVersion()
+		return tab, tab.Rel
 	}
 	below9 := []pruneConjunct{{col: 1, op: value.LT, lit: value.Int(9)}}
-	setG(false)
+	tab, in = withG(false)
 	if out, pruned, total := pruneBlocks(tab, in, below9); out != in || pruned != 0 || total != 8 {
 		t.Fatalf("one block of eight ruled out: %d rows, %d pruned; want the input whole, nothing counted", out.Len(), pruned)
 	}
-	setG(true)
+	tab, in = withG(true)
 	out, pruned, _ := pruneBlocks(tab, in, below9)
 	if pruned != 4 || out.Len() != 4*block {
 		t.Fatalf("scattered: %d rows, %d blocks pruned; want %d and 4", out.Len(), pruned, 4*block)

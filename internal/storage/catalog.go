@@ -24,10 +24,12 @@ var (
 // The catalog also carries the epoch machinery cache layers key on:
 // every registered table gets a process-unique id (so a drop+recreate
 // under the same name can never alias a stale cache entry) and the
-// catalog tracks a schema epoch bumped by every registration, drop,
-// and index change. Compiled plans are validated against the schema
-// epoch; memoized results embed table id@version pairs in their keys,
-// making stale entries unreachable rather than merely invalid.
+// catalog tracks two epochs. The schema epoch moves on every
+// registration, drop, and index change; compiled plans are validated
+// against it. The write epoch moves on those and on every data write
+// (Table.BumpVersion); the engine checkpoints when it has moved.
+// Memoized results embed table id@version pairs in their keys, making
+// stale entries unreachable rather than merely invalid.
 //
 // The catalog is safe for concurrent use: lookups take a read lock,
 // DDL (Register/Drop) a write lock. Table contents have their own
@@ -39,6 +41,7 @@ type Catalog struct {
 	tables map[string]*Table
 
 	schemaEpoch atomic.Uint64
+	writeEpoch  atomic.Uint64
 }
 
 // nextTableID assigns process-unique table ids (catalog-independent so
@@ -50,16 +53,17 @@ func NewCatalog() *Catalog {
 	return &Catalog{tables: make(map[string]*Table)}
 }
 
-// Register adds (or replaces) a table and bumps the schema epoch.
+// Register adds (or replaces) a table and bumps both epochs.
 func (c *Catalog) Register(t *Table) {
 	if t.id == 0 {
 		t.id = nextTableID.Add(1)
 	}
-	t.epochs = &c.schemaEpoch
+	t.cat = c
 	c.mu.Lock()
 	c.tables[t.Name] = t
 	c.mu.Unlock()
 	c.schemaEpoch.Add(1)
+	c.writeEpoch.Add(1)
 }
 
 // Table looks up a table by name.
@@ -81,6 +85,7 @@ func (c *Catalog) Drop(name string) {
 	c.mu.Unlock()
 	if ok {
 		c.schemaEpoch.Add(1)
+		c.writeEpoch.Add(1)
 	}
 }
 
@@ -101,4 +106,11 @@ func (c *Catalog) Names() []string {
 // exactly the events that can invalidate a compiled plan.
 func (c *Catalog) SchemaEpoch() uint64 {
 	return c.schemaEpoch.Load()
+}
+
+// WriteEpoch returns the current write epoch. It changes whenever the
+// schema epoch does and whenever rows are appended to any table —
+// exactly the events a checkpoint has something to do after.
+func (c *Catalog) WriteEpoch() uint64 {
+	return c.writeEpoch.Load()
 }

@@ -2,14 +2,17 @@
 // CSV import/export, and the durable columnar tier. It is the engine's
 // "disk" in both senses: the native evaluation strategy depends on the
 // secondary indexes (the paper's Figure 5 contrasts indexed and
-// unindexed native/join evaluation), while persistence packs every
-// table into an immutable columnar Segment — per-column blocks with
-// dictionary/run-length encoding and per-block min/max zone maps —
-// written as FNV-checksummed GSPL frames and committed by an atomic,
-// generation-numbered manifest (see DiskStore). Recovery quarantines
-// corrupt or torn segments instead of failing: unaffected tables keep
-// serving and queries touching a quarantined table return
-// ErrSegmentCorrupt.
+// unindexed native/join evaluation), while persistence keeps every
+// table as a list of immutable columnar Segment files over consecutive
+// row ranges — per-column blocks with dictionary/run-length encoding,
+// written as FNV-checksummed GSPL frames — and commits them by an
+// atomic, generation-numbered manifest (see DiskStore); tables only
+// grow by append, so a checkpoint packs and writes the rows added
+// since the last one. Per-block min/max zone maps are derived from the
+// rows on demand and extended as the table grows (Table.Zones).
+// Recovery quarantines a table with a corrupt or torn segment instead
+// of failing: unaffected tables keep serving and queries touching a
+// quarantined table return ErrSegmentCorrupt.
 package storage
 
 import (
@@ -140,6 +143,13 @@ func (ix *SortedIndex) Range(lo value.Value, loIncl bool, hi value.Value, hiIncl
 // Table is a named relation plus its secondary indexes. Index presence
 // is part of the experimental setup: benchmarks drop indexes to study
 // strategy stability, exactly as the paper does.
+//
+// Rows are only ever appended: a writer adds rows to Rel and calls
+// BumpVersion, and nothing rewrites, reorders or removes a row already
+// there (a table that must change any other way is re-created under a
+// new id). The zone maps (Zones), the lagging indexes (refreshIndexes)
+// and the durable store, which persists only the rows beyond those it
+// has committed (DiskStore.Checkpoint), all rest on this.
 type Table struct {
 	Name string
 	Rel  *relation.Relation
@@ -158,18 +168,17 @@ type Table struct {
 	// "t<id>v<version>", so any write makes older entries unreachable.
 	id      uint64
 	version atomic.Uint64
-	// epochs points at the owning catalog's schema epoch (nil before
-	// registration) so index changes invalidate compiled plans too.
-	epochs *atomic.Uint64
+	// cat is the owning catalog (nil before registration), whose epochs
+	// this table's writes and index changes move.
+	cat *Catalog
 
 	// segMu guards the lazily built packed-columnar image of the table
-	// and the per-column zone maps built without one (Zones); segVersion
-	// and zonesVersion record which table version each reflects.
-	segMu        sync.Mutex
-	seg          *Segment
-	segVersion   uint64
-	zones        map[int][]ZoneMap
-	zonesVersion uint64
+	// (segVersion records which table version it reflects) and the
+	// per-column zone maps, each of which records the rows it covers.
+	segMu      sync.Mutex
+	seg        *Segment
+	segVersion uint64
+	zones      map[int]colZones
 
 	// quarantine, when set, records why the table's durable segment
 	// failed recovery; queries touching the table fail with
@@ -257,9 +266,10 @@ func (t *Table) refreshIndexes() {
 }
 
 // changeIndexes applies one change to the index set. Index changes
-// bump the table version like data writes do (compiled plans freeze
-// access-path choices), so the indexes are brought up to date first
-// and marked current again after the bump.
+// bump the table version like data writes do, so the indexes are
+// brought up to date first and marked current again after the bump;
+// and, unlike data writes, they move the catalog's schema epoch:
+// compiled plans freeze access-path choices.
 func (t *Table) changeIndexes(change func()) {
 	t.idxMu.Lock()
 	defer t.idxMu.Unlock()
@@ -267,6 +277,9 @@ func (t *Table) changeIndexes(change func()) {
 	change()
 	t.BumpVersion()
 	t.idxVersion = t.version.Load()
+	if t.cat != nil {
+		t.cat.schemaEpoch.Add(1)
+	}
 }
 
 // ID returns the table's process-unique identity (0 before the table
@@ -278,13 +291,13 @@ func (t *Table) Version() uint64 { return t.version.Load() }
 
 // BumpVersion records a data or index mutation: it advances the
 // table's version (unreaching every memoized result keyed on the old
-// one) and the owning catalog's schema epoch (invalidating compiled
-// plans, which may have frozen index-based access-path choices).
+// one) and the owning catalog's write epoch (so the next query
+// checkpoints). Compiled plans name tables, not rows, and stay valid.
 // Writers must call it after appending rows outside the DDL layer.
 func (t *Table) BumpVersion() {
 	t.version.Add(1)
-	if t.epochs != nil {
-		t.epochs.Add(1)
+	if t.cat != nil {
+		t.cat.writeEpoch.Add(1)
 	}
 }
 

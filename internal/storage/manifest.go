@@ -11,28 +11,43 @@ import (
 )
 
 // The manifest is the commit record of the durable store: one GSPL
-// frame naming the generation and, for every table, the segment file
-// holding its data. A checkpoint writes new segment files first, then
-// commits them all at once by renaming MANIFEST-<gen> into place — a
-// crash between the two leaves the previous generation intact, and a
-// reader never sees a half-committed generation. Manifest filenames
-// embed the generation as 16 hex digits so lexical order is numeric
-// order.
+// frame naming the generation and, for every table, the segment files
+// holding its rows, in row order. A checkpoint writes new segment files
+// first, then commits them all at once by renaming MANIFEST-<gen> into
+// place — a crash between the two leaves the previous generation
+// intact, and a reader never sees a half-committed generation.
+// Manifest filenames embed the generation as 16 hex digits so lexical
+// order is numeric order.
 
-// manifestFormatVersion versions the manifest payload layout.
-const manifestFormatVersion = 1
+// manifestFormatVersion versions the manifest payload layout. Version
+// 1, which gave every table exactly one file, still decodes.
+const manifestFormatVersion = 2
 
 const manifestPrefix = "MANIFEST-"
 
-// manifestEntry records one table of a committed generation. The
-// schema is stored in the manifest too (not only in the segment file)
-// so a table whose segment is corrupt can still be quarantined with
-// its proper schema.
+// segmentFile names one immutable segment file and the rows it holds.
+type segmentFile struct {
+	File string
+	Rows uint64
+}
+
+// manifestEntry records one table of a committed generation: Files
+// hold consecutive row ranges of the table, first rows first, and is
+// never empty. The schema is stored in the manifest too (not only in
+// the segment files) so a table with a corrupt segment can still be
+// quarantined with its proper schema.
 type manifestEntry struct {
 	Table  string
-	File   string
-	Rows   uint64
+	Files  []segmentFile
 	Schema *relation.Schema
+}
+
+// rows is the table's committed row count.
+func (e manifestEntry) rows() (n uint64) {
+	for _, f := range e.Files {
+		n += f.Rows
+	}
+	return n
 }
 
 // manifest is one committed generation.
@@ -66,8 +81,11 @@ func encodeManifest(m *manifest) []byte {
 	payload = binary.AppendUvarint(payload, uint64(len(m.Entries)))
 	for _, e := range m.Entries {
 		payload = value.AppendString(payload, e.Table)
-		payload = value.AppendString(payload, e.File)
-		payload = binary.AppendUvarint(payload, e.Rows)
+		payload = binary.AppendUvarint(payload, uint64(len(e.Files)))
+		for _, f := range e.Files {
+			payload = value.AppendString(payload, f.File)
+			payload = binary.AppendUvarint(payload, f.Rows)
+		}
 		payload = e.Schema.AppendBinary(payload)
 	}
 	return spill.AppendFrame(nil, payload)
@@ -85,19 +103,32 @@ func decodeManifest(buf []byte) (*manifest, error) {
 	}
 	r := value.NewReader(payload)
 	version := r.Uvarint()
-	if r.Err() == nil && version != manifestFormatVersion {
-		return nil, fmt.Errorf("manifest format version %d (want %d)", version, manifestFormatVersion)
+	if r.Err() == nil && version != 1 && version != manifestFormatVersion {
+		return nil, fmt.Errorf("manifest format version %d (want 1 or %d)", version, manifestFormatVersion)
 	}
 	m := &manifest{Generation: r.Uvarint()}
 	nentries := r.Count()
 	for i := 0; i < nentries && r.Err() == nil; i++ {
-		e := manifestEntry{Table: r.Str(), File: r.Str(), Rows: r.Uvarint(), Schema: relation.ReadSchema(r)}
-		if r.Err() == nil {
-			if e.Table == "" || e.File == "" || strings.ContainsAny(e.File, "/\\") {
-				return nil, fmt.Errorf("manifest entry %d is malformed (table %q, file %q)", i, e.Table, e.File)
-			}
-			m.Entries = append(m.Entries, e)
+		e := manifestEntry{Table: r.Str()}
+		nfiles := 1 // version 1 wrote one file per table and no count
+		if version != 1 {
+			nfiles = r.Count()
 		}
+		for j := 0; j < nfiles && r.Err() == nil; j++ {
+			e.Files = append(e.Files, segmentFile{File: r.Str(), Rows: r.Uvarint()})
+		}
+		e.Schema = relation.ReadSchema(r)
+		if r.Err() != nil {
+			break
+		}
+		malformed := e.Table == "" || len(e.Files) == 0
+		for _, f := range e.Files {
+			malformed = malformed || f.File == "" || strings.ContainsAny(f.File, "/\\")
+		}
+		if malformed {
+			return nil, fmt.Errorf("manifest entry %d is malformed (table %q, files %v)", i, e.Table, e.Files)
+		}
+		m.Entries = append(m.Entries, e)
 	}
 	if err := r.Finish(); err != nil {
 		return nil, fmt.Errorf("manifest payload: %w", err)

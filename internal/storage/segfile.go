@@ -22,9 +22,9 @@ const segFormatVersion = 1
 //	frame 0      header: format version, table name, row count, schema
 //	frame 1..N   one column payload per schema column (encoding.go)
 //
-// Zone maps are not persisted — they are derived data, rebuilt from
-// the decoded columns — so corruption cannot desynchronize statistics
-// from cells.
+// Zone maps are not persisted — they are derived data, built from the
+// recovered rows when a scan asks (Table.Zones) — so corruption cannot
+// desynchronize statistics from cells.
 
 // encodeSegment serializes s into segment-file bytes.
 func encodeSegment(s *Segment) []byte {
@@ -41,7 +41,7 @@ func encodeSegment(s *Segment) []byte {
 
 // decodeSegment parses segment-file bytes, verifying every frame
 // checksum and cross-checking the header's row count against each
-// column. Zone maps are rebuilt.
+// column. Zone maps are not built: recovery only wants the rows.
 func decodeSegment(buf []byte) (*Segment, error) {
 	header, n, err := spill.DecodeFrame(buf)
 	if err != nil {
@@ -78,7 +78,6 @@ func decodeSegment(buf []byte) (*Segment, error) {
 	if len(rest) != 0 {
 		return nil, fmt.Errorf("segment file has %d trailing bytes", len(rest))
 	}
-	s.buildZones()
 	return s, nil
 }
 

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/olaplab/gmdj/internal/relation"
 	"github.com/olaplab/gmdj/internal/value"
@@ -93,9 +94,10 @@ func (z *ZoneMap) add(v value.Value) {
 }
 
 // buildZones computes the per-block min/max statistics from the packed
-// columns. Zone maps are derived data: never persisted, always rebuilt
-// (BuildSegment and decodeSegment both end here), so disk corruption
-// cannot desynchronize them from the cells.
+// columns. Zone maps are derived data: never persisted, so disk
+// corruption cannot desynchronize them from the cells. BuildSegment
+// ends here; a segment decoded from a file carries none (recovery turns
+// it into rows, and Table.Zones builds what a scan asks for from those).
 func (s *Segment) buildZones() {
 	s.Zones = make([][]ZoneMap, len(s.Cols))
 	nblocks := (s.Rows + ZoneBlockRows - 1) / ZoneBlockRows
@@ -120,34 +122,51 @@ func (s *Segment) buildZones() {
 	}
 }
 
-// rowZones is buildZones for one column of row-oriented tuples: the
-// zone maps a segment packed from rows would carry for column col.
-func rowZones(rows []relation.Tuple, col int) []ZoneMap {
+// colZones is one column's zone maps over a table's first rows rows —
+// what a segment packed from those rows would carry for the column —
+// with the state extending them needs: the kind of the column's first
+// non-NULL cell and whether a later cell had another.
+type colZones struct {
+	zones []ZoneMap
+	rows  int
+	kind  value.Kind
+	mixed bool
+}
+
+// extend returns z brought up to rows, which has z's rows as a prefix:
+// whole blocks z already covers are copied, everything from the last
+// partial block on is computed from the rows. The result is a new
+// slice, so a reader still holding z.zones is undisturbed. Blocks
+// follow row positions (block b is rows [b*ZoneBlockRows, ...)), not
+// the boundaries of whatever files persist the rows.
+func (z colZones) extend(rows []relation.Tuple, col int) colZones {
 	zones := make([]ZoneMap, (len(rows)+ZoneBlockRows-1)/ZoneBlockRows)
-	kind, mixed := value.KindNull, false
-	for b := range zones {
+	whole := z.rows / ZoneBlockRows
+	copy(zones, z.zones[:whole])
+	for b := whole; b < len(zones); b++ {
 		block := rows[b*ZoneBlockRows : min((b+1)*ZoneBlockRows, len(rows))]
-		z := ZoneMap{Rows: len(block)}
+		zm := ZoneMap{Rows: len(block)}
 		for _, row := range block {
 			v := row[col]
 			if v.IsNull() {
-				z.HasNull = true
+				zm.HasNull = true
 				continue
 			}
-			if kind == value.KindNull {
-				kind = v.Kind()
+			if z.kind == value.KindNull {
+				z.kind = v.Kind()
 			}
-			mixed = mixed || v.Kind() != kind
-			z.add(v)
+			z.mixed = z.mixed || v.Kind() != z.kind
+			zm.add(v)
 		}
-		zones[b] = z
+		zones[b] = zm
 	}
-	if mixed { // what buildColVec stores Boxed
+	if z.mixed { // what buildColVec stores Boxed: no bounds in any block
 		for b := range zones {
 			zones[b].Min, zones[b].Max = value.Null, value.Null
 		}
 	}
-	return zones
+	z.zones, z.rows = zones, len(rows)
+	return z
 }
 
 // NumBlocks returns how many zone-map blocks the segment spans.
@@ -156,17 +175,30 @@ func (s *Segment) NumBlocks() int {
 }
 
 // Relation rebuilds the row-oriented relation the segment was packed
-// from, cell for cell. Used by recovery to repopulate the catalog.
+// from, cell for cell.
 func (s *Segment) Relation() *relation.Relation {
 	rel := relation.New(s.Schema.Clone())
-	for i := 0; i < s.Rows; i++ {
-		row := make(relation.Tuple, len(s.Cols))
-		for c, col := range s.Cols {
-			row[c] = col.Value(i)
-		}
-		rel.Append(row)
-	}
+	rel.Rows = s.appendRows(nil)
 	return rel
+}
+
+// appendRows appends the segment's rows to dst. The tuples are cut out
+// of one slab of cells, capacity clipped so that appending to one can
+// never write into its neighbour: recovery allocates per segment, not
+// per row.
+func (s *Segment) appendRows(dst []relation.Tuple) []relation.Tuple {
+	n := len(s.Cols)
+	cells := make([]value.Value, s.Rows*n)
+	for c, col := range s.Cols {
+		for i := 0; i < s.Rows; i++ {
+			cells[i*n+c] = col.Value(i)
+		}
+	}
+	dst = slices.Grow(dst, s.Rows)
+	for i := 0; i < s.Rows; i++ {
+		dst = append(dst, cells[i*n:(i+1)*n:(i+1)*n])
+	}
+	return dst
 }
 
 // KeyHashes computes the GMDJ detail-key hash vector straight from the
@@ -211,36 +243,25 @@ func (t *Table) Segment() *Segment {
 }
 
 // Zones returns the zone maps of column col over the table's rows as
-// they are at its current version, one per ZoneBlockRows rows: the
-// resident segment's when it is current, otherwise built from the rows
-// for this column alone and kept until the version moves. Pruning a
-// scan therefore never packs a segment. Safe for concurrent readers.
+// they are now, one per ZoneBlockRows rows: built from the rows for
+// this column alone the first time it is asked for, and extended from
+// the last whole block when the table has grown since (rows are only
+// appended, see Table). Pruning a scan therefore never packs a segment,
+// and an insert costs the next scan one block, not the table. Safe for
+// concurrent readers.
 func (t *Table) Zones(col int) []ZoneMap {
 	t.segMu.Lock()
 	defer t.segMu.Unlock()
-	v := t.Version()
-	if t.seg != nil && t.segVersion == v {
-		return t.seg.Zones[col]
-	}
-	if t.zones == nil || t.zonesVersion != v {
-		t.zones, t.zonesVersion = map[int][]ZoneMap{}, v
-	}
-	z, ok := t.zones[col]
-	if !ok {
-		z = rowZones(t.Rel.Rows, col)
+	rows := t.Rel.Rows
+	z := t.zones[col]
+	if z.rows != len(rows) {
+		if t.zones == nil {
+			t.zones = map[int]colZones{}
+		}
+		z = z.extend(rows, col)
 		t.zones[col] = z
 	}
-	return z
-}
-
-// setSegment seeds the cache with a freshly decoded segment (recovery:
-// the segment IS the source of the relation, so rebuilding it would be
-// wasted work).
-func (t *Table) setSegment(s *Segment) {
-	t.segMu.Lock()
-	defer t.segMu.Unlock()
-	t.seg = s
-	t.segVersion = t.Version()
+	return z.zones
 }
 
 // Quarantine marks the table's durable image corrupt: queries touching

@@ -5,7 +5,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"math/rand"
 	"os"
+	"slices"
+	"sync"
 	"testing"
 
 	"github.com/olaplab/gmdj/internal/relation"
@@ -343,36 +346,27 @@ func TestTableSegmentCachedPerVersion(t *testing.T) {
 
 // TestTableZonesWithoutSegment: Table.Zones gives, per column, exactly
 // the zone maps a segment packed from the same rows carries — NaN, ±0,
-// NULL runs and the mixed-kind column included — without packing one;
-// follows the table's version; and hands out the resident segment's own
-// when that is current.
+// NULL runs and the mixed-kind column included — without packing one,
+// builds them for the columns asked for and no other, and hands the
+// same slice out until the table grows.
 func TestTableZonesWithoutSegment(t *testing.T) {
 	rel := trickyRel(2*ZoneBlockRows + 100)
 	tab := NewTable("t", rel)
-	want := BuildSegment("t", rel).Zones
-	for c := range rel.Schema.Columns {
-		got := tab.Zones(c)
-		if len(got) != 3 {
-			t.Fatalf("column %d: %d zone maps, want 3", c, len(got))
-		}
-		for b := range got {
-			w := want[c][b]
-			if got[b].Rows != w.Rows || got[b].HasNull != w.HasNull ||
-				!cellIdentical(got[b].Min, w.Min) || !cellIdentical(got[b].Max, w.Max) {
-				t.Errorf("column %d block %d: zones from rows %+v, from a segment %+v", c, b, got[b], w)
-			}
-		}
+	if got := tab.Zones(0); len(got) != 3 {
+		t.Fatalf("%d zone maps, want 3", len(got))
 	}
+	if len(tab.zones) != 1 {
+		t.Fatalf("%d columns cached, want the one asked for", len(tab.zones))
+	}
+	zonesMatchSegment(t, tab)
 	if tab.seg != nil {
 		t.Fatal("Zones packed a segment")
 	}
-	if len(tab.zones) != rel.Schema.Len() {
-		t.Fatalf("%d columns cached, want every column asked for and no other", len(tab.zones))
-	}
 
 	first := tab.Zones(0)
+	tab.BumpVersion() // an index change: a new version over the same rows
 	if again := tab.Zones(0); &again[0] != &first[0] {
-		t.Fatal("zone maps rebuilt within one table version")
+		t.Fatal("zone maps rebuilt although the table did not grow")
 	}
 	for i := 0; i < ZoneBlockRows; i++ {
 		rel.Append(rel.Rows[i].Clone())
@@ -381,10 +375,114 @@ func TestTableZonesWithoutSegment(t *testing.T) {
 	if grown := tab.Zones(0); len(grown) != 4 {
 		t.Fatalf("after an append: %d zone maps, want 4", len(grown))
 	}
+	zonesMatchSegment(t, tab)
+}
 
-	seg := tab.Segment()
-	if z := tab.Zones(0); &z[0] != &seg.Zones[0][0] {
-		t.Fatal("with a current segment resident, Zones should hand out the segment's")
+// zonesMatchSegment checks every column's Table.Zones against the zone
+// maps of a segment packed from the table's rows as they are now, which
+// come from the packed columns by other code (buildColVec, buildZones).
+func zonesMatchSegment(t *testing.T, tab *Table) {
+	t.Helper()
+	want := BuildSegment(tab.Name, tab.Rel).Zones
+	for c := range want {
+		got := tab.Zones(c)
+		if len(got) != len(want[c]) {
+			t.Fatalf("column %d: %d zone maps over %d rows, a segment has %d", c, len(got), tab.Rel.Len(), len(want[c]))
+		}
+		for b, w := range want[c] {
+			if got[b].Rows != w.Rows || got[b].HasNull != w.HasNull ||
+				!cellIdentical(got[b].Min, w.Min) || !cellIdentical(got[b].Max, w.Max) {
+				t.Fatalf("column %d block %d over %d rows: zones from rows %+v, from a segment %+v", c, b, tab.Rel.Len(), got[b], w)
+			}
+		}
+	}
+}
+
+// TestZonesExtendMatchScratch: zone maps extended append by append are
+// the ones built from scratch over the same rows, whatever the appends
+// — single rows, runs ending exactly on a block boundary, several
+// blocks at once, blocks of nothing but NULLs, a column whose first
+// cell of another kind arrives in a late block (which must blank the
+// bounds of every earlier block too) — and whichever columns were asked
+// for in between.
+func TestZonesExtendMatchScratch(t *testing.T) {
+	for seed := int64(1); seed <= 6; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		rel := relation.New(relation.NewSchema(
+			relation.Column{Qualifier: "z", Name: "k", Type: value.KindInt},
+			relation.Column{Qualifier: "z", Name: "sparse", Type: value.KindFloat},
+			relation.Column{Qualifier: "z", Name: "late", Type: value.KindInt},
+		))
+		tab := NewTable("z", rel)
+		mixedFrom := 2*ZoneBlockRows + rng.Intn(3*ZoneBlockRows)
+		for step := 0; step < 40; step++ {
+			n := []int{1, 1 + rng.Intn(50), ZoneBlockRows - rel.Len()%ZoneBlockRows, ZoneBlockRows, 2*ZoneBlockRows + 3}[rng.Intn(5)]
+			nullBlock := rng.Intn(4) == 0
+			for i := 0; i < n; i++ {
+				k := rel.Len()
+				sparse, late := value.Float(float64(rng.Intn(1000))/8), value.Int(int64(rng.Intn(100)))
+				if nullBlock || rng.Intn(3) == 0 {
+					sparse = value.Null
+				}
+				if k == mixedFrom {
+					late = value.Str("seven")
+				}
+				rel.Append(relation.Tuple{value.Int(int64(k)), sparse, late})
+			}
+			tab.BumpVersion()
+			if rng.Intn(3) > 0 { // a column may sit out several appends
+				tab.Zones(rng.Intn(3))
+				continue
+			}
+			zonesMatchSegment(t, tab)
+		}
+		zonesMatchSegment(t, tab)
+		if rel.Len() > mixedFrom {
+			if z := tab.Zones(2)[0]; !z.Min.IsNull() || !z.Max.IsNull() {
+				t.Fatalf("seed %d: a mixed column kept bounds in block 0: %+v", seed, z)
+			}
+		}
+	}
+}
+
+// TestZonesReaderKeepsSliceAcrossExtend (for -race): a scan holds the
+// slice Zones gave it outside the table's lock, so extending the zone
+// maps must write a new one.
+func TestZonesReaderKeepsSliceAcrossExtend(t *testing.T) {
+	rel := trickyRel(ZoneBlockRows + 10)
+	tab := NewTable("t", rel)
+	held := tab.Zones(0)
+	want := slices.Clone(held)
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				for b := range held {
+					if held[b].Rows != want[b].Rows || !cellIdentical(held[b].Max, want[b].Max) {
+						t.Errorf("block %d changed under a reader: %+v", b, held[b])
+						return
+					}
+				}
+			}
+		}()
+	}
+	for i := 0; i < 200; i++ {
+		rel.Append(relation.Tuple{value.Int(int64(1000 + i)), value.Str("z"), value.Null, value.Bool(true), value.Int(1)})
+		tab.BumpVersion()
+		tab.Zones(0)
+	}
+	close(done)
+	wg.Wait()
+	if got := tab.Zones(0); len(got) != 2 || got[1].Rows != 210 {
+		t.Fatalf("after the appends: %+v", got)
 	}
 }
 
@@ -435,12 +533,52 @@ func FuzzSegmentDecode(f *testing.F) {
 	})
 }
 
+// TestManifestV1Fixture decodes a manifest written by the commit before
+// tables became lists of files (format version 1: one file per entry):
+// a directory that commit wrote must still open.
+func TestManifestV1Fixture(t *testing.T) {
+	fixture, err := os.ReadFile("testdata/manifest_v1.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := decodeManifest(fixture)
+	if err != nil {
+		t.Fatalf("fixture rejected: %v", err)
+	}
+	want := []manifestEntry{
+		{Table: "small", Files: []segmentFile{{File: "small-7-0.seg", Rows: 2}}},
+		{Table: "tricky", Files: []segmentFile{{File: "tricky-3-1.seg", Rows: 250}}, Schema: trickyRel(0).Schema},
+	}
+	if m.Generation != 7 || len(m.Entries) != len(want) {
+		t.Fatalf("fixture decoded as generation %d with %d entries", m.Generation, len(m.Entries))
+	}
+	for i, e := range m.Entries {
+		if e.Table != want[i].Table || !slices.Equal(e.Files, want[i].Files) {
+			t.Errorf("entry %d: %q %v, want %q %v", i, e.Table, e.Files, want[i].Table, want[i].Files)
+		}
+	}
+	if !m.Entries[1].Schema.Equal(want[1].Schema) {
+		t.Errorf("tricky's schema: %v", m.Entries[1].Schema)
+	}
+	// What is written from now on is version 2 and round-trips.
+	back, err := decodeManifest(encodeManifest(m))
+	if err != nil || len(back.Entries) != 2 || !slices.Equal(back.Entries[1].Files, want[1].Files) {
+		t.Fatalf("re-encoded fixture: %+v, %v", back, err)
+	}
+	if bytes.Equal(encodeManifest(m), fixture) {
+		t.Fatal("encodeManifest still writes version 1")
+	}
+}
+
 func FuzzManifestDecode(f *testing.F) {
 	seg := BuildSegment("t", trickyRel(3))
 	f.Add(encodeManifest(&manifest{Generation: 4, Entries: []manifestEntry{
-		{Table: "t", File: "t-4-0.seg", Rows: 3, Schema: seg.Schema},
+		{Table: "t", Files: []segmentFile{{"t-2-0.seg", 2}, {"t-4-0.seg", 1}}, Schema: seg.Schema},
 	}}))
 	f.Add(encodeManifest(&manifest{Generation: 1}))
+	if v1, err := os.ReadFile("testdata/manifest_v1.bin"); err == nil {
+		f.Add(v1)
+	}
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := decodeManifest(data)
@@ -448,8 +586,13 @@ func FuzzManifestDecode(f *testing.F) {
 			return
 		}
 		for i, e := range m.Entries {
-			if e.Table == "" || e.File == "" {
-				t.Fatalf("entry %d decoded with empty table/file", i)
+			if e.Table == "" || len(e.Files) == 0 {
+				t.Fatalf("entry %d decoded with empty table/files", i)
+			}
+			for _, f := range e.Files {
+				if f.File == "" {
+					t.Fatalf("entry %d decoded with an unnamed file", i)
+				}
 			}
 		}
 	})

@@ -35,7 +35,8 @@ const (
 )
 
 // tableState tracks what the last committed manifest holds for one
-// table, so checkpoints skip tables whose id+version are unchanged and
+// table, so checkpoints skip tables whose id+version are unchanged,
+// write only the rows past entry.rows() of a table that grew, and
 // carry quarantined tables' old entries forward instead of
 // overwriting the only copy of their (corrupt but maybe repairable)
 // bytes with an empty relation.
@@ -43,11 +44,12 @@ type tableState struct {
 	entry   manifestEntry
 	id      uint64
 	version uint64
-	carry   bool // quarantined: never rewrite, reference the old file
+	carry   bool // quarantined: never rewrite, reference the old files
 }
 
 // DiskStore is the durable tier: a directory of immutable segment
-// files committed by generation-numbered manifests. One store owns one
+// files — each table a list of them over consecutive row ranges —
+// committed by generation-numbered manifests. One store owns one
 // directory; Checkpoint and Recover serialize on an internal mutex.
 type DiskStore struct {
 	dir    string
@@ -107,13 +109,14 @@ type DiskStoreStats struct {
 	TornWrites        int64  `json:"torn_writes"` // injected "torn" disk faults
 }
 
-// SegmentInfo describes one table's durable state (olapql \segments).
+// SegmentInfo describes one table's durable state (olapql \segments):
+// its segment files in row order and the rows they hold in total.
 type SegmentInfo struct {
-	Table       string `json:"table"`
-	File        string `json:"file"`
-	Rows        uint64 `json:"rows"`
-	Quarantined bool   `json:"quarantined"`
-	Reason      string `json:"reason,omitempty"`
+	Table       string   `json:"table"`
+	Files       []string `json:"files"`
+	Rows        uint64   `json:"rows"`
+	Quarantined bool     `json:"quarantined"`
+	Reason      string   `json:"reason,omitempty"`
 }
 
 // OpenDiskStore opens (creating if needed) the durable store rooted at
@@ -146,12 +149,14 @@ func (ds *DiskStore) SetFaults(faults *govern.Injector) {
 }
 
 // Recover replays the newest valid manifest into cat: every entry's
-// segment file is read back, checksum-verified, and registered as a
-// table; a segment that fails verification quarantines its table (the
-// table exists, queries against it return ErrSegmentCorrupt, and the
-// next checkpoint carries its old file forward) rather than failing
-// recovery. Newer manifests that fail verification are skipped —
-// recovery walks back generation by generation until one commits.
+// segment files are read back in order, each checksum-verified and
+// checked against the entry, and their rows concatenated into one
+// registered table; a file that fails verification quarantines its
+// table (the table exists, queries against it return
+// ErrSegmentCorrupt, and the next checkpoint carries all its old files
+// forward) rather than failing recovery. Newer manifests that fail
+// verification are skipped — recovery walks back generation by
+// generation until one commits.
 func (ds *DiskStore) Recover(cat *Catalog) (*RecoveryReport, error) {
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
@@ -180,22 +185,18 @@ func (ds *DiskStore) Recover(cat *Catalog) (*RecoveryReport, error) {
 	ds.state = map[string]*tableState{}
 	ds.prevFiles = map[string]bool{}
 	for _, e := range m.Entries {
-		ds.prevFiles[e.File] = true
-		seg, err := ds.readSegmentFile(e.File)
-		if err == nil && (seg.Table != e.Table || uint64(seg.Rows) != e.Rows || !seg.Schema.Equal(e.Schema)) {
-			err = fmt.Errorf("%w: %s: segment does not match manifest entry (table %q rows %d)", ErrSegmentCorrupt, e.File, seg.Table, seg.Rows)
+		for _, f := range e.Files {
+			ds.prevFiles[f.File] = true
 		}
-		var t *Table
+		t := NewTable(e.Table, relation.New(e.Schema.Clone()))
+		rows, file, err := ds.readEntry(e)
 		if err != nil {
-			t = NewTable(e.Table, relation.New(e.Schema.Clone()))
 			t.Quarantine(err.Error())
-			report.Quarantined = append(report.Quarantined, QuarantinedTable{Table: e.Table, File: e.File, Reason: err.Error()})
+			report.Quarantined = append(report.Quarantined, QuarantinedTable{Table: e.Table, File: file, Reason: err.Error()})
 			ds.quarantined.Add(1)
 		} else {
-			t = NewTable(e.Table, seg.Relation())
-			t.setSegment(seg)
+			t.Rel.Rows = rows
 			report.Tables = append(report.Tables, e.Table)
-			ds.segsRecovered.Add(1)
 		}
 		cat.Register(t)
 		ds.state[e.Table] = &tableState{entry: e, id: t.ID(), version: t.Version(), carry: err != nil}
@@ -204,13 +205,38 @@ func (ds *DiskStore) Recover(cat *Catalog) (*RecoveryReport, error) {
 	return report, nil
 }
 
-// Checkpoint persists every table of cat whose data changed since the
-// last checkpoint (or recovery) and commits the result as a new
-// generation. Unchanged tables keep their existing segment files;
-// quarantined tables carry their old entries forward untouched. On any
-// error the previous generation remains the committed one — partial
-// segment files are unreachable garbage the next successful
-// checkpoint's GC removes.
+// readEntry reads one table's segment files back in order, verifying
+// each against the entry, and returns their rows concatenated — or the
+// first file that failed and why.
+func (ds *DiskStore) readEntry(e manifestEntry) (rows []relation.Tuple, file string, err error) {
+	for _, f := range e.Files {
+		var seg *Segment
+		seg, err = ds.readSegmentFile(f.File)
+		if err == nil && (seg.Table != e.Table || uint64(seg.Rows) != f.Rows || !seg.Schema.Equal(e.Schema)) {
+			err = fmt.Errorf("%w: %s: segment does not match manifest entry (table %q rows %d)", ErrSegmentCorrupt, f.File, seg.Table, seg.Rows)
+		}
+		if err != nil {
+			return nil, f.File, err
+		}
+		rows = seg.appendRows(rows)
+		ds.segsRecovered.Add(1)
+	}
+	return rows, "", nil
+}
+
+// Checkpoint persists what changed in cat since the last checkpoint (or
+// recovery) and commits the result as a new generation. A table that
+// grew gets one new segment file holding its new rows — and, by the
+// logarithmic method, the rows of every newest committed file smaller
+// than twice what is being written, re-packed from memory, so a table
+// keeps O(log rows) files and each row is rewritten O(log rows) times;
+// the files before those are shared with the previous generation. A
+// table whose version moved without new rows (an index change) writes
+// nothing, a re-created one (another id) is written from row 0,
+// unchanged tables keep their files, and quarantined tables carry
+// their old entries forward untouched. On any error the previous
+// generation remains the committed one — partial segment files are
+// unreachable garbage the next successful checkpoint's GC removes.
 func (ds *DiskStore) Checkpoint(cat *Catalog) (uint64, error) {
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
@@ -233,23 +259,43 @@ func (ds *DiskStore) Checkpoint(cat *Catalog) (uint64, error) {
 			// The table was re-created over its quarantine: fall through
 			// and rewrite it.
 		}
-		if st != nil && !st.carry && st.id == t.ID() && st.version == t.Version() {
-			entries = append(entries, st.entry)
-			newState[name] = st
-			continue
+		// The version before the rows: a writer appends, then bumps, so an
+		// insert racing this read leaves a version the recorded one does
+		// not match, and the next checkpoint looks again.
+		version, rows := t.Version(), t.Rel.Rows
+		var e manifestEntry
+		if st != nil && !st.carry && st.id == t.ID() {
+			if st.version == version {
+				entries = append(entries, st.entry)
+				newState[name] = st
+				continue
+			}
+			if st.entry.rows() <= uint64(len(rows)) {
+				e = st.entry // its files still hold the table's first rows
+			}
 		}
-		seg := t.Segment()
-		data := encodeSegment(seg)
-		file := fmt.Sprintf("%s-%d-%d.seg", sanitizeFileStem(name), gen, idx)
-		if err := ds.writeDurableFile(file, data, SiteWrite); err != nil {
-			return ds.gen, err
+		if tail := len(rows) - int(e.rows()); tail > 0 || len(e.Files) == 0 {
+			keep := len(e.Files)
+			for keep > 0 && e.Files[keep-1].Rows < 2*uint64(tail) {
+				keep--
+				tail += int(e.Files[keep].Rows)
+			}
+			seg := BuildSegment(name, &relation.Relation{Schema: t.Rel.Schema, Rows: rows[len(rows)-tail:]})
+			data := encodeSegment(seg)
+			file := fmt.Sprintf("%s-%d-%d.seg", sanitizeFileStem(name), gen, idx)
+			if err := ds.writeDurableFile(file, data, SiteWrite); err != nil {
+				return ds.gen, err
+			}
+			ds.segsWritten.Add(1)
+			ds.bytesWritten.Add(int64(len(data)))
+			// Capacity clipped, so the append copies: the committed state's
+			// list must survive a failed commit.
+			files := append(e.Files[:keep:keep], segmentFile{File: file, Rows: uint64(tail)})
+			e = manifestEntry{Table: name, Files: files, Schema: seg.Schema}
+			dirty = true
 		}
-		ds.segsWritten.Add(1)
-		ds.bytesWritten.Add(int64(len(data)))
-		e := manifestEntry{Table: name, File: file, Rows: uint64(seg.Rows), Schema: seg.Schema}
 		entries = append(entries, e)
-		newState[name] = &tableState{entry: e, id: t.ID(), version: t.Version()}
-		dirty = true
+		newState[name] = &tableState{entry: e, id: t.ID(), version: version}
 	}
 	for name := range ds.state {
 		if _, ok := newState[name]; !ok {
@@ -257,7 +303,8 @@ func (ds *DiskStore) Checkpoint(cat *Catalog) (uint64, error) {
 		}
 	}
 	if !dirty && ds.gen > 0 {
-		return ds.gen, nil // nothing changed since the committed generation
+		ds.state = newState // same files; versions that moved without rows are now seen
+		return ds.gen, nil
 	}
 	m := &manifest{Generation: gen, Entries: entries}
 	if err := ds.writeDurableFile(manifestName(gen), encodeManifest(m), SiteManifest); err != nil {
@@ -266,7 +313,9 @@ func (ds *DiskStore) Checkpoint(cat *Catalog) (uint64, error) {
 	prev := ds.gen
 	prevFiles := map[string]bool{}
 	for _, st := range ds.state {
-		prevFiles[st.entry.File] = true
+		for _, f := range st.entry.Files {
+			prevFiles[f.File] = true
+		}
 	}
 	ds.gen = gen
 	ds.state = newState
@@ -287,7 +336,9 @@ func (ds *DiskStore) gcLocked(prevGen uint64, prevFiles map[string]bool) {
 	}
 	keep := map[string]bool{}
 	for _, st := range ds.state {
-		keep[st.entry.File] = true
+		for _, f := range st.entry.Files {
+			keep[f.File] = true
+		}
 	}
 	for f := range prevFiles {
 		keep[f] = true
@@ -316,7 +367,10 @@ func (ds *DiskStore) Segments(cat *Catalog) []SegmentInfo {
 	defer ds.mu.Unlock()
 	out := make([]SegmentInfo, 0, len(ds.state))
 	for name, st := range ds.state {
-		info := SegmentInfo{Table: name, File: st.entry.File, Rows: st.entry.Rows}
+		info := SegmentInfo{Table: name, Rows: st.entry.rows()}
+		for _, f := range st.entry.Files {
+			info.Files = append(info.Files, f.File)
+		}
 		if t, err := cat.Table(name); err == nil {
 			if reason, ok := t.QuarantineReason(); ok {
 				info.Quarantined = true

@@ -105,7 +105,10 @@ func TestDiskStoreSkipsUnchangedTables(t *testing.T) {
 	}
 	files := map[string]string{}
 	for _, s := range ds.Segments(cat) {
-		files[s.Table] = s.File
+		if len(s.Files) != 1 {
+			t.Fatalf("first checkpoint wrote %s as %v, want one file", s.Table, s.Files)
+		}
+		files[s.Table] = s.Files[0]
 	}
 
 	// Nothing changed: no new generation, no new segment writes.
@@ -121,28 +124,33 @@ func TestDiskStoreSkipsUnchangedTables(t *testing.T) {
 		t.Fatalf("no-op checkpoint wrote %d segments", w-written)
 	}
 
-	// Touch one table: only it is rewritten, the other keeps its file.
+	// Append one row to the two-row table: its file stays and a second,
+	// holding that row, joins it; the other table keeps its file.
 	small, _ := cat.Table("small")
 	small.Rel.Append(relation.Tuple{value.Int(3), value.Str("three")})
 	small.BumpVersion()
 	if gen, err = ds.Checkpoint(cat); err != nil || gen != 2 {
 		t.Fatalf("gen=%d err=%v", gen, err)
 	}
+	if w := ds.Stats(cat).SegmentsWritten; w != written+1 {
+		t.Fatalf("a one-row append wrote %d segments, want 1", w-written)
+	}
 	for _, s := range ds.Segments(cat) {
 		switch s.Table {
 		case "small":
-			if s.File == files["small"] {
-				t.Fatal("dirty table kept its old segment file")
+			if len(s.Files) != 2 || s.Files[0] != files["small"] {
+				t.Fatalf("small is %v after the append, want %s and one new file", s.Files, files["small"])
 			}
 			if s.Rows != 3 {
 				t.Fatalf("small re-persisted with %d rows", s.Rows)
 			}
 		case "tricky":
-			if s.File != files["tricky"] {
+			if len(s.Files) != 1 || s.Files[0] != files["tricky"] {
 				t.Fatal("clean table was rewritten")
 			}
 		}
 	}
+	recoveredEqual(t, dir, cat)
 }
 
 func TestDiskStoreRecoverQuarantinesCorruptSegment(t *testing.T) {
@@ -155,7 +163,7 @@ func TestDiskStoreRecoverQuarantinesCorruptSegment(t *testing.T) {
 	var trickyFile string
 	for _, s := range ds.Segments(cat) {
 		if s.Table == "tricky" {
-			trickyFile = s.File
+			trickyFile = s.Files[0]
 		}
 	}
 	path := filepath.Join(dir, trickyFile)
@@ -204,8 +212,8 @@ func TestDiskStoreRecoverQuarantinesCorruptSegment(t *testing.T) {
 	}
 	for _, s := range ds2.Segments(cat2) {
 		if s.Table == "tricky" {
-			if s.File != trickyFile {
-				t.Fatalf("quarantined table's entry rewritten to %s", s.File)
+			if len(s.Files) != 1 || s.Files[0] != trickyFile {
+				t.Fatalf("quarantined table's entry rewritten to %v", s.Files)
 			}
 			if !s.Quarantined {
 				t.Fatal("Segments does not report the quarantine")

@@ -130,9 +130,11 @@ func TestCacheInvalidation(t *testing.T) {
 }
 
 // TestCacheInvalidationCounters pins the mechanism, not just the
-// outcome: a write bumps the schema epoch, so the next lookup of a
-// previously cached plan records an invalidation, and the result
-// memo's epoch-tagged keys miss rather than hit.
+// outcome. An insert moves the table's version, not the schema epoch:
+// the compiled plan names tables, not rows, and is served again, while
+// the result memo's version-tagged keys miss rather than hit. An index
+// change moves the schema epoch too, and the next lookup of the plan
+// records an invalidation.
 func TestCacheInvalidationCounters(t *testing.T) {
 	db := invalidationDB(t)
 	q := invalidationQueries[1]
@@ -152,13 +154,22 @@ func TestCacheInvalidationCounters(t *testing.T) {
 	}
 	planAfter := db.PlanCacheStats()
 	memoAfter := db.ResultCacheStats()
-	if planAfter.Invalidations != planBefore.Invalidations+1 {
-		t.Errorf("plan invalidations %d -> %d, want +1", planBefore.Invalidations, planAfter.Invalidations)
+	if planAfter.Hits != planBefore.Hits+1 || planAfter.Invalidations != planBefore.Invalidations {
+		t.Errorf("an insert should leave the plan cached: %+v -> %+v", planBefore, planAfter)
 	}
 	if memoAfter.Hits != memoBefore.Hits {
 		t.Errorf("memo served a stale hit after write: %+v -> %+v", memoBefore, memoAfter)
 	}
 	if memoAfter.Misses == memoBefore.Misses {
-		t.Errorf("memo should have missed on new epoch keys: %+v -> %+v", memoBefore, memoAfter)
+		t.Errorf("memo should have missed on new version keys: %+v -> %+v", memoBefore, memoAfter)
+	}
+	if err := db.BuildHashIndex("flows", "bytes"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Query(q); err != nil {
+		t.Fatal(err)
+	}
+	if got := db.PlanCacheStats(); got.Invalidations != planAfter.Invalidations+1 {
+		t.Errorf("plan invalidations after an index change %d -> %d, want +1", planAfter.Invalidations, got.Invalidations)
 	}
 }

@@ -101,8 +101,10 @@ func (db *DB) MemPressure() float64 {
 	return db.eng.MemStatus().Pool.Utilization()
 }
 
-// Close releases the DB's disk state (its scratch spill directory)
-// and shuts the memory-admission queue: queries still queued for pool
+// Close commits to the data directory whatever was written since the
+// last checkpoint (returning the error when that fails; see
+// WithDataDir), releases the DB's scratch spill directory and shuts
+// the memory-admission queue: queries still queued for pool
 // capacity are shed promptly with an error matching ErrClosed rather
 // than deadlocking or waiting out their admission deadlines. The DB
 // remains usable afterwards — purely in-memory and unaccounted

@@ -6,8 +6,10 @@
 # directory:
 #
 #   1. kill -9 mid-churn, repeatedly: churn rewrites the deterministic
-#      fig4/fig5 corpus round after round while the harness kills the
-#      process at a random instant; every reopen must recover a
+#      fig4/fig5 corpus round after round — and appends each round's
+#      rows to tort_log, the one table that is never re-created and so
+#      persists as a growing list of segment files — while the harness
+#      kills the process at a random instant; every reopen must recover a
 #      committed round whose tables are byte-identical to the
 #      in-memory oracle, with the recovered round consistent with the
 #      last "round=N gen=G" line churn managed to print (N or N+1 —
@@ -17,11 +19,12 @@
 #      enospc / shortwrite / torn-rename faults at storage.write and
 #      storage.manifest; failed checkpoints must leave the previous
 #      generation committed, and the store must verify clean after.
-#   3. quarantine: flip bytes in every on-disk segment of one table;
-#      recovery must quarantine exactly that table (scans on it fail
-#      with the typed segment-corrupt error) while every other table
-#      still answers and both benchmark queries still match the
-#      oracle; one churn round then heals it.
+#   3. quarantine: flip bytes in every on-disk segment of one table and
+#      in one middle file of the several tort_log spans; recovery must
+#      quarantine exactly those two tables (scans on them fail with the
+#      typed segment-corrupt error) while every other table still
+#      answers and both benchmark queries still match the oracle; one
+#      churn round then heals them.
 #   4. torn manifest: truncate the newest MANIFEST; recovery must skip
 #      it and serve the previous generation.
 #
@@ -122,7 +125,18 @@ for FAULT in \
 done
 echo "storage_torture: phase 2 clean (failed checkpoints never corrupted the committed generation)"
 
-echo "== phase 3: segment corruption quarantines one table =="
+echo "== phase 3: segment corruption quarantines the tables it hits, and only those =="
+# The append-only table: churn until it spans at least three files, then
+# vandalize one that is neither its first nor its newest. One bad file
+# of several must take the whole table out, not leave a hole in its rows.
+log_files() {
+  bin/olapcheck store -dir "${DIR}" segments | awk '$1 == "tort_log" { for (i = 3; i <= NF; i++) print $i }'
+}
+mapfile -t LOG_FILES < <(log_files)
+while [[ "${#LOG_FILES[@]}" -lt 3 ]]; do
+  bin/olapcheck store -dir "${DIR}" -rows "${ROWS}" -seed "${SEED}" churn -rounds 1 > /dev/null
+  mapfile -t LOG_FILES < <(log_files)
+done
 CORRUPTED=0
 for f in "${DIR}"/A-*.seg; do
   [[ -e "$f" ]] || continue
@@ -133,16 +147,20 @@ if [[ "${CORRUPTED}" -eq 0 ]]; then
   echo "storage_torture: no A-*.seg files to corrupt" >&2
   exit 1
 fi
-verify -expect-quarantine A
+MIDDLE="${LOG_FILES[$(( ${#LOG_FILES[@]} / 2 ))]}"
+echo "   tort_log spans ${#LOG_FILES[@]} files; corrupting ${MIDDLE}"
+printf '\xde\xad\xbe\xef' | dd of="${DIR}/${MIDDLE}" bs=1 seek=64 conv=notrunc 2>/dev/null
+verify -expect-quarantine A,tort_log
 # A clean verify must now FAIL: the quarantine is real, not cosmetic.
 if verify 2>/dev/null; then
   echo "storage_torture: verify ignored a corrupt segment" >&2
   exit 1
 fi
-# One churn round rewrites every table, healing the quarantine.
+# One churn round rewrites every table — tort_log from round 0, since
+# what recovery left of it is a quarantine — healing both.
 bin/olapcheck store -dir "${DIR}" -rows "${ROWS}" -seed "${SEED}" churn -rounds 1
 verify
-echo "storage_torture: phase 3 clean (quarantine isolated the corrupt table, churn healed it)"
+echo "storage_torture: phase 3 clean (quarantine isolated the corrupt tables, churn healed them)"
 
 echo "== phase 4: torn manifest falls back one generation =="
 # One more clean round first: the fallback generation must not be the
