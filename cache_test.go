@@ -1,6 +1,10 @@
 package gmdj
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -35,6 +39,120 @@ func TestPlanCacheHitMiss(t *testing.T) {
 	s3 := db.PlanCacheStats()
 	if s3.Hits != s2.Hits+1 {
 		t.Fatalf("constant-only variant should share the template: %+v -> %+v", s2, s3)
+	}
+}
+
+// planSpans returns the cache= labels of the "plan" spans recorded so
+// far, oldest first.
+func planSpans(t *testing.T, db *DB) []string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := db.WriteTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var trace struct {
+		TraceEvents []struct {
+			Cat  string            `json:"cat"`
+			Args map[string]string `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &trace); err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	for _, e := range trace.TraceEvents {
+		if e.Cat == "plan" {
+			out = append(out, e.Args["detail"])
+		}
+	}
+	return out
+}
+
+// TestOneCompilePath: every door that takes SQL text goes through
+// compile, so whichever door sees a normalized text first pays the one
+// miss and every door after it hits — in the counters, in the one
+// "plan" span each statement records, and in Explain's "plan: cached"
+// line.
+func TestOneCompilePath(t *testing.T) {
+	doors := []struct {
+		name string
+		run  func(db *DB, q string) error
+	}{
+		{"Query", func(db *DB, q string) error { _, err := db.Query(q); return err }},
+		{"QueryRows", func(db *DB, q string) error {
+			rows, err := db.QueryRows(q)
+			if err != nil {
+				return err
+			}
+			for rows.Next() {
+			}
+			rows.Close()
+			return rows.Err()
+		}},
+		{"Exec", func(db *DB, q string) error { _, err := db.Exec(q); return err }},
+		{"Prepare", func(db *DB, q string) error {
+			st, err := db.Prepare(q)
+			if err != nil {
+				return err
+			}
+			defer st.Close()
+			for i := 0; i < 2; i++ { // the statement holds the template: no second lookup
+				if _, err := st.Query(); err != nil {
+					return err
+				}
+			}
+			return nil
+		}},
+		{"Explain", func(db *DB, q string) error { _, err := db.Explain(q, GMDJOpt); return err }},
+		{"ExplainAnalyze", func(db *DB, q string) error { _, err := db.ExplainAnalyze(q, GMDJOpt); return err }},
+		{"QueryAnalyze", func(db *DB, q string) error { _, _, err := db.QueryAnalyze(q, GMDJOpt); return err }},
+	}
+	for _, first := range doors {
+		for _, second := range doors {
+			db := usersDB(t)
+			db.EnableTracing(64)
+			if err := first.run(db, `SELECT name FROM users WHERE score > 15`); err != nil {
+				t.Fatalf("%s: %v", first.name, err)
+			}
+			if s := db.PlanCacheStats(); s.Misses != 1 || s.Hits != 0 {
+				t.Errorf("%s first: %d misses, %d hits, want 1, 0", first.name, s.Misses, s.Hits)
+			}
+			// The same normalized text: another constant, case and spacing.
+			if err := second.run(db, "select name  from users\nwhere score > 99"); err != nil {
+				t.Fatalf("%s: %v", second.name, err)
+			}
+			if s := db.PlanCacheStats(); s.Misses != 1 || s.Hits != 1 {
+				t.Errorf("%s after %s: %d misses, %d hits, want 1, 1", second.name, first.name, s.Misses, s.Hits)
+			}
+			out, err := db.Explain(`SELECT name FROM users WHERE score > 0`, GMDJOpt)
+			if err != nil || !strings.HasPrefix(out, "plan: cached\n") {
+				t.Errorf("Explain after %s, %s: %v\n%s", first.name, second.name, err, out)
+			}
+			want := []string{"cache=miss", "cache=hit", "cache=hit"}
+			if got := planSpans(t, db); !slices.Equal(got, want) {
+				t.Errorf("%s then %s then Explain: plan spans %v, want %v", first.name, second.name, got, want)
+			}
+		}
+	}
+}
+
+// TestCompileErrorsNameTheCallersText: the template is compiled from
+// the normalized text, but a syntax error is positioned in the text
+// the caller wrote, through every door, cache warm or cold.
+func TestCompileErrorsNameTheCallersText(t *testing.T) {
+	db := usersDB(t)
+	const bad = "SELECT name\n\n  FROM users WHERE score > 15 AND AND"
+	_, want := db.Query(bad)
+	if at := fmt.Sprintf("offset %d)", strings.LastIndex(bad, "AND")); want == nil || !strings.Contains(want.Error(), at) {
+		t.Fatalf("err = %v, want the second AND's %s in the original text", want, at)
+	}
+	_, errPrepare := db.Prepare(bad)
+	_, errExplain := db.Explain(bad, GMDJOpt)
+	_, errAnalyze := db.ExplainAnalyze(bad, GMDJOpt)
+	for door, err := range map[string]error{"Prepare": errPrepare, "Explain": errExplain, "ExplainAnalyze": errAnalyze} {
+		if err == nil || err.Error() != want.Error() {
+			t.Errorf("%s: err = %v, want %v", door, err, want)
+		}
 	}
 }
 

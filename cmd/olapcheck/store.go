@@ -195,8 +195,11 @@ func registerCorpus(e *engine.Engine, rows int, seed uint64, round int) {
 		cat.Register(logThrough(rows, seed, round))
 		return
 	}
-	appendLogRound(t.Rel, rows, seed, round)
-	t.BumpVersion()
+	add := relation.New(t.Rel.Schema)
+	appendLogRound(add, rows, seed, round)
+	if err := t.Append(add.Rows); err != nil {
+		panic(err) // the generator's rows are the schema's by construction
+	}
 }
 
 // fig4Query and fig5Query are the plans the benchmarks run for the

@@ -87,7 +87,6 @@ package main
 import (
 	"bufio"
 	"context"
-	"errors"
 	"expvar"
 	"flag"
 	"fmt"
@@ -103,49 +102,9 @@ import (
 	"github.com/olaplab/gmdj/internal/obs/profile"
 )
 
-// Exit codes for governed failures; see the package comment.
-const (
-	exitErr       = 1
-	exitUsage     = 2
-	exitTimeout   = 3
-	exitCanceled  = 4
-	exitRowCap    = 5
-	exitMemCap    = 6
-	exitInternal  = 7
-	exitSpillIO   = 8
-	exitAdmission = 9
-	exitClosed    = 10
-	// 11 and 12 belong to the serving layer (unavailable) and olapd's
-	// shutdown leak check; the shell skips them so codes stay aligned
-	// across binaries.
-	exitSegmentCorrupt = 13
-)
-
-// exitCode maps a query error onto the CLI's exit-code contract.
-func exitCode(err error) int {
-	switch {
-	case errors.Is(err, gmdj.ErrTimeout):
-		return exitTimeout
-	case errors.Is(err, gmdj.ErrCanceled):
-		return exitCanceled
-	case errors.Is(err, gmdj.ErrRowBudget):
-		return exitRowCap
-	case errors.Is(err, gmdj.ErrMemBudget):
-		return exitMemCap
-	case errors.Is(err, gmdj.ErrSegmentCorrupt):
-		return exitSegmentCorrupt
-	case errors.Is(err, gmdj.ErrSpillIO):
-		return exitSpillIO
-	case errors.Is(err, gmdj.ErrAdmissionTimeout):
-		return exitAdmission
-	case errors.Is(err, gmdj.ErrClosed):
-		return exitClosed
-	case errors.Is(err, gmdj.ErrInternal):
-		return exitInternal
-	default:
-		return exitErr
-	}
-}
+// exitUsage is the shell's own exit code; a failed query exits with
+// gmdj.Classify's (the package comment lists them).
+const exitUsage = 2
 
 func main() {
 	data := flag.String("data", "netflow", "sample dataset to preload: netflow, tpcr, or none")
@@ -333,7 +292,7 @@ func main() {
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "olapql:", err)
 			flush()
-			os.Exit(exitCode(err))
+			os.Exit(gmdj.Classify(err).ExitCode)
 		}
 		if res != nil {
 			printResult(res)

@@ -1,6 +1,7 @@
 package gmdj
 
 import (
+	"github.com/olaplab/gmdj/internal/engine"
 	"github.com/olaplab/gmdj/internal/expr"
 	"github.com/olaplab/gmdj/internal/mem"
 	"github.com/olaplab/gmdj/internal/spill"
@@ -51,3 +52,18 @@ var (
 	// rewrites its segment at the next checkpoint).
 	ErrSegmentCorrupt = storage.ErrSegmentCorrupt
 )
+
+// ErrorClass is the classification of one query error: its taxonomy
+// kind, the exit code CLIs report it with, the HTTP status the serving
+// layer sends it under, and whether a retry can plausibly succeed.
+type ErrorClass = engine.ErrorClass
+
+// Classify maps a non-nil error from this package onto the one error
+// taxonomy (DESIGN.md §11), which the engine's errors.<kind> counters,
+// olapd's responses and olapql's exit code all read. An error matching
+// no sentinel — a syntax error, an unknown table, a bad parameter — is
+// the query's fault: kind "query", exit code 1, HTTP 400.
+func Classify(err error) ErrorClass { return engine.Classify(err) }
+
+// ErrorClasses lists every class Classify can return.
+func ErrorClasses() []ErrorClass { return engine.ErrorClasses() }

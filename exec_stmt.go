@@ -4,10 +4,7 @@ import (
 	"context"
 	"fmt"
 
-	"github.com/olaplab/gmdj/internal/relation"
 	"github.com/olaplab/gmdj/internal/sql"
-	"github.com/olaplab/gmdj/internal/storage"
-	"github.com/olaplab/gmdj/internal/value"
 )
 
 // Exec executes one SQL statement: SELECT queries return a Result;
@@ -40,42 +37,13 @@ func (db *DB) ExecStrategyContext(ctx context.Context, stmt string, s Strategy) 
 	case *sql.SelectStmt:
 		return db.QueryStrategyContext(ctx, stmt, s)
 	case *sql.CreateTableStmt:
-		if _, err := db.cat.Table(st.Name); err == nil {
-			return nil, fmt.Errorf("gmdj: %w: %q", ErrTableExists, st.Name)
-		}
-		db.cat.Register(storage.NewTable(st.Name, relation.New(relation.NewSchema(st.Cols...))))
-		return nil, nil
+		return nil, db.createTable(st.Name, st.Cols)
 	case *sql.InsertStmt:
 		t, err := db.cat.Table(st.Table)
 		if err != nil {
 			return nil, err
 		}
-		schema := t.Rel.Schema
-		// Validate every row before mutating, so a failed INSERT is
-		// atomic.
-		checked := make([]relation.Tuple, 0, len(st.Rows))
-		for ri, row := range st.Rows {
-			if len(row) != schema.Len() {
-				return nil, fmt.Errorf("gmdj: INSERT row %d has %d values, table %q has %d columns",
-					ri+1, len(row), st.Table, schema.Len())
-			}
-			out := make(relation.Tuple, len(row))
-			for i, v := range row {
-				cv, err := coerce(v, schema.Columns[i].Type)
-				if err != nil {
-					return nil, fmt.Errorf("gmdj: INSERT row %d column %q: %w", ri+1, schema.Columns[i].Name, err)
-				}
-				out[i] = cv
-			}
-			checked = append(checked, out)
-		}
-		for _, row := range checked {
-			t.Rel.Append(row)
-		}
-		if len(checked) > 0 {
-			t.BumpVersion()
-		}
-		return nil, nil
+		return nil, t.Append(st.Rows)
 	case *sql.DropTableStmt:
 		if _, err := db.cat.Table(st.Name); err != nil {
 			return nil, err
@@ -85,15 +53,4 @@ func (db *DB) ExecStrategyContext(ctx context.Context, stmt string, s Strategy) 
 	default:
 		return nil, fmt.Errorf("gmdj: unsupported statement %T", parsed)
 	}
-}
-
-// coerce checks a literal against a column type, widening INT to FLOAT.
-func coerce(v value.Value, want value.Kind) (value.Value, error) {
-	if v.IsNull() || want == value.KindNull || v.Kind() == want {
-		return v, nil
-	}
-	if want == value.KindFloat && v.Kind() == value.KindInt {
-		return value.Float(float64(v.AsInt())), nil
-	}
-	return value.Null, fmt.Errorf("cannot store %v into %v", v.Kind(), want)
 }

@@ -68,6 +68,68 @@ func TestExecInsertAtomicity(t *testing.T) {
 	}
 }
 
+// TestFailedInsertIsAtomic: a multi-row write whose second row is
+// rejected leaves the table as it was, through every door that writes
+// (all three end in storage.Table.Append). A half-applied batch with no
+// version bump showed in two ways: native, probing a hash index that
+// lags the rows, disagreed with the three strategies that scan, and a
+// durable DB served the stray row until Close and lost it on reopen.
+func TestFailedInsertIsAtomic(t *testing.T) {
+	doors := []struct {
+		name  string
+		write func(db *DB) error
+	}{
+		{"Insert", func(db *DB) error { return db.Insert("i", []any{2}, []any{"bad"}) }},
+		{"INSERT", func(db *DB) error {
+			_, err := db.Exec(`INSERT INTO i VALUES (2), ('bad')`)
+			return err
+		}},
+		{"LoadCSV", func(db *DB) error { return db.LoadCSV("i", strings.NewReader("k\n2\nbad\n")) }},
+	}
+	const q = `SELECT o.k FROM o WHERE EXISTS (SELECT * FROM i WHERE i.k = o.k)`
+	for _, door := range doors {
+		t.Run(door.name, func(t *testing.T) {
+			dir := t.TempDir()
+			db := Open(WithDataDir(dir))
+			db.MustCreateTable("o", Col("k", Int))
+			db.MustCreateTable("i", Col("k", Int))
+			db.MustInsert("o", []any{1}, []any{2})
+			db.MustInsert("i", []any{1})
+			if err := db.BuildHashIndex("i", "k"); err != nil {
+				t.Fatal(err)
+			}
+			tbl, _ := db.cat.Table("i")
+			version := tbl.Version()
+			if err := door.write(db); err == nil {
+				t.Fatal("a row of the wrong type must fail the write")
+			}
+			if tbl.Rel.Len() != 1 || tbl.Version() != version {
+				t.Errorf("failed write left %d rows at version %d, want 1 at %d", tbl.Rel.Len(), tbl.Version(), version)
+			}
+			for _, s := range []Strategy{Native, Unnest, GMDJ, GMDJOpt} {
+				res, err := db.QueryStrategy(q, s)
+				if err != nil {
+					t.Fatalf("%v: %v", s, err)
+				}
+				if res.Len() != 1 {
+					t.Errorf("%v: %d rows %v, want 1", s, res.Len(), res.Rows)
+				}
+			}
+			mem := tbl.Rel.Clone()
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+			db = Open(WithDataDir(dir))
+			defer db.Close()
+			if tbl, err := db.cat.Table("i"); err != nil {
+				t.Fatal(err)
+			} else if d := mem.Diff(tbl.Rel); d != "" {
+				t.Errorf("reopened table differs from memory: %s", d)
+			}
+		})
+	}
+}
+
 func TestExecDropTable(t *testing.T) {
 	db := Open()
 	defer db.Close()

@@ -164,6 +164,16 @@ func newDB(cat *storage.Catalog, opts []Option) *DB {
 // CreateTable registers an empty table. Registering a name that
 // already exists fails with an error matching ErrTableExists.
 func (db *DB) CreateTable(name string, cols ...Column) error {
+	rcols := make([]relation.Column, len(cols))
+	for i, c := range cols {
+		rcols[i] = relation.Column{Qualifier: name, Name: c.Name, Type: c.Type.kind()}
+	}
+	return db.createTable(name, rcols)
+}
+
+// createTable validates and registers an empty table, for CreateTable
+// and SQL CREATE TABLE alike.
+func (db *DB) createTable(name string, cols []relation.Column) error {
 	if name == "" {
 		return fmt.Errorf("gmdj: empty table name")
 	}
@@ -173,7 +183,6 @@ func (db *DB) CreateTable(name string, cols ...Column) error {
 	if len(cols) == 0 {
 		return fmt.Errorf("gmdj: table %q needs at least one column", name)
 	}
-	rcols := make([]relation.Column, len(cols))
 	seen := map[string]bool{}
 	for i, c := range cols {
 		if c.Name == "" {
@@ -183,9 +192,8 @@ func (db *DB) CreateTable(name string, cols ...Column) error {
 			return fmt.Errorf("gmdj: table %q has duplicate column %q", name, c.Name)
 		}
 		seen[c.Name] = true
-		rcols[i] = relation.Column{Qualifier: name, Name: c.Name, Type: c.Type.kind()}
 	}
-	db.cat.Register(storage.NewTable(name, relation.New(relation.NewSchema(rcols...))))
+	db.cat.Register(storage.NewTable(name, relation.New(relation.NewSchema(cols...))))
 	return nil
 }
 
@@ -198,42 +206,22 @@ func (db *DB) MustCreateTable(name string, cols ...Column) {
 
 // Insert appends rows to a table. Row values may be int, int64,
 // float64, string, bool, or nil (NULL); each row must match the table
-// width and column types.
+// width and column types, or no row is inserted.
 func (db *DB) Insert(table string, rows ...[]any) error {
 	t, err := db.cat.Table(table)
 	if err != nil {
 		return err
 	}
+	tups := make([]relation.Tuple, len(rows))
 	for ri, row := range rows {
-		if len(row) != t.Rel.Schema.Len() {
-			return fmt.Errorf("gmdj: row %d has %d values, table %q has %d columns",
-				ri, len(row), table, t.Rel.Schema.Len())
-		}
-		tup := make(relation.Tuple, len(row))
+		tups[ri] = make(relation.Tuple, len(row))
 		for i, v := range row {
-			cv, err := toValue(v)
-			if err != nil {
-				return fmt.Errorf("gmdj: row %d column %q: %w", ri, t.Rel.Schema.Columns[i].Name, err)
+			if tups[ri][i], err = toValue(v); err != nil {
+				return fmt.Errorf("gmdj: row %d value %d: %w", ri+1, i+1, err)
 			}
-			if !cv.IsNull() {
-				want := t.Rel.Schema.Columns[i].Type
-				if want != value.KindNull && cv.Kind() != want &&
-					!(want == value.KindFloat && cv.Kind() == value.KindInt) {
-					return fmt.Errorf("gmdj: row %d column %q: cannot store %v into %v",
-						ri, t.Rel.Schema.Columns[i].Name, cv.Kind(), want)
-				}
-				if want == value.KindFloat && cv.Kind() == value.KindInt {
-					cv = value.Float(float64(cv.AsInt()))
-				}
-			}
-			tup[i] = cv
 		}
-		t.Rel.Append(tup)
 	}
-	if len(rows) > 0 {
-		t.BumpVersion()
-	}
-	return nil
+	return t.Append(tups)
 }
 
 // MustInsert is Insert panicking on error (setup code).
@@ -343,130 +331,145 @@ func (db *DB) QueryStrategy(query string, s Strategy) (*Result, error) {
 }
 
 // QueryStrategyContext is QueryStrategy honoring the caller's context.
-// When the plan cache is enabled (the Open default), the query's
-// literals are lifted into parameters and the resulting template is
-// compiled at most once per (normalized text, strategy); replays bind
-// the literals back into the cached physical plan and skip parsing,
-// resolution, and strategy rewriting entirely.
+// Like every entry point that takes SQL text it compiles through the
+// plan cache (see compile), so a replay that differs only in its
+// literals skips parsing, resolution, and strategy rewriting entirely.
 func (db *DB) QueryStrategyContext(ctx context.Context, query string, s Strategy) (*Result, error) {
-	// With tracing on, the compile step gets its own span annotated
-	// with the plan-cache outcome (the Peek races a concurrent Put at
-	// worst into a false "miss" label — telemetry only, never behavior).
-	t := db.eng.Tracer()
-	var planStart time.Time
-	var hit bool
-	if t != nil {
-		planStart = time.Now()
-		hit = db.planCached(query, s)
-	}
-	phys, err := db.physicalPlan(query, s)
-	if t != nil {
-		arg := "cache=miss"
-		if hit {
-			arg = "cache=hit"
-		}
-		if rid := obs.ContextRequestID(ctx); rid != "" {
-			arg = "rid=" + rid + " " + arg
-		}
-		t.SpanArgs("plan", "plan "+s.String(), 1, planStart, time.Since(planStart), arg)
-	}
-	if err != nil {
-		return nil, err
-	}
-	rel, err := db.eng.RunPlannedContext(ctx, query, phys, s)
-	if err != nil {
-		return nil, err
-	}
-	return toResult(rel), nil
+	rel, _, err := db.run(ctx, query, s, false)
+	return toResult(rel), err
 }
 
-// physicalPlan produces an executable (fully bound) physical plan for
-// the query, consulting the plan cache when one is installed.
-func (db *DB) physicalPlan(query string, s Strategy) (algebra.Node, error) {
-	pc := db.eng.PlanCache()
-	if pc == nil {
-		return db.planUncached(query, s)
+// compiled is a statement ready to bind: the shared plan template,
+// the literals Normalize lifted out of the text (to bind back, in
+// ordinal order), whether the text carries placeholders of its own
+// (then the arguments come from a Stmt), and whether the plan cache
+// served the template.
+type compiled struct {
+	ent      *plancache.Entry
+	args     []value.Value
+	explicit bool
+	hit      bool
+}
+
+// compile is the one place SQL text becomes a physical plan template,
+// behind Query*, QueryRows*, Exec* on a SELECT, Prepare, Explain,
+// ExplainAnalyze* and QueryAnalyze*: normalize, look the template up
+// under the current schema epoch, and on a miss parse, resolve,
+// strategy-rewrite and cache it. With tracing on it records the
+// statement's "plan" span, labelled with the cache outcome.
+func (db *DB) compile(ctx context.Context, text string, s Strategy) (c compiled, err error) {
+	if t := db.eng.Tracer(); t != nil {
+		start := time.Now()
+		defer func() {
+			arg := "cache=miss"
+			if c.hit {
+				arg = "cache=hit"
+			}
+			if rid := obs.ContextRequestID(ctx); rid != "" {
+				arg = "rid=" + rid + " " + arg
+			}
+			t.SpanArgs("plan", "plan "+s.String(), 1, start, time.Since(start), arg)
+		}()
 	}
-	norm, args, explicit, err := sql.Normalize(query)
+	norm, args, explicit, err := sql.Normalize(text)
 	if err != nil {
-		return nil, err
+		return c, err
 	}
-	if explicit {
-		return nil, fmt.Errorf("gmdj: query contains placeholders; use Prepare and pass arguments: %w", ErrBadParam)
-	}
+	c = compiled{args: args, explicit: explicit}
+	pc := db.eng.PlanCache()
 	key := plancache.Key{Text: norm, Strategy: uint8(s)}
 	epoch := db.cat.SchemaEpoch()
-	ent, ok := pc.Get(key, epoch)
-	if !ok {
-		plan, perr := sql.ParseAndResolve(norm, db.eng)
-		if perr != nil {
-			// Safety valve: if the canonicalized text fails to compile,
-			// fall back to the original, uncached. (A parse error in the
-			// original surfaces with its own positions this way.)
-			return db.planUncached(query, s)
+	if pc != nil {
+		if c.ent, c.hit = pc.Get(key, epoch); c.hit {
+			return c, nil
 		}
-		phys, perr := db.eng.Plan(plan, s)
-		if perr != nil {
-			return nil, perr
-		}
-		ent = &plancache.Entry{
-			Plan:        phys,
-			NParams:     len(args),
-			Tables:      algebra.Tables(phys),
-			SchemaEpoch: epoch,
-		}
-		pc.Put(key, ent)
 	}
-	bound, berr := algebra.BindParams(ent.Plan, args)
-	if berr != nil {
-		// A strategy rewrite may in principle drop a lifted literal from
-		// the plan; recompile the original text rather than fail.
-		return db.planUncached(query, s)
+	build := func(text string) (*plancache.Entry, error) {
+		plan, err := sql.ParseAndResolve(text, db.eng)
+		if err != nil {
+			return nil, err
+		}
+		phys, err := db.eng.Plan(plan, s)
+		if err != nil {
+			return nil, err
+		}
+		return &plancache.Entry{Plan: phys, NParams: algebra.ParamCount(phys), Tables: algebra.Tables(phys), SchemaEpoch: epoch}, nil
 	}
-	return bound, nil
+	c.ent, err = build(norm)
+	if err != nil || (!explicit && c.ent.NParams != len(args)) {
+		// The text the caller wrote compiles instead, uncached and with
+		// its literals inline: an error then carries positions in that
+		// text, and a template the strategy rewrite dropped a lifted
+		// literal from (it would not bind) is not used.
+		c.args = nil
+		c.ent, err = build(text)
+		return c, err
+	}
+	if pc != nil {
+		pc.Put(key, c.ent)
+	}
+	return c, nil
 }
 
-// planUncached is the pre-cache compile pipeline: parse, resolve,
-// strategy-rewrite.
-func (db *DB) planUncached(query string, s Strategy) (algebra.Node, error) {
-	plan, err := sql.ParseAndResolve(query, db.eng)
+// bind instantiates the template: with the literals lifted from the
+// text or, when the text has placeholders of its own, with args.
+func (c compiled) bind(args []value.Value) (algebra.Node, error) {
+	if !c.explicit {
+		if len(args) > 0 {
+			return nil, fmt.Errorf("gmdj: statement expects 0 parameter(s), got %d: %w", len(args), ErrBadParam)
+		}
+		args = c.args
+	}
+	return algebra.BindParams(c.ent.Plan, args)
+}
+
+// plan compiles a statement that must be complete as written into its
+// executable physical plan.
+func (db *DB) plan(ctx context.Context, query string, s Strategy) (algebra.Node, error) {
+	c, err := db.compile(ctx, query, s)
 	if err != nil {
 		return nil, err
 	}
-	return db.eng.Plan(plan, s)
+	if c.explicit {
+		return nil, fmt.Errorf("gmdj: query contains placeholders; use Prepare and pass arguments: %w", ErrBadParam)
+	}
+	return c.bind(nil)
+}
+
+// run compiles and executes a statement, with per-operator statistics
+// (rendered EXPLAIN ANALYZE style) when analyze is set.
+func (db *DB) run(ctx context.Context, query string, s Strategy, analyze bool) (*relation.Relation, string, error) {
+	phys, err := db.plan(ctx, query, s)
+	if err != nil {
+		return nil, "", err
+	}
+	rel, root, err := db.eng.RunPlanned(ctx, query, phys, s, analyze)
+	if err != nil || !analyze {
+		return rel, "", err
+	}
+	return rel, engine.FormatAnalyzed(s, root), nil
 }
 
 // Explain returns the physical plan a strategy would execute for a
 // query, as an indented operator tree. When the query's plan template
-// is already resident in the plan cache (a subsequent Query would skip
-// compilation), the output leads with a "plan: cached" line.
+// was already resident in the plan cache, the output leads with a
+// "plan: cached" line; either way it is resident afterwards.
 func (db *DB) Explain(query string, s Strategy) (string, error) {
-	plan, err := sql.ParseAndResolve(query, db.eng)
+	c, err := db.compile(context.Background(), query, s)
 	if err != nil {
 		return "", err
 	}
-	out, err := db.eng.Explain(plan, s)
-	if err != nil {
-		return "", err
+	phys := c.ent.Plan // a text with placeholders of its own is shown with them
+	if !c.explicit {
+		if phys, err = c.bind(nil); err != nil {
+			return "", err
+		}
 	}
-	if db.planCached(query, s) {
+	out := engine.FormatPlan(s, phys)
+	if c.hit {
 		out = "plan: cached\n" + out
 	}
 	return out, nil
-}
-
-// planCached reports whether Query(query) under s would hit the plan
-// cache right now.
-func (db *DB) planCached(query string, s Strategy) bool {
-	pc := db.eng.PlanCache()
-	if pc == nil {
-		return false
-	}
-	norm, _, explicit, err := sql.Normalize(query)
-	if err != nil || explicit {
-		return false
-	}
-	return pc.Peek(plancache.Key{Text: norm, Strategy: uint8(s)}, db.cat.SchemaEpoch())
 }
 
 // ExplainAnalyze parses, runs, and renders the query's plan annotated
@@ -482,15 +485,8 @@ func (db *DB) ExplainAnalyze(query string, s Strategy) (string, error) {
 // ExplainAnalyzeContext is ExplainAnalyze honoring the caller's
 // context.
 func (db *DB) ExplainAnalyzeContext(ctx context.Context, query string, s Strategy) (string, error) {
-	plan, err := sql.ParseAndResolve(query, db.eng)
-	if err != nil {
-		return "", err
-	}
-	_, root, err := db.eng.RunObservedQuery(ctx, query, plan, s)
-	if err != nil {
-		return "", err
-	}
-	return engine.FormatAnalyzed(s, root), nil
+	_, out, err := db.run(ctx, query, s, true)
+	return out, err
 }
 
 // QueryAnalyze runs a query once and returns both its result and the
@@ -501,15 +497,8 @@ func (db *DB) QueryAnalyze(query string, s Strategy) (*Result, string, error) {
 
 // QueryAnalyzeContext is QueryAnalyze honoring the caller's context.
 func (db *DB) QueryAnalyzeContext(ctx context.Context, query string, s Strategy) (*Result, string, error) {
-	plan, err := sql.ParseAndResolve(query, db.eng)
-	if err != nil {
-		return nil, "", err
-	}
-	rel, root, err := db.eng.RunObservedQuery(ctx, query, plan, s)
-	if err != nil {
-		return nil, "", err
-	}
-	return toResult(rel), engine.FormatAnalyzed(s, root), nil
+	rel, out, err := db.run(ctx, query, s, true)
+	return toResult(rel), out, err
 }
 
 // EnableTracing attaches a ring-buffer span recorder to the engine:
@@ -620,7 +609,11 @@ func (db *DB) FormatLiveQueries() string { return db.eng.Observer().FormatInFlig
 // bytes by tenant into the olap_tenant_heap_inuse_bytes gauge.
 func (db *DB) LiveQueries() []obs.LiveSnapshot { return db.eng.Observer().InFlight() }
 
+// toResult converts a result relation (nil from a failed run stays nil).
 func toResult(rel *relation.Relation) *Result {
+	if rel == nil {
+		return nil
+	}
 	res := &Result{Columns: make([]string, rel.Schema.Len())}
 	for i, c := range rel.Schema.Columns {
 		res.Columns[i] = c.Name
@@ -647,9 +640,7 @@ func (db *DB) LoadCSV(table string, r io.Reader) error {
 	if err != nil {
 		return err
 	}
-	t.Rel.Rows = append(t.Rel.Rows, rel.Rows...)
-	t.BumpVersion()
-	return nil
+	return t.Append(rel.Rows)
 }
 
 // DumpCSV writes a table as CSV.

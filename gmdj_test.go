@@ -2,6 +2,7 @@ package gmdj
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"reflect"
 	"sort"
@@ -31,23 +32,50 @@ func flowDB(t *testing.T) *DB {
 	return db
 }
 
+// TestCreateTableValidation: CreateTable and SQL CREATE TABLE share
+// one validation, so a definition either door can express is accepted
+// or rejected by both, with the same error.
 func TestCreateTableValidation(t *testing.T) {
-	db := Open()
-	defer db.Close()
-	if err := db.CreateTable(""); err == nil {
-		t.Error("empty name must fail")
+	cases := []struct {
+		what string
+		name string
+		cols []Column
+		sql  string // "" when SQL cannot express the definition
+		ok   bool
+	}{
+		{"empty name", "", []Column{Col("a", Int)}, "", false},
+		{"no columns", "t", nil, "", false},
+		{"unnamed column", "t", []Column{Col("", Int)}, "", false},
+		{"duplicate column", "dup", []Column{Col("a", Int), Col("a", Int)}, `CREATE TABLE dup (a INT, a INT)`, false},
+		{"valid", "t", []Column{Col("a", Int), Col("b", String)}, `CREATE TABLE t (a INT, b STRING)`, true},
 	}
-	if err := db.CreateTable("t"); err == nil {
-		t.Error("no columns must fail")
-	}
-	if err := db.CreateTable("t", Col("", Int)); err == nil {
-		t.Error("unnamed column must fail")
-	}
-	if err := db.CreateTable("t", Col("a", Int), Col("a", Int)); err == nil {
-		t.Error("duplicate column must fail")
-	}
-	if err := db.CreateTable("t", Col("a", Int)); err != nil {
-		t.Errorf("valid create failed: %v", err)
+	for _, c := range cases {
+		api, viaSQL := Open(), Open()
+		defer api.Close()
+		defer viaSQL.Close()
+		check := func(db *DB, door string, create func() error) error {
+			err := create()
+			if (err == nil) != c.ok {
+				t.Errorf("%s through %s: err = %v, want ok = %v", c.what, door, err, c.ok)
+			}
+			// Either way the name is taken or it is not: a second create of
+			// an accepted definition is the one ErrTableExists case.
+			if err := create(); c.ok && !errors.Is(err, ErrTableExists) {
+				t.Errorf("%s through %s, twice: err = %v, want ErrTableExists", c.what, door, err)
+			}
+			if got := len(db.Tables()) == 1; got != c.ok {
+				t.Errorf("%s through %s: tables = %v", c.what, door, db.Tables())
+			}
+			return err
+		}
+		errAPI := check(api, "CreateTable", func() error { return api.CreateTable(c.name, c.cols...) })
+		if c.sql == "" {
+			continue
+		}
+		errSQL := check(viaSQL, "CREATE TABLE", func() error { _, err := viaSQL.Exec(c.sql); return err })
+		if errAPI != nil && errSQL != nil && errAPI.Error() != errSQL.Error() {
+			t.Errorf("%s: CreateTable says %q, CREATE TABLE says %q", c.what, errAPI, errSQL)
+		}
 	}
 }
 

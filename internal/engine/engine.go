@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"net/http"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -91,9 +92,6 @@ type Engine struct {
 	// query: live in-flight registration, latency/row histograms, and
 	// slow-query log records; see SetObserver.
 	observer *obs.Observer
-	// fastPath permits the governor-free execution path; see
-	// WithGovernorFastPath.
-	fastPath bool
 	// plans, when non-nil, is the parameterized plan cache consulted by
 	// API layers above the engine; the engine itself only hosts it so
 	// one cache serves every entry point over this catalog.
@@ -156,34 +154,19 @@ type Budget struct {
 // Option configures an Engine at construction time.
 type Option func(*Engine)
 
-// WithGovernorFastPath toggles the governor-free hot path: when on
-// (the default) a query with no budget, no memory pool, and an
-// uncancelable context (see govern.Uncancelable for the exact
-// predicate and its contract) runs without a governor, skipping even
-// the per-row atomic tick — what benchmark hot loops want. Turning it
-// off forces a governor onto every query, which is useful when an
-// operator's cooperative-cancellation path itself is under test, or
-// when a deployment wants uniform accounting regardless of budgets.
-// The fast path changes only governance, never observability: the
-// collector, tracer spans, and live-registry counters flow
-// identically on both paths (engine tests assert this equivalence).
-func WithGovernorFastPath(on bool) Option {
-	return func(e *Engine) { e.fastPath = on }
-}
-
 // WithObserver attaches a workload observer at construction; see
 // SetObserver.
 func WithObserver(o *obs.Observer) Option {
 	return func(e *Engine) { e.SetObserver(o) }
 }
 
-// New creates an engine over a catalog, with index use enabled and the
-// governor fast path on. The GMDJ_* environment (envDefaults) supplies
+// New creates an engine over a catalog, with index use enabled. The
+// GMDJ_* environment (envDefaults) supplies
 // defaults; opts override them, their Set* calls only recording knobs;
 // then the memory pool, the scratch store and (when no option opened
 // one) the GMDJ_DATA_DIR durable store are constructed, once each.
 func New(cat *storage.Catalog, opts ...Option) *Engine {
-	e := &Engine{cat: cat, exec: exec.New(cat), fastPath: true}
+	e := &Engine{cat: cat, exec: exec.New(cat)}
 	dataRoot := e.envDefaults()
 	for _, opt := range opts {
 		opt(e)
@@ -381,27 +364,11 @@ func (e *Engine) Run(plan algebra.Node, s Strategy) (*relation.Relation, error) 
 // An operator panic is recovered at this boundary and returned as a
 // *govern.InternalError wrapping govern.ErrInternal.
 func (e *Engine) RunContext(ctx context.Context, plan algebra.Node, s Strategy) (*relation.Relation, error) {
-	return e.RunQueryContext(ctx, "", plan, s)
-}
-
-// RunQueryContext is RunContext carrying the query's source text, so
-// the observer's live registry and slow-query log can show the SQL
-// behind a plan. Callers holding only a hand-built plan pass "".
-func (e *Engine) RunQueryContext(ctx context.Context, text string, plan algebra.Node, s Strategy) (*relation.Relation, error) {
 	p, err := e.Plan(plan, s)
 	if err != nil {
 		return nil, err
 	}
-	rel, _, err := e.runQuery(ctx, text, p, s, false)
-	return rel, err
-}
-
-// RunPlannedContext executes a plan that has already been through
-// Plan (e.g. a plan-cache hit or a bound prepared statement), skipping
-// the strategy rewrite entirely. The strategy argument only labels the
-// run for the observer and metrics.
-func (e *Engine) RunPlannedContext(ctx context.Context, text string, phys algebra.Node, s Strategy) (*relation.Relation, error) {
-	rel, _, err := e.runQuery(ctx, text, phys, s, false)
+	rel, _, err := e.RunPlanned(ctx, "", p, s, false)
 	return rel, err
 }
 
@@ -444,10 +411,15 @@ func (e *Engine) Explain(plan algebra.Node, s Strategy) (string, error) {
 	if err != nil {
 		return "", err
 	}
+	return FormatPlan(s, p), nil
+}
+
+// FormatPlan renders a physical plan in EXPLAIN form.
+func FormatPlan(s Strategy, phys algebra.Node) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "strategy: %s\n", s)
-	explainNode(&b, p, 0)
-	return b.String(), nil
+	explainNode(&b, phys, 0)
+	return b.String()
 }
 
 // explainNode prints the static operator tree using the same labels
@@ -493,35 +465,30 @@ func FormatAnalyzed(s Strategy, root *obs.Op) string {
 // tree mirroring the executed plan. Span events go to the engine
 // tracer when one is set (SetTracer).
 func (e *Engine) RunObserved(ctx context.Context, plan algebra.Node, s Strategy) (*relation.Relation, *obs.Op, error) {
-	return e.RunObservedQuery(ctx, "", plan, s)
-}
-
-// RunObservedQuery is RunObserved carrying the query's source text for
-// the observer's live registry and slow-query log.
-func (e *Engine) RunObservedQuery(ctx context.Context, text string, plan algebra.Node, s Strategy) (*relation.Relation, *obs.Op, error) {
 	p, err := e.Plan(plan, s)
 	if err != nil {
 		return nil, nil, err
 	}
-	return e.runQuery(ctx, text, p, s, true)
+	return e.RunPlanned(ctx, "", p, s, true)
 }
 
-// runQuery executes an already-rewritten physical plan under the
-// caller's context and the engine budget — the one funnel behind every
-// entry point (Run, RunContext, RunObserved, ExplainAnalyze, prepared
-// statements, QueryRows), so all cross-cutting wiring lives here rather
-// than per strategy or per entry point: the per-operator stats
-// collector (forced by forceCollect, the EXPLAIN ANALYZE path, or
-// wanted by an attached tracer or observer), the observer's live
-// in-flight registry, pprof tenant labels, cost-model estimate
-// annotation (the est= drift column), the workload histograms, and the
-// slow-query log. With none of those attached the collector stays nil
-// and each executor hook is one nil check. text is the query's source
-// SQL ("" for hand-built plans). The stats root is returned on failure
-// too.
-func (e *Engine) runQuery(ctx context.Context, text string, p algebra.Node, s Strategy, forceCollect bool) (*relation.Relation, *obs.Op, error) {
+// RunPlanned executes a plan that has already been through Plan (a
+// bound plan-cache template, say; s then only labels the run) under
+// the caller's context and the engine budget — the one funnel behind
+// every entry point, here and in the root package, so all
+// cross-cutting wiring lives here rather than per strategy or per
+// entry point: the per-operator stats collector (forced by analyze,
+// the EXPLAIN ANALYZE path, or wanted by an attached tracer or
+// observer), the observer's live in-flight registry, pprof tenant
+// labels, cost-model estimate annotation (the est= drift column), the
+// workload histograms, and the slow-query log. With none of those
+// attached the collector stays nil and each executor hook is one nil
+// check. text is the query's source SQL ("" for hand-built plans), for
+// the live registry and the slow-query log. The stats root is returned
+// on failure too.
+func (e *Engine) RunPlanned(ctx context.Context, text string, p algebra.Node, s Strategy, analyze bool) (*relation.Relation, *obs.Op, error) {
 	var col *obs.Collector
-	if forceCollect || e.tracer != nil || e.observer != nil {
+	if analyze || e.tracer != nil || e.observer != nil {
 		col = obs.NewCollector(e.tracer)
 	}
 	live := e.observer.QueryStart(ctx, text, s.String())
@@ -555,7 +522,7 @@ func (e *Engine) runQuery(ctx context.Context, text string, p algebra.Node, s St
 	}
 	outcome, errText := "ok", ""
 	if err != nil {
-		outcome, errText = errKinds[errKind(err)].kind, err.Error()
+		outcome, errText = errTable[errRow(err)].name, err.Error()
 	}
 	e.observer.QueryEnd(live, elapsed, rows, root, outcome, errText)
 	if err != nil {
@@ -571,13 +538,12 @@ func (e *Engine) execute(ctx context.Context, p algebra.Node, col *obs.Collector
 	// Durable tier first: flush any writes since the last checkpoint so
 	// the data this query reads is also the data a crash would recover.
 	e.maybeCheckpoint()
-	// Governor-free hot path (WithGovernorFastPath, on by default): no
-	// budget, no pool, and an uncancelable context need no governor, so
-	// benchmark hot loops skip even the per-row atomic tick.
-	// govern.Uncancelable names the predicate and carries the contract.
-	// Observability is independent of governance — the collector and
-	// live counters flow on both paths.
-	if e.fastPath && e.budget == (Budget{}) && govern.Uncancelable(ctx) && e.pool == nil {
+	// Governor-free hot path: no budget, no pool, and an uncancelable
+	// context need no governor, so benchmark hot loops skip even the
+	// per-row atomic tick. govern.Uncancelable names the predicate and
+	// carries the contract. Observability is independent of governance —
+	// the collector and live counters flow on both paths.
+	if e.budget == (Budget{}) && govern.Uncancelable(ctx) && e.pool == nil {
 		return e.exec.RunLive(p, nil, col, live)
 	}
 	if e.budget.Timeout > 0 {
@@ -608,37 +574,74 @@ func (e *Engine) finishQuery(s Strategy, err error) {
 		e.counters.queries[s].Add(1)
 	}
 	if err != nil {
-		i := errKind(err)
+		i := errRow(err)
 		e.counters.errors[i].Add(1)
-		e.tracer.Instant("govern", errKinds[i].kind, err.Error())
+		e.tracer.Instant("govern", errTable[i].name, err.Error())
 	}
 }
 
-// errKinds is the governance taxonomy behind the errors.<kind>
-// counters and the observer's outcome label, in match order; the last
-// entry is the default.
-var errKinds = [...]struct {
-	is   error
-	kind string
-}{
-	{govern.ErrCanceled, "canceled"},
-	{govern.ErrTimeout, "timeout"},
-	{govern.ErrRowBudget, "row_budget"},
-	{govern.ErrMemBudget, "mem_budget"},
-	{mem.ErrAdmissionTimeout, "admission_timeout"},
-	{mem.ErrPoolClosed, "closed"},
-	{storage.ErrSegmentCorrupt, "segment_corrupt"},
-	{spill.ErrSpillIO, "spill_io"},
-	{govern.ErrInternal, "internal"},
-	{nil, "other"},
+// ErrorClass is how one query error is reported everywhere outside
+// the process: the taxonomy kind, the exit code a CLI maps it to, the
+// HTTP status it travels under, and whether a client retry can
+// plausibly succeed.
+type ErrorClass struct {
+	Kind       string `json:"kind"`
+	ExitCode   int    `json:"exit_code"`
+	HTTPStatus int    `json:"http_status"`
+	Retryable  bool   `json:"retryable"`
 }
 
-// errKind maps a query error onto its index in errKinds.
-func errKind(err error) int {
-	for i, k := range errKinds[:len(errKinds)-1] {
-		if errors.Is(err, k.is) {
+// errTable is the one error taxonomy, in match order: the errors.<name>
+// counters, the observer's outcome label, Classify, the serving
+// layer's wire kinds and statuses and the CLIs' exit codes all read
+// it (DESIGN.md §11 carries a copy a test holds to this one). name is
+// the counter and outcome name — the class's Kind in every row but the
+// last, the default for parse errors, unknown tables and bad
+// parameters, where the query and not the server is at fault: it
+// counts as errors.other and travels as kind "query". Exit codes 11
+// and 12 belong to the serving layer (unavailable) and olapd's
+// shutdown leak check.
+var errTable = [...]struct {
+	is   error
+	name string
+	ErrorClass
+}{
+	// 499 is nginx's non-standard "client closed request": the client
+	// went away before the response; no standard status fits better.
+	{govern.ErrCanceled, "canceled", ErrorClass{"canceled", 4, 499, false}},
+	{govern.ErrTimeout, "timeout", ErrorClass{"timeout", 3, http.StatusGatewayTimeout, false}},
+	{govern.ErrRowBudget, "row_budget", ErrorClass{"row_budget", 5, http.StatusUnprocessableEntity, false}},
+	// The kill regime: memory pressure killed the query. Load-dependent,
+	// so a retry after backoff can succeed.
+	{govern.ErrMemBudget, "mem_budget", ErrorClass{"mem_budget", 6, http.StatusServiceUnavailable, true}},
+	{mem.ErrAdmissionTimeout, "admission_timeout", ErrorClass{"admission_timeout", 9, http.StatusTooManyRequests, true}},
+	{mem.ErrPoolClosed, "closed", ErrorClass{"closed", 10, http.StatusServiceUnavailable, false}},
+	// Quarantined durable state: unlike spill_io the bytes on disk are
+	// wrong and stay wrong, so a retry cannot succeed.
+	{storage.ErrSegmentCorrupt, "segment_corrupt", ErrorClass{"segment_corrupt", 13, http.StatusInternalServerError, false}},
+	{spill.ErrSpillIO, "spill_io", ErrorClass{"spill_io", 8, http.StatusInternalServerError, true}},
+	{govern.ErrInternal, "internal", ErrorClass{"internal", 7, http.StatusInternalServerError, false}},
+	{nil, "other", ErrorClass{"query", 1, http.StatusBadRequest, false}},
+}
+
+// errRow maps a query error onto its index in errTable.
+func errRow(err error) int {
+	for i, r := range errTable[:len(errTable)-1] {
+		if errors.Is(err, r.is) {
 			return i
 		}
 	}
-	return len(errKinds) - 1
+	return len(errTable) - 1
+}
+
+// Classify reports how a non-nil query error is classified.
+func Classify(err error) ErrorClass { return errTable[errRow(err)].ErrorClass }
+
+// ErrorClasses lists every class Classify can return, in match order.
+func ErrorClasses() []ErrorClass {
+	out := make([]ErrorClass, len(errTable))
+	for i, r := range errTable {
+		out[i] = r.ErrorClass
+	}
+	return out
 }

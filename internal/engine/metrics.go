@@ -10,7 +10,7 @@ import (
 // is counted by the component it happens in.
 type counters struct {
 	queries [Auto + 1]atomic.Int64 // indexed by Strategy
-	errors  [len(errKinds)]atomic.Int64
+	errors  [len(errTable)]atomic.Int64
 
 	coalesced, storageOpens, checkpointErrors, scratchErrors atomic.Int64
 }
@@ -36,7 +36,7 @@ func (e *Engine) Metrics() map[string]int64 {
 		add("queries."+Strategy(s).String(), c.queries[s].Load())
 	}
 	for i := range c.errors {
-		add("errors."+errKinds[i].kind, c.errors[i].Load())
+		add("errors."+errTable[i].name, c.errors[i].Load())
 	}
 	add("gmdj.coalesced", c.coalesced.Load())
 	add("storage.opens", c.storageOpens.Load())

@@ -57,18 +57,21 @@ func TestObserverFastPathRecordsSamples(t *testing.T) {
 	}
 }
 
-// TestGovernorFastPathOption: results and observer samples are
-// identical with the fast path forced off — the option changes only
+// TestGovernorFastPath: results and observer samples are identical
+// with and without the fast path — a cancelable context changes only
 // whether a (never-tripping) governor rides along.
-func TestGovernorFastPathOption(t *testing.T) {
+func TestGovernorFastPath(t *testing.T) {
 	cat := datagen.Netflow(datagen.NetflowOpts{Flows: 300, Hours: 4, Users: 6, Seed: 3})
+	cancelable, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	var want string
-	for _, fast := range []bool{true, false} {
-		e := New(cat, WithGovernorFastPath(fast))
+	for _, ctx := range []context.Context{context.Background(), cancelable} {
+		fast := govern.Uncancelable(ctx)
+		e := New(cat)
 		defer e.Close()
 		o := obs.NewObserver(obs.ObserverConfig{})
 		e.SetObserver(o)
-		rel, err := e.Run(existsPlan(), GMDJOpt)
+		rel, err := e.RunContext(ctx, existsPlan(), GMDJOpt)
 		if err != nil {
 			t.Fatalf("fastPath=%v: %v", fast, err)
 		}
@@ -81,6 +84,16 @@ func TestGovernorFastPathOption(t *testing.T) {
 			t.Errorf("fastPath=%v: no latency sample recorded", fast)
 		}
 	}
+}
+
+// runText is RunContext carrying the query's source text, as the root
+// package's entry points do.
+func runText(ctx context.Context, e *Engine, text string, plan algebra.Node, s Strategy) error {
+	p, err := e.Plan(plan, s)
+	if err == nil {
+		_, _, err = e.RunPlanned(ctx, text, p, s, false)
+	}
+	return err
 }
 
 // TestLiveQueryDashboardDuringScan is the live-registry acceptance
@@ -112,8 +125,7 @@ func TestLiveQueryDashboardDuringScan(t *testing.T) {
 	defer cancel()
 	done := make(chan error, 1)
 	go func() {
-		_, err := e.RunQueryContext(ctx, sql, plan, GMDJ)
-		done <- err
+		done <- runText(ctx, e, sql, plan, GMDJ)
 	}()
 
 	deadline := time.Now().Add(30 * time.Second)
@@ -171,7 +183,7 @@ func TestSlowLogGoldenJSON(t *testing.T) {
 	o := obs.NewObserver(obs.ObserverConfig{})
 	e.SetObserver(o)
 	const sql = "SELECT * FROM Hours H WHERE EXISTS (...)"
-	if _, err := e.RunQueryContext(context.Background(), sql, existsPlan(), GMDJOpt); err != nil {
+	if err := runText(context.Background(), e, sql, existsPlan(), GMDJOpt); err != nil {
 		t.Fatal(err)
 	}
 	recs := obs.NormalizeRecords(o.SlowLog().Entries())
@@ -188,7 +200,7 @@ func TestSlowLogGoldenJSON(t *testing.T) {
 
 	// At degree 2 the logged GMDJ operator carries the scan multiplier.
 	e.SetParallelism(2)
-	if _, err := e.RunQueryContext(context.Background(), sql, existsPlan(), GMDJOpt); err != nil {
+	if err := runText(context.Background(), e, sql, existsPlan(), GMDJOpt); err != nil {
 		t.Fatal(err)
 	}
 	entries := o.SlowLog().Entries()

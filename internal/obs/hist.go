@@ -175,19 +175,26 @@ type HistSnapshot struct {
 // Snapshot copies the histogram's state. Nil-safe (empty snapshot).
 func (h *Histogram) Snapshot() HistSnapshot {
 	s := HistSnapshot{}
-	if h == nil || h.count.Load() == 0 {
+	if h == nil {
 		return s
 	}
-	s.Count = h.count.Load()
-	s.Sum = h.sum.Load()
-	s.Min = h.min.Load()
-	s.Max = h.max.Load()
+	// Count is the sum of the buckets read, not h.count: Record adds its
+	// bucket last, so under concurrent writers h.count and the buckets
+	// disagree, and a snapshot whose buckets exceed its Count renders as
+	// a non-cumulative Prometheus histogram.
 	for i := range h.buckets {
 		if c := h.buckets[i].Load(); c != 0 {
 			lo, hi := bucketBounds(i)
 			s.Buckets = append(s.Buckets, HistBucket{Lo: lo, Hi: hi, Count: c})
+			s.Count += c
 		}
 	}
+	if s.Count == 0 {
+		return s
+	}
+	s.Sum = h.sum.Load()
+	s.Min = h.min.Load()
+	s.Max = h.max.Load()
 	s.P50 = s.Quantile(0.50)
 	s.P90 = s.Quantile(0.90)
 	s.P99 = s.Quantile(0.99)

@@ -145,3 +145,37 @@ func TestHistSetFormat(t *testing.T) {
 		t.Errorf("rows line missing:\n%s", out)
 	}
 }
+
+// TestHistogramSnapshotUnderRecord: a snapshot taken while Record runs
+// on other goroutines still renders as a valid Prometheus histogram —
+// its Count is the sum of the buckets it read, so the +Inf bucket is
+// never below the last cumulative one.
+func TestHistogramSnapshotUnderRecord(t *testing.T) {
+	h := NewHistogram()
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for v := int64(g); ; v += 7 {
+				select {
+				case <-stop:
+					return
+				default:
+					h.Record(v % 100_000)
+				}
+			}
+		}(g)
+	}
+	for i := 0; i < 300; i++ {
+		p := NewPromWriter()
+		p.Histogram("olap_test_seconds", "under concurrent Record", nil, h.Snapshot(), 1e-9)
+		if err := ValidateExposition([]byte(p.String())); err != nil {
+			t.Errorf("snapshot %d: %v", i, err)
+			break
+		}
+	}
+	close(stop)
+	wg.Wait()
+}

@@ -117,15 +117,6 @@ func (c *Cache) Get(k Key, schemaEpoch uint64) (*Entry, bool) {
 	return it.entry, true
 }
 
-// Peek reports whether a valid entry for k exists without touching
-// recency or counters (EXPLAIN uses it to annotate "plan: cached").
-func (c *Cache) Peek(k Key, schemaEpoch uint64) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[k]
-	return ok && el.Value.(*planItem).entry.SchemaEpoch == schemaEpoch
-}
-
 // Put inserts (or replaces) the entry for k and evicts from the LRU
 // tail until the byte budget holds.
 func (c *Cache) Put(k Key, e *Entry) {

@@ -34,8 +34,8 @@ func TestPlanCacheHitMissEpoch(t *testing.T) {
 	if s.Invalidations != 1 || s.Entries != 0 {
 		t.Fatalf("stats after invalidation: %+v", s)
 	}
-	if c.Peek(k, 2) {
-		t.Fatal("Peek found invalidated entry")
+	if _, ok := c.Get(k, 2); ok || c.Stats().Invalidations != 1 {
+		t.Fatal("invalidated entry still resident")
 	}
 }
 

@@ -34,10 +34,8 @@ import (
 
 	gmdj "github.com/olaplab/gmdj"
 	"github.com/olaplab/gmdj/internal/govern"
-	"github.com/olaplab/gmdj/internal/mem"
 	"github.com/olaplab/gmdj/internal/obs"
 	"github.com/olaplab/gmdj/internal/obs/profile"
-	"github.com/olaplab/gmdj/internal/spill"
 )
 
 // Fault-injection sites fired by the server (see govern.EnvFaults).
@@ -67,98 +65,44 @@ const TenantHeader = "X-OLAP-Tenant"
 // DefaultTenant is the tenant name used when no header is sent.
 const DefaultTenant = "default"
 
-// Exit codes 0-9 follow cmd/olapql's contract; the serving layer
-// extends the taxonomy with conditions that only exist once there is a
-// server in front of the engine.
-const (
-	ExitErr       = 1
-	ExitUsage     = 2
-	ExitTimeout   = 3
-	ExitCanceled  = 4
-	ExitRowCap    = 5
-	ExitMemCap    = 6
-	ExitInternal  = 7
-	ExitSpillIO   = 8
-	ExitAdmission = 9
-	// ExitClosed: the DB closed while the query waited for memory
-	// admission (gmdj.ErrClosed).
-	ExitClosed = 10
-	// ExitUnavailable: the server was draining, or an injected/transient
-	// serving-layer fault rejected the request before evaluation.
-	ExitUnavailable = 11
-	// ExitSegmentCorrupt: the query touched a table whose durable
-	// segment failed verification and was quarantined
-	// (gmdj.ErrSegmentCorrupt). Not retryable — the bytes stay wrong
-	// until the table is re-created. (12 is skipped: cmd/olapd reserves
-	// it for its own shutdown leak check.)
-	ExitSegmentCorrupt = 13
+// Class is the wire classification of one response: gmdj.Classify's
+// for an engine error, and one of the three below for the conditions
+// that only exist once there is a server in front of the engine.
+type Class = gmdj.ErrorClass
+
+var (
+	classOK    = Class{Kind: "ok", HTTPStatus: http.StatusOK}
+	classUsage = Class{Kind: "usage", ExitCode: 2, HTTPStatus: http.StatusBadRequest}
+	// classUnavailable: the server was draining, or an injected fault
+	// (modelling a transient infrastructure failure) rejected the
+	// request before evaluation: typed, retryable, 503.
+	classUnavailable = Class{Kind: "unavailable", ExitCode: 11, HTTPStatus: http.StatusServiceUnavailable, Retryable: true}
 )
 
-// Class is the wire classification of one error: the taxonomy kind,
-// the exit code a CLI maps it to, the HTTP status it travels under,
-// and whether a client retry can plausibly succeed.
-type Class struct {
-	Kind       string `json:"kind"`
-	ExitCode   int    `json:"exit_code"`
-	HTTPStatus int    `json:"http_status"`
-	Retryable  bool   `json:"retryable"`
-}
-
-// KnownKinds enumerates every kind the server emits. A load driver
-// treats any response outside this set as a non-typed error — the
-// failure mode the chaos scenarios exist to catch.
+// KnownKinds enumerates every kind the server emits: the serving-only
+// three and the engine's taxonomy. A load driver treats any response
+// outside this set as a non-typed error — the failure mode the chaos
+// scenarios exist to catch.
 func KnownKinds() []string {
-	return []string{
-		"ok", "usage", "query", "canceled", "timeout", "row_budget",
-		"mem_budget", "admission_timeout", "spill_io", "segment_corrupt",
-		"internal", "closed", "unavailable",
+	kinds := []string{classOK.Kind, classUsage.Kind, classUnavailable.Kind}
+	for _, c := range gmdj.ErrorClasses() {
+		kinds = append(kinds, c.Kind)
 	}
+	return kinds
 }
 
-// StatusClientClosedRequest is nginx's non-standard 499: the client
-// went away before the response; no standard status fits better.
-const StatusClientClosedRequest = 499
-
-// Classify maps a query error onto the wire taxonomy. It extends the
-// engine's errKind mapping with the serving-layer conditions and is
-// the single source of truth for error -> HTTP status.
+// Classify maps a query error onto the wire taxonomy: the engine's
+// error table, extended with the serving-layer conditions.
 func Classify(err error) Class {
-	switch {
-	case err == nil:
-		return Class{Kind: "ok", HTTPStatus: http.StatusOK}
-	case errors.Is(err, govern.ErrTimeout):
-		return Class{Kind: "timeout", ExitCode: ExitTimeout, HTTPStatus: http.StatusGatewayTimeout}
-	case errors.Is(err, govern.ErrCanceled):
-		return Class{Kind: "canceled", ExitCode: ExitCanceled, HTTPStatus: StatusClientClosedRequest}
-	case errors.Is(err, govern.ErrRowBudget):
-		return Class{Kind: "row_budget", ExitCode: ExitRowCap, HTTPStatus: http.StatusUnprocessableEntity}
-	case errors.Is(err, govern.ErrMemBudget):
-		// The kill regime: memory pressure killed the query. Load-
-		// dependent, so a retry after backoff can succeed.
-		return Class{Kind: "mem_budget", ExitCode: ExitMemCap, HTTPStatus: http.StatusServiceUnavailable, Retryable: true}
-	case errors.Is(err, mem.ErrPoolClosed):
-		return Class{Kind: "closed", ExitCode: ExitClosed, HTTPStatus: http.StatusServiceUnavailable}
-	case errors.Is(err, mem.ErrAdmissionTimeout):
-		return Class{Kind: "admission_timeout", ExitCode: ExitAdmission, HTTPStatus: http.StatusTooManyRequests, Retryable: true}
-	case errors.Is(err, gmdj.ErrSegmentCorrupt):
-		// Quarantined durable state: unlike spill_io the bytes on disk
-		// are wrong and stay wrong, so a retry cannot succeed.
-		return Class{Kind: "segment_corrupt", ExitCode: ExitSegmentCorrupt, HTTPStatus: http.StatusInternalServerError}
-	case errors.Is(err, spill.ErrSpillIO):
-		return Class{Kind: "spill_io", ExitCode: ExitSpillIO, HTTPStatus: http.StatusInternalServerError, Retryable: true}
-	case errors.Is(err, ErrDraining):
-		return Class{Kind: "unavailable", ExitCode: ExitUnavailable, HTTPStatus: http.StatusServiceUnavailable, Retryable: true}
-	case errors.Is(err, govern.ErrInjected):
-		// An injected serving-layer fault models a transient
-		// infrastructure failure: typed, retryable, 503.
-		return Class{Kind: "unavailable", ExitCode: ExitUnavailable, HTTPStatus: http.StatusServiceUnavailable, Retryable: true}
-	case errors.Is(err, govern.ErrInternal):
-		return Class{Kind: "internal", ExitCode: ExitInternal, HTTPStatus: http.StatusInternalServerError}
-	default:
-		// Parse errors, unknown tables, bad parameters: the query (not
-		// the server) is at fault.
-		return Class{Kind: "query", ExitCode: ExitErr, HTTPStatus: http.StatusBadRequest}
+	if err == nil {
+		return classOK
 	}
+	c := gmdj.Classify(err)
+	// "query" is the default row: no engine sentinel claimed the error.
+	if c.Kind == "query" && (errors.Is(err, ErrDraining) || errors.Is(err, govern.ErrInjected)) {
+		return classUnavailable
+	}
+	return c
 }
 
 // Config tunes a Server.
@@ -630,14 +574,22 @@ func (rw *requestWriter) finish(kind string, status int, errText string) {
 }
 
 // fail emits the structured error body and closes the funnel.
-// retryAfter <= 0 omits the hint and header. A request that already
-// finished (panic after a written response) is counted once only.
+// retryAfter <= 0 omits the hint and header.
 func (rw *requestWriter) fail(err error, retryAfter time.Duration) {
+	rw.reject(Classify(err), err.Error(), retryAfter)
+}
+
+// usage is a malformed request (not a query failure): kind "usage",
+// HTTP 400, exit 2.
+func (rw *requestWriter) usage(msg string) { rw.reject(classUsage, msg, 0) }
+
+// reject writes one error response. A request that already finished
+// (panic after a written response) is counted once only.
+func (rw *requestWriter) reject(cl Class, msg string, retryAfter time.Duration) {
 	if rw.done {
 		return
 	}
-	cl := Classify(err)
-	resp := errorResponse{Error: err.Error(), Class: cl, RequestID: rw.rid}
+	resp := errorResponse{Error: msg, Class: cl, RequestID: rw.rid}
 	if cl.Retryable && retryAfter > 0 {
 		resp.RetryAfterMS = retryAfter.Milliseconds()
 		secs := int64(retryAfter / time.Second)
@@ -649,23 +601,7 @@ func (rw *requestWriter) fail(err error, retryAfter time.Duration) {
 	rw.w.Header().Set("Content-Type", "application/json")
 	rw.w.WriteHeader(cl.HTTPStatus)
 	_ = json.NewEncoder(rw.w).Encode(resp)
-	rw.finish(cl.Kind, cl.HTTPStatus, err.Error())
-}
-
-// usage is a malformed request (not a query failure): kind "usage",
-// HTTP 400, exit 2.
-func (rw *requestWriter) usage(msg string) {
-	if rw.done {
-		return
-	}
-	rw.w.Header().Set("Content-Type", "application/json")
-	rw.w.WriteHeader(http.StatusBadRequest)
-	_ = json.NewEncoder(rw.w).Encode(errorResponse{
-		Error:     msg,
-		Class:     Class{Kind: "usage", ExitCode: ExitUsage, HTTPStatus: http.StatusBadRequest},
-		RequestID: rw.rid,
-	})
-	rw.finish("usage", http.StatusBadRequest, msg)
+	rw.finish(cl.Kind, cl.HTTPStatus, msg)
 }
 
 // ok serializes the success body (under its own span — serialization

@@ -8,6 +8,9 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -76,7 +79,7 @@ func TestClassifyTaxonomy(t *testing.T) {
 	}{
 		{nil, "ok", 0, http.StatusOK, false},
 		{govern.ErrTimeout, "timeout", 3, http.StatusGatewayTimeout, false},
-		{govern.ErrCanceled, "canceled", 4, StatusClientClosedRequest, false},
+		{govern.ErrCanceled, "canceled", 4, 499, false},
 		{govern.ErrRowBudget, "row_budget", 5, http.StatusUnprocessableEntity, false},
 		{govern.ErrMemBudget, "mem_budget", 6, http.StatusServiceUnavailable, true},
 		{mem.ErrAdmissionTimeout, "admission_timeout", 9, http.StatusTooManyRequests, true},
@@ -104,6 +107,54 @@ func TestClassifyTaxonomy(t *testing.T) {
 		if !known[cl.Kind] {
 			t.Errorf("Classify(%v) kind %q not in KnownKinds", c.err, cl.Kind)
 		}
+	}
+}
+
+// TestDesignErrorTable: the server's kinds are the engine's
+// error table plus the three serving-only classes, and the copy of the
+// table in DESIGN.md §11 says what the code says.
+func TestDesignErrorTable(t *testing.T) {
+	want := map[string]Class{classUsage.Kind: classUsage, classUnavailable.Kind: classUnavailable}
+	for _, c := range gmdj.ErrorClasses() {
+		if _, dup := want[c.Kind]; dup {
+			t.Errorf("kind %q appears twice", c.Kind)
+		}
+		want[c.Kind] = c
+	}
+	kinds := KnownKinds()
+	if len(kinds) != len(want)+1 {
+		t.Errorf("KnownKinds() = %v, want ok and %d more", kinds, len(want))
+	}
+	for _, k := range kinds {
+		if _, ok := want[k]; !ok && k != classOK.Kind {
+			t.Errorf("KnownKinds() has %q, which no table produces", k)
+		}
+	}
+
+	doc, err := os.ReadFile("../../DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, _ := strings.Cut(string(doc), "### Error/exit-code ↔ HTTP status mapping")
+	section, _, _ = strings.Cut(section, "\n### ")
+	got := map[string]Class{}
+	for _, line := range strings.Split(section, "\n") {
+		cells := strings.Split(strings.Trim(line, "|"), "|")
+		if len(cells) != 5 {
+			continue
+		}
+		for i := range cells {
+			cells[i] = strings.TrimSpace(cells[i])
+		}
+		exit, err1 := strconv.Atoi(cells[2])
+		status, err2 := strconv.Atoi(cells[3])
+		if err1 != nil || err2 != nil {
+			continue // the header and the rule under it
+		}
+		got[cells[0]] = Class{Kind: cells[0], ExitCode: exit, HTTPStatus: status, Retryable: cells[4] == "yes"}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("DESIGN.md §11 table:\n%v\nthe code's:\n%v", got, want)
 	}
 }
 
@@ -252,6 +303,16 @@ func TestServeQueryOK(t *testing.T) {
 	if qr.RowCount != 1 || qr.Rows[0][0] != "cat" || qr.Tenant != "alice" {
 		t.Fatalf("args response = %+v", qr)
 	}
+	// ... which compiles through the plan cache like any statement: the
+	// same text again is a hit, not a second parse and rewrite.
+	before := db.PlanCacheStats()
+	post(t, srv, "alice", map[string]any{
+		"sql":  `SELECT name FROM users WHERE ip = ? AND score > ?`,
+		"args": []any{"10.0.0.2", 0},
+	})
+	if after := db.PlanCacheStats(); after.Hits != before.Hits+1 || after.Misses != before.Misses {
+		t.Errorf("second args request: plan cache %+v -> %+v, want one more hit", before, after)
+	}
 }
 
 func TestServeUsageErrors(t *testing.T) {
@@ -276,7 +337,7 @@ func TestServeUsageErrors(t *testing.T) {
 	} {
 		resp, raw := post(t, srv, "", body)
 		e := decodeErr(t, raw)
-		if resp.StatusCode != http.StatusBadRequest || e.Kind != "usage" || e.ExitCode != ExitUsage {
+		if resp.StatusCode != http.StatusBadRequest || e.Kind != "usage" || e.ExitCode != 2 {
 			t.Errorf("%s: status=%d body=%+v, want 400/usage/2", name, resp.StatusCode, e)
 		}
 	}
@@ -285,7 +346,7 @@ func TestServeUsageErrors(t *testing.T) {
 	// not a malformed request: kind "query", exit 1.
 	resp2, raw := post(t, srv, "", map[string]any{"sql": "SELECT x FROM nope"})
 	e := decodeErr(t, raw)
-	if resp2.StatusCode != http.StatusBadRequest || e.Kind != "query" || e.ExitCode != ExitErr {
+	if resp2.StatusCode != http.StatusBadRequest || e.Kind != "query" || e.ExitCode != 1 {
 		t.Fatalf("unknown table: status=%d body=%+v", resp2.StatusCode, e)
 	}
 }
@@ -325,7 +386,7 @@ func TestServeFaultSites(t *testing.T) {
 		defer srv.Close()
 		resp, raw := post(t, srv, "", body)
 		e := decodeErr(t, raw)
-		if resp.StatusCode != http.StatusInternalServerError || e.Kind != "internal" || e.ExitCode != ExitInternal {
+		if resp.StatusCode != http.StatusInternalServerError || e.Kind != "internal" || e.ExitCode != 7 {
 			t.Fatalf("status=%d body=%+v, want 500/internal/7", resp.StatusCode, e)
 		}
 	})
@@ -357,7 +418,7 @@ func TestServeDrainRejects(t *testing.T) {
 	s.StartDrain()
 	resp, raw := post(t, srv, "", map[string]any{"sql": "SELECT name FROM users"})
 	e := decodeErr(t, raw)
-	if resp.StatusCode != http.StatusServiceUnavailable || e.Kind != "unavailable" || e.ExitCode != ExitUnavailable {
+	if resp.StatusCode != http.StatusServiceUnavailable || e.Kind != "unavailable" || e.ExitCode != 11 {
 		t.Fatalf("status=%d body=%+v", resp.StatusCode, e)
 	}
 	if resp.Header.Get("Retry-After") == "" {
@@ -411,7 +472,7 @@ func TestServeTenantQuotaShed(t *testing.T) {
 	}
 	resp, raw := post(t, srv, "small", body)
 	e := decodeErr(t, raw)
-	if resp.StatusCode != http.StatusTooManyRequests || e.Kind != "admission_timeout" || e.ExitCode != ExitAdmission {
+	if resp.StatusCode != http.StatusTooManyRequests || e.Kind != "admission_timeout" || e.ExitCode != 9 {
 		t.Fatalf("status=%d body=%+v, want 429/admission_timeout/9", resp.StatusCode, e)
 	}
 	if resp.Header.Get("Retry-After") == "" || e.RetryAfterMS <= 0 {
@@ -482,7 +543,7 @@ func TestServeDrainHardCancelsInFlight(t *testing.T) {
 		if r.body.Kind != "canceled" {
 			t.Fatalf("canceled query got kind %q (status %d), want canceled", r.body.Kind, r.status)
 		}
-		if r.status != StatusClientClosedRequest {
+		if r.status != 499 {
 			t.Fatalf("canceled query status = %d, want 499", r.status)
 		}
 	}
@@ -508,7 +569,7 @@ func TestServeTimeoutClamp(t *testing.T) {
 		"timeout_ms": 60000,
 	})
 	e := decodeErr(t, raw)
-	if resp.StatusCode != http.StatusGatewayTimeout || e.Kind != "timeout" || e.ExitCode != ExitTimeout {
+	if resp.StatusCode != http.StatusGatewayTimeout || e.Kind != "timeout" || e.ExitCode != 3 {
 		t.Fatalf("status=%d body=%+v, want 504/timeout/3", resp.StatusCode, e)
 	}
 }

@@ -494,3 +494,43 @@ func TestAppendRandomInterleavings(t *testing.T) {
 		}
 	}
 }
+
+// TestTableAppendChecksBeforeMutating: Append validates the whole
+// batch against the schema, then appends and bumps once; a rejected
+// batch moves neither the rows, the version nor the write epoch.
+func TestTableAppendChecksBeforeMutating(t *testing.T) {
+	cat := NewCatalog()
+	tab := NewTable("t", relation.New(relation.NewSchema(
+		relation.Column{Qualifier: "t", Name: "i", Type: value.KindInt},
+		relation.Column{Qualifier: "t", Name: "f", Type: value.KindFloat},
+	)))
+	cat.Register(tab)
+	good := relation.Tuple{value.Int(1), value.Int(2)} // INT widens into FLOAT
+	for name, bad := range map[string]relation.Tuple{
+		"kind":           {value.Str("x"), value.Float(1)},
+		"width":          {value.Int(1)},
+		"float into int": {value.Float(1), value.Null},
+	} {
+		version, epoch := tab.Version(), cat.WriteEpoch()
+		if err := tab.Append([]relation.Tuple{good, bad}); err == nil {
+			t.Errorf("%s: batch with a bad second row accepted", name)
+		}
+		if tab.Rel.Len() != 0 || tab.Version() != version || cat.WriteEpoch() != epoch {
+			t.Errorf("%s: rejected batch left %d rows, version %d → %d, write epoch %d → %d",
+				name, tab.Rel.Len(), version, tab.Version(), epoch, cat.WriteEpoch())
+		}
+	}
+	version := tab.Version()
+	if err := tab.Append(nil); err != nil || tab.Version() != version {
+		t.Errorf("empty batch: err %v, version %d → %d", err, version, tab.Version())
+	}
+	if err := tab.Append([]relation.Tuple{good, {value.Null, value.Null}}); err != nil {
+		t.Fatal(err)
+	}
+	if tab.Rel.Len() != 2 || tab.Version() != version+1 {
+		t.Errorf("accepted batch: %d rows, version %d → %d, want 2 rows and one bump", tab.Rel.Len(), version, tab.Version())
+	}
+	if f := tab.Rel.Rows[0][1]; f.Kind() != value.KindFloat || f.AsFloat() != 2 {
+		t.Errorf("INT 2 into a FLOAT column stored as %v", f)
+	}
+}

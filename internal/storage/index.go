@@ -289,11 +289,38 @@ func (t *Table) ID() uint64 { return t.id }
 // Version returns the table's mutation counter.
 func (t *Table) Version() uint64 { return t.version.Load() }
 
+// Append is the one way rows enter a table: every row is checked
+// against the schema's width and column kinds (an INT widens into a
+// FLOAT column, in place) before the first is appended, so a rejected
+// batch leaves the table — rows, version, epochs — untouched; then the
+// rows are appended and the version bumped.
+func (t *Table) Append(rows []relation.Tuple) error {
+	cols := t.Rel.Schema.Columns
+	for ri, row := range rows {
+		if len(row) != len(cols) {
+			return fmt.Errorf("storage: row %d has %d values, table %q has %d columns", ri+1, len(row), t.Name, len(cols))
+		}
+		for i, v := range row {
+			switch want := cols[i].Type; {
+			case v.IsNull() || want == value.KindNull || v.Kind() == want:
+			case want == value.KindFloat && v.Kind() == value.KindInt:
+				row[i] = value.Float(float64(v.AsInt()))
+			default:
+				return fmt.Errorf("storage: row %d column %q: cannot store %v into %v", ri+1, cols[i].Name, v.Kind(), want)
+			}
+		}
+	}
+	if len(rows) > 0 {
+		t.Rel.Rows = append(t.Rel.Rows, rows...)
+		t.BumpVersion()
+	}
+	return nil
+}
+
 // BumpVersion records a data or index mutation: it advances the
 // table's version (unreaching every memoized result keyed on the old
 // one) and the owning catalog's write epoch (so the next query
 // checkpoints). Compiled plans name tables, not rows, and stay valid.
-// Writers must call it after appending rows outside the DDL layer.
 func (t *Table) BumpVersion() {
 	t.version.Add(1)
 	if t.cat != nil {

@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"github.com/olaplab/gmdj/internal/algebra"
-	"github.com/olaplab/gmdj/internal/sql"
 	"github.com/olaplab/gmdj/internal/value"
 )
 
@@ -29,11 +28,9 @@ type Stmt struct {
 	text     string
 	strategy Strategy
 
-	mu          sync.Mutex
-	plan        algebra.Node // physical template containing expr.Param leaves
-	nparams     int
-	schemaEpoch uint64
-	closed      bool
+	mu     sync.Mutex
+	c      compiled // the plan cache's shared template; see bind
+	closed bool
 }
 
 // Prepare compiles a query (which may contain '?' or '$n'
@@ -44,37 +41,21 @@ func (db *DB) Prepare(query string) (*Stmt, error) {
 
 // PrepareStrategy is Prepare with an explicit evaluation strategy.
 func (db *DB) PrepareStrategy(query string, s Strategy) (*Stmt, error) {
-	st := &Stmt{db: db, text: query, strategy: s}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if err := st.compileLocked(); err != nil {
+	c, err := db.compile(context.Background(), query, s)
+	if err != nil {
 		return nil, err
 	}
-	return st, nil
-}
-
-// compileLocked (re)builds the physical plan template from the
-// statement text against the current catalog.
-func (st *Stmt) compileLocked() error {
-	plan, err := sql.ParseAndResolve(st.text, st.db.eng)
-	if err != nil {
-		return err
-	}
-	phys, err := st.db.eng.Plan(plan, st.strategy)
-	if err != nil {
-		return err
-	}
-	st.plan = phys
-	st.nparams = algebra.ParamCount(phys)
-	st.schemaEpoch = st.db.cat.SchemaEpoch()
-	return nil
+	return &Stmt{db: db, text: query, strategy: s, c: c}, nil
 }
 
 // NumParams returns the number of placeholders the statement expects.
 func (st *Stmt) NumParams() int {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	return st.nparams
+	if !st.c.explicit {
+		return 0
+	}
+	return st.c.ent.NParams
 }
 
 // Text returns the statement's SQL text as given to Prepare.
@@ -90,32 +71,32 @@ func (st *Stmt) Query(args ...any) (*Result, error) {
 
 // QueryContext is Query honoring the caller's context.
 func (st *Stmt) QueryContext(ctx context.Context, args ...any) (*Result, error) {
-	bound, err := st.bind(args)
+	bound, err := st.bind(ctx, args)
 	if err != nil {
 		return nil, err
 	}
-	rel, err := st.db.eng.RunPlannedContext(ctx, st.text, bound, st.strategy)
-	if err != nil {
-		return nil, err
-	}
-	return toResult(rel), nil
+	rel, _, err := st.db.eng.RunPlanned(ctx, st.text, bound, st.strategy, false)
+	return toResult(rel), err
 }
 
-// bind snapshots the (possibly recompiled) template and substitutes
-// the arguments, returning an executable plan.
-func (st *Stmt) bind(args []any) (algebra.Node, error) {
+// bind substitutes the arguments into the template, which is
+// recompiled first (through compile, like any statement) when the
+// catalog's schema epoch has moved since it was built.
+func (st *Stmt) bind(ctx context.Context, args []any) (algebra.Node, error) {
 	st.mu.Lock()
 	if st.closed {
 		st.mu.Unlock()
 		return nil, fmt.Errorf("gmdj: statement is closed")
 	}
-	if st.schemaEpoch != st.db.cat.SchemaEpoch() {
-		if err := st.compileLocked(); err != nil {
+	if st.c.ent.SchemaEpoch != st.db.cat.SchemaEpoch() {
+		c, err := st.db.compile(ctx, st.text, st.strategy)
+		if err != nil {
 			st.mu.Unlock()
 			return nil, err
 		}
+		st.c = c
 	}
-	plan := st.plan
+	c := st.c
 	st.mu.Unlock()
 
 	vals := make([]value.Value, len(args))
@@ -126,7 +107,7 @@ func (st *Stmt) bind(args []any) (algebra.Node, error) {
 		}
 		vals[i] = v
 	}
-	return algebra.BindParams(plan, vals)
+	return c.bind(vals)
 }
 
 // Close releases the statement. Further Query calls fail; Close is
@@ -135,6 +116,5 @@ func (st *Stmt) Close() error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	st.closed = true
-	st.plan = nil
 	return nil
 }

@@ -61,7 +61,7 @@ func (db *DB) QueryRowsContext(ctx context.Context, query string) (*Rows, error)
 func (db *DB) QueryRowsStrategyContext(ctx context.Context, query string, s Strategy) (*Rows, error) {
 	// Compile synchronously so syntax and resolution errors surface
 	// here, not from Next.
-	phys, err := db.physicalPlan(query, s)
+	phys, err := db.plan(ctx, query, s)
 	if err != nil {
 		return nil, err
 	}
@@ -76,7 +76,7 @@ func (db *DB) QueryRowsStrategyContext(ctx context.Context, query string, s Stra
 		// non-stdlib parents) for that context's whole lifetime.
 		defer close(r.done)
 		defer cancel()
-		r.rel, r.err = db.eng.RunPlannedContext(cctx, query, phys, s)
+		r.rel, _, r.err = db.eng.RunPlanned(cctx, query, phys, s, false)
 	}()
 	return r, nil
 }
