@@ -328,3 +328,69 @@ func TestGroupingAgreesWithEquality(t *testing.T) {
 		}
 	}
 }
+
+// TestNaNEqualsOnlyNaN: value.Compare used to fall through < and > to
+// "equal" with a NaN on either side, so NaN equalled every number — and
+// the strategies that hash (NaN's bits) disagreed with the one that
+// compares. NaN now equals NaN alone and sorts above every other number:
+// the statements below have one answer under all four strategies, in
+// memory and after close → reopen (zone maps and key hashes read from the
+// decoded segment).
+func TestNaNEqualsOnlyNaN(t *testing.T) {
+	load := func(t *testing.T, db *DB) {
+		t.Helper()
+		for _, stmt := range []string{`CREATE TABLE a (k INT, v FLOAT)`, `CREATE TABLE b (v FLOAT)`, `INSERT INTO b VALUES (1.5), (2.5)`} {
+			if _, err := db.Exec(stmt); err != nil {
+				t.Fatalf("%s: %v", stmt, err)
+			}
+		}
+		if err := db.Insert("a", []any{1, math.NaN()}, []any{2, 1.5}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(t *testing.T, db *DB) {
+		t.Helper()
+		for _, c := range []struct {
+			q    string
+			want []int64
+		}{
+			{`SELECT a.k FROM a WHERE a.v = 7`, nil},
+			{`SELECT a.k FROM a WHERE EXISTS (SELECT * FROM b WHERE b.v = a.v)`, []int64{2}},
+			{`SELECT a.k FROM a WHERE a.v IN (SELECT b.v FROM b)`, []int64{2}},
+			{`SELECT a.k FROM a WHERE a.v > 1000000`, []int64{1}},
+			{`SELECT a.k FROM a WHERE EXISTS (SELECT * FROM a a2 WHERE a2.v = a.v AND a2.v > 2)`, []int64{1}},
+		} {
+			for _, s := range []Strategy{Native, Unnest, GMDJ, GMDJOpt} {
+				res, err := db.ExecStrategy(c.q, s)
+				if err != nil {
+					t.Fatalf("%v: %s: %v", s, c.q, err)
+				}
+				var got []int64
+				for _, row := range res.Rows {
+					got = append(got, row[0].(int64))
+				}
+				slices.Sort(got)
+				if !slices.Equal(got, c.want) {
+					t.Errorf("%v: %s = %v, want %v", s, c.q, got, c.want)
+				}
+			}
+		}
+	}
+	t.Run("memory", func(t *testing.T) {
+		db := Open()
+		defer db.Close()
+		load(t, db)
+		check(t, db)
+	})
+	t.Run("durable", func(t *testing.T) {
+		dir := t.TempDir()
+		db := Open(WithDataDir(dir))
+		load(t, db)
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		db = Open(WithDataDir(dir))
+		defer db.Close()
+		check(t, db)
+	})
+}

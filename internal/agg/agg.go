@@ -149,6 +149,48 @@ func NewAccumulator(s Spec) Accumulator {
 	}
 }
 
+// NewRows sets every element of rows to a fresh accumulator row — one
+// accumulator per bound spec, in order — cut from slabs: one
+// []Accumulator across all rows and one typed slice per built-in spec,
+// where the GMDJ's row per base tuple built singly costs
+// len(rows) × (1 + len(specs)) allocations. Extended kinds keep
+// NewAccumulator.
+func NewRows(specs []Spec, rows [][]Accumulator) {
+	w := len(specs)
+	slab := make([]Accumulator, len(rows)*w)
+	for i := range rows {
+		rows[i] = slab[i*w : (i+1)*w : (i+1)*w]
+	}
+	for j, s := range specs {
+		switch proto := NewAccumulator(s).(type) {
+		case *countAcc:
+			cut(rows, j, *proto)
+		case *sumAcc:
+			cut(rows, j, *proto)
+		case *avgAcc:
+			cut(rows, j, *proto)
+		case *extremeAcc:
+			cut(rows, j, *proto)
+		default:
+			for i := range rows {
+				rows[i][j] = NewAccumulator(s)
+			}
+		}
+	}
+}
+
+// cut fills column j of rows with copies of proto held in one slice.
+func cut[T any, P interface {
+	*T
+	Accumulator
+}](rows [][]Accumulator, j int, proto T) {
+	typed := make([]T, len(rows))
+	for i := range typed {
+		typed[i] = proto
+		rows[i][j] = P(&typed[i])
+	}
+}
+
 type countAcc struct {
 	arg expr.Expr // nil means count(*)
 	n   int64

@@ -816,17 +816,11 @@ func (e *Executor) fusedDetail(g *algebra.GMDJ, r *algebra.Restrict, s *algebra.
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	// One flat conjunction, as θ was before c left it: a fallback θ is
-	// interpreted once per (base, detail) pair, where a nested AND costs
-	// a level of calls.
-	moved := expr.Conjuncts(c)
+	// θ's own conjuncts first, as before c left it; the evaluator compiles
+	// the conjunct list, so the nesting costs nothing.
 	conds = make([]algebra.GMDJCond, len(g.Conds))
 	for i, cond := range g.Conds {
-		terms := moved
-		if l, ok := cond.Theta.(*expr.Lit); !ok || l.V != value.Bool(true) { // TRUE: every conjunct moved
-			terms = append(expr.Conjuncts(cond.Theta), moved...)
-		}
-		conds[i] = algebra.GMDJCond{Theta: expr.Conj(terms), Aggs: cond.Aggs}
+		conds[i] = algebra.GMDJCond{Theta: expr.NewAnd(cond.Theta, c), Aggs: cond.Aggs}
 	}
 	return detail, conds, table, nil
 }

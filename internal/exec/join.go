@@ -38,10 +38,11 @@ func (e *Executor) evalJoin(j *algebra.Join, ev *env) (*relation.Relation, error
 		return nil, err
 	}
 	combined := left.Schema.Concat(right.Schema)
-	on, err := j.On.Bind(combined)
+	boundOn, err := j.On.Bind(combined)
 	if err != nil {
 		return nil, err
 	}
+	on := expr.Compile(boundOn)
 	leftQ := schemaQualifiers(left.Schema)
 	rightQ := schemaQualifiers(right.Schema)
 	bindings, _ := expr.SplitBindings(j.On, leftQ, rightQ)
@@ -110,7 +111,7 @@ func (e *Executor) evalJoin(j *algebra.Join, ev *env) (*relation.Relation, error
 				return false, err
 			}
 			copy(fullRow[lw:], right.Rows[ri])
-			tr, err := expr.EvalTri(on, fullRow)
+			tr, err := on.Tri(fullRow)
 			if err != nil {
 				return false, err
 			}

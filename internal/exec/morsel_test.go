@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -115,5 +117,74 @@ func TestRestrictAllocsPerMorsel(t *testing.T) {
 	if limit := float64(8 * morsels); allocs > limit {
 		t.Errorf("reject-all Restrict over %d rows allocated %.0f times, want at most %.0f (O(morsels))",
 			morsels*govern.MorselRows, allocs, limit)
+	}
+}
+
+// cancelWhen is a predicate leaf no kernel takes: always true, and it
+// cancels the query's context on the row whose col equals at.
+type cancelWhen struct {
+	col    expr.Expr
+	at     int64
+	cancel context.CancelFunc
+}
+
+func (c *cancelWhen) Bind(s *relation.Schema) (expr.Expr, error) {
+	col, err := c.col.Bind(s)
+	return &cancelWhen{col: col, at: c.at, cancel: c.cancel}, err
+}
+
+func (c *cancelWhen) Eval(row relation.Tuple) (value.Value, error) {
+	v, err := c.col.Eval(row)
+	if err == nil && v.AsInt() == c.at {
+		c.cancel()
+	}
+	return value.Bool(true), err
+}
+
+func (c *cancelWhen) Children() []expr.Expr { return []expr.Expr{c.col} }
+func (c *cancelWhen) String() string        { return fmt.Sprintf("cancelWhen(%s, %d)", c.col, c.at) }
+
+// TestPredSitesGoverned: σ and the join's ON evaluate through expr.Pred
+// and are governed exactly as before it. A context cancelled from inside
+// the predicate, behind a kernel conjunct, and a row budget each stop the
+// plan at the row they always did: the typed error, and the rows
+// materialized by then as recorded from the tree-walking interpreter at
+// the parent of the typed-kernel change.
+func TestPredSitesGoverned(t *testing.T) {
+	left := morselInput(govern.MorselRows + 100)
+	right := relation.New(relation.NewSchema(relation.Column{Qualifier: "R", Name: "r", Type: value.KindInt}))
+	for _, r := range []int64{0, 0, 2} {
+		right.Append(relation.Tuple{value.Int(r)})
+	}
+	in, r := algebra.NewRaw("L", left), algebra.NewRaw("R", right)
+	for _, c := range []struct {
+		name       string
+		plan       func(stop expr.Expr) algebra.Node
+		at         int64 // the L.k whose row cancels: one that reaches the last conjunct
+		cancelRows int64 // rows materialized when the cancelled query stopped
+	}{
+		{"restrict", func(stop expr.Expr) algebra.Node {
+			return algebra.Filter(in, expr.NewAnd(expr.NewCmp(value.GE, expr.C("L.r"), expr.IntLit(2)), stop))
+		}, 1002, 613},
+		{"join ON", func(stop expr.Expr) algebra.Node {
+			return algebra.NewJoin(algebra.InnerJoin, in, r, expr.NewAnd(expr.Eq(expr.C("L.r"), expr.C("R.r")), expr.NewCmp(value.GE, expr.C("L.k"), expr.IntLit(0)), stop))
+		}, 1002, 672},
+		{"nested-loop join ON", func(stop expr.Expr) algebra.Node {
+			return algebra.NewJoin(algebra.SemiJoin, in, r, expr.NewAnd(expr.NewCmp(value.LT, expr.C("L.r"), expr.C("R.r")), stop))
+		}, 1001, 410},
+	} {
+		e := New(storage.NewCatalog())
+		e.Parallelism = 1
+		ctx, cancel := context.WithCancel(context.Background())
+		gov := govern.New(ctx, govern.Budget{})
+		_, err := e.RunObserved(c.plan(&cancelWhen{col: expr.C("L.k"), at: c.at, cancel: cancel}), gov, nil)
+		cancel()
+		if !errors.Is(err, govern.ErrCanceled) || gov.Rows() != c.cancelRows {
+			t.Errorf("%s, cancelled at L.k = %d: err = %v after %d rows; want ErrCanceled after %d", c.name, c.at, err, gov.Rows(), c.cancelRows)
+		}
+		gov = govern.New(context.Background(), govern.Budget{MaxRows: 1000})
+		if _, err := e.RunObserved(c.plan(expr.BoolLit(true)), gov, nil); !errors.Is(err, govern.ErrRowBudget) || gov.Rows() != 1001 {
+			t.Errorf("%s, row budget: err = %v after %d rows; want ErrRowBudget on row 1001", c.name, err, gov.Rows())
+		}
 	}
 }

@@ -145,18 +145,16 @@ func TestPushSelectionsFusedDetail(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The conditions the fold runs under are flat conjunctions again —
-		// a fallback θ is interpreted per (base, detail) pair, and a nested
-		// AND there cost BENCH_memory's shape a third of its speed.
-		_, conds, _, err := e.gmdjDetail(fused, newEnv(&query{}))
+		// The conditions the fold runs under list θ's own conjuncts first,
+		// then the selection's: the conjunct list is what the evaluator
+		// compiles (expr.Pred), however the conjunction nests.
+		_, fusedConds, _, err := e.gmdjDetail(fused, newEnv(&query{}))
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, cond := range conds {
-			for _, term := range expr.Conjuncts(cond.Theta) {
-				if and, ok := cond.Theta.(*expr.And); !ok || !slices.Contains(and.Terms, term) {
-					t.Errorf("%s: fused θ %s is not one flat conjunction", c.name, cond.Theta)
-				}
+		for i, cond := range fusedConds {
+			if got, want := expr.Conjuncts(cond.Theta), append(expr.Conjuncts(conds[i].Theta), expr.Conjuncts(c.where)...); !slices.Equal(got, want) {
+				t.Errorf("%s: fused θ%d lists conjuncts %v, want %v", c.name, i, got, want)
 			}
 		}
 		scannedBefore, _, _, _ := e.Counters()

@@ -18,9 +18,9 @@ type compiledPred interface {
 	eval(row relation.Tuple) (value.Tri, error)
 }
 
-type cpAtom struct{ e expr.Expr }
+type cpAtom struct{ p *expr.Pred }
 
-func (c *cpAtom) eval(row relation.Tuple) (value.Tri, error) { return expr.EvalTri(c.e, row) }
+func (c *cpAtom) eval(row relation.Tuple) (value.Tri, error) { return c.p.Tri(row) }
 
 type cpAnd struct{ terms []compiledPred }
 
@@ -79,7 +79,7 @@ func (e *Executor) compilePred(p algebra.Pred, outer *relation.Schema, q *query)
 		if err != nil {
 			return nil, err
 		}
-		return &cpAtom{e: b}, nil
+		return &cpAtom{p: expr.Compile(b)}, nil
 	case *algebra.PredAnd:
 		terms := make([]compiledPred, len(n.Terms))
 		for i, t := range n.Terms {

@@ -1,0 +1,366 @@
+package expr
+
+import (
+	"flag"
+	"fmt"
+	"math"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"github.com/olaplab/gmdj/internal/relation"
+	"github.com/olaplab/gmdj/internal/value"
+)
+
+// predSeed offsets the property test's seeds, so the property can be
+// checked at seeds nobody looked at while writing the kernels:
+//
+//	go test -run TestPredEquivalence ./internal/expr -pred.seed 977
+var predSeed = flag.Int64("pred.seed", 0, "offset added to TestPredEquivalence's seeds")
+
+// predSchema is the generator's row: one column per kind, then a column
+// whose cells are of any kind (a derived detail need not honour its
+// schema), then second INT, FLOAT and STRING columns for Col φ Col.
+var predSchema = relation.NewSchema(
+	relation.Column{Qualifier: "t", Name: "i", Type: value.KindInt},
+	relation.Column{Qualifier: "t", Name: "f", Type: value.KindFloat},
+	relation.Column{Qualifier: "t", Name: "s", Type: value.KindString},
+	relation.Column{Qualifier: "t", Name: "b", Type: value.KindBool},
+	relation.Column{Qualifier: "t", Name: "m", Type: value.KindInt},
+	relation.Column{Qualifier: "t", Name: "i2", Type: value.KindInt},
+	relation.Column{Qualifier: "t", Name: "f2", Type: value.KindFloat},
+	relation.Column{Qualifier: "t", Name: "s2", Type: value.KindString},
+)
+
+// The edges the kernels must answer as value.Compare does: the integers
+// a float64 cannot tell apart, signed zeros, NaN, the infinities, the
+// empty string.
+var (
+	edgeInts   = []int64{0, 1, -1, 7, 1<<53 - 1, 1 << 53, 1<<53 + 1, -(1 << 53) - 1, math.MinInt64, math.MaxInt64}
+	edgeFloats = []float64{0, math.Copysign(0, -1), 1, -1, 7, 7.5, 1 << 53, 1<<53 + 2, math.NaN(), math.Inf(1), math.Inf(-1), math.MaxInt64}
+	edgeStrs   = []string{"", "a", "ab", "b", "a%", "Z"}
+)
+
+func genValue(rng *rand.Rand, kind value.Kind) value.Value {
+	switch kind {
+	case value.KindInt:
+		return value.Int(edgeInts[rng.Intn(len(edgeInts))])
+	case value.KindFloat:
+		return value.Float(edgeFloats[rng.Intn(len(edgeFloats))])
+	case value.KindString:
+		return value.Str(edgeStrs[rng.Intn(len(edgeStrs))])
+	case value.KindBool:
+		return value.Bool(rng.Intn(2) == 0)
+	}
+	return value.Null
+}
+
+// genRow draws a NULL-dense row of predSchema; the m column draws its
+// kind per cell.
+func genRow(rng *rand.Rand) relation.Tuple {
+	row := make(relation.Tuple, predSchema.Len())
+	for i, c := range predSchema.Columns {
+		kind := c.Type
+		if c.Name == "m" {
+			kind = value.Kind(1 + rng.Intn(4))
+		}
+		if rng.Intn(5) > 0 {
+			row[i] = genValue(rng, kind)
+		}
+	}
+	return row
+}
+
+func genCol(rng *rand.Rand) Expr {
+	c := predSchema.Columns[rng.Intn(predSchema.Len())]
+	return NewCol(c.Qualifier, c.Name)
+}
+
+func genLit(rng *rand.Rand) Expr {
+	return &Lit{V: genValue(rng, value.Kind(rng.Intn(5)))}
+}
+
+// genOperands draws a column and something to compare it with — a
+// literal or a second column — three times in four of a kind that
+// compares with it (INT beside FLOAT included), so that True, False and
+// Unknown all occur; the fourth is anything, a NULL literal included.
+func genOperands(rng *rand.Rand, lit bool) (Expr, Expr) {
+	ci := rng.Intn(predSchema.Len())
+	c := predSchema.Columns[ci]
+	kind, any := c.Type, rng.Intn(4) == 0
+	if numeric := kind == value.KindInt || kind == value.KindFloat; numeric && rng.Intn(2) == 0 {
+		kind = value.KindInt + value.KindFloat - kind
+	}
+	switch {
+	case lit && any:
+		return NewCol(c.Qualifier, c.Name), genLit(rng)
+	case lit:
+		return NewCol(c.Qualifier, c.Name), &Lit{V: genValue(rng, kind)}
+	case any:
+		return NewCol(c.Qualifier, c.Name), genCol(rng)
+	}
+	for {
+		if o := predSchema.Columns[rng.Intn(predSchema.Len())]; o.Type == kind {
+			return NewCol(c.Qualifier, c.Name), NewCol(o.Qualifier, o.Name)
+		}
+	}
+}
+
+// genLeaf draws one conjunct: mostly the shapes Compile lowers, else one
+// it must keep generic — arithmetic, LIKE (which fails on a non-string),
+// OR, NOT, a nested AND under them, a placeholder (which always fails).
+func genLeaf(rng *rand.Rand, depth int) Expr {
+	op := value.CmpOp(rng.Intn(6))
+	switch n := rng.Intn(14); {
+	case n < 4:
+		col, lit := genOperands(rng, true)
+		return NewCmp(op, col, lit)
+	case n < 6:
+		col, lit := genOperands(rng, true)
+		return NewCmp(op, lit, col)
+	case n < 9:
+		l, r := genOperands(rng, false)
+		return NewCmp(op, l, r)
+	case n < 10:
+		return NewIsNull(genCol(rng), rng.Intn(2) == 0)
+	case n < 11:
+		return NewCmp(op, NewArith(ArithOp("+-*/"[rng.Intn(4)]), genCol(rng), genLit(rng)), genLit(rng))
+	case n < 12:
+		return NewLike(genCol(rng), []string{"a%", "_", "%"}[rng.Intn(3)], rng.Intn(2) == 0)
+	case depth == 0 && n < 13:
+		return []Expr{&Param{Ordinal: 1}, BoolLit(true), NullLit(), NewCmp(op, genLit(rng), genLit(rng))}[rng.Intn(4)]
+	case depth == 0:
+		return NewIsNull(genCol(rng), false)
+	}
+	kids := []Expr{genLeaf(rng, depth-1), genLeaf(rng, depth-1)}
+	switch rng.Intn(3) {
+	case 0:
+		return NewOr(kids...)
+	case 1:
+		return NewNot(NewAnd(kids...))
+	}
+	return NewAnd(kids...) // a nested AND: Conjuncts flattens it
+}
+
+func genPred(t testing.TB, rng *rand.Rand) Expr {
+	terms := make([]Expr, 1+rng.Intn(3))
+	for i := range terms {
+		terms[i] = genLeaf(rng, 2)
+	}
+	bound, err := NewAnd(terms...).Bind(predSchema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bound
+}
+
+// truncate is what Filter and Pair promise, spelled with the
+// interpreter: the conjuncts in order, stopping at the first that is not
+// True — so a conjunct that would fail goes unevaluated behind an
+// Unknown, where the interpreter's AND (which stops only at False)
+// evaluates it and fails. That is the one permitted difference.
+func truncate(bound Expr, row relation.Tuple) (bool, error) {
+	for _, cj := range Conjuncts(bound) {
+		if tr, err := EvalTri(cj, row); err != nil || tr != value.True {
+			return false, err
+		}
+	}
+	return true, nil
+}
+
+// checkPredEquivalence holds one generated predicate's three entry
+// points to the interpreter over a generated morsel.
+func checkPredEquivalence(t *testing.T, seed int64) {
+	rng := rand.New(rand.NewSource(seed))
+	bound := genPred(t, rng)
+	p := Compile(bound)
+	rows := make([]relation.Tuple, 1+rng.Intn(40))
+	for i := range rows {
+		rows[i] = genRow(rng)
+	}
+	want, failing := make([]bool, len(rows)), false
+	buf := make(relation.Tuple, predSchema.Len())
+	for i, row := range rows {
+		wantTri, wantErr := EvalTri(bound, row)
+		if tr, err := p.Tri(row); (err != nil) != (wantErr != nil) || (err == nil && tr != wantTri) {
+			t.Fatalf("seed %d: %s over %v: Tri = %v, %v; EvalTri = %v, %v", seed, bound, row, tr, err, wantTri, wantErr)
+		}
+		ok, err := truncate(bound, row)
+		// Against the interpreter: a True row is never lost, nothing else
+		// is selected, and truncation fails only where the interpreter does.
+		if (wantErr == nil && (err != nil || ok != (wantTri == value.True))) || (wantErr != nil && ok) {
+			t.Fatalf("seed %d: %s over %v: truncated = %v, %v; EvalTri = %v, %v", seed, bound, row, ok, err, wantTri, wantErr)
+		}
+		w := rng.Intn(len(row) + 1)
+		if got, gotErr := p.Pair(row[:w], row[w:], buf); got != ok || (gotErr != nil) != (err != nil) {
+			t.Fatalf("seed %d: %s over %v ++ %v: Pair = %v, %v; want %v, %v", seed, bound, row[:w], row[w:], got, gotErr, ok, err)
+		}
+		want[i], failing = ok, failing || err != nil
+	}
+	got := make([]bool, len(rows))
+	if err := p.Filter(rows, got); (err != nil) != failing || (err == nil && !slices.Equal(got, want)) {
+		t.Fatalf("seed %d: %s: Filter = %v, %v; want %v, failing %v", seed, bound, got, err, want, failing)
+	}
+}
+
+// TestPredEquivalence: kernel ≡ interpreter, by property. For every
+// generated predicate and row, Tri is EvalTri — value and failure alike —
+// and Filter and Pair are the interpreter truncated to True (truncate).
+func TestPredEquivalence(t *testing.T) {
+	for seed := int64(1); seed <= 3000; seed++ {
+		checkPredEquivalence(t, *predSeed+seed)
+	}
+}
+
+func FuzzPredEquivalence(f *testing.F) {
+	for _, seed := range []int64{1, 42, 1 << 40} {
+		f.Add(seed)
+	}
+	f.Fuzz(checkPredEquivalence)
+}
+
+// TestPredGenericBehindUnknown spells the permitted difference out: a
+// LIKE over an INT fails wherever it is evaluated. Behind a conjunct
+// that answered Unknown, Filter and Pair never reach it and the
+// interpreter (and Tri) do; behind one that answered True, all four fail.
+func TestPredGenericBehindUnknown(t *testing.T) {
+	bind := func(first Expr) (Expr, *Pred) {
+		bound, err := NewAnd(first, NewLike(C("t.i"), "a%", false)).Bind(predSchema)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return bound, Compile(bound)
+	}
+	row := make(relation.Tuple, predSchema.Len())
+	row[0] = value.Int(7) // t.f stays NULL
+	rows, sel, buf := []relation.Tuple{row}, []bool{true}, make(relation.Tuple, len(row))
+
+	bound, p := bind(NewCmp(value.GT, C("t.f"), IntLit(0))) // Unknown
+	if _, err := EvalTri(bound, row); err == nil {
+		t.Fatal("interpreter: LIKE over INT behind an Unknown should fail")
+	}
+	if _, err := p.Tri(row); err == nil {
+		t.Error("Tri: want the interpreter's failure")
+	}
+	if err := p.Filter(rows, sel); err != nil || sel[0] {
+		t.Errorf("Filter = %v, %v; want the row rejected unevaluated", sel, err)
+	}
+	if ok, err := p.Pair(row[:3], row[3:], buf); err != nil || ok {
+		t.Errorf("Pair = %v, %v; want the pair rejected unevaluated", ok, err)
+	}
+
+	_, p = bind(NewCmp(value.GT, C("t.i"), IntLit(0))) // True: the row survives to the LIKE
+	if err := p.Filter(rows, sel); err == nil {
+		t.Error("Filter: a failure on a surviving row must surface")
+	}
+	if _, err := p.Pair(row[:3], row[3:], buf); err == nil {
+		t.Error("Pair: a failure on a surviving pair must surface")
+	}
+}
+
+// TestPredColumnOutOfRange: a row narrower than the schema the
+// predicate was bound to is the interpreter's error, not a panic.
+func TestPredColumnOutOfRange(t *testing.T) {
+	bound, err := NewCmp(value.EQ, C("t.s2"), C("t.i")).Bind(predSchema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, short := Compile(bound), relation.Tuple{value.Int(1), value.Null}
+	_, want := EvalTri(bound, short)
+	if _, err := p.Tri(short); want == nil || err == nil || err.Error() != want.Error() {
+		t.Errorf("Tri over a short row: %v, want %v", err, want)
+	}
+	if err := p.Filter([]relation.Tuple{short}, make([]bool, 1)); err == nil {
+		t.Error("Filter over a short row: no error")
+	}
+	if _, err := p.Pair(short[:1], short[1:], nil); err == nil {
+		t.Error("Pair over a short pair: no error")
+	}
+}
+
+// kernelPred is an all-kernel predicate over predSchema: every leaf
+// shape, the INT-beside-FLOAT and string compares included.
+func kernelPred(t testing.TB) *Pred {
+	bound, err := NewAnd(
+		NewCmp(value.GE, C("t.i"), IntLit(0)), NewCmp(value.LT, IntLit(-5), C("t.f")),
+		NewCmp(value.NE, C("t.s"), StrLit("zz")), NewCmp(value.LE, C("t.i"), C("t.f2")),
+		NewIsNull(C("t.b"), true), BoolLit(true),
+	).Bind(predSchema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return Compile(bound)
+}
+
+// TestPredAllocs: a predicate of kernels allocates nothing through any
+// entry point.
+func TestPredAllocs(t *testing.T) {
+	p := kernelPred(t)
+	row := relation.Tuple{value.Int(3), value.Float(2.5), value.Str("a"), value.Bool(true), value.Null, value.Int(1), value.Float(9), value.Str("b")}
+	rows := make([]relation.Tuple, 512)
+	for i := range rows {
+		rows[i] = row
+	}
+	sel, buf := make([]bool, len(rows)), make(relation.Tuple, len(row))
+	if err := p.Filter(rows, sel); err != nil || slices.Contains(sel, false) {
+		t.Fatalf("Filter rejected a row every kernel accepts, %v", err)
+	}
+	for name, fn := range map[string]func(){
+		"Filter": func() { p.Filter(rows, sel) },
+		"Pair":   func() { p.Pair(row[:4], row[4:], buf) },
+		"Tri":    func() { p.Tri(row) },
+	} {
+		if n := testing.AllocsPerRun(20, fn); n != 0 {
+			t.Errorf("%s: %v allocations per run, want 0", name, n)
+		}
+	}
+}
+
+// BenchmarkPredFilter prints, per (cell kind × literal kind), ns/row of
+// one comparison through Pred.Filter beside the same conjunct through
+// EvalTri — the table in CHANGES.md.
+func BenchmarkPredFilter(b *testing.B) {
+	const n = 4096
+	cells := map[string]func(i int) value.Value{
+		"int":    func(i int) value.Value { return value.Int(int64(i % 100)) },
+		"float":  func(i int) value.Value { return value.Float(float64(i%100) + 0.5) },
+		"string": func(i int) value.Value { return value.Str([]string{"F", "O", "P"}[i%3]) },
+		"null":   func(int) value.Value { return value.Null },
+	}
+	lits := map[string]Expr{"int": IntLit(50), "float": FloatLit(49.5), "string": StrLit("O")}
+	for _, pair := range [][2]string{{"int", "int"}, {"int", "float"}, {"float", "int"}, {"float", "float"}, {"string", "string"}, {"null", "int"}, {"string", "int"}} {
+		rows := make([]relation.Tuple, n)
+		for i := range rows {
+			rows[i] = relation.Tuple{cells[pair[0]](i)}
+		}
+		bound, err := NewCmp(value.GT, C("c"), lits[pair[1]]).Bind(relation.NewSchema(relation.Column{Name: "c"}))
+		if err != nil {
+			b.Fatal(err)
+		}
+		perRow := func(b *testing.B) {
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/row")
+		}
+		b.Run(fmt.Sprintf("%s-%s/Filter", pair[0], pair[1]), func(b *testing.B) {
+			p, sel := Compile(bound), make([]bool, n)
+			for i := 0; i < b.N; i++ {
+				if err := p.Filter(rows, sel); err != nil {
+					b.Fatal(err)
+				}
+			}
+			perRow(b)
+		})
+		b.Run(fmt.Sprintf("%s-%s/EvalTri", pair[0], pair[1]), func(b *testing.B) {
+			sel := make([]bool, n)
+			for i := 0; i < b.N; i++ {
+				for ri, row := range rows {
+					tr, err := EvalTri(bound, row)
+					if err != nil {
+						b.Fatal(err)
+					}
+					sel[ri] = tr == value.True
+				}
+			}
+			perRow(b)
+		})
+	}
+}

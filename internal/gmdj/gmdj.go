@@ -219,12 +219,11 @@ func newVec(n int) *detailHashVec {
 
 // condProg is one compiled θᵢ with its aggregate list.
 type condProg struct {
-	baseKey    []int     // base-schema positions of equi-binding keys (empty ⇒ fallback)
-	detailKey  []int     // detail-schema positions of equi-binding keys
-	basePred   expr.Expr // bound to base schema; nil when absent
-	detailPred expr.Expr // bound to detail schema; nil when absent
-	mixedPred  expr.Expr // bound to base++detail; nil when absent
-	fullTheta  expr.Expr // bound to base++detail; used by fallback conds
+	baseKey    []int      // base-schema positions of equi-binding keys (empty ⇒ fallback)
+	detailKey  []int      // detail-schema positions of equi-binding keys
+	basePred   *expr.Pred // bound to base schema; nil when absent
+	detailPred *expr.Pred // bound to detail schema; nil when absent
+	mixedPred  *expr.Pred // bound to base++detail; no conjuncts when absent
 	specs      []agg.Spec
 	aggOffset  int   // position of this cond's first aggregate column
 	atoms      []int // completion atom indexes watching this condition
@@ -253,7 +252,7 @@ type program struct {
 	base, detail *relation.Relation
 	baseW        int
 	conds        []condProg
-	totalAggs    int
+	specs        []agg.Spec // every condition's bound aggregates, in output order
 	outSchema    *relation.Schema
 	// passWorkers is the detail pass's degree; 1 — serial, or a detail
 	// under two morsels, too small to repay the goroutines — means no
@@ -362,27 +361,30 @@ func (p *program) detailPass() error {
 	return nil
 }
 
-// detailMorsel is the detail pass over rows [lo, hi): each row visited
-// once, cancellation polled once. A row an earlier condition on the key
-// already hashed is not hashed again (a NULL key is: OK stays false).
+// detailMorsel is the detail pass over rows [lo, hi): cancellation polled
+// once, then per condition one Filter over the morsel, straight into its
+// detailPredOK range, and the key hash of the rows it kept — of every row
+// when the vector goes out to the cross-query cache. A row an earlier
+// condition on the key already hashed is not hashed again (a NULL key
+// is: OK stays false).
 func (p *program) detailMorsel(lo, hi int) error {
 	if err := p.Gov.Check(); err != nil {
 		return err
 	}
-	for di := lo; di < hi; di++ {
-		row := p.detail.Rows[di]
-		for ci := range p.conds {
-			cp := &p.conds[ci]
-			accepted := true
-			if cp.detailPredOK != nil {
-				tr, err := expr.EvalTri(cp.detailPred, row)
-				if err != nil {
-					return err
-				}
-				accepted = tr == value.True
-				cp.detailPredOK[di] = accepted
+	rows := p.detail.Rows[lo:hi]
+	for ci := range p.conds {
+		cp := &p.conds[ci]
+		if cp.detailPredOK != nil {
+			if err := cp.detailPred.Filter(rows, cp.detailPredOK[lo:hi]); err != nil {
+				return err
 			}
-			if vec := cp.detailHash; cp.passHash && (accepted || cp.publish != "") && !vec.OK[di] {
+		}
+		if !cp.passHash {
+			continue
+		}
+		all, vec := cp.detailPredOK == nil || cp.publish != "", cp.detailHash
+		for i, row := range rows {
+			if di := lo + i; (all || cp.detailPredOK[di]) && !vec.OK[di] {
 				vec.H[di], vec.OK[di] = row.KeyHash(cp.detailKey)
 			}
 		}
@@ -436,14 +438,14 @@ func compile(base, detail *relation.Relation, conds []algebra.GMDJCond, opts Opt
 	outCols := append([]relation.Column{}, base.Schema.Columns...)
 	for i, c := range conds {
 		cp := &p.conds[i]
-		cp.aggOffset = p.totalAggs
+		cp.aggOffset = len(p.specs)
 		for _, spec := range c.Aggs {
 			bound, err := spec.Bind(detail.Schema)
 			if err != nil {
 				return nil, fmt.Errorf("gmdj: condition %d: %w", i, err)
 			}
 			cp.specs = append(cp.specs, bound)
-			p.totalAggs++
+			p.specs = append(p.specs, bound)
 		}
 		outCols = append(outCols, agg.OutputSchema(c.Aggs, "R")...)
 		if err := classifyTheta(cp, c.Theta, base.Schema, detail.Schema, combined); err != nil {
@@ -609,26 +611,29 @@ func classifyTheta(cp *condProg, theta expr.Expr, baseS, detailS, combined *rela
 		}
 	}
 
+	// θ holds on a pair exactly when its three classes do, so the fallback
+	// loop runs the mixed class alone, as the probe's residual check does:
+	// the other two were settled per base tuple and per detail row.
+	lower := func(preds []expr.Expr, s *relation.Schema) (*expr.Pred, error) {
+		bound, err := expr.Conj(preds).Bind(s)
+		if err != nil {
+			return nil, err
+		}
+		return expr.Compile(bound), nil
+	}
 	var err error
 	if len(basePreds) > 0 {
-		if cp.basePred, err = expr.Conj(basePreds).Bind(baseS); err != nil {
+		if cp.basePred, err = lower(basePreds, baseS); err != nil {
 			return err
 		}
 	}
 	if len(detailPreds) > 0 {
-		if cp.detailPred, err = expr.Conj(detailPreds).Bind(detailS); err != nil {
+		if cp.detailPred, err = lower(detailPreds, detailS); err != nil {
 			return err
 		}
 	}
-	if len(mixedPreds) > 0 {
-		if cp.mixedPred, err = expr.Conj(mixedPreds).Bind(combined); err != nil {
-			return err
-		}
-	}
-	if cp.fullTheta, err = theta.Bind(combined); err != nil {
-		return err
-	}
-	return nil
+	cp.mixedPred, err = lower(mixedPreds, combined)
+	return err
 }
 
 func keysEqual(baseRow, detailRow relation.Tuple, baseKey, detailKey []int) bool {
@@ -657,12 +662,12 @@ type state struct {
 	accs    [][]agg.Accumulator // [tuple][agg]
 	decided []int8
 	active  []bool
-	matched [][]bool
-	// combined is the base++detail scratch tuple mixed predicates and
-	// fallback θs read; combinedDi is the detail row its detail half
-	// holds, copied only when one of them is about to read it (pair).
-	combined   relation.Tuple
-	combinedDi int
+	matched []bool // [tuple × completion atom], one slab
+	// combined is the base++detail scratch a mixed predicate's generic
+	// conjuncts are handed (expr.Pred.Pair); its kernels read the two
+	// tuples where they lie.
+	combined relation.Tuple
+	sel      [1]bool // Filter's answer for a morsel of one row (feed)
 	// basePredOK[c][i] caches base-only conjunct outcomes.
 	basePredOK [][]bool
 	// condScan is, per condition, the fallback iteration list of owned
@@ -700,32 +705,22 @@ func (s *state) flushLive() {
 func (p *program) newState(part []relation.Tuple, index []map[uint64][]int32, lo, hi int, decided []int8, accs [][]agg.Accumulator) (*state, error) {
 	n := hi - lo
 	s := &state{
-		p:          p,
-		rows:       part[lo:hi],
-		lo:         lo,
-		index:      index,
-		accs:       accs[lo:hi],
-		decided:    decided[lo:hi],
-		active:     make([]bool, n),
-		combined:   make(relation.Tuple, p.baseW+p.detail.Schema.Len()),
-		combinedDi: -1,
-		remaining:  n,
+		p:         p,
+		rows:      part[lo:hi],
+		lo:        lo,
+		index:     index,
+		accs:      accs[lo:hi],
+		decided:   decided[lo:hi],
+		active:    make([]bool, n),
+		combined:  make(relation.Tuple, p.baseW+p.detail.Schema.Len()),
+		remaining: n,
 	}
-	for i := range s.rows {
+	for i := range s.active {
 		s.active[i] = true
-		row := make([]agg.Accumulator, 0, p.totalAggs)
-		for ci := range p.conds {
-			for _, spec := range p.conds[ci].specs {
-				row = append(row, agg.NewAccumulator(spec))
-			}
-		}
-		s.accs[i] = row
 	}
+	agg.NewRows(p.specs, s.accs)
 	if p.Completion != nil {
-		s.matched = make([][]bool, n)
-		for i := range s.matched {
-			s.matched[i] = make([]bool, len(p.Completion.Atoms))
-		}
+		s.matched = make([]bool, n*len(p.Completion.Atoms))
 	}
 	s.basePredOK = make([][]bool, len(p.conds))
 	for ci := range p.conds {
@@ -735,7 +730,7 @@ func (p *program) newState(part []relation.Tuple, index []map[uint64][]int32, lo
 		}
 		oks := make([]bool, n)
 		for i, row := range s.rows {
-			tr, err := expr.EvalTri(cp.basePred, row)
+			tr, err := cp.basePred.Tri(row)
 			if err != nil {
 				return nil, err
 			}
@@ -760,16 +755,6 @@ func (p *program) newState(part []relation.Tuple, index []map[uint64][]int32, lo
 	return s, nil
 }
 
-// pair returns the scratch tuple holding baseRow ++ detail row di.
-func (s *state) pair(baseRow relation.Tuple, di int) relation.Tuple {
-	if s.combinedDi != di {
-		copy(s.combined[s.p.baseW:], s.p.detail.Rows[di])
-		s.combinedDi = di
-	}
-	copy(s.combined, baseRow)
-	return s.combined
-}
-
 // feed folds one detail row (at detail position di) into the state.
 func (s *state) feed(di int) error {
 	if s.inactive*2 > len(s.rows) {
@@ -784,12 +769,11 @@ func (s *state) feed(di int) error {
 			if !cp.detailPredOK[di] {
 				continue
 			}
-		} else if cp.detailPred != nil {
-			tr, err := expr.EvalTri(cp.detailPred, detailRow)
-			if err != nil {
+		} else if cp.detailPred != nil { // no pass ran: a morsel of one row
+			if err := cp.detailPred.Filter(p.detail.Rows[di:di+1], s.sel[:]); err != nil {
 				return err
 			}
-			if tr != value.True {
+			if !s.sel[0] {
 				continue
 			}
 		}
@@ -816,14 +800,10 @@ func (s *state) feed(di int) error {
 				if oks := s.basePredOK[ci]; oks != nil && !oks[i] {
 					continue
 				}
-				if cp.mixedPred != nil {
-					tr, err := expr.EvalTri(cp.mixedPred, s.pair(baseRow, di))
-					if err != nil {
-						return err
-					}
-					if tr != value.True {
-						continue
-					}
+				if ok, err := cp.mixedPred.Pair(baseRow, detailRow, s.combined); err != nil {
+					return err
+				} else if !ok {
+					continue
 				}
 				if err := s.match(i, ci, detailRow); err != nil {
 					return err
@@ -838,11 +818,9 @@ func (s *state) feed(di int) error {
 				continue
 			}
 			s.stats.Probes++
-			tr, err := expr.EvalTri(cp.fullTheta, s.pair(s.rows[i], di))
-			if err != nil {
+			if ok, err := cp.mixedPred.Pair(s.rows[i], detailRow, s.combined); err != nil {
 				return err
-			}
-			if tr != value.True {
+			} else if !ok {
 				continue
 			}
 			if err := s.match(int(i), ci, detailRow); err != nil {
@@ -868,17 +846,18 @@ func (s *state) match(i, ci int, detailRow relation.Tuple) error {
 	if p.Completion == nil || len(cp.atoms) == 0 {
 		return nil
 	}
-	changed := false
+	na := len(p.Completion.Atoms)
+	matched, changed := s.matched[i*na:(i+1)*na], false
 	for _, ai := range cp.atoms {
-		if !s.matched[i][ai] {
-			s.matched[i][ai] = true
+		if !matched[ai] {
+			matched[ai] = true
 			changed = true
 		}
 	}
 	if !changed {
 		return nil
 	}
-	switch evalTree(p.Completion.Tree, p.Completion.Atoms, s.matched[i]) {
+	switch evalTree(p.Completion.Tree, p.Completion.Atoms, matched) {
 	case value.False:
 		s.retire(i, -1)
 	case value.True:
@@ -970,7 +949,7 @@ func (p *program) emit(res result) (*relation.Relation, error) {
 		if res.decided[bi] == -1 {
 			continue
 		}
-		row := make(relation.Tuple, 0, p.baseW+p.totalAggs)
+		row := make(relation.Tuple, 0, p.baseW+len(p.specs))
 		row = append(row, baseRow...)
 		for _, a := range res.accs[bi] {
 			row = append(row, a.Result())

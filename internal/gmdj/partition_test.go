@@ -2,8 +2,10 @@ package gmdj
 
 import (
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/olaplab/gmdj/internal/agg"
@@ -98,23 +100,47 @@ func TestPartitionEquivalence(t *testing.T) {
 	detailSchema := relation.NewSchema(
 		relation.Column{Qualifier: "R", Name: "k", Type: value.KindInt},
 		relation.Column{Qualifier: "R", Name: "v", Type: value.KindInt},
+		relation.Column{Qualifier: "R", Name: "f", Type: value.KindFloat},
+		relation.Column{Qualifier: "R", Name: "tag", Type: value.KindString},
 	)
 	detail := relation.New(detailSchema)
 	for i := 0; i < 2000; i++ {
-		detail.Append(relation.Tuple{value.Int(int64(rng.Intn(20))), value.Int(int64(rng.Intn(100)))})
+		detail.Append(relation.Tuple{value.Int(int64(rng.Intn(20))), value.Int(int64(rng.Intn(100))),
+			value.Float(float64(rng.Intn(200)) / 2), value.Str([]string{"x", "y", "z"}[rng.Intn(3)])})
 	}
 	aggs := []agg.Spec{
 		{Func: agg.CountStar, As: "cnt"},
 		{Func: agg.Sum, Arg: expr.C("R.v"), As: "s"},
 	}
-	// Base keys reach 29 and detail keys 19, so under either θ some base
+	// Base keys reach 29 and detail keys 19, so under every θ some base
 	// tuples match and some never do: completion both retires and keeps.
+	bind, below := expr.Eq(expr.C("B.k"), expr.C("R.k")), expr.NewCmp(value.LT, expr.C("B.k"), expr.C("R.k"))
 	thetas := []struct {
 		name  string
 		theta expr.Expr
 	}{
-		{"indexed", expr.Eq(expr.C("B.k"), expr.C("R.k"))},
-		{"fallback", expr.NewCmp(value.LT, expr.C("B.k"), expr.C("R.k"))},
+		{"indexed", bind},
+		{"fallback", below},
+		// An INT literal against the FLOAT column, a STRING conjunct and a
+		// conjunct no kernel takes between them; a column-to-column
+		// residual behind the probe; a fallback θ with a base-only conjunct.
+		{"indexed, detail conjuncts", expr.NewAnd(bind, expr.NewCmp(value.GT, expr.C("R.f"), expr.IntLit(50)),
+			expr.NewCmp(value.GE, expr.NewArith(expr.OpSub, expr.C("R.v"), expr.IntLit(10)), expr.IntLit(0)), expr.Eq(expr.C("R.tag"), expr.StrLit("x")))},
+		{"indexed, column residual", expr.NewAnd(bind, expr.NewCmp(value.LT, expr.C("B.id"), expr.C("R.f")))},
+		{"fallback, base-only conjunct", expr.NewAnd(below, expr.NewCmp(value.GE, expr.C("B.id"), expr.IntLit(40)), expr.NewCmp(value.LT, expr.C("R.f"), expr.IntLit(30)))},
+	}
+	// The single-partition reference per θ, recorded at the parent of the
+	// typed-kernel change (the tree-walking interpreter at every site).
+	golden := map[string]uint64{
+		"indexed":                      0x9ad0fd0637b24841,
+		"fallback":                     0xc1ecd3255f195c84,
+		"indexed, detail conjuncts":    0xfbac149568b0d26,
+		"indexed, column residual":     0x2d398db9aa0fc49b,
+		"fallback, base-only conjunct": 0x7a5320bbcc591cca,
+	}
+	lines := map[string]*strings.Builder{}
+	for _, th := range thetas {
+		lines[th.name] = new(strings.Builder)
 	}
 	completions := []struct {
 		name string
@@ -156,9 +182,13 @@ func TestPartitionEquivalence(t *testing.T) {
 			for _, c := range completions {
 				t.Run(fmt.Sprintf("%s/%s/completion %s", pt.name, th.name, c.name), func(t *testing.T) {
 					conds := []algebra.GMDJCond{{Theta: th.theta, Aggs: aggs}}
-					want, err := Evaluate(pt.base, pt.detail, conds, Options{Completion: c.comp})
+					var ref Stats
+					want, err := Evaluate(pt.base, pt.detail, conds, Options{Completion: c.comp, Stats: &ref})
 					if err != nil {
 						t.Fatal(err)
+					}
+					if pt.name == "one range" {
+						lines[th.name].WriteString(goldenLine("completion "+c.name, want, &ref))
 					}
 					if c.name == "on" && pt.base == base && (want.Len() == 0 || want.Len() == len(base.Rows)) {
 						t.Fatalf("reference keeps %d of %d base tuples; completion must both drop and keep", want.Len(), len(base.Rows))
@@ -183,24 +213,54 @@ func TestPartitionEquivalence(t *testing.T) {
 			}
 		}
 	}
+	for _, th := range thetas {
+		checkGolden(t, th.name, lines[th.name], golden)
+	}
 }
 
-// passDetail builds R(k, tag, v) with n rows: keys 0..19 with every
-// 13th NULL, tags alternating, v cycling below 100.
+// passDetail builds R(k, tag, v, f) with n rows: keys 0..19 with every
+// 13th NULL, tags alternating, v cycling below 100, f in halves below 100
+// with every 11th NULL.
 func passDetail(n int) *relation.Relation {
 	detail := relation.New(relation.NewSchema(
 		relation.Column{Qualifier: "R", Name: "k", Type: value.KindInt},
 		relation.Column{Qualifier: "R", Name: "tag", Type: value.KindString},
 		relation.Column{Qualifier: "R", Name: "v", Type: value.KindInt},
+		relation.Column{Qualifier: "R", Name: "f", Type: value.KindFloat},
 	))
 	for i := 0; i < n; i++ {
-		k := value.Int(int64(i * 7 % 20))
+		k, f := value.Int(int64(i*7%20)), value.Float(float64(i*37%200)/2)
 		if i%13 == 0 {
 			k = value.Null
 		}
-		detail.Append(relation.Tuple{k, value.Str([]string{"even", "odd"}[i%2]), value.Int(int64(i * 31 % 100))})
+		if i%11 == 0 {
+			f = value.Null
+		}
+		detail.Append(relation.Tuple{k, value.Str([]string{"even", "odd"}[i%2]), value.Int(int64(i * 31 % 100)), f})
 	}
 	return detail
+}
+
+// goldenLine renders one evaluation as the evaluator-independent facts
+// the goldens pin: a hash of the output and the five data counters.
+func goldenLine(name string, out *relation.Relation, s *Stats) string {
+	h := fnv.New64a()
+	h.Write([]byte(out.String()))
+	return fmt.Sprintf("%s out=%016x detail_rows=%d probes=%d matches=%d completed=%d short_circuit_rows=%d\n",
+		name, h.Sum64(), s.DetailRows, s.Probes, s.Matches, s.Completed, s.ShortCircuitRows)
+}
+
+// checkGolden compares the hash of one shape's golden lines with the
+// value recorded from the tree-walking interpreter at the parent of the
+// typed-kernel change; -v prints the lines for a diff.
+func checkGolden(t *testing.T, name string, lines *strings.Builder, want map[string]uint64) {
+	t.Helper()
+	h := fnv.New64a()
+	h.Write([]byte(lines.String()))
+	if got := h.Sum64(); got != want[name] {
+		t.Errorf("%s: results or counters moved off the interpreter's: golden %#x, want %#x", name, got, want[name])
+		t.Log(lines.String())
+	}
 }
 
 // TestDetailPassEquivalence: at every detail size around the morsel
@@ -258,6 +318,44 @@ func TestDetailPassEquivalence(t *testing.T) {
 			{Theta: expr.NewAnd(expr.NewCmp(value.LT, expr.C("B.k"), expr.C("R.k")), expr.NewCmp(value.LT, expr.C("R.v"), expr.IntLit(10))),
 				Aggs: []agg.Spec{{Func: agg.Sum, Arg: expr.C("R.v"), As: "s"}}},
 		}, nil, false},
+		// What θ's evaluator sees at each of its sites: an INT literal beside
+		// a FLOAT column, a STRING conjunct, a conjunct no kernel takes
+		// between two that one does, a column-to-column residual behind the
+		// hash probe, and a fallback θ whose base-only conjunct thins the
+		// scan list.
+		{"int literal, float column", []algebra.GMDJCond{
+			{Theta: expr.NewAnd(bind, expr.NewCmp(value.GT, expr.C("R.f"), expr.IntLit(40)), expr.NewCmp(value.GE, expr.IntLit(90), expr.C("R.f"))), Aggs: count},
+		}, exists(0), true},
+		{"generic between kernels", []algebra.GMDJCond{
+			{Theta: expr.NewAnd(bind, expr.Eq(expr.C("R.tag"), expr.StrLit("odd")),
+				expr.NewCmp(value.GT, expr.NewArith(expr.OpAdd, expr.C("R.v"), expr.C("R.f")), expr.IntLit(60)),
+				expr.NewCmp(value.LT, expr.C("R.f"), expr.FloatLit(77.5))),
+				Aggs: []agg.Spec{{Func: agg.CountStar, As: "cnt"}, {Func: agg.Max, Arg: expr.C("R.f"), As: "mx"}}},
+		}, nil, true},
+		{"column-to-column residual", []algebra.GMDJCond{
+			{Theta: expr.NewAnd(bind, expr.NewCmp(value.LT, expr.C("B.id"), expr.C("R.f")), expr.NewCmp(value.NE, expr.C("R.v"), expr.C("B.k"))), Aggs: count},
+		}, exists(0), true},
+		{"fallback with base-only conjunct", []algebra.GMDJCond{
+			{Theta: expr.NewAnd(expr.NewCmp(value.LT, expr.C("B.k"), expr.C("R.k")), expr.NewCmp(value.GE, expr.C("B.id"), expr.IntLit(32)), expr.NewCmp(value.LT, expr.C("R.f"), expr.IntLit(5))),
+				Aggs: []agg.Spec{{Func: agg.CountStar, As: "cnt"}, {Func: agg.Sum, Arg: expr.C("R.f"), As: "s"}}},
+		}, nil, false},
+	}
+	// Recorded at the parent of the typed-kernel change, where every site
+	// ran the tree-walking interpreter.
+	golden := map[string]uint64{
+		"no detail predicate":              0x9853f4577c6b482a,
+		"one detail predicate":             0x4337fdfc068d105e,
+		"shared key, two predicates":       0x1862849b2b92d056,
+		"NULL keys":                        0xe216b6b2b0e3a3ba,
+		"fallback beside hash-bound":       0x1a60e642182a90fb,
+		"int literal, float column":        0xbac32a41602b61ea,
+		"generic between kernels":          0x116d791917e5f102,
+		"column-to-column residual":        0x7b60d665163a1b6c,
+		"fallback with base-only conjunct": 0xadd01941826ac537,
+	}
+	lines := map[string]*strings.Builder{}
+	for _, sh := range shapes {
+		lines[sh.name] = new(strings.Builder)
 	}
 	const m = govern.MorselRows
 	var details []*relation.Relation
@@ -305,6 +403,9 @@ func TestDetailPassEquivalence(t *testing.T) {
 					if sh.hashBound && stats.DetailScans != 1+stats.ExtraDetailScans {
 						t.Errorf("%s: DetailScans = %d over %d partitions, want one each", name, stats.DetailScans, 1+stats.ExtraDetailScans)
 					}
+					if workers <= 4 { // above it the fold's degree follows GOMAXPROCS
+						lines[sh.name].WriteString(goldenLine(name, out, &stats))
+					}
 					if workers == 1 {
 						want, ref = out.String(), stats
 						continue
@@ -319,6 +420,9 @@ func TestDetailPassEquivalence(t *testing.T) {
 				}
 			}
 		}
+	}
+	for _, sh := range shapes {
+		checkGolden(t, sh.name, lines[sh.name], golden)
 	}
 }
 

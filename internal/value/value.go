@@ -152,6 +152,26 @@ func numericPair(a, b Value) (af, bf float64, bothInt bool, ok bool) {
 	return a.AsFloat(), b.AsFloat(), bothInt, true
 }
 
+// CompareFloat is the numeric domain's total order, shared by Compare
+// and the typed predicate kernels (expr.Pred): three-way over < and >,
+// and in the fall-through — equal, or a NaN on either side — NaN equals
+// NaN and sorts above every other number (PostgreSQL's rule), so sorts,
+// zone maps and sorted indexes keep a total order and "= 7" does not
+// select NaN.
+func CompareFloat(a, b float64) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	case a != a && b == b:
+		return 1
+	case a == a && b != b:
+		return -1
+	}
+	return 0
+}
+
 // Compare orders two non-NULL values. It returns -1, 0, or +1 and ok
 // reporting whether the two values were comparable (same domain, with
 // INT and FLOAT sharing the numeric domain). Comparing with NULL is the
@@ -195,13 +215,7 @@ func Compare(a, b Value) (cmp int, ok bool) {
 			return 0, false
 		}
 	}
-	switch {
-	case af < bf:
-		return -1, true
-	case af > bf:
-		return 1, true
-	}
-	return 0, true
+	return CompareFloat(af, bf), true
 }
 
 // Equal reports non-SQL structural equality: NULL equals NULL and
@@ -229,8 +243,8 @@ func FoldHash(acc uint64, v Value) uint64 { return (acc ^ v.Hash()) * fnvPrime }
 
 // Hash returns a hash of v suitable for hash-join and GMDJ buckets.
 // Values that are Equal hash identically: INT 1 and FLOAT 1.0 share a
-// hash, and so do 0.0 and -0.0 (stored cells keep their sign bit; only
-// the hash folds it away). It is a fixed function — the same in every
+// hash, and so do 0.0 and -0.0 and every NaN payload (stored cells keep
+// their bits; only the hash folds them away). It is a fixed function — the same in every
 // process, so spill cuts and shard assignments replay (TestHashStable
 // pins it) — and ends in an avalanche step, so callers may use the low
 // bits (h % shards) and the high bits (h >> (64-k)) alike.
@@ -245,6 +259,8 @@ func (v Value) Hash() uint64 {
 		f := v.f
 		if f == 0 {
 			f = 0 // drops the sign bit of -0.0, which compares equal to 0.0
+		} else if f != f {
+			f = math.NaN() // one payload: every NaN compares equal to every other
 		}
 		return mix64(math.Float64bits(f) + salt)
 	case KindString:

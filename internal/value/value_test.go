@@ -383,3 +383,34 @@ func TestCmpOpString(t *testing.T) {
 		}
 	}
 }
+
+// TestNaNTotalOrder: NaN equals NaN alone and sorts above every other
+// number, INT and +Inf included, whichever side it is on — a total order
+// for sorts, zone maps and sorted indexes — and every NaN payload hashes
+// alike, as Equal values must.
+func TestNaNTotalOrder(t *testing.T) {
+	nan, payload := math.NaN(), math.Float64frombits(math.Float64bits(math.NaN())|0xbeef)
+	if !math.IsNaN(payload) || math.Float64bits(payload) == math.Float64bits(nan) {
+		t.Fatal("payload is not a second NaN")
+	}
+	for _, x := range []Value{Int(7), Int(math.MaxInt64), Float(-0.0), Float(7), Float(math.Inf(1)), Float(math.Inf(-1))} {
+		if c, ok := Compare(Float(nan), x); !ok || c != 1 {
+			t.Errorf("Compare(NaN, %v) = %d, %v; want +1", x, c, ok)
+		}
+		if c, ok := Compare(x, Float(nan)); !ok || c != -1 {
+			t.Errorf("Compare(%v, NaN) = %d, %v; want -1", x, c, ok)
+		}
+		if EQ.Apply(Float(nan), x) != False || GT.Apply(Float(nan), x) != True {
+			t.Errorf("NaN = %v or NaN <= %v", x, x)
+		}
+	}
+	if c, ok := Compare(Float(nan), Float(payload)); !ok || c != 0 || !Equal(Float(payload), Float(nan)) {
+		t.Errorf("Compare(NaN, NaN') = %d, %v; want 0", c, ok)
+	}
+	if Float(nan).Hash() != Float(payload).Hash() {
+		t.Error("two NaN payloads compare equal yet hash apart")
+	}
+	if CompareFloat(0, math.Copysign(0, -1)) != 0 || CompareFloat(1<<53, 1<<53+1) != 0 {
+		t.Error("CompareFloat tells 0.0 from -0.0, or 2^53 from 2^53+1 as float64")
+	}
+}
