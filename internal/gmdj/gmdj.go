@@ -13,7 +13,8 @@
 //
 // the detail relation R is then streamed, each detail tuple probing the
 // index (or, when θᵢ has no equi-binding, scanning the active base
-// entries) and folding into per-base aggregate accumulators.
+// entries, or the sorted run its bounds select when θᵢ is range-bound)
+// and folding into per-base aggregate accumulators.
 // Intermediate state is bounded by |B| — the property the paper's cost
 // argument rests on.
 //
@@ -34,8 +35,10 @@ package gmdj
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -224,6 +227,7 @@ type condProg struct {
 	basePred   *expr.Pred // bound to base schema; nil when absent
 	detailPred *expr.Pred // bound to detail schema; nil when absent
 	mixedPred  *expr.Pred // bound to base++detail; no conjuncts when absent
+	rng        *rangeBind // inequality bindings, which sort a fallback scan list; nil when none
 	specs      []agg.Spec
 	aggOffset  int   // position of this cond's first aggregate column
 	atoms      []int // completion atom indexes watching this condition
@@ -578,22 +582,26 @@ func (p *program) packedVec(key []int) *detailHashVec {
 func classifyTheta(cp *condProg, theta expr.Expr, baseS, detailS, combined *relation.Schema) error {
 	var basePreds, detailPreds, mixedPreds []expr.Expr
 	for _, cj := range expr.Conjuncts(theta) {
-		// Equi-binding detection: col = col across sides.
-		if cmp, ok := cj.(*expr.Cmp); ok && cmp.Op == value.EQ {
+		// col φ col across sides: = keys the index; <, <=, >, >= stay mixed.
+		if cmp, ok := cj.(*expr.Cmp); ok {
 			lc, lok := cmp.L.(*expr.Col)
 			rc, rok := cmp.R.(*expr.Col)
 			if lok && rok {
 				ls, lerr := algebra.ConjunctSide(lc, baseS, detailS)
 				rs, rerr := algebra.ConjunctSide(rc, baseS, detailS)
-				if lerr == nil && rerr == nil && ls != rs {
+				if op := cmp.Op; lerr == nil && rerr == nil && ls != rs {
 					if ls == algebra.SideDetail {
-						lc, rc = rc, lc
+						lc, rc, op = rc, lc, op.Flip()
 					}
 					bi, _ := baseS.Find(lc.Qualifier, lc.Name)
 					di, _ := detailS.Find(rc.Qualifier, rc.Name)
-					cp.baseKey = append(cp.baseKey, bi)
-					cp.detailKey = append(cp.detailKey, di)
-					continue
+					if op == value.EQ {
+						cp.baseKey = append(cp.baseKey, bi)
+						cp.detailKey = append(cp.detailKey, di)
+						continue
+					} else if op >= value.LT {
+						cp.rng = cp.rng.add(bi, di, op)
+					}
 				}
 			}
 		}
@@ -636,6 +644,39 @@ func classifyTheta(cp *condProg, theta expr.Expr, baseS, detailS, combined *rela
 	return err
 }
 
+// rangeBind is a range-bound θ's walk (DESIGN §5): a scan list sorted on
+// y, cut by binary search on y's bounds or stopped by a stab column z's
+// running extreme. Bounds stay in mixedPred: a run need only hold matches.
+type rangeBind struct {
+	y, z int      // base positions; z < 0 without a stab column
+	side int      // side of y's first bound: 0 upper (a prefix run), 1 lower
+	b    [2]bound // y's upper and lower bounds; col < 0 when absent
+	zb   bound    // z's bound, on the side opposite to side
+}
+
+// bound is b.c φ d.col: with k = value.Compare(c, d.col), a lower bound
+// (>, >=) holds when k >= t, an upper one when k < t; t is 1 for <= and
+// >. The first sorted entry with k >= t starts or ends the matches.
+type bound struct{ col, t int }
+
+// add records b.bi φ d.di: the first fixes y and its side, one from the
+// other side closes a band on y or, on another column, stabs the run.
+func (rb *rangeBind) add(bi, di int, op value.CmpOp) *rangeBind {
+	d := int(op - value.LT) // <, <=, >, >= as 0, 1, 2, 3
+	side, bd := d/2, bound{col: di, t: (d + 1) / 2 % 2}
+	switch {
+	case rb == nil:
+		rb = &rangeBind{y: bi, z: -1, side: side, b: [2]bound{{col: -1}, {col: -1}}}
+		rb.b[side] = bd
+	case rb.b[side].col >= 0:
+	case bi == rb.y:
+		rb.b[side], rb.z = bd, -1
+	case rb.z < 0:
+		rb.z, rb.zb = bi, bd
+	}
+	return rb
+}
+
 func keysEqual(baseRow, detailRow relation.Tuple, baseKey, detailKey []int) bool {
 	for k := range baseKey {
 		if !value.Equal(baseRow[baseKey[k]], detailRow[detailKey[k]]) {
@@ -674,10 +715,12 @@ type state struct {
 	// tuples (nil for indexed conditions). Conditions with a
 	// base-only predicate list only the rows that pass it, so e.g. an
 	// "x IS NULL" counterexample condition costs nothing on NULL-free
-	// data. Lists are compacted lazily as completion retires entries:
+	// data. A range-bound one's is sorted if it can be (rng is then set).
+	// Lists are compacted lazily as completion retires entries:
 	// inactive counts retirements since the last compaction.
-	condScan [][]int32
-	inactive int
+	condScan, ext [][]int32
+	rng           []*rangeBind
+	inactive      int
 	// remaining counts still-active owned tuples; when completion
 	// retires the last one the detail scan short-circuits (no base
 	// tuple this state owns can change its output anymore).
@@ -738,21 +781,105 @@ func (p *program) newState(part []relation.Tuple, index []map[uint64][]int32, lo
 		}
 		s.basePredOK[ci] = oks
 	}
-	s.condScan = make([][]int32, len(p.conds))
+	s.condScan, s.ext, s.rng = make([][]int32, len(p.conds)), make([][]int32, len(p.conds)), make([]*rangeBind, len(p.conds))
 	for ci := range p.conds {
 		if index[ci] != nil {
 			continue
 		}
 		list := make([]int32, 0, n)
-		oks := s.basePredOK[ci]
+		oks, rb := s.basePredOK[ci], p.conds[ci].rng
 		for i := range s.rows {
-			if oks == nil || oks[i] {
+			if (oks == nil || oks[i]) && (rb == nil || !s.rows[i][rb.y].IsNull()) { // a NULL y meets no bound
 				list = append(list, int32(i))
 			}
 		}
-		s.condScan[ci] = list
+		if s.condScan[ci] = list; rb != nil && s.sortRun(rb, list) {
+			if s.rng[ci] = rb; rb.z >= 0 {
+				s.ext[ci] = s.extremes(rb, list, nil)
+			}
+		}
 	}
 	return s, nil
+}
+
+// sortPool recycles sortRun's keys: a sort allocates nothing that grows
+// with the base.
+var sortPool = sync.Pool{New: func() any { return new([]uint64) }}
+
+// sortRun orders a scan list on y if its cells are all INT, FLOAT or
+// STRING. Numeric keys are packed above each tuple's offset (ranked first
+// if too far apart) for one slices.Sort; strings compare where they lie.
+func (s *state) sortRun(rb *rangeBind, list []int32) bool {
+	for _, i := range list {
+		if k := s.rows[i][rb.y].Kind(); k != s.rows[list[0]][rb.y].Kind() || k == value.KindBool {
+			return false
+		}
+	}
+	if len(list) > 0 && s.rows[list[0]][rb.y].Kind() == value.KindString {
+		slices.SortStableFunc(list, func(a, b int32) int {
+			return strings.Compare(s.rows[a][rb.y].AsString(), s.rows[b][rb.y].AsString())
+		})
+		return true
+	}
+	bp := sortPool.Get().(*[]uint64)
+	n := len(list)
+	keys, lo, hi := slices.Grow((*bp)[:0], 2*n)[:n], uint64(math.MaxUint64), uint64(0)
+	for k, i := range list {
+		// value.Compare's order: NaN above all, -0.0 (+0 makes it 0.0) as 0.0.
+		switch v := s.rows[i][rb.y]; {
+		case v.Kind() == value.KindInt:
+			keys[k] = uint64(v.AsInt()) ^ 1<<63
+		case v.AsFloat() != v.AsFloat():
+			keys[k] = math.MaxUint64
+		case v.AsFloat() < 0:
+			keys[k] = ^math.Float64bits(v.AsFloat())
+		default:
+			keys[k] = math.Float64bits(v.AsFloat()+0) | 1<<63
+		}
+		lo, hi = min(lo, keys[k]), max(hi, keys[k])
+	}
+	if n > 0 && hi-lo >= 1<<32 {
+		ranks := append(keys[n:n], keys...)
+		slices.Sort(ranks)
+		for k, key := range keys {
+			r, _ := slices.BinarySearch(ranks, key)
+			keys[k] = uint64(r)
+		}
+		lo = 0
+	}
+	for k, i := range list {
+		keys[k] = (keys[k]-lo)<<32 | uint64(i)
+	}
+	slices.Sort(keys)
+	for k, key := range keys {
+		list[k] = int32(uint32(key))
+	}
+	*bp = keys
+	sortPool.Put(bp)
+	return true
+}
+
+// extremes returns per entry the tuple with the largest z at or before
+// it in a prefix run, the smallest at or after it in a suffix; -1 while
+// all are NULL, nil (no stab) when z's cells do not compare.
+func (s *state) extremes(rb *rangeBind, list, ext []int32) []int32 {
+	ext, best := slices.Grow(ext[:0], len(list))[:len(list)], int32(-1)
+	for j := range list {
+		k := j + rb.side*(len(list)-1-2*j) // j, or counting down for a suffix
+		switch c := s.rows[list[k]][rb.z]; {
+		case c.IsNull():
+		case best < 0:
+			best = list[k]
+		default:
+			if cmp, ok := value.Compare(c, s.rows[best][rb.z]); !ok {
+				return nil
+			} else if cmp == 1-2*rb.side { // above the maximum, below the minimum
+				best = list[k]
+			}
+		}
+		ext[k] = best
+	}
+	return ext
 }
 
 // feed folds one detail row (at detail position di) into the state.
@@ -811,22 +938,63 @@ func (s *state) feed(di int) error {
 			}
 			continue
 		}
-		// Fallback: no equi-binding — visit every active owned tuple
-		// that passes the condition's base-only predicate.
-		for _, i := range s.condScan[ci] {
-			if !s.active[i] {
-				continue
+		if err := s.walk(ci, cp, detailRow); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// walk visits the active tuples on a fallback condition's scan list —
+// of a range-bound θ only the run the row's bounds select, from its inner
+// end out — then trims retired entries off both ends.
+func (s *state) walk(ci int, cp *condProg, detailRow relation.Tuple) error {
+	list, ext, rb := s.condScan[ci], s.ext[ci], s.rng[ci]
+	run := [2]int{len(list), 0} // [end, start): cut by an upper and a lower bound
+	for side := 0; rb != nil && side < 2 && len(list) > 0; side++ {
+		if bd := rb.b[side]; bd.col < 0 {
+			continue
+		} else if x := detailRow[bd.col]; x.IsNull() {
+			return nil // meets no cell
+		} else if _, ok := value.Compare(s.rows[list[0]][rb.y], x); ok { // else cuts nothing
+			run[side] = sort.Search(len(list), func(i int) bool {
+				c, _ := value.Compare(s.rows[list[i]][rb.y], x)
+				return c >= bd.t
+			})
+		}
+	}
+	k, end, step := run[1], run[0], 1
+	if ext != nil && rb.side == 0 {
+		k, end, step = end-1, k-1, -1
+	}
+	for ; (end-k)*step > 0; k += step {
+		// Stop once z's extreme over what is left (-1: all NULL) fails
+		// z's bound, or does not compare with it, as no z then would.
+		if ext != nil {
+			if c, ok := value.Compare(s.rows[max(ext[k], 0)][rb.z], detailRow[rb.zb.col]); ext[k] < 0 || !ok || (c >= rb.zb.t) != (step < 0) {
+				break
 			}
+		}
+		if i := list[k]; s.active[i] {
 			s.stats.Probes++
-			if ok, err := cp.mixedPred.Pair(s.rows[i], detailRow, s.combined); err != nil {
-				return err
-			} else if !ok {
-				continue
+			ok, err := cp.mixedPred.Pair(s.rows[i], detailRow, s.combined)
+			if err == nil && ok {
+				err = s.match(int(i), ci, detailRow)
 			}
-			if err := s.match(int(i), ci, detailRow); err != nil {
+			if err != nil {
 				return err
 			}
 		}
+	}
+	f, l := 0, len(list)
+	for f < l && !s.active[list[f]] {
+		f++
+	}
+	for l > f && !s.active[list[l-1]] {
+		l--
+	}
+	if s.condScan[ci] = list[f:l]; ext != nil {
+		s.ext[ci] = ext[f:l]
 	}
 	return nil
 }
@@ -880,10 +1048,10 @@ func (s *state) retire(i int, decision int8) {
 	s.remaining--
 }
 
-// compact drops retired tuples from the fallback scan lists. feed
-// calls it between detail rows, never from retire: a list compacted
-// while feed iterates it would skip some tuples and visit others twice
-// for the current row.
+// compact drops retired tuples from the fallback scan lists, in order,
+// and recomputes their extremes. feed calls it between detail rows,
+// never from retire: a list compacted while feed iterates it would skip
+// some tuples and visit others twice for the current row.
 func (s *state) compact() {
 	for ci, list := range s.condScan {
 		kept := list[:0]
@@ -893,6 +1061,9 @@ func (s *state) compact() {
 			}
 		}
 		s.condScan[ci] = kept
+		if s.ext[ci] != nil {
+			s.ext[ci] = s.extremes(s.rng[ci], kept, s.ext[ci])
+		}
 	}
 	s.inactive = 0
 }
@@ -1021,15 +1192,14 @@ func (p *program) evalPartition(part partition, out result) error {
 	}
 	workers := p.degree(n)
 	index := p.buildIndex(part.rows)
-	// Build every state before starting any scan, so a failed build
-	// cannot strand already-started workers.
+	// Build every state, in one phase of its own, before starting any
+	// scan, so a failed build cannot strand already-started workers.
 	states := make([]*state, workers)
-	for w := range states {
-		st, err := p.newState(part.rows, index, w*n/workers, (w+1)*n/workers, decided, accs)
-		if err != nil {
-			return err
-		}
-		states[w] = st
+	if _, err := govern.RunTasks(workers, workers, func(_, w int, _ *atomic.Bool) (err error) {
+		states[w], err = p.newState(part.rows, index, w*n/workers, (w+1)*n/workers, decided, accs)
+		return err
+	}); err != nil {
+		return err
 	}
 	if _, err := govern.RunTasks(workers, workers, func(_, w int, stop *atomic.Bool) error {
 		return p.scan(w, states[w], stop)

@@ -566,8 +566,12 @@ func TestStatsCounters(t *testing.T) {
 	if stats.Matches != 6 {
 		t.Errorf("Matches = %d, want 6 (every flow falls in exactly one hour)", stats.Matches)
 	}
-	if stats.Probes != 18 {
-		t.Errorf("Probes = %d, want 18 (fallback scans all 3 base rows per detail row)", stats.Probes)
+	// The hours are disjoint: sorted on StartInterval, each flow's walk
+	// visits its own hour and stops at the next, whose EndInterval (the
+	// running maximum) is not above the flow's StartTime — one probe per
+	// match, where scanning all 3 hours per flow took 18.
+	if stats.Probes != 6 {
+		t.Errorf("Probes = %d, want 6 (the walk visits only the flow's own hour)", stats.Probes)
 	}
 }
 

@@ -303,18 +303,21 @@ func nullify(cat *storage.Catalog, rng *rand.Rand) {
 
 // TestPushSelectionsRandomizedEquivalence fuzzes the extended
 // randomPlan — detail-only conjuncts, sometimes one every predicate
-// shares, and a nested level — over NULL-bearing data: native ≡ GMDJ ≡
-// optimized GMDJ, and Optimize with PushSelections ≡ Optimize without.
-// Both rules must have fired along the way.
+// shares, and a nested level — over NULL-bearing data, NaN-bearing in
+// some trials: the four strategies agree (runAll), and Optimize with
+// PushSelections ≡ Optimize without. Both rules must have fired along
+// the way.
 func TestPushSelectionsRandomizedEquivalence(t *testing.T) {
 	onDetail, onBase := 0, 0
 	for trial := 0; trial < 40; trial++ {
 		rng := rand.New(rand.NewSource(int64(700 + trial)))
 		cat := netflowCatalog(rng, 100+rng.Intn(200))
+		if trial%2 == 1 {
+			densify(cat, rng)
+		}
 		nullify(cat, rng)
 		plan := randomPlan(rng)
-		runBoth(t, cat, plan, false)
-		want := runBoth(t, cat, plan, true)
+		want, _ := runAll(t, cat, plan)
 
 		e := exec.New(cat)
 		rewritten, err := SubqueryToGMDJOpts(plan, e, Options{AllCounterexample: true})

@@ -1,6 +1,7 @@
 package rewrite
 
 import (
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"github.com/olaplab/gmdj/internal/expr"
 	"github.com/olaplab/gmdj/internal/relation"
 	"github.com/olaplab/gmdj/internal/storage"
+	"github.com/olaplab/gmdj/internal/unnest"
 	"github.com/olaplab/gmdj/internal/value"
 )
 
@@ -474,25 +476,119 @@ func TestNotInNullTrap(t *testing.T) {
 }
 
 // TestRandomizedEquivalence fuzzes random query shapes over random
-// data and checks native ≡ GMDJ ≡ optimized GMDJ.
+// data, NULL- and NaN-dense in half the trials, and checks that all four
+// strategies agree: native ≡ unnest (where it applies) ≡ GMDJ ≡
+// optimized GMDJ.
 func TestRandomizedEquivalence(t *testing.T) {
-	for trial := 0; trial < 15; trial++ {
+	unnested := 0
+	for trial := 0; trial < 40; trial++ {
 		rng := rand.New(rand.NewSource(int64(100 + trial)))
 		cat := netflowCatalog(rng, 100+rng.Intn(200))
-		plan := randomPlan(rng)
-		runBoth(t, cat, plan, false)
-		runBoth(t, cat, plan, true)
+		if trial%2 == 1 {
+			densify(cat, rng)
+		}
+		if _, ok := runAll(t, cat, randomPlan(rng)); ok {
+			unnested++
+		}
+	}
+	if unnested == 0 {
+		t.Error("unnest applied to no trial")
 	}
 }
 
+// runAll is runBoth across the four strategies: native, GMDJ, optimized
+// GMDJ, and unnest unless it rejects the plan (a subquery predicate
+// under OR or NOT). ok reports whether unnest ran.
+func runAll(t *testing.T, cat *storage.Catalog, plan algebra.Node) (want *relation.Relation, ok bool) {
+	t.Helper()
+	want = runBoth(t, cat, plan, false)
+	runBoth(t, cat, plan, true)
+	e := exec.New(cat)
+	joins, err := unnest.Unnest(plan, e)
+	if err != nil {
+		return want, false
+	}
+	got, err := e.Run(joins)
+	if err != nil {
+		t.Fatalf("unnest run of %s: %v", joins, err)
+	}
+	if d := want.Diff(got); d != "" {
+		t.Fatalf("unnest result differs from native: %s\nplan: %s\nunnested: %s", d, plan, joins)
+	}
+	return want, true
+}
+
+// densify makes the range-bound θ meet every kind of cell it sorts,
+// bounds and stabs with: Hours becomes 3–40 random, overlapping
+// intervals, and the interval columns and Flow's StartTime and NumBytes
+// get a NULL in one cell of ten — and, in a FLOAT trial, a NaN in one
+// of ten, -0.0 for 0 and FLOAT cells throughout.
+func densify(cat *storage.Catalog, rng *rand.Rand) {
+	float := rng.Intn(2) == 0
+	cell := func(v int64) value.Value {
+		switch r := rng.Intn(10); {
+		case r == 0:
+			return value.Null
+		case !float:
+			return value.Int(v)
+		case r == 1:
+			return value.Float(math.NaN())
+		case v == 0:
+			return value.Float(math.Copysign(0, -1))
+		}
+		return value.Float(float64(v))
+	}
+	hours := relation.New(relation.NewSchema(
+		relation.Column{Qualifier: "Hours", Name: "HourDsc", Type: value.KindInt},
+		relation.Column{Qualifier: "Hours", Name: "StartInterval", Type: value.KindInt},
+		relation.Column{Qualifier: "Hours", Name: "EndInterval", Type: value.KindInt},
+	))
+	for h, n := 0, 3+rng.Intn(38); h < n; h++ {
+		start := int64(rng.Intn(240))
+		hours.Append(relation.Tuple{value.Int(int64(h + 1)), cell(start), cell(start + 1 + int64(rng.Intn(60)))})
+	}
+	cat.Register(storage.NewTable("Hours", hours))
+	flow, _ := cat.Table("Flow")
+	for _, row := range flow.Rel.Rows {
+		row[2], row[4] = cell(row[2].AsInt()), cell(row[4].AsInt())
+	}
+}
+
+// correlation is a subquery block's link to the outer Hours tuple, drawn
+// from the range-bound families: Example 2.1's two-column band, its
+// suffix mirror (the conjuncts swapped), a one-sided bound under any φ
+// written either way round, and a band on one base column between two
+// detail columns.
+func correlation(rng *rand.Rand, f string) expr.Expr {
+	ops := []value.CmpOp{value.LT, value.LE, value.GT, value.GE}
+	switch rng.Intn(4) {
+	case 0:
+		return timeWindow(f, "H")
+	case 1:
+		w := expr.Conjuncts(timeWindow(f, "H"))
+		return expr.NewAnd(w[1], w[0])
+	case 2:
+		l, r := expr.C(f+".StartTime"), expr.C([]string{"H.StartInterval", "H.EndInterval"}[rng.Intn(2)])
+		if rng.Intn(2) == 0 {
+			l, r = r, l
+		}
+		return expr.NewCmp(ops[rng.Intn(len(ops))], l, r)
+	}
+	return expr.NewAnd(expr.NewCmp(value.LE, expr.C("H.StartInterval"), expr.C(f+".StartTime")),
+		expr.NewCmp(value.GT, expr.C("H.StartInterval"), expr.C(f+".NumBytes")))
+}
+
 // randomPlan builds a Restrict over Hours with 1-3 random subquery
-// predicates combined by random connectives. A predicate's block may
-// carry a detail-only conjunct FIi.NumBytes > k — one k for every
-// predicate in a third of the plans, so that coalesced conditions share
-// it — and may nest a further EXISTS over User, so that both selection
-// push-down rules have something to move.
+// predicates — EXISTS, NOT EXISTS, SOME and ALL, the last two under any
+// φ — combined by random connectives, each correlated by an inequality
+// (correlation). A predicate's block may carry a detail-only conjunct
+// FIi.NumBytes > k — one k for every predicate in a third of the plans,
+// so that coalesced conditions share it — and may nest a further EXISTS
+// over User, so that both selection push-down rules have something to
+// move.
 func randomPlan(rng *rand.Rand) algebra.Node {
 	dests := []string{"167.167.167.0", "168.168.168.0", "10.0.0.1"}
+	ops := []value.CmpOp{value.EQ, value.NE, value.LT, value.LE, value.GT, value.GE}
 	sharedK := int64(-1)
 	if rng.Intn(3) == 0 {
 		sharedK = int64(rng.Intn(100))
@@ -501,7 +597,7 @@ func randomPlan(rng *rand.Rand) algebra.Node {
 		alias := "FI" + string(rune('0'+i))
 		terms := []expr.Expr{
 			expr.Eq(expr.C(alias+".DestIP"), expr.StrLit(dests[rng.Intn(len(dests))])),
-			timeWindow(alias, "H"),
+			correlation(rng, alias),
 		}
 		switch {
 		case sharedK >= 0:
@@ -531,12 +627,12 @@ func randomPlan(rng *rand.Rand) algebra.Node {
 			return algebra.NotExistsPred(base)
 		case 2:
 			base.OutCol = expr.C(alias + ".NumBytes")
-			return &algebra.SubPred{Kind: algebra.CmpSome, Op: value.LT,
+			return &algebra.SubPred{Kind: algebra.CmpSome, Op: ops[rng.Intn(len(ops))],
 				Left: expr.C("H.StartInterval"), Sub: base}
 		default:
-			base.OutCol = expr.C(alias + ".NumBytes")
-			return &algebra.SubPred{Kind: algebra.CmpAll, Op: value.NE,
-				Left: expr.C("H.HourDsc"), Sub: base}
+			base.OutCol = expr.C(alias + ".StartTime")
+			return &algebra.SubPred{Kind: algebra.CmpAll, Op: ops[rng.Intn(len(ops))],
+				Left: expr.C("H.EndInterval"), Sub: base}
 		}
 	}
 	n := 1 + rng.Intn(3)

@@ -1,11 +1,13 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"reflect"
 	"sort"
@@ -102,8 +104,34 @@ func TestProfilesIndexAndForcedIncident(t *testing.T) {
 		t.Fatalf("downloaded ring profile unparseable: %v", err)
 	}
 
-	// Forcing an incident writes one validated, self-contained bundle.
+	// Forcing an incident writes one validated, self-contained bundle. The
+	// ring holds no CPU capture, so the bundle samples a CPU window now:
+	// acme queries keep running until the POST returns, so that the window
+	// has tenant-labeled work to catch, not only an idle server.
+	ctx, stopLoad := context.WithCancel(context.Background())
+	var load sync.WaitGroup
+	load.Add(1)
+	go func() {
+		defer load.Done()
+		q, _ := json.Marshal(map[string]any{"sql": `SELECT name FROM users WHERE score > 15`})
+		for ctx.Err() == nil {
+			req, _ := http.NewRequestWithContext(ctx, http.MethodPost, srv.URL+"/query", bytes.NewReader(q))
+			req.Header.Set(TenantHeader, "acme")
+			resp, err := srv.Client().Do(req)
+			if err != nil {
+				return // canceled: the POST has returned
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("load query status %d", resp.StatusCode)
+				return
+			}
+		}
+	}()
 	resp, err = http.Post(srv.URL+"/debug/olap/incident?reason=test", "", nil)
+	stopLoad()
+	load.Wait()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,6 +153,14 @@ func TestProfilesIndexAndForcedIncident(t *testing.T) {
 	}
 	if err := profile.CheckCPULabels(forced.Bundle, []string{profile.LabelTenant}); err != nil {
 		t.Fatalf("CPU label check: %v", err)
+	}
+	// CheckCPULabels passes an idle window vacuously; this one had load.
+	cpu, err := os.ReadFile(filepath.Join(forced.Bundle, "cpu.pprof"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if prof, err := profile.ParseProfile(cpu); err != nil || !prof.HasLabelKey(profile.LabelTenant) {
+		t.Fatalf("cpu.pprof has no sample labeled %q (err %v)", profile.LabelTenant, err)
 	}
 
 	// Second POST inside the rate-limit window is suppressed.
