@@ -34,23 +34,27 @@ func userExistsPlan() algebra.Node {
 // its detail input handed on — the table's, less any block a fused
 // selection's zone maps skipped) — at any degree, and when the base
 // state spills. A fallback-θ plan scans once per fold range; a
-// hash-bound one scans once, whatever the degree. rows_scanned moves by
-// what the Scan operators handed on, summed.
+// hash-bound one scans once, whatever the degree: over a detail of two
+// morsels at degree 2, and under a spilling limit, it is routed — its
+// key partitions walk only the rows routed to them. rows_scanned moves
+// by what the Scan operators handed on, summed.
 func TestRunObservedReconciliation(t *testing.T) {
-	const detailSize = 300
-	cat := datagen.Netflow(datagen.NetflowOpts{Flows: detailSize, Hours: 24, Users: 6, Seed: 3})
 	regimes := []struct {
-		name     string
-		degree   int
-		memLimit int64
-		scans    int64 // of the fallback-θ plan. 0: however many partitions the limit forces, but more than one
+		name         string
+		degree       int
+		memLimit     int64
+		scans        int64 // of the fallback-θ plan. 0: however many partitions the limit forces, but more than one
+		flows, users int
 	}{
-		{"serial", 1, 0, 1},
-		{"2 workers", 2, 0, 2},
-		{"4 workers", 4, 0, 4},
-		{"spill", 1, 2048, 0},
+		{"serial", 1, 0, 1, 300, 6},
+		{"2 workers", 2, 0, 2, 300, 6},
+		{"4 workers", 4, 0, 4, 300, 6},
+		{"spill", 1, 2048, 0, 300, 6},
+		{"2 workers, routed", 2, 0, 2, 2*govern.MorselRows + 1, 6},
+		{"spill, routed", 1, 2048, 0, 300, 200},
 	}
 	for _, r := range regimes {
+		cat := datagen.Netflow(datagen.NetflowOpts{Flows: r.flows, Hours: 24, Users: r.users, Seed: 3})
 		e := New(cat)
 		defer e.Close()
 		e.SetParallelism(r.degree)
@@ -64,7 +68,7 @@ func TestRunObservedReconciliation(t *testing.T) {
 			scans int64
 		}
 		plans := []planCase{{"fallback", existsPlan(), r.scans}}
-		if r.memLimit == 0 { // six users are too few to spill
+		if r.memLimit == 0 || r.users > 6 { // six users are too few to spill
 			plans = append(plans, planCase{"hash-bound", userExistsPlan(), 1})
 		}
 		for _, pl := range plans {
@@ -102,9 +106,15 @@ func TestRunObservedReconciliation(t *testing.T) {
 					t.Errorf("%s: detail_scans = %d, want 1 + extra_detail_scans(%d) > 1:\n%s",
 						name, scans, gm.Get("extra_detail_scans"), obs.FormatTree(root))
 				}
+				if pl.scans == 1 && r.degree > 1 && r.flows > 2*govern.MorselRows && gm.Get("workers") != int64(r.degree) {
+					t.Errorf("%s: workers = %d, want the fold cut into %d key partitions:\n%s", name, gm.Get("workers"), r.degree, obs.FormatTree(root))
+				}
+				if r.memLimit > 0 && gm.Get("spill_partitions") == 0 {
+					t.Errorf("%s: nothing spilled:\n%s", name, obs.FormatTree(root))
+				}
 				handed := gm.Children[1].Rows // base first, detail second
-				if handed != detailSize {
-					t.Errorf("%s: the detail input handed on %d rows, want all %d (one block, nothing to skip)", name, handed, detailSize)
+				if handed > int64(r.flows) || r.flows < 4096 && handed != int64(r.flows) {
+					t.Errorf("%s: the detail input handed on %d rows of %d (one block has nothing to skip)", name, handed, r.flows)
 				}
 				fed, skipped := gm.Get("detail_rows"), gm.Get("short_circuit_rows")
 				if fed+skipped != scans*handed {
@@ -137,11 +147,13 @@ func scanRows(op *obs.Op) int64 {
 }
 
 // TestExplainDetailPassWorkers: over a detail of two morsels or more a
-// hash-bound GMDJ at degree 2 reports the detail pass's workers beside
-// workers=1 (its fold is one range, one scan); at degree 1 there is no
-// pass and no counter.
+// routed GMDJ at degree 2 reports the detail pass's workers beside
+// workers=2 (its fold is two key partitions, each walking the rows the
+// pass routed to it: still one unsaid scan, every row fed or skipped
+// once); at degree 1 there is no pass and no counter, and one fold.
 func TestExplainDetailPassWorkers(t *testing.T) {
-	cat := datagen.Netflow(datagen.NetflowOpts{Flows: 2*govern.MorselRows + 1, Hours: 2, Users: 6, Seed: 3})
+	const flows = 2*govern.MorselRows + 1
+	cat := datagen.Netflow(datagen.NetflowOpts{Flows: flows, Hours: 2, Users: 6, Seed: 3})
 	for degree, want := range map[int]int64{1: 0, 2: 2} {
 		e := New(cat)
 		e.SetParallelism(degree)
@@ -151,8 +163,9 @@ func TestExplainDetailPassWorkers(t *testing.T) {
 			t.Fatal(err)
 		}
 		gm := root.Find("GMDJ")
-		if gm.Get("detail_pass_workers") != want || gm.Get("workers") != 1 || gm.Get("detail_scans") != 0 {
-			t.Errorf("degree %d: want detail_pass_workers=%d workers=1 and one unsaid scan:\n%s", degree, want, obs.FormatTree(root))
+		if gm.Get("detail_pass_workers") != want || gm.Get("workers") != max(want, 1) || gm.Get("detail_scans") != 0 ||
+			gm.Get("detail_rows")+gm.Get("short_circuit_rows") != flows {
+			t.Errorf("degree %d: want detail_pass_workers=%d workers=%d and one unsaid scan of %d rows:\n%s", degree, want, max(want, 1), flows, obs.FormatTree(root))
 		}
 	}
 }

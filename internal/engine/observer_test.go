@@ -195,7 +195,8 @@ func TestSlowLogGoldenJSON(t *testing.T) {
 		t.Errorf("slowlog JSON drifted:\n--- got ---\n%s\n--- want ---\n%s", got, goldenSlowLog)
 	}
 
-	// At degree 2 the logged GMDJ operator carries the scan multiplier.
+	// At degree 2 the logged GMDJ operator — a fallback θ, its fold cut
+	// into base ranges — carries the scan multiplier.
 	e.SetParallelism(2)
 	if err := runText(context.Background(), e, sql, existsPlan(), GMDJOpt); err != nil {
 		t.Fatal(err)

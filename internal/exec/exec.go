@@ -736,7 +736,7 @@ func (e *Executor) evalGMDJ(g *algebra.GMDJ, ev *env) (*relation.Relation, error
 		if workers == 0 {
 			workers = 1 // single-range fold (or partitioned single-range folds)
 		}
-		op.Add("workers", workers) // fold ranges; the detail pass's degree is its own counter
+		op.Add("workers", workers) // fold ranges or key partitions; the detail pass's degree is its own counter
 		if local.DetailPassWorkers > 1 {
 			op.Add("detail_pass_workers", local.DetailPassWorkers)
 		}

@@ -23,9 +23,9 @@
 // key hashes — once per row, in morsels, off the query goroutine. The
 // fold (evalPartition, scan, feed) owns base tuples: each tuple's
 // accumulators are fed by one goroutine in detail order, so results are
-// byte-identical at any degree. A hash-bound program folds in one scan
-// of R per resident partition at every degree — the paper's guarantee;
-// only a fallback θ shards the fold by base range (degree).
+// byte-identical at any degree. A routed program (bound on one key) reads
+// R once in every regime, each key partition of B folding the rows routed
+// to it; only a fallback θ shards the fold by base range (degree).
 //
 // The optional tuple-completion optimization (§4.2) drops a base tuple
 // from the active set the moment the downstream selection's outcome is
@@ -59,16 +59,17 @@ import (
 // Stats reports work performed by one Evaluate call. All counters are
 // cumulative across conditions.
 type Stats struct {
-	// DetailScans counts folds over the detail relation: one per base
-	// range per partition (a hash-bound program has one range). It is the
-	// multiplier the paper's one-scan guarantee relaxes by, and the
-	// counter invariant at every degree and in every regime is
-	// DetailRows + ShortCircuitRows == DetailScans × |detail|.
+	// DetailScans counts walks of the whole detail: one per base range per
+	// partition, or one in all for a routed program (its pass; each key
+	// partition walks the rows routed to it). DetailRows + ShortCircuitRows
+	// == DetailScans × |detail| at every degree and in every regime, but
+	// for a hot key's partition split in two: both halves walk its rows.
 	DetailScans int64
 	// DetailPassWorkers is how many goroutines shared the detail pass;
 	// 0 when the pass did not run (serial, or a detail under two morsels).
 	DetailPassWorkers int64
-	// DetailRows is the number of detail tuples fed, summed over scans.
+	// DetailRows is the number of detail tuples fed, summed over scans (a
+	// row routed nowhere is fed by the pass).
 	DetailRows int64
 	// Probes counts hash-index probes plus fallback base-entry visits.
 	Probes int64
@@ -78,15 +79,16 @@ type Stats struct {
 	Completed int64
 	// ShortCircuitRows counts detail tuples a scan skipped because tuple
 	// completion decided every base tuple it owned before it finished —
-	// the strongest form of the §4.2 win.
+	// the strongest form of the §4.2 win (and rows routed to an empty
+	// key partition).
 	ShortCircuitRows int64
 	// FallbackConds is the number of conditions lacking equi-bindings
 	// (evaluated by scanning active base entries).
 	FallbackConds int
-	// WorkerRows records, for a partition whose fold is split across
-	// base ranges, how many detail rows each range's worker fed (recorded
-	// at drain time). Nil for a single-range fold. Merge concatenates, so
-	// a spilled run lists every partition's workers in order.
+	// WorkerRows records, for a fold split across base ranges or key
+	// partitions, how many detail rows each fed (recorded at drain time).
+	// Nil for a single-range fold. Merge concatenates, so a spilled run
+	// lists every partition's workers in order.
 	WorkerRows []int64
 	// HashCacheHits / HashCacheMisses count detail-side key-hash
 	// partitions reused from (or computed and published to) the
@@ -107,7 +109,7 @@ type Stats struct {
 	SpillBytesRead    int64
 	// ExtraDetailScans counts full detail scans beyond the first: the
 	// paper's one-scan guarantee relaxes to 1+k scans when k partitions
-	// spill, and this reports k honestly.
+	// spill, and this reports k honestly. 0 for a routed program.
 	ExtraDetailScans int64
 }
 
@@ -141,9 +143,9 @@ type Options struct {
 	// Completion enables §4.2 tuple completion when non-nil.
 	Completion *algebra.CompletionInfo
 	// Workers > 1 is the degree on offer: the detail pass takes it when
-	// the detail has two morsels or more, the fold when the program has
-	// a fallback θ (degree). Results are byte-identical to serial
-	// evaluation at any degree. 0 and 1 mean serial.
+	// the detail has two morsels or more, and so does the fold, in key
+	// partitions (routed) or base ranges (a fallback θ, degree). Results
+	// are byte-identical to serial at any degree. 0 and 1 mean serial.
 	Workers int
 	// Stats, when non-nil, receives evaluation counters.
 	Stats *Stats
@@ -220,6 +222,15 @@ func newVec(n int) *detailHashVec {
 	return &detailHashVec{H: make([]uint64, n), OK: make([]bool, n)}
 }
 
+// passBuf is the rest of what the pass fills for one query, recycled like
+// the hash vectors: every detailPredOK, and the routed rows.
+type passBuf struct {
+	ok    []bool
+	route []int32
+}
+
+var bufPool = sync.Pool{New: func() any { return new(passBuf) }}
+
 // condProg is one compiled θᵢ with its aggregate list.
 type condProg struct {
 	baseKey    []int      // base-schema positions of equi-binding keys (empty ⇒ fallback)
@@ -266,6 +277,13 @@ type program struct {
 	passWorkers int
 	fallback    bool
 	pooled      []*detailHashVec // unpublished pass vectors, back to vecPool after the fold
+	// bits cuts the base into 1<<bits partitions (parts); by key when all
+	// conditions are indexed on one (baseKey, detailKey) pair — route — and
+	// the pass, run even at degree 1, lists key partition j's rows: routes[j].
+	bits   int
+	route  bool
+	buf    *passBuf
+	routes [][]int32
 }
 
 // result holds, by base position, what the single emit pass needs:
@@ -290,18 +308,20 @@ func Evaluate(base, detail *relation.Relation, conds []algebra.GMDJCond, opts Op
 	// spill store, fails with the typed memory-budget error ("kill").
 	nBase := len(base.Rows)
 	var est int64
-	spilling := false
+	spillBits := 0
 	if opts.Mem != nil && nBase > 0 {
 		est = estimateStateBytes(base, conds, opts.Completion)
 		if err := opts.Mem.Grow(est); err == nil {
 			defer opts.Mem.Shrink(est)
 		} else if opts.Spill != nil {
-			spilling = true
+			// 2 to maxSpillParts partitions, each fitting half the headroom
+			for spillBits = 1; 1<<spillBits < maxSpillParts && est>>spillBits > max(opts.Mem.Available()/2, minPartitionBytes); spillBits++ {
+			}
 		} else {
 			return nil, &govern.BudgetError{Kind: govern.ErrMemBudget, Limit: opts.Mem.Available(), Observed: est}
 		}
 	}
-	p, err := compile(base, detail, conds, opts)
+	p, err := compile(base, detail, conds, opts, spillBits)
 	if err != nil {
 		return nil, err
 	}
@@ -309,10 +329,13 @@ func Evaluate(base, detail *relation.Relation, conds []algebra.GMDJCond, opts Op
 		return nil, err
 	}
 	out := result{decided: make([]int8, nBase), accs: make([][]agg.Accumulator, nBase)}
-	if spilling {
+	switch {
+	case spillBits > 0:
 		err = p.evalSpilled(opts.Mem, opts.Spill, est, out)
-	} else {
-		err = p.evalPartition(partition{rows: base.Rows}, out)
+	case p.route:
+		err = p.evalPartition(out, p.parts()...)
+	default:
+		err = p.evalPartition(out, partition{rows: base.Rows})
 	}
 	if err != nil {
 		return nil, err
@@ -320,34 +343,73 @@ func Evaluate(base, detail *relation.Relation, conds []algebra.GMDJCond, opts Op
 	for _, v := range p.pooled {
 		vecPool.Put(v) // the fold is over: emit reads accumulators only
 	}
+	if p.buf != nil {
+		bufPool.Put(p.buf)
+	}
 	return p.emit(out)
 }
 
 // detailPass is the first phase: it walks the detail once, in morsels
 // claimed from an atomic counter, filling every condition's
-// detailPredOK and every owed key-hash vector. Workers write disjoint
-// index ranges of shared vectors, so there is no merge and the outcome
-// cannot depend on which worker claimed which morsel. Spilled partitions
-// share its vectors. At passWorkers 1 feed evaluates the predicates
-// inline and the pass only fills a vector the cross-query cache is owed.
+// detailPredOK and every owed key-hash vector, and routing: a routed
+// program's rows are counted per (morsel, key partition), then placed at
+// the counts' prefix sums. Workers write disjoint index ranges of shared
+// vectors, so there is no merge and the outcome cannot depend on which
+// worker claimed which morsel. At passWorkers 1 a pass runs only to
+// route or to fill a vector the cross-query cache is owed.
 func (p *program) detailPass() error {
-	n, work := len(p.detail.Rows), false
-	for ci := range p.conds {
-		cp := &p.conds[ci]
-		if cp.detailPred != nil && p.passWorkers > 1 {
-			cp.detailPredOK = make([]bool, n)
+	n, work, preds := len(p.detail.Rows), p.route, 0
+	for _, cp := range p.conds {
+		if work = work || cp.passHash || cp.detailPred != nil && p.passWorkers > 1; cp.detailPred != nil {
+			preds++
 		}
-		work = work || cp.detailPredOK != nil || cp.passHash
 	}
 	if !work {
 		return nil
 	}
+	p.buf = bufPool.Get().(*passBuf)
+	p.buf.ok = slices.Grow(p.buf.ok[:0], preds*n)[:preds*n]
+	for ci, slab := 0, p.buf.ok; ci < len(p.conds); ci++ {
+		if cp := &p.conds[ci]; cp.detailPred != nil {
+			cp.detailPredOK, slab = slab[:n:n], slab[n:]
+		}
+	}
+	if p.route {
+		p.routes = make([][]int32, 1<<p.bits)
+	}
+	k, counts := len(p.routes), make([]int32, govern.MorselCount(n)*len(p.routes)) // per (morsel, key partition)
 	// One span per worker, from the pass's start to its last morsel's end.
 	start, ends := time.Now(), make([]time.Time, p.passWorkers)
-	used, err := govern.RunMorsels(n, p.passWorkers, func(w, _, lo, hi int) error {
-		defer func() { ends[w] = time.Now() }()
-		return p.detailMorsel(lo, hi)
-	})
+	var route []int32 // nil while counting
+	morsel := func(w, m, lo, hi int) (err error) {
+		if route == nil {
+			err = p.detailMorsel(lo, hi)
+		}
+		if p.route && err == nil {
+			p.routeMorsel(counts[m*k:(m+1)*k], route, lo, hi)
+		}
+		ends[w] = time.Now()
+		return err
+	}
+	used, err := govern.RunMorsels(n, p.passWorkers, morsel)
+	if err == nil && p.route {
+		route = slices.Grow(p.buf.route[:0], n)[:n]
+		at := int32(0)
+		for j := range p.routes {
+			first := at
+			for m := j; m < len(counts); m += k {
+				counts[m], at = at, at+counts[m]
+			}
+			p.routes[j] = route[first:at]
+		}
+		_, err = govern.RunMorsels(n, p.passWorkers, morsel)
+		// The pass is the one walk of the detail: a row routed nowhere is
+		// fed here.
+		p.buf.route = route
+		p.Stats.DetailScans++
+		p.Stats.DetailRows += int64(n) - int64(at)
+		p.Live.AddDetail(int64(n) - int64(at))
+	}
 	if err != nil {
 		return err
 	}
@@ -396,6 +458,26 @@ func (p *program) detailMorsel(lo, hi int) error {
 	return nil
 }
 
+// routeMorsel bumps at[j] for each row of [lo, hi) routed to key partition
+// j (some condition keeps it, its key is not NULL), placing it at
+// route[at[j]] first when route is set.
+func (p *program) routeMorsel(at, route []int32, lo, hi int) {
+	vec := p.conds[0].detailHash
+rows:
+	for di := lo; di < hi; di++ {
+		for ci := range p.conds {
+			if ok := p.conds[ci].detailPredOK; vec.OK[di] && (ok == nil || ok[di]) {
+				j := vec.H[di] >> (64 - p.bits)
+				if route != nil {
+					route[at[j]] = int32(di)
+				}
+				at[j]++
+				continue rows
+			}
+		}
+	}
+}
+
 // estimateStateBytes approximates the resident footprint of the GMDJ
 // base state — an admission estimate, not an allocation count: per base
 // row, the re-materialized tuple (spilled partitions decode rows from
@@ -423,7 +505,8 @@ func estimateStateBytes(base *relation.Relation, conds []algebra.GMDJCond, comp 
 // every condition, resolves the detail-side key-hash vectors (or leaves
 // them to the detail pass), and counts the fallback conditions — once
 // per Evaluate, however many partitions the base is then evaluated in.
-func compile(base, detail *relation.Relation, conds []algebra.GMDJCond, opts Options) (*program, error) {
+// spillBits is the spill regime's fan-out, 0 in memory.
+func compile(base, detail *relation.Relation, conds []algebra.GMDJCond, opts Options, spillBits int) (*program, error) {
 	combined := base.Schema.Concat(detail.Schema)
 	p := &program{
 		Options:     opts,
@@ -469,6 +552,13 @@ func compile(base, detail *relation.Relation, conds []algebra.GMDJCond, opts Opt
 		}
 	}
 	p.outSchema = relation.NewSchema(outCols...)
+	routed := !p.fallback && len(conds) > 0 && !slices.ContainsFunc(p.conds, func(cp condProg) bool {
+		return !slices.Equal(cp.baseKey, p.conds[0].baseKey) || !slices.Equal(cp.detailKey, p.conds[0].detailKey)
+	})
+	// In memory, a key partition per pass worker.
+	for p.bits = spillBits; routed && spillBits == 0 && 1<<p.bits < p.passWorkers; p.bits++ {
+	}
+	p.route = routed && p.bits > 0
 	p.attachHashes()
 	return p, nil
 }
@@ -502,7 +592,7 @@ func (p *program) buildIndex(rows []relation.Tuple) []map[uint64][]int32 {
 // cache hit always replaces the hashing. Otherwise a parallel run owes
 // the vector to the detail pass; a serial one reads it from the packed
 // columnar segment, or — a cache miss with no segment — owes it to an
-// inline pass that publishes it, or leaves feed to hash per row.
+// inline pass that publishes or routes it, or leaves feed to hash per row.
 func (p *program) attachHashes() {
 	for i := range p.conds {
 		cp := &p.conds[i]
@@ -517,7 +607,7 @@ func (p *program) attachHashes() {
 		if cp.detailHash != nil { // served by the earlier condition's source
 			if p.HashCache != nil {
 				p.Stats.HashCacheHits++
-			} else if p.passWorkers <= 1 {
+			} else if !cp.passHash {
 				p.Stats.PackedHashConds++
 			}
 			continue
@@ -547,7 +637,7 @@ func (p *program) attachHashes() {
 			if key != "" {
 				p.HashCache.Put(key, cp.detailHash, int64(n)*9)
 			}
-		case p.passWorkers > 1 || key != "":
+		case p.passWorkers > 1 || key != "" || p.route:
 			cp.detailHash, cp.passHash, cp.publish = newVec(n), true, key
 			if key == "" {
 				p.pooled = append(p.pooled, cp.detailHash)
@@ -692,8 +782,9 @@ type state struct {
 	p *program
 	// rows are the owned tuples: partition positions [lo, lo+len(rows)).
 	// Every per-tuple array below is indexed by offset into rows.
-	rows []relation.Tuple
-	lo   int
+	rows   []relation.Tuple
+	lo     int
+	detail []int32 // routed: the detail rows the scan walks
 	// index is the partition's hash index (buildIndex), shared read-only
 	// by every range of the partition. Its buckets hand out partition
 	// positions, so a hit outside the owned range is another worker's.
@@ -744,16 +835,17 @@ func (s *state) flushLive() {
 // partition: the per-tuple accumulator rows, completion flags,
 // base-predicate cache, and fallback scan lists cover only the owned
 // range, so a sharded fold splits the O(base) construction cost and
-// memory across workers. decided and accs are the partition's arrays.
-func (p *program) newState(part []relation.Tuple, index []map[uint64][]int32, lo, hi int, decided []int8, accs [][]agg.Accumulator) (*state, error) {
+// memory across workers. res holds the partition's arrays.
+func (p *program) newState(part *partition, index []map[uint64][]int32, lo, hi int, res result) (*state, error) {
 	n := hi - lo
 	s := &state{
 		p:         p,
-		rows:      part[lo:hi],
+		rows:      part.rows[lo:hi],
 		lo:        lo,
+		detail:    part.detail,
 		index:     index,
-		accs:      accs[lo:hi],
-		decided:   decided[lo:hi],
+		accs:      res.accs[lo:hi],
+		decided:   res.decided[lo:hi],
 		active:    make([]bool, n),
 		combined:  make(relation.Tuple, p.baseW+p.detail.Schema.Len()),
 		remaining: n,
@@ -1139,13 +1231,40 @@ func (p *program) emit(res result) (*relation.Relation, error) {
 
 // partition is a set of base positions the driver evaluates together:
 // its tuples are resident at once and one hash index covers exactly
-// them. Evaluate hands the driver the whole base; the spill regime
-// hands it one hash-prefix slice of the base at a time.
+// them. Evaluate hands the driver the whole base (or its key partitions);
+// the spill regime hands it one hash-prefix slice of it at a time.
 type partition struct {
 	rows []relation.Tuple // the partition's tuples, in base order
 	// idx[i] is rows[i]'s base position. Nil for the whole base, where
 	// it is i.
-	idx []int32
+	idx    []int32
+	detail []int32 // a routed program's: the rows routed to the partition
+}
+
+// parts cuts the base into its non-empty partitions by the top bits of
+// the tuple's hash — or, routed, of the key's (a NULL key, which matches
+// nothing but still emits, in partition 0), with the rows routed there;
+// those routed to an empty one count as short-circuited.
+func (p *program) parts() []partition {
+	parts := make([]partition, 1<<p.bits)
+	for bi, row := range p.base.Rows {
+		h := row.Hash()
+		if p.route {
+			h, _ = row.KeyHash(p.conds[0].baseKey)
+		}
+		parts[h>>(64-p.bits)].idx = append(parts[h>>(64-p.bits)].idx, int32(bi))
+	}
+	routes := append(p.routes, make([][]int32, len(parts)-len(p.routes))...) // nil lists unless routed
+	for j := range parts {
+		part := &parts[j]
+		if part.rows, part.detail = make([]relation.Tuple, len(part.idx)), routes[j]; part.idx == nil {
+			p.Stats.ShortCircuitRows += int64(len(part.detail))
+		}
+		for i, bi := range part.idx {
+			part.rows[i] = p.base.Rows[bi]
+		}
+	}
+	return slices.DeleteFunc(parts, func(part partition) bool { return part.idx == nil })
 }
 
 // degree is the fold's degree policy: how many base ranges a partition
@@ -1153,9 +1272,10 @@ type partition struct {
 // a detail row costs the fold, not by the cores on offer. A hash-bound
 // row costs a bitmap test and a probe, and a second walker would repeat
 // both (every scan probes the partition's shared index and discards
-// hits outside its range): one scan. A fallback θ costs |active base|
-// evaluations per row, which split perfectly by base range: shard, given
-// base and detail rows enough for every worker to own a real range.
+// hits outside its range): one scan, or a key partition each. A
+// fallback θ costs |active base| evaluations per row, which split
+// perfectly by base range: shard, given base and detail rows enough
+// for every worker to own a real range.
 func (p *program) degree(nBase int) int {
 	w := p.Workers
 	if !p.fallback || w <= 1 || nBase < 2*w || len(p.detail.Rows) < 2*w {
@@ -1165,7 +1285,7 @@ func (p *program) degree(nBase int) int {
 }
 
 // evalPartition is the one driver behind serial, parallel and spilled
-// folds. It indexes the partition, splits its positions into one
+// folds. It indexes each partition, splits its positions into one
 // contiguous range per worker (degree), builds state sized to each
 // range, runs the detail scan once per range — inline for one range, on
 // govern.RunTasks' pool otherwise — and leaves every tuple's decision
@@ -1176,44 +1296,53 @@ func (p *program) degree(nBase int) int {
 // byte-identical to serial at any degree with no accumulator merge
 // (float sums and order-sensitive aggregates included); completion is
 // final, and short-circuits, per range; the O(base) state construction
-// splits across ranges. The price is one detail scan per range.
+// splits across ranges. The price is one detail scan per range — none
+// for a key partition, which walks the rows routed to it.
 //
 // Failure semantics: the first scan to fail (operator error, budget
 // violation, cancellation, or recovered panic) trips the pool's stop
 // flag; every other scan sees it on its next detail row and returns,
 // and Evaluate returns the first error in order of occurrence.
-func (p *program) evalPartition(part partition, out result) error {
-	n := len(part.rows)
-	// The whole base folds straight into out; a position list folds
-	// into scratch arrays that are scattered once the scans are done.
-	decided, accs := out.decided, out.accs
-	if part.idx != nil {
-		decided, accs = make([]int8, n), make([][]agg.Accumulator, n)
+func (p *program) evalPartition(out result, parts ...partition) error {
+	type task struct{ part, lo, hi int }
+	var tasks []task
+	res, index, workers := make([]result, len(parts)), make([][]map[uint64][]int32, len(parts)), p.passWorkers
+	for pi, part := range parts {
+		n, degree := len(part.rows), p.degree(len(part.rows))
+		// The whole base folds straight into out; a position list folds
+		// into scratch arrays that are scattered once the scans are done.
+		if res[pi], index[pi], workers = out, p.buildIndex(part.rows), max(workers, degree); part.idx != nil {
+			res[pi] = result{decided: make([]int8, n), accs: make([][]agg.Accumulator, n)}
+		}
+		for w := 0; w < degree; w++ {
+			tasks = append(tasks, task{pi, w * n / degree, (w + 1) * n / degree})
+		}
 	}
-	workers := p.degree(n)
-	index := p.buildIndex(part.rows)
 	// Build every state, in one phase of its own, before starting any
 	// scan, so a failed build cannot strand already-started workers.
-	states := make([]*state, workers)
-	if _, err := govern.RunTasks(workers, workers, func(_, w int, _ *atomic.Bool) (err error) {
-		states[w], err = p.newState(part.rows, index, w*n/workers, (w+1)*n/workers, decided, accs)
+	states := make([]*state, len(tasks))
+	if _, err := govern.RunTasks(len(tasks), workers, func(_, t int, _ *atomic.Bool) (err error) {
+		tk := tasks[t]
+		states[t], err = p.newState(&parts[tk.part], index[tk.part], tk.lo, tk.hi, res[tk.part])
 		return err
 	}); err != nil {
 		return err
 	}
-	if _, err := govern.RunTasks(workers, workers, func(_, w int, stop *atomic.Bool) error {
-		return p.scan(w, states[w], stop)
+	if _, err := govern.RunTasks(len(tasks), workers, func(w, t int, stop *atomic.Bool) error {
+		return p.scan(w, states[t], stop)
 	}); err != nil {
 		return err
 	}
 	for _, st := range states {
 		p.Stats.Merge(&st.stats)
-		if workers > 1 {
+		if len(states) > 1 {
 			p.Stats.WorkerRows = append(p.Stats.WorkerRows, st.stats.DetailRows)
 		}
 	}
-	for i, bi := range part.idx {
-		out.decided[bi], out.accs[bi] = decided[i], accs[i]
+	for pi, part := range parts {
+		for i, bi := range part.idx {
+			out.decided[bi], out.accs[bi] = res[pi].decided[i], res[pi].accs[i]
+		}
 	}
 	return nil
 }
@@ -1224,9 +1353,9 @@ func (p *program) evalPartition(part partition, out result) error {
 const scanChunk = 256
 
 // scan is the fold's detail-scan loop. It walks the detail relation
-// once, folding each row into st, and defines the scan counters: one
-// DetailScans, and every detail row either fed (DetailRows) or skipped
-// (ShortCircuitRows).
+// once (routed, the rows routed to st), folding each row into st, and
+// defines the scan counters: one DetailScans a whole walk, and every
+// row walked either fed (DetailRows) or skipped (ShortCircuitRows).
 func (p *program) scan(w int, st *state, stop *atomic.Bool) error {
 	if p.Tracer != nil {
 		defer func(start time.Time) {
@@ -1237,13 +1366,16 @@ func (p *program) scan(w int, st *state, stop *atomic.Bool) error {
 	if err := p.Faults.Fire("gmdj.worker", p.Gov); err != nil {
 		return err
 	}
-	st.stats.DetailScans++
-	n := len(p.detail.Rows)
+	n := len(st.detail)
+	if !p.route {
+		st.stats.DetailScans++
+		n = len(p.detail.Rows)
+	}
 	for blo := 0; blo < n; blo += scanChunk {
 		if err := p.Gov.Check(); err != nil {
 			return err
 		}
-		for di, bhi := blo, min(blo+scanChunk, n); di < bhi; di++ {
+		for j, bhi := blo, min(blo+scanChunk, n); j < bhi; j++ {
 			if stop.Load() {
 				return nil
 			}
@@ -1251,8 +1383,12 @@ func (p *program) scan(w int, st *state, stop *atomic.Bool) error {
 				// Every base tuple this scan owns is decided: no remaining
 				// detail row can change its output, so the scan
 				// short-circuits (§4.2 taken to its limit).
-				st.stats.ShortCircuitRows += int64(n - di)
+				st.stats.ShortCircuitRows += int64(n - j)
 				return nil
+			}
+			di := j
+			if p.route {
+				di = int(st.detail[j])
 			}
 			if err := st.feed(di); err != nil {
 				return err

@@ -58,10 +58,16 @@ func wholeBase(base *relation.Relation) []partition {
 }
 
 // evalParts runs the driver over the given partitions of base, one
-// after the other, and emits once.
+// after the other, and emits once. A nil split cuts the base as the
+// spill regime does into four (program.parts): by key hash, with the
+// detail routed, when every condition binds one key.
 func evalParts(t *testing.T, base, detail *relation.Relation, conds []algebra.GMDJCond, opts Options, split func(*relation.Relation) []partition) *relation.Relation {
 	t.Helper()
-	p, err := compile(base, detail, conds, opts)
+	bits := 0
+	if split == nil {
+		bits = 2
+	}
+	p, err := compile(base, detail, conds, opts, bits)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,8 +75,12 @@ func evalParts(t *testing.T, base, detail *relation.Relation, conds []algebra.GM
 		t.Fatal(err)
 	}
 	out := result{decided: make([]int8, len(base.Rows)), accs: make([][]agg.Accumulator, len(base.Rows))}
-	for _, part := range split(base) {
-		if err := p.evalPartition(part, out); err != nil {
+	parts := p.parts
+	if split != nil {
+		parts = func() []partition { return split(base) }
+	}
+	for _, part := range parts() {
+		if err := p.evalPartition(out, part); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -140,20 +150,20 @@ func TestPartitionEquivalence(t *testing.T) {
 			namedTheta{"range R.k " + op.String() + " B.k", expr.NewCmp(op, expr.C("R.k"), expr.C("B.k"))})
 	}
 	// The single-partition reference per θ, recorded at the parent of the
-	// range-bound class, where every fallback θ scanned its whole list.
+	// routed fold.
 	golden := map[string]golden{
-		"indexed":                      {0x3c81b6aaaeb58427, 28749},
-		"indexed, detail conjuncts":    {0x7b06654cce3b1797, 4395},
-		"indexed, column residual":     {0x1d529f83a18bc300, 28749},
-		"fallback, base-only conjunct": {0x1c6e55cdaf27ad67, 78791},
-		"range B.k < R.k":              {0x7b2a4d2857d72311, 387372},
-		"range R.k < B.k":              {0xf40c61a5e2d7f17a, 374344},
-		"range B.k <= R.k":             {0x448fe1630e579334, 363642},
-		"range R.k <= B.k":             {0x4c8264ffba0d592c, 350380},
-		"range B.k > R.k":              {0xf40c61a5e2d7f17a, 374344},
-		"range R.k > B.k":              {0x7b2a4d2857d72311, 387372},
-		"range B.k >= R.k":             {0x4c8264ffba0d592c, 350380},
-		"range R.k >= B.k":             {0x448fe1630e579334, 363642},
+		"indexed":                      {0x3ead204be0bdbbf2, 28749},
+		"indexed, detail conjuncts":    {0x66eb88d64c3805c8, 4395},
+		"indexed, column residual":     {0xf799a902ed824ce9, 28749},
+		"fallback, base-only conjunct": {0xd50868985ca1d32c, 26041},
+		"range B.k < R.k":              {0x9b142505ffa97628, 126304},
+		"range R.k < B.k":              {0x27d273f5913da69b, 138555},
+		"range B.k <= R.k":             {0xe801dced3408c31f, 135899},
+		"range R.k <= B.k":             {0x4f1c0b57104387ef, 148150},
+		"range B.k > R.k":              {0x27d273f5913da69b, 138555},
+		"range R.k > B.k":              {0x9b142505ffa97628, 126304},
+		"range B.k >= R.k":             {0x4f1c0b57104387ef, 148150},
+		"range R.k >= B.k":             {0xe801dced3408c31f, 135899},
 	}
 	lines := map[string]*strings.Builder{}
 	for _, th := range thetas {
@@ -185,6 +195,8 @@ func TestPartitionEquivalence(t *testing.T) {
 		{"4 worker ranges", base, detail, 4, wholeBase},
 		{"hash-prefix lists", base, detail, 1, hashPrefix},
 		{"hash-prefix lists x 4 worker ranges", base, detail, 4, hashPrefix},
+		{"key-hash lists, routed", base, detail, 1, nil},
+		{"key-hash lists, routed x 4 worker ranges", base, detail, 4, nil},
 		{"chunks of 1", base, detail, 1, chunks(1)},
 		{"chunks of 7", base, detail, 1, chunks(7)},
 		{"chunks of 64", base, detail, 1, chunks(64)},
@@ -269,16 +281,22 @@ func goldenLine(name string, out *relation.Relation, s *Stats) string {
 		name, h.Sum64(), s.DetailRows, s.Probes, s.Matches, s.Completed, s.ShortCircuitRows)
 }
 
-// golden pins one shape's golden lines as the fallback scan produced
-// them before θ could be range-bound: h hashes the lines without their
-// probes= fields, and probes is their sum then, which visiting a sorted
-// run instead of the whole scan list may lower but never raise.
+// golden pins one shape's golden lines as the evaluator produced them
+// before θ could be range-bound or the detail routed: h hashes the lines
+// without their probes=, detail_rows= and short_circuit_rows= fields —
+// what the fold computes, not how often it walks the detail — and
+// probes is their sum, which a sorted run instead of the whole scan
+// list, or a key partition completion decided early, may lower but
+// never raise.
 type golden struct {
 	h      uint64
 	probes int64
 }
 
-var probesField = regexp.MustCompile(` probes=(\d+)`)
+var (
+	probesField = regexp.MustCompile(` probes=(\d+)`)
+	walkFields  = regexp.MustCompile(` (probes|detail_rows|short_circuit_rows)=\d+`)
+)
 
 // checkGolden compares one shape's golden lines with the recorded
 // golden; -v prints the lines for a diff.
@@ -290,7 +308,7 @@ func checkGolden(t *testing.T, name string, lines *strings.Builder, want map[str
 		got.probes += n
 	}
 	h := fnv.New64a()
-	h.Write([]byte(probesField.ReplaceAllString(lines.String(), "")))
+	h.Write([]byte(walkFields.ReplaceAllString(lines.String(), "")))
 	if got.h = h.Sum64(); got.h != want[name].h || got.probes > want[name].probes {
 		t.Errorf("%s: results or counters moved off the fallback scan's: got {%#x, %d}, want {%#x, ≤ %d}",
 			name, got.h, got.probes, want[name].h, want[name].probes)
@@ -300,22 +318,54 @@ func checkGolden(t *testing.T, name string, lines *strings.Builder, want map[str
 
 // TestDetailPassEquivalence: at every detail size around the morsel
 // edges, every degree, with the base resident or spilled, evaluation
-// returns the Workers: 1 answer with the Workers: 1 counters — the
-// detail pass (which runs only at two morsels or more and Workers > 1)
-// changes who computes the per-row work, never what the fold sees. A
-// hash-bound program scans the detail once per resident partition and
-// probes the same buckets at every degree; a fallback θ beside it
-// shards the fold and keeps the counter invariant. The last detail is a
-// window into a larger table's rows, which is what a fused, zone-pruned
-// detail scan hands over (exec.fusedDetail).
+// returns the Workers: 1 answer with the Workers: 1 matches and
+// completions — the detail pass (which runs only at two morsels or more
+// and Workers > 1, or to route a spilled base) changes who computes the
+// per-row work, never what the fold sees. A routed program reads the
+// detail once in every regime (fed + skipped = |detail| unless a hot key
+// splits) and probes the same buckets at every degree, less those a
+// key partition completion decided early skips; an unrouted hash-bound
+// one scans once per resident partition; a fallback θ beside it shards
+// the fold and keeps the counter invariant. The last detail is a window
+// into a larger table's rows, which is what a fused, zone-pruned detail
+// scan hands over (exec.fusedDetail).
 func TestDetailPassEquivalence(t *testing.T) {
-	base := relation.New(relation.NewSchema(
-		relation.Column{Qualifier: "B", Name: "id", Type: value.KindInt},
-		relation.Column{Qualifier: "B", Name: "k", Type: value.KindInt},
-	))
-	for i := 0; i < 64; i++ {
-		base.Append(relation.Tuple{value.Int(int64(i)), value.Int(int64(i * 11 % 30))})
+	newBase := func(k func(i int) value.Value) *relation.Relation {
+		base := relation.New(relation.NewSchema(
+			relation.Column{Qualifier: "B", Name: "id", Type: value.KindInt},
+			relation.Column{Qualifier: "B", Name: "k", Type: value.KindInt},
+		))
+		for i := 0; i < 64; i++ {
+			base.Append(relation.Tuple{value.Int(int64(i)), k(i)})
+		}
+		return base
 	}
+	base := newBase(func(i int) value.Value { return value.Int(int64(i * 11 % 30)) })
+	// One key on every tuple: its key partition cannot be cut, so a
+	// spilled one splits with both halves walking its rows.
+	hot := newBase(func(int) value.Value { return value.Int(7) })
+	nullKeys := newBase(func(i int) value.Value {
+		if i%5 == 0 {
+			return value.Null
+		}
+		return value.Int(int64(i * 11 % 30))
+	})
+	// Every key R.k reaches but one: a key partition without it is
+	// decided, and stops, while the whole base never is.
+	early := newBase(func(i int) value.Value { return value.Int(int64(i%20 + i/63*25)) })
+	// INT and FLOAT keys, -0.0 among them, against R.f's FLOAT halves
+	// (0.0, NULL and NaN among them): equal keys hash, and so route, alike.
+	kinds := newBase(func(i int) value.Value {
+		switch i % 4 {
+		case 0:
+			return value.Int(int64(i % 25))
+		case 1:
+			return value.Float(float64(i % 25))
+		case 2:
+			return value.Float(math.Copysign(0, -1))
+		}
+		return value.Null
+	})
 	bind := expr.Eq(expr.C("B.k"), expr.C("R.k"))
 	count := []agg.Spec{{Func: agg.CountStar, As: "cnt"}}
 	exists := func(atoms ...int) *algebra.CompletionInfo {
@@ -328,31 +378,51 @@ func TestDetailPassEquivalence(t *testing.T) {
 		c.Tree = algebra.AndTree(kids...)
 		return c
 	}
-	shapes := []struct {
-		name      string
-		conds     []algebra.GMDJCond
-		comp      *algebra.CompletionInfo
-		hashBound bool
-	}{
+	// hashBound: every condition indexed; routed: on one key as well.
+	type shape struct {
+		name              string
+		conds             []algebra.GMDJCond
+		comp              *algebra.CompletionInfo
+		hashBound, routed bool
+		base              *relation.Relation // nil: base
+	}
+	shapes := []shape{
 		{"no detail predicate", []algebra.GMDJCond{
 			{Theta: bind, Aggs: []agg.Spec{{Func: agg.CountStar, As: "cnt"}, {Func: agg.Avg, Arg: expr.C("R.v"), As: "a"}}},
-		}, nil, true},
+		}, nil, true, true, nil},
 		{"one detail predicate", []algebra.GMDJCond{
 			{Theta: expr.NewAnd(bind, expr.NewCmp(value.GT, expr.C("R.v"), expr.IntLit(50))), Aggs: count},
-		}, exists(0), true},
+		}, exists(0), true, true, nil},
+		// tree_exists: two conditions on one key, different detail predicates.
 		{"shared key, two predicates", []algebra.GMDJCond{
 			{Theta: expr.NewAnd(bind, expr.Eq(expr.C("R.tag"), expr.StrLit("odd")), expr.NewCmp(value.GT, expr.C("R.v"), expr.IntLit(30))), Aggs: count},
 			{Theta: expr.NewAnd(bind, expr.Eq(expr.C("R.tag"), expr.StrLit("even")), expr.NewCmp(value.LT, expr.C("R.v"), expr.IntLit(70))), Aggs: []agg.Spec{{Func: agg.CountStar, As: "cnt2"}}},
-		}, exists(0, 1), true},
+		}, exists(0, 1), true, true, nil},
 		{"NULL keys", []algebra.GMDJCond{
 			{Theta: bind, Aggs: count},
 			{Theta: expr.NewAnd(bind, expr.NewIsNull(expr.C("R.k"), false)), Aggs: []agg.Spec{{Func: agg.CountStar, As: "nulls"}}},
-		}, nil, true},
+		}, nil, true, true, nil},
+		{"NULL keys on both sides", []algebra.GMDJCond{
+			{Theta: bind, Aggs: []agg.Spec{{Func: agg.CountStar, As: "cnt"}, {Func: agg.Sum, Arg: expr.C("R.f"), As: "s"}}},
+		}, nil, true, true, nullKeys},
+		{"hot key", []algebra.GMDJCond{
+			{Theta: expr.NewAnd(bind, expr.NewCmp(value.GT, expr.C("R.v"), expr.IntLit(20))), Aggs: []agg.Spec{{Func: agg.CountStar, As: "cnt"}, {Func: agg.Sum, Arg: expr.C("R.f"), As: "s"}}},
+		}, nil, true, true, hot},
+		{"INT key against FLOAT key", []algebra.GMDJCond{
+			{Theta: expr.Eq(expr.C("B.k"), expr.C("R.f")), Aggs: []agg.Spec{{Func: agg.CountStar, As: "cnt"}, {Func: agg.Max, Arg: expr.C("R.v"), As: "mx"}}},
+		}, nil, true, true, kinds},
+		{"two keys", []algebra.GMDJCond{
+			{Theta: bind, Aggs: count},
+			{Theta: expr.Eq(expr.C("B.id"), expr.C("R.v")), Aggs: []agg.Spec{{Func: agg.Sum, Arg: expr.C("R.f"), As: "s"}}},
+		}, nil, true, false, nil},
+		{"completion decides a partition early", []algebra.GMDJCond{
+			{Theta: bind, Aggs: count},
+		}, &algebra.CompletionInfo{Atoms: []algebra.CompletionAtom{{Cond: 0, Kind: algebra.AtomZero}}, Tree: algebra.Leaf(0)}, true, true, early},
 		{"fallback beside hash-bound", []algebra.GMDJCond{
 			{Theta: expr.NewAnd(bind, expr.NewCmp(value.GT, expr.C("R.v"), expr.IntLit(50))), Aggs: count},
 			{Theta: expr.NewAnd(expr.NewCmp(value.LT, expr.C("B.k"), expr.C("R.k")), expr.NewCmp(value.LT, expr.C("R.v"), expr.IntLit(10))),
 				Aggs: []agg.Spec{{Func: agg.Sum, Arg: expr.C("R.v"), As: "s"}}},
-		}, nil, false},
+		}, nil, false, false, nil},
 		// What θ's evaluator sees at each of its sites: an INT literal beside
 		// a FLOAT column, a STRING conjunct, a conjunct no kernel takes
 		// between two that one does, a column-to-column residual behind the
@@ -360,20 +430,20 @@ func TestDetailPassEquivalence(t *testing.T) {
 		// scan list.
 		{"int literal, float column", []algebra.GMDJCond{
 			{Theta: expr.NewAnd(bind, expr.NewCmp(value.GT, expr.C("R.f"), expr.IntLit(40)), expr.NewCmp(value.GE, expr.IntLit(90), expr.C("R.f"))), Aggs: count},
-		}, exists(0), true},
+		}, exists(0), true, true, nil},
 		{"generic between kernels", []algebra.GMDJCond{
 			{Theta: expr.NewAnd(bind, expr.Eq(expr.C("R.tag"), expr.StrLit("odd")),
 				expr.NewCmp(value.GT, expr.NewArith(expr.OpAdd, expr.C("R.v"), expr.C("R.f")), expr.IntLit(60)),
 				expr.NewCmp(value.LT, expr.C("R.f"), expr.FloatLit(77.5))),
 				Aggs: []agg.Spec{{Func: agg.CountStar, As: "cnt"}, {Func: agg.Max, Arg: expr.C("R.f"), As: "mx"}}},
-		}, nil, true},
+		}, nil, true, true, nil},
 		{"column-to-column residual", []algebra.GMDJCond{
 			{Theta: expr.NewAnd(bind, expr.NewCmp(value.LT, expr.C("B.id"), expr.C("R.f")), expr.NewCmp(value.NE, expr.C("R.v"), expr.C("B.k"))), Aggs: count},
-		}, exists(0), true},
+		}, exists(0), true, true, nil},
 		{"fallback with base-only conjunct", []algebra.GMDJCond{
 			{Theta: expr.NewAnd(expr.NewCmp(value.LT, expr.C("B.k"), expr.C("R.k")), expr.NewCmp(value.GE, expr.C("B.id"), expr.IntLit(32)), expr.NewCmp(value.LT, expr.C("R.f"), expr.IntLit(5))),
 				Aggs: []agg.Spec{{Func: agg.CountStar, As: "cnt"}, {Func: agg.Sum, Arg: expr.C("R.f"), As: "s"}}},
-		}, nil, false},
+		}, nil, false, false, nil},
 		// Range-bound θ, each beside a detail-only conjunct for the pass: a
 		// band on one base column between an INT and a FLOAT bound, both
 		// NULL on some rows; bands mostly empty; Example 2.1's band over two
@@ -383,39 +453,43 @@ func TestDetailPassEquivalence(t *testing.T) {
 		{"range: one-column band", []algebra.GMDJCond{
 			{Theta: expr.NewAnd(expr.NewCmp(value.LE, expr.C("R.k"), expr.C("B.id")), expr.NewCmp(value.LT, expr.C("B.id"), expr.C("R.f")), expr.Eq(expr.C("R.tag"), expr.StrLit("even"))),
 				Aggs: []agg.Spec{{Func: agg.CountStar, As: "cnt"}, {Func: agg.Sum, Arg: expr.C("R.v"), As: "s"}}},
-		}, nil, false},
+		}, nil, false, false, nil},
 		{"range: empty and overlapping bands", []algebra.GMDJCond{
 			{Theta: expr.NewAnd(expr.NewCmp(value.GT, expr.C("B.k"), expr.C("R.v")), expr.NewCmp(value.LT, expr.C("B.k"), expr.C("R.k")), expr.NewCmp(value.LT, expr.C("R.v"), expr.IntLit(90))), Aggs: count},
-		}, exists(0), false},
+		}, exists(0), false, false, nil},
 		{"range: two-column band", []algebra.GMDJCond{
 			{Theta: expr.NewAnd(expr.NewCmp(value.GE, expr.C("R.v"), expr.C("B.k")), expr.NewCmp(value.LT, expr.C("R.v"), expr.C("B.id")), expr.Eq(expr.C("R.tag"), expr.StrLit("odd"))), Aggs: count},
-		}, exists(0), false},
+		}, exists(0), false, false, nil},
 		{"range: two-column band, suffix mirror", []algebra.GMDJCond{
 			{Theta: expr.NewAnd(expr.NewCmp(value.LT, expr.C("R.f"), expr.C("B.id")), expr.NewCmp(value.GE, expr.C("R.f"), expr.C("B.k")), expr.NewCmp(value.NE, expr.C("R.v"), expr.IntLit(50))),
 				Aggs: []agg.Spec{{Func: agg.CountStar, As: "cnt"}, {Func: agg.Max, Arg: expr.C("R.v"), As: "mx"}}},
-		}, nil, false},
+		}, nil, false, false, nil},
 		{"range: filtered list, <> residual", []algebra.GMDJCond{
 			{Theta: expr.NewAnd(expr.NewCmp(value.LE, expr.C("B.id"), expr.C("R.v")), expr.NewCmp(value.NE, expr.C("R.k"), expr.C("B.k")),
 				expr.NewCmp(value.GE, expr.C("B.k"), expr.IntLit(10)), expr.NewCmp(value.GT, expr.C("R.v"), expr.IntLit(3))), Aggs: count},
-		}, &algebra.CompletionInfo{Atoms: []algebra.CompletionAtom{{Cond: 0, Kind: algebra.AtomZero}}, Tree: algebra.Leaf(0)}, false},
+		}, &algebra.CompletionInfo{Atoms: []algebra.CompletionAtom{{Cond: 0, Kind: algebra.AtomZero}}, Tree: algebra.Leaf(0)}, false, false, nil},
 	}
-	// Recorded at the parent of the range-bound class, where every
-	// fallback θ scanned its whole list.
+	// Recorded at the parent of the routed fold.
 	golden := map[string]golden{
-		"no detail predicate":                   {0x620d58c840785050, 341406},
-		"one detail predicate":                  {0x622250b704d665b4, 167040},
-		"shared key, two predicates":            {0x11e77957cc62d82a, 239808},
-		"NULL keys":                             {0xf7be838383802736, 341406},
-		"fallback beside hash-bound":            {0xd079f92e606fb4e5, 1489920},
-		"int literal, float column":             {0xe035a746602f1a6e, 145776},
-		"generic between kernels":               {0xd99ed6bca34874bc, 90456},
-		"column-to-column residual":             {0xf8d6cfb80b0863d6, 341406},
-		"fallback with base-only conjunct":      {0xb7b85982e1f0df71, 233472},
-		"range: one-column band":                {0x20d57d289e8945f, 5506176},
-		"range: empty and overlapping bands":    {0xe686dfae05cc85bd, 4873902},
-		"range: two-column band":                {0x9b1c6b8a218f6d32, 1723926},
-		"range: two-column band, suffix mirror": {0x53ae718f398f4ae7, 10900992},
-		"range: filtered list, <> residual":     {0xb0845bb44284f6f7, 3048},
+		"no detail predicate":                   {0xb67f7c3a7eb98a98, 341406},
+		"one detail predicate":                  {0x5bf73258fcb34296, 167040},
+		"shared key, two predicates":            {0x7eaf4b9ceddeaf1a, 239808},
+		"NULL keys":                             {0xa8a6889d343eb854, 341406},
+		"NULL keys on both sides":               {0xe7743ba44a610b20, 269958},
+		"hot key":                               {0x837fda27847d81a6, 407424},
+		"INT key against FLOAT key":             {0x30f1a2664342a1e8, 35364},
+		"two keys":                              {0x537dd3384ae0440c, 451524},
+		"completion decides a partition early":  {0x1581b2159bf3d512, 377880},
+		"fallback beside hash-bound":            {0x359d5deac902c618, 756942},
+		"int literal, float column":             {0xe019838be675f072, 145776},
+		"generic between kernels":               {0xc39583e9d40cc3e8, 90456},
+		"column-to-column residual":             {0xe2075c6fbc426252, 341406},
+		"fallback with base-only conjunct":      {0x91b6a3374c0799c2, 69342},
+		"range: one-column band":                {0x19afc110c92af18e, 2588400},
+		"range: empty and overlapping bands":    {0xc03053d54d721afa, 1080},
+		"range: two-column band":                {0x6bd55effdbde4ce0, 99606},
+		"range: two-column band, suffix mirror": {0xaa485b80d6f3d394, 2646306},
+		"range: filtered list, <> residual":     {0xa6cfcd35e6625f10, 1284},
 	}
 	lines := map[string]*strings.Builder{}
 	for _, sh := range shapes {
@@ -449,23 +523,36 @@ func TestDetailPassEquivalence(t *testing.T) {
 						opts.Spill = store
 						opts.Mem, release = tinyTracker(t)
 					}
-					out, err := Evaluate(base, detail, sh.conds, opts)
+					b := base
+					if sh.base != nil {
+						b = sh.base
+					}
+					out, err := Evaluate(b, detail, sh.conds, opts)
 					release()
 					name := fmt.Sprintf("n=%d/%s/spilled=%v/workers=%d", n, sh.name, spilled, workers)
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)
 					}
-					if spilled && stats.SpillPartitions == 0 {
+					if spilled && stats.SpillPartitions == 0 && sh.base != hot { // one key partition: resident, and split
 						t.Fatalf("%s: nothing spilled", name)
 					}
 					if pass := workers > 1 && n >= 2*m; (stats.DetailPassWorkers > 1) != pass {
 						t.Errorf("%s: DetailPassWorkers = %d, want the pass to run: %v", name, stats.DetailPassWorkers, pass)
 					}
-					if fed, skipped, all := stats.DetailRows, stats.ShortCircuitRows, stats.DetailScans*int64(n); fed+skipped != all {
-						t.Errorf("%s: DetailRows(%d) + ShortCircuitRows(%d) != DetailScans(%d) × %d", name, fed, skipped, stats.DetailScans, n)
+					// A spilled hot key splits, and both halves walk its rows.
+					fed, skipped, all := stats.DetailRows, stats.ShortCircuitRows, stats.DetailScans*int64(n)
+					if rewalk := sh.base == hot && spilled && n > 1; rewalk != (fed+skipped > all) || !rewalk && fed+skipped != all {
+						t.Errorf("%s: DetailRows(%d) + ShortCircuitRows(%d) vs DetailScans(%d) × %d: want > for a split hot key, else ==", name, fed, skipped, stats.DetailScans, n)
 					}
-					if sh.hashBound && stats.DetailScans != 1+stats.ExtraDetailScans {
+					if sh.routed && (stats.DetailScans != 1 || stats.ExtraDetailScans != 0) {
+						t.Errorf("%s: DetailScans = %d, ExtraDetailScans = %d; a routed program reads the detail once", name, stats.DetailScans, stats.ExtraDetailScans)
+					}
+					if sh.hashBound && !sh.routed && stats.DetailScans != 1+stats.ExtraDetailScans {
 						t.Errorf("%s: DetailScans = %d over %d partitions, want one each", name, stats.DetailScans, 1+stats.ExtraDetailScans)
+					}
+					keyCut := sh.routed && !spilled && workers > 1 && n >= 2*m // resident, only a pass at workers > 1 cuts by key
+					if sh.base == early && (spilled || keyCut) && n > m && skipped == 0 {
+						t.Errorf("%s: no key partition short-circuited", name)
 					}
 					if workers <= 4 { // above it the fold's degree follows GOMAXPROCS
 						lines[sh.name].WriteString(goldenLine(name, out, &stats))
@@ -477,10 +564,13 @@ func TestDetailPassEquivalence(t *testing.T) {
 					if out.String() != want {
 						t.Errorf("%s: output differs from Workers: 1", name)
 					}
-					// A sharded fold short-circuits per range under completion.
-					sharded := !sh.hashBound && sh.comp != nil
-					if stats.Matches != ref.Matches || stats.Completed != ref.Completed ||
-						(!sharded && stats.ShortCircuitRows != ref.ShortCircuitRows) || (sh.hashBound && stats.Probes != ref.Probes) {
+					// Cut into base ranges or key partitions, a fold skips rows
+					// per range or partition: other skip counts and, under
+					// completion, fewer probes, never more.
+					sameSkips := !keyCut && (sh.hashBound || sh.comp == nil)
+					sameProbes := sh.comp == nil || !keyCut
+					if stats.Matches != ref.Matches || stats.Completed != ref.Completed || (sameSkips && stats.ShortCircuitRows != ref.ShortCircuitRows) ||
+						(sh.hashBound && (stats.Probes > ref.Probes || sameProbes && stats.Probes != ref.Probes)) {
 						t.Errorf("%s: counters diverge from Workers: 1:\nserial   %+v\nparallel %+v", name, ref, stats)
 					}
 				}

@@ -31,7 +31,7 @@ func rangeRel(q string, names []string, rows ...relation.Tuple) *relation.Relati
 // the whole-list scan: the reference a sorted run's walk must reproduce.
 func evalScan(t *testing.T, base, detail *relation.Relation, conds []algebra.GMDJCond, opts Options) *relation.Relation {
 	t.Helper()
-	p, err := compile(base, detail, conds, opts)
+	p, err := compile(base, detail, conds, opts, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func evalScan(t *testing.T, base, detail *relation.Relation, conds []algebra.GMD
 		t.Fatal(err)
 	}
 	out := result{decided: make([]int8, len(base.Rows)), accs: make([][]agg.Accumulator, len(base.Rows))}
-	if err := p.evalPartition(partition{rows: base.Rows}, out); err != nil {
+	if err := p.evalPartition(out, partition{rows: base.Rows}); err != nil {
 		t.Fatal(err)
 	}
 	rel, err := p.emit(out)
@@ -152,12 +152,12 @@ func TestRangeEdgeCases(t *testing.T) {
 // range holding the whole base.
 func rangeState(t *testing.T, base, detail *relation.Relation, theta expr.Expr) *state {
 	t.Helper()
-	p, err := compile(base, detail, []algebra.GMDJCond{{Theta: theta, Aggs: []agg.Spec{{Func: agg.CountStar, As: "cnt"}}}}, Options{})
+	p, err := compile(base, detail, []algebra.GMDJCond{{Theta: theta, Aggs: []agg.Spec{{Func: agg.CountStar, As: "cnt"}}}}, Options{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	n := len(base.Rows)
-	s, err := p.newState(base.Rows, p.buildIndex(base.Rows), 0, n, make([]int8, n), make([][]agg.Accumulator, n))
+	s, err := p.newState(&partition{rows: base.Rows}, p.buildIndex(base.Rows), 0, n, result{decided: make([]int8, n), accs: make([][]agg.Accumulator, n)})
 	if err != nil {
 		t.Fatal(err)
 	}

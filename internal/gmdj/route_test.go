@@ -1,0 +1,96 @@
+package gmdj
+
+import (
+	"context"
+	"errors"
+	"runtime"
+	"runtime/debug"
+	"sync/atomic"
+	"testing"
+
+	"github.com/olaplab/gmdj/internal/agg"
+	"github.com/olaplab/gmdj/internal/algebra"
+	"github.com/olaplab/gmdj/internal/expr"
+	"github.com/olaplab/gmdj/internal/govern"
+)
+
+// TestRouteAllocsFlat: what a routed Evaluate at degree 2 allocates does
+// not grow with the detail — the pass's hash vector, its predicate
+// outcomes and its route list come back from their pools — neither in
+// allocations nor in bytes (under one byte a detail row; the three
+// vectors take fourteen).
+func TestRouteAllocsFlat(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled vectors")
+	}
+	// A collection empties the pools, and so does a change of GOMAXPROCS
+	// (AllocsPerRun sets 1); a goroutine that moved to another P misses
+	// what it put in the last one's private slot.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	base, _ := packedCorpus()
+	conds := []algebra.GMDJCond{{
+		Theta: expr.NewAnd(expr.Eq(expr.C("R.k"), expr.C("B.k")), expr.Eq(expr.C("R.tag"), expr.StrLit("odd"))),
+		Aggs:  []agg.Spec{{Func: agg.CountStar, As: "cnt"}, {Func: agg.Sum, Arg: expr.C("R.v"), As: "sv"}},
+	}}
+	measure := func(n int) (allocs float64, bytes uint64) {
+		detail := passDetail(n)
+		run := func() {
+			var stats Stats
+			if _, err := Evaluate(base, detail, conds, Options{Workers: 2, Stats: &stats}); err != nil || len(stats.WorkerRows) != 2 {
+				t.Fatalf("Evaluate: %v, WorkerRows %v; want a fold of two key partitions", err, stats.WorkerRows)
+			}
+		}
+		allocs = testing.AllocsPerRun(10, run) // fills the pools first
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < 10; i++ {
+			run()
+		}
+		runtime.ReadMemStats(&after)
+		return allocs, (after.TotalAlloc - before.TotalAlloc) / 10
+	}
+	const small, large = 2*govern.MorselRows + 1, 16*govern.MorselRows + 1
+	sa, sb := measure(small)
+	la, lb := measure(large)
+	if la > sa || lb > sb+large-small {
+		t.Errorf("%v allocations, %d bytes over %d detail rows; %v, %d over %d: the pass allocates per detail row", la, lb, large, sa, sb, small)
+	}
+}
+
+// TestRouteFaultsAndCancellation: a routed fold failing in one key
+// partition — an injected error or panic at gmdj.worker, or a cancel
+// landing mid-walk — fails the evaluation with that error, stops the
+// other partitions within a chunk of rows, and leaves no goroutine
+// behind.
+func TestRouteFaultsAndCancellation(t *testing.T) {
+	base, detail := governData(64, 8*govern.MorselRows)
+	count := []agg.Spec{{Func: agg.CountStar, As: "cnt"}}
+	bind := expr.Eq(expr.C("B.k"), expr.C("R.k"))
+	before := runtime.NumGoroutine()
+	for fault, want := range map[string]error{"error": govern.ErrInjected, "panic": govern.ErrInternal} {
+		var stats Stats
+		_, err := Evaluate(base, detail, []algebra.GMDJCond{{Theta: bind, Aggs: count}},
+			Options{Workers: 4, Stats: &stats, Faults: govern.NewInjector(map[string]string{"gmdj.worker": fault})})
+		if !errors.Is(err, want) || stats.DetailScans != 1 {
+			t.Errorf("gmdj.worker=%s: err = %v after %d scans, want %v after the routing pass", fault, err, stats.DetailScans, want)
+		}
+	}
+	// A mixed conjunct, evaluated per match inside a key partition's
+	// fold, cancels the query when base key 40 matches.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var fired atomic.Bool
+	var seen atomic.Int64
+	at := &cancelAt{col: expr.NewArith(expr.OpAdd, expr.C("B.k"), expr.C("R.k")), at: 80, cancel: cancel, fired: &fired, seen: &seen}
+	var stats Stats
+	_, err := Evaluate(base, detail, []algebra.GMDJCond{{Theta: expr.NewAnd(bind, at), Aggs: count}},
+		Options{Workers: 4, Stats: &stats, Gov: govern.New(ctx, govern.Budget{})})
+	if !errors.Is(err, govern.ErrCanceled) || !fired.Load() || stats.DetailScans != 1 {
+		t.Fatalf("err = %v (cancel fired: %v, %d scans), want ErrCanceled mid-fold", err, fired.Load(), stats.DetailScans)
+	}
+	if n := seen.Load(); n >= 4*scanChunk {
+		t.Errorf("%d matches evaluated after the cancel, want under a chunk per key partition (%d)", n, 4*scanChunk)
+	}
+	waitGoroutines(t, before)
+}

@@ -3,24 +3,25 @@ package gmdj
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"github.com/olaplab/gmdj/internal/mem"
-	"github.com/olaplab/gmdj/internal/relation"
 	"github.com/olaplab/gmdj/internal/spill"
 	"github.com/olaplab/gmdj/internal/value"
 )
 
 // This file is the memory-adaptive evaluation regime: when the query's
 // reservation cannot hold the whole base state, the base relation is
-// partitioned by the top bits of each row's hash ("hash prefix"), cold
+// partitioned by the top bits of a hash ("hash prefix", parts), cold
 // partitions are encoded to checksummed temp files, and the partitions
 // are admitted against the reservation one at a time and handed to the
-// same driver as the in-memory regimes (evalPartition) — at the cost
-// of one extra full detail scan per additional partition. The paper's
-// one-scan guarantee (Prop. 4.1) relaxes to 1+k scans; Stats reports k
-// in ExtraDetailScans. Output stays byte-identical to in-memory
-// evaluation because every partition row remembers its original base
-// position and a single emit pass walks the full base in order.
+// same driver as the in-memory regimes (evalPartition). A routed
+// program still reads the detail once; any other pays one extra full
+// detail scan per additional partition — the paper's one-scan guarantee
+// (Prop. 4.1) relaxes to 1+k scans; Stats reports k in ExtraDetailScans.
+// Output stays byte-identical to in-memory evaluation because every
+// partition row remembers its original base position and a single emit
+// pass walks the full base in order.
 
 // minPartitionBytes floors the per-partition budget so pathological
 // reservations cannot explode the partition count.
@@ -42,37 +43,7 @@ type spillPart struct {
 // evalSpilled is Evaluate's degraded regime. est is the rejected
 // whole-state estimate.
 func (p *program) evalSpilled(tracker *mem.Tracker, store *spill.Store, est int64, out result) error {
-	nBase := len(p.base.Rows)
-	perRow := est / int64(nBase)
-	if perRow < 1 {
-		perRow = 1
-	}
-
-	// Size the initial fan-out so each partition's state fits the
-	// reservation's current headroom (floored to keep partition count
-	// sane when the reservation is tiny).
-	target := tracker.Available() / 2
-	if target < minPartitionBytes {
-		target = minPartitionBytes
-	}
-	parts := 1
-	for parts < maxSpillParts && est/int64(parts) > target {
-		parts *= 2
-	}
-	if parts < 2 {
-		parts = 2
-	}
-	bits := 0
-	for 1<<bits < parts {
-		bits++
-	}
-
-	// Partition base rows by hash prefix (top bits of the tuple hash).
-	groups := make([][]int32, parts)
-	for bi, row := range p.base.Rows {
-		pi := int(row.Hash() >> (64 - uint(bits)))
-		groups[pi] = append(groups[pi], int32(bi))
-	}
+	perRow := max(est/int64(len(p.base.Rows)), 1)
 
 	// The first non-empty partition stays resident; the rest are
 	// encoded to spill files. Deferred cleanup removes whatever is
@@ -80,56 +51,39 @@ func (p *program) evalSpilled(tracker *mem.Tracker, store *spill.Store, est int6
 	// partitions are processed), on error, on cancellation, and on
 	// panic unwinding through this frame alike.
 	var work []spillPart
-	var liveFiles []*spill.File
 	defer func() {
-		for _, f := range liveFiles {
-			f.Remove()
+		for _, part := range work {
+			part.file.Remove()
 		}
 	}()
-	resident := true
-	for _, g := range groups {
-		if len(g) == 0 {
+	for i, part := range p.parts() {
+		if i == 0 {
+			work = append(work, spillPart{partition: part, n: len(part.rows)})
 			continue
 		}
-		rows := make([]relation.Tuple, len(g))
-		for i, bi := range g {
-			rows[i] = p.base.Rows[bi]
-		}
-		if resident {
-			resident = false
-			work = append(work, spillPart{partition: partition{rows: rows, idx: g}, n: len(g)})
-			continue
-		}
-		f, err := store.Write("gmdj-part", spill.EncodePartition(g, rows))
+		f, err := store.Write("gmdj-part", spill.EncodePartition(part.idx, part.rows))
 		if err != nil {
 			return err
 		}
-		liveFiles = append(liveFiles, f)
-		work = append(work, spillPart{file: f, n: len(g)})
+		work = append(work, spillPart{partition: partition{detail: part.detail}, file: f, n: len(part.rows)})
 		p.Stats.SpillPartitions++
 		p.Stats.SpillBytesWritten += f.Bytes
 	}
 
 	scans := 0
 	for len(work) > 0 {
+		if err := p.Gov.Check(); err != nil {
+			return err // before popping: the deferred sweep removes every file left
+		}
 		part := work[0]
 		work = work[1:]
-		if err := p.Gov.Check(); err != nil {
-			return err
-		}
 		if part.file != nil {
-			payload, err := part.file.Read()
+			payload, err := part.file.Read() // removes the file when it fails
 			if err != nil {
 				return err
 			}
 			p.Stats.SpillBytesRead += part.file.Bytes
 			part.file.Remove()
-			for i, f := range liveFiles {
-				if f == part.file {
-					liveFiles = append(liveFiles[:i], liveFiles[i+1:]...)
-					break
-				}
-			}
 			part.idx, part.rows, err = spill.DecodePartition(payload)
 			if err != nil {
 				return err
@@ -144,27 +98,57 @@ func (p *program) evalSpilled(tracker *mem.Tracker, store *spill.Store, est int6
 		charged := int64(0)
 		if err := tracker.Grow(partEst); err != nil {
 			if part.n > 1 && part.depth < 20 {
-				mid := part.n / 2
-				work = append(work,
-					spillPart{partition: partition{rows: part.rows[:mid], idx: part.idx[:mid]}, n: mid, depth: part.depth + 1},
-					spillPart{partition: partition{rows: part.rows[mid:], idx: part.idx[mid:]}, n: part.n - mid, depth: part.depth + 1},
-				)
+				work = append(work, p.split(part)...)
 				continue
 			}
 		} else {
 			charged = partEst
 		}
-		err := p.evalPartition(part.partition, out)
+		err := p.evalPartition(out, part.partition)
 		tracker.Shrink(charged)
 		if err != nil {
 			return err
 		}
 		scans++
 	}
-	if scans > 1 {
+	if scans > 1 && !p.route {
 		p.Stats.ExtraDetailScans += int64(scans - 1)
 	}
 	return nil
+}
+
+// split halves a partition that does not fit: by position, each half
+// walking all of its rows — or, routed, at its median key hash t, each
+// half walking only its keys' rows, unless one hash holds the lower
+// half and all above it (a hot key, which no key cut splits).
+func (p *program) split(part spillPart) []spillPart {
+	mid, depth := part.n/2, part.depth+1
+	halves := []spillPart{
+		{partition: partition{rows: part.rows[:mid], idx: part.idx[:mid], detail: part.detail}, n: mid, depth: depth},
+		{partition: partition{rows: part.rows[mid:], idx: part.idx[mid:], detail: part.detail}, n: part.n - mid, depth: depth},
+	}
+	hs := make([]uint64, part.n) // all 0, so no key cut, unless routed
+	for i, row := range part.rows {
+		if p.route {
+			hs[i], _ = row.KeyHash(p.conds[0].baseKey)
+		}
+	}
+	sorted := slices.Clone(hs)
+	slices.Sort(sorted)
+	j := slices.IndexFunc(sorted, func(h uint64) bool { return h != sorted[0] })
+	if j < 0 {
+		return halves
+	}
+	t, halves := sorted[max(j, mid)], make([]spillPart, 2) // t > 0: h/t is 0 below the cut, at least 1 from it
+	for i, row := range part.rows {
+		half := &halves[min(hs[i]/t, 1)]
+		half.rows, half.idx, half.n, half.depth = append(half.rows, row), append(half.idx, part.idx[i]), half.n+1, depth
+	}
+	for _, di := range part.detail {
+		half := &halves[min(p.conds[0].detailHash.H[di]/t, 1)]
+		half.detail = append(half.detail, di)
+	}
+	return halves
 }
 
 // init registers the detail hash-vector codec so cached vectors can

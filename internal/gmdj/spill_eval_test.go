@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -61,7 +62,8 @@ func tinyTracker(t *testing.T) (*mem.Tracker, func()) {
 
 // TestSpillParity: with a reservation that forces >= 2 partitions to
 // disk, the spilled evaluation must return byte-identical results to
-// the unbounded in-memory run, serially and in parallel.
+// the unbounded in-memory run, serially and in parallel — and, the
+// program being routed, still read the detail once.
 func TestSpillParity(t *testing.T) {
 	base, detail, conds := spillFixture()
 	full, err := Evaluate(base, detail, conds, Options{})
@@ -92,8 +94,9 @@ func TestSpillParity(t *testing.T) {
 			t.Errorf("workers=%d: spill traffic = %d written / %d read, want > 0",
 				workers, stats.SpillBytesWritten, stats.SpillBytesRead)
 		}
-		if stats.ExtraDetailScans < 1 {
-			t.Errorf("workers=%d: ExtraDetailScans = %d, want >= 1", workers, stats.ExtraDetailScans)
+		if stats.DetailScans != 1 || stats.ExtraDetailScans != 0 || stats.DetailRows+stats.ShortCircuitRows != int64(detail.Len()) {
+			t.Errorf("workers=%d: DetailScans = %d, ExtraDetailScans = %d, %d rows fed + %d skipped; want 1, 0 and |detail| = %d",
+				workers, stats.DetailScans, stats.ExtraDetailScans, stats.DetailRows, stats.ShortCircuitRows, detail.Len())
 		}
 		if n := store.LiveFiles(); n != 0 {
 			t.Errorf("workers=%d: %d spill files leaked", workers, n)
@@ -264,6 +267,35 @@ func TestSpillCancellation(t *testing.T) {
 	_, err = Evaluate(base, detail, conds, Options{Gov: gov, Mem: tr, Spill: store})
 	if !errors.Is(err, govern.ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
+	}
+	if n := store.LiveFiles(); n != 0 {
+		t.Errorf("%d spill files leaked after cancellation", n)
+	}
+}
+
+// TestSpillCancellationMidway: a cancel landing while a spilled run
+// folds its resident partition — whose few routed rows leave the scan
+// no poll after the cancel — is seen before the next partition is
+// taken off the worklist, and every spill file is swept.
+func TestSpillCancellationMidway(t *testing.T) {
+	base, detail, _ := spillFixture()
+	detail.Rows = detail.Rows[:600] // under a scan chunk a key partition
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var fired atomic.Bool
+	var seen atomic.Int64
+	at := &cancelAt{col: expr.NewArith(expr.OpSub, expr.C("B.k"), expr.C("R.k")), cancel: cancel, fired: &fired, seen: &seen}
+	conds := []algebra.GMDJCond{{Theta: expr.NewAnd(expr.Eq(expr.C("B.k"), expr.C("R.k")), at), Aggs: []agg.Spec{{Func: agg.CountStar, As: "cnt"}}}}
+	tr, release := tinyTracker(t)
+	defer release()
+	store, err := spill.NewStore(filepath.Join(t.TempDir(), "scratch"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stats Stats
+	_, err = Evaluate(base, detail, conds, Options{Gov: govern.New(ctx, govern.Budget{}), Mem: tr, Spill: store, Stats: &stats})
+	if !errors.Is(err, govern.ErrCanceled) || !fired.Load() || stats.SpillPartitions < 2 {
+		t.Fatalf("err = %v (cancel fired: %v, %d partitions spilled), want ErrCanceled after spilling", err, fired.Load(), stats.SpillPartitions)
 	}
 	if n := store.LiveFiles(); n != 0 {
 		t.Errorf("%d spill files leaked after cancellation", n)

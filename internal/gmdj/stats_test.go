@@ -2,6 +2,8 @@ package gmdj
 
 import (
 	"math/rand"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -183,8 +185,8 @@ func TestShortCircuitStopsScan(t *testing.T) {
 }
 
 // TestDetailPassSpans: the tracer gets a span per detail-pass worker
-// that claimed a morsel, beside the single scan span of a hash-bound
-// fold.
+// that claimed a morsel, beside a scan span per key partition of a
+// routed fold (two at Workers: 2), which together own the whole base.
 func TestDetailPassSpans(t *testing.T) {
 	base, _ := packedCorpus()
 	tracer := obs.NewTracer(1 << 10)
@@ -196,10 +198,15 @@ func TestDetailPassSpans(t *testing.T) {
 	if err := tracer.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	pass, scans := strings.Count(buf.String(), `"detail pass worker `), strings.Count(buf.String(), `"worker 0 base [0:40)"`)
-	if stats.DetailPassWorkers != 2 || pass < 1 || pass > 2 || scans != 1 || tracer.Len() != pass+scans {
-		t.Errorf("DetailPassWorkers = %d with %d pass spans and %d scan spans of %d events; want 2, 1–2, 1 and no others:\n%s",
-			stats.DetailPassWorkers, pass, scans, tracer.Len(), buf.String())
+	pass, scans := strings.Count(buf.String(), `"detail pass worker `), regexp.MustCompile(`"worker [01] base \[0:(\d+)\)"`).FindAllStringSubmatch(buf.String(), -1)
+	owned := 0
+	for _, m := range scans {
+		n, _ := strconv.Atoi(m[1])
+		owned += n
+	}
+	if stats.DetailPassWorkers != 2 || pass < 1 || pass > 2 || len(scans) != 2 || owned != 40 || tracer.Len() != pass+len(scans) {
+		t.Errorf("DetailPassWorkers = %d with %d pass spans and %d scan spans owning %d tuples of %d events; want 2, 1–2, 2, 40 and no others:\n%s",
+			stats.DetailPassWorkers, pass, len(scans), owned, tracer.Len(), buf.String())
 	}
 }
 

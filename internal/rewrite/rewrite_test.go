@@ -1,16 +1,23 @@
 package rewrite
 
 import (
+	"context"
 	"math"
 	"math/rand"
+	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/olaplab/gmdj/internal/agg"
 	"github.com/olaplab/gmdj/internal/algebra"
 	"github.com/olaplab/gmdj/internal/exec"
 	"github.com/olaplab/gmdj/internal/expr"
+	"github.com/olaplab/gmdj/internal/govern"
+	"github.com/olaplab/gmdj/internal/mem"
+	"github.com/olaplab/gmdj/internal/obs"
 	"github.com/olaplab/gmdj/internal/relation"
+	"github.com/olaplab/gmdj/internal/spill"
 	"github.com/olaplab/gmdj/internal/storage"
 	"github.com/olaplab/gmdj/internal/unnest"
 	"github.com/olaplab/gmdj/internal/value"
@@ -78,6 +85,12 @@ func timeWindow(f, h string) expr.Expr {
 // SubqueryToGMDJ (optionally optimized) and requires identical bags.
 func runBoth(t *testing.T, cat *storage.Catalog, plan algebra.Node, optimize bool) *relation.Relation {
 	t.Helper()
+	return runBothWith(t, cat, exec.New(cat).Run, plan, optimize)
+}
+
+// runBothWith is runBoth with the rewritten plan run by gmdjRun.
+func runBothWith(t *testing.T, cat *storage.Catalog, gmdjRun func(algebra.Node) (*relation.Relation, error), plan algebra.Node, optimize bool) *relation.Relation {
+	t.Helper()
 	e := exec.New(cat)
 
 	native, err := e.Run(plan)
@@ -99,7 +112,7 @@ func runBoth(t *testing.T, cat *storage.Catalog, plan algebra.Node, optimize boo
 			t.Fatalf("Optimize: %v", err)
 		}
 	}
-	gmdjOut, err := e.Run(rewritten)
+	gmdjOut, err := gmdjRun(rewritten)
 	if err != nil {
 		t.Fatalf("gmdj run of %s: %v", rewritten, err)
 	}
@@ -496,13 +509,78 @@ func TestRandomizedEquivalence(t *testing.T) {
 	}
 }
 
+// TestRandomizedEquivalenceRouted is the slice of the fuzz that reaches
+// the routed fold: blocks correlated by equality, a detail of two
+// morsels or more, degree 2 and a 2 KiB pool, so that each GMDJ bound on
+// one key routes its detail rows to key partitions in memory or under
+// spill — and one bound on two keys does not. The four strategies must
+// agree.
+func TestRandomizedEquivalenceRouted(t *testing.T) {
+	equi := func(rng *rand.Rand, f string) expr.Expr {
+		return expr.Eq(expr.C(f+".StartTime"), expr.C([]string{"H.StartInterval", "H.EndInterval"}[rng.Intn(2)]))
+	}
+	// A routed GMDJ folds in key partitions: two in memory at degree 2,
+	// and under spill it reads the detail once over several partitions.
+	var routed [2]int
+	var count func(op *obs.Op, spilling int)
+	count = func(op *obs.Op, spilling int) {
+		if strings.HasPrefix(op.Label, "GMDJ") && op.Get("detail_scans") == 0 && (op.Get("workers") == 2 || op.Get("spill_partitions") > 0) {
+			routed[spilling]++
+		}
+		for _, ch := range op.Children {
+			count(ch, spilling)
+		}
+	}
+	for trial := 0; trial < 6; trial++ {
+		rng := rand.New(rand.NewSource(int64(700 + trial)))
+		cat := netflowCatalog(rng, 2*govern.MorselRows+rng.Intn(govern.MorselRows))
+		if trial%2 == 1 {
+			densify(cat, rng)
+		}
+		e := exec.New(cat)
+		e.Parallelism = 2
+		store, err := spill.NewStore(filepath.Join(t.TempDir(), "scratch"), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.Spill = store
+		for spilling, pool := range []*mem.Pool{nil, mem.NewPool(2<<10, time.Second)} {
+			run := func(plan algebra.Node) (*relation.Relation, error) {
+				res, err := pool.Acquire(context.Background(), mem.DefaultQueryReserve)
+				if err != nil {
+					return nil, err
+				}
+				defer res.Release()
+				gov, col := govern.New(context.Background(), govern.Budget{}), obs.NewCollector(nil)
+				gov.AttachReservation(res)
+				out, err := e.RunObserved(plan, gov, col)
+				count(col.Root(), spilling)
+				return out, err
+			}
+			runAllWith(t, cat, run, randomPlanWith(rng, equi))
+		}
+		if n := store.LiveFiles(); n != 0 {
+			t.Errorf("trial %d: %d spill files left behind", trial, n)
+		}
+	}
+	if routed[0] == 0 || routed[1] == 0 {
+		t.Errorf("routed GMDJs: %d in memory, %d spilled; want some of each", routed[0], routed[1])
+	}
+}
+
 // runAll is runBoth across the four strategies: native, GMDJ, optimized
 // GMDJ, and unnest unless it rejects the plan (a subquery predicate
 // under OR or NOT). ok reports whether unnest ran.
 func runAll(t *testing.T, cat *storage.Catalog, plan algebra.Node) (want *relation.Relation, ok bool) {
 	t.Helper()
-	want = runBoth(t, cat, plan, false)
-	runBoth(t, cat, plan, true)
+	return runAllWith(t, cat, exec.New(cat).Run, plan)
+}
+
+// runAllWith is runAll with the GMDJ plans run by gmdjRun.
+func runAllWith(t *testing.T, cat *storage.Catalog, gmdjRun func(algebra.Node) (*relation.Relation, error), plan algebra.Node) (want *relation.Relation, ok bool) {
+	t.Helper()
+	want = runBothWith(t, cat, gmdjRun, plan, false)
+	runBothWith(t, cat, gmdjRun, plan, true)
 	e := exec.New(cat)
 	joins, err := unnest.Unnest(plan, e)
 	if err != nil {
@@ -587,6 +665,11 @@ func correlation(rng *rand.Rand, f string) expr.Expr {
 // over User, so that both selection push-down rules have something to
 // move.
 func randomPlan(rng *rand.Rand) algebra.Node {
+	return randomPlanWith(rng, correlation)
+}
+
+// randomPlanWith is randomPlan with each block correlated by corr.
+func randomPlanWith(rng *rand.Rand, corr func(*rand.Rand, string) expr.Expr) algebra.Node {
 	dests := []string{"167.167.167.0", "168.168.168.0", "10.0.0.1"}
 	ops := []value.CmpOp{value.EQ, value.NE, value.LT, value.LE, value.GT, value.GE}
 	sharedK := int64(-1)
@@ -597,7 +680,7 @@ func randomPlan(rng *rand.Rand) algebra.Node {
 		alias := "FI" + string(rune('0'+i))
 		terms := []expr.Expr{
 			expr.Eq(expr.C(alias+".DestIP"), expr.StrLit(dests[rng.Intn(len(dests))])),
-			correlation(rng, alias),
+			corr(rng, alias),
 		}
 		switch {
 		case sharedK >= 0:
