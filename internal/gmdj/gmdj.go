@@ -36,6 +36,7 @@ package gmdj
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"runtime"
 	"slices"
 	"sort"
@@ -480,8 +481,9 @@ rows:
 
 // estimateStateBytes approximates the resident footprint of the GMDJ
 // base state — an admission estimate, not an allocation count: per base
-// row, the re-materialized tuple (spilled partitions decode rows from
-// disk), index entries per condition, accumulators, completion flags.
+// row, index entries per condition, accumulators, completion flags, and
+// a row's footprint, which overstates what a partition adds to the
+// resident base it gathers by position, but sets the spill fan-out.
 func estimateStateBytes(base *relation.Relation, conds []algebra.GMDJCond, comp *algebra.CompletionInfo) int64 {
 	nBase := int64(len(base.Rows))
 	if nBase == 0 {
@@ -563,25 +565,55 @@ func compile(base, detail *relation.Relation, conds []algebra.GMDJCond, opts Opt
 	return p, nil
 }
 
-// buildIndex hashes a partition's tuples under every condition with
-// equi-bindings: index[c][h] lists the partition positions whose key
-// hashes to h. Fallback conditions get a nil entry.
-func (p *program) buildIndex(rows []relation.Tuple) []map[uint64][]int32 {
-	index := make([]map[uint64][]int32, len(p.conds))
+// hashIndex is one partition's hash index on a base key: bucket b's
+// entries are ents[off[b]:off[b+1]]. A bucket is the top bits of the hash
+// times a Fibonacci constant: a routed partition's hashes share theirs.
+type hashIndex struct {
+	shift uint
+	off   []int32
+	ents  []hashEntry
+}
+
+type hashEntry struct {
+	hash uint64
+	pos  int32
+}
+
+func (ix *hashIndex) bucket(h uint64) int { return int(h * 0x9E3779B97F4A7C15 >> ix.shift) }
+
+// buildIndex indexes a partition's tuples, one index per base key, from
+// the key hashes a routed partition brings; a NULL key, which never
+// matches through equality, is left out, a fallback condition gets nil.
+func (p *program) buildIndex(part *partition) []*hashIndex {
+	index := make([]*hashIndex, len(p.conds))
 	for ci := range p.conds {
-		cp := &p.conds[ci]
-		if len(cp.baseKey) == 0 {
+		key := p.conds[ci].baseKey
+		if j := slices.IndexFunc(p.conds, func(cp condProg) bool { return slices.Equal(cp.baseKey, key) }); j < ci || len(key) == 0 {
+			index[ci] = index[j] // nil for a fallback condition
 			continue
 		}
-		m := make(map[uint64][]int32, len(rows))
-		for i, row := range rows {
-			h, ok := row.KeyHash(cp.baseKey)
-			if !ok {
-				continue // NULL key never matches through equality
+		nb := bits.Len(uint(len(part.rows)))
+		ix, ents := &hashIndex{shift: uint(64 - nb), off: make([]int32, 1<<nb+1)}, make([]hashEntry, 0, len(part.rows))
+		for i, row := range part.rows {
+			h, ok := uint64(0), true
+			if part.hash != nil && part.hash[i] != 0 {
+				h = part.hash[i]
+			} else if h, ok = row.KeyHash(key); !ok { // 0 is a NULL key's hash, and rarely a key's
+				continue
 			}
-			m[h] = append(m[h], int32(i))
+			ents = append(ents, hashEntry{h, int32(i)})
+			ix.off[ix.bucket(h)]++
 		}
-		index[ci] = m
+		// Counts become ends; placing from the back moves each to its start.
+		for b := 1; b < len(ix.off); b++ {
+			ix.off[b] += ix.off[b-1]
+		}
+		ix.ents = make([]hashEntry, len(ents))
+		for k := len(ents) - 1; k >= 0; k-- {
+			b := ix.bucket(ents[k].hash)
+			ix.off[b], ix.ents[ix.off[b]-1] = ix.off[b]-1, ents[k]
+		}
+		index[ci] = ix
 	}
 	return index
 }
@@ -788,7 +820,7 @@ type state struct {
 	// index is the partition's hash index (buildIndex), shared read-only
 	// by every range of the partition. Its buckets hand out partition
 	// positions, so a hit outside the owned range is another worker's.
-	index []map[uint64][]int32
+	index []*hashIndex
 	// accs and decided are the owned windows of the partition's result
 	// arrays: what this scan folds is already where emit reads it.
 	accs    [][]agg.Accumulator // [tuple][agg]
@@ -836,7 +868,7 @@ func (s *state) flushLive() {
 // base-predicate cache, and fallback scan lists cover only the owned
 // range, so a sharded fold splits the O(base) construction cost and
 // memory across workers. res holds the partition's arrays.
-func (p *program) newState(part *partition, index []map[uint64][]int32, lo, hi int, res result) (*state, error) {
+func (p *program) newState(part *partition, index []*hashIndex, lo, hi int, res result) (*state, error) {
 	n := hi - lo
 	s := &state{
 		p:         p,
@@ -996,7 +1028,7 @@ func (s *state) feed(di int) error {
 				continue
 			}
 		}
-		if index := s.index[ci]; index != nil {
+		if ix := s.index[ci]; ix != nil {
 			h, ok := uint64(0), false
 			if vec := cp.detailHash; vec != nil {
 				h, ok = vec.H[di], vec.OK[di]
@@ -1006,9 +1038,13 @@ func (s *state) feed(di int) error {
 			if !ok {
 				continue
 			}
-			for _, pos := range index[h] {
+			b := ix.bucket(h)
+			for _, e := range ix.ents[ix.off[b]:ix.off[b+1]] {
+				if e.hash != h {
+					continue
+				}
 				s.stats.Probes++
-				i := int(pos) - s.lo
+				i := int(e.pos) - s.lo
 				if uint(i) >= uint(len(s.active)) || !s.active[i] {
 					continue
 				}
@@ -1207,16 +1243,24 @@ func (p *program) emit(res result) (*relation.Relation, error) {
 	if err := p.Faults.Fire("gmdj.emit", p.Gov); err != nil {
 		return nil, err
 	}
-	out := relation.New(p.outSchema)
+	// One slab holds every kept row, each capped at its width.
+	kept, w := len(res.decided), p.baseW+len(p.specs)
+	for _, d := range res.decided {
+		if d == -1 {
+			kept--
+		}
+	}
+	out, slab := relation.New(p.outSchema), make(relation.Tuple, kept*w)
+	out.Rows = make([]relation.Tuple, 0, kept)
 	for bi, baseRow := range p.base.Rows {
 		if res.decided[bi] == -1 {
 			continue
 		}
-		row := make(relation.Tuple, 0, p.baseW+len(p.specs))
-		row = append(row, baseRow...)
+		row := append(slab[:0:w], baseRow...)
 		for _, a := range res.accs[bi] {
 			row = append(row, a.Result())
 		}
+		slab = slab[w:]
 		if p.Gov != nil || p.Live != nil {
 			bytes := row.ApproxBytes()
 			p.Live.AddOut(1, bytes)
@@ -1238,7 +1282,8 @@ type partition struct {
 	// idx[i] is rows[i]'s base position. Nil for the whole base, where
 	// it is i.
 	idx    []int32
-	detail []int32 // a routed program's: the rows routed to the partition
+	hash   []uint64 // a routed program's: rows[i]'s key hash, 0 for a NULL key
+	detail []int32  // a routed program's: the rows routed to the partition
 }
 
 // parts cuts the base into its non-empty partitions by the top bits of
@@ -1246,25 +1291,30 @@ type partition struct {
 // nothing but still emits, in partition 0), with the rows routed there;
 // those routed to an empty one count as short-circuited.
 func (p *program) parts() []partition {
-	parts := make([]partition, 1<<p.bits)
+	shift, hs, counts := 64-p.bits, make([]uint64, len(p.base.Rows)), make([]int, 1<<p.bits)
 	for bi, row := range p.base.Rows {
-		h := row.Hash()
-		if p.route {
-			h, _ = row.KeyHash(p.conds[0].baseKey)
+		if hs[bi] = row.Hash(); p.route {
+			hs[bi], _ = row.KeyHash(p.conds[0].baseKey)
 		}
-		parts[h>>(64-p.bits)].idx = append(parts[h>>(64-p.bits)].idx, int32(bi))
+		counts[hs[bi]>>shift]++
 	}
+	parts := make([]partition, len(counts))
 	routes := append(p.routes, make([][]int32, len(parts)-len(p.routes))...) // nil lists unless routed
-	for j := range parts {
-		part := &parts[j]
-		if part.rows, part.detail = make([]relation.Tuple, len(part.idx)), routes[j]; part.idx == nil {
-			p.Stats.ShortCircuitRows += int64(len(part.detail))
+	for j, n := range counts {
+		if parts[j] = (partition{idx: make([]int32, 0, n), rows: make([]relation.Tuple, 0, n), detail: routes[j]}); p.route {
+			parts[j].hash = make([]uint64, 0, n)
 		}
-		for i, bi := range part.idx {
-			part.rows[i] = p.base.Rows[bi]
+		if n == 0 {
+			p.Stats.ShortCircuitRows += int64(len(routes[j]))
 		}
 	}
-	return slices.DeleteFunc(parts, func(part partition) bool { return part.idx == nil })
+	for bi, row := range p.base.Rows {
+		part := &parts[hs[bi]>>shift]
+		if part.idx, part.rows = append(part.idx, int32(bi)), append(part.rows, row); p.route {
+			part.hash = append(part.hash, hs[bi])
+		}
+	}
+	return slices.DeleteFunc(parts, func(part partition) bool { return len(part.idx) == 0 })
 }
 
 // degree is the fold's degree policy: how many base ranges a partition
@@ -1306,12 +1356,12 @@ func (p *program) degree(nBase int) int {
 func (p *program) evalPartition(out result, parts ...partition) error {
 	type task struct{ part, lo, hi int }
 	var tasks []task
-	res, index, workers := make([]result, len(parts)), make([][]map[uint64][]int32, len(parts)), p.passWorkers
+	res, index, workers := make([]result, len(parts)), make([][]*hashIndex, len(parts)), p.passWorkers
 	for pi, part := range parts {
 		n, degree := len(part.rows), p.degree(len(part.rows))
 		// The whole base folds straight into out; a position list folds
 		// into scratch arrays that are scattered once the scans are done.
-		if res[pi], index[pi], workers = out, p.buildIndex(part.rows), max(workers, degree); part.idx != nil {
+		if res[pi], index[pi], workers = out, p.buildIndex(&parts[pi]), max(workers, degree); part.idx != nil {
 			res[pi] = result{decided: make([]int8, n), accs: make([][]agg.Accumulator, n)}
 		}
 		for w := 0; w < degree; w++ {

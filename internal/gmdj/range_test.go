@@ -157,7 +157,7 @@ func rangeState(t *testing.T, base, detail *relation.Relation, theta expr.Expr) 
 		t.Fatal(err)
 	}
 	n := len(base.Rows)
-	s, err := p.newState(&partition{rows: base.Rows}, p.buildIndex(base.Rows), 0, n, result{decided: make([]int8, n), accs: make([][]agg.Accumulator, n)})
+	s, err := p.newState(&partition{rows: base.Rows}, p.buildIndex(&partition{rows: base.Rows}), 0, n, result{decided: make([]int8, n), accs: make([][]agg.Accumulator, n)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,8 @@ package gmdj
 import (
 	"context"
 	"errors"
+	"fmt"
+	"path/filepath"
 	"runtime"
 	"runtime/debug"
 	"sync/atomic"
@@ -12,6 +14,9 @@ import (
 	"github.com/olaplab/gmdj/internal/algebra"
 	"github.com/olaplab/gmdj/internal/expr"
 	"github.com/olaplab/gmdj/internal/govern"
+	"github.com/olaplab/gmdj/internal/relation"
+	"github.com/olaplab/gmdj/internal/spill"
+	"github.com/olaplab/gmdj/internal/value"
 )
 
 // TestRouteAllocsFlat: what a routed Evaluate at degree 2 allocates does
@@ -93,4 +98,57 @@ func TestRouteFaultsAndCancellation(t *testing.T) {
 		t.Errorf("%d matches evaluated after the cancel, want under a chunk per key partition (%d)", n, 4*scanChunk)
 	}
 	waitGoroutines(t, before)
+}
+
+// TestEmitAllocsFlat: a routed Evaluate allocates as often over 16 384
+// base tuples as over 1 024 — the partitions are carved from slabs, the
+// index is flat arrays, emit fills one slab of presized output — and a
+// spilled one reads no more than 12 bytes a base row beside its frame
+// headers: a position delta and a key hash, never the row.
+func TestEmitAllocsFlat(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled vectors")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	detail := passDetail(2*govern.MorselRows + 1)
+	conds := []algebra.GMDJCond{{
+		Theta: expr.NewAnd(expr.Eq(expr.C("R.k"), expr.C("B.k")), expr.Eq(expr.C("R.tag"), expr.StrLit("odd"))),
+		Aggs:  []agg.Spec{{Func: agg.CountStar, As: "cnt"}, {Func: agg.Sum, Arg: expr.C("R.v"), As: "sv"}},
+	}}
+	baseOf := func(n int) *relation.Relation {
+		base := relation.New(relation.NewSchema(
+			relation.Column{Qualifier: "B", Name: "k", Type: value.KindInt},
+			relation.Column{Qualifier: "B", Name: "name", Type: value.KindString},
+		))
+		for i := 0; i < n; i++ {
+			base.Append(relation.Tuple{value.Int(int64(i % 20)), value.Str(fmt.Sprintf("customer-%05d", i))})
+		}
+		return base
+	}
+	allocs := func(base *relation.Relation) float64 {
+		return testing.AllocsPerRun(10, func() {
+			var stats Stats
+			if out, err := Evaluate(base, detail, conds, Options{Workers: 2, Stats: &stats}); err != nil || out.Len() != base.Len() || len(stats.WorkerRows) != 2 {
+				t.Fatalf("Evaluate: %v, WorkerRows %v; want every tuple out of a fold of two key partitions", err, stats.WorkerRows)
+			}
+		})
+	}
+	small, large := baseOf(1024), baseOf(16384)
+	if sa, la := allocs(small), allocs(large); la > sa {
+		t.Errorf("%v allocations over %d base tuples, %v over %d: the fold or emit allocates per tuple", la, large.Len(), sa, small.Len())
+	}
+	tr, release := tinyTracker(t)
+	defer release()
+	store, err := spill.NewStore(filepath.Join(t.TempDir(), "scratch"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stats Stats
+	if _, err := Evaluate(small, detail, conds, Options{Workers: 1, Mem: tr, Spill: store, Stats: &stats}); err != nil {
+		t.Fatal(err)
+	}
+	if limit := 12*int64(small.Len()) + stats.SpillPartitions*spill.FrameOverhead; stats.SpillPartitions < 2 || stats.SpillBytesRead > limit {
+		t.Errorf("%d partitions spilled, %d bytes read back; want >= 2 and at most %d", stats.SpillPartitions, stats.SpillBytesRead, limit)
+	}
 }

@@ -13,15 +13,17 @@ import (
 // This file is the memory-adaptive evaluation regime: when the query's
 // reservation cannot hold the whole base state, the base relation is
 // partitioned by the top bits of a hash ("hash prefix", parts), cold
-// partitions are encoded to checksummed temp files, and the partitions
-// are admitted against the reservation one at a time and handed to the
-// same driver as the in-memory regimes (evalPartition). A routed
-// program still reads the detail once; any other pays one extra full
-// detail scan per additional partition — the paper's one-scan guarantee
-// (Prop. 4.1) relaxes to 1+k scans; Stats reports k in ExtraDetailScans.
-// Output stays byte-identical to in-memory evaluation because every
-// partition row remembers its original base position and a single emit
-// pass walks the full base in order.
+// partitions' base positions and key hashes are written to checksummed
+// temp files — the base itself stays resident, emit reads it — and the
+// partitions are admitted against the reservation one at a time, their
+// rows gathered by position, and handed to the same driver as the
+// in-memory regimes (evalPartition). A routed program still reads the
+// detail once; any other pays one extra full detail scan per additional
+// partition — the paper's one-scan guarantee (Prop. 4.1) relaxes to 1+k
+// scans; Stats reports k in ExtraDetailScans.
+// Output stays byte-identical to in-memory evaluation because a
+// partition is its rows' base positions and a single emit pass walks the
+// full base in order.
 
 // minPartitionBytes floors the per-partition budget so pathological
 // reservations cannot explode the partition count.
@@ -32,7 +34,7 @@ const minPartitionBytes = 16 << 10
 const maxSpillParts = 256
 
 // spillPart is one worklist item: a partition of the base relation,
-// resident (rows != nil) or evicted to a spill file.
+// resident or evicted to a spill file (rows empty, with room for them).
 type spillPart struct {
 	partition
 	file  *spill.File
@@ -45,11 +47,11 @@ type spillPart struct {
 func (p *program) evalSpilled(tracker *mem.Tracker, store *spill.Store, est int64, out result) error {
 	perRow := max(est/int64(len(p.base.Rows)), 1)
 
-	// The first non-empty partition stays resident; the rest are
-	// encoded to spill files. Deferred cleanup removes whatever is
-	// still on disk when we leave — on success (files are consumed as
-	// partitions are processed), on error, on cancellation, and on
-	// panic unwinding through this frame alike.
+	// The first non-empty partition stays resident; the rest go to
+	// spill files as positions and key hashes. Deferred cleanup removes
+	// whatever is still on disk when we leave — on success (files are
+	// consumed as partitions are processed), on error, on cancellation,
+	// and on panic unwinding through this frame alike.
 	var work []spillPart
 	defer func() {
 		for _, part := range work {
@@ -61,11 +63,11 @@ func (p *program) evalSpilled(tracker *mem.Tracker, store *spill.Store, est int6
 			work = append(work, spillPart{partition: part, n: len(part.rows)})
 			continue
 		}
-		f, err := store.Write("gmdj-part", spill.EncodePartition(part.idx, part.rows))
+		f, err := store.Write("gmdj-part", spill.EncodePositions(part.idx, part.hash))
 		if err != nil {
 			return err
 		}
-		work = append(work, spillPart{partition: partition{detail: part.detail}, file: f, n: len(part.rows)})
+		work = append(work, spillPart{partition: partition{rows: part.rows[:0], detail: part.detail}, file: f, n: len(part.rows)})
 		p.Stats.SpillPartitions++
 		p.Stats.SpillBytesWritten += f.Bytes
 	}
@@ -84,9 +86,11 @@ func (p *program) evalSpilled(tracker *mem.Tracker, store *spill.Store, est int6
 			}
 			p.Stats.SpillBytesRead += part.file.Bytes
 			part.file.Remove()
-			part.idx, part.rows, err = spill.DecodePartition(payload)
-			if err != nil {
+			if part.idx, part.hash, err = spill.DecodePositions(payload, len(p.base.Rows)); err != nil {
 				return err
+			}
+			for _, bi := range part.idx {
+				part.rows = append(part.rows, p.base.Rows[bi])
 			}
 		}
 
@@ -123,26 +127,20 @@ func (p *program) evalSpilled(tracker *mem.Tracker, store *spill.Store, est int6
 // half and all above it (a hot key, which no key cut splits).
 func (p *program) split(part spillPart) []spillPart {
 	mid, depth := part.n/2, part.depth+1
-	halves := []spillPart{
+	halves := []spillPart{ // a hot key's halves drop its one hash: buildIndex redoes it
 		{partition: partition{rows: part.rows[:mid], idx: part.idx[:mid], detail: part.detail}, n: mid, depth: depth},
 		{partition: partition{rows: part.rows[mid:], idx: part.idx[mid:], detail: part.detail}, n: part.n - mid, depth: depth},
 	}
-	hs := make([]uint64, part.n) // all 0, so no key cut, unless routed
-	for i, row := range part.rows {
-		if p.route {
-			hs[i], _ = row.KeyHash(p.conds[0].baseKey)
-		}
-	}
-	sorted := slices.Clone(hs)
+	sorted := slices.Clone(part.hash) // empty, so no key cut, unless routed
 	slices.Sort(sorted)
 	j := slices.IndexFunc(sorted, func(h uint64) bool { return h != sorted[0] })
 	if j < 0 {
 		return halves
 	}
 	t, halves := sorted[max(j, mid)], make([]spillPart, 2) // t > 0: h/t is 0 below the cut, at least 1 from it
-	for i, row := range part.rows {
-		half := &halves[min(hs[i]/t, 1)]
-		half.rows, half.idx, half.n, half.depth = append(half.rows, row), append(half.idx, part.idx[i]), half.n+1, depth
+	for i, h := range part.hash {
+		half := &halves[min(h/t, 1)]
+		half.rows, half.idx, half.hash, half.n, half.depth = append(half.rows, part.rows[i]), append(half.idx, part.idx[i]), append(half.hash, h), half.n+1, depth
 	}
 	for _, di := range part.detail {
 		half := &halves[min(p.conds[0].detailHash.H[di]/t, 1)]

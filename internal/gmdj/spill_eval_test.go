@@ -106,9 +106,13 @@ func TestSpillParity(t *testing.T) {
 
 // TestSpillCutsAreReproducible pins the spill regime's observable
 // footprint for a fixed input under a fixed reservation. The cuts come
-// from Tuple.Hash's top bits and the file sizes from the cell codec,
-// both fixed functions, so the numbers are the same in every process —
-// a shrunk failure replays, and a change to either shows up here.
+// from the key hash's top bits and the file sizes from the positions
+// codec, both fixed functions, so the numbers are the same in every
+// process — a shrunk failure replays, and a change to either shows up
+// here. The 200-row base cuts into 30 resident rows and three files of
+// 50, 63 and 57: each file is a 21-byte frame header, a one-byte
+// position count and hash count, and per row a one-byte position delta
+// and an 8-byte key hash, so 3×23 + 170×9 = 1599 bytes.
 func TestSpillCutsAreReproducible(t *testing.T) {
 	base, detail, conds := spillFixture()
 	tr, release := tinyTracker(t)
@@ -121,8 +125,8 @@ func TestSpillCutsAreReproducible(t *testing.T) {
 	if _, err := Evaluate(base, detail, conds, Options{Workers: 1, Mem: tr, Spill: store, Stats: &stats}); err != nil {
 		t.Fatal(err)
 	}
-	if stats.SpillPartitions != 3 || stats.SpillBytesWritten != 807 || stats.SpillBytesRead != 807 {
-		t.Errorf("spill footprint = %d partitions, %d bytes written, %d read; want 3, 807, 807",
+	if stats.SpillPartitions != 3 || stats.SpillBytesWritten != 1599 || stats.SpillBytesRead != 1599 {
+		t.Errorf("spill footprint = %d partitions, %d bytes written, %d read; want 3, 1599, 1599",
 			stats.SpillPartitions, stats.SpillBytesWritten, stats.SpillBytesRead)
 	}
 }
@@ -299,5 +303,59 @@ func TestSpillCancellationMidway(t *testing.T) {
 	}
 	if n := store.LiveFiles(); n != 0 {
 		t.Errorf("%d spill files leaked after cancellation", n)
+	}
+}
+
+// TestSpillPositionsForged: a spill file whose frame checks out but
+// names a position past the base — rewritten while the resident
+// partition folds — fails the evaluation with an error, not an
+// out-of-range gather, and every spill file is swept.
+func TestSpillPositionsForged(t *testing.T) {
+	base, detail, _ := spillFixture()
+	tr, release := tinyTracker(t)
+	defer release()
+	store, err := spill.NewStore(filepath.Join(t.TempDir(), "scratch"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	forged := 0
+	forge := func() {
+		files, _ := filepath.Glob(filepath.Join(store.Dir(), "*.spill"))
+		for _, name := range files {
+			frame, err := os.ReadFile(name)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			payload, _, err := spill.DecodeFrame(frame)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			idx, hash, err := spill.DecodePositions(payload, base.Len())
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			idx[len(idx)-1] = int32(base.Len())
+			if err := os.WriteFile(name, spill.AppendFrame(nil, spill.EncodePositions(idx, hash)), 0o644); err != nil {
+				t.Error(err)
+			}
+			forged++
+		}
+	}
+	var fired atomic.Bool
+	var seen atomic.Int64
+	at := &cancelAt{col: expr.NewArith(expr.OpSub, expr.C("B.k"), expr.C("R.k")), cancel: forge, fired: &fired, seen: &seen}
+	conds := []algebra.GMDJCond{{Theta: expr.NewAnd(expr.Eq(expr.C("B.k"), expr.C("R.k")), at), Aggs: []agg.Spec{{Func: agg.CountStar, As: "cnt"}}}}
+	var stats Stats
+	if _, err := Evaluate(base, detail, conds, Options{Workers: 1, Mem: tr, Spill: store, Stats: &stats}); err == nil || forged < 2 {
+		t.Fatalf("err = %v after forging %d of %d spill files, want an error", err, forged, stats.SpillPartitions)
+	}
+	if n := store.LiveFiles(); n != 0 {
+		t.Errorf("%d spill files leaked", n)
+	}
+	if entries, _ := os.ReadDir(store.Dir()); len(entries) != 0 {
+		t.Errorf("%d files left in the scratch directory", len(entries))
 	}
 }

@@ -9,12 +9,12 @@ import (
 	"github.com/olaplab/gmdj/internal/value"
 )
 
-// This file is the spill wire format: relations, tuples and GMDJ base
-// partitions in the engine's one cell encoding (value.AppendBinary,
-// Schema.AppendBinary — the same bytes the durable tier stores), plus a
-// codec registry so heterogeneous cached values (result-cache entries)
-// can round-trip through the store without the store knowing their
-// types.
+// This file is the spill wire format: relations and tuples in the
+// engine's one cell encoding (value.AppendBinary, Schema.AppendBinary —
+// the same bytes the durable tier stores), GMDJ base partitions as
+// positions and key hashes, plus a codec registry so heterogeneous
+// cached values (result-cache entries) can round-trip through the store
+// without the store knowing their types.
 //
 // Every decoder reads through value.Reader, so any structural
 // violation is an error, never a panic or an oversized allocation —
@@ -64,32 +64,50 @@ func DecodeRelation(data []byte) (*relation.Relation, error) {
 	return rel, nil
 }
 
-// EncodePartition encodes a spilled GMDJ base partition: rows paired
-// with their positions in the original base relation, so the evaluator
-// can reassemble results in base order after re-probing.
-func EncodePartition(idx []int32, rows []relation.Tuple) []byte {
-	buf := binary.AppendUvarint(nil, uint64(len(rows)))
-	for i, t := range rows {
-		buf = binary.AppendUvarint(buf, uint64(idx[i]))
-		buf = AppendTuple(buf, t)
+// EncodePositions encodes a spilled GMDJ base partition — the rows stay
+// resident with the evaluator — as a count, its ascending base positions
+// in uvarint deltas (the first from 0), then a key-hash count, 0 or one
+// per position, and the hashes (8B LE).
+func EncodePositions(idx []int32, hash []uint64) []byte {
+	buf := binary.AppendUvarint(make([]byte, 0, 2*binary.MaxVarintLen32+len(idx)+8*len(hash)), uint64(len(idx)))
+	prev := int32(0)
+	for _, i := range idx {
+		buf, prev = binary.AppendUvarint(buf, uint64(i-prev)), i
+	}
+	buf = binary.AppendUvarint(buf, uint64(len(hash)))
+	for _, h := range hash {
+		buf = binary.LittleEndian.AppendUint64(buf, h)
 	}
 	return buf
 }
 
-// DecodePartition is the inverse of EncodePartition.
-func DecodePartition(data []byte) ([]int32, []relation.Tuple, error) {
+// DecodePositions is the inverse of EncodePositions over a base of
+// nBase rows. Positions not strictly ascending or not below nBase, a
+// hash count that is neither 0 nor the position count, and trailing
+// bytes are errors; hash is nil when the partition carries none.
+func DecodePositions(data []byte, nBase int) (idx []int32, hash []uint64, err error) {
 	r := value.NewReader(data)
-	nrows := r.Count()
-	idx := make([]int32, 0, nrows)
-	rows := make([]relation.Tuple, 0, nrows)
-	for i := 0; i < nrows && r.Err() == nil; i++ {
-		idx = append(idx, int32(r.Uvarint()))
-		rows = append(rows, ReadTuple(r))
+	idx = make([]int32, r.Count())
+	for i, pos := 0, uint64(0); i < len(idx) && r.Err() == nil; i++ {
+		if d := r.Uvarint(); d == 0 && i > 0 || d >= uint64(nBase)-pos {
+			r.Failf("position %d of %d: %d past %d in a base of %d", i, len(idx), d, pos, nBase)
+		} else {
+			pos += d
+		}
+		idx[i] = int32(pos)
+	}
+	if m := r.Count(); m != 0 && m != len(idx) {
+		r.Failf("%d key hashes for %d positions", m, len(idx))
+	} else if hs := r.Take(8 * m); m > 0 && hs != nil {
+		hash = make([]uint64, m)
+		for i := range hash {
+			hash[i] = binary.LittleEndian.Uint64(hs[8*i:])
+		}
 	}
 	if err := r.Finish(); err != nil {
 		return nil, nil, fmt.Errorf("spill codec: partition: %w", err)
 	}
-	return idx, rows, nil
+	return idx, hash, nil
 }
 
 // Codec teaches the store how to round-trip one concrete cached-value

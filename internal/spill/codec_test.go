@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/olaplab/gmdj/internal/relation"
@@ -50,19 +51,41 @@ func TestTupleRoundTrip(t *testing.T) {
 	}
 }
 
-func TestPartitionRoundTrip(t *testing.T) {
-	rel := sampleRelation()
-	idx := []int32{7, 3, 11}
-	buf := EncodePartition(idx, rel.Rows)
-	gotIdx, gotRows, err := DecodePartition(buf)
-	if err != nil {
-		t.Fatal(err)
+func TestPositionsRoundTrip(t *testing.T) {
+	for _, hash := range [][]uint64{nil, {0, 1 << 63, math.MaxUint64, 7}} {
+		idx := []int32{0, 3, 200, 1 << 20}
+		gotIdx, gotHash, err := DecodePositions(EncodePositions(idx, hash), 1<<20+1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(idx, gotIdx) || !reflect.DeepEqual(hash, gotHash) {
+			t.Fatalf("got %v, %v; want %v, %v", gotIdx, gotHash, idx, hash)
+		}
 	}
-	if !reflect.DeepEqual(idx, gotIdx) {
-		t.Fatalf("idx mismatch: %v vs %v", idx, gotIdx)
+}
+
+// TestPositionsRejected: a checksum-valid payload naming no valid
+// partition of a 16-row base is an error, never a panic or a position a
+// gather would index out of range with.
+func TestPositionsRejected(t *testing.T) {
+	valid := EncodePositions([]int32{1, 2, 15}, []uint64{9, 8, 7})
+	for name, data := range map[string][]byte{
+		"repeated position":   EncodePositions([]int32{1, 4, 4}, nil),
+		"descending position": EncodePositions([]int32{5, 3}, nil),
+		"position past base":  EncodePositions([]int32{2, 16}, nil),
+		"fewer hashes":        EncodePositions([]int32{1, 2}, []uint64{5}),
+		"more hashes":         EncodePositions([]int32{1}, []uint64{5, 6}),
+		"trailing bytes":      append(slices.Clone(valid), 0),
+		"forged hash count":   append([]byte{1, 0}, binary.AppendUvarint(nil, math.MaxUint64)...),
+	} {
+		if idx, hash, err := DecodePositions(data, 16); err == nil {
+			t.Errorf("%s: decoded %v, %v", name, idx, hash)
+		}
 	}
-	if !reflect.DeepEqual(rel.Rows, gotRows) {
-		t.Fatalf("rows mismatch")
+	for cut := 0; cut < len(valid); cut++ {
+		if _, _, err := DecodePositions(valid[:cut], 16); err == nil {
+			t.Errorf("a %d-byte prefix of %d decoded", cut, len(valid))
+		}
 	}
 }
 
@@ -78,10 +101,6 @@ func TestDefensiveDecoding(t *testing.T) {
 			continue
 		}
 	}
-	part := EncodePartition([]int32{1, 2, 3}, rel.Rows)
-	for cut := 0; cut < len(part); cut++ {
-		_, _, _ = DecodePartition(part[:cut])
-	}
 	if _, err := DecodeRelation([]byte{0xFF, 0xFF, 0xFF}); err == nil {
 		t.Fatal("garbage relation decoded")
 	}
@@ -91,9 +110,6 @@ func TestDefensiveDecoding(t *testing.T) {
 	r := value.NewReader(forged)
 	if ReadTuple(r); r.Err() == nil {
 		t.Fatal("tuple with a 2^64-1 byte string decoded")
-	}
-	if _, _, err := DecodePartition(append([]byte{1, 0}, forged...)); err == nil {
-		t.Fatal("partition with a 2^64-1 byte string decoded")
 	}
 	if _, err := DecodeRelation(append([]byte{0, 1}, forged...)); err == nil {
 		t.Fatal("relation with a 2^64-1 byte string decoded")

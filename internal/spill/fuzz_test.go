@@ -2,6 +2,7 @@ package spill_test
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"runtime"
 	"testing"
@@ -13,16 +14,16 @@ import (
 )
 
 // forgedInputs are payloads whose lengths and counts lie: a 2^64-1 byte
-// string in a one-cell tuple (bare, inside a partition, inside a
-// relation), a tuple and a relation claiming as many cells/rows as
-// Reader.Count lets through, and a hash vector whose row count times
-// nine wraps around to its two bytes.
+// string in a one-cell tuple (bare, inside a relation), a partition of
+// one position claiming 2^64-1 key hashes, a tuple and a relation
+// claiming as many cells/rows as Reader.Count lets through, and a hash
+// vector whose row count times nine wraps around to its two bytes.
 func forgedInputs() [][]byte {
 	forged := append([]byte{1, byte(value.KindString)}, binary.AppendUvarint(nil, math.MaxUint64)...)
 	wide := append(binary.AppendUvarint(nil, 4000), make([]byte, 4000)...)
 	return [][]byte{
 		forged,
-		append([]byte{1, 0}, forged...),
+		append([]byte{1, 0}, binary.AppendUvarint(nil, math.MaxUint64)...),
 		append([]byte{0, 1}, forged...),
 		wide,
 		append([]byte{0}, wide...),
@@ -42,12 +43,19 @@ var decoders = map[string]func(data []byte) (rows, cells, strBytes int){
 		}
 		return measure(rel.Rows)
 	},
-	"DecodePartition": func(data []byte) (int, int, int) {
-		idx, rows, _ := spill.DecodePartition(data)
-		if len(idx) != len(rows) {
-			panic("partition positions and rows differ in number")
+	// A partition's positions and hashes count as rows and cells.
+	"DecodePositions": func(data []byte) (int, int, int) {
+		const nBase = 1 << 10
+		idx, hash, err := spill.DecodePositions(data, nBase)
+		for i, pos := range idx {
+			if pos >= nBase || i > 0 && pos <= idx[i-1] {
+				panic(fmt.Sprintf("position %d of %v is out of order or past the base", i, idx))
+			}
 		}
-		return measure(rows)
+		if err == nil && len(hash) != 0 && len(hash) != len(idx) {
+			panic(fmt.Sprintf("%d key hashes for %d positions", len(hash), len(idx)))
+		}
+		return len(idx), len(hash), 0
 	},
 	"ReadTuple": func(data []byte) (int, int, int) {
 		return measure([]relation.Tuple{spill.ReadTuple(value.NewReader(data))})
@@ -82,7 +90,10 @@ func FuzzSpillDecode(f *testing.F) {
 	rel.Append(relation.Tuple{value.Float(math.Copysign(0, -1)), value.Null})
 	rel.Append(relation.Tuple{value.Bool(true), value.Str("")})
 	f.Add(spill.EncodeRelation(rel))
-	f.Add(spill.EncodePartition([]int32{7, 3, 11}, rel.Rows))
+	f.Add(spill.EncodePositions([]int32{3, 7, 11}, []uint64{0xfeedface, 0, 1 << 63}))
+	f.Add(spill.EncodePositions([]int32{0, 1000}, nil))
+	f.Add(spill.EncodePositions([]int32{4, 4}, nil))    // not ascending
+	f.Add(spill.EncodePositions([]int32{1 << 10}, nil)) // past the base
 	f.Add(spill.AppendTuple(nil, rel.Rows[0]))
 	vec := binary.AppendUvarint(nil, 2) // two hashes, then two validity bytes
 	vec = binary.LittleEndian.AppendUint64(vec, 0xfeedface)
