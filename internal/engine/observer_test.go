@@ -108,12 +108,14 @@ func TestLiveQueryDashboardDuringScan(t *testing.T) {
 	srv := httptest.NewServer(o.Handler())
 	defer srv.Close()
 
-	// A ≠ θ — no equi-binding, no bound for a sorted run — and no
-	// detail-only filter: every detail row scans the active base set, so
-	// the scan is long enough to observe and cancel.
+	// A θ no class binds (arithmetic over both sides: no equi-binding,
+	// no bound for a sorted run, no kernel) and no row satisfies, so no
+	// hour ever completes: every detail row scans all 24, and the scan
+	// is long enough to observe and cancel at any degree.
+	sum := expr.NewArith(expr.OpAdd, expr.C("F.StartTime"), expr.C("H.StartInterval"))
 	sub := &algebra.Subquery{
 		Source: algebra.NewScan("Flow", "F"),
-		Where:  &algebra.Atom{E: expr.NewCmp(value.NE, expr.C("F.StartTime"), expr.C("H.StartInterval"))},
+		Where:  &algebra.Atom{E: expr.NewCmp(value.LT, sum, sum)},
 	}
 	plan := algebra.NewRestrict(algebra.NewScan("Hours", "H"), algebra.ExistsPred(sub))
 
@@ -166,7 +168,17 @@ func TestLiveQueryDashboardDuringScan(t *testing.T) {
 	}
 	recs := o.SlowLog().Entries()
 	if len(recs) != 1 || recs[0].Outcome != "canceled" {
-		t.Errorf("slowlog should record the canceled run: %+v", recs)
+		t.Fatalf("slowlog should record the canceled run: %+v", recs)
+	}
+	// The premise: the θ ran as a fallback and retired nothing. A θ
+	// class that binds it, or a completion that ends the scan early,
+	// makes the query too fast to observe.
+	gm := recs[0].Stats.Find("GMDJ")
+	if gm == nil {
+		t.Fatal("slowlog stats tree lacks the GMDJ operator")
+	}
+	if gm.Get("fallback_conds") < 1 || gm.Get("completed") != 0 {
+		t.Fatalf("want a fallback θ that completes nothing, got GMDJ counters %v", gm.Totals())
 	}
 }
 

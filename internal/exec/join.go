@@ -1,8 +1,6 @@
 package exec
 
 import (
-	"sync"
-
 	"github.com/olaplab/gmdj/internal/algebra"
 	"github.com/olaplab/gmdj/internal/expr"
 	"github.com/olaplab/gmdj/internal/govern"
@@ -16,14 +14,14 @@ import (
 // loop — which is exactly the degradation the paper's Figure 4 join
 // baseline suffers under a ≠ correlation.
 //
-// Both phases are morsel-parallel under Executor.Parallelism. The
-// build side hashes each row's key columns (Tuple.KeyHash, as the probe
-// does) and partitions the hash table by hash modulo shard, each shard built
-// by one worker in right-row order; the probe side pulls left-row
-// morsels, emitting per-morsel buffers that concatenate in morsel
-// order. Candidate lists and per-left-row emit order are therefore
-// identical to the serial engine's single hash table — byte-identical
-// output at any degree.
+// The build side hashes each right row's key columns (Tuple.KeyHash, as
+// the probe does) in morsels, then indexes the hash vector in one serial
+// pass into a relation.HashIndex, the index the GMDJ and storage use. A
+// nested loop is the empty key: every right row hashes alike, so all of
+// them are one bucket's candidates. A probe walks its bucket in
+// right-row order, skipping entries of another hash; the probe side pulls
+// left-row morsels, emitting per-morsel buffers that concatenate in morsel
+// order. Output is therefore byte-identical at any degree.
 func (e *Executor) evalJoin(j *algebra.Join, ev *env) (*relation.Relation, error) {
 	left, err := e.eval(j.Left, ev)
 	if err != nil {
@@ -76,19 +74,9 @@ func (e *Executor) evalJoin(j *algebra.Join, ev *env) (*relation.Relation, error
 		rightPos = append(rightPos, rp)
 	}
 
-	var probe func(lRow relation.Tuple) ([]int, bool)
-	if len(leftPos) > 0 {
-		index, err := e.buildJoinIndex(right, rightPos, ev)
-		if err != nil {
-			return nil, err
-		}
-		probe = index.probeFor(leftPos)
-	} else {
-		all := make([]int, len(right.Rows))
-		for i := range all {
-			all[i] = i
-		}
-		probe = func(relation.Tuple) ([]int, bool) { return all, true }
+	index, err := e.buildJoinIndex(right, rightPos, ev)
+	if err != nil {
+		return nil, err
 	}
 
 	// Probe phase: morsel-parallel over the left rows. Each worker
@@ -103,14 +91,17 @@ func (e *Executor) evalJoin(j *algebra.Join, ev *env) (*relation.Relation, error
 	// to the morsel buffer; semantics per kind match the serial engine
 	// (first match suffices for semi, first match disqualifies for
 	// anti).
-	matchRows := func(fullRow, lRow relation.Tuple, candidates []int, buf *[]relation.Tuple) (bool, error) {
+	matchRows := func(fullRow, lRow relation.Tuple, h uint64, buf *[]relation.Tuple) (bool, error) {
 		copy(fullRow, lRow)
 		matched := false
-		for _, ri := range candidates {
+		for _, ent := range index.Bucket(h) {
+			if ent.Hash != h {
+				continue
+			}
 			if err := ev.q.tick(); err != nil {
 				return false, err
 			}
-			copy(fullRow[lw:], right.Rows[ri])
+			copy(fullRow[lw:], right.Rows[ent.Pos])
 			tr, err := on.Tri(fullRow)
 			if err != nil {
 				return false, err
@@ -144,11 +135,11 @@ func (e *Executor) evalJoin(j *algebra.Join, ev *env) (*relation.Relation, error
 			if err := ev.q.tick(); err != nil {
 				return err
 			}
-			candidates, keyOK := probe(lRow)
+			h, keyOK := lRow.KeyHash(leftPos)
 			matched := false
 			if keyOK {
 				var err error
-				matched, err = matchRows(fulls[w], lRow, candidates, &outs[m])
+				matched, err = matchRows(fulls[w], lRow, h, &outs[m])
 				if err != nil {
 					return err
 				}
@@ -179,34 +170,12 @@ func (e *Executor) evalJoin(j *algebra.Join, ev *env) (*relation.Relation, error
 	return concatMorsels(outSchema, outs), nil
 }
 
-// joinIndex is the hash-join build side: row positions bucketed by key
-// hash, partitioned into shards by hash modulo. One shard is the
-// serial engine's single map; with several, a probe reads exactly one
-// shard, and bucket lists remain in right-row order because each shard
-// scans the hash vector start to finish.
-type joinIndex struct {
-	shards []map[uint64][]int
-}
-
-func (ix *joinIndex) probeFor(leftPos []int) func(relation.Tuple) ([]int, bool) {
-	n := uint64(len(ix.shards))
-	return func(lRow relation.Tuple) ([]int, bool) {
-		h, ok := lRow.KeyHash(leftPos)
-		if !ok {
-			return nil, false
-		}
-		return ix.shards[h%n][h], true
-	}
-}
-
-// buildJoinIndex computes the key-hash vector over the build side
-// (morsel-parallel: workers write disjoint ranges of the vector), then
-// builds the shard maps, one worker per shard.
-func (e *Executor) buildJoinIndex(right *relation.Relation, rightPos []int, ev *env) (*joinIndex, error) {
+// buildJoinIndex hashes the build side's keys morsel-parallel (workers
+// write disjoint ranges of the vector), then indexes them serially.
+func (e *Executor) buildJoinIndex(right *relation.Relation, rightPos []int, ev *env) (*relation.HashIndex, error) {
 	n := len(right.Rows)
-	hs := make([]uint64, n)
-	okv := make([]bool, n)
-	used, err := govern.RunMorsels(n, e.pipelineWorkers(n), func(w, m, lo, hi int) error {
+	hs, okv := make([]uint64, n), make([]bool, n)
+	_, err := govern.RunMorsels(n, e.pipelineWorkers(n), func(w, m, lo, hi int) error {
 		if err := ev.q.tick(); err != nil {
 			return err
 		}
@@ -218,35 +187,7 @@ func (e *Executor) buildJoinIndex(right *relation.Relation, rightPos []int, ev *
 	if err != nil {
 		return nil, err
 	}
-	nShards := used
-	ix := &joinIndex{shards: make([]map[uint64][]int, nShards)}
-	build := func(s int) {
-		m := make(map[uint64][]int, n/nShards+1)
-		for ri := 0; ri < n; ri++ {
-			if !okv[ri] {
-				continue
-			}
-			h := hs[ri]
-			if int(h%uint64(nShards)) == s {
-				m[h] = append(m[h], ri)
-			}
-		}
-		ix.shards[s] = m
-	}
-	if nShards == 1 {
-		build(0)
-	} else {
-		var wg sync.WaitGroup
-		for s := 0; s < nShards; s++ {
-			wg.Add(1)
-			go func(s int) {
-				defer wg.Done()
-				build(s)
-			}(s)
-		}
-		wg.Wait()
-	}
-	return ix, nil
+	return relation.NewHashIndex(n, func(i int) (uint64, bool) { return hs[i], okv[i] }), nil
 }
 
 func schemaQualifiers(s *relation.Schema) map[string]bool {

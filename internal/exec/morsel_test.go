@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 
 	"github.com/olaplab/gmdj/internal/algebra"
@@ -30,72 +31,109 @@ func morselInput(n int) *relation.Relation {
 // that end before, on and after a morsel edge, serially and at degree
 // 4, against a row-at-a-time reference: same rows, same order, and —
 // where the operator passes input rows through (Restrict, semi, anti) —
-// the same backing arrays, not copies.
+// the same backing arrays, not copies. A build side of its own spans
+// three morsels and holds the keys hashing has to get right: duplicates,
+// NULL, INT 1 beside FLOAT 1.0, 0.0 beside -0.0, and NaN.
 func TestMorselBoundaries(t *testing.T) {
-	right := relation.New(relation.NewSchema(
-		relation.Column{Qualifier: "R", Name: "r", Type: value.KindInt},
-	))
-	for _, r := range []int64{0, 0, 2} { // a duplicate key: two matches per probe
-		right.Append(relation.Tuple{value.Int(r)})
-	}
-	on := expr.Eq(expr.C("L.r"), expr.C("R.r"))
-
+	right := morselRight(value.Int(0), value.Int(0), value.Int(2)) // a duplicate key: two matches per probe
 	for _, n := range []int{0, 1, govern.MorselRows - 1, govern.MorselRows, govern.MorselRows + 1, 2*govern.MorselRows + 1} {
 		left := morselInput(n)
-		var restrict, project, inner, outer, semi, anti []relation.Tuple
+		var restrict, project []relation.Tuple
 		for _, l := range left.Rows {
 			if l[1].AsInt() >= 2 {
 				restrict = append(restrict, l)
 			}
 			project = append(project, relation.Tuple{l[1], l[0]})
-			matched := false
-			for _, r := range right.Rows {
-				if value.Equal(l[1], r[0]) {
-					matched = true
-					inner = append(inner, l.Concat(r))
-					outer = append(outer, l.Concat(r))
-				}
-			}
-			if matched {
-				semi = append(semi, l)
-			} else {
-				anti = append(anti, l)
-				outer = append(outer, l.Concat(relation.Tuple{value.Null}))
-			}
 		}
-		in, r := algebra.NewRaw("L", left), algebra.NewRaw("R", right)
-		cases := []struct {
-			name   string
-			plan   algebra.Node
-			want   []relation.Tuple
-			shared bool // output tuples must be the input's own
-		}{
+		in := algebra.NewRaw("L", left)
+		checkMorselCases(t, fmt.Sprintf("n=%d", n), left, right, []morselCase{
 			{"restrict", algebra.Filter(in, expr.NewCmp(value.GE, expr.C("L.r"), expr.IntLit(2))), restrict, true},
 			{"project", algebra.ProjectCols(in, false, "L.r", "L.k"), project, false},
-			{"inner", algebra.NewJoin(algebra.InnerJoin, in, r, on), inner, false},
-			{"leftouter", algebra.NewJoin(algebra.LeftOuterJoin, in, r, on), outer, false},
-			{"semi", algebra.NewJoin(algebra.SemiJoin, in, r, on), semi, true},
-			{"anti", algebra.NewJoin(algebra.AntiJoin, in, r, on), anti, true},
-		}
-		for _, degree := range []int{1, 4} {
-			e := New(storage.NewCatalog())
-			e.Parallelism = degree
-			for _, c := range cases {
-				t.Run(fmt.Sprintf("%s/n=%d/p=%d", c.name, n, degree), func(t *testing.T) {
-					got := run(t, e, c.plan).Rows
-					if len(got) != len(c.want) {
-						t.Fatalf("%d rows, want %d", len(got), len(c.want))
-					}
-					for i, row := range got {
-						if row.String() != c.want[i].String() {
-							t.Fatalf("row %d = %s, want %s", i, row, c.want[i])
-						}
-						if c.shared && &row[0] != &c.want[i][0] {
-							t.Fatalf("row %d is a copy of the input tuple, want the tuple itself", i)
-						}
-					}
-				})
+		})
+	}
+
+	keys := []value.Value{value.Int(1), value.Float(1), value.Float(0), value.Float(math.Copysign(0, -1)),
+		value.Float(math.NaN()), value.Null, value.Int(0), value.Int(7)}
+	var wide []value.Value
+	for i := 0; i < 2*govern.MorselRows+3; i++ {
+		wide = append(wide, keys[i%len(keys)])
+	}
+	left := relation.New(relation.NewSchema(
+		relation.Column{Qualifier: "L", Name: "k", Type: value.KindInt},
+		relation.Column{Qualifier: "L", Name: "r", Type: value.KindFloat},
+	))
+	for i, k := range append(keys, value.Int(2)) { // 2 matches nothing
+		left.Append(relation.Tuple{value.Int(int64(i)), k})
+	}
+	checkMorselCases(t, "wide-build", left, morselRight(wide...), nil)
+}
+
+// morselRight builds R(r) with one row per key.
+func morselRight(keys ...value.Value) *relation.Relation {
+	right := relation.New(relation.NewSchema(
+		relation.Column{Qualifier: "R", Name: "r", Type: value.KindFloat},
+	))
+	for _, k := range keys {
+		right.Append(relation.Tuple{k})
+	}
+	return right
+}
+
+type morselCase struct {
+	name   string
+	plan   algebra.Node
+	want   []relation.Tuple
+	shared bool // output tuples must be the input's own
+}
+
+// checkMorselCases runs the given cases and the four joins of left and
+// right on L.r = R.r at degrees 1 and 4 against the row-at-a-time
+// reference: a pair matches when neither key is NULL and they are Equal.
+func checkMorselCases(t *testing.T, label string, left, right *relation.Relation, cases []morselCase) {
+	t.Helper()
+	var inner, outer, semi, anti []relation.Tuple
+	for _, l := range left.Rows {
+		matched := false
+		for _, r := range right.Rows {
+			if !l[1].IsNull() && !r[0].IsNull() && value.Equal(l[1], r[0]) {
+				matched = true
+				inner = append(inner, l.Concat(r))
+				outer = append(outer, l.Concat(r))
 			}
+		}
+		if matched {
+			semi = append(semi, l)
+		} else {
+			anti = append(anti, l)
+			outer = append(outer, l.Concat(relation.Tuple{value.Null}))
+		}
+	}
+	in, r := algebra.NewRaw("L", left), algebra.NewRaw("R", right)
+	on := expr.Eq(expr.C("L.r"), expr.C("R.r"))
+	cases = append(cases,
+		morselCase{"inner", algebra.NewJoin(algebra.InnerJoin, in, r, on), inner, false},
+		morselCase{"leftouter", algebra.NewJoin(algebra.LeftOuterJoin, in, r, on), outer, false},
+		morselCase{"semi", algebra.NewJoin(algebra.SemiJoin, in, r, on), semi, true},
+		morselCase{"anti", algebra.NewJoin(algebra.AntiJoin, in, r, on), anti, true},
+	)
+	for _, degree := range []int{1, 4} {
+		e := New(storage.NewCatalog())
+		e.Parallelism = degree
+		for _, c := range cases {
+			t.Run(fmt.Sprintf("%s/%s/p=%d", c.name, label, degree), func(t *testing.T) {
+				got := run(t, e, c.plan).Rows
+				if len(got) != len(c.want) {
+					t.Fatalf("%d rows, want %d", len(got), len(c.want))
+				}
+				for i, row := range got {
+					if row.String() != c.want[i].String() {
+						t.Fatalf("row %d = %s, want %s", i, row, c.want[i])
+					}
+					if c.shared && &row[0] != &c.want[i][0] {
+						t.Fatalf("row %d is a copy of the input tuple, want the tuple itself", i)
+					}
+				}
+			})
 		}
 	}
 }

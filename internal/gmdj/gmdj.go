@@ -36,7 +36,6 @@ package gmdj
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"runtime"
 	"slices"
 	"sort"
@@ -565,55 +564,24 @@ func compile(base, detail *relation.Relation, conds []algebra.GMDJCond, opts Opt
 	return p, nil
 }
 
-// hashIndex is one partition's hash index on a base key: bucket b's
-// entries are ents[off[b]:off[b+1]]. A bucket is the top bits of the hash
-// times a Fibonacci constant: a routed partition's hashes share theirs.
-type hashIndex struct {
-	shift uint
-	off   []int32
-	ents  []hashEntry
-}
-
-type hashEntry struct {
-	hash uint64
-	pos  int32
-}
-
-func (ix *hashIndex) bucket(h uint64) int { return int(h * 0x9E3779B97F4A7C15 >> ix.shift) }
-
-// buildIndex indexes a partition's tuples, one index per base key, from
-// the key hashes a routed partition brings; a NULL key, which never
-// matches through equality, is left out, a fallback condition gets nil.
-func (p *program) buildIndex(part *partition) []*hashIndex {
-	index := make([]*hashIndex, len(p.conds))
+// buildIndex indexes a partition's tuples, one relation.HashIndex per
+// base key, from the key hashes a routed partition brings; a NULL key,
+// which never matches through equality, is left out, a fallback
+// condition gets nil.
+func (p *program) buildIndex(part *partition) []*relation.HashIndex {
+	index := make([]*relation.HashIndex, len(p.conds))
 	for ci := range p.conds {
 		key := p.conds[ci].baseKey
 		if j := slices.IndexFunc(p.conds, func(cp condProg) bool { return slices.Equal(cp.baseKey, key) }); j < ci || len(key) == 0 {
 			index[ci] = index[j] // nil for a fallback condition
 			continue
 		}
-		nb := bits.Len(uint(len(part.rows)))
-		ix, ents := &hashIndex{shift: uint(64 - nb), off: make([]int32, 1<<nb+1)}, make([]hashEntry, 0, len(part.rows))
-		for i, row := range part.rows {
-			h, ok := uint64(0), true
+		index[ci] = relation.NewHashIndex(len(part.rows), func(i int) (uint64, bool) {
 			if part.hash != nil && part.hash[i] != 0 {
-				h = part.hash[i]
-			} else if h, ok = row.KeyHash(key); !ok { // 0 is a NULL key's hash, and rarely a key's
-				continue
+				return part.hash[i], true
 			}
-			ents = append(ents, hashEntry{h, int32(i)})
-			ix.off[ix.bucket(h)]++
-		}
-		// Counts become ends; placing from the back moves each to its start.
-		for b := 1; b < len(ix.off); b++ {
-			ix.off[b] += ix.off[b-1]
-		}
-		ix.ents = make([]hashEntry, len(ents))
-		for k := len(ents) - 1; k >= 0; k-- {
-			b := ix.bucket(ents[k].hash)
-			ix.off[b], ix.ents[ix.off[b]-1] = ix.off[b]-1, ents[k]
-		}
-		index[ci] = ix
+			return part.rows[i].KeyHash(key) // 0 is a NULL key's hash, and rarely a key's
+		})
 	}
 	return index
 }
@@ -820,7 +788,7 @@ type state struct {
 	// index is the partition's hash index (buildIndex), shared read-only
 	// by every range of the partition. Its buckets hand out partition
 	// positions, so a hit outside the owned range is another worker's.
-	index []*hashIndex
+	index []*relation.HashIndex
 	// accs and decided are the owned windows of the partition's result
 	// arrays: what this scan folds is already where emit reads it.
 	accs    [][]agg.Accumulator // [tuple][agg]
@@ -868,7 +836,7 @@ func (s *state) flushLive() {
 // base-predicate cache, and fallback scan lists cover only the owned
 // range, so a sharded fold splits the O(base) construction cost and
 // memory across workers. res holds the partition's arrays.
-func (p *program) newState(part *partition, index []*hashIndex, lo, hi int, res result) (*state, error) {
+func (p *program) newState(part *partition, index []*relation.HashIndex, lo, hi int, res result) (*state, error) {
 	n := hi - lo
 	s := &state{
 		p:         p,
@@ -1038,13 +1006,12 @@ func (s *state) feed(di int) error {
 			if !ok {
 				continue
 			}
-			b := ix.bucket(h)
-			for _, e := range ix.ents[ix.off[b]:ix.off[b+1]] {
-				if e.hash != h {
+			for _, e := range ix.Bucket(h) {
+				if e.Hash != h {
 					continue
 				}
 				s.stats.Probes++
-				i := int(e.pos) - s.lo
+				i := int(e.Pos) - s.lo
 				if uint(i) >= uint(len(s.active)) || !s.active[i] {
 					continue
 				}
@@ -1356,7 +1323,7 @@ func (p *program) degree(nBase int) int {
 func (p *program) evalPartition(out result, parts ...partition) error {
 	type task struct{ part, lo, hi int }
 	var tasks []task
-	res, index, workers := make([]result, len(parts)), make([][]*hashIndex, len(parts)), p.passWorkers
+	res, index, workers := make([]result, len(parts)), make([][]*relation.HashIndex, len(parts)), p.passWorkers
 	for pi, part := range parts {
 		n, degree := len(part.rows), p.degree(len(part.rows))
 		// The whole base folds straight into out; a position list folds

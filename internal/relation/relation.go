@@ -2,6 +2,7 @@ package relation
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
 
@@ -52,9 +53,11 @@ func (t Tuple) Hash() uint64 {
 
 // KeyHash hashes the cells at cols as an equality key: ok is false when
 // any of them is NULL, which never matches through equality. Hash-join
-// build and probe, the GMDJ base index and its detail probe all hash
-// through here, and storage.Segment.KeyHashes applies the same fold to
-// packed columns (TestPackedHashSegmentMatchesRowHash).
+// build and probe, the GMDJ base index and its detail probe, and
+// storage.HashIndex all hash through here, and storage.Segment.KeyHashes
+// applies the same fold to packed columns
+// (TestPackedHashSegmentMatchesRowHash). An empty key hashes every row
+// alike.
 func (t Tuple) KeyHash(cols []int) (h uint64, ok bool) {
 	h = value.HashInit
 	for _, c := range cols {
@@ -64,6 +67,59 @@ func (t Tuple) KeyHash(cols []int) (h uint64, ok bool) {
 		h = value.FoldHash(h, t[c])
 	}
 	return h, true
+}
+
+// HashIndex is the engine's one hash index, behind the GMDJ's base
+// index, the hash join's build side and storage.HashIndex. It holds
+// positions by key hash in flat arrays, bucket b's entries being
+// ents[off[b]:off[b+1]]. A bucket is the top bits of the hash times a
+// Fibonacci constant, so hashes that share their top bits (a routed GMDJ
+// partition's) or differ only in their low bits still spread. Buckets
+// are shared by distinct hashes: a prober skips the entries whose Hash
+// is not its own.
+type HashIndex struct {
+	shift uint
+	off   []int32
+	ents  []HashEntry
+}
+
+// HashEntry is one indexed position and its key hash.
+type HashEntry struct {
+	Hash uint64
+	Pos  int32
+}
+
+// NewHashIndex indexes positions 0..n-1 under key(i), leaving out a
+// position whose ok is false (a NULL key). It is a counting sort: a
+// bucket lists its positions in ascending order.
+func NewHashIndex(n int, key func(i int) (h uint64, ok bool)) *HashIndex {
+	nb := bits.Len(uint(n))
+	ix, ents := &HashIndex{shift: uint(64 - nb), off: make([]int32, 1<<nb+1)}, make([]HashEntry, 0, n)
+	for i := 0; i < n; i++ {
+		if h, ok := key(i); ok {
+			ents = append(ents, HashEntry{h, int32(i)})
+			ix.off[ix.bucket(h)]++
+		}
+	}
+	// Counts become ends; placing from the back moves each to its start.
+	for b := 1; b < len(ix.off); b++ {
+		ix.off[b] += ix.off[b-1]
+	}
+	ix.ents = make([]HashEntry, len(ents))
+	for k := len(ents) - 1; k >= 0; k-- {
+		b := ix.bucket(ents[k].Hash)
+		ix.off[b], ix.ents[ix.off[b]-1] = ix.off[b]-1, ents[k]
+	}
+	return ix
+}
+
+func (ix *HashIndex) bucket(h uint64) int { return int(h * 0x9E3779B97F4A7C15 >> ix.shift) }
+
+// Bucket returns the entries that share h's bucket, in ascending
+// position; only those whose Hash equals h can match.
+func (ix *HashIndex) Bucket(h uint64) []HashEntry {
+	b := ix.bucket(h)
+	return ix.ents[ix.off[b]:ix.off[b+1]]
 }
 
 // ApproxBytes estimates the in-memory footprint of the tuple: slice

@@ -362,3 +362,71 @@ func TestTupleApproxBytes(t *testing.T) {
 		t.Fatalf("null tuple: %d", n)
 	}
 }
+
+// TestHashIndexBuckets checks the shared index on edge shapes: every
+// bucket lists its entries in ascending position, every indexed
+// position is found under its own hash exactly once, and a left-out
+// position is found nowhere.
+func TestHashIndexBuckets(t *testing.T) {
+	const hi = 0xABCD_0000_0000_0000
+	rng := rand.New(rand.NewSource(1))
+	random := make([]uint64, 1000)
+	for i := range random {
+		random[i] = rng.Uint64() % 300 // duplicates
+	}
+	cases := []struct {
+		name string
+		n    int
+		key  func(i int) (uint64, bool)
+	}{
+		{"empty", 0, nil},
+		{"one", 1, func(int) (uint64, bool) { return 42, true }},
+		{"all-left-out", 100, func(int) (uint64, bool) { return 7, false }},
+		{"one-bucket", 100, func(int) (uint64, bool) { return 7, true }},
+		{"low-bits", 100, func(i int) (uint64, bool) { return hi | uint64(i%2), true }},
+		{"random-with-nulls", len(random), func(i int) (uint64, bool) { return random[i], i%7 != 0 }},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			ix := NewHashIndex(c.n, c.key)
+			for b := 0; b+1 < len(ix.off); b++ {
+				ents := ix.ents[ix.off[b]:ix.off[b+1]]
+				for k := 1; k < len(ents); k++ {
+					if ents[k-1].Pos >= ents[k].Pos {
+						t.Fatalf("bucket %d out of position order: %v", b, ents)
+					}
+				}
+				for _, e := range ents {
+					if ix.bucket(e.Hash) != b {
+						t.Fatalf("entry %v in bucket %d, belongs in %d", e, b, ix.bucket(e.Hash))
+					}
+				}
+			}
+			indexed := 0
+			for i := 0; i < c.n; i++ {
+				h, ok := c.key(i)
+				found := 0
+				for _, e := range ix.Bucket(h) {
+					if int(e.Pos) == i {
+						found++
+						if e.Hash != h {
+							t.Fatalf("position %d stored under %#x, want %#x", i, e.Hash, h)
+						}
+					}
+				}
+				if want := map[bool]int{true: 1, false: 0}[ok]; found != want {
+					t.Fatalf("position %d (ok=%v) found %d times, want %d", i, ok, found, want)
+				}
+				if ok {
+					indexed++
+				}
+			}
+			if len(ix.ents) != indexed {
+				t.Fatalf("%d entries, want %d", len(ix.ents), indexed)
+			}
+			if c.name == "low-bits" && ix.bucket(hi) == ix.bucket(hi|1) {
+				t.Fatalf("hashes differing in bit 0 share bucket %d", ix.bucket(hi))
+			}
+		})
+	}
+}

@@ -25,44 +25,41 @@ import (
 	"github.com/olaplab/gmdj/internal/value"
 )
 
-// HashIndex is an equality index over one column, mapping value hashes
-// to row positions. Probes verify equality, so hash collisions are
-// harmless. NULLs are not indexed (SQL equality never matches NULL).
+// HashIndex is an equality index over one column: a relation.HashIndex
+// keyed by Tuple.KeyHash, the hash every strategy builds and probes with.
+// Probes verify equality, so hash collisions are harmless. NULLs are not
+// indexed (SQL equality never matches NULL).
 type HashIndex struct {
-	col     int
-	rel     *relation.Relation
-	buckets map[uint64][]int
+	col   int
+	rel   *relation.Relation
+	index *relation.HashIndex
 }
 
 // NewHashIndex builds an index over column position col of rel.
 func NewHashIndex(rel *relation.Relation, col int) *HashIndex {
-	ix := &HashIndex{col: col, rel: rel, buckets: make(map[uint64][]int)}
-	for i, row := range rel.Rows {
-		v := row[col]
-		if v.IsNull() {
-			continue
-		}
-		h := v.Hash()
-		ix.buckets[h] = append(ix.buckets[h], i)
-	}
-	return ix
+	key := []int{col}
+	return &HashIndex{col: col, rel: rel, index: relation.NewHashIndex(len(rel.Rows), func(i int) (uint64, bool) {
+		return rel.Rows[i].KeyHash(key)
+	})}
 }
 
-// Lookup returns the positions of rows whose indexed column equals v.
-// Looking up NULL returns nothing.
+// Lookup returns the positions of rows whose indexed column equals v,
+// in ascending order. Looking up NULL returns nothing.
 func (ix *HashIndex) Lookup(v value.Value) []int {
-	if v.IsNull() {
+	h, ok := relation.Tuple{v}.KeyHash([]int{0})
+	if !ok {
 		return nil
 	}
-	cand := ix.buckets[v.Hash()]
-	if len(cand) == 0 {
-		return nil
-	}
-	out := make([]int, 0, len(cand))
-	for _, i := range cand {
-		if value.Equal(ix.rel.Rows[i][ix.col], v) {
-			out = append(out, i)
+	var out []int
+	cand := ix.index.Bucket(h)
+	for _, e := range cand {
+		if e.Hash != h || !value.Equal(ix.rel.Rows[e.Pos][ix.col], v) {
+			continue
 		}
+		if out == nil {
+			out = make([]int, 0, len(cand))
+		}
+		out = append(out, int(e.Pos))
 	}
 	return out
 }

@@ -2,7 +2,9 @@ package storage
 
 import (
 	"bytes"
+	"math"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -46,6 +48,52 @@ func TestHashIndexLookup(t *testing.T) {
 	}
 	if ix.Column() != 0 {
 		t.Error("Column()")
+	}
+
+	// Equal keys of either kind find each other; NaN finds only NaN.
+	num := relation.New(relation.NewSchema(relation.Column{Name: "k", Type: value.KindFloat}))
+	for _, v := range []value.Value{value.Int(1), value.Float(1), value.Float(0), value.Float(math.Copysign(0, -1)),
+		value.Float(math.NaN()), value.Null, value.Int(2), value.Float(math.NaN())} {
+		num.Append(relation.Tuple{v})
+	}
+	ix = NewHashIndex(num, 0)
+	for _, c := range []struct {
+		key  value.Value
+		want []int
+	}{
+		{value.Int(1), []int{0, 1}},
+		{value.Float(1), []int{0, 1}},
+		{value.Float(0), []int{2, 3}},
+		{value.Float(math.Copysign(0, -1)), []int{2, 3}},
+		{value.Int(0), []int{2, 3}},
+		{value.Float(math.NaN()), []int{4, 7}},
+		{value.Float(2), []int{6}},
+		{value.Int(3), nil},
+	} {
+		if got := ix.Lookup(c.key); !slices.Equal(got, c.want) {
+			t.Errorf("Lookup(%v) = %v, want %v", c.key, got, c.want)
+		}
+	}
+
+	// String keys, and rows appended since the index was built.
+	tbl := NewTable("t", sampleRel())
+	if err := tbl.BuildHashIndex("name"); err != nil {
+		t.Fatal(err)
+	}
+	sx, _ := tbl.HashIndexOn("name")
+	if got := sx.Lookup(value.Str("bob")); !slices.Equal(got, []int{1}) {
+		t.Errorf("Lookup(bob) = %v, want [1]", got)
+	}
+	if got := sx.Lookup(value.Str("Bob")); got != nil {
+		t.Errorf("Lookup(Bob) = %v, want nothing", got)
+	}
+	if err := tbl.Append([]relation.Tuple{{value.Int(6), value.Str("bob"), value.Null}}); err != nil {
+		t.Fatal(err)
+	}
+	tbl.BumpVersion()
+	sx, _ = tbl.HashIndexOn("name")
+	if got := sx.Lookup(value.Str("bob")); !slices.Equal(got, []int{1, 5}) {
+		t.Errorf("after Append, Lookup(bob) = %v, want [1 5]", got)
 	}
 }
 
