@@ -60,8 +60,9 @@ func corpusDB(t *testing.T) *DB {
 	return db
 }
 
-// runCorpus runs both figure queries under every strategy, twice, so
-// the second pass hits the plan cache.
+// runCorpus runs both figure queries under every strategy and a derived
+// table under Native (a cached relation, which the result cache's cold
+// tier demotes), twice, so the second pass hits the plan cache.
 func runCorpus(t *testing.T, db *DB) {
 	t.Helper()
 	for pass := 0; pass < 2; pass++ {
@@ -71,6 +72,9 @@ func runCorpus(t *testing.T, db *DB) {
 					t.Fatalf("%v: %v", s, err)
 				}
 			}
+		}
+		if _, err := db.QueryStrategy(`SELECT C.c_custkey FROM customer C WHERE C.c_custkey IN (SELECT big.o_custkey FROM (SELECT O.o_custkey FROM orders O WHERE O.o_totalprice > 300000) AS big)`, Native); err != nil {
+			t.Fatalf("derived table: %v", err)
 		}
 	}
 }
@@ -189,19 +193,19 @@ func TestMetricsOneSource(t *testing.T) {
 	}
 }
 
-// TestMetricsKeySet pins the counter names: after the fig4/fig5 corpus
-// under a spilling limit with a data directory, Metrics holds exactly
-// the keys the process-global registry held for the same work (the
-// list below was recorded at the commit before the registry went;
-// serve.* and profile.* belong to the serving layer, see
-// internal/serve's TestServeEventLabels).
+// TestMetricsKeySet pins the counter names: after the corpus under a
+// spilling limit with a data directory, Metrics holds exactly the keys
+// the process-global registry held for the same work (the list below
+// was recorded at the commit before the registry went, plus the
+// derived table's mem.subquery_overcommit; serve.* and profile.* belong
+// to the serving layer, see internal/serve's TestServeEventLabels).
 func TestMetricsKeySet(t *testing.T) {
 	db := corpusDB(t)
 	runCorpus(t, db)
 	want := []string{
 		"gmdj.coalesced", "gmdj.completed", "gmdj.detail_rows", "gmdj.extra_detail_scans",
 		"gmdj.matches", "gmdj.probes", "gmdj.spill_bytes_written", "gmdj.spill_partitions",
-		"mem.admitted", "mem.reclaimed_bytes",
+		"mem.admitted", "mem.reclaimed_bytes", "mem.subquery_overcommit",
 		"plancache.hit", "plancache.miss",
 		"queries.gmdj", "queries.gmdj-opt", "queries.native", "queries.unnest",
 		"resultcache.hit", "resultcache.miss",

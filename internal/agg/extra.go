@@ -20,12 +20,6 @@ const (
 	StdDev
 )
 
-func init() {
-	// Extend the String and ResultType behaviour via the switch in
-	// agg.go being exhaustive only for the core set; the extended
-	// functions are handled here through the same entry points.
-}
-
 // extendedName returns the SQL name for extended functions.
 func extendedName(f Func) (string, bool) {
 	switch f {

@@ -1,13 +1,10 @@
 package gmdj
 
 import (
-	"encoding/binary"
-	"fmt"
 	"slices"
 
 	"github.com/olaplab/gmdj/internal/mem"
 	"github.com/olaplab/gmdj/internal/spill"
-	"github.com/olaplab/gmdj/internal/value"
 )
 
 // This file is the memory-adaptive evaluation regime: when the query's
@@ -147,44 +144,4 @@ func (p *program) split(part spillPart) []spillPart {
 		half.detail = append(half.detail, di)
 	}
 	return halves
-}
-
-// init registers the detail hash-vector codec so cached vectors can
-// move through the spill store's cold tier like any relation.
-func init() {
-	spill.RegisterCodec(spill.Codec{
-		Name: "gmdjhashvec",
-		Encode: func(v any) ([]byte, bool) {
-			vec, ok := v.(*detailHashVec)
-			if !ok {
-				return nil, false
-			}
-			buf := binary.AppendUvarint(nil, uint64(len(vec.H)))
-			for _, h := range vec.H {
-				buf = binary.LittleEndian.AppendUint64(buf, h)
-			}
-			for _, ok := range vec.OK {
-				b := byte(0)
-				if ok {
-					b = 1
-				}
-				buf = append(buf, b)
-			}
-			return buf, true
-		},
-		Decode: func(data []byte) (any, error) {
-			r := value.NewReader(data)
-			n := r.Count()
-			hs, oks := r.Take(8*n), r.Take(n)
-			if err := r.Finish(); err != nil {
-				return nil, fmt.Errorf("spill codec: hash vector: %w", err)
-			}
-			vec := &detailHashVec{H: make([]uint64, n), OK: make([]bool, n)}
-			for i := range vec.H {
-				vec.H[i] = binary.LittleEndian.Uint64(hs[8*i:])
-				vec.OK[i] = oks[i] != 0
-			}
-			return vec, nil
-		},
-	})
 }

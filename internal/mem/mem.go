@@ -3,8 +3,8 @@
 // tripwire into a control signal. It tracks three levels:
 //
 //	Pool        — one per engine: total bytes the engine may hold in
-//	              operator state, with queue-based admission control
-//	              for new queries when the pool is contended;
+//	              operator state, admitting new queries through a
+//	              FIFO Queue when the pool is contended;
 //	Reservation — one per query: bytes granted to that query out of
 //	              the pool, acquired at admission and released when
 //	              the query finishes;
@@ -14,13 +14,14 @@
 //	              materialization) learns it is out of budget *before*
 //	              allocating, and can spill instead of erroring.
 //
-// Every method on every type is safe on a nil receiver and degrades to
-// "unlimited, unaccounted" — exactly as govern's nil Governor does —
-// so ungoverned evaluation pays one nil check.
+// Every method on those three types is safe on a nil receiver and
+// degrades to "unlimited, unaccounted" — exactly as govern's nil
+// Governor does — so ungoverned evaluation pays one nil check.
 //
 // When the pool cannot satisfy a grow request it first invokes an
 // optional reclaim hook (the engine wires this to the result cache's
-// spill-down, which pushes cold cached values to disk), then retries;
+// spill-down, which demotes cold cached relations to disk and drops
+// other cold entries), then retries;
 // only then does the request fail and the operator fall back to its
 // own spill path.
 package mem
@@ -32,6 +33,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -62,29 +64,13 @@ const DefaultAdmissionTimeout = 10 * time.Second
 // still admits one query at a time).
 const DefaultQueryReserve = 1 << 20
 
-// Pool is an engine-wide byte budget with admission control. All
-// methods are safe for concurrent use; a nil Pool is unlimited.
+// Pool is an engine-wide byte budget: a Queue over bytes that admits
+// queries, plus the reclaim hook a running query's growth falls back
+// on. All methods are safe for concurrent use; a nil Pool is unlimited.
 type Pool struct {
-	mu        sync.Mutex
-	capacity  int64
-	used      int64
-	waiters   []*waiter // FIFO admission queue
+	q         *Queue
 	reclaim   func(int64) int64
-	admission time.Duration
-	closed    bool
-
-	admitted    int64
-	queued      int64
-	timeouts    int64
-	closedSheds int64
-	reclaimed   int64
-}
-
-type waiter struct {
-	need    int64
-	granted chan struct{}
-	done    bool  // set under Pool.mu when granted or abandoned
-	err     error // set under Pool.mu before close(granted) when shed by Close
+	reclaimed atomic.Int64
 }
 
 // NewPool creates a pool of capacity bytes. admission bounds the
@@ -97,13 +83,13 @@ func NewPool(capacity int64, admission time.Duration) *Pool {
 	if admission <= 0 {
 		admission = DefaultAdmissionTimeout
 	}
-	return &Pool{capacity: capacity, admission: admission}
+	return &Pool{q: NewQueue(capacity, admission)}
 }
 
 // SetReclaim installs the memory-pressure valve: when a grow request
 // finds the pool short by n bytes, fn(n) is invoked (outside the pool
-// lock) and should return how many bytes it freed — e.g. by spilling
-// cold cache entries to disk. Not safe to call concurrently with
+// lock) and should return how many bytes it freed — e.g. by demoting
+// cold result-cache entries. Not safe to call concurrently with
 // running queries.
 func (p *Pool) SetReclaim(fn func(int64) int64) {
 	if p == nil {
@@ -117,17 +103,16 @@ func (p *Pool) Capacity() int64 {
 	if p == nil {
 		return 0
 	}
-	return p.capacity
+	return p.q.capacity
 }
 
 // Acquire admits one query: it reserves want bytes (clamped to the
 // pool capacity) and returns the query's Reservation. When the pool is
-// contended the caller queues FIFO and blocks with deadline-aware
-// backoff — it wakes when capacity frees or when the earlier of the
-// admission timeout and ctx's own deadline expires, in which case the
-// query is shed with ErrAdmissionTimeout (or ctx.Err() when the
-// context itself was canceled). A nil pool grants an unlimited (nil)
-// reservation immediately.
+// contended the caller queues FIFO and blocks until capacity frees or
+// the earlier of the admission timeout and ctx's own deadline expires,
+// in which case the query is shed with ErrAdmissionTimeout (or
+// ctx.Err() when the context itself ended). A nil or closed pool
+// grants an unlimited (nil) reservation immediately.
 func (p *Pool) Acquire(ctx context.Context, want int64) (*Reservation, error) {
 	if p == nil {
 		return nil, nil
@@ -135,59 +120,20 @@ func (p *Pool) Acquire(ctx context.Context, want int64) (*Reservation, error) {
 	if want <= 0 {
 		want = DefaultQueryReserve
 	}
-	if want > p.capacity {
-		want = p.capacity
-	}
-	p.mu.Lock()
-	if p.closed {
+	want = min(want, p.q.capacity)
+	switch err := p.q.Enter(ctx, want); {
+	case err == nil:
+		return &Reservation{pool: p, granted: want}, nil
+	case errors.Is(err, ErrQueueClosed):
 		// Closed pool: no admission control, no accounting (the engine
 		// released its disk state; see Close). Unlimited grant, as if the
 		// DB had never configured a limit.
-		p.mu.Unlock()
 		return nil, nil
+	case errors.Is(err, ErrAdmissionTimeout):
+		return nil, fmt.Errorf("%w (pool %d/%d bytes in use)", err, p.inUse(), p.q.capacity)
+	default:
+		return nil, err
 	}
-	if p.used+want <= p.capacity && len(p.waiters) == 0 {
-		p.used += want
-		p.admitted++
-		p.mu.Unlock()
-		return &Reservation{pool: p, granted: want}, nil
-	}
-	w := &waiter{need: want, granted: make(chan struct{})}
-	p.waiters = append(p.waiters, w)
-	p.queued++
-	p.mu.Unlock()
-
-	deadline := time.NewTimer(p.admission)
-	defer deadline.Stop()
-	select {
-	case <-w.granted:
-		return p.granted(w, want)
-	case <-ctx.Done():
-		if p.abandon(w, false) {
-			return nil, ctx.Err()
-		}
-		// Granted (or shed by Close) concurrently with cancellation: keep
-		// the outcome uniform with the undisturbed path.
-		<-w.granted
-		return p.granted(w, want)
-	case <-deadline.C:
-		if p.abandon(w, true) {
-			return nil, fmt.Errorf("%w after %v (pool %d/%d bytes in use)",
-				ErrAdmissionTimeout, p.admission, p.inUse(), p.capacity)
-		}
-		<-w.granted
-		return p.granted(w, want)
-	}
-}
-
-// granted resolves a waiter whose channel closed: either a real FIFO
-// grant or a typed shed from Close. w.err is written under Pool.mu
-// before close(w.granted), so reading it after the receive is safe.
-func (p *Pool) granted(w *waiter, want int64) (*Reservation, error) {
-	if w.err != nil {
-		return nil, w.err
-	}
-	return &Reservation{pool: p, granted: want}, nil
 }
 
 // Close sheds every queued waiter with an error wrapping ErrPoolClosed
@@ -195,108 +141,33 @@ func (p *Pool) granted(w *waiter, want int64) (*Reservation, error) {
 // unlimited (nil) reservation, so an engine that released its disk
 // state keeps answering purely in-memory queries without admission
 // control. In-flight reservations release normally. Idempotent and
-// safe to call concurrently with Acquire — closing while waiters are
-// queued wakes all of them promptly instead of deadlocking.
+// safe to call concurrently with Acquire.
 func (p *Pool) Close() {
 	if p == nil {
 		return
 	}
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return
-	}
-	p.closed = true
-	ws := p.waiters
-	p.waiters = nil
-	for _, w := range ws {
-		w.done = true
-		w.err = fmt.Errorf("%w: query shed from admission queue", ErrPoolClosed)
-	}
-	p.closedSheds += int64(len(ws))
-	p.mu.Unlock()
-	for _, w := range ws {
-		close(w.granted)
-	}
-}
-
-// abandon removes w from the queue; it reports false when w was
-// already granted (the grant then must be consumed by the caller).
-func (p *Pool) abandon(w *waiter, timedOut bool) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if w.done {
-		return false
-	}
-	w.done = true
-	for i, x := range p.waiters {
-		if x == w {
-			p.waiters = append(p.waiters[:i], p.waiters[i+1:]...)
-			break
-		}
-	}
-	if timedOut {
-		p.timeouts++
-	}
-	return true
+	p.q.Close(fmt.Errorf("%w: query shed from admission queue", ErrPoolClosed))
 }
 
 // tryGrow attempts to take n more bytes, invoking the reclaim hook
 // once when short. It never blocks.
 func (p *Pool) tryGrow(n int64) bool {
-	if p == nil {
+	if p == nil || p.q.TryTake(n) {
 		return true
 	}
-	p.mu.Lock()
-	if p.used+n <= p.capacity {
-		p.used += n
-		p.mu.Unlock()
-		return true
+	short := p.inUse() + n - p.q.capacity
+	if short <= 0 { // freed since TryTake failed
+		return p.q.TryTake(n)
 	}
-	short := p.used + n - p.capacity
-	fn := p.reclaim
-	p.mu.Unlock()
-	if fn == nil {
+	if p.reclaim == nil {
 		return false
 	}
-	freed := fn(short)
+	freed := p.reclaim(short)
 	if freed <= 0 {
 		return false
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.reclaimed += freed
-	if p.used+n <= p.capacity {
-		p.used += n
-		return true
-	}
-	return false
-}
-
-// release returns n bytes to the pool and grants queued waiters FIFO.
-func (p *Pool) release(n int64) {
-	if p == nil || n <= 0 {
-		return
-	}
-	p.mu.Lock()
-	p.used -= n
-	if p.used < 0 {
-		p.used = 0
-	}
-	// Grant waiters strictly in arrival order; stop at the first that
-	// does not fit so admission stays fair under contention.
-	for len(p.waiters) > 0 {
-		w := p.waiters[0]
-		if p.used+w.need > p.capacity {
-			break
-		}
-		p.used += w.need
-		p.admitted++
-		w.done = true
-		p.waiters = p.waiters[1:]
-		close(w.granted)
-	}
-	p.mu.Unlock()
+	p.reclaimed.Add(freed)
+	return p.q.TryTake(n)
 }
 
 // free returns the currently unreserved bytes.
@@ -304,18 +175,14 @@ func (p *Pool) free() int64 {
 	if p == nil {
 		return 0
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.capacity - p.used
+	return p.q.capacity - p.inUse()
 }
 
 func (p *Pool) inUse() int64 {
 	if p == nil {
 		return 0
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.used
+	return p.q.Stats().InUse
 }
 
 // PoolStats is a point-in-time snapshot of the pool.
@@ -355,17 +222,16 @@ func (p *Pool) Stats() PoolStats {
 	if p == nil {
 		return PoolStats{}
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	s := p.q.Stats()
 	return PoolStats{
-		Capacity:       p.capacity,
-		InUse:          p.used,
-		Queued:         len(p.waiters),
-		Admitted:       p.admitted,
-		TimedOut:       p.timeouts,
-		QueuedTotal:    p.queued,
-		ClosedSheds:    p.closedSheds,
-		ReclaimedBytes: p.reclaimed,
+		Capacity:       s.Capacity,
+		InUse:          s.InUse,
+		Queued:         s.Queued,
+		Admitted:       s.Admitted,
+		TimedOut:       s.TimedOut,
+		QueuedTotal:    s.QueuedTotal,
+		ClosedSheds:    s.ClosedSheds,
+		ReclaimedBytes: p.reclaimed.Load(),
 	}
 }
 
@@ -414,9 +280,9 @@ func (r *Reservation) grow(n int64) error {
 	return nil
 }
 
-// shrink returns n charged bytes. Surplus grant above the original
-// admission grant is returned to the pool eagerly so contended
-// neighbors can use it.
+// shrink returns n charged bytes to the reservation. The grant itself
+// is kept — grown bytes included — until Release returns it to the
+// pool, so a query that shrinks and grows again never re-contends.
 func (r *Reservation) shrink(n int64) {
 	if r == nil || n <= 0 {
 		return
@@ -473,7 +339,7 @@ func (r *Reservation) Release() {
 	g := r.granted
 	r.granted, r.used = 0, 0
 	r.mu.Unlock()
-	r.pool.release(g)
+	r.pool.q.Leave(g)
 }
 
 // Tracker charges one operator's state bytes against a query

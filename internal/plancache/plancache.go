@@ -57,12 +57,14 @@ type Stats struct {
 	Entries                                int
 	Bytes                                  int64
 	// Spill-tier counters (result cache only; zero for the plan cache):
-	// entries written to / promoted back from the file-backed cold
+	// relations written to / promoted back from the file-backed cold
 	// tier, and the bytes currently held cold on disk.
 	SpillWrites, SpillReads int64
 	ColdEntries             int
 	ColdBytes               int64
-	SpillDowns              int64 // demoted by the pool's reclaim hook, not LRU-evicted
+	// SpillDowns counts entries the pool's reclaim hook pushed out
+	// (relations demoted, others dropped), not LRU evictions.
+	SpillDowns int64
 }
 
 // Cache is a byte-budgeted LRU plan cache.

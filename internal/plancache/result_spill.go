@@ -1,21 +1,22 @@
 package plancache
 
 import (
+	"github.com/olaplab/gmdj/internal/relation"
 	"github.com/olaplab/gmdj/internal/spill"
 )
 
 // The result cache's cold tier: with a spill store enabled, eviction
-// demotes encodable values (materialized subquery relations, GMDJ
-// detail hash vectors) to checksummed temp files instead of dropping
-// them, and Get promotes them back on demand. SpillDown is the memory-
+// demotes materialized subquery relations to checksummed temp files
+// instead of dropping them, and Get promotes them back on demand. Any
+// other value (a GMDJ detail hash vector) is dropped: rehashing it
+// costs less than writing and reading it back. SpillDown is the memory-
 // pressure valve the engine pool's reclaim hook drives: it frees
 // resident cache bytes by pushing the LRU tail cold, so a memory-
 // hungry query can proceed without killing the cache outright.
 
-// coldItem is one demoted entry.
+// coldItem is one demoted relation.
 type coldItem struct {
 	file  *spill.File
-	codec string
 	bytes int64 // original in-memory size estimate
 }
 
@@ -30,27 +31,23 @@ func (c *ResultCache) EnableSpill(store *spill.Store) {
 	}
 }
 
-// demoteLocked moves it to the cold tier; reports whether it did.
-// Failures degrade to a plain drop — the cache is an optimization and
-// must never fail a query.
-func (c *ResultCache) demoteLocked(it *resultItem) bool {
-	if c.store == nil {
-		return false
+// demoteLocked moves it to the cold tier if it is a relation. Failures
+// degrade to a plain drop — the cache is an optimization and must never
+// fail a query.
+func (c *ResultCache) demoteLocked(it *resultItem) {
+	rel, ok := it.value.(*relation.Relation)
+	if c.store == nil || !ok {
+		return
 	}
-	name, data, ok := spill.EncodeAny(it.value)
-	if !ok {
-		return false
-	}
-	f, err := c.store.Write("resultcache", data)
+	f, err := c.store.Write("resultcache", spill.EncodeRelation(rel))
 	if err != nil {
-		return false
+		return
 	}
 	if old, dup := c.cold[it.key]; dup {
 		old.file.Remove()
 	}
-	c.cold[it.key] = &coldItem{file: f, codec: name, bytes: it.bytes}
+	c.cold[it.key] = &coldItem{file: f, bytes: it.bytes}
 	c.stats.SpillWrites++
-	return true
 }
 
 // promoteLocked loads a cold entry back into resident memory (caller
@@ -67,7 +64,7 @@ func (c *ResultCache) promoteLocked(key string) (any, bool) {
 		return nil, false
 	}
 	ci.file.Remove()
-	v, err := spill.DecodeAny(ci.codec, data)
+	v, err := spill.DecodeRelation(data)
 	if err != nil {
 		return nil, false
 	}
@@ -92,7 +89,7 @@ func (c *ResultCache) shrinkLocked() {
 }
 
 // SpillDown frees at least n resident bytes by demoting LRU-tail
-// entries to the cold tier (dropping entries no codec can demote),
+// relations to the cold tier (dropping every other entry),
 // returning the bytes actually freed. It is the engine memory pool's
 // reclaim hook: called when a query's reservation cannot grow, on
 // whatever goroutine hit the pressure.

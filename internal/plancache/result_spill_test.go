@@ -71,11 +71,11 @@ func TestColdTierDemotePromote(t *testing.T) {
 	}
 }
 
-// TestColdTierUnencodableDrops: values no codec understands are
+// TestColdTierUnencodableDrops: values other than relations are
 // dropped on eviction, not spilled.
 func TestColdTierUnencodableDrops(t *testing.T) {
 	c, store := newSpillCache(t, 100, nil)
-	c.Put("a", 42, 60) // plain int: no codec
+	c.Put("a", 42, 60) // plain int: not a relation
 	c.Put("b", coldRelation("b"), 60)
 	if _, ok := c.Get("a"); ok {
 		t.Fatal("unencodable value survived eviction")

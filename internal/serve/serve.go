@@ -7,12 +7,13 @@
 //
 // Overload behavior is honest by construction: a tenant past its
 // in-flight quota queues FIFO and is shed with HTTP 429 + Retry-After
-// when its admission deadline expires (the same discipline, and the
-// same typed error, as the memory pool's admission queue); a draining
-// server answers 503 + Retry-After rather than hanging connections;
-// and every failure — including faults injected at the serve.accept,
-// serve.write, and serve.cancel sites via GMDJ_FAULTS — degrades to a
-// typed JSON error, never a panic or a leaked goroutine.
+// when its admission deadline expires (its gate is a mem.Queue over
+// slots, the queue and typed error the memory pool admits bytes
+// with); a draining server answers 503 + Retry-After rather than
+// hanging connections; and every failure — including faults injected
+// at the serve.accept, serve.write, and serve.cancel sites via
+// GMDJ_FAULTS — degrades to a typed JSON error, never a panic or a
+// leaked goroutine.
 package serve
 
 import (

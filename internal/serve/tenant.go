@@ -2,9 +2,9 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
-	"sync"
 	"time"
 
 	"github.com/olaplab/gmdj/internal/govern"
@@ -122,35 +122,19 @@ func ParseTenants(spec string) (map[string]Quota, error) {
 	return out, nil
 }
 
-// gate is one tenant's FIFO admission queue: a counting semaphore with
-// deadline-aware waiters, mirroring mem.Pool's admission discipline at
-// the request level so a single tenant saturating its quota queues (and
-// eventually sheds) without starving the others.
+// gate is one tenant's admission queue: a mem.Queue over in-flight
+// slots, so a single tenant saturating its quota queues (and eventually
+// sheds) without starving the others. It only names the tenant in its
+// errors and maps cancellation into the governance taxonomy.
 type gate struct {
 	tenant    string
-	max       int
 	admission time.Duration
-
-	mu       sync.Mutex
-	inFlight int
-	queue    []*slotWaiter
-	closed   bool
-
-	admitted int64
-	queued   int64 // requests that had to wait at all, ever
-	shed     int64
-	drained  int64
-	peak     int
-}
-
-type slotWaiter struct {
-	ch   chan struct{}
-	err  error // written under gate.mu before close(ch)
-	done bool
+	q         *mem.Queue
 }
 
 func newGate(tenant string, q Quota) *gate {
-	return &gate{tenant: tenant, max: q.effectiveMax(), admission: q.admission()}
+	a := q.admission()
+	return &gate{tenant: tenant, admission: a, q: mem.NewQueue(int64(q.effectiveMax()), a)}
 }
 
 // Enter admits one request, blocking FIFO when the tenant is at its
@@ -160,120 +144,25 @@ func newGate(tenant string, q Quota) *gate {
 // the governance taxonomy, and a drain closes the gate with
 // ErrDraining.
 func (g *gate) Enter(ctx context.Context) (func(), error) {
-	g.mu.Lock()
-	if g.closed {
-		g.mu.Unlock()
-		return nil, fmt.Errorf("tenant %q: %w", g.tenant, ErrDraining)
-	}
-	if g.inFlight < g.max && len(g.queue) == 0 {
-		g.inFlight++
-		g.admitted++
-		g.mu.Unlock()
+	switch err := g.q.Enter(ctx, 1); {
+	case err == nil:
 		return g.leave, nil
-	}
-	w := &slotWaiter{ch: make(chan struct{})}
-	g.queue = append(g.queue, w)
-	g.queued++
-	if len(g.queue) > g.peak {
-		g.peak = len(g.queue)
-	}
-	g.mu.Unlock()
-
-	deadline := time.NewTimer(g.admission)
-	defer deadline.Stop()
-	select {
-	case <-w.ch:
-		return g.granted(w)
-	case <-ctx.Done():
-		if g.abandon(w, false) {
-			return nil, govern.MapContextErr(ctx.Err())
-		}
-		<-w.ch
-		return g.granted(w)
-	case <-deadline.C:
-		if g.abandon(w, true) {
-			return nil, fmt.Errorf("tenant %q: %w after %v (%d in flight, cap %d)",
-				g.tenant, mem.ErrAdmissionTimeout, g.admission, g.snapshotInFlight(), g.max)
-		}
-		<-w.ch
-		return g.granted(w)
+	case errors.Is(err, mem.ErrQueueClosed):
+		return nil, fmt.Errorf("tenant %q: %w", g.tenant, ErrDraining)
+	case errors.Is(err, mem.ErrAdmissionTimeout):
+		st := g.q.Stats()
+		return nil, fmt.Errorf("tenant %q: %w (%d in flight, cap %d)", g.tenant, err, st.InUse, st.Capacity)
+	default: // ctx's error, or the drain's shed error passed through
+		return nil, govern.MapContextErr(err)
 	}
 }
 
-// granted resolves a waiter whose channel closed: a real slot grant or
-// a typed shed from close.
-func (g *gate) granted(w *slotWaiter) (func(), error) {
-	if w.err != nil {
-		return nil, w.err
-	}
-	return g.leave, nil
-}
-
-// abandon removes w from the queue; false means w was already granted
-// (or shed) and the caller must consume the channel.
-func (g *gate) abandon(w *slotWaiter, timedOut bool) bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if w.done {
-		return false
-	}
-	w.done = true
-	for i, x := range g.queue {
-		if x == w {
-			g.queue = append(g.queue[:i], g.queue[i+1:]...)
-			break
-		}
-	}
-	if timedOut {
-		g.shed++
-	}
-	return true
-}
-
-// leave releases one slot and grants the queue head if it fits.
-func (g *gate) leave() {
-	g.mu.Lock()
-	g.inFlight--
-	if g.inFlight < 0 {
-		g.inFlight = 0
-	}
-	for len(g.queue) > 0 && g.inFlight < g.max {
-		w := g.queue[0]
-		g.queue = g.queue[1:]
-		w.done = true
-		g.inFlight++
-		g.admitted++
-		close(w.ch)
-	}
-	g.mu.Unlock()
-}
+func (g *gate) leave() { g.q.Leave(1) }
 
 // close sheds every queued waiter with ErrDraining and rejects future
 // Enter calls. In-flight requests keep their slots until they leave.
 func (g *gate) close() {
-	g.mu.Lock()
-	if g.closed {
-		g.mu.Unlock()
-		return
-	}
-	g.closed = true
-	ws := g.queue
-	g.queue = nil
-	for _, w := range ws {
-		w.done = true
-		w.err = fmt.Errorf("tenant %q: %w: shed from admission queue", g.tenant, ErrDraining)
-		g.drained++
-	}
-	g.mu.Unlock()
-	for _, w := range ws {
-		close(w.ch)
-	}
-}
-
-func (g *gate) snapshotInFlight() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.inFlight
+	g.q.Close(fmt.Errorf("tenant %q: %w: shed from admission queue", g.tenant, ErrDraining))
 }
 
 // TenantStats is one tenant's point-in-time admission snapshot.
@@ -290,17 +179,16 @@ type TenantStats struct {
 }
 
 func (g *gate) stats() TenantStats {
-	g.mu.Lock()
-	defer g.mu.Unlock()
+	st := g.q.Stats()
 	return TenantStats{
 		Tenant:      g.tenant,
-		MaxInFlight: g.max,
-		InFlight:    g.inFlight,
-		Queued:      len(g.queue),
-		PeakQueued:  g.peak,
-		Admitted:    g.admitted,
-		Shed:        g.shed,
-		Drained:     g.drained,
-		QueuedTotal: g.queued,
+		MaxInFlight: int(st.Capacity),
+		InFlight:    int(st.InUse),
+		Queued:      st.Queued,
+		PeakQueued:  st.PeakQueued,
+		Admitted:    st.Admitted,
+		Shed:        st.TimedOut,
+		Drained:     st.ClosedSheds,
+		QueuedTotal: st.QueuedTotal,
 	}
 }

@@ -3,7 +3,6 @@ package spill
 import (
 	"encoding/binary"
 	"fmt"
-	"sync"
 
 	"github.com/olaplab/gmdj/internal/relation"
 	"github.com/olaplab/gmdj/internal/value"
@@ -11,10 +10,10 @@ import (
 
 // This file is the spill wire format: relations and tuples in the
 // engine's one cell encoding (value.AppendBinary, Schema.AppendBinary —
-// the same bytes the durable tier stores), GMDJ base partitions as
-// positions and key hashes, plus a codec registry so heterogeneous
-// cached values (result-cache entries) can round-trip through the store
-// without the store knowing their types.
+// the same bytes the durable tier stores), and GMDJ base partitions as
+// positions and key hashes. A relation is also the one value the result
+// cache's cold tier demotes to disk; other cached values (GMDJ detail
+// hash vectors, which rehash faster than they round-trip) are dropped.
 //
 // Every decoder reads through value.Reader, so any structural
 // violation is an error, never a panic or an oversized allocation —
@@ -108,76 +107,4 @@ func DecodePositions(data []byte, nBase int) (idx []int32, hash []uint64, err er
 		return nil, nil, fmt.Errorf("spill codec: partition: %w", err)
 	}
 	return idx, hash, nil
-}
-
-// Codec teaches the store how to round-trip one concrete cached-value
-// type. Encode returns ok=false when v is not its type.
-type Codec struct {
-	Name   string
-	Encode func(v any) ([]byte, bool)
-	Decode func(data []byte) (any, error)
-}
-
-var (
-	codecMu   sync.RWMutex
-	codecs    []Codec
-	codecByNm = map[string]int{}
-)
-
-// RegisterCodec adds a codec (package init time; last registration of
-// a name wins).
-func RegisterCodec(c Codec) {
-	codecMu.Lock()
-	defer codecMu.Unlock()
-	if i, ok := codecByNm[c.Name]; ok {
-		codecs[i] = c
-		return
-	}
-	codecByNm[c.Name] = len(codecs)
-	codecs = append(codecs, c)
-}
-
-// EncodeAny finds a codec handling v and encodes it. ok is false when
-// no registered codec handles v — the value is then not spillable and
-// must stay in memory or be dropped.
-func EncodeAny(v any) (name string, data []byte, ok bool) {
-	codecMu.RLock()
-	defer codecMu.RUnlock()
-	for _, c := range codecs {
-		if data, ok := c.Encode(v); ok {
-			return c.Name, data, true
-		}
-	}
-	return "", nil, false
-}
-
-// DecodeAny decodes data with the named codec.
-func DecodeAny(name string, data []byte) (any, error) {
-	codecMu.RLock()
-	i, ok := codecByNm[name]
-	c := Codec{}
-	if ok {
-		c = codecs[i]
-	}
-	codecMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("spill codec: unknown codec %q", name)
-	}
-	return c.Decode(data)
-}
-
-func init() {
-	RegisterCodec(Codec{
-		Name: "relation",
-		Encode: func(v any) ([]byte, bool) {
-			rel, ok := v.(*relation.Relation)
-			if !ok {
-				return nil, false
-			}
-			return EncodeRelation(rel), true
-		},
-		Decode: func(data []byte) (any, error) {
-			return DecodeRelation(data)
-		},
-	})
 }

@@ -115,24 +115,3 @@ func TestDefensiveDecoding(t *testing.T) {
 		t.Fatal("relation with a 2^64-1 byte string decoded")
 	}
 }
-
-func TestCodecRegistry(t *testing.T) {
-	rel := sampleRelation()
-	name, data, ok := EncodeAny(rel)
-	if !ok || name != "relation" {
-		t.Fatalf("EncodeAny = %q, ok=%v", name, ok)
-	}
-	back, err := DecodeAny(name, data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(rel.Rows, back.(*relation.Relation).Rows) {
-		t.Fatal("rows mismatch after codec roundtrip")
-	}
-	if _, _, ok := EncodeAny(42); ok {
-		t.Fatal("EncodeAny accepted an unregistered type")
-	}
-	if _, err := DecodeAny("no-such-codec", nil); err == nil {
-		t.Fatal("DecodeAny accepted an unknown codec")
-	}
-}

@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"testing"
 
-	_ "github.com/olaplab/gmdj/internal/gmdj" // registers the gmdjhashvec codec
 	"github.com/olaplab/gmdj/internal/relation"
 	"github.com/olaplab/gmdj/internal/spill"
 	"github.com/olaplab/gmdj/internal/value"
@@ -16,8 +15,8 @@ import (
 // forgedInputs are payloads whose lengths and counts lie: a 2^64-1 byte
 // string in a one-cell tuple (bare, inside a relation), a partition of
 // one position claiming 2^64-1 key hashes, a tuple and a relation
-// claiming as many cells/rows as Reader.Count lets through, and a hash
-// vector whose row count times nine wraps around to its two bytes.
+// claiming as many cells/rows as Reader.Count lets through, and a count
+// whose product with a nine-byte row wraps around to its two bytes.
 func forgedInputs() [][]byte {
 	forged := append([]byte{1, byte(value.KindString)}, binary.AppendUvarint(nil, math.MaxUint64)...)
 	wide := append(binary.AppendUvarint(nil, 4000), make([]byte, 4000)...)
@@ -60,10 +59,6 @@ var decoders = map[string]func(data []byte) (rows, cells, strBytes int){
 	"ReadTuple": func(data []byte) (int, int, int) {
 		return measure([]relation.Tuple{spill.ReadTuple(value.NewReader(data))})
 	},
-	"gmdjhashvec": func(data []byte) (int, int, int) {
-		_, _ = spill.DecodeAny("gmdjhashvec", data)
-		return 0, 0, 0
-	},
 }
 
 func measure(rows []relation.Tuple) (n, cells, strBytes int) {
@@ -95,10 +90,6 @@ func FuzzSpillDecode(f *testing.F) {
 	f.Add(spill.EncodePositions([]int32{4, 4}, nil))    // not ascending
 	f.Add(spill.EncodePositions([]int32{1 << 10}, nil)) // past the base
 	f.Add(spill.AppendTuple(nil, rel.Rows[0]))
-	vec := binary.AppendUvarint(nil, 2) // two hashes, then two validity bytes
-	vec = binary.LittleEndian.AppendUint64(vec, 0xfeedface)
-	vec = binary.LittleEndian.AppendUint64(vec, 0)
-	f.Add(append(vec, 1, 0))
 	for _, data := range forgedInputs() {
 		f.Add(data)
 	}
