@@ -1,4 +1,4 @@
-// Command loadgen drives olapd with a declarative YAML scenario: a
+// Command loadgen drives olapd with a declarative JSON scenario: a
 // sequence of steps, each a worker pool issuing a weighted query mix
 // with optional concurrency ramps, per-request timeouts, think time,
 // and client-abort storms (a fraction of requests hang up early, the
@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	loadgen -scenario scenarios/cancel_storm.yaml [-target http://127.0.0.1:8080]
+//	loadgen -scenario scenarios/cancel_storm.json [-target http://127.0.0.1:8080]
 //	        [-bench out/BENCH_serve.json] [-baseline BENCH_serve.json]
 //	        [-tolerance 0.5] [-commit sha] [-q]
 //
@@ -68,7 +68,7 @@ func main() {
 }
 
 func run() int {
-	scenarioPath := flag.String("scenario", "", "scenario YAML file (required)")
+	scenarioPath := flag.String("scenario", "", "scenario JSON file (required)")
 	target := flag.String("target", "", "olapd base URL (overrides the scenario's target)")
 	benchOut := flag.String("bench", "", "write per-step latency cells as bench-trajectory JSON to this file")
 	baseline := flag.String("baseline", "", "compare fresh latency cells against this bench-trajectory JSON (exit 3 on regression)")

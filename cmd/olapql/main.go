@@ -47,7 +47,7 @@
 // Meta commands inside the shell:
 //
 //	\tables              list tables
-//	\strategy <name>     switch evaluation strategy (native, unnest, gmdj, gmdj-opt)
+//	\strategy <name>     switch evaluation strategy (native, unnest, gmdj, gmdj-opt, auto)
 //	\explain <query>     show the physical plan for the current strategy
 //	\explain analyze <q> run the query, show the plan annotated with runtime stats
 //	\prepare <query>     compile a statement with ? or $n placeholders
@@ -109,7 +109,7 @@ const exitUsage = 2
 func main() {
 	data := flag.String("data", "netflow", "sample dataset to preload: netflow, tpcr, or none")
 	scale := flag.Float64("scale", 1.0, "sample dataset scale factor")
-	strategy := flag.String("strategy", "gmdj-opt", "evaluation strategy: native, unnest, gmdj, gmdj-opt")
+	strategy := flag.String("strategy", "gmdj-opt", "evaluation strategy: native, unnest, gmdj, gmdj-opt, auto")
 	parallel := flag.Int("parallel", 0, "morsel-driven execution degree (1 = serial, 0 = default: GOMAXPROCS or GMDJ_PARALLEL)")
 	timeout := flag.Duration("timeout", 0, "per-query wall-clock budget (0 = none)")
 	maxRows := flag.Int64("max-rows", 0, "per-query cap on materialized rows (0 = none)")
@@ -157,9 +157,9 @@ func main() {
 		os.Exit(exitUsage)
 	}
 
-	strat, ok := parseStrategy(*strategy)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "olapql: unknown strategy %q\n", *strategy)
+	strat, err := gmdj.ParseStrategy(*strategy)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "olapql:", err)
 		os.Exit(exitUsage)
 	}
 
@@ -360,11 +360,11 @@ func main() {
 			}
 		case strings.HasPrefix(line, `\strategy`):
 			arg := strings.TrimSpace(strings.TrimPrefix(line, `\strategy`))
-			if s, ok := parseStrategy(arg); ok {
+			if s, err := gmdj.ParseStrategy(arg); err == nil {
 				strat = s
 				fmt.Printf("strategy: %v\n", strat)
 			} else {
-				fmt.Printf("unknown strategy %q (native, unnest, gmdj, gmdj-opt)\n", arg)
+				fmt.Printf("%v (native, unnest, gmdj, gmdj-opt, auto)\n", err)
 			}
 		case strings.HasPrefix(line, `\explain analyze`):
 			q := strings.TrimSpace(strings.TrimPrefix(line, `\explain analyze`))
@@ -534,21 +534,6 @@ func printMetrics(snap map[string]int64) {
 	sort.Strings(keys)
 	for _, k := range keys {
 		fmt.Printf("  %-24s %d\n", k, snap[k])
-	}
-}
-
-func parseStrategy(s string) (gmdj.Strategy, bool) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "native":
-		return gmdj.Native, true
-	case "unnest":
-		return gmdj.Unnest, true
-	case "gmdj":
-		return gmdj.GMDJ, true
-	case "gmdj-opt", "gmdjopt", "opt":
-		return gmdj.GMDJOpt, true
-	default:
-		return gmdj.Native, false
 	}
 }
 

@@ -94,6 +94,17 @@ const (
 	Auto = engine.Auto
 )
 
+// ParseStrategy inverts Strategy.String: it accepts exactly "native",
+// "unnest", "gmdj", "gmdj-opt" and "auto".
+func ParseStrategy(name string) (Strategy, error) {
+	for _, s := range append(engine.Strategies(), Auto) {
+		if s.String() == name {
+			return s, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown strategy %q", name)
+}
+
 // Budget bounds one query evaluation: wall-clock timeout, materialized
 // rows, and approximate materialized bytes. The zero Budget is
 // unlimited. Apply with WithBudget.

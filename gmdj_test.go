@@ -35,6 +35,20 @@ func flowDB(t *testing.T) *DB {
 // TestCreateTableValidation: CreateTable and SQL CREATE TABLE share
 // one validation, so a definition either door can express is accepted
 // or rejected by both, with the same error.
+func TestParseStrategyRoundTrip(t *testing.T) {
+	for _, s := range []Strategy{Native, Unnest, GMDJ, GMDJOpt, Auto} {
+		got, err := ParseStrategy(s.String())
+		if err != nil || got != s {
+			t.Errorf("ParseStrategy(%q) = %v, %v; want %v", s.String(), got, err, s)
+		}
+	}
+	for _, bad := range []string{"", "quantum", "GMDJ-OPT", "opt", " auto"} {
+		if _, err := ParseStrategy(bad); err == nil || err.Error() != fmt.Sprintf("unknown strategy %q", bad) {
+			t.Errorf("ParseStrategy(%q) err = %v, want unknown strategy", bad, err)
+		}
+	}
+}
+
 func TestCreateTableValidation(t *testing.T) {
 	cases := []struct {
 		what string

@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"slices"
+
 	"github.com/olaplab/gmdj/internal/algebra"
 	"github.com/olaplab/gmdj/internal/expr"
 	"github.com/olaplab/gmdj/internal/relation"
@@ -77,12 +79,7 @@ func newSubqueryMemo(sp *algebra.SubPred, outer *relation.Schema) (*subqueryMemo
 	for i := range pos {
 		keys = append(keys, i)
 	}
-	// Deterministic order for the key tuple.
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-		}
-	}
+	slices.Sort(keys) // deterministic order for the key tuple
 	return &subqueryMemo{
 		keyPos: keys,
 		cache:  make(map[string]value.Tri),

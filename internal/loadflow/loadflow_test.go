@@ -4,7 +4,8 @@ import (
 	"context"
 	"math/rand"
 	"net/http/httptest"
-	"reflect"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -13,114 +14,25 @@ import (
 	"github.com/olaplab/gmdj/internal/serve"
 )
 
-func TestParseYAMLSubset(t *testing.T) {
-	src := `
-# scenario header
-name: demo
-seed: 42
-rate: 0.25
-enabled: true
-empty:
-target: "http://x:80"  # trailing comment
-steps:
-  - name: warmup
-    concurrency: 4
-    queries:
-      - sql: 'SELECT * FROM t WHERE x > $RANDINT(1,9)'
-        weight: 3
-      - sql: "SELECT 1"
-  - name: storm
-    concurrency: 200
-list:
-  - 1
-  - two
-  - false
-`
-	got, err := ParseYAML(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := map[string]any{
-		"name":    "demo",
-		"seed":    int64(42),
-		"rate":    0.25,
-		"enabled": true,
-		"empty":   nil,
-		"target":  "http://x:80",
-		"steps": []any{
-			map[string]any{
-				"name":        "warmup",
-				"concurrency": int64(4),
-				"queries": []any{
-					map[string]any{"sql": "SELECT * FROM t WHERE x > $RANDINT(1,9)", "weight": int64(3)},
-					map[string]any{"sql": "SELECT 1"},
-				},
-			},
-			map[string]any{"name": "storm", "concurrency": int64(200)},
-		},
-		"list": []any{int64(1), "two", false},
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("parsed:\n%#v\nwant:\n%#v", got, want)
-	}
-}
-
-func TestParseYAMLFoldedScalar(t *testing.T) {
-	src := `
-steps:
-  - sql: >-
-      SELECT h.HourDsc FROM Hours h
-      WHERE EXISTS (SELECT * FROM Flow fi
-        WHERE fi.DestIP = '167.167.167.0')
-    weight: 2
-`
-	got, err := ParseYAML(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	item := got.(map[string]any)["steps"].([]any)[0].(map[string]any)
-	want := "SELECT h.HourDsc FROM Hours h WHERE EXISTS (SELECT * FROM Flow fi WHERE fi.DestIP = '167.167.167.0')"
-	if item["sql"] != want {
-		t.Fatalf("folded sql = %q, want %q", item["sql"], want)
-	}
-	if item["weight"] != int64(2) {
-		t.Fatalf("weight after folded scalar = %v", item["weight"])
-	}
-}
-
-func TestParseYAMLErrors(t *testing.T) {
-	for name, src := range map[string]string{
-		"tab indent":   "a:\n\tb: 1",
-		"bare text":    "a: 1\njust words here: : :\n  dangling",
-		"dup key":      "a: 1\na: 2",
-		"unterminated": `a: "oops`,
-	} {
-		if _, err := ParseYAML(src); err == nil {
-			t.Errorf("%s: accepted", name)
-		}
-	}
-}
-
 func TestParseScenario(t *testing.T) {
-	src := `
-name: cancel-storm
-description: storm with aborts
-tenant: default
-seed: 7
-steps:
-  - name: storm
-    concurrency: 200
-    duration: 5s
-    timeout: 250ms
-    abort_rate: 0.1
-    abort_after: 2ms
-    queries:
-      - sql: SELECT name FROM users
-        weight: 2
-      - sql: SELECT name FROM users WHERE ip = '10.0.0.$RANDINT(1,40)'
-        strategy: gmdj
-`
-	sc, err := ParseScenario(src)
+	sc, err := ParseScenario(`{
+  "name": "cancel-storm",
+  "description": "storm with aborts",
+  "tenant": "default",
+  "seed": 7,
+  "steps": [{
+    "name": "storm",
+    "concurrency": 200,
+    "duration": "5s",
+    "timeout": "250ms",
+    "abort_rate": 0.1,
+    "abort_after": "2ms",
+    "queries": [
+      {"sql": "SELECT name FROM users", "weight": 2},
+      {"sql": "SELECT name FROM users WHERE ip = '10.0.0.$RANDINT(1,40)'", "strategy": "gmdj"}
+    ]
+  }]
+}`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,8 +40,8 @@ steps:
 		t.Fatalf("scenario = %+v", sc)
 	}
 	st := sc.Steps[0]
-	if st.Concurrency != 200 || st.Duration != 5*time.Second || st.AbortRate != 0.1 ||
-		st.AbortAfter != 2*time.Millisecond || st.Timeout != 250*time.Millisecond {
+	if st.Concurrency != 200 || st.Duration != Duration(5*time.Second) || st.AbortRate != 0.1 ||
+		st.AbortAfter != Duration(2*time.Millisecond) || st.Timeout != Duration(250*time.Millisecond) {
 		t.Fatalf("step = %+v", st)
 	}
 	if len(st.Queries) != 2 || st.Queries[0].Weight != 2 || st.Queries[1].Weight != 1 ||
@@ -137,18 +49,48 @@ steps:
 		t.Fatalf("queries = %+v", st.Queries)
 	}
 
-	for name, bad := range map[string]string{
-		"no name":     "steps:\n  - duration: 1s\n    queries:\n      - sql: SELECT 1",
-		"no steps":    "name: x",
-		"no bound":    "name: x\nsteps:\n  - queries:\n      - sql: SELECT 1",
-		"no queries":  "name: x\nsteps:\n  - duration: 1s",
-		"bad rate":    "name: x\nsteps:\n  - duration: 1s\n    abort_rate: 1.5\n    queries:\n      - sql: SELECT 1",
-		"unknown key": "name: x\nbogus: 1\nsteps:\n  - duration: 1s\n    queries:\n      - sql: SELECT 1",
-		"typo key":    "name: x\nsteps:\n  - duration: 1s\n    concurency: 3\n    queries:\n      - sql: SELECT 1",
+	const q = `"queries": [{"sql": "SELECT 1"}]`
+	for name, c := range map[string]struct{ src, want string }{
+		"no name":           {`{"steps": [{"duration": "1s", ` + q + `}]}`, "has no name"},
+		"no steps":          {`{"name": "x"}`, "has no steps"},
+		"no bound":          {`{"name": "x", "steps": [{` + q + `}]}`, "neither duration nor requests"},
+		"no queries":        {`{"name": "x", "steps": [{"duration": "1s"}]}`, "has no queries"},
+		"bad rate":          {`{"name": "x", "steps": [{"duration": "1s", "abort_rate": 1.5, ` + q + `}]}`, "abort_rate 1.5"},
+		"unknown key":       {`{"name": "x", "bogus": 1, "steps": [{"duration": "1s", ` + q + `}]}`, `unknown field "bogus"`},
+		"typo key":          {`{"name": "x", "steps": [{"duration": "1s", "concurency": 3, ` + q + `}]}`, `unknown field "concurency"`},
+		"bad duration":      {`{"name": "x", "steps": [{"duration": "soon", ` + q + `}]}`, "invalid duration"},
+		"numeric duration":  {`{"name": "x", "steps": [{"duration": 5, ` + q + `}]}`, "want duration string"},
+		"string for number": {`{"name": "x", "steps": [{"requests": "10", ` + q + `}]}`, "cannot unmarshal string"},
+		"trailing data":     {`{"name": "x", "steps": [{"duration": "1s", ` + q + `}]} {}`, "trailing data"},
 	} {
-		if _, err := ParseScenario(bad); err == nil {
-			t.Errorf("%s: accepted", name)
-		}
+		t.Run(name, func(t *testing.T) {
+			if _, err := ParseScenario(c.src); err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("err = %v, want it to mention %q", err, c.want)
+			}
+		})
+	}
+}
+
+// Every committed scenario decodes and validates, so a broken file
+// fails here rather than only in the serve-chaos job.
+func TestCommittedScenarios(t *testing.T) {
+	files, err := filepath.Glob("../../scenarios/*")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no committed scenarios: %v", err)
+	}
+	for _, f := range files {
+		t.Run(filepath.Base(f), func(t *testing.T) {
+			if filepath.Ext(f) != ".json" {
+				t.Fatal("scenarios are JSON")
+			}
+			src, err := os.ReadFile(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ParseScenario(string(src)); err != nil {
+				t.Error(err)
+			}
+		})
 	}
 }
 
@@ -190,26 +132,30 @@ func TestRunScenarioAgainstServer(t *testing.T) {
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 
-	sc, err := ParseScenario(`
-name: mini-storm
-seed: 3
-steps:
-  - name: mixed
-    concurrency: 16
-    requests: 200
-    abort_rate: 0.15
-    abort_after: 1ms
-    queries:
-      - sql: SELECT name FROM users WHERE score > $RANDINT(5,25)
-        weight: 3
-      - sql: SELECT name FROM users WHERE ip = '10.0.0.$RANDINT(1,2)'
-  - name: shed
-    concurrency: 8
-    requests: 40
-    tenant: tiny
-    queries:
-      - sql: SELECT name FROM users
-`)
+	sc, err := ParseScenario(`{
+  "name": "mini-storm",
+  "seed": 3,
+  "steps": [
+    {
+      "name": "mixed",
+      "concurrency": 16,
+      "requests": 200,
+      "abort_rate": 0.15,
+      "abort_after": "1ms",
+      "queries": [
+        {"sql": "SELECT name FROM users WHERE score > $RANDINT(5,25)", "weight": 3},
+        {"sql": "SELECT name FROM users WHERE ip = '10.0.0.$RANDINT(1,2)'"}
+      ]
+    },
+    {
+      "name": "shed",
+      "concurrency": 8,
+      "requests": 40,
+      "tenant": "tiny",
+      "queries": [{"sql": "SELECT name FROM users"}]
+    }
+  ]
+}`)
 	if err != nil {
 		t.Fatal(err)
 	}

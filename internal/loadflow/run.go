@@ -160,7 +160,7 @@ func (r *Runner) runStep(ctx context.Context, client *http.Client, target string
 	stepCtx := ctx
 	var cancel context.CancelFunc
 	if st.Duration > 0 {
-		stepCtx, cancel = context.WithTimeout(ctx, st.Duration)
+		stepCtx, cancel = context.WithTimeout(ctx, time.Duration(st.Duration))
 		defer cancel()
 	}
 	// A requests cap is claimed atomically so the total is exact even
@@ -200,7 +200,7 @@ func (r *Runner) runStep(ctx context.Context, client *http.Client, target string
 				r.issue(stepCtx, client, target, tenant, st, ss, known, rng)
 				if st.Think > 0 {
 					select {
-					case <-time.After(st.Think):
+					case <-time.After(time.Duration(st.Think)):
 					case <-stepCtx.Done():
 						return
 					}
@@ -241,7 +241,7 @@ func (r *Runner) issue(ctx context.Context, client *http.Client, target, tenant 
 	}
 	timeoutMS := q.TimeoutMS
 	if timeoutMS == 0 && st.Timeout > 0 {
-		timeoutMS = st.Timeout.Milliseconds()
+		timeoutMS = time.Duration(st.Timeout).Milliseconds()
 	}
 	if timeoutMS > 0 {
 		body["timeout_ms"] = timeoutMS
@@ -260,7 +260,7 @@ func (r *Runner) issue(ctx context.Context, client *http.Client, target, tenant 
 	reqCtx := ctx
 	var cancel context.CancelFunc
 	if aborting {
-		reqCtx, cancel = context.WithTimeout(ctx, st.AbortAfter)
+		reqCtx, cancel = context.WithTimeout(ctx, time.Duration(st.AbortAfter))
 	}
 	req, err := http.NewRequestWithContext(reqCtx, http.MethodPost, target+"/query", bytes.NewReader(raw))
 	if err != nil {

@@ -1,7 +1,15 @@
+// Package loadflow is a declarative load/chaos scenario driver for the
+// serving layer: scenarios are JSON documents describing weighted query
+// mixes, concurrency ramps, client-abort storms, and per-step deadlines;
+// the runner executes them against an olapd endpoint and reports typed
+// outcome counts plus latency percentiles.
 package loadflow
 
 import (
+	"encoding/json"
 	"fmt"
+	"io"
+	"strings"
 	"time"
 )
 
@@ -9,137 +17,96 @@ import (
 // steps executed in order against one olapd endpoint.
 type Scenario struct {
 	// Name labels the run (and the BENCH figure).
-	Name string
+	Name string `json:"name"`
 	// Description is free documentation.
-	Description string
+	Description string `json:"description"`
 	// Target is the olapd base URL; a runner flag may override it.
-	Target string
+	Target string `json:"target"`
 	// Tenant is the default tenant for steps that don't set their own.
-	Tenant string
+	Tenant string `json:"tenant"`
 	// Seed feeds the deterministic per-worker PRNGs (default 1).
-	Seed int64
+	Seed int64 `json:"seed"`
 	// Steps run sequentially.
-	Steps []Step
+	Steps []Step `json:"steps"`
 	// SLOs are per-tenant objectives asserted after the run (exit 4 in
 	// the driver on violation).
-	SLOs []SLOSpec
+	SLOs []SLOSpec `json:"slo"`
 }
 
 // Step is one load phase: a worker pool issuing a weighted query mix.
 type Step struct {
 	// Name labels the step in results and BENCH cells.
-	Name string
+	Name string `json:"name"`
 	// Concurrency is the worker-pool size (default 1).
-	Concurrency int
+	Concurrency int `json:"concurrency"`
 	// Ramp staggers worker starts evenly across this duration (0 =
 	// all at once — a spike).
-	Ramp time.Duration
+	Ramp Duration `json:"ramp"`
 	// Duration bounds the step's wall clock; workers stop issuing new
 	// requests once it elapses. 0 = bounded by Requests only.
-	Duration time.Duration
+	Duration Duration `json:"duration"`
 	// Requests caps the total requests issued across all workers.
 	// 0 = bounded by Duration only. At least one bound must be set.
-	Requests int64
+	Requests int64 `json:"requests"`
 	// Timeout is the per-request timeout_ms sent to the server
 	// (0 = server default).
-	Timeout time.Duration
+	Timeout Duration `json:"timeout"`
 	// Think pauses each worker between requests (0 = none).
-	Think time.Duration
+	Think Duration `json:"think"`
 	// AbortRate is the fraction of requests (0..1) the client abandons
 	// — canceling the HTTP request after AbortAfter — to model
 	// disconnecting clients.
-	AbortRate float64
+	AbortRate float64 `json:"abort_rate"`
 	// AbortAfter is how long an aborting client waits before hanging
 	// up (default 1ms).
-	AbortAfter time.Duration
+	AbortAfter Duration `json:"abort_after"`
 	// Tenant overrides the scenario tenant for this step.
-	Tenant string
+	Tenant string `json:"tenant"`
 	// Queries is the weighted template mix (required, non-empty).
-	Queries []QueryTemplate
+	Queries []QueryTemplate `json:"queries"`
 }
 
 // QueryTemplate is one weighted query in a step's mix. SQL may embed
 // $RANDINT(lo,hi) and $PICK(a|b|c) placeholders, expanded per request
 // from the worker's deterministic PRNG.
 type QueryTemplate struct {
-	SQL      string
-	Weight   int // relative selection weight (default 1)
-	Strategy string
+	SQL      string `json:"sql"`
+	Weight   int    `json:"weight"` // relative selection weight (default 1)
+	Strategy string `json:"strategy"`
 	// TimeoutMS overrides the step timeout for this template (0 = step's).
-	TimeoutMS int64
+	TimeoutMS int64 `json:"timeout_ms"`
 }
 
-// ParseScenario decodes a scenario document from the YAML subset.
+// Duration is a time.Duration written in a scenario as a Go duration
+// string such as "500ms".
+type Duration time.Duration
+
+// UnmarshalJSON decodes a duration string.
+func (d *Duration) UnmarshalJSON(b []byte) error {
+	var s string
+	if err := json.Unmarshal(b, &s); err != nil {
+		return fmt.Errorf("want duration string like \"500ms\", got %s", b)
+	}
+	v, err := time.ParseDuration(s)
+	*d = Duration(v)
+	return err
+}
+
+// String formats d as time.Duration does.
+func (d Duration) String() string { return time.Duration(d).String() }
+
+// ParseScenario decodes a JSON scenario document and validates it.
+// Unknown keys are rejected: a typo in a scenario must fail the run,
+// not silently no-op.
 func ParseScenario(src string) (*Scenario, error) {
-	root, err := ParseYAML(src)
-	if err != nil {
-		return nil, err
+	dec := json.NewDecoder(strings.NewReader(src))
+	dec.DisallowUnknownFields()
+	sc := &Scenario{}
+	if err := dec.Decode(sc); err != nil {
+		return nil, fmt.Errorf("loadflow: scenario: %w", err)
 	}
-	doc, ok := root.(map[string]any)
-	if !ok {
-		return nil, fmt.Errorf("loadflow: scenario root must be a mapping, got %T", root)
-	}
-	d := decoder{}
-	sc := &Scenario{
-		Name:        d.str(doc, "name"),
-		Description: d.str(doc, "description"),
-		Target:      d.str(doc, "target"),
-		Tenant:      d.str(doc, "tenant"),
-		Seed:        d.i64(doc, "seed"),
-	}
-	steps, _ := doc["steps"].([]any)
-	for i, raw := range steps {
-		m, ok := raw.(map[string]any)
-		if !ok {
-			return nil, fmt.Errorf("loadflow: steps[%d] must be a mapping", i)
-		}
-		st := Step{
-			Name:        d.str(m, "name"),
-			Concurrency: int(d.i64(m, "concurrency")),
-			Ramp:        d.dur(m, "ramp"),
-			Duration:    d.dur(m, "duration"),
-			Requests:    d.i64(m, "requests"),
-			Timeout:     d.dur(m, "timeout"),
-			Think:       d.dur(m, "think"),
-			AbortRate:   d.f64(m, "abort_rate"),
-			AbortAfter:  d.dur(m, "abort_after"),
-			Tenant:      d.str(m, "tenant"),
-		}
-		qs, _ := m["queries"].([]any)
-		for j, qraw := range qs {
-			qm, ok := qraw.(map[string]any)
-			if !ok {
-				return nil, fmt.Errorf("loadflow: steps[%d].queries[%d] must be a mapping", i, j)
-			}
-			st.Queries = append(st.Queries, QueryTemplate{
-				SQL:       d.str(qm, "sql"),
-				Weight:    int(d.i64(qm, "weight")),
-				Strategy:  d.str(qm, "strategy"),
-				TimeoutMS: d.i64(qm, "timeout_ms"),
-			})
-		}
-		d.checkKeys(fmt.Sprintf("steps[%d]", i), m,
-			"name", "concurrency", "ramp", "duration", "requests",
-			"timeout", "think", "abort_rate", "abort_after", "tenant", "queries")
-		sc.Steps = append(sc.Steps, st)
-	}
-	slos, _ := doc["slo"].([]any)
-	for i, raw := range slos {
-		m, ok := raw.(map[string]any)
-		if !ok {
-			return nil, fmt.Errorf("loadflow: slo[%d] must be a mapping", i)
-		}
-		sc.SLOs = append(sc.SLOs, SLOSpec{
-			Tenant:       d.str(m, "tenant"),
-			Availability: d.f64(m, "availability"),
-			P99:          d.dur(m, "p99"),
-			MaxBurn:      d.f64(m, "max_burn"),
-		})
-		d.checkKeys(fmt.Sprintf("slo[%d]", i), m, "tenant", "availability", "p99", "max_burn")
-	}
-	d.checkKeys("scenario", doc, "name", "description", "target", "tenant", "seed", "steps", "slo")
-	if d.err != nil {
-		return nil, d.err
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("loadflow: scenario: trailing data after the document")
 	}
 	return sc, sc.validate()
 }
@@ -166,7 +133,7 @@ func (sc *Scenario) validate() error {
 			return fmt.Errorf("loadflow: step %q abort_rate %v outside [0,1]", st.Name, st.AbortRate)
 		}
 		if st.AbortRate > 0 && st.AbortAfter <= 0 {
-			st.AbortAfter = time.Millisecond
+			st.AbortAfter = Duration(time.Millisecond)
 		}
 		if len(st.Queries) == 0 {
 			return fmt.Errorf("loadflow: step %q has no queries", st.Name)
@@ -199,86 +166,4 @@ func (sc *Scenario) validate() error {
 		}
 	}
 	return nil
-}
-
-// decoder accumulates the first type/key error across lookups so the
-// schema walk above stays linear.
-type decoder struct{ err error }
-
-func (d *decoder) fail(format string, args ...any) {
-	if d.err == nil {
-		d.err = fmt.Errorf("loadflow: "+format, args...)
-	}
-}
-
-func (d *decoder) str(m map[string]any, key string) string {
-	v, ok := m[key]
-	if !ok || v == nil {
-		return ""
-	}
-	s, ok := v.(string)
-	if !ok {
-		d.fail("%s: want string, got %T (%v)", key, v, v)
-		return ""
-	}
-	return s
-}
-
-func (d *decoder) i64(m map[string]any, key string) int64 {
-	v, ok := m[key]
-	if !ok || v == nil {
-		return 0
-	}
-	n, ok := v.(int64)
-	if !ok {
-		d.fail("%s: want integer, got %T (%v)", key, v, v)
-		return 0
-	}
-	return n
-}
-
-func (d *decoder) f64(m map[string]any, key string) float64 {
-	switch v := m[key].(type) {
-	case nil:
-		return 0
-	case float64:
-		return v
-	case int64:
-		return float64(v)
-	default:
-		d.fail("%s: want number, got %T (%v)", key, v, v)
-		return 0
-	}
-}
-
-func (d *decoder) dur(m map[string]any, key string) time.Duration {
-	v, ok := m[key]
-	if !ok || v == nil {
-		return 0
-	}
-	s, ok := v.(string)
-	if !ok {
-		d.fail("%s: want duration string like \"500ms\", got %T (%v)", key, v, v)
-		return 0
-	}
-	dur, err := time.ParseDuration(s)
-	if err != nil {
-		d.fail("%s: %v", key, err)
-		return 0
-	}
-	return dur
-}
-
-// checkKeys rejects unknown keys — a typo in a scenario must fail the
-// run, not silently no-op.
-func (d *decoder) checkKeys(where string, m map[string]any, allowed ...string) {
-	ok := map[string]bool{}
-	for _, k := range allowed {
-		ok[k] = true
-	}
-	for k := range m {
-		if !ok[k] {
-			d.fail("%s: unknown key %q", where, k)
-		}
-	}
 }

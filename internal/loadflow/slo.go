@@ -5,24 +5,24 @@ import (
 	"time"
 )
 
-// SLOSpec is one tenant's objective declared in a scenario's slo:
-// block. The driver evaluates it against the run's typed-outcome
+// SLOSpec is one tenant's objective declared in a scenario's "slo"
+// list. The driver evaluates it against the run's typed-outcome
 // accounting after the steps finish — the client-side twin of the
 // server's /metrics burn gauges, so a scenario can fail CI when the
 // server's error budget burns too fast.
 type SLOSpec struct {
 	// Tenant names the tenant the objective applies to (steps whose
 	// effective tenant matches are aggregated).
-	Tenant string
+	Tenant string `json:"tenant"`
 	// Availability is the target fraction of requests free of
 	// server-attributed failure, in (0,1).
-	Availability float64
+	Availability float64 `json:"availability"`
 	// P99 bounds the 99th-percentile latency of successful requests
 	// (0 = no latency objective).
-	P99 time.Duration
+	P99 Duration `json:"p99"`
 	// MaxBurn is the error-budget burn rate above which the objective
 	// is violated (default 1.0 — burning faster than the budget allows).
-	MaxBurn float64
+	MaxBurn float64 `json:"max_burn"`
 }
 
 // SLOOutcome is one objective evaluated against a finished run.
@@ -80,7 +80,7 @@ func EvaluateSLOs(sc *Scenario, res *Result, failureKinds []string) []SLOOutcome
 				"tenant %q: error-budget burn %.2f > %.2f (availability %.4f vs target %.4f, %d/%d server-attributed failures)",
 				spec.Tenant, o.Burn, maxBurn, o.Availability, spec.Availability, o.Failures, o.Requests))
 		}
-		if spec.P99 > 0 && o.P99 > spec.P99 {
+		if spec.P99 > 0 && o.P99 > time.Duration(spec.P99) {
 			o.Violations = append(o.Violations, fmt.Sprintf(
 				"tenant %q: p99 %v > objective %v", spec.Tenant, o.P99, spec.P99))
 		}

@@ -9,82 +9,41 @@ import (
 )
 
 func TestScenarioSLOParsing(t *testing.T) {
-	sc, err := ParseScenario(`
-name: slo-demo
-tenant: default
-steps:
-  - name: s1
-    requests: 10
-    queries:
-      - sql: SELECT 1
-slo:
-  - tenant: default
-    availability: 0.99
-    p99: 250ms
-  - tenant: premium
-    availability: 0.999
-    max_burn: 2.0
-`)
+	sc, err := ParseScenario(`{
+  "name": "slo-demo",
+  "tenant": "default",
+  "steps": [{"name": "s1", "requests": 10, "queries": [{"sql": "SELECT 1"}]}],
+  "slo": [
+    {"tenant": "default", "availability": 0.99, "p99": "250ms"},
+    {"tenant": "premium", "availability": 0.999, "max_burn": 2.0}
+  ]
+}`)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(sc.SLOs) != 2 {
 		t.Fatalf("parsed %d SLOs, want 2", len(sc.SLOs))
 	}
-	if s := sc.SLOs[0]; s.Tenant != "default" || s.Availability != 0.99 || s.P99 != 250*time.Millisecond || s.MaxBurn != 0 {
+	if s := sc.SLOs[0]; s.Tenant != "default" || s.Availability != 0.99 || s.P99 != Duration(250*time.Millisecond) || s.MaxBurn != 0 {
 		t.Errorf("slo[0] = %+v", s)
 	}
 	if s := sc.SLOs[1]; s.Tenant != "premium" || s.MaxBurn != 2.0 {
 		t.Errorf("slo[1] = %+v", s)
 	}
 
-	for name, src := range map[string]string{
-		"no tenant": `
-name: x
-steps:
-  - requests: 1
-    queries:
-      - sql: SELECT 1
-slo:
-  - availability: 0.9
-`,
-		"availability out of range": `
-name: x
-steps:
-  - requests: 1
-    queries:
-      - sql: SELECT 1
-slo:
-  - tenant: t
-    availability: 1.5
-`,
-		"duplicate tenant": `
-name: x
-steps:
-  - requests: 1
-    queries:
-      - sql: SELECT 1
-slo:
-  - tenant: t
-    availability: 0.9
-  - tenant: t
-    availability: 0.8
-`,
-		"unknown key": `
-name: x
-steps:
-  - requests: 1
-    queries:
-      - sql: SELECT 1
-slo:
-  - tenant: t
-    availability: 0.9
-    latency: 5ms
-`,
+	const steps = `"name": "x", "steps": [{"requests": 1, "queries": [{"sql": "SELECT 1"}]}]`
+	for name, c := range map[string]struct{ slo, want string }{
+		"no tenant":                 {`[{"availability": 0.9}]`, "has no tenant"},
+		"availability out of range": {`[{"tenant": "t", "availability": 1.5}]`, "outside (0,1)"},
+		"duplicate tenant":          {`[{"tenant": "t", "availability": 0.9}, {"tenant": "t", "availability": 0.8}]`, "declared twice"},
+		"unknown key":               {`[{"tenant": "t", "availability": 0.9, "latency": "5ms"}]`, `unknown field "latency"`},
+		"bad p99":                   {`[{"tenant": "t", "availability": 0.9, "p99": "fast"}]`, "invalid duration"},
 	} {
-		if _, err := ParseScenario(src); err == nil {
-			t.Errorf("%s: scenario accepted", name)
-		}
+		t.Run(name, func(t *testing.T) {
+			if _, err := ParseScenario(`{` + steps + `, "slo": ` + c.slo + `}`); err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("err = %v, want it to mention %q", err, c.want)
+			}
+		})
 	}
 }
 
@@ -100,7 +59,7 @@ func TestEvaluateSLOs(t *testing.T) {
 			{Name: "overflow", Tenant: "default"}, // aggregates with main
 		},
 		SLOs: []SLOSpec{
-			{Tenant: "default", Availability: 0.95, P99: 50 * time.Millisecond},
+			{Tenant: "default", Availability: 0.95, P99: Duration(50 * time.Millisecond)},
 			{Tenant: "starved", Availability: 0.5, MaxBurn: 3},
 			{Tenant: "idle", Availability: 0.99},
 		},

@@ -151,13 +151,6 @@ func TestNormalizeTimings(t *testing.T) {
 	}
 }
 
-func TestFormatMetrics(t *testing.T) {
-	text := FormatMetrics(map[string]int64{"b": 2, "a": 1})
-	if text != "a 1\nb 2\n" {
-		t.Fatalf("FormatMetrics = %q", text)
-	}
-}
-
 func TestCollectorSecondRoot(t *testing.T) {
 	// A second top-level Enter (defensive path) must stay visible
 	// rather than corrupting the tree.

@@ -449,23 +449,6 @@ type errorResponse struct {
 	RetryAfterMS int64  `json:"retry_after_ms,omitempty"`
 }
 
-func parseStrategy(name string) (gmdj.Strategy, error) {
-	switch name {
-	case "", "gmdj-opt":
-		return gmdj.GMDJOpt, nil
-	case "gmdj":
-		return gmdj.GMDJ, nil
-	case "native":
-		return gmdj.Native, nil
-	case "unnest":
-		return gmdj.Unnest, nil
-	case "auto":
-		return gmdj.Auto, nil
-	default:
-		return 0, fmt.Errorf("unknown strategy %q", name)
-	}
-}
-
 // serveTidBase offsets the serving layer's trace-timeline rows away
 // from the engine's operator rows (the plan span uses tid 1); rows are
 // reused modulo serveTidSlots so concurrent requests land on distinct
@@ -673,7 +656,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		rw.usage("empty sql")
 		return
 	}
-	strategy, err := parseStrategy(req.Strategy)
+	if req.Strategy == "" {
+		req.Strategy = gmdj.GMDJOpt.String()
+	}
+	strategy, err := gmdj.ParseStrategy(req.Strategy)
 	if err != nil {
 		rw.usage(err.Error())
 		return

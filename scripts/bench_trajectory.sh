@@ -5,7 +5,8 @@
 # regresses beyond tolerance.
 #
 # The "serve" figure is special: instead of benchfig it boots a quiet
-# olapd (no faults), drives scenarios/bench_serve.yaml through loadgen,
+# olapd (no faults), drives scenarios/bench_serve.json (moderate
+# concurrency, no client aborts, no fault injection) through loadgen,
 # and compares the per-step p50/p99/mean cells against BENCH_serve.json
 # using loadgen's own -baseline/-tolerance flags — the same exit-3
 # contract, with a serve-specific tolerance because HTTP-path latencies
@@ -68,10 +69,10 @@ serve_fig() { # $1 = 1 to re-record the baseline
   local commit rc=0
   commit="$(git rev-parse --short HEAD 2>/dev/null || echo unknown)"
   if [ "$1" = 1 ]; then
-    "$bindir/loadgen" -scenario scenarios/bench_serve.yaml -target "$target" -q \
+    "$bindir/loadgen" -scenario scenarios/bench_serve.json -target "$target" -q \
       -bench BENCH_serve.json -commit "$commit" > /dev/null || rc=$?
   else
-    "$bindir/loadgen" -scenario scenarios/bench_serve.yaml -target "$target" -q \
+    "$bindir/loadgen" -scenario scenarios/bench_serve.json -target "$target" -q \
       -bench out/BENCH_serve.current.json -commit "$commit" \
       -baseline BENCH_serve.json -tolerance "$serve_tolerance" > /dev/null || rc=$?
   fi
