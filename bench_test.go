@@ -70,8 +70,7 @@ func benchFigure(b *testing.B, id string) {
 						b.Fatal(err)
 					}
 				}
-				eng := engine.New(cat)
-				eng.SetUseIndexes(v.UseIndexes)
+				eng := engine.New(cat, WithUseIndexes(v.UseIndexes))
 				if obsMode == "2" {
 					eng.SetObserver(obs.NewObserver(obs.ObserverConfig{}))
 				}

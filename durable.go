@@ -1,6 +1,7 @@
 package gmdj
 
 import (
+	"github.com/olaplab/gmdj/internal/engine"
 	"github.com/olaplab/gmdj/internal/storage"
 )
 
@@ -20,15 +21,12 @@ import (
 // ErrSegmentCorrupt until the table is re-created.
 
 // WithDataDir enables durable storage rooted at dir, recovering
-// whatever a previous run committed there. Intended for setup code: it
+// whatever a previous run committed there; the empty string keeps the
+// DB in memory even under GMDJ_DATA_DIR. Intended for setup code: Open
 // panics when the directory cannot be opened at all (use SetDataDir to
 // handle that error; corrupt data never panics — it quarantines).
 func WithDataDir(dir string) Option {
-	return func(db *DB) {
-		if _, err := db.eng.SetDataDir(dir); err != nil {
-			panic(err)
-		}
-	}
+	return func(c *engine.Config) { c.DataDir = dir }
 }
 
 // QuarantinedSegment describes one table recovery had to quarantine:

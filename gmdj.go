@@ -129,9 +129,10 @@ var (
 	ErrInternal = govern.ErrInternal
 )
 
-// DB is an in-memory database: a catalog of tables plus the query
-// engine. A DB is not safe for concurrent mutation; concurrent
-// read-only queries are safe.
+// DB is a database: a catalog of tables plus the query engine, held in
+// memory and, given a data directory (WithDataDir, SetDataDir or
+// GMDJ_DATA_DIR), made durable there. A DB is not safe for concurrent
+// mutation; concurrent read-only queries are safe.
 type DB struct {
 	cat *storage.Catalog
 	eng *engine.Engine
@@ -143,33 +144,28 @@ type DB struct {
 // morsel-driven parallelism at runtime.GOMAXPROCS(0) (see
 // WithParallelism), no budget, and no cross-query result memo.
 //
-// Configuration precedence, for every knob: an explicit option beats
-// the process environment, which beats the built-in default. The
-// environment contributes GMDJ_PARALLEL (execution degree), GMDJ_MEM
+// Configuration is resolved once, here: the built-in defaults, then
+// the process environment, then the options in order, where a zero
+// numeric option is not set. The environment contributes
+// GMDJ_PARALLEL (execution degree), GMDJ_MEM
 // ("limit=64MiB,spill=/tmp/x,admission=2s": memory limit, scratch
 // root, admission timeout), GMDJ_DATA_DIR (a root under which each DB
 // claims a private data directory, deleted on Close) and GMDJ_FAULTS
-// (fault injection); all four are read once per Open, in one place
-// (internal/engine's envDefaults), and the memory pool, scratch
-// directory and durable store are built once, after the options.
+// (fault injection), read in one place (internal/engine's
+// envDefaults). The plan cache, result memo, memory pool, scratch
+// directory and durable store are then built once each; no setting
+// changes afterwards. Three things attach to an open DB: SetDataDir
+// (opening a directory can fail, and callers report what recovery
+// found), EnableTracing and EnableObservability.
 func Open(opts ...Option) *DB {
 	return newDB(storage.NewCatalog(), opts)
 }
 
 // newDB is the shared constructor behind Open and the sample openers:
-// defaults first, then the caller's options in order — inside
-// engine.New, so the pool, scratch store and durable store are built
-// once, from the folded configuration.
+// engine.New folds the options over the defaults and builds the plan
+// cache, pool, scratch store and durable store once each.
 func newDB(cat *storage.Catalog, opts []Option) *DB {
-	db := &DB{cat: cat}
-	engine.New(cat, func(e *engine.Engine) {
-		db.eng = e
-		e.SetPlanCache(plancache.New(0))
-		for _, opt := range opts {
-			opt(db)
-		}
-	})
-	return db
+	return &DB{cat: cat, eng: engine.New(cat, opts...)}
 }
 
 // CreateTable registers an empty table. Registering a name that

@@ -356,18 +356,19 @@ func TestSubqueryThroughFacadeMatchesPaperSemantics(t *testing.T) {
 }
 
 func TestParallelQueryEquivalence(t *testing.T) {
-	db := OpenNetflowSample(20_000)
-	defer db.Close()
 	q := `SELECT h.HourDsc FROM Hours h WHERE EXISTS (
 	        SELECT * FROM Flow f
 	        WHERE f.StartTime >= h.StartInterval AND f.StartTime < h.EndInterval
 	          AND f.Protocol = 'FTP')`
+	db := OpenNetflowSample(20_000, WithParallelism(1))
+	defer db.Close()
 	serial, err := db.Query(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	db.eng.SetParallelism(4)
-	par, err := db.Query(q)
+	pdb := OpenNetflowSample(20_000, WithParallelism(4))
+	defer pdb.Close()
+	par, err := pdb.Query(q)
 	if err != nil {
 		t.Fatal(err)
 	}

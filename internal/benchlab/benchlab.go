@@ -125,18 +125,17 @@ func DefaultRunner() *Runner {
 	return &Runner{Scale: 1.0 / 16.0, Repeat: 1, Verify: true}
 }
 
-// degree is the execution degree one cell runs at: the variant's
-// override, else the runner's, with the runner's 0 meaning serial —
-// Engine.SetParallelism would read 0 as "the GOMAXPROCS default", and
-// figures measure algorithmic work unless asked otherwise.
-func (r *Runner) degree(v Variant) int {
-	if v.Workers > 0 {
-		return v.Workers
+// config is the engine configuration one cell runs under: the
+// runner's budget, and the variant's degree, else the runner's, with
+// the runner's 0 meaning serial — figures measure algorithmic work
+// unless asked otherwise.
+func (r *Runner) config(v Variant) engine.Option {
+	return func(c *engine.Config) {
+		c.Budget, c.Parallelism = r.Budget, max(r.Workers, 1)
+		if v.Workers > 0 {
+			c.Parallelism = v.Workers
+		}
 	}
-	if r.Workers > 1 {
-		return r.Workers
-	}
-	return 1
 }
 
 func (r *Runner) scaleN(n int) int {
@@ -186,11 +185,8 @@ func (r *Runner) RunCell(exp *Experiment, s Size, v Variant) (Result, error) {
 			return res, err
 		}
 	}
-	eng := engine.New(cat)
+	eng := engine.New(cat, r.config(v), func(c *engine.Config) { c.UseIndexes = v.UseIndexes })
 	defer eng.Close()
-	eng.SetUseIndexes(v.UseIndexes)
-	eng.SetParallelism(r.degree(v))
-	eng.SetBudget(r.Budget)
 	plan := exp.Query(s)
 	// Plan once outside the timed region: the paper measures query
 	// evaluation; rewriting is microseconds either way.

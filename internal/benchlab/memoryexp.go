@@ -64,10 +64,7 @@ func (r *Runner) Memory() *Experiment {
 func (r *Runner) runMemory(_ *Runner, exp *Experiment, s Size, v Variant) (Result, error) {
 	res := Result{Figure: exp.ID, Variant: v.Name, Label: s.Label, Outer: s.Outer, Inner: s.Inner}
 	cat := datagen.Netflow(datagen.NetflowOpts{Flows: s.Inner, Hours: s.Outer, Users: 40, Seed: 11})
-	eng := engine.New(cat)
-	defer eng.Close()
-	eng.SetParallelism(r.degree(v))
-	eng.SetBudget(r.Budget)
+	opts := []engine.Option{r.config(v)}
 	switch v.Name {
 	case "spill":
 		dir, err := os.MkdirTemp("", "gmdj-bench-spill-")
@@ -75,12 +72,12 @@ func (r *Runner) runMemory(_ *Runner, exp *Experiment, s Size, v Variant) (Resul
 			return res, fmt.Errorf("memory/spill: %w", err)
 		}
 		defer os.RemoveAll(dir)
-		eng.SetMemoryLimit(memoryPoolBytes)
-		eng.SetSpillDir(dir)
-	case "kill":
-		eng.SetMemoryLimit(memoryPoolBytes)
-		eng.SetSpillDir("") // exhaustion aborts instead of degrading
+		opts = append(opts, func(c *engine.Config) { c.MemoryLimit, c.SpillDir = memoryPoolBytes, dir })
+	case "kill": // exhaustion aborts instead of degrading
+		opts = append(opts, func(c *engine.Config) { c.MemoryLimit, c.SpillDir = memoryPoolBytes, "" })
 	}
+	eng := engine.New(cat, opts...)
+	defer eng.Close()
 
 	plan, err := sql.ParseAndResolve(memoryQuery, eng)
 	if err != nil {

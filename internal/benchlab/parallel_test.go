@@ -7,6 +7,7 @@ import (
 	"github.com/olaplab/gmdj/internal/algebra"
 	"github.com/olaplab/gmdj/internal/engine"
 	"github.com/olaplab/gmdj/internal/expr"
+	"github.com/olaplab/gmdj/internal/relation"
 	"github.com/olaplab/gmdj/internal/value"
 )
 
@@ -82,15 +83,18 @@ func TestParallelDeterminism(t *testing.T) {
 				continue
 			}
 			t.Run(fmt.Sprintf("%s/%s/%s", c.exp.ID, c.size.Label, v.Name), func(t *testing.T) {
-				eng := engine.New(cat)
-				defer eng.Close()
-				eng.SetUseIndexes(v.UseIndexes)
-				phys, err := eng.Plan(plan, v.Strategy)
-				if err != nil {
-					t.Fatal(err)
+				// One engine per degree, each planning and running the
+				// variant's query.
+				run := func(workers int) (*relation.Relation, error) {
+					eng := engine.New(cat, func(cfg *engine.Config) { cfg.UseIndexes, cfg.Parallelism = v.UseIndexes, workers })
+					defer eng.Close()
+					phys, err := eng.Plan(plan, v.Strategy)
+					if err != nil {
+						return nil, err
+					}
+					return eng.Run(phys, engine.Native) // already rewritten
 				}
-				eng.SetParallelism(1)
-				want, err := eng.Run(phys, engine.Native) // already rewritten
+				want, err := run(1)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -98,8 +102,7 @@ func TestParallelDeterminism(t *testing.T) {
 					t.Fatalf("degenerate corpus: %s/%s returned no rows", c.exp.ID, v.Name)
 				}
 				for _, workers := range []int{2, 8} {
-					eng.SetParallelism(workers)
-					got, err := eng.Run(phys, engine.Native)
+					got, err := run(workers)
 					if err != nil {
 						t.Fatalf("workers=%d: %v", workers, err)
 					}

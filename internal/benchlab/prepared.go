@@ -7,7 +7,6 @@ import (
 	"github.com/olaplab/gmdj/internal/algebra"
 	"github.com/olaplab/gmdj/internal/datagen"
 	"github.com/olaplab/gmdj/internal/engine"
-	"github.com/olaplab/gmdj/internal/plancache"
 	"github.com/olaplab/gmdj/internal/sql"
 	"github.com/olaplab/gmdj/internal/value"
 )
@@ -69,13 +68,12 @@ func (r *Runner) Prepared() *Experiment {
 func (r *Runner) runPrepared(_ *Runner, exp *Experiment, s Size, v Variant) (Result, error) {
 	res := Result{Figure: exp.ID, Variant: v.Name, Label: s.Label, Outer: s.Outer, Inner: s.Inner}
 	cat := datagen.Netflow(datagen.NetflowOpts{Flows: s.Inner, Hours: 24, Users: s.Outer, Seed: 9})
-	eng := engine.New(cat)
+	eng := engine.New(cat, r.config(v), func(c *engine.Config) {
+		if v.Name == "prepared-memo" {
+			c.ResultCacheBytes = 0 // the default size
+		}
+	})
 	defer eng.Close()
-	eng.SetParallelism(r.degree(v))
-	eng.SetBudget(r.Budget)
-	if v.Name == "prepared-memo" {
-		eng.SetResultCache(plancache.NewResults(0))
-	}
 
 	// The prepared arms compile the template once, outside the replay
 	// loop: this is exactly what Prepare buys.

@@ -55,13 +55,12 @@ func TestRunObservedReconciliation(t *testing.T) {
 	}
 	for _, r := range regimes {
 		cat := datagen.Netflow(datagen.NetflowOpts{Flows: r.flows, Hours: 24, Users: r.users, Seed: 3})
-		e := New(cat)
+		e := New(cat, withDegree(r.degree), func(c *Config) {
+			if r.memLimit > 0 {
+				c.MemoryLimit, c.SpillDir = r.memLimit, t.TempDir()
+			}
+		})
 		defer e.Close()
-		e.SetParallelism(r.degree)
-		if r.memLimit > 0 {
-			e.SetMemoryLimit(r.memLimit)
-			e.SetSpillDir(t.TempDir())
-		}
 		type planCase struct {
 			name  string
 			plan  algebra.Node
@@ -155,8 +154,7 @@ func TestExplainDetailPassWorkers(t *testing.T) {
 	const flows = 2*govern.MorselRows + 1
 	cat := datagen.Netflow(datagen.NetflowOpts{Flows: flows, Hours: 2, Users: 6, Seed: 3})
 	for degree, want := range map[int]int64{1: 0, 2: 2} {
-		e := New(cat)
-		e.SetParallelism(degree)
+		e := New(cat, withDegree(degree))
 		_, root, err := e.RunObserved(context.Background(), userExistsPlan(), GMDJOpt)
 		e.Close()
 		if err != nil {
@@ -245,8 +243,7 @@ Select [∃(σ[(F.StartTime >= H.StartInterval AND F.StartTime < H.EndInterval A
 // the deterministic 300-flow catalog (timings normalized): counters,
 // cardinalities, and tree shape are all part of the contract.
 func TestExplainGolden(t *testing.T) {
-	e := testEngine(t)
-	e.SetParallelism(1)
+	e := testEngine(t, withDegree(1))
 	plan := existsPlan()
 
 	plain, err := e.Explain(plan, GMDJOpt)
@@ -273,8 +270,7 @@ func TestExplainGolden(t *testing.T) {
 		t.Errorf("native EXPLAIN ANALYZE drifted:\n--- got ---\n%s--- want ---\n%s", got, goldenAnalyzeNative)
 	}
 
-	e.SetParallelism(2)
-	analyzed, err = e.ExplainAnalyze(context.Background(), plan, GMDJOpt)
+	analyzed, err = testEngine(t, withDegree(2)).ExplainAnalyze(context.Background(), plan, GMDJOpt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -103,8 +103,9 @@ func runText(ctx context.Context, e *Engine, text string, plan algebra.Node, s S
 func TestLiveQueryDashboardDuringScan(t *testing.T) {
 	cat := datagen.Netflow(datagen.NetflowOpts{Flows: 250_000, Hours: 24, Users: 6, Seed: 1})
 	o := obs.NewObserver(obs.ObserverConfig{})
-	e := New(cat, WithObserver(o))
+	e := New(cat)
 	defer e.Close()
+	e.SetObserver(o)
 	srv := httptest.NewServer(o.Handler())
 	defer srv.Close()
 
@@ -187,8 +188,7 @@ func TestLiveQueryDashboardDuringScan(t *testing.T) {
 // and compare against the golden document. Breaking this golden means
 // breaking every downstream slowlog consumer.
 func TestSlowLogGoldenJSON(t *testing.T) {
-	e := testEngine(t)
-	e.SetParallelism(1)
+	e := testEngine(t, withDegree(1))
 	o := obs.NewObserver(obs.ObserverConfig{})
 	e.SetObserver(o)
 	const sql = "SELECT * FROM Hours H WHERE EXISTS (...)"
@@ -209,7 +209,8 @@ func TestSlowLogGoldenJSON(t *testing.T) {
 
 	// At degree 2 the logged GMDJ operator — a fallback θ, its fold cut
 	// into base ranges — carries the scan multiplier.
-	e.SetParallelism(2)
+	e = testEngine(t, withDegree(2))
+	e.SetObserver(o)
 	if err := runText(context.Background(), e, sql, existsPlan(), GMDJOpt); err != nil {
 		t.Fatal(err)
 	}

@@ -18,66 +18,71 @@ import (
 )
 
 // TestParallelismConfig pins the configuration precedence: the default
-// is GOMAXPROCS, GMDJ_PARALLEL overrides the default, explicit
-// SetParallelism overrides the environment, and non-positive or
-// malformed environment values are ignored.
+// is GOMAXPROCS, GMDJ_PARALLEL overrides the default, an option
+// overrides the environment, and non-positive or malformed environment
+// values are ignored.
 func TestParallelismConfig(t *testing.T) {
 	cat := datagen.Netflow(datagen.NetflowOpts{Flows: 10, Hours: 2, Users: 2, Seed: 1})
-
-	// Isolate from any ambient GMDJ_PARALLEL (CI runs the whole suite
-	// under a forced degree); empty means unset.
-	t.Setenv(EnvParallel, "")
-	fresh := func() int { // a new engine's degree
-		e := New(cat)
-		defer e.Close()
-		return e.Parallelism()
-	}
-
-	if got, want := fresh(), runtime.GOMAXPROCS(0); got != want {
-		t.Errorf("default parallelism = %d, want GOMAXPROCS = %d", got, want)
-	}
-
-	t.Setenv(EnvParallel, "3")
-	e := New(cat)
-	defer e.Close()
-	if got := e.Parallelism(); got != 3 {
-		t.Errorf("with %s=3, parallelism = %d", EnvParallel, got)
-	}
-	e.SetParallelism(5)
-	if got := e.Parallelism(); got != 5 {
-		t.Errorf("SetParallelism(5) over env: parallelism = %d", got)
-	}
-	e.SetParallelism(0)
-	if got, want := e.Parallelism(), runtime.GOMAXPROCS(0); got != want {
-		t.Errorf("SetParallelism(0) = %d, want GOMAXPROCS = %d", got, want)
-	}
-
-	for _, bad := range []string{"zero", "-2", "0"} {
-		t.Setenv(EnvParallel, bad)
-		if got, want := fresh(), runtime.GOMAXPROCS(0); got != want {
-			t.Errorf("with %s=%q, parallelism = %d, want default %d", EnvParallel, bad, got, want)
+	procs := runtime.GOMAXPROCS(0)
+	for _, c := range []struct {
+		env  string // "" = unset: CI runs the whole suite under a forced degree
+		opts []Option
+		want int
+	}{
+		{"", nil, procs},
+		{"3", nil, 3},
+		{"3", []Option{withDegree(5)}, 5},
+		{"zero", nil, procs},
+		{"-2", nil, procs},
+		{"0", nil, procs},
+	} {
+		t.Setenv(EnvParallel, c.env)
+		e := New(cat, c.opts...)
+		if got := e.Config().Parallelism; got != c.want {
+			t.Errorf("%s=%q with %d option(s): parallelism = %d, want %d", EnvParallel, c.env, len(c.opts), got, c.want)
 		}
+		e.Close()
 	}
 }
 
 // TestParallelismMemClamp: the memory accountant bounds the effective
-// degree at mem.PerWorkerBytes of pool per worker, re-clamping
-// whenever either knob moves.
+// degree at mem.PerWorkerBytes of pool per worker; without a limit the
+// configured degree runs as is.
 func TestParallelismMemClamp(t *testing.T) {
 	cat := datagen.Netflow(datagen.NetflowOpts{Flows: 10, Hours: 2, Users: 2, Seed: 1})
-	e := New(cat)
-	e.SetParallelism(8)
-	e.SetMemoryLimit(2 * mem.PerWorkerBytes)
+	t.Setenv(mem.EnvMem, "")
+	e := New(cat, withDegree(8), func(c *Config) { c.MemoryLimit = 2 * mem.PerWorkerBytes })
 	defer e.Close()
 	if got := e.exec.Parallelism; got != 2 {
 		t.Errorf("effective degree under a 2-worker pool = %d, want 2", got)
 	}
-	if got := e.Parallelism(); got != 8 {
+	if got := e.Config().Parallelism; got != 8 {
 		t.Errorf("configured degree should survive the clamp, got %d", got)
 	}
-	e.SetMemoryLimit(0)
-	if got := e.exec.Parallelism; got != 8 {
-		t.Errorf("removing the limit should restore the configured degree, got %d", got)
+	unlimited := New(cat, withDegree(8))
+	defer unlimited.Close()
+	if got := unlimited.exec.Parallelism; got != 8 {
+		t.Errorf("without a limit the configured degree should run, got %d", got)
+	}
+}
+
+// TestResultCacheSpillsToEngineStore: with a limit, a spill dir and a
+// result cache, the memo's cold tier is the engine's own scratch
+// store, so its demotions count in MemStatus.
+func TestResultCacheSpillsToEngineStore(t *testing.T) {
+	e := New(storage.NewCatalog(), func(c *Config) {
+		c.MemoryLimit, c.SpillDir, c.ResultCacheBytes = 1<<20, t.TempDir(), 100
+	})
+	defer e.Close()
+	rel := relation.New(relation.NewSchema(relation.Column{Qualifier: "t", Name: "k", Type: value.KindInt}))
+	rel.Append(relation.Tuple{value.Int(1)})
+	e.ResultCache().Put("a", rel, 60)
+	e.ResultCache().Put("b", rel, 60) // over the 100-byte memo: a goes cold
+	if got := e.MemStatus().Spill.Writes; got != 1 {
+		t.Errorf("engine store writes = %d, want the one cold-tier demotion", got)
+	}
+	if got := e.ResultCache().Stats().SpillWrites; got != 1 {
+		t.Errorf("memo spill writes = %d, want 1", got)
 	}
 }
 
@@ -95,9 +100,8 @@ func TestCancellationMidMorsel(t *testing.T) {
 	}
 	cat := storage.NewCatalog()
 	cat.Register(storage.NewTable("big", rel))
-	e := New(cat)
+	e := New(cat, withDegree(8))
 	defer e.Close()
-	e.SetParallelism(8)
 	plan := algebra.NewRestrict(algebra.NewScan("big", "b"),
 		&algebra.Atom{E: expr.NewCmp(value.GE, expr.C("b.x"), expr.IntLit(0))})
 
@@ -128,19 +132,16 @@ func TestSpillUnderParallelism(t *testing.T) {
 	cat := datagen.Netflow(datagen.NetflowOpts{Flows: 5_000, Hours: 5_000, Users: 40, Seed: 11})
 	plan := existsPlan()
 
-	serial := New(cat)
+	serial := New(cat, withDegree(1))
 	defer serial.Close()
-	serial.SetParallelism(1)
 	want, err := serial.RunContext(context.Background(), plan, GMDJOpt)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	e := New(cat)
-	defer e.Close()
-	e.SetParallelism(4)
-	e.SetMemoryLimit(2 * mem.PerWorkerBytes)
-	e.SetSpillDir(t.TempDir())
+	e := New(cat, withDegree(4), func(c *Config) {
+		c.MemoryLimit, c.SpillDir = 2*mem.PerWorkerBytes, t.TempDir()
+	})
 	defer e.Close()
 	if got := e.exec.Parallelism; got != 2 {
 		t.Fatalf("effective degree = %d, want 2 (spill and parallelism must coexist)", got)

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sync/atomic"
 
 	"github.com/olaplab/gmdj/internal/storage"
@@ -24,9 +23,9 @@ import (
 // engines (and several test processes) may share that root, each
 // engine claims a fresh per-process subdirectory beneath it and
 // removes it on Close — the env knob exercises the durable write path
-// everywhere without leaking state across hermetic tests. Explicit
-// SetDataDir calls use the given directory as-is, recover whatever the
-// previous run committed, and never remove it.
+// everywhere without leaking state across hermetic tests. A directory
+// named by Config.DataDir or SetDataDir is used as-is: it recovers
+// whatever the previous run committed and is never removed.
 const EnvDataDir = "GMDJ_DATA_DIR"
 
 // dataSeq distinguishes multiple env-derived data dirs in one process.
@@ -36,12 +35,13 @@ var dataSeq atomic.Int64
 // dir, recovers the newest committed generation into the catalog —
 // quarantining, not failing on, corrupt segments — and enables
 // transparent checkpointing. The empty string disables persistence.
-// Not safe to call concurrently with running queries.
+// It is the one setting attached after construction, because opening
+// can fail and callers report the recovery. Not safe to call
+// concurrently with running queries.
 func (e *Engine) SetDataDir(dir string) (*storage.RecoveryReport, error) {
 	// Let go of the store being replaced — deleting it when it is an
 	// env-derived directory the engine owns.
 	e.closeDataDir()
-	e.dataDirSet = true
 	if dir == "" {
 		return nil, nil
 	}
@@ -123,16 +123,23 @@ func (e *Engine) flushDataDir() error {
 	return err
 }
 
-// openEnvDataDir applies the GMDJ_DATA_DIR default at construction,
-// when no option configured a data directory: a fresh per-process
-// subdirectory under root, removed when the engine lets go of it.
-func (e *Engine) openEnvDataDir(root string) {
-	dir := filepath.Join(root, fmt.Sprintf("gmdj-data-%d-%d", os.Getpid(), dataSeq.Add(1)))
+// openDataDir opens Config.DataDir at construction. The directory
+// envDefaults derived from GMDJ_DATA_DIR is the engine's own, removed
+// when the engine lets go of it, and failing to open it is reported and
+// ignored; an explicitly configured one that fails panics (see
+// Config.DataDir).
+func (e *Engine) openDataDir(dir, envDir string) {
+	if dir == "" {
+		return
+	}
 	if _, err := e.SetDataDir(dir); err != nil {
+		if dir != envDir {
+			panic(err)
+		}
 		fmt.Fprintf(os.Stderr, "engine: ignoring %s: %v\n", EnvDataDir, err)
 		return
 	}
-	e.dataDirOwned = true
+	e.dataDirOwned = dir == envDir
 }
 
 // closeDataDir releases the durable store, on Close or when

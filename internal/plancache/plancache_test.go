@@ -66,7 +66,7 @@ func TestPlanCachePurge(t *testing.T) {
 }
 
 func TestResultCacheLRU(t *testing.T) {
-	c := NewResults(100)
+	c := NewResults(100, nil)
 	c.Put("a", 1, 60)
 	c.Put("b", 2, 60) // evicts a
 	if _, ok := c.Get("a"); ok {
@@ -100,7 +100,7 @@ func TestResultKeyEpochTags(t *testing.T) {
 
 func TestCachesConcurrent(t *testing.T) {
 	pc := New(0)
-	rc := NewResults(0)
+	rc := NewResults(0, nil)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

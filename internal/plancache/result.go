@@ -42,12 +42,14 @@ type resultItem struct {
 const DefaultResultBytes = 64 << 20
 
 // NewResults creates a result cache holding at most maxBytes of
-// caller-estimated value memory (<= 0 uses DefaultResultBytes).
-func NewResults(maxBytes int64) *ResultCache {
+// caller-estimated value memory (<= 0 uses DefaultResultBytes). A
+// non-nil store backs its cold tier; the cache never replaces it.
+func NewResults(maxBytes int64, store *spill.Store) *ResultCache {
 	if maxBytes <= 0 {
 		maxBytes = DefaultResultBytes
 	}
-	return &ResultCache{max: maxBytes, ll: list.New(), items: make(map[string]*list.Element)}
+	return &ResultCache{max: maxBytes, ll: list.New(), items: make(map[string]*list.Element),
+		store: store, cold: map[string]*coldItem{}}
 }
 
 // Get returns the cached value for key, if present.

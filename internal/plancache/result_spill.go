@@ -5,7 +5,7 @@ import (
 	"github.com/olaplab/gmdj/internal/spill"
 )
 
-// The result cache's cold tier: with a spill store enabled, eviction
+// The result cache's cold tier: with a spill store (NewResults), eviction
 // demotes materialized subquery relations to checksummed temp files
 // instead of dropping them, and Get promotes them back on demand. Any
 // other value (a GMDJ detail hash vector) is dropped: rehashing it
@@ -18,17 +18,6 @@ import (
 type coldItem struct {
 	file  *spill.File
 	bytes int64 // original in-memory size estimate
-}
-
-// EnableSpill gives the cache a cold tier backed by store. Call before
-// the cache is shared with running queries.
-func (c *ResultCache) EnableSpill(store *spill.Store) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.store = store
-	if c.cold == nil {
-		c.cold = map[string]*coldItem{}
-	}
 }
 
 // demoteLocked moves it to the cold tier if it is a relation. Failures

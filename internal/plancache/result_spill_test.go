@@ -27,9 +27,7 @@ func newSpillCache(t *testing.T, maxBytes int64, faults *govern.Injector) (*Resu
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewResults(maxBytes)
-	c.EnableSpill(store)
-	return c, store
+	return NewResults(maxBytes, store), store
 }
 
 // TestColdTierDemotePromote: an eviction with a spill store demotes

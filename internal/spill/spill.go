@@ -95,6 +95,10 @@ func NewStore(dir string, faults *govern.Injector) (*Store, error) {
 	return &Store{dir: dir, faults: faults, live: map[string]struct{}{}}, nil
 }
 
+// DefaultRoot is the scratch root NewScratch uses for "": gmdj-spill
+// under the system temp directory.
+func DefaultRoot() string { return filepath.Join(os.TempDir(), "gmdj-spill") }
+
 // NewScratch sweeps stale scratch directories under root (crashed
 // runs: gmdj-scratch-<pid>-* where pid is no longer alive), then
 // creates a fresh per-process scratch directory there and opens a
@@ -106,7 +110,7 @@ func NewStore(dir string, faults *govern.Injector) (*Store, error) {
 // scratch directory out from under it.
 func NewScratch(root string, faults *govern.Injector) (*Store, error) {
 	if root == "" {
-		root = filepath.Join(os.TempDir(), "gmdj-spill")
+		root = DefaultRoot()
 	}
 	if err := os.MkdirAll(root, 0o755); err != nil {
 		return nil, fmt.Errorf("%w: creating scratch root: %v", ErrSpillIO, err)

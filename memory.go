@@ -2,6 +2,8 @@ package gmdj
 
 import (
 	"time"
+
+	"github.com/olaplab/gmdj/internal/engine"
 )
 
 // Memory-adaptive execution. WithMemoryLimit bounds the bytes of
@@ -27,11 +29,17 @@ import (
 // knobs; see Open for its format and the precedence.
 
 // WithMemoryLimit bounds tracked operator state across all concurrent
-// queries to maxBytes (<= 0 leaves memory untracked and unlimited, the
-// default). Spilling to the default scratch directory is enabled;
-// combine with WithSpillDir to move or disable it.
+// queries to maxBytes. 0 is not set: GMDJ_MEM's limit= applies, else
+// memory is untracked and unlimited (the default); a negative value
+// leaves memory untracked whatever the environment says. Spilling to
+// the default scratch directory is enabled; combine with WithSpillDir
+// to move or disable it.
 func WithMemoryLimit(maxBytes int64) Option {
-	return func(db *DB) { db.eng.SetMemoryLimit(maxBytes) }
+	return func(c *engine.Config) {
+		if maxBytes != 0 {
+			c.MemoryLimit = maxBytes
+		}
+	}
 }
 
 // WithSpillDir sets the scratch root under which the DB's spill
@@ -39,14 +47,19 @@ func WithMemoryLimit(maxBytes int64) Option {
 // memory exhaustion then aborts the query with ErrMemBudget instead of
 // degrading to disk (the "kill" regime).
 func WithSpillDir(dir string) Option {
-	return func(db *DB) { db.eng.SetSpillDir(dir) }
+	return func(c *engine.Config) { c.SpillDir = dir }
 }
 
 // WithAdmissionTimeout bounds how long a query may queue for pool
-// memory before being shed with ErrAdmissionTimeout (0 keeps the 10s
-// default). Only meaningful together with WithMemoryLimit.
+// memory before being shed with ErrAdmissionTimeout. d <= 0 is not
+// set: GMDJ_MEM's admission= applies, else the 10s default. Only
+// meaningful together with a memory limit.
 func WithAdmissionTimeout(d time.Duration) Option {
-	return func(db *DB) { db.eng.SetAdmissionTimeout(d) }
+	return func(c *engine.Config) {
+		if d > 0 {
+			c.AdmissionTimeout = d
+		}
+	}
 }
 
 // MemStats is a point-in-time snapshot of the DB's memory posture.

@@ -1,6 +1,7 @@
 package gmdj
 
 import (
+	"github.com/olaplab/gmdj/internal/engine"
 	"github.com/olaplab/gmdj/internal/plancache"
 )
 
@@ -12,7 +13,10 @@ import (
 //		gmdj.WithBudget(gmdj.Budget{Timeout: time.Second}),
 //		gmdj.WithResultCache(0),
 //	)
-type Option func(*DB)
+//
+// A zero numeric argument means "not set": the GMDJ_* environment, then
+// the built-in default, applies (see Open).
+type Option = engine.Option
 
 // WithParallelism sets the database's morsel-driven execution degree:
 // how many workers each parallel operator pipeline may use. Table
@@ -23,65 +27,52 @@ type Option func(*DB)
 //
 //	n > 1  — run up to n workers per query
 //	n == 1 — force serial execution
-//	n <= 0 — keep the default
+//	n <= 0 — not set: GMDJ_PARALLEL, else runtime.GOMAXPROCS(0)
 //
-// The default is runtime.GOMAXPROCS(0), or GMDJ_PARALLEL when set
-// (see Open for the precedence). When a memory limit is configured
-// the effective degree is additionally clamped so per-worker pipeline
-// scratch fits the limit. Small inputs run serial regardless — the
-// morsel scheduler only spins up workers when there is enough work to
-// split.
+// When a memory limit is configured the effective degree is
+// additionally clamped so per-worker pipeline scratch fits the limit.
+// Small inputs run serial regardless — the morsel scheduler only spins
+// up workers when there is enough work to split.
 func WithParallelism(n int) Option {
-	return func(db *DB) {
+	return func(c *engine.Config) {
 		if n > 0 {
-			db.eng.SetParallelism(n)
+			c.Parallelism = n
 		}
 	}
 }
 
 // WithBudget bounds every query on the DB; see Budget.
 func WithBudget(b Budget) Option {
-	return func(db *DB) { db.eng.SetBudget(b) }
+	return func(c *engine.Config) { c.Budget = b }
 }
 
 // WithUseIndexes toggles secondary-index use by the Native strategy
 // (on by default).
 func WithUseIndexes(on bool) Option {
-	return func(db *DB) { db.eng.SetUseIndexes(on) }
+	return func(c *engine.Config) { c.UseIndexes = on }
 }
 
 // WithMemoizeSubqueries toggles per-query invariant reuse (Rao & Ross)
 // in the Native strategy.
 func WithMemoizeSubqueries(on bool) Option {
-	return func(db *DB) { db.eng.SetMemoizeSubqueries(on) }
+	return func(c *engine.Config) { c.MemoizeSubqueries = on }
 }
 
 // WithPlanCache sets the parameterized plan cache's byte budget. The
-// cache is on by default (see Open); 0 keeps the default budget, a
-// negative value disables plan caching entirely.
+// cache is on by default (see Open); 0 is not set and keeps the default
+// 16 MiB budget, a negative value disables plan caching entirely.
 func WithPlanCache(maxBytes int64) Option {
-	return func(db *DB) {
-		if maxBytes < 0 {
-			db.eng.SetPlanCache(nil)
-			return
-		}
-		db.eng.SetPlanCache(plancache.New(maxBytes))
-	}
+	return func(c *engine.Config) { c.PlanCacheBytes = maxBytes }
 }
 
 // WithResultCache enables cross-query memoization: uncorrelated
 // subquery source materializations and GMDJ detail-side hash vectors
 // are cached across queries, keyed by table versions so any write to a
-// dependency invalidates them. maxBytes bounds the memo (0 = 64 MiB
-// default); a negative value disables it (the Open default).
+// dependency invalidates them. maxBytes bounds the memo; 0 is not set
+// and takes the 64 MiB default, a negative value disables the memo
+// (the Open default).
 func WithResultCache(maxBytes int64) Option {
-	return func(db *DB) {
-		if maxBytes < 0 {
-			db.eng.SetResultCache(nil)
-			return
-		}
-		db.eng.SetResultCache(plancache.NewResults(maxBytes))
-	}
+	return func(c *engine.Config) { c.ResultCacheBytes = maxBytes }
 }
 
 // CacheStats snapshots one cache's counters (PlanCacheStats,

@@ -8,9 +8,9 @@ import (
 	"testing"
 )
 
-func usersDB(t *testing.T) *DB {
+func usersDB(t *testing.T, opts ...Option) *DB {
 	t.Helper()
-	db := Open()
+	db := Open(opts...)
 	t.Cleanup(func() { db.Close() })
 	db.MustCreateTable("users",
 		Col("name", String), Col("ip", String), Col("score", Int))

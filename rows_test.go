@@ -135,8 +135,7 @@ func TestQueryRowsCloseCancelsRunningQuery(t *testing.T) {
 }
 
 func TestQueryRowsRealError(t *testing.T) {
-	db := usersDB(t)
-	db.eng.SetBudget(Budget{MaxRows: 1})
+	db := usersDB(t, WithBudget(Budget{MaxRows: 1}))
 	r, err := db.QueryRows(`SELECT name FROM users`)
 	if err != nil {
 		t.Fatal(err)
@@ -216,10 +215,8 @@ func (c opaqueCtx) Value(any) any               { return nil }
 // — cleanup must not depend on the caller calling Next or Close, nor
 // on the caller's context ever ending.
 func TestQueryRowsAbandonedMidQueryNoLeak(t *testing.T) {
+	t.Setenv(govern.EnvFaults, "exec.scan=delay:100ms")
 	db := usersDB(t)
-	// No deferred injector reset: the DB is test-local, and resetting
-	// while a straggler runner is still mid-delay would race.
-	db.eng.SetFaultInjector(govern.NewInjector(map[string]string{"exec.scan": "delay:100ms"}))
 	parent, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	baseline := runtime.NumGoroutine()
