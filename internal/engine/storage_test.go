@@ -228,6 +228,38 @@ func TestEnvDataDirLifecycle(t *testing.T) {
 	}
 }
 
+// TestBadDataDirPanicsBeforeScratch: an explicit data dir that cannot
+// be opened panics before New builds the pool and scratch store, so no
+// scratch directory is left behind under the spill root.
+func TestBadDataDirPanicsBeforeScratch(t *testing.T) {
+	root := t.TempDir()
+	file := filepath.Join(root, "not-a-dir")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	spillRoot := filepath.Join(root, "spill")
+	if err := os.Mkdir(spillRoot, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("New with an unopenable data dir did not panic")
+			}
+		}()
+		New(datagen.KeyPair(datagen.KeyPairOpts{Rows: 50, Seed: 3}), func(c *Config) {
+			c.MemoryLimit, c.SpillDir, c.DataDir = 1<<20, spillRoot, filepath.Join(file, "data")
+		})
+	}()
+	left, err := os.ReadDir(spillRoot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(left) != 0 {
+		t.Fatalf("scratch left behind under the spill root: %v", left)
+	}
+}
+
 // TestZonePruningProvesBlocksAndAgrees: a selective literal predicate
 // over a sorted column must report pruned blocks in EXPLAIN ANALYZE
 // and return exactly the rows an unpruned scan filter would.
