@@ -233,7 +233,7 @@ const goldenSlowLog = `[
     "stats": {
       "label": "Project [H.HourDsc, H.StartInterval, H.EndInterval]",
       "rows": 4,
-      "bytes": 576,
+      "bytes": 480,
       "elapsed_ns": 0,
       "counters": [
         {
@@ -245,7 +245,7 @@ const goldenSlowLog = `[
         {
           "label": "Select [cnt1 > 0]",
           "rows": 4,
-          "bytes": 736,
+          "bytes": 608,
           "elapsed_ns": 0,
           "counters": [
             {
@@ -260,7 +260,7 @@ const goldenSlowLog = `[
                 "cond: (count(*) -> cnt1 | θ: (F.StartTime >= H.StartInterval AND F.StartTime < H.EndInterval))"
               ],
               "rows": 4,
-              "bytes": 736,
+              "bytes": 608,
               "elapsed_ns": 0,
               "counters": [
                 {
@@ -296,14 +296,14 @@ const goldenSlowLog = `[
                 {
                   "label": "Scan Hours->H",
                   "rows": 4,
-                  "bytes": 576,
+                  "bytes": 480,
                   "elapsed_ns": 0,
                   "est_rows": 4
                 },
                 {
                   "label": "Select [F.Protocol = 'FTP']",
                   "rows": 300,
-                  "bytes": 75000,
+                  "bytes": 63000,
                   "elapsed_ns": 0,
                   "counters": [
                     {
@@ -319,7 +319,7 @@ const goldenSlowLog = `[
                     {
                       "label": "Scan Flow->F",
                       "rows": 300,
-                      "bytes": 75000,
+                      "bytes": 63000,
                       "elapsed_ns": 0,
                       "est_rows": 300
                     }

@@ -3,6 +3,7 @@ package relation
 import (
 	"fmt"
 	"math/bits"
+	"reflect"
 	"sort"
 	"strings"
 
@@ -122,17 +123,18 @@ func (ix *HashIndex) Bucket(h uint64) []HashEntry {
 	return ix.ents[ix.off[b]:ix.off[b+1]]
 }
 
+// valueSize is one cell's struct size, taken from the type so that a
+// layout change in package value moves every estimate with it.
+var valueSize = int64(reflect.TypeFor[value.Value]().Size())
+
 // ApproxBytes estimates the in-memory footprint of the tuple: slice
 // header, per-value struct size, and string payloads. Query governance
 // charges this amount against the memory budget at relation-append
 // time; it is an estimate (map/index overhead is not modeled), which
 // is all a budget needs.
 func (t Tuple) ApproxBytes() int64 {
-	const (
-		sliceHeader = 24 // ptr + len + cap
-		valueSize   = 40 // value.Value: kind (padded) + int64 + float64 + string header
-	)
-	n := int64(sliceHeader) + int64(len(t))*valueSize
+	const sliceHeader = 24 // ptr + len + cap
+	n := sliceHeader + int64(len(t))*valueSize
 	for _, v := range t {
 		if v.Kind() == value.KindString {
 			n += int64(len(v.AsString()))

@@ -350,15 +350,15 @@ func TestTupleApproxBytes(t *testing.T) {
 		t.Fatalf("empty tuple: %d", got)
 	}
 	ints := Tuple{value.Int(1), value.Int(2)}
-	if got := ints.ApproxBytes(); got != 24+2*40 {
+	if got := ints.ApproxBytes(); got != 24+2*32 {
 		t.Fatalf("two ints: %d", got)
 	}
 	// String payload is charged on top of the fixed per-value size.
 	s := Tuple{value.Str("abcdefgh")}
-	if got, want := s.ApproxBytes(), int64(24+40+8); got != want {
+	if got, want := s.ApproxBytes(), int64(24+32+8); got != want {
 		t.Fatalf("string tuple: got %d want %d", got, want)
 	}
-	if n := (Tuple{value.Null}).ApproxBytes(); n != 24+40 {
+	if n := (Tuple{value.Null}).ApproxBytes(); n != 24+32 {
 		t.Fatalf("null tuple: %d", n)
 	}
 }

@@ -179,6 +179,10 @@ func commonDetailConjuncts(conds []algebra.GMDJCond, baseS, detailS, outer *rela
 // containsExpr reports whether list holds an expression structurally
 // equal to e: same operators, columns and literals of the same kind
 // (x > 1 and x > 1.0 print alike and are not the same expression).
+// A FLOAT literal compares by its payload bits, so x > 0.0 and
+// x > -0.0 are two conjuncts and a NaN literal equals itself. Both are
+// safe: a conjunct no other θ shares just stays in its own θ
+// (TestPushSelectionsFloatLiterals).
 func containsExpr(list []expr.Expr, e expr.Expr) bool {
 	return slices.ContainsFunc(list, func(x expr.Expr) bool { return reflect.DeepEqual(x, e) })
 }

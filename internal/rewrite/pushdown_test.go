@@ -1,6 +1,7 @@
 package rewrite
 
 import (
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -138,6 +139,65 @@ func TestPushSelectionsDetailRule(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) { checkPush(t, cat, c.plan, c.want) })
+	}
+}
+
+// floatCatalog is pushCatalog plus X(k, x), whose FLOAT column holds
+// 0.0, -0.0, NaN, NULL and numbers either side of zero.
+func floatCatalog() *storage.Catalog {
+	cat := pushCatalog()
+	x := relation.New(relation.NewSchema(
+		relation.Column{Qualifier: "X", Name: "k", Type: value.KindInt},
+		relation.Column{Qualifier: "X", Name: "x", Type: value.KindFloat},
+	))
+	for _, row := range []relation.Tuple{
+		{value.Int(1), value.Float(0)}, {value.Int(1), value.Float(-1.5)},
+		{value.Int(2), value.Float(math.Copysign(0, -1))}, {value.Int(2), value.Float(math.NaN())},
+		{value.Int(3), value.Null}, {value.Int(3), value.Float(2.5)},
+		{value.Int(4), value.Float(-3)},
+	} {
+		x.Append(row)
+	}
+	cat.Register(storage.NewTable("X", x))
+	return cat
+}
+
+// TestPushSelectionsFloatLiterals: rule (a) shares a conjunct only when
+// every θ holds the same literal bits. x >= 0.0 and x >= -0.0 are two
+// conjuncts, each of which stays in its θ; a NaN literal equals itself
+// bit for bit and moves. Both forms are sound, so all four strategies
+// agree on both.
+func TestPushSelectionsFloatLiterals(t *testing.T) {
+	cat := floatCatalog()
+	b, x := algebra.NewScan("B", ""), algebra.NewScan("X", "")
+	bind := eqCols("B.k", "X.k")
+	atLeast := func(f float64) expr.Expr { return expr.NewCmp(value.GE, expr.C("X.x"), expr.FloatLit(f)) }
+	count := func(suffix string, terms ...expr.Expr) algebra.GMDJCond {
+		return algebra.GMDJCond{Theta: expr.NewAnd(terms...), Aggs: []agg.Spec{{Func: agg.CountStar, As: "cnt" + suffix}}}
+	}
+	nan := math.NaN()
+	cases := []struct {
+		name string
+		l, r float64
+		want string
+	}{
+		{"0.0 and -0.0 are two conjuncts", 0, math.Copysign(0, -1), ""},
+		{"NaN and the same NaN are one conjunct", nan, nan,
+			"MD(B, σ[X.x >= NaN](X), (count(*) -> cnt1 | θ: B.k = X.k), (count(*) -> cnt2 | θ: B.k = X.k))"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			checkPush(t, cat, algebra.NewGMDJ(b, x, count("1", bind, atLeast(c.l)), count("2", bind, atLeast(c.r))), c.want)
+			sub := func(f float64) *algebra.Subquery {
+				return &algebra.Subquery{Source: algebra.NewScan("X", ""), Where: &algebra.Atom{E: expr.NewAnd(bind, atLeast(f))}}
+			}
+			for _, w := range []algebra.Pred{
+				algebra.And(algebra.ExistsPred(sub(c.l)), algebra.ExistsPred(sub(c.r))),
+				algebra.And(algebra.ExistsPred(sub(c.l)), algebra.NotExistsPred(sub(c.r))),
+			} {
+				runAll(t, cat, algebra.NewRestrict(b, w))
+			}
+		})
 	}
 }
 

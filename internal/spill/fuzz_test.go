@@ -108,7 +108,7 @@ func FuzzSpillDecode(f *testing.F) {
 
 // TestForgedLengthsAllocateLittle measures what the fuzz target cannot
 // see, the allocations of a decode that fails: a forged count or length
-// buys at most the count cap's worth of 40-byte cells, never the forged
+// buys at most the count cap's worth of 32-byte cells, never the forged
 // figure. (Here, not in the fuzz target: TotalAlloc is process-wide and
 // a fuzz worker's own goroutines allocate concurrently.)
 func TestForgedLengthsAllocateLittle(t *testing.T) {

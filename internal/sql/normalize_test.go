@@ -100,7 +100,7 @@ func TestNormalizeQuoteEscaping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(args) != 1 || args[0] != value.Str("o'brien") {
+	if len(args) != 1 || !value.Equal(args[0], value.Str("o'brien")) {
 		t.Fatalf("args = %v", args)
 	}
 }

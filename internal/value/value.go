@@ -48,11 +48,13 @@ func (k Kind) String() string {
 	}
 }
 
-// Value is a single SQL scalar. The zero Value is NULL.
+// Value is a single SQL scalar. The zero Value is NULL. It is four words:
+// a FLOAT keeps its IEEE-754 bits in i, and the leading zero-size field
+// (no padding) stops == compiling, which would tell -0.0 from 0.0.
 type Value struct {
+	_    [0]func()
 	kind Kind
-	i    int64 // payload for KindInt and KindBool (0/1)
-	f    float64
+	i    int64 // payload: KindInt, KindBool (0/1), KindFloat (math.Float64bits)
 	s    string
 }
 
@@ -63,7 +65,10 @@ var Null = Value{}
 func Int(i int64) Value { return Value{kind: KindInt, i: i} }
 
 // Float returns a float value.
-func Float(f float64) Value { return Value{kind: KindFloat, f: f} }
+func Float(f float64) Value { return Value{kind: KindFloat, i: int64(math.Float64bits(f))} }
+
+// float is a FLOAT's payload, every bit (a NaN's too) as stored.
+func (v Value) float() float64 { return math.Float64frombits(uint64(v.i)) }
 
 // Str returns a string value.
 func Str(s string) Value { return Value{kind: KindString, s: s} }
@@ -86,7 +91,7 @@ func (v Value) IsNull() bool { return v.kind == KindNull }
 // use Kind first when the type is not statically known.
 func (v Value) AsInt() int64 {
 	if v.kind != KindInt {
-		panic("value: AsInt on " + v.kind.String())
+		panic(kindError{"AsInt", v.kind})
 	}
 	return v.i
 }
@@ -95,17 +100,17 @@ func (v Value) AsInt() int64 {
 func (v Value) AsFloat() float64 {
 	switch v.kind {
 	case KindFloat:
-		return v.f
+		return v.float()
 	case KindInt:
 		return float64(v.i)
 	}
-	panic("value: AsFloat on " + v.kind.String())
+	panic(kindError{"AsFloat", v.kind})
 }
 
 // AsString returns the string payload. It panics if v is not a STRING.
 func (v Value) AsString() string {
 	if v.kind != KindString {
-		panic("value: AsString on " + v.kind.String())
+		panic(kindError{"AsString", v.kind})
 	}
 	return v.s
 }
@@ -113,10 +118,19 @@ func (v Value) AsString() string {
 // AsBool returns the boolean payload. It panics if v is not a BOOL.
 func (v Value) AsBool() bool {
 	if v.kind != KindBool {
-		panic("value: AsBool on " + v.kind.String())
+		panic(kindError{"AsBool", v.kind})
 	}
 	return v.i != 0
 }
+
+// kindError is an accessor's panic on a Value of another kind. Its
+// message is built when read, which keeps the accessors inlinable.
+type kindError struct {
+	op   string
+	kind Kind
+}
+
+func (e kindError) Error() string { return "value: " + e.op + " on " + e.kind.String() }
 
 // String renders v for display (and CSV output). NULL renders as the
 // empty marker "NULL".
@@ -127,7 +141,7 @@ func (v Value) String() string {
 	case KindInt:
 		return strconv.FormatInt(v.i, 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(v.float(), 'g', -1, 64)
 	case KindString:
 		return v.s
 	case KindBool:
@@ -190,7 +204,7 @@ func Compare(a, b Value) (cmp int, ok bool) {
 		}
 		return 0, true
 	}
-	if a.kind == KindBool && b.kind == KindBool {
+	if a.kind == b.kind && (a.kind == KindInt || a.kind == KindBool) {
 		switch {
 		case a.i < b.i:
 			return -1, true
@@ -199,16 +213,7 @@ func Compare(a, b Value) (cmp int, ok bool) {
 		}
 		return 0, true
 	}
-	if a.kind == KindInt && b.kind == KindInt {
-		switch {
-		case a.i < b.i:
-			return -1, true
-		case a.i > b.i:
-			return 1, true
-		}
-		return 0, true
-	}
-	af, bf := a.f, b.f
+	af, bf := a.float(), b.float()
 	if a.kind != KindFloat || b.kind != KindFloat { // INT beside FLOAT widens; anything else is incomparable
 		var ok bool
 		if af, bf, _, ok = numericPair(a, b); !ok {
@@ -256,7 +261,7 @@ func (v Value) Hash() uint64 {
 	case KindInt:
 		return mix64(math.Float64bits(float64(v.i)) + salt)
 	case KindFloat:
-		f := v.f
+		f := v.float()
 		if f == 0 {
 			f = 0 // drops the sign bit of -0.0, which compares equal to 0.0
 		} else if f != f {

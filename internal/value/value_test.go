@@ -1,11 +1,69 @@
 package value
 
 import (
+	"bytes"
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
+
+// TestValueLayout pins the cell layout every resident row pays for:
+// four words, and no == (which would compare FLOAT bits, so -0.0 would
+// not equal 0.0). A later layout change moves this figure on purpose.
+func TestValueLayout(t *testing.T) {
+	typ := reflect.TypeFor[Value]()
+	if got := typ.Size(); got != 32 {
+		t.Errorf("Value is %d bytes, want 32", got)
+	}
+	if typ.Comparable() {
+		t.Error("Value is comparable; == on Values must not compile")
+	}
+}
+
+// TestFloatPayloadBits: a FLOAT keeps every bit of its float64 through
+// Float, AsFloat and the wire form, and the wire and key bytes are the
+// ones committed segments and spill files already hold.
+func TestFloatPayloadBits(t *testing.T) {
+	cases := []struct {
+		bits     uint64
+		bin, key []byte
+	}{
+		{0x8000000000000000, // -0.0
+			[]byte{2, 0, 0, 0, 0, 0, 0, 0, 0x80}, []byte{1, 0}},
+		{0x7ff0000000000000, // +Inf
+			[]byte{2, 0, 0, 0, 0, 0, 0, 0xf0, 0x7f}, []byte{2, 0, 0, 0, 0, 0, 0, 0xf0, 0x7f}},
+		{0xfff0000000000000, // -Inf
+			[]byte{2, 0, 0, 0, 0, 0, 0, 0xf0, 0xff}, []byte{2, 0, 0, 0, 0, 0, 0, 0xf0, 0xff}},
+		{0x0000000000000001, // smallest subnormal
+			[]byte{2, 1, 0, 0, 0, 0, 0, 0, 0}, []byte{2, 1, 0, 0, 0, 0, 0, 0, 0}},
+		{0x7fefffffffffffff, // MaxFloat64
+			[]byte{2, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xef, 0x7f}, []byte{2, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xef, 0x7f}},
+		{0x7ff8000000000bad, // quiet NaN with a payload
+			[]byte{2, 0xad, 0x0b, 0, 0, 0, 0, 0xf8, 0x7f}, []byte{2, 0xad, 0x0b, 0, 0, 0, 0, 0xf8, 0x7f}},
+	}
+	for _, c := range cases {
+		v := Float(math.Float64frombits(c.bits))
+		if got := math.Float64bits(v.AsFloat()); got != c.bits {
+			t.Errorf("Float(%#x).AsFloat() has bits %#x", c.bits, got)
+		}
+		if got := AppendBinary(nil, v); !bytes.Equal(got, c.bin) {
+			t.Errorf("AppendBinary(%#x) = % x, want % x", c.bits, got, c.bin)
+		}
+		if got := AppendKey(nil, v); !bytes.Equal(got, c.key) {
+			t.Errorf("AppendKey(%#x) = % x, want % x", c.bits, got, c.key)
+		}
+		r := NewReader(c.bin)
+		if got := r.Value(); r.Finish() != nil || got.Kind() != KindFloat || math.Float64bits(got.AsFloat()) != c.bits {
+			t.Errorf("decoding % x gave %v (%v)", c.bin, got, r.Err())
+		}
+	}
+	zero, negZero := Float(0), Float(math.Copysign(0, -1))
+	if !Equal(zero, negZero) || zero.Hash() != negZero.Hash() {
+		t.Error("0.0 and -0.0 must be Equal and hash alike")
+	}
+}
 
 func TestKindString(t *testing.T) {
 	cases := map[Kind]string{
@@ -54,20 +112,24 @@ func TestConstructorsAndAccessors(t *testing.T) {
 	}
 }
 
+// TestAccessorPanics: an accessor on another kind panics, and the
+// panic reads "value: <accessor> on <kind>".
 func TestAccessorPanics(t *testing.T) {
-	mustPanic := func(name string, f func()) {
+	mustPanic := func(want string, f func()) {
 		t.Helper()
 		defer func() {
-			if recover() == nil {
-				t.Errorf("%s did not panic", name)
+			if r := recover(); r == nil {
+				t.Errorf("%s did not panic", want)
+			} else if got := fmt.Sprint(r); got != want {
+				t.Errorf("panic %q, want %q", got, want)
 			}
 		}()
 		f()
 	}
-	mustPanic("AsInt on string", func() { Str("x").AsInt() })
-	mustPanic("AsString on int", func() { Int(1).AsString() })
-	mustPanic("AsBool on int", func() { Int(1).AsBool() })
-	mustPanic("AsFloat on string", func() { Str("x").AsFloat() })
+	mustPanic("value: AsInt on STRING", func() { Str("x").AsInt() })
+	mustPanic("value: AsString on INT", func() { Int(1).AsString() })
+	mustPanic("value: AsBool on INT", func() { Int(1).AsBool() })
+	mustPanic("value: AsFloat on STRING", func() { Str("x").AsFloat() })
 }
 
 func TestValueString(t *testing.T) {

@@ -29,7 +29,7 @@ func AppendPayload(dst []byte, v Value) []byte {
 	case KindInt:
 		return binary.AppendVarint(dst, v.i)
 	case KindFloat:
-		return binary.LittleEndian.AppendUint64(dst, math.Float64bits(v.f))
+		return binary.LittleEndian.AppendUint64(dst, uint64(v.i))
 	case KindString:
 		return AppendString(dst, v.s)
 	case KindBool:
@@ -53,7 +53,7 @@ func AppendString(dst []byte, s string) []byte {
 // INT and FLOAT beyond ±2^53 (several INTs widen to one float64), so
 // the equivalence is exact only for integers within that range.
 func AppendKey(dst []byte, v Value) []byte {
-	if f := v.f; v.kind == KindFloat && f == math.Trunc(f) && f >= -(1<<63) && f < 1<<63 {
+	if f := v.float(); v.kind == KindFloat && f == math.Trunc(f) && f >= -(1<<63) && f < 1<<63 {
 		v = Int(int64(f))
 	}
 	return AppendBinary(dst, v)
