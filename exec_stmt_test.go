@@ -6,6 +6,9 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"github.com/olaplab/gmdj/internal/relation"
+	"github.com/olaplab/gmdj/internal/value"
 )
 
 func TestExecCreateInsertSelect(t *testing.T) {
@@ -393,4 +396,76 @@ func TestNaNEqualsOnlyNaN(t *testing.T) {
 		defer db.Close()
 		check(t, db)
 	})
+}
+
+// Two NaN payloads: math.NaN()'s, and the one Inf−Inf yields on amd64.
+var nan1, nan2 = math.NaN(), math.Float64frombits(0xfff8_0000_0000_0000)
+
+// TestOneNaNKey: NaNs with different payloads are Equal, so DISTINCT,
+// GROUP BY and the set operations must each see one NaN — their keys
+// (value.AppendKey) write one payload, as Hash does.
+func TestOneNaNKey(t *testing.T) {
+	db := Open()
+	defer db.Close()
+	db.MustCreateTable("T", Col("x", Float))
+	db.MustCreateTable("U", Col("y", Float))
+	db.MustInsert("T", []any{nan1}, []any{nan2}, []any{1.5})
+	db.MustInsert("U", []any{nan2})
+	for _, c := range []struct {
+		q    string
+		rows int
+	}{
+		{`SELECT DISTINCT t.x FROM T t`, 2},
+		{`SELECT t.x, COUNT(*) FROM T t GROUP BY t.x`, 2},
+		{`SELECT t.x FROM T t EXCEPT SELECT u.y FROM U u`, 1},
+		{`SELECT t.x FROM T t INTERSECT SELECT u.y FROM U u`, 1},
+	} {
+		for _, s := range []Strategy{Native, Unnest, GMDJ, GMDJOpt} {
+			res, err := db.ExecStrategy(c.q, s)
+			if err != nil {
+				t.Fatalf("%v: %s: %v", s, c.q, err)
+			}
+			if res.Len() != c.rows {
+				t.Errorf("%v: %s: %d rows %v, want %d", s, c.q, res.Len(), res.Rows, c.rows)
+			}
+		}
+	}
+}
+
+// TestCountDistinctAgreesWithEquality: COUNT(DISTINCT x) counts the
+// values DISTINCT keeps — ±0 are one, two NaN payloads are one, INT 1
+// beside FLOAT 1.0 is one — scalar, grouped and correlated (the GMDJ's
+// fold) alike.
+func TestCountDistinctAgreesWithEquality(t *testing.T) {
+	db := Open()
+	defer db.Close()
+	// x is untyped, so it holds INT and FLOAT cells side by side.
+	if err := db.createTable("T", []relation.Column{{Qualifier: "T", Name: "g", Type: value.KindInt}, {Qualifier: "T", Name: "x"}}); err != nil {
+		t.Fatal(err)
+	}
+	db.MustCreateTable("B", Col("g", Int), Col("n", Int))
+	db.MustInsert("T", []any{1, 0.0}, []any{1, math.Copysign(0, -1)}, []any{1, nan1}, []any{1, nan2},
+		[]any{1, 1.0}, []any{1, int64(1)}, []any{1, 1.0}, []any{1, nil})
+	db.MustInsert("B", []any{1, 3}, []any{2, 0})
+	for _, c := range []struct {
+		q    string
+		rows int
+	}{
+		{`SELECT DISTINCT t.x FROM T t WHERE t.x IS NOT NULL`, 3},
+		{`SELECT COUNT(DISTINCT t.x) AS n FROM T t`, 1},
+		{`SELECT t.g, COUNT(DISTINCT t.x) AS n FROM T t GROUP BY t.g`, 1},
+		{`SELECT b.g FROM B b WHERE b.n = (SELECT COUNT(DISTINCT t.x) FROM T t WHERE t.g = b.g)`, 2},
+	} {
+		for _, s := range []Strategy{Native, Unnest, GMDJ, GMDJOpt} {
+			res, err := db.ExecStrategy(c.q, s)
+			if err != nil {
+				t.Fatalf("%v: %s: %v", s, c.q, err)
+			}
+			if res.Len() != c.rows {
+				t.Errorf("%v: %s: %d rows %v, want %d", s, c.q, res.Len(), res.Rows, c.rows)
+			} else if n := res.Rows[0][len(res.Rows[0])-1]; strings.Contains(c.q, " AS n ") && n != int64(3) {
+				t.Errorf("%v: %s = %v, want 3", s, c.q, n)
+			}
+		}
+	}
 }

@@ -1,7 +1,7 @@
 // Package agg implements SQL aggregate functions with standard NULL
-// semantics, exposed as incremental accumulators so the GMDJ operator
-// and the hash-aggregation operator can fold detail tuples in a single
-// scan.
+// semantics as incremental fold state held in typed columns (State), so
+// the GMDJ operator and the hash-aggregation operator can fold detail
+// tuples in a single scan.
 //
 // NULL rules follow SQL:1999 (the paper leans on these in the ALL-vs-
 // MAX footnote): COUNT(*) counts rows; COUNT(x) counts non-NULL x;
@@ -10,6 +10,7 @@ package agg
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/olaplab/gmdj/internal/expr"
 	"github.com/olaplab/gmdj/internal/relation"
@@ -117,206 +118,212 @@ func (s Spec) Bind(schema *relation.Schema) (Spec, error) {
 	return Spec{Func: s.Func, Arg: b, As: s.As}, nil
 }
 
-// Accumulator folds values incrementally. Implementations are cheap
-// value types; the GMDJ allocates one per (base tuple, spec) pair.
-type Accumulator interface {
-	// Add folds one detail tuple into the aggregate.
-	Add(row relation.Tuple) error
-	// Result returns the current aggregate value.
-	Result() value.Value
+// State is the fold state of one spec list over positions — base
+// tuples in the GMDJ, groups in GROUP BY — held as typed columns, one
+// set per spec (struct of arrays), not an object per (position, spec).
+// Goroutines may fold disjoint positions of one State at once.
+type State struct {
+	cols []column
+	n    int // positions
 }
 
-// NewAccumulator builds an accumulator for a bound spec.
-func NewAccumulator(s Spec) Accumulator {
-	switch s.Func {
-	case CountStar:
-		return &countAcc{}
-	case Count:
-		return &countAcc{arg: s.Arg}
+// column is one spec's state; which slices it uses depends on fn:
+//
+//	COUNT(*), COUNT(x)  n
+//	SUM                 i (INT sum), f (FLOAT sum), flags (sumAny, sumFloat)
+//	AVG                 f (sum), n (count)
+//	MIN, MAX            v: NULL while unset, as a NULL input is never folded
+//	VAR, STDDEV         n, f (mean), m2: Welford's
+//	COUNT(DISTINCT)     sets, one per position, made at its first value
+type column struct {
+	fn    Func
+	arg   expr.Expr // nil for COUNT(*)
+	at    int       // arg's row position when it is a bare column, else -1
+	n, i  []int64
+	f, m2 []float64
+	flags []uint8
+	v     []value.Value
+	sets  []map[string]struct{}
+}
+
+const (
+	sumAny   = 1 << iota // a non-NULL value was folded
+	sumFloat             // a FLOAT was: the result is the float sum
+)
+
+// New returns the state of bound specs over n positions, each the empty
+// bag.
+func New(specs []Spec, n int) *State {
+	s := &State{cols: make([]column, len(specs)), n: n}
+	for j, sp := range specs {
+		c := &s.cols[j]
+		c.fn, c.arg, c.at = sp.Func, sp.Arg, -1
+		if col, ok := sp.Arg.(*expr.Col); ok {
+			c.at = col.Index()
+		}
+		c.size(n)
+	}
+	return s
+}
+
+// Grow adds one position, the empty bag, and returns it.
+func (s *State) Grow() int {
+	s.n++
+	for j := range s.cols {
+		s.cols[j].size(s.n)
+	}
+	return s.n - 1
+}
+
+// size extends the column's slices to n positions.
+func (c *column) size(n int) {
+	switch c.fn {
+	case CountStar, Count:
+		c.n = extend(c.n, n)
 	case Sum:
-		return &sumAcc{arg: s.Arg}
+		c.i, c.f, c.flags = extend(c.i, n), extend(c.f, n), extend(c.flags, n)
 	case Avg:
-		return &avgAcc{arg: s.Arg}
-	case Min:
-		return &extremeAcc{arg: s.Arg, want: -1}
-	case Max:
-		return &extremeAcc{arg: s.Arg, want: 1}
+		c.n, c.f = extend(c.n, n), extend(c.f, n)
+	case Min, Max:
+		c.v = extend(c.v, n)
+	case Var, StdDev:
+		c.n, c.f, c.m2 = extend(c.n, n), extend(c.f, n), extend(c.m2, n)
+	case CountDistinct:
+		c.sets = extend(c.sets, n)
 	default:
-		if acc, ok := newExtendedAccumulator(s); ok {
-			return acc
+		panic("agg: unknown aggregate " + c.fn.String())
+	}
+}
+
+// extend appends zero elements to xs up to length n.
+func extend[T any](xs []T, n int) []T { return append(xs, make([]T, n-len(xs))...) }
+
+// Add folds row into spec j's state at position pos. COUNT(*) evaluates
+// nothing; a bare column argument is read where it lies.
+func (s *State) Add(j, pos int, row relation.Tuple) error {
+	c := &s.cols[j]
+	if c.fn == CountStar {
+		c.n[pos]++
+		return nil
+	}
+	return c.add(pos, row)
+}
+
+func (c *column) add(pos int, row relation.Tuple) error {
+	var v value.Value
+	if uint(c.at) < uint(len(row)) {
+		v = row[c.at]
+	} else {
+		var err error
+		if v, err = c.arg.Eval(row); err != nil {
+			return err
 		}
-		panic("agg: unknown aggregate " + s.Func.String())
-	}
-}
-
-// NewRows sets every element of rows to a fresh accumulator row — one
-// accumulator per bound spec, in order — cut from slabs: one
-// []Accumulator across all rows and one typed slice per built-in spec,
-// where the GMDJ's row per base tuple built singly costs
-// len(rows) × (1 + len(specs)) allocations. Extended kinds keep
-// NewAccumulator.
-func NewRows(specs []Spec, rows [][]Accumulator) {
-	w := len(specs)
-	slab := make([]Accumulator, len(rows)*w)
-	for i := range rows {
-		rows[i] = slab[i*w : (i+1)*w : (i+1)*w]
-	}
-	for j, s := range specs {
-		switch proto := NewAccumulator(s).(type) {
-		case *countAcc:
-			cut(rows, j, *proto)
-		case *sumAcc:
-			cut(rows, j, *proto)
-		case *avgAcc:
-			cut(rows, j, *proto)
-		case *extremeAcc:
-			cut(rows, j, *proto)
-		default:
-			for i := range rows {
-				rows[i][j] = NewAccumulator(s)
-			}
-		}
-	}
-}
-
-// cut fills column j of rows with copies of proto held in one slice.
-func cut[T any, P interface {
-	*T
-	Accumulator
-}](rows [][]Accumulator, j int, proto T) {
-	typed := make([]T, len(rows))
-	for i := range typed {
-		typed[i] = proto
-		rows[i][j] = P(&typed[i])
-	}
-}
-
-type countAcc struct {
-	arg expr.Expr // nil means count(*)
-	n   int64
-}
-
-func (a *countAcc) Add(row relation.Tuple) error {
-	if a.arg == nil {
-		a.n++
-		return nil
-	}
-	v, err := a.arg.Eval(row)
-	if err != nil {
-		return err
-	}
-	if !v.IsNull() {
-		a.n++
-	}
-	return nil
-}
-
-func (a *countAcc) Result() value.Value { return value.Int(a.n) }
-
-type sumAcc struct {
-	arg     expr.Expr
-	any     bool
-	isFloat bool
-	i       int64
-	f       float64
-}
-
-func (a *sumAcc) Add(row relation.Tuple) error {
-	v, err := a.arg.Eval(row)
-	if err != nil {
-		return err
-	}
-	switch v.Kind() {
-	case value.KindNull:
-		return nil
-	case value.KindInt:
-		a.any = true
-		a.i += v.AsInt()
-		a.f += float64(v.AsInt())
-	case value.KindFloat:
-		a.any = true
-		a.isFloat = true
-		a.f += v.AsFloat()
-	default:
-		return fmt.Errorf("agg: sum over %s", v.Kind())
-	}
-	return nil
-}
-
-func (a *sumAcc) Result() value.Value {
-	if !a.any {
-		return value.Null // SUM of the empty bag is NULL
-	}
-	if a.isFloat {
-		return value.Float(a.f)
-	}
-	return value.Int(a.i)
-}
-
-type avgAcc struct {
-	arg expr.Expr
-	n   int64
-	f   float64
-}
-
-func (a *avgAcc) Add(row relation.Tuple) error {
-	v, err := a.arg.Eval(row)
-	if err != nil {
-		return err
-	}
-	switch v.Kind() {
-	case value.KindNull:
-		return nil
-	case value.KindInt, value.KindFloat:
-		a.n++
-		a.f += v.AsFloat()
-	default:
-		return fmt.Errorf("agg: avg over %s", v.Kind())
-	}
-	return nil
-}
-
-func (a *avgAcc) Result() value.Value {
-	if a.n == 0 {
-		return value.Null
-	}
-	return value.Float(a.f / float64(a.n))
-}
-
-type extremeAcc struct {
-	arg  expr.Expr
-	want int // -1 for MIN, +1 for MAX
-	best value.Value
-	any  bool
-}
-
-func (a *extremeAcc) Add(row relation.Tuple) error {
-	v, err := a.arg.Eval(row)
-	if err != nil {
-		return err
 	}
 	if v.IsNull() {
 		return nil
 	}
-	if !a.any {
-		a.best, a.any = v, true
-		return nil
-	}
-	c, ok := value.Compare(v, a.best)
-	if !ok {
-		return fmt.Errorf("agg: min/max over mixed kinds %s and %s", v.Kind(), a.best.Kind())
-	}
-	if c == a.want {
-		a.best = v
+	numeric := v.Kind() == value.KindInt || v.Kind() == value.KindFloat
+	switch c.fn {
+	case Count:
+		c.n[pos]++
+	case Sum:
+		if !numeric {
+			return fmt.Errorf("agg: sum over %s", v.Kind())
+		}
+		if c.flags[pos] |= sumAny; v.Kind() == value.KindFloat {
+			c.flags[pos] |= sumFloat
+		} else {
+			c.i[pos] += v.AsInt()
+		}
+		c.f[pos] += v.AsFloat()
+	case Avg:
+		if !numeric {
+			return fmt.Errorf("agg: avg over %s", v.Kind())
+		}
+		c.n[pos]++
+		c.f[pos] += v.AsFloat()
+	case Var, StdDev:
+		if !numeric {
+			return fmt.Errorf("agg: variance over %s", v.Kind())
+		}
+		x := v.AsFloat()
+		c.n[pos]++
+		d := x - c.f[pos]
+		c.f[pos] += d / float64(c.n[pos])
+		c.m2[pos] += d * (x - c.f[pos])
+	case Min, Max:
+		best := c.v[pos]
+		if best.IsNull() {
+			c.v[pos] = v
+			return nil
+		}
+		cmp, ok := value.Compare(v, best)
+		if !ok {
+			return fmt.Errorf("agg: min/max over mixed kinds %s and %s", v.Kind(), best.Kind())
+		}
+		if cmp == -1 && c.fn == Min || cmp == 1 && c.fn == Max {
+			c.v[pos] = v
+		}
+	case CountDistinct:
+		if c.sets[pos] == nil {
+			c.sets[pos] = map[string]struct{}{}
+		}
+		var buf [32]byte
+		c.sets[pos][string(value.AppendKey(buf[:0], v))] = struct{}{} // Equal cells, one key
 	}
 	return nil
 }
 
-func (a *extremeAcc) Result() value.Value {
-	if !a.any {
-		return value.Null // MAX of nothing is NULL — the paper's footnote 2
+// Result returns spec j's aggregate at position pos: NULL over the
+// empty bag for all but the counts, which give 0.
+func (s *State) Result(j, pos int) value.Value {
+	c := &s.cols[j]
+	switch c.fn {
+	case CountStar, Count:
+		return value.Int(c.n[pos])
+	case Sum:
+		if c.flags[pos]&sumFloat != 0 {
+			return value.Float(c.f[pos])
+		} else if c.flags[pos]&sumAny != 0 {
+			return value.Int(c.i[pos])
+		}
+	case Avg:
+		if c.n[pos] > 0 {
+			return value.Float(c.f[pos] / float64(c.n[pos]))
+		}
+	case Var, StdDev:
+		if n := c.n[pos]; n > 0 && c.fn == Var {
+			return value.Float(c.m2[pos] / float64(n))
+		} else if n > 0 {
+			return value.Float(math.Sqrt(c.m2[pos] / float64(n)))
+		}
+	case CountDistinct:
+		return value.Int(int64(len(c.sets[pos])))
+	case Min, Max:
+		return c.v[pos] // MAX of nothing is NULL — the paper's footnote 2
 	}
-	return a.best
+	return value.Null
+}
+
+// Scatter copies position i of s to position to[i] of dst, column by
+// column; dst holds the same specs.
+func (s *State) Scatter(dst *State, to []int32) {
+	for j := range s.cols {
+		c, d := &s.cols[j], &dst.cols[j]
+		scatter(d.n, c.n, to)
+		scatter(d.i, c.i, to)
+		scatter(d.f, c.f, to)
+		scatter(d.m2, c.m2, to)
+		scatter(d.flags, c.flags, to)
+		scatter(d.v, c.v, to)
+		scatter(d.sets, c.sets, to)
+	}
+}
+
+func scatter[T any](dst, src []T, to []int32) {
+	for i, x := range src {
+		dst[to[i]] = x
+	}
 }
 
 // OutputSchema returns the columns the spec list appends, named per

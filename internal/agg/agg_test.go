@@ -26,7 +26,15 @@ func boundSpec(t *testing.T, f Func) Spec {
 	return b
 }
 
-func feed(t *testing.T, a Accumulator, vals ...value.Value) {
+// acc is one spec's state at one position, the shape of Native's scalar
+// aggregate.
+type acc struct{ *State }
+
+func newAcc(s Spec) acc                    { return acc{New([]Spec{s}, 1)} }
+func (a acc) Add(row relation.Tuple) error { return a.State.Add(0, 0, row) }
+func (a acc) Result() value.Value          { return a.State.Result(0, 0) }
+
+func feed(t *testing.T, a acc, vals ...value.Value) {
 	t.Helper()
 	for _, v := range vals {
 		if err := a.Add(relation.Tuple{v}); err != nil {
@@ -36,7 +44,7 @@ func feed(t *testing.T, a Accumulator, vals ...value.Value) {
 }
 
 func TestCountStar(t *testing.T) {
-	a := NewAccumulator(boundSpec(t, CountStar))
+	a := newAcc(boundSpec(t, CountStar))
 	feed(t, a, value.Int(1), value.Null, value.Int(3))
 	if got := a.Result(); got.AsInt() != 3 {
 		t.Errorf("count(*) = %v, want 3 (NULL rows still count)", got)
@@ -44,7 +52,7 @@ func TestCountStar(t *testing.T) {
 }
 
 func TestCountIgnoresNull(t *testing.T) {
-	a := NewAccumulator(boundSpec(t, Count))
+	a := newAcc(boundSpec(t, Count))
 	feed(t, a, value.Int(1), value.Null, value.Int(3), value.Null)
 	if got := a.Result(); got.AsInt() != 2 {
 		t.Errorf("count(x) = %v, want 2", got)
@@ -53,7 +61,7 @@ func TestCountIgnoresNull(t *testing.T) {
 
 func TestCountEmptyIsZero(t *testing.T) {
 	for _, f := range []Func{CountStar, Count} {
-		a := NewAccumulator(boundSpec(t, f))
+		a := newAcc(boundSpec(t, f))
 		if got := a.Result(); got.AsInt() != 0 {
 			t.Errorf("%s over empty = %v, want 0", f, got)
 		}
@@ -61,7 +69,7 @@ func TestCountEmptyIsZero(t *testing.T) {
 }
 
 func TestSumIntStaysInt(t *testing.T) {
-	a := NewAccumulator(boundSpec(t, Sum))
+	a := newAcc(boundSpec(t, Sum))
 	feed(t, a, value.Int(2), value.Int(3), value.Null)
 	got := a.Result()
 	if got.Kind() != value.KindInt || got.AsInt() != 5 {
@@ -70,7 +78,7 @@ func TestSumIntStaysInt(t *testing.T) {
 }
 
 func TestSumMixedWidens(t *testing.T) {
-	a := NewAccumulator(boundSpec(t, Sum))
+	a := newAcc(boundSpec(t, Sum))
 	feed(t, a, value.Int(2), value.Float(0.5))
 	got := a.Result()
 	if got.Kind() != value.KindFloat || got.AsFloat() != 2.5 {
@@ -82,12 +90,12 @@ func TestEmptyAggregatesAreNull(t *testing.T) {
 	// The paper's footnote 2: max of nothing is NULL, which is why
 	// ALL cannot be reduced to MAX. Same for sum/avg/min.
 	for _, f := range []Func{Sum, Avg, Min, Max} {
-		a := NewAccumulator(boundSpec(t, f))
+		a := newAcc(boundSpec(t, f))
 		if got := a.Result(); !got.IsNull() {
 			t.Errorf("%s over empty bag = %v, want NULL", f, got)
 		}
 		// All-NULL input behaves like empty.
-		a = NewAccumulator(boundSpec(t, f))
+		a = newAcc(boundSpec(t, f))
 		feed(t, a, value.Null, value.Null)
 		if got := a.Result(); !got.IsNull() {
 			t.Errorf("%s over all-NULL = %v, want NULL", f, got)
@@ -96,7 +104,7 @@ func TestEmptyAggregatesAreNull(t *testing.T) {
 }
 
 func TestAvg(t *testing.T) {
-	a := NewAccumulator(boundSpec(t, Avg))
+	a := newAcc(boundSpec(t, Avg))
 	feed(t, a, value.Int(1), value.Int(2), value.Null, value.Int(6))
 	if got := a.Result(); got.AsFloat() != 3.0 {
 		t.Errorf("avg = %v, want 3.0", got)
@@ -104,8 +112,8 @@ func TestAvg(t *testing.T) {
 }
 
 func TestMinMax(t *testing.T) {
-	mn := NewAccumulator(boundSpec(t, Min))
-	mx := NewAccumulator(boundSpec(t, Max))
+	mn := newAcc(boundSpec(t, Min))
+	mx := newAcc(boundSpec(t, Max))
 	for _, v := range []value.Value{value.Int(4), value.Null, value.Int(-2), value.Int(9)} {
 		feed(t, mn, v)
 		feed(t, mx, v)
@@ -124,7 +132,7 @@ func TestMinMaxStrings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := NewAccumulator(spec)
+	a := newAcc(spec)
 	feed(t, a, value.Str("pear"), value.Str("apple"), value.Str("zig"))
 	if a.Result().AsString() != "zig" {
 		t.Errorf("max = %v", a.Result())
@@ -138,7 +146,7 @@ func TestTypeErrors(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		a := NewAccumulator(spec)
+		a := newAcc(spec)
 		if err := a.Add(relation.Tuple{value.Str("no")}); err == nil {
 			t.Errorf("%s over string should error", f)
 		}
@@ -146,7 +154,7 @@ func TestTypeErrors(t *testing.T) {
 }
 
 func TestMixedKindExtremeErrors(t *testing.T) {
-	a := NewAccumulator(boundSpec(t, Max))
+	a := newAcc(boundSpec(t, Max))
 	feed(t, a, value.Int(1))
 	if err := a.Add(relation.Tuple{value.Str("x")}); err == nil {
 		t.Error("max over mixed kinds should error")
@@ -220,9 +228,9 @@ func TestAccumulatorProperty(t *testing.T) {
 		for i, x := range raw {
 			xs[i] = x % 1000 // keep sums exact in both int64 and float64
 		}
-		sum := NewAccumulator(boundSpec(t, Sum))
-		cnt := NewAccumulator(boundSpec(t, Count))
-		avg := NewAccumulator(boundSpec(t, Avg))
+		sum := newAcc(boundSpec(t, Sum))
+		cnt := newAcc(boundSpec(t, Count))
+		avg := newAcc(boundSpec(t, Avg))
 		var want int64
 		for _, x := range xs {
 			row := relation.Tuple{value.Int(x)}

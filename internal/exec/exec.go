@@ -622,14 +622,10 @@ func (e *Executor) evalGroupBy(g *algebra.GroupBy, ev *env) (*relation.Relation,
 		}
 		specs[i] = b
 	}
-	type group struct {
-		key  relation.Tuple
-		accs []agg.Accumulator
-	}
-	groups := map[string]*group{}
-	var order []string
-	// Grouped aggregation folds into hash state in arrival order — a
+	// Each group is a position in one growing fold state, in order of
+	// first arrival; grouped aggregation folds in arrival order — a
 	// serial consumer.
+	fold, groups, keys := agg.New(specs, 0), map[string]int{}, []relation.Tuple(nil)
 	for _, row := range in.Rows {
 		if err := ev.q.tick(); err != nil {
 			return nil, err
@@ -639,29 +635,21 @@ func (e *Executor) evalGroupBy(g *algebra.GroupBy, ev *env) (*relation.Relation,
 			key[i] = row[pos]
 		}
 		ks := key.Key()
-		gr, ok := groups[ks]
+		gi, ok := groups[ks]
 		if !ok {
-			gr = &group{key: key, accs: make([]agg.Accumulator, len(specs))}
-			for i, s := range specs {
-				gr.accs[i] = agg.NewAccumulator(s)
-			}
-			groups[ks] = gr
-			order = append(order, ks)
+			gi = fold.Grow()
+			groups[ks], keys = gi, append(keys, key)
 		}
-		for _, a := range gr.accs {
-			if err := a.Add(row); err != nil {
+		for j := range specs {
+			if err := fold.Add(j, gi, row); err != nil {
 				return nil, err
 			}
 		}
 	}
 	// Global aggregation over an empty input still yields one row.
-	if len(g.Keys) == 0 && len(order) == 0 {
-		gr := &group{key: relation.Tuple{}, accs: make([]agg.Accumulator, len(specs))}
-		for i, s := range specs {
-			gr.accs[i] = agg.NewAccumulator(s)
-		}
-		groups[""] = gr
-		order = append(order, "")
+	if len(g.Keys) == 0 && len(keys) == 0 {
+		fold.Grow()
+		keys = append(keys, relation.Tuple{})
 	}
 	outCols := make([]relation.Column, 0, len(keyPos)+len(specs))
 	for _, pos := range keyPos {
@@ -669,12 +657,11 @@ func (e *Executor) evalGroupBy(g *algebra.GroupBy, ev *env) (*relation.Relation,
 	}
 	outCols = append(outCols, agg.OutputSchema(g.Aggs, "")...)
 	out := relation.New(relation.NewSchema(outCols...))
-	for _, ks := range order {
-		gr := groups[ks]
+	for gi, key := range keys {
 		row := make(relation.Tuple, 0, len(outCols))
-		row = append(row, gr.key...)
-		for _, a := range gr.accs {
-			row = append(row, a.Result())
+		row = append(row, key...)
+		for j := range specs {
+			row = append(row, fold.Result(j, gi))
 		}
 		if err := ev.q.account(row); err != nil {
 			return nil, err

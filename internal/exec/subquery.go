@@ -578,7 +578,7 @@ func (c *cpSub) evalUncached(outerRow relation.Tuple) (value.Tri, error) {
 			return value.Unknown, err
 		}
 		if c.aggSpec != nil {
-			acc := agg.NewAccumulator(*c.aggSpec)
+			fold := agg.New([]agg.Spec{*c.aggSpec}, 1)
 			err := visit(func(innerRow relation.Tuple) (bool, error) {
 				tr, err := qualify(innerRow)
 				if err != nil {
@@ -588,12 +588,12 @@ func (c *cpSub) evalUncached(outerRow relation.Tuple) (value.Tri, error) {
 					return false, nil
 				}
 				copy(full[c.outerW:], innerRow)
-				return false, acc.Add(full)
+				return false, fold.Add(0, 0, full)
 			})
 			if err != nil {
 				return value.Unknown, err
 			}
-			return c.op.Apply(leftV, acc.Result()), nil
+			return c.op.Apply(leftV, fold.Result(0, 0)), nil
 		}
 		var found bool
 		var scalar value.Value

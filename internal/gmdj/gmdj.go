@@ -14,7 +14,8 @@
 // the detail relation R is then streamed, each detail tuple probing the
 // index (or, when θᵢ has no equi-binding, scanning the active base
 // entries, or the sorted run its bounds select when θᵢ is range-bound)
-// and folding into per-base aggregate accumulators.
+// and folding into per-base aggregate state: typed columns by base
+// position (agg.State).
 // Intermediate state is bounded by |B| — the property the paper's cost
 // argument rests on.
 //
@@ -22,7 +23,7 @@
 // does what depends on the detail row alone — detail-only conjuncts,
 // key hashes — once per row, in morsels, off the query goroutine. The
 // fold (evalPartition, scan, feed) owns base tuples: each tuple's
-// accumulators are fed by one goroutine in detail order, so results are
+// aggregates are fed by one goroutine in detail order, so results are
 // byte-identical at any degree. A routed program (bound on one key) reads
 // R once in every regime, each key partition of B folding the rows routed
 // to it; only a fallback θ shards the fold by base range (degree).
@@ -180,7 +181,7 @@ type Options struct {
 	// Evaluate (the executor sets this only for bare table scans).
 	PackedHash func(key []int) (h []uint64, ok []bool)
 	// Mem, when non-nil, charges the estimated base-state footprint
-	// (hash indexes, accumulators, completion flags) against the query's
+	// (hash indexes, fold state, completion flags) against the query's
 	// memory reservation before building it. When that cannot supply the
 	// bytes, evaluation spills or — Spill nil — fails (govern.ErrMemBudget).
 	Mem *mem.Tracker
@@ -239,9 +240,8 @@ type condProg struct {
 	detailPred *expr.Pred // bound to detail schema; nil when absent
 	mixedPred  *expr.Pred // bound to base++detail; no conjuncts when absent
 	rng        *rangeBind // inequality bindings, which sort a fallback scan list; nil when none
-	specs      []agg.Spec
-	aggOffset  int   // position of this cond's first aggregate column
-	atoms      []int // completion atom indexes watching this condition
+	aggs       [2]int     // this cond's aggregates: positions [aggs[0], aggs[1]) of program.specs
+	atoms      []int      // completion atom indexes watching this condition
 
 	// detailHash, when non-nil, holds the precomputed key hash per detail
 	// row, replacing per-row KeyHash calls in feed; conditions on one
@@ -288,10 +288,16 @@ type program struct {
 
 // result holds, by base position, what the single emit pass needs:
 // each tuple's completion decision (0 undecided, +1 accept (frozen),
-// -1 drop) and its accumulator row.
+// -1 drop) and its aggregates' fold state.
 type result struct {
 	decided []int8
-	accs    [][]agg.Accumulator
+	fold    *agg.State
+}
+
+// newResult returns the result of n undecided tuples, each aggregate
+// over the empty bag.
+func (p *program) newResult(n int) result {
+	return result{decided: make([]int8, n), fold: agg.New(p.specs, n)}
 }
 
 // Evaluate computes the GMDJ of base and detail under conds.
@@ -328,7 +334,7 @@ func Evaluate(base, detail *relation.Relation, conds []algebra.GMDJCond, opts Op
 	if err := p.detailPass(); err != nil {
 		return nil, err
 	}
-	out := result{decided: make([]int8, nBase), accs: make([][]agg.Accumulator, nBase)}
+	out := p.newResult(nBase)
 	switch {
 	case spillBits > 0:
 		err = p.evalSpilled(opts.Mem, opts.Spill, est, out)
@@ -341,7 +347,7 @@ func Evaluate(base, detail *relation.Relation, conds []algebra.GMDJCond, opts Op
 		return nil, err
 	}
 	for _, v := range p.pooled {
-		vecPool.Put(v) // the fold is over: emit reads accumulators only
+		vecPool.Put(v) // the fold is over: emit reads the fold state only
 	}
 	if p.buf != nil {
 		bufPool.Put(p.buf)
@@ -480,7 +486,7 @@ rows:
 
 // estimateStateBytes approximates the resident footprint of the GMDJ
 // base state — an admission estimate, not an allocation count: per base
-// row, index entries per condition, accumulators, completion flags, and
+// row, index entries per condition, fold columns, completion flags, and
 // a row's footprint, which overstates what a partition adds to the
 // resident base it gathers by position, but sets the spill fan-out.
 func estimateStateBytes(base *relation.Relation, conds []algebra.GMDJCond, comp *algebra.CompletionInfo) int64 {
@@ -492,8 +498,8 @@ func estimateStateBytes(base *relation.Relation, conds []algebra.GMDJCond, comp 
 	for _, c := range conds {
 		totalAggs += len(c.Aggs)
 	}
-	per := int64(64)                  // accumulator-row slice header + flags
-	per += int64(totalAggs) * 48      // accumulator structs
+	per := int64(64)                  // decision and activity flags, with headroom
+	per += int64(totalAggs) * 48      // fold columns: a bound, not a width (MIN/MAX hold a 32 B cell)
 	per += int64(len(conds)) * 24     // index entries + fallback scan lists
 	per += base.Rows[0].ApproxBytes() // representative row footprint
 	if comp != nil {
@@ -526,15 +532,15 @@ func compile(base, detail *relation.Relation, conds []algebra.GMDJCond, opts Opt
 	outCols := append([]relation.Column{}, base.Schema.Columns...)
 	for i, c := range conds {
 		cp := &p.conds[i]
-		cp.aggOffset = len(p.specs)
+		cp.aggs[0] = len(p.specs)
 		for _, spec := range c.Aggs {
 			bound, err := spec.Bind(detail.Schema)
 			if err != nil {
 				return nil, fmt.Errorf("gmdj: condition %d: %w", i, err)
 			}
-			cp.specs = append(cp.specs, bound)
 			p.specs = append(p.specs, bound)
 		}
+		cp.aggs[1] = len(p.specs)
 		outCols = append(outCols, agg.OutputSchema(c.Aggs, "R")...)
 		if err := classifyTheta(cp, c.Theta, base.Schema, detail.Schema, combined); err != nil {
 			return nil, fmt.Errorf("gmdj: condition %d (%s): %w", i, c.Theta, err)
@@ -789,10 +795,9 @@ type state struct {
 	// by every range of the partition. Its buckets hand out partition
 	// positions, so a hit outside the owned range is another worker's.
 	index []*relation.HashIndex
-	// accs and decided are the owned windows of the partition's result
-	// arrays: what this scan folds is already where emit reads it.
-	accs    [][]agg.Accumulator // [tuple][agg]
-	decided []int8
+	// res is the partition's result: owned tuple i folds and is decided
+	// at position lo+i, already where emit (or the scatter) reads it.
+	res     result
 	active  []bool
 	matched []bool // [tuple × completion atom], one slab
 	// combined is the base++detail scratch a mixed predicate's generic
@@ -832,10 +837,10 @@ func (s *state) flushLive() {
 }
 
 // newState builds evaluation state for positions [lo,hi) of a
-// partition: the per-tuple accumulator rows, completion flags,
-// base-predicate cache, and fallback scan lists cover only the owned
-// range, so a sharded fold splits the O(base) construction cost and
-// memory across workers. res holds the partition's arrays.
+// partition: the completion flags, base-predicate cache, and fallback
+// scan lists cover only the owned range, so a sharded fold splits the
+// O(base) construction cost and memory across workers. res holds the
+// partition's decisions and fold state.
 func (p *program) newState(part *partition, index []*relation.HashIndex, lo, hi int, res result) (*state, error) {
 	n := hi - lo
 	s := &state{
@@ -844,8 +849,7 @@ func (p *program) newState(part *partition, index []*relation.HashIndex, lo, hi 
 		lo:        lo,
 		detail:    part.detail,
 		index:     index,
-		accs:      res.accs[lo:hi],
-		decided:   res.decided[lo:hi],
+		res:       res,
 		active:    make([]bool, n),
 		combined:  make(relation.Tuple, p.baseW+p.detail.Schema.Len()),
 		remaining: n,
@@ -853,7 +857,6 @@ func (p *program) newState(part *partition, index []*relation.HashIndex, lo, hi 
 	for i := range s.active {
 		s.active[i] = true
 	}
-	agg.NewRows(p.specs, s.accs)
 	if p.Completion != nil {
 		s.matched = make([]bool, n*len(p.Completion.Atoms))
 	}
@@ -1100,9 +1103,8 @@ func (s *state) match(i, ci int, detailRow relation.Tuple) error {
 	p := s.p
 	cp := &p.conds[ci]
 	s.stats.Matches++
-	accRow := s.accs[i]
-	for k := range cp.specs {
-		if err := accRow[cp.aggOffset+k].Add(detailRow); err != nil {
+	for j := cp.aggs[0]; j < cp.aggs[1]; j++ {
+		if err := s.res.fold.Add(j, s.lo+i, detailRow); err != nil {
 			return err
 		}
 	}
@@ -1137,7 +1139,7 @@ func (s *state) retire(i int, decision int8) {
 		return
 	}
 	s.active[i] = false
-	s.decided[i] = decision
+	s.res.decided[s.lo+i] = decision
 	s.stats.Completed++
 	s.inactive++
 	s.remaining--
@@ -1224,8 +1226,8 @@ func (p *program) emit(res result) (*relation.Relation, error) {
 			continue
 		}
 		row := append(slab[:0:w], baseRow...)
-		for _, a := range res.accs[bi] {
-			row = append(row, a.Result())
+		for j := range p.specs {
+			row = append(row, res.fold.Result(j, bi))
 		}
 		slab = slab[w:]
 		if p.Gov != nil || p.Live != nil {
@@ -1306,11 +1308,11 @@ func (p *program) degree(nBase int) int {
 // contiguous range per worker (degree), builds state sized to each
 // range, runs the detail scan once per range — inline for one range, on
 // govern.RunTasks' pool otherwise — and leaves every tuple's decision
-// and accumulators in out by base position, for the single emit.
+// and aggregates in out by base position, for the single emit.
 //
 // The fold is base-owned, never detail-sharded: every base tuple's
-// accumulators are fed by one goroutine in detail order, so results are
-// byte-identical to serial at any degree with no accumulator merge
+// aggregates are fed by one goroutine in detail order, so results are
+// byte-identical to serial at any degree with no state merge
 // (float sums and order-sensitive aggregates included); completion is
 // final, and short-circuits, per range; the O(base) state construction
 // splits across ranges. The price is one detail scan per range — none
@@ -1327,9 +1329,9 @@ func (p *program) evalPartition(out result, parts ...partition) error {
 	for pi, part := range parts {
 		n, degree := len(part.rows), p.degree(len(part.rows))
 		// The whole base folds straight into out; a position list folds
-		// into scratch arrays that are scattered once the scans are done.
+		// into scratch columns that are scattered once the scans are done.
 		if res[pi], index[pi], workers = out, p.buildIndex(&parts[pi]), max(workers, degree); part.idx != nil {
-			res[pi] = result{decided: make([]int8, n), accs: make([][]agg.Accumulator, n)}
+			res[pi] = p.newResult(n)
 		}
 		for w := 0; w < degree; w++ {
 			tasks = append(tasks, task{pi, w * n / degree, (w + 1) * n / degree})
@@ -1357,9 +1359,13 @@ func (p *program) evalPartition(out result, parts ...partition) error {
 		}
 	}
 	for pi, part := range parts {
-		for i, bi := range part.idx {
-			out.decided[bi], out.accs[bi] = res[pi].decided[i], res[pi].accs[i]
+		if part.idx == nil {
+			continue
 		}
+		for i, bi := range part.idx {
+			out.decided[bi] = res[pi].decided[i]
+		}
+		res[pi].fold.Scatter(out.fold, part.idx)
 	}
 	return nil
 }

@@ -74,7 +74,7 @@ func evalParts(t *testing.T, base, detail *relation.Relation, conds []algebra.GM
 	if err := p.detailPass(); err != nil {
 		t.Fatal(err)
 	}
-	out := result{decided: make([]int8, len(base.Rows)), accs: make([][]agg.Accumulator, len(base.Rows))}
+	out := p.newResult(len(base.Rows))
 	parts := p.parts
 	if split != nil {
 		parts = func() []partition { return split(base) }

@@ -41,7 +41,7 @@ func evalScan(t *testing.T, base, detail *relation.Relation, conds []algebra.GMD
 	if err := p.detailPass(); err != nil {
 		t.Fatal(err)
 	}
-	out := result{decided: make([]int8, len(base.Rows)), accs: make([][]agg.Accumulator, len(base.Rows))}
+	out := p.newResult(len(base.Rows))
 	if err := p.evalPartition(out, partition{rows: base.Rows}); err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func rangeState(t *testing.T, base, detail *relation.Relation, theta expr.Expr) 
 		t.Fatal(err)
 	}
 	n := len(base.Rows)
-	s, err := p.newState(&partition{rows: base.Rows}, p.buildIndex(&partition{rows: base.Rows}), 0, n, result{decided: make([]int8, n), accs: make([][]agg.Accumulator, n)})
+	s, err := p.newState(&partition{rows: base.Rows}, p.buildIndex(&partition{rows: base.Rows}), 0, n, p.newResult(n))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,7 +41,7 @@ func TestFloatPayloadBits(t *testing.T) {
 		{0x7fefffffffffffff, // MaxFloat64
 			[]byte{2, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xef, 0x7f}, []byte{2, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xef, 0x7f}},
 		{0x7ff8000000000bad, // quiet NaN with a payload
-			[]byte{2, 0xad, 0x0b, 0, 0, 0, 0, 0xf8, 0x7f}, []byte{2, 0xad, 0x0b, 0, 0, 0, 0, 0xf8, 0x7f}},
+			[]byte{2, 0xad, 0x0b, 0, 0, 0, 0, 0xf8, 0x7f}, []byte{2, 1, 0, 0, 0, 0, 0, 0xf8, 0x7f}}, // key: the one NaN payload
 	}
 	for _, c := range cases {
 		v := Float(math.Float64frombits(c.bits))

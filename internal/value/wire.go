@@ -48,12 +48,15 @@ func AppendString(dst []byte, s string) []byte {
 // AppendKey appends the grouping-key form of v: the encoding of v
 // canonicalised so that two cells encode alike exactly when Equal holds
 // — a FLOAT holding an integer becomes that INT (so 1.0 ≡ 1 and
-// -0.0 ≡ 0.0 ≡ 0). The encoding is self-delimiting, so concatenated
-// cells cannot run into each other. Equal is not transitive between
-// INT and FLOAT beyond ±2^53 (several INTs widen to one float64), so
-// the equivalence is exact only for integers within that range.
+// -0.0 ≡ 0.0 ≡ 0), and every NaN writes Hash's one payload. The
+// encoding is self-delimiting, so concatenated cells cannot run into
+// each other. Equal is not transitive between INT and FLOAT beyond
+// ±2^53 (several INTs widen to one float64), so the equivalence is
+// exact only for integers within that range.
 func AppendKey(dst []byte, v Value) []byte {
-	if f := v.float(); v.kind == KindFloat && f == math.Trunc(f) && f >= -(1<<63) && f < 1<<63 {
+	if f := v.float(); v.kind == KindFloat && f != f {
+		v = Float(math.NaN())
+	} else if v.kind == KindFloat && f == math.Trunc(f) && f >= -(1<<63) && f < 1<<63 {
 		v = Int(int64(f))
 	}
 	return AppendBinary(dst, v)
