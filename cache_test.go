@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"regexp"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -236,5 +238,107 @@ func TestResultCacheSubqueryMemo(t *testing.T) {
 	}
 	if s := db.ResultCacheStats(); s.Hits == 0 {
 		t.Fatalf("replay produced no result-cache hits: %+v", s)
+	}
+}
+
+// memoUsersFlows opens a DB holding users × flows for an EXISTS whose
+// GMDJ probes flows by ip: every user owns two flows, one of them large.
+func memoUsersFlows(t *testing.T, opts ...Option) *DB {
+	t.Helper()
+	db := Open(opts...)
+	t.Cleanup(func() { db.Close() })
+	db.MustCreateTable("users", Col("name", String), Col("ip", String))
+	db.MustCreateTable("flows", Col("src", String), Col("bytes", Int))
+	users := make([][]any, 0, 4000)
+	flows := make([][]any, 0, 8000)
+	for i := 0; i < 4000; i++ {
+		ip := fmt.Sprintf("10.0.%d.%d", i/256, i%256)
+		users = append(users, []any{fmt.Sprintf("u%d", i), ip})
+		flows = append(flows, []any{ip, int64(i % 2000)}, []any{ip, int64(100)})
+	}
+	db.MustInsert("users", users...)
+	db.MustInsert("flows", flows...)
+	return db
+}
+
+// analyzedCounter returns the first value of counter in an EXPLAIN
+// ANALYZE tree (0 when absent: a zero counter is not printed).
+func analyzedCounter(plan, counter string) int {
+	m := regexp.MustCompile(`\b` + counter + `=(\d+)`).FindStringSubmatch(plan)
+	if m == nil {
+		return 0
+	}
+	n, _ := strconv.Atoi(m[1])
+	return n
+}
+
+// TestMemoSurvivesSpillingGMDJ: a GMDJ that spills under a tight pool
+// still finds its detail-side hash vector in the memo on every replay,
+// and spills exactly as much as the same query on a DB without a memo.
+// The memo lives outside the pool, so pool pressure never empties it.
+func TestMemoSurvivesSpillingGMDJ(t *testing.T) {
+	hermeticEnv(t)
+	const q = `SELECT u.name FROM users u WHERE EXISTS (
+		SELECT * FROM flows f WHERE f.src = u.ip AND f.bytes > 1000)`
+	base := []Option{WithMemoryLimit(32 << 10), WithSpillDir(t.TempDir()), WithParallelism(1)}
+	plain := memoUsersFlows(t, base...)
+	memo := memoUsersFlows(t, append(base, WithResultCache(0))...)
+	_, plan, err := plain.QueryAnalyze(q, GMDJOpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantParts := analyzedCounter(plan, "spill_partitions")
+	if wantParts <= 0 {
+		t.Fatalf("the query does not spill without a memo, so it tests nothing:\n%s", plan)
+	}
+	for run := 0; run < 3; run++ {
+		_, plan, err := memo.QueryAnalyze(q, GMDJOpt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := analyzedCounter(plan, "spill_partitions"); got != wantParts {
+			t.Errorf("run %d: spill_partitions=%d, want %d as without a memo", run, got, wantParts)
+		}
+		if got := analyzedCounter(plan, "hash_cache_hits"); run > 0 && got != 1 {
+			t.Errorf("run %d: hash_cache_hits=%d, want 1:\n%s", run, got, plan)
+		}
+	}
+}
+
+// TestMemoEvictionLeavesNoFiles: a memo whose keys go stale on every
+// write, evicting under its own budget, holds no scratch file and no
+// more bytes than that budget.
+func TestMemoEvictionLeavesNoFiles(t *testing.T) {
+	hermeticEnv(t)
+	const budget = 1 << 20
+	db := Open(WithResultCache(budget), WithMemoryLimit(64<<20), WithSpillDir(t.TempDir()))
+	defer db.Close()
+	db.MustCreateTable("t", Col("x", Int))
+	db.MustCreateTable("u", Col("y", Int))
+	db.MustCreateTable("v", Col("z", Int))
+	// The subquery's source is u × v: 3 600 two-cell rows, about a third
+	// of the budget, so from the fourth round on each Put evicts.
+	var rows [][]any
+	for i := 0; i < 60; i++ {
+		rows = append(rows, []any{int64(i)})
+	}
+	db.MustInsert("t", rows...)
+	db.MustInsert("u", rows...)
+	db.MustInsert("v", rows...)
+	for round := 0; round < 20; round++ {
+		res, err := db.QueryStrategy(`SELECT x FROM t WHERE x IN (SELECT u.y FROM u, v WHERE u.y = v.z)`, Native)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Len() != 60 {
+			t.Fatalf("round %d: %d rows, want 60", round, res.Len())
+		}
+		db.MustInsert("u", []any{int64(-1 - round)})
+	}
+	if ms := db.MemStats(); ms.SpillLiveFiles != 0 {
+		t.Errorf("%d scratch files left behind by memo evictions", ms.SpillLiveFiles)
+	}
+	if s := db.ResultCacheStats(); s.Bytes > budget || s.Evictions == 0 {
+		t.Errorf("memo holds %d bytes of a %d budget after %d evictions; want at most the budget, and evictions", s.Bytes, budget, s.Evictions)
 	}
 }

@@ -435,8 +435,8 @@ func printMemStats(db *gmdj.DB) {
 		fmt.Println("  memory tracking off (run with -mem-limit)")
 		return
 	}
-	fmt.Printf("  pool:  capacity=%d in_use=%d queued=%d admitted=%d timed_out=%d reclaimed=%d\n",
-		m.Capacity, m.InUse, m.Queued, m.Admitted, m.TimedOut, m.ReclaimedBytes)
+	fmt.Printf("  pool:  capacity=%d in_use=%d queued=%d admitted=%d timed_out=%d\n",
+		m.Capacity, m.InUse, m.Queued, m.Admitted, m.TimedOut)
 	if !m.SpillEnabled {
 		fmt.Println("  spill: disabled (exhaustion aborts the query)")
 		return

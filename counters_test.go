@@ -61,8 +61,8 @@ func corpusDB(t *testing.T) *DB {
 }
 
 // runCorpus runs both figure queries under every strategy and a derived
-// table under Native (a cached relation, which the result cache's cold
-// tier demotes), twice, so the second pass hits the plan cache.
+// table under Native (a relation the result memo caches), twice, so the
+// second pass hits the plan cache.
 func runCorpus(t *testing.T, db *DB) {
 	t.Helper()
 	for pass := 0; pass < 2; pass++ {
@@ -164,7 +164,6 @@ func TestMetricsOneSource(t *testing.T) {
 		{"resultcache.eviction", "gmdj_result_cache_evictions_total"},
 		{"mem.admitted", "gmdj_mem_pool_admitted_total"},
 		{"mem.admission_timeouts", "gmdj_mem_pool_timed_out_total"},
-		{"mem.reclaimed_bytes", "gmdj_mem_reclaimed_bytes_total"},
 		{"spill.bytes_written", "gmdj_spill_bytes_written_total"},
 		{"spill.bytes_read", "gmdj_spill_bytes_read_total"},
 		{"storage.segments_written", "olap_storage_segments_written_total"},
@@ -197,19 +196,20 @@ func TestMetricsOneSource(t *testing.T) {
 // spilling limit with a data directory, Metrics holds exactly the keys
 // the process-global registry held for the same work (the list below
 // was recorded at the commit before the registry went, plus the
-// derived table's mem.subquery_overcommit; serve.* and profile.* belong
-// to the serving layer, see internal/serve's TestServeEventLabels).
+// derived table's mem.subquery_overcommit, less the result memo's disk
+// tier and the pool's reclaim valve, which are gone; serve.* and
+// profile.* belong to the serving layer, see internal/serve's
+// TestServeEventLabels).
 func TestMetricsKeySet(t *testing.T) {
 	db := corpusDB(t)
 	runCorpus(t, db)
 	want := []string{
 		"gmdj.coalesced", "gmdj.completed", "gmdj.detail_rows", "gmdj.extra_detail_scans",
 		"gmdj.matches", "gmdj.probes", "gmdj.spill_bytes_written", "gmdj.spill_partitions",
-		"mem.admitted", "mem.reclaimed_bytes", "mem.subquery_overcommit",
+		"mem.admitted", "mem.subquery_overcommit",
 		"plancache.hit", "plancache.miss",
 		"queries.gmdj", "queries.gmdj-opt", "queries.native", "queries.unnest",
 		"resultcache.hit", "resultcache.miss",
-		"resultcache.spill_read", "resultcache.spill_write", "resultcache.spilldown",
 		"rows_scanned",
 		"spill.bytes_read", "spill.bytes_written", "spill.reads", "spill.writes",
 		"storage.bytes_written", "storage.checkpoints", "storage.opens", "storage.recoveries",

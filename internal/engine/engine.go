@@ -102,8 +102,8 @@ type Engine struct {
 	// threaded into the executor.
 	results *plancache.ResultCache
 	// pool is the engine-wide byte pool queries draw reservations from;
-	// spillStore backs spilled operator state and the result cache's
-	// cold tier. Both nil without a memory limit (see memory.go).
+	// spillStore holds the GMDJ base partitions spilled under it. Both
+	// nil without a memory limit (see memory.go).
 	pool       *mem.Pool
 	spillStore *spill.Store
 	// store is the durable columnar tier (nil when persistence is off);
@@ -207,11 +207,8 @@ func New(cat *storage.Catalog, opts ...Option) *Engine {
 		e.plans = plancache.New(c.PlanCacheBytes)
 	}
 	if c.ResultCacheBytes >= 0 {
-		e.results = plancache.NewResults(c.ResultCacheBytes, e.spillStore)
+		e.results = plancache.NewResults(c.ResultCacheBytes)
 		e.exec.Results = e.results
-		// Memory pressure first drains the memo's resident tier before
-		// any query is forced to spill or die.
-		e.pool.SetReclaim(e.results.SpillDown)
 	}
 	e.exec.Parallelism = mem.ClampParallelism(c.MemoryLimit, c.Parallelism)
 	return e

@@ -66,16 +66,12 @@ func (e *Engine) Metrics() map[string]int64 {
 	add("resultcache.hit", rc.Hits)
 	add("resultcache.miss", rc.Misses)
 	add("resultcache.eviction", rc.Evictions)
-	add("resultcache.spill_write", rc.SpillWrites)
-	add("resultcache.spill_read", rc.SpillReads)
-	add("resultcache.spilldown", rc.SpillDowns)
 
 	pool := e.pool.Stats()
 	add("mem.admitted", pool.Admitted)
 	add("mem.queued", pool.QueuedTotal)
 	add("mem.admission_timeouts", pool.TimedOut)
 	add("mem.closed_sheds", pool.ClosedSheds)
-	add("mem.reclaimed_bytes", pool.ReclaimedBytes)
 
 	sp := e.spillStore.Stats()
 	add("spill.stale_dirs_removed", int64(sp.StaleDirsRemoved))

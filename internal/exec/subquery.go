@@ -181,9 +181,8 @@ func (e *Executor) evalSubquerySource(src algebra.Node, q *query) (*relation.Rel
 // chargeSubquery accounts a materialized subquery source against the
 // query's reservation, best-effort: the relation already exists by the
 // time its size is known, so on exhaustion there is nothing to spill —
-// the overcommit is recorded and the query proceeds. The real relief
-// valve is the result cache's cold tier, which the pool's reclaim hook
-// drains when reservations cannot grow.
+// the overcommit is recorded (mem.subquery_overcommit) and the query
+// proceeds.
 func (e *Executor) chargeSubquery(q *query, bytes int64) {
 	if q == nil || bytes <= 0 {
 		return

@@ -18,12 +18,9 @@
 // degrades to "unlimited, unaccounted" — exactly as govern's nil
 // Governor does — so ungoverned evaluation pays one nil check.
 //
-// When the pool cannot satisfy a grow request it first invokes an
-// optional reclaim hook (the engine wires this to the result cache's
-// spill-down, which demotes cold cached relations to disk and drops
-// other cold entries), then retries;
-// only then does the request fail and the operator fall back to its
-// own spill path.
+// When the pool cannot satisfy a grow request the request fails and the
+// operator falls back to its own spill path. The result memo is not a
+// pool user: it is bounded by its own budget (see internal/plancache).
 package mem
 
 import (
@@ -33,7 +30,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -65,12 +61,10 @@ const DefaultAdmissionTimeout = 10 * time.Second
 const DefaultQueryReserve = 1 << 20
 
 // Pool is an engine-wide byte budget: a Queue over bytes that admits
-// queries, plus the reclaim hook a running query's growth falls back
-// on. All methods are safe for concurrent use; a nil Pool is unlimited.
+// queries and that a running query's growth takes from. All methods
+// are safe for concurrent use; a nil Pool is unlimited.
 type Pool struct {
-	q         *Queue
-	reclaim   func(int64) int64
-	reclaimed atomic.Int64
+	q *Queue
 }
 
 // NewPool creates a pool of capacity bytes. admission bounds the
@@ -84,18 +78,6 @@ func NewPool(capacity int64, admission time.Duration) *Pool {
 		admission = DefaultAdmissionTimeout
 	}
 	return &Pool{q: NewQueue(capacity, admission)}
-}
-
-// SetReclaim installs the memory-pressure valve: when a grow request
-// finds the pool short by n bytes, fn(n) is invoked (outside the pool
-// lock) and should return how many bytes it freed — e.g. by demoting
-// cold result-cache entries. Not safe to call concurrently with
-// running queries.
-func (p *Pool) SetReclaim(fn func(int64) int64) {
-	if p == nil {
-		return
-	}
-	p.reclaim = fn
 }
 
 // Capacity returns the pool capacity (0 for a nil pool).
@@ -149,27 +131,6 @@ func (p *Pool) Close() {
 	p.q.Close(fmt.Errorf("%w: query shed from admission queue", ErrPoolClosed))
 }
 
-// tryGrow attempts to take n more bytes, invoking the reclaim hook
-// once when short. It never blocks.
-func (p *Pool) tryGrow(n int64) bool {
-	if p == nil || p.q.TryTake(n) {
-		return true
-	}
-	short := p.inUse() + n - p.q.capacity
-	if short <= 0 { // freed since TryTake failed
-		return p.q.TryTake(n)
-	}
-	if p.reclaim == nil {
-		return false
-	}
-	freed := p.reclaim(short)
-	if freed <= 0 {
-		return false
-	}
-	p.reclaimed.Add(freed)
-	return p.q.TryTake(n)
-}
-
 // free returns the currently unreserved bytes.
 func (p *Pool) free() int64 {
 	if p == nil {
@@ -198,9 +159,6 @@ type PoolStats struct {
 	TimedOut    int64 `json:"timed_out"`
 	QueuedTotal int64 `json:"queued_total"`
 	ClosedSheds int64 `json:"closed_sheds"`
-	// ReclaimedBytes counts bytes freed by the reclaim hook (cache
-	// spill-down) under pressure.
-	ReclaimedBytes int64 `json:"reclaimed_bytes"`
 }
 
 // Utilization is the pool's in-use fraction in [0, 1] (0 for an
@@ -224,14 +182,13 @@ func (p *Pool) Stats() PoolStats {
 	}
 	s := p.q.Stats()
 	return PoolStats{
-		Capacity:       s.Capacity,
-		InUse:          s.InUse,
-		Queued:         s.Queued,
-		Admitted:       s.Admitted,
-		TimedOut:       s.TimedOut,
-		QueuedTotal:    s.QueuedTotal,
-		ClosedSheds:    s.ClosedSheds,
-		ReclaimedBytes: p.reclaimed.Load(),
+		Capacity:    s.Capacity,
+		InUse:       s.InUse,
+		Queued:      s.Queued,
+		Admitted:    s.Admitted,
+		TimedOut:    s.TimedOut,
+		QueuedTotal: s.QueuedTotal,
+		ClosedSheds: s.ClosedSheds,
 	}
 }
 
@@ -269,7 +226,7 @@ func (r *Reservation) grow(n int64) error {
 	}
 	need := r.used + n - r.granted
 	r.mu.Unlock()
-	if !r.pool.tryGrow(need) {
+	if !r.pool.q.TryTake(need) { // never blocks
 		return fmt.Errorf("%w: need %d more bytes (reservation %d used of %d granted, pool %d/%d)",
 			ErrExhausted, need, r.Used(), r.Granted(), r.pool.inUse(), r.pool.Capacity())
 	}

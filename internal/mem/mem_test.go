@@ -13,7 +13,6 @@ func TestNilSafety(t *testing.T) {
 	if p.Capacity() != 0 || p.free() != 0 || p.inUse() != 0 {
 		t.Fatal("nil pool not zero")
 	}
-	p.SetReclaim(func(int64) int64 { return 0 })
 	if got := p.Stats(); got != (PoolStats{}) {
 		t.Fatalf("nil pool stats = %+v", got)
 	}
@@ -261,38 +260,6 @@ func TestAdmissionCancellation(t *testing.T) {
 	}
 	if s := p.Stats(); s.TimedOut != 0 {
 		t.Fatalf("cancellation counted as timeout: %+v", s)
-	}
-}
-
-func TestReclaimHook(t *testing.T) {
-	p := NewPool(100, time.Second)
-	var asked int64
-	p.SetReclaim(func(n int64) int64 {
-		asked = n
-		// Model a cache spilling down: pretend the pool's user released
-		// bytes (the real hook demotes cache entries whose reservation
-		// releases them).
-		p.q.Leave(n)
-		return n
-	})
-	res, err := p.Acquire(context.Background(), 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer res.Release()
-	tr := res.Tracker("op")
-	if err := tr.Grow(100); err != nil {
-		t.Fatal(err)
-	}
-	// Pool full; growing further must invoke reclaim for the shortfall.
-	if err := tr.Grow(30); err != nil {
-		t.Fatalf("grow with reclaim: %v", err)
-	}
-	if asked != 30 {
-		t.Fatalf("reclaim asked for %d, want 30", asked)
-	}
-	if s := p.Stats(); s.ReclaimedBytes != 30 {
-		t.Fatalf("ReclaimedBytes = %d, want 30", s.ReclaimedBytes)
 	}
 }
 

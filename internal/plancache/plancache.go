@@ -1,8 +1,9 @@
 // Package plancache implements the cross-query caching layers behind
 // prepared statements: a parameterized plan cache (normalized SQL →
-// compiled physical plan template) and a generic byte-budgeted result
-// cache used for engine-level memoization of uncorrelated subquery
-// materializations and GMDJ detail-side hash partitions.
+// compiled physical plan template) and a result cache used for
+// engine-level memoization of uncorrelated subquery materializations
+// and GMDJ detail-side hash partitions. Both are one byte-budgeted,
+// in-memory LRU (lru), keyed and validated differently.
 //
 // Correctness relies on two epoch mechanisms (see DESIGN.md):
 //
@@ -20,9 +21,6 @@
 package plancache
 
 import (
-	"container/list"
-	"sync"
-
 	"github.com/olaplab/gmdj/internal/algebra"
 	"github.com/olaplab/gmdj/internal/expr"
 )
@@ -47,40 +45,10 @@ type Entry struct {
 	// SchemaEpoch is the catalog schema epoch the plan was compiled
 	// under; a hit under any other epoch is discarded.
 	SchemaEpoch uint64
-
-	bytes int64
-}
-
-// Stats is a point-in-time snapshot of a cache's counters.
-type Stats struct {
-	Hits, Misses, Evictions, Invalidations int64
-	Entries                                int
-	Bytes                                  int64
-	// Spill-tier counters (result cache only; zero for the plan cache):
-	// relations written to / promoted back from the file-backed cold
-	// tier, and the bytes currently held cold on disk.
-	SpillWrites, SpillReads int64
-	ColdEntries             int
-	ColdBytes               int64
-	// SpillDowns counts entries the pool's reclaim hook pushed out
-	// (relations demoted, others dropped), not LRU evictions.
-	SpillDowns int64
 }
 
 // Cache is a byte-budgeted LRU plan cache.
-type Cache struct {
-	mu    sync.Mutex
-	max   int64
-	cur   int64
-	ll    *list.List // front = most recent; values are *planItem
-	items map[Key]*list.Element
-	stats Stats
-}
-
-type planItem struct {
-	key   Key
-	entry *Entry
-}
+type Cache struct{ lru[Key, *Entry] }
 
 // DefaultPlanBytes is the plan-cache budget used when callers pass a
 // non-positive limit: generous for plan templates (a plan is a few KB)
@@ -93,77 +61,32 @@ func New(maxBytes int64) *Cache {
 	if maxBytes <= 0 {
 		maxBytes = DefaultPlanBytes
 	}
-	return &Cache{max: maxBytes, ll: list.New(), items: make(map[Key]*list.Element)}
+	return &Cache{newLRU[Key, *Entry](maxBytes)}
 }
 
 // Get returns the entry for k when present and compiled under
 // schemaEpoch. A present-but-stale entry is dropped and counted as an
 // invalidation (plus a miss: the caller must recompile either way).
 func (c *Cache) Get(k Key, schemaEpoch uint64) (*Entry, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[k]
-	if !ok {
-		c.stats.Misses++
-		return nil, false
-	}
-	it := el.Value.(*planItem)
-	if it.entry.SchemaEpoch != schemaEpoch {
-		c.removeLocked(el)
-		c.stats.Invalidations++
-		c.stats.Misses++
-		return nil, false
-	}
-	c.ll.MoveToFront(el)
-	c.stats.Hits++
-	return it.entry, true
+	return c.get(k, func(e *Entry) bool {
+		if e.SchemaEpoch != schemaEpoch {
+			c.stats.Invalidations++
+			return false
+		}
+		return true
+	})
 }
 
 // Put inserts (or replaces) the entry for k and evicts from the LRU
 // tail until the byte budget holds.
-func (c *Cache) Put(k Key, e *Entry) {
-	e.bytes = planBytes(k, e)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[k]; ok {
-		c.removeLocked(el)
-	}
-	el := c.ll.PushFront(&planItem{key: k, entry: e})
-	c.items[k] = el
-	c.cur += e.bytes
-	for c.cur > c.max && c.ll.Len() > 1 {
-		c.stats.Evictions++
-		c.removeLocked(c.ll.Back())
-	}
-}
-
-func (c *Cache) removeLocked(el *list.Element) {
-	it := el.Value.(*planItem)
-	c.ll.Remove(el)
-	delete(c.items, it.key)
-	c.cur -= it.entry.bytes
-}
+func (c *Cache) Put(k Key, e *Entry) { c.put(k, e, planBytes(k, e)) }
 
 // Stats snapshots the cache counters (zero value for a nil cache).
 func (c *Cache) Stats() Stats {
 	if c == nil {
 		return Stats{}
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	s := c.stats
-	s.Entries = c.ll.Len()
-	s.Bytes = c.cur
-	return s
-}
-
-// Purge drops every entry (counters are preserved).
-func (c *Cache) Purge() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.ll.Init()
-	c.items = make(map[Key]*list.Element)
-	c.cur = 0
+	return c.snapshot()
 }
 
 // planBytes estimates an entry's resident size: key text plus a flat

@@ -4,64 +4,14 @@ import (
 	"encoding/binary"
 	"fmt"
 
-	"github.com/olaplab/gmdj/internal/relation"
 	"github.com/olaplab/gmdj/internal/value"
 )
 
-// This file is the spill wire format: relations and tuples in the
-// engine's one cell encoding (value.AppendBinary, Schema.AppendBinary —
-// the same bytes the durable tier stores), and GMDJ base partitions as
-// positions and key hashes. A relation is also the one value the result
-// cache's cold tier demotes to disk; other cached values (GMDJ detail
-// hash vectors, which rehash faster than they round-trip) are dropped.
-//
-// Every decoder reads through value.Reader, so any structural
-// violation is an error, never a panic or an oversized allocation —
-// the bytes may have survived a disk and the checksum is only 64 bits
-// (FuzzSpillDecode leans on this).
-
-// AppendTuple encodes one tuple (width uvarint + cells).
-func AppendTuple(buf []byte, t relation.Tuple) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(t)))
-	for _, v := range t {
-		buf = value.AppendBinary(buf, v)
-	}
-	return buf
-}
-
-// ReadTuple decodes one tuple at r; malformed input is recorded on r.
-func ReadTuple(r *value.Reader) relation.Tuple {
-	t := make(relation.Tuple, r.Count())
-	for i := range t {
-		t[i] = r.Value()
-	}
-	return t
-}
-
-// EncodeRelation encodes schema and rows.
-func EncodeRelation(rel *relation.Relation) []byte {
-	buf := rel.Schema.AppendBinary(nil)
-	buf = binary.AppendUvarint(buf, uint64(len(rel.Rows)))
-	for _, t := range rel.Rows {
-		buf = AppendTuple(buf, t)
-	}
-	return buf
-}
-
-// DecodeRelation is the inverse of EncodeRelation.
-func DecodeRelation(data []byte) (*relation.Relation, error) {
-	r := value.NewReader(data)
-	rel := relation.New(relation.ReadSchema(r))
-	nrows := r.Count()
-	rel.Rows = make([]relation.Tuple, 0, nrows)
-	for i := 0; i < nrows && r.Err() == nil; i++ {
-		rel.Rows = append(rel.Rows, ReadTuple(r))
-	}
-	if err := r.Finish(); err != nil {
-		return nil, fmt.Errorf("spill codec: relation: %w", err)
-	}
-	return rel, nil
-}
+// This file is the spill wire format: a GMDJ base partition as its
+// positions and key hashes. Its decoder reads through value.Reader, so
+// any structural violation is an error, never a panic or an oversized
+// allocation — the bytes may have survived a disk and the checksum is
+// only 64 bits (FuzzSpillDecode leans on this).
 
 // EncodePositions encodes a spilled GMDJ base partition — the rows stay
 // resident with the evaluator — as a count, its ascending base positions

@@ -1,7 +1,7 @@
 // Package spill is the engine's file-backed store for operator state
-// that no longer fits its memory reservation: GMDJ base-state
-// partitions evicted under pressure, uncorrelated-subquery
-// materializations, and cold result-cache entries all move through it.
+// that no longer fits its memory reservation. Its one user is the
+// GMDJ, whose base-state partitions move through it under pressure;
+// its GSPL frame is also the durable tier's envelope (frame.go).
 //
 // Files live under a per-engine scratch directory named
 // gmdj-scratch-<pid>-<seq> inside a configurable root; NewScratch

@@ -7,11 +7,13 @@ import (
 	"math"
 	"math/rand"
 	"os"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
 
 	"github.com/olaplab/gmdj/internal/relation"
+	"github.com/olaplab/gmdj/internal/spill"
 	"github.com/olaplab/gmdj/internal/value"
 )
 
@@ -134,6 +136,51 @@ func TestSegmentDecodeRejectsCorruption(t *testing.T) {
 	// Trailing garbage is structural corruption, not slack.
 	if _, err := decodeSegment(append(append([]byte(nil), clean...), 0x00)); err == nil {
 		t.Fatal("trailing byte went undetected")
+	}
+}
+
+// TestSegmentForgedLengths: segment files whose frames are intact but
+// whose lengths and counts lie decode to an error, or to no more cells
+// than the bytes account for, and allocate at most the count cap's
+// worth of cells, never the forged figure. They cover the header's
+// table name and relation.ReadSchema's column names (a 2^64-1 byte
+// string) and column count (as many as Reader.Count lets through), and
+// a boxed column's cells, read by value.Reader (a 2^64-1 byte string;
+// as many NULLs as the count cap allows, which is valid).
+func TestSegmentForgedLengths(t *testing.T) {
+	huge := binary.AppendUvarint(nil, math.MaxUint64)
+	header := func(rows uint64, schema ...byte) []byte {
+		h := value.AppendString(binary.AppendUvarint(nil, segFormatVersion), "t")
+		return append(binary.AppendUvarint(h, rows), schema...)
+	}
+	boxed := func(rows uint64, cells ...byte) []byte {
+		col := append([]byte{encBoxed, byte(value.KindNull)}, binary.AppendUvarint(nil, rows)...)
+		return spill.AppendFrame(spill.AppendFrame(nil, header(rows, 1, 0, 1, 'x', byte(value.KindNull))), append(col, cells...))
+	}
+	for _, c := range []struct {
+		name  string
+		data  []byte
+		valid bool
+	}{
+		{"table name", spill.AppendFrame(nil, append(binary.AppendUvarint(nil, segFormatVersion), huge...)), false},
+		{"column name", spill.AppendFrame(nil, header(0, append([]byte{1, 0}, huge...)...)), false},
+		{"column count", spill.AppendFrame(nil, header(0, append(binary.AppendUvarint(nil, 4000), make([]byte, 4000)...)...)), false},
+		{"boxed string", boxed(1, append([]byte{byte(value.KindString)}, huge...)...), false},
+		{"boxed count cap", boxed(4000, make([]byte, 4000)...), true},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		seg, err := decodeSegment(c.data)
+		runtime.ReadMemStats(&after)
+		if (err == nil) != c.valid {
+			t.Errorf("%s: decodeSegment error = %v, want valid=%v", c.name, err, c.valid)
+		}
+		if err == nil && seg.Rows*seg.Schema.Len() > len(c.data) {
+			t.Errorf("%s: %d rows × %d columns from %d bytes", c.name, seg.Rows, seg.Schema.Len(), len(c.data))
+		}
+		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(128*len(c.data)+16<<10); got > limit {
+			t.Errorf("%s: allocated %d bytes decoding %d input bytes (limit %d)", c.name, got, len(c.data), limit)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package value
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"reflect"
@@ -474,5 +475,36 @@ func TestNaNTotalOrder(t *testing.T) {
 	}
 	if CompareFloat(0, math.Copysign(0, -1)) != 0 || CompareFloat(1<<53, 1<<53+1) != 0 {
 		t.Error("CompareFloat tells 0.0 from -0.0, or 2^53 from 2^53+1 as float64")
+	}
+}
+
+// TestDefensiveDecoding: a Reader over truncated, garbage or forged
+// cells records an error, never panics. A forged string length of
+// 2^64-1 wraps to -1 as an int; bounds arithmetic on it used to slice
+// backwards and panic. A count past the bytes remaining reads as 0.
+func TestDefensiveDecoding(t *testing.T) {
+	var enc []byte
+	for _, v := range []Value{Int(-42), Float(3.25), Str("héllo – utf8"), Bool(true), Null, Str("")} {
+		enc = AppendBinary(enc, v)
+	}
+	for cut := 0; cut <= len(enc); cut++ {
+		r := NewReader(enc[:cut])
+		for r.Err() == nil && r.Len() > 0 {
+			r.Value()
+		}
+	}
+	r := NewReader([]byte{0xFF, 0xFF, 0xFF})
+	if r.Value(); r.Err() == nil {
+		t.Fatal("garbage cell decoded")
+	}
+	r = NewReader(append([]byte{byte(KindString)}, binary.AppendUvarint(nil, math.MaxUint64)...))
+	if r.Value(); r.Err() == nil {
+		t.Fatal("a 2^64-1 byte string decoded")
+	}
+	for _, claim := range []uint64{math.MaxUint64, 3} {
+		r := NewReader(append(binary.AppendUvarint(nil, claim), 0))
+		if n := r.Count(); n != 0 || r.Err() == nil {
+			t.Fatalf("a count of %d over one byte read as %d (err %v)", claim, n, r.Err())
+		}
 	}
 }

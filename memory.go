@@ -8,16 +8,14 @@ import (
 
 // Memory-adaptive execution. WithMemoryLimit bounds the bytes of
 // tracked operator state (GMDJ base-side hash state, materialized
-// subquery sources, the result memo) across all concurrent queries on
-// the DB. Under the limit, the engine degrades instead of failing:
+// subquery sources) across all concurrent queries on the DB; the
+// result memo is bounded by its own WithResultCache budget instead. Under the limit, the engine degrades instead of failing:
 //
 //   - A GMDJ node whose state does not fit its reservation partitions
 //     its base state by hash prefix and spills cold partitions to temp
 //     files, re-probing each spilled partition with one extra detail
 //     scan (the paper's one-scan guarantee relaxes to 1+k scans;
 //     EXPLAIN ANALYZE reports the spill counters honestly).
-//   - The cross-query result memo demotes its LRU tail to disk under
-//     pressure and promotes entries back on demand.
 //   - A query that cannot be admitted to the pool queues until capacity
 //     frees, and is shed with ErrAdmissionTimeout as a last resort.
 //
@@ -72,9 +70,6 @@ type MemStats struct {
 	// Admitted and TimedOut count queries granted and shed so far.
 	Queued             int
 	Admitted, TimedOut int64
-	// ReclaimedBytes counts bytes freed by demoting result-cache
-	// entries to disk under pressure.
-	ReclaimedBytes int64
 	// SpillEnabled reports whether exhaustion degrades to disk;
 	// SpillDir is the DB's scratch directory.
 	SpillEnabled bool
@@ -96,7 +91,6 @@ func (db *DB) MemStats() MemStats {
 		Queued:            ms.Pool.Queued,
 		Admitted:          ms.Pool.Admitted,
 		TimedOut:          ms.Pool.TimedOut,
-		ReclaimedBytes:    ms.Pool.ReclaimedBytes,
 		SpillEnabled:      ms.SpillEnabled,
 		SpillDir:          ms.Spill.Dir,
 		SpillLiveFiles:    ms.Spill.LiveFiles,

@@ -76,7 +76,6 @@ func (db *DB) PromCollect(p *obs.PromWriter, extra map[string]int64) {
 	p.Gauge("gmdj_mem_pool_queued", "Queries queued for pool admission (waiting admission waiters).", nil, float64(ms.Queued))
 	p.Counter("gmdj_mem_pool_admitted_total", "Queries admitted to the memory pool.", nil, ms.Admitted)
 	p.Counter("gmdj_mem_pool_timed_out_total", "Queries shed at the admission deadline.", nil, ms.TimedOut)
-	p.Counter("gmdj_mem_reclaimed_bytes_total", "Bytes freed under pressure by pushing result-cache entries out (relations demoted to disk, others dropped).", nil, ms.ReclaimedBytes)
 	p.Counter("gmdj_spill_bytes_written_total", "Bytes written to the scratch spill store.", nil, ms.SpillBytesWritten)
 	p.Counter("gmdj_spill_bytes_read_total", "Bytes read back from the scratch spill store.", nil, ms.SpillBytesRead)
 	p.Gauge("gmdj_spill_live_files", "Live files in the scratch spill store.", nil, float64(ms.SpillLiveFiles))
