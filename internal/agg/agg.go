@@ -11,6 +11,7 @@ package agg
 import (
 	"fmt"
 	"math"
+	"strings"
 
 	"github.com/olaplab/gmdj/internal/expr"
 	"github.com/olaplab/gmdj/internal/relation"
@@ -328,14 +329,15 @@ func scatter[T any](dst, src []T, to []int32) {
 
 // OutputSchema returns the columns the spec list appends, named per
 // each spec's As (or a synthesized fᵢ_R_cᵢ name when As is empty, the
-// paper's default naming).
+// paper's default naming, with the argument's dots made underscores so
+// that the name reads back as one unqualified column).
 func OutputSchema(specs []Spec, detailName string) []relation.Column {
 	cols := make([]relation.Column, len(specs))
 	for i, s := range specs {
 		name := s.As
 		if name == "" {
 			if s.Arg != nil {
-				name = fmt.Sprintf("%s_%s_%s", s.Func, detailName, s.Arg)
+				name = fmt.Sprintf("%s_%s_%s", s.Func, detailName, strings.ReplaceAll(s.Arg.String(), ".", "_"))
 			} else {
 				name = fmt.Sprintf("count_%s", detailName)
 			}

@@ -215,7 +215,7 @@ func TestOutputSchemaNaming(t *testing.T) {
 	if cols[1].Name != "count_Flow" {
 		t.Errorf("col1 = %q", cols[1].Name)
 	}
-	if cols[2].Name != "max_Flow_F.X" {
+	if cols[2].Name != "max_Flow_F_X" {
 		t.Errorf("col2 = %q", cols[2].Name)
 	}
 }

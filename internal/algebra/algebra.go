@@ -172,15 +172,22 @@ func ProjectCols(input Node, distinct bool, cols ...string) *Project {
 	return NewProject(input, distinct, items...)
 }
 
-// Schema derives one column per item: column references keep their
-// identity unless aliased; computed items require an alias.
+// Schema is ProjectSchema over the input's schema.
 func (p *Project) Schema(res SchemaResolver) (*relation.Schema, error) {
 	in, err := p.Input.Schema(res)
 	if err != nil {
 		return nil, err
 	}
-	cols := make([]relation.Column, len(p.Items))
-	for i, it := range p.Items {
+	return ProjectSchema(in, p.Items)
+}
+
+// ProjectSchema derives a projection's output columns from its input
+// schema, one per item: column references keep their identity unless
+// aliased; computed items require an alias. The executor applies it to
+// the materialized input, so plan and result agree by construction.
+func ProjectSchema(in *relation.Schema, items []ProjItem) (*relation.Schema, error) {
+	cols := make([]relation.Column, len(items))
+	for i, it := range items {
 		if c, ok := it.E.(*expr.Col); ok {
 			pos, err := in.Find(c.Qualifier, c.Name)
 			if err != nil {
@@ -314,21 +321,27 @@ func NewGroupBy(input Node, keys []*expr.Col, aggs []agg.Spec) *GroupBy {
 	return &GroupBy{Input: input, Keys: keys, Aggs: aggs}
 }
 
-// Schema is key columns followed by aggregate outputs.
+// Schema is GroupBySchema over the input's schema.
 func (g *GroupBy) Schema(res SchemaResolver) (*relation.Schema, error) {
 	in, err := g.Input.Schema(res)
 	if err != nil {
 		return nil, err
 	}
-	var cols []relation.Column
-	for _, k := range g.Keys {
+	return GroupBySchema(in, g.Keys, g.Aggs)
+}
+
+// GroupBySchema derives a grouped aggregation's output columns from its
+// input schema: the key columns, then one column per aggregate.
+func GroupBySchema(in *relation.Schema, keys []*expr.Col, aggs []agg.Spec) (*relation.Schema, error) {
+	cols := make([]relation.Column, 0, len(keys)+len(aggs))
+	for _, k := range keys {
 		pos, err := in.Find(k.Qualifier, k.Name)
 		if err != nil {
 			return nil, err
 		}
 		cols = append(cols, in.Columns[pos])
 	}
-	cols = append(cols, agg.OutputSchema(g.Aggs, "")...)
+	cols = append(cols, agg.OutputSchema(aggs, "")...)
 	return relation.NewSchema(cols...), nil
 }
 

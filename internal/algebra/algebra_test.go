@@ -1,6 +1,7 @@
 package algebra
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -344,5 +345,56 @@ func TestJoinKindStrings(t *testing.T) {
 	if InnerJoin.String() == "" || LeftOuterJoin.String() == "" ||
 		SemiJoin.String() == "" || AntiJoin.String() == "" {
 		t.Error("empty join kind strings")
+	}
+}
+
+// TestMapInputsEveryKind: MapInputs rebuilds every non-leaf kind. An
+// identity map reproduces the node's rendering and EXPLAIN label, and a
+// mapping function is called on every Children entry, in order, with
+// what it returns in their place — so the passes that recurse through
+// MapInputs (Unnest, AttachCompletion, Coalesce, PushSelections) can
+// neither skip nor drop a kind listed here.
+func TestMapInputsEveryKind(t *testing.T) {
+	l, r := NewScan("Flow", "L"), NewScan("Hours", "R")
+	aggs := []agg.Spec{{Func: agg.CountStar, As: "n"}}
+	on := expr.Eq(expr.C("L.StartTime"), expr.C("R.HourDsc"))
+	g := NewGMDJ(l, r, GMDJCond{Theta: on, Aggs: aggs})
+	g.Completion = &CompletionInfo{Atoms: []CompletionAtom{{Kind: AtomNonZero}}, Tree: Leaf(0), FreezeTrue: true}
+	for _, n := range []Node{
+		NewAlias(l, "A"),
+		NewNumber(l, "rid"),
+		NewDistinct(l),
+		Filter(l, expr.NewCmp(value.GT, expr.C("L.NumBytes"), expr.IntLit(0))),
+		NewProject(l, true, ProjItem{E: expr.C("L.StartTime"), As: "t"}),
+		NewJoin(SemiJoin, l, r, on),
+		NewGroupBy(l, []*expr.Col{expr.C("L.SourceIP")}, aggs),
+		g,
+		NewSort(l, []SortKey{{E: expr.C("L.StartTime"), Desc: true}}, 3),
+		NewSetOp(Except, l, r),
+	} {
+		same, err := MapInputs(n, func(c Node) (Node, error) { return c, nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if same == n {
+			t.Errorf("%T: returned as it is, not rebuilt", n)
+		}
+		label, extras := Describe(n)
+		gotLabel, gotExtras := Describe(same)
+		if same.String() != n.String() || gotLabel != label || !slices.Equal(gotExtras, extras) {
+			t.Errorf("%T: identity map gave %s (%s), want %s (%s)", n, same, gotLabel, n, label)
+		}
+		var seen, put []Node
+		mapped, err := MapInputs(n, func(c Node) (Node, error) {
+			seen = append(seen, c)
+			put = append(put, NewDistinct(c))
+			return put[len(put)-1], nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(seen, n.Children()) || !slices.Equal(mapped.Children(), put) {
+			t.Errorf("%T: fn saw %v and put %v, node has children %v and then %v", n, seen, put, n.Children(), mapped.Children())
+		}
 	}
 }

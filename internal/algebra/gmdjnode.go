@@ -45,33 +45,47 @@ func NewGMDJ(base, detail Node, conds ...GMDJCond) *GMDJ {
 	return &GMDJ{Base: base, Detail: detail, Conds: conds}
 }
 
-// Schema is the base schema extended with one column per aggregate
-// spec, in condition order. Aggregate output columns are unqualified
-// and named by each spec's As.
+// Schema is GMDJSchema over the base's schema.
 func (g *GMDJ) Schema(res SchemaResolver) (*relation.Schema, error) {
 	base, err := g.Base.Schema(res)
 	if err != nil {
 		return nil, err
 	}
+	return GMDJSchema(base, g.Conds)
+}
+
+// GMDJSchema derives a GMDJ's output columns from its base schema: the
+// base columns, then AggColumns. The evaluator applies it to the
+// materialized base, so plan and result agree by construction. An
+// aggregate column whose name another output column already has is an
+// error.
+func GMDJSchema(base *relation.Schema, conds []GMDJCond) (*relation.Schema, error) {
 	cols := append([]relation.Column{}, base.Columns...)
 	seen := map[string]bool{}
 	for _, c := range base.Columns {
 		seen[c.Name] = true
 	}
-	detailName := "R"
-	if sc, ok := g.Detail.(*Scan); ok {
-		detailName = sc.EffectiveAlias()
-	}
-	for _, cond := range g.Conds {
-		for _, col := range agg.OutputSchema(cond.Aggs, detailName) {
-			if seen[col.Name] {
-				return nil, fmt.Errorf("algebra: duplicate GMDJ output column %q (rename the aggregate)", col.Name)
-			}
-			seen[col.Name] = true
-			cols = append(cols, col)
+	for _, col := range AggColumns(conds) {
+		if seen[col.Name] {
+			return nil, fmt.Errorf("algebra: duplicate GMDJ output column %q (rename the aggregate)", col.Name)
 		}
+		seen[col.Name] = true
+		cols = append(cols, col)
 	}
 	return relation.NewSchema(cols...), nil
+}
+
+// AggColumns lists a GMDJ's aggregate output columns, one per spec in
+// condition order, unqualified and named by each spec's As. An
+// un-aliased spec is named after the paper's detail relation R
+// (count_R, sum_R_F_NumBytes) whatever the detail plan is: the
+// evaluator sees only the detail's rows, not its alias.
+func AggColumns(conds []GMDJCond) []relation.Column {
+	var cols []relation.Column
+	for _, c := range conds {
+		cols = append(cols, agg.OutputSchema(c.Aggs, "R")...)
+	}
+	return cols
 }
 
 // Children returns base and detail.

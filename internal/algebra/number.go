@@ -19,15 +19,20 @@ type Number struct {
 // NewNumber appends a row-id column named as.
 func NewNumber(input Node, as string) *Number { return &Number{Input: input, As: as} }
 
-// Schema is the input schema plus the ordinal column.
+// Schema is NumberSchema over the input's schema.
 func (n *Number) Schema(res SchemaResolver) (*relation.Schema, error) {
 	in, err := n.Input.Schema(res)
 	if err != nil {
 		return nil, err
 	}
+	return NumberSchema(in, n.As), nil
+}
+
+// NumberSchema is the input schema plus the ordinal INT column as.
+func NumberSchema(in *relation.Schema, as string) *relation.Schema {
 	cols := append(append([]relation.Column{}, in.Columns...),
-		relation.Column{Name: n.As, Type: value.KindInt})
-	return relation.NewSchema(cols...), nil
+		relation.Column{Name: as, Type: value.KindInt})
+	return relation.NewSchema(cols...)
 }
 
 // Children returns the input.

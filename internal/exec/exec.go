@@ -281,9 +281,7 @@ func (e *Executor) evalNode(n algebra.Node, ev *env) (*relation.Relation, error)
 		if err := ev.q.fire("exec.number"); err != nil {
 			return nil, err
 		}
-		cols := append(append([]relation.Column{}, in.Schema.Columns...),
-			relation.Column{Name: node.As, Type: value.KindInt})
-		out := relation.New(relation.NewSchema(cols...))
+		out := relation.New(algebra.NumberSchema(in.Schema, node.As))
 		// Row numbering is ordinal by definition, so the loop stays
 		// serial: rows are numbered in arrival order.
 		for i, row := range in.Rows {
@@ -454,14 +452,9 @@ func (e *Executor) evalProject(p *algebra.Project, ev *env) (*relation.Relation,
 	if err := ev.q.fire("exec.project"); err != nil {
 		return nil, err
 	}
-	outSchema, err := p.Schema(e)
+	outSchema, err := algebra.ProjectSchema(in.Schema, p.Items)
 	if err != nil {
-		// Schema inference through resolver can fail for Raw inputs;
-		// fall back to inferring from the materialized input.
-		outSchema, err = projectSchemaFrom(p, in.Schema)
-		if err != nil {
-			return nil, err
-		}
+		return nil, err
 	}
 	bound := make([]expr.Expr, len(p.Items))
 	full := ev.schema.Concat(in.Schema)
@@ -542,31 +535,6 @@ func (e *Executor) evalProject(p *algebra.Project, ev *env) (*relation.Relation,
 	return concatMorsels(outSchema, outs), nil
 }
 
-// projectSchemaFrom infers a projection schema directly from a
-// materialized input schema.
-func projectSchemaFrom(p *algebra.Project, in *relation.Schema) (*relation.Schema, error) {
-	cols := make([]relation.Column, len(p.Items))
-	for i, it := range p.Items {
-		if c, ok := it.E.(*expr.Col); ok {
-			pos, err := in.Find(c.Qualifier, c.Name)
-			if err != nil {
-				return nil, err
-			}
-			col := in.Columns[pos]
-			if it.As != "" {
-				col = relation.Column{Name: it.As, Type: col.Type}
-			}
-			cols[i] = col
-			continue
-		}
-		if it.As == "" {
-			return nil, fmt.Errorf("exec: computed projection %s requires an alias", it.E)
-		}
-		cols[i] = relation.Column{Name: it.As, Type: value.KindNull}
-	}
-	return relation.NewSchema(cols...), nil
-}
-
 func (e *Executor) evalDistinct(d *algebra.Distinct, ev *env) (*relation.Relation, error) {
 	in, err := e.eval(d.Input, ev)
 	if err != nil {
@@ -606,13 +574,13 @@ func (e *Executor) evalGroupBy(g *algebra.GroupBy, ev *env) (*relation.Relation,
 	if err := ev.q.fire("exec.groupby"); err != nil {
 		return nil, err
 	}
+	outSchema, err := algebra.GroupBySchema(in.Schema, g.Keys, g.Aggs)
+	if err != nil {
+		return nil, err
+	}
 	keyPos := make([]int, len(g.Keys))
 	for i, k := range g.Keys {
-		pos, err := in.Schema.Find(k.Qualifier, k.Name)
-		if err != nil {
-			return nil, err
-		}
-		keyPos[i] = pos
+		keyPos[i], _ = in.Schema.Find(k.Qualifier, k.Name) // resolved by GroupBySchema
 	}
 	specs := make([]agg.Spec, len(g.Aggs))
 	for i, s := range g.Aggs {
@@ -651,14 +619,9 @@ func (e *Executor) evalGroupBy(g *algebra.GroupBy, ev *env) (*relation.Relation,
 		fold.Grow()
 		keys = append(keys, relation.Tuple{})
 	}
-	outCols := make([]relation.Column, 0, len(keyPos)+len(specs))
-	for _, pos := range keyPos {
-		outCols = append(outCols, in.Schema.Columns[pos])
-	}
-	outCols = append(outCols, agg.OutputSchema(g.Aggs, "")...)
-	out := relation.New(relation.NewSchema(outCols...))
+	out := relation.New(outSchema)
 	for gi, key := range keys {
-		row := make(relation.Tuple, 0, len(outCols))
+		row := make(relation.Tuple, 0, outSchema.Len())
 		row = append(row, key...)
 		for j := range specs {
 			row = append(row, fold.Result(j, gi))

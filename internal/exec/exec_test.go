@@ -278,6 +278,35 @@ func TestGMDJNodeThroughExecutor(t *testing.T) {
 	}
 }
 
+// TestGMDJPlanSchemaMatchesResult: a hand-built GMDJ whose aggregates
+// carry no alias has the output columns its plan schema promises, so a
+// projection over the plan's own aggregate columns runs.
+func TestGMDJPlanSchemaMatchesResult(t *testing.T) {
+	e := New(testCatalog())
+	g := algebra.NewGMDJ(
+		algebra.NewScan("Hours", "H"), algebra.NewScan("Flow", "F"),
+		algebra.GMDJCond{
+			Theta: expr.NewCmp(value.LT, expr.C("F.StartTime"), expr.C("H.EndInterval")),
+			Aggs:  []agg.Spec{{Func: agg.CountStar}, {Func: agg.Sum, Arg: expr.C("F.NumBytes")}},
+		})
+	plan, err := g.Schema(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := run(t, e, g).Schema
+	if plan.Len() != got.Len() {
+		t.Fatalf("plan schema %v, result schema %v", plan, got)
+	}
+	for i, c := range plan.Columns {
+		if c != got.Columns[i] {
+			t.Errorf("column %d: plan %+v, result %+v", i, c, got.Columns[i])
+		}
+	}
+	for _, c := range plan.Columns[3:] {
+		run(t, e, algebra.ProjectCols(g, false, c.Name))
+	}
+}
+
 // ---------------------------------------------------------------------------
 // Native subquery evaluation
 

@@ -35,11 +35,11 @@ func foldRels(nBase, nDetail int) (*relation.Relation, *relation.Relation) {
 	return base, detail
 }
 
-func kindSpec(f agg.Func) agg.Spec {
+func kindSpec(f agg.Func, as string) agg.Spec {
 	if f == agg.CountStar {
-		return agg.Spec{Func: f, As: "a"}
+		return agg.Spec{Func: f, As: as}
 	}
-	return agg.Spec{Func: f, Arg: expr.C("R.x"), As: "a"}
+	return agg.Spec{Func: f, Arg: expr.C("R.x"), As: as}
 }
 
 // TestEstimateBoundsState: estimateStateBytes, the admission charge, is
@@ -51,8 +51,8 @@ func TestEstimateBoundsState(t *testing.T) {
 	part := partition{rows: base.Rows}
 	for _, f := range aggKinds {
 		conds := []algebra.GMDJCond{
-			{Theta: expr.Eq(expr.C("B.k"), expr.C("R.k")), Aggs: []agg.Spec{kindSpec(f)}},
-			{Theta: expr.NewCmp(value.LT, expr.C("B.y"), expr.C("R.x")), Aggs: []agg.Spec{kindSpec(f)}},
+			{Theta: expr.Eq(expr.C("B.k"), expr.C("R.k")), Aggs: []agg.Spec{kindSpec(f, "a")}},
+			{Theta: expr.NewCmp(value.LT, expr.C("B.y"), expr.C("R.x")), Aggs: []agg.Spec{kindSpec(f, "b")}},
 		}
 		p, err := compile(base, detail, conds, Options{}, 0)
 		if err != nil {
@@ -81,7 +81,7 @@ func TestEstimateBoundsState(t *testing.T) {
 func BenchmarkFold(b *testing.B) {
 	base, detail := foldRels(40000, 200000)
 	for _, f := range []agg.Func{agg.CountStar, agg.Count, agg.Sum, agg.Avg, agg.Min} {
-		conds := []algebra.GMDJCond{{Theta: expr.Eq(expr.C("B.k"), expr.C("R.k")), Aggs: []agg.Spec{kindSpec(f)}}}
+		conds := []algebra.GMDJCond{{Theta: expr.Eq(expr.C("B.k"), expr.C("R.k")), Aggs: []agg.Spec{kindSpec(f, "a")}}}
 		b.Run(fmt.Sprint(f), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

@@ -529,7 +529,10 @@ func compile(base, detail *relation.Relation, conds []algebra.GMDJCond, opts Opt
 	if p.DetailID == "" {
 		p.HashCache = nil
 	}
-	outCols := append([]relation.Column{}, base.Schema.Columns...)
+	var err error
+	if p.outSchema, err = algebra.GMDJSchema(base.Schema, conds); err != nil {
+		return nil, err
+	}
 	for i, c := range conds {
 		cp := &p.conds[i]
 		cp.aggs[0] = len(p.specs)
@@ -541,7 +544,6 @@ func compile(base, detail *relation.Relation, conds []algebra.GMDJCond, opts Opt
 			p.specs = append(p.specs, bound)
 		}
 		cp.aggs[1] = len(p.specs)
-		outCols = append(outCols, agg.OutputSchema(c.Aggs, "R")...)
 		if err := classifyTheta(cp, c.Theta, base.Schema, detail.Schema, combined); err != nil {
 			return nil, fmt.Errorf("gmdj: condition %d (%s): %w", i, c.Theta, err)
 		}
@@ -558,7 +560,6 @@ func compile(base, detail *relation.Relation, conds []algebra.GMDJCond, opts Opt
 			p.conds[a.Cond].atoms = append(p.conds[a.Cond].atoms, ai)
 		}
 	}
-	p.outSchema = relation.NewSchema(outCols...)
 	routed := !p.fallback && len(conds) > 0 && !slices.ContainsFunc(p.conds, func(cp condProg) bool {
 		return !slices.Equal(cp.baseKey, p.conds[0].baseKey) || !slices.Equal(cp.detailKey, p.conds[0].detailKey)
 	})

@@ -8,6 +8,8 @@ import (
 	"github.com/olaplab/gmdj/internal/algebra"
 	"github.com/olaplab/gmdj/internal/exec"
 	"github.com/olaplab/gmdj/internal/expr"
+	"github.com/olaplab/gmdj/internal/relation"
+	"github.com/olaplab/gmdj/internal/storage"
 	"github.com/olaplab/gmdj/internal/value"
 )
 
@@ -158,4 +160,54 @@ func TestCompletionSoundnessUnderRandomPredicates(t *testing.T) {
 				trial, d, basic, optimized)
 		}
 	}
+}
+
+// TestCompletionSeesEnclosingTheta: an enclosing GMDJ's θ reads the
+// count of a σ[C](MD) pair in its base, so the pair may complete early
+// but must not freeze: c is 3, and a c frozen at its first match (1)
+// would let R's row (v = 2) satisfy R.v > c.
+func TestCompletionSeesEnclosingTheta(t *testing.T) {
+	cat := storage.NewCatalog()
+	table := func(name string, cols []string, rows ...relation.Tuple) {
+		sch := make([]relation.Column, len(cols))
+		for i, c := range cols {
+			sch[i] = relation.Column{Qualifier: name, Name: c, Type: value.KindInt}
+		}
+		rel := relation.New(relation.NewSchema(sch...))
+		for _, r := range rows {
+			rel.Append(r)
+		}
+		cat.Register(storage.NewTable(name, rel))
+	}
+	one := relation.Tuple{value.Int(1)}
+	table("B", []string{"k"}, one)
+	table("S", []string{"sk"}, one, one, one)
+	table("R", []string{"rk", "v"}, relation.Tuple{value.Int(1), value.Int(2)})
+	inner := algebra.NewGMDJ(algebra.NewScan("B", ""), algebra.NewScan("S", ""), algebra.GMDJCond{
+		Theta: eqCols("S.sk", "B.k"), Aggs: []agg.Spec{{Func: agg.CountStar, As: "c"}}})
+	outer := algebra.NewGMDJ(algebra.Filter(inner, gt("c", 0)), algebra.NewScan("R", ""), algebra.GMDJCond{
+		Theta: expr.NewAnd(eqCols("R.rk", "B.k"), expr.NewCmp(value.GT, expr.C("R.v"), expr.C("c"))),
+		Aggs:  []agg.Spec{{Func: agg.CountStar, As: "d"}}})
+	plan := algebra.Filter(outer, gt("d", 0))
+	attached := AttachCompletion(plan)
+
+	e := exec.New(cat)
+	want, err := e.Run(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := e.Run(attached)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := want.Diff(got); d != "" || want.Len() != 0 {
+		t.Errorf("%d rows without completion, with it: %s\nplan: %s", want.Len(), d, attached)
+	}
+	walkNodes(attached, func(n algebra.Node) {
+		if g, ok := n.(*algebra.GMDJ); ok && g.Detail.String() == "S" {
+			if g.Completion == nil || g.Completion.FreezeTrue {
+				t.Errorf("inner GMDJ completion %+v, want attached without freezing", g.Completion)
+			}
+		}
+	})
 }

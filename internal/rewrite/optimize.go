@@ -91,16 +91,11 @@ type wrapper struct {
 }
 
 func coalesceGMDJ(g *algebra.GMDJ, res algebra.SchemaResolver) (algebra.Node, error) {
-	base, err := Coalesce(g.Base, res)
+	m, err := algebra.MapInputs(g, func(in algebra.Node) (algebra.Node, error) { return Coalesce(in, res) })
 	if err != nil {
 		return nil, err
 	}
-	detail, err := Coalesce(g.Detail, res)
-	if err != nil {
-		return nil, err
-	}
-	cur := algebra.NewGMDJ(base, detail, g.Conds...)
-	cur.Completion = g.Completion
+	cur := m.(*algebra.GMDJ)
 
 	// Peel selections (σ commutes up through MD unconditionally — its
 	// condition ranges over base columns only) and plain column
@@ -241,14 +236,8 @@ func sameDetail(a, b algebra.Node) (*renameSpec, bool) {
 // aggNames returns the set of aggregate output names of a GMDJ.
 func aggNames(g *algebra.GMDJ) map[string]bool {
 	out := map[string]bool{}
-	for _, c := range g.Conds {
-		for i, a := range c.Aggs {
-			name := a.As
-			if name == "" {
-				name = agg.OutputSchema(c.Aggs, "R")[i].Name
-			}
-			out[name] = true
-		}
+	for _, c := range algebra.AggColumns(g.Conds) {
+		out[c.Name] = true
 	}
 	return out
 }
@@ -267,69 +256,52 @@ func AttachCompletion(plan algebra.Node) algebra.Node {
 }
 
 // attach rewrites the plan top-down; above carries the column names
-// referenced by enclosing operators (reset at projection boundaries).
+// referenced by enclosing operators (reset at projection boundaries),
+// an enclosing GMDJ's conditions included.
 func attach(n algebra.Node, above map[string]bool) algebra.Node {
+	sub := above
 	switch node := n.(type) {
-	case *algebra.Scan, *algebra.Raw:
-		return n
-	case *algebra.Alias:
-		return algebra.NewAlias(attach(node.Input, above), node.Name)
 	case *algebra.Restrict:
-		sub := union(above, predColNames(node.Where))
+		sub = union(above, predColNames(node.Where))
 		if g, ok := node.Input.(*algebra.GMDJ); ok && g.Completion == nil {
 			if atom, isAtom := node.Where.(*algebra.Atom); isAtom {
 				if info, ok := buildCompletion(atom.E, g, above); ok {
-					g2 := algebra.NewGMDJ(attach(g.Base, sub), attach(g.Detail, sub), g.Conds...)
+					g2 := attach(g, sub).(*algebra.GMDJ)
 					g2.Completion = info
 					return algebra.NewRestrict(g2, node.Where)
 				}
 			}
 		}
-		return algebra.NewRestrict(attach(node.Input, sub), node.Where)
 	case *algebra.Project:
-		reset := map[string]bool{}
+		sub = map[string]bool{}
 		for _, it := range node.Items {
 			for _, c := range expr.Cols(it.E) {
-				reset[c.Name] = true
+				sub[c.Name] = true
 			}
 		}
-		return algebra.NewProject(attach(node.Input, reset), node.Distinct, node.Items...)
-	case *algebra.Distinct:
-		return algebra.NewDistinct(attach(node.Input, above))
 	case *algebra.Join:
-		sub := union(above, exprColNames(node.On))
-		return algebra.NewJoin(node.Kind, attach(node.Left, sub), attach(node.Right, sub), node.On)
+		sub = union(above, exprColNames(node.On))
 	case *algebra.GroupBy:
-		reset := map[string]bool{}
+		sub = map[string]bool{}
 		for _, k := range node.Keys {
-			reset[k.Name] = true
+			sub[k.Name] = true
 		}
 		for _, a := range node.Aggs {
 			if a.Arg != nil {
 				for _, c := range expr.Cols(a.Arg) {
-					reset[c.Name] = true
+					sub[c.Name] = true
 				}
 			}
 		}
-		return algebra.NewGroupBy(attach(node.Input, reset), node.Keys, node.Aggs)
 	case *algebra.GMDJ:
-		sub := union(above, condColNames(node.Conds))
-		g := algebra.NewGMDJ(attach(node.Base, sub), attach(node.Detail, sub), node.Conds...)
-		g.Completion = node.Completion
-		return g
+		sub = union(above, condColNames(node.Conds))
 	case *algebra.Sort:
-		sub := above
 		for _, k := range node.Keys {
 			sub = union(sub, exprColNames(k.E))
 		}
-		return algebra.NewSort(attach(node.Input, sub), node.Keys, node.Limit)
-	case *algebra.SetOp:
-		return algebra.NewSetOp(node.Kind, attach(node.Left, above), attach(node.Right, above))
-	case *algebra.Number:
-		return algebra.NewNumber(attach(node.Input, above), node.As)
-	default:
-		return n
 	}
+	out, _ := algebra.MapInputs(n, func(in algebra.Node) (algebra.Node, error) { return attach(in, sub), nil }) // fn never fails
+	return out
 }
 
 // buildCompletion parses a selection condition into a completion

@@ -88,11 +88,7 @@ func (p *pusher) pushRestrict(r *algebra.Restrict) (algebra.Node, error) {
 		if err != nil {
 			return nil, err
 		}
-		outS, err := in.Schema(p.res)
-		if err != nil {
-			return nil, err
-		}
-		aggS := relation.NewSchema(outS.Columns[baseS.Len():]...)
+		aggS := relation.NewSchema(algebra.AggColumns(in.Conds)...)
 		var down, stay []expr.Expr
 		for _, c := range sel {
 			if side, err := algebra.ConjunctSide(c, baseS, aggS); err == nil && side == algebra.SideBase {

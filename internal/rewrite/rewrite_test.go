@@ -739,23 +739,43 @@ func randomPlanWith(rng *rand.Rand, corr func(*rand.Rand, string) expr.Expr) alg
 }
 
 // TestRewritePreservesSubqueryFreePlans: plans without subqueries pass
-// through untouched (modulo normalization).
+// through SubqueryToGMDJ and Unnest untouched — a plain selection, and
+// one plan holding every non-leaf kind.
 func TestRewritePreservesSubqueryFreePlans(t *testing.T) {
 	cat := netflowCatalog(rand.New(rand.NewSource(15)), 50)
 	e := exec.New(cat)
-	plan := algebra.Filter(algebra.NewScan("Hours", "H"),
-		expr.NewCmp(value.GT, expr.C("H.HourDsc"), expr.IntLit(1)))
-	rewritten, err := SubqueryToGMDJ(plan, e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if countGMDJs(rewritten) != 0 {
-		t.Error("subquery-free plan gained GMDJs")
-	}
-	a, _ := e.Run(plan)
-	b, _ := e.Run(rewritten)
-	if d := a.Diff(b); d != "" {
-		t.Error(d)
+	hour := expr.C("H.HourDsc")
+	md := algebra.NewGMDJ(algebra.NewScan("Hours", "H"), algebra.NewScan("Flow", "F"),
+		algebra.GMDJCond{Theta: timeWindow("F", "H"), Aggs: []agg.Spec{{Func: agg.CountStar, As: "n"}}})
+	joined := algebra.NewJoin(algebra.InnerJoin, algebra.NewNumber(md, "rid"),
+		algebra.NewAlias(algebra.NewScan("Hours", ""), "H2"), eqCols("H.HourDsc", "H2.HourDsc"))
+	grouped := algebra.NewGroupBy(algebra.ProjectCols(algebra.Filter(joined, gt("n", -1)), false, "H.HourDsc", "n"),
+		[]*expr.Col{hour}, []agg.Spec{{Func: agg.Sum, Arg: expr.C("n"), As: "total"}})
+	allKinds := algebra.NewSort(algebra.NewDistinct(algebra.NewSetOp(algebra.UnionAll, grouped, grouped)),
+		[]algebra.SortKey{{E: hour}}, -1)
+	for _, plan := range []algebra.Node{algebra.Filter(algebra.NewScan("Hours", "H"), gt("H.HourDsc", 1)), allKinds} {
+		a, err := e.Run(plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rewritten, err := SubqueryToGMDJ(plan, e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		unnested, err := unnest.Unnest(plan, e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, out := range []algebra.Node{rewritten, unnested} {
+			if out.String() != plan.String() {
+				t.Errorf("subquery-free plan changed:\n got  %s\n want %s", out, plan)
+			}
+			if b, err := e.Run(out); err != nil {
+				t.Error(err)
+			} else if d := a.Diff(b); d != "" {
+				t.Error(d)
+			}
+		}
 	}
 }
 

@@ -11,8 +11,8 @@ import (
 // uniformly typed column the payload lives in exactly one of the typed
 // slices (indexed by row, with Nulls flagging SQL NULL positions); a
 // column whose non-NULL cells mix runtime kinds falls back to Boxed,
-// which stores the cells verbatim. Hot paths — zone-map construction,
-// GMDJ detail-key hashing — iterate the typed slices and rebuild
+// which stores the cells verbatim. Hot paths — GMDJ detail-key hashing,
+// rebuilding rows — iterate the typed slices and rebuild
 // value.Value structs on the stack, so packing never costs a per-cell
 // heap allocation.
 type ColVec struct {

@@ -54,17 +54,14 @@ func (z ZoneMap) CanPrune(op value.CmpOp, lit value.Value) bool {
 }
 
 // Segment is an immutable packed-columnar image of one table: the
-// schema, every column as a ColVec, and per-block zone maps. Segments
-// are what the durable store persists and what the executor's
-// batch-oriented scan and the GMDJ's detail-key hashing read.
+// schema and every column as a ColVec. Segments are what the durable
+// store persists and what the GMDJ's detail-key hashing reads; zone
+// maps are not part of one (Table.Zones builds them from the rows).
 type Segment struct {
 	Table  string
 	Schema *relation.Schema
 	Rows   int
 	Cols   []*ColVec
-	// Zones holds one zone-map slice per column; all columns share the
-	// same block boundaries (ZoneBlockRows).
-	Zones [][]ZoneMap
 }
 
 // BuildSegment packs rel into a segment.
@@ -78,7 +75,6 @@ func BuildSegment(table string, rel *relation.Relation) *Segment {
 	for c := range s.Cols {
 		s.Cols[c] = buildColVec(rel, c)
 	}
-	s.buildZones()
 	return s
 }
 
@@ -93,37 +89,7 @@ func (z *ZoneMap) add(v value.Value) {
 	}
 }
 
-// buildZones computes the per-block min/max statistics from the packed
-// columns. Zone maps are derived data: never persisted, so disk
-// corruption cannot desynchronize them from the cells. BuildSegment
-// ends here; a segment decoded from a file carries none (recovery turns
-// it into rows, and Table.Zones builds what a scan asks for from those).
-func (s *Segment) buildZones() {
-	s.Zones = make([][]ZoneMap, len(s.Cols))
-	nblocks := (s.Rows + ZoneBlockRows - 1) / ZoneBlockRows
-	for ci, col := range s.Cols {
-		zones := make([]ZoneMap, nblocks)
-		for b := range zones {
-			lo := b * ZoneBlockRows
-			hi := min(lo+ZoneBlockRows, s.Rows)
-			z := ZoneMap{Rows: hi - lo}
-			for i := lo; i < hi; i++ {
-				if col.Nulls[i] {
-					z.HasNull = true
-				} else if col.Boxed == nil {
-					// Mixed columns keep no min/max: cross-kind Compare
-					// is partial, so the stats could be unsound.
-					z.add(col.Value(i))
-				}
-			}
-			zones[b] = z
-		}
-		s.Zones[ci] = zones
-	}
-}
-
-// colZones is one column's zone maps over a table's first rows rows —
-// what a segment packed from those rows would carry for the column —
+// colZones is one column's zone maps over a table's first rows rows,
 // with the state extending them needs: the kind of the column's first
 // non-NULL cell and whether a later cell had another.
 type colZones struct {
@@ -167,11 +133,6 @@ func (z colZones) extend(rows []relation.Tuple, col int) colZones {
 	}
 	z.zones, z.rows = zones, len(rows)
 	return z
-}
-
-// NumBlocks returns how many zone-map blocks the segment spans.
-func (s *Segment) NumBlocks() int {
-	return (s.Rows + ZoneBlockRows - 1) / ZoneBlockRows
 }
 
 // Relation rebuilds the row-oriented relation the segment was packed

@@ -286,23 +286,23 @@ func TestZoneMapCanPrune(t *testing.T) {
 // that block satisfies it.
 func TestZoneMapPruningSound(t *testing.T) {
 	rel := trickyRel(3*ZoneBlockRows + 123)
-	seg := BuildSegment("t", rel)
+	tab := NewTable("t", rel)
 	ops := []value.CmpOp{value.EQ, value.NE, value.LT, value.LE, value.GT, value.GE}
 	lits := []value.Value{
 		value.Int(0), value.Int(3), value.Int(31), value.Int(-1),
 		value.Float(2.5), value.Float(0), value.Str("beta"), value.Str(""),
 		value.Bool(true), value.Null,
 	}
-	for ci := range seg.Cols {
-		for b, z := range seg.Zones[ci] {
-			lo, hi := b*ZoneBlockRows, min((b+1)*ZoneBlockRows, seg.Rows)
+	for ci := range rel.Schema.Columns {
+		for b, z := range tab.Zones(ci) {
+			lo, hi := b*ZoneBlockRows, min((b+1)*ZoneBlockRows, rel.Len())
 			for _, op := range ops {
 				for _, lit := range lits {
 					if !z.CanPrune(op, lit) {
 						continue
 					}
 					for i := lo; i < hi; i++ {
-						v := seg.Cols[ci].Value(i)
+						v := rel.Rows[i][ci]
 						if v.IsNull() {
 							continue // NULL never satisfies a comparison
 						}
@@ -392,10 +392,10 @@ func TestTableSegmentCachedPerVersion(t *testing.T) {
 }
 
 // TestTableZonesWithoutSegment: Table.Zones gives, per column, exactly
-// the zone maps a segment packed from the same rows carries — NaN, ±0,
-// NULL runs and the mixed-kind column included — without packing one,
-// builds them for the columns asked for and no other, and hands the
-// same slice out until the table grows.
+// the zone maps computed from a segment packed from the same rows —
+// NaN, ±0, NULL runs and the mixed-kind column included — without
+// packing one, builds them for the columns asked for and no other, and
+// hands the same slice out until the table grows.
 func TestTableZonesWithoutSegment(t *testing.T) {
 	rel := trickyRel(2*ZoneBlockRows + 100)
 	tab := NewTable("t", rel)
@@ -426,11 +426,11 @@ func TestTableZonesWithoutSegment(t *testing.T) {
 }
 
 // zonesMatchSegment checks every column's Table.Zones against the zone
-// maps of a segment packed from the table's rows as they are now, which
-// come from the packed columns by other code (buildColVec, buildZones).
+// maps computed from a segment packed from the table's rows as they are
+// now (segmentZones), which reach the cells by other code (buildColVec).
 func zonesMatchSegment(t *testing.T, tab *Table) {
 	t.Helper()
-	want := BuildSegment(tab.Name, tab.Rel).Zones
+	want := segmentZones(BuildSegment(tab.Name, tab.Rel))
 	for c := range want {
 		got := tab.Zones(c)
 		if len(got) != len(want[c]) {
@@ -443,6 +443,30 @@ func zonesMatchSegment(t *testing.T, tab *Table) {
 			}
 		}
 	}
+}
+
+// segmentZones is the reference zone maps: per column, per block of
+// ZoneBlockRows rows, computed from the packed columns. A mixed column,
+// stored Boxed, keeps no min/max: cross-kind Compare is partial, so the
+// bounds could be unsound.
+func segmentZones(s *Segment) [][]ZoneMap {
+	out := make([][]ZoneMap, len(s.Cols))
+	for ci, col := range s.Cols {
+		out[ci] = make([]ZoneMap, (s.Rows+ZoneBlockRows-1)/ZoneBlockRows)
+		for b := range out[ci] {
+			lo, hi := b*ZoneBlockRows, min((b+1)*ZoneBlockRows, s.Rows)
+			z := ZoneMap{Rows: hi - lo}
+			for i := lo; i < hi; i++ {
+				if col.Nulls[i] {
+					z.HasNull = true
+				} else if col.Boxed == nil {
+					z.add(col.Value(i))
+				}
+			}
+			out[ci][b] = z
+		}
+	}
+	return out
 }
 
 // TestZonesExtendMatchScratch: zone maps extended append by append are

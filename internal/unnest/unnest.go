@@ -46,87 +46,17 @@ func (u *unnester) fresh(prefix string) string {
 	return fmt.Sprintf("%s%d", prefix, u.counter)
 }
 
+// walk unnests every subquery-bearing selection below and at n, inputs
+// first.
 func (u *unnester) walk(n algebra.Node) (algebra.Node, error) {
-	switch node := n.(type) {
-	case *algebra.Scan, *algebra.Raw:
-		return n, nil
-	case *algebra.Alias:
-		in, err := u.walk(node.Input)
-		if err != nil {
-			return nil, err
-		}
-		return algebra.NewAlias(in, node.Name), nil
-	case *algebra.Number:
-		in, err := u.walk(node.Input)
-		if err != nil {
-			return nil, err
-		}
-		return algebra.NewNumber(in, node.As), nil
-	case *algebra.Restrict:
-		in, err := u.walk(node.Input)
-		if err != nil {
-			return nil, err
-		}
-		return u.unnestRestrict(in, node.Where)
-	case *algebra.Project:
-		in, err := u.walk(node.Input)
-		if err != nil {
-			return nil, err
-		}
-		return algebra.NewProject(in, node.Distinct, node.Items...), nil
-	case *algebra.Distinct:
-		in, err := u.walk(node.Input)
-		if err != nil {
-			return nil, err
-		}
-		return algebra.NewDistinct(in), nil
-	case *algebra.Join:
-		l, err := u.walk(node.Left)
-		if err != nil {
-			return nil, err
-		}
-		r, err := u.walk(node.Right)
-		if err != nil {
-			return nil, err
-		}
-		return algebra.NewJoin(node.Kind, l, r, node.On), nil
-	case *algebra.GroupBy:
-		in, err := u.walk(node.Input)
-		if err != nil {
-			return nil, err
-		}
-		return algebra.NewGroupBy(in, node.Keys, node.Aggs), nil
-	case *algebra.GMDJ:
-		b, err := u.walk(node.Base)
-		if err != nil {
-			return nil, err
-		}
-		d, err := u.walk(node.Detail)
-		if err != nil {
-			return nil, err
-		}
-		g := algebra.NewGMDJ(b, d, node.Conds...)
-		g.Completion = node.Completion
-		return g, nil
-	case *algebra.Sort:
-		in, err := u.walk(node.Input)
-		if err != nil {
-			return nil, err
-		}
-		return algebra.NewSort(in, node.Keys, node.Limit), nil
-	case *algebra.SetOp:
-		l, err := u.walk(node.Left)
-		if err != nil {
-			return nil, err
-		}
-		r, err := u.walk(node.Right)
-		if err != nil {
-			return nil, err
-		}
-		return algebra.NewSetOp(node.Kind, l, r), nil
-	default:
-		return nil, fmt.Errorf("unnest: unsupported node %T", n)
+	out, err := algebra.MapInputs(n, u.walk)
+	if err != nil {
+		return nil, err
 	}
+	if r, ok := out.(*algebra.Restrict); ok {
+		return u.unnestRestrict(r.Input, r.Where)
+	}
+	return out, nil
 }
 
 type envEntry struct {
