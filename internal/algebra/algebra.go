@@ -172,6 +172,16 @@ func ProjectCols(input Node, distinct bool, cols ...string) *Project {
 	return NewProject(input, distinct, items...)
 }
 
+// SchemaItems lists s's columns as projection items: π over them
+// restores a plan to schema s, dropping the columns a rewrite added.
+func SchemaItems(s *relation.Schema) []ProjItem {
+	items := make([]ProjItem, s.Len())
+	for i, c := range s.Columns {
+		items[i] = ProjItem{E: expr.NewCol(c.Qualifier, c.Name)}
+	}
+	return items
+}
+
 // Schema is ProjectSchema over the input's schema.
 func (p *Project) Schema(res SchemaResolver) (*relation.Schema, error) {
 	in, err := p.Input.Schema(res)

@@ -47,3 +47,20 @@ func MapInputs(n Node, fn func(Node) (Node, error)) (Node, error) {
 	}
 	return out, nil
 }
+
+// MapSubqueries rebuilds n, inputs first, replacing each selection
+// σ[W](B) by fn(B, W) when W, its negations pushed down
+// (PushDownNegations), holds a subquery predicate; SubqueryToGMDJ and
+// Unnest are its two fns. Other selections keep the normalized W.
+func MapSubqueries(n Node, fn func(input Node, w Pred) (Node, error)) (Node, error) {
+	out, err := MapInputs(n, func(c Node) (Node, error) { return MapSubqueries(c, fn) })
+	r, ok := out.(*Restrict)
+	if err != nil || !ok {
+		return out, err
+	}
+	w := PushDownNegations(r.Where)
+	if !HasSubquery(w) {
+		return NewRestrict(r.Input, w), nil
+	}
+	return fn(r.Input, w)
+}

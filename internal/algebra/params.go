@@ -90,44 +90,30 @@ func rewriteAggs(aggs []agg.Spec, fn func(expr.Expr) expr.Expr) []agg.Spec {
 }
 
 func rewritePred(p Pred, fn func(expr.Expr) expr.Expr) Pred {
-	switch t := p.(type) {
-	case nil:
-		return nil
-	case *Atom:
-		return &Atom{E: expr.Rewrite(t.E, fn)}
-	case *PredAnd:
-		terms := make([]Pred, len(t.Terms))
-		for i, q := range t.Terms {
-			terms[i] = rewritePred(q, fn)
+	return MapPred(p, func(q Pred) Pred {
+		switch t := q.(type) {
+		case *Atom:
+			return &Atom{E: expr.Rewrite(t.E, fn)}
+		case *SubPred:
+			var left expr.Expr
+			if t.Left != nil {
+				left = expr.Rewrite(t.Left, fn)
+			}
+			sub := &Subquery{
+				Source: RewriteExprs(t.Sub.Source, fn),
+				Where:  rewritePred(t.Sub.Where, fn),
+				OutCol: t.Sub.OutCol,
+				Agg:    t.Sub.Agg,
+			}
+			if t.Sub.Agg != nil {
+				specs := rewriteAggs([]agg.Spec{*t.Sub.Agg}, fn)
+				sub.Agg = &specs[0]
+			}
+			return &SubPred{Kind: t.Kind, Op: t.Op, Left: left, Sub: sub}
+		default:
+			return q
 		}
-		return &PredAnd{Terms: terms}
-	case *PredOr:
-		terms := make([]Pred, len(t.Terms))
-		for i, q := range t.Terms {
-			terms[i] = rewritePred(q, fn)
-		}
-		return &PredOr{Terms: terms}
-	case *PredNot:
-		return &PredNot{P: rewritePred(t.P, fn)}
-	case *SubPred:
-		var left expr.Expr
-		if t.Left != nil {
-			left = expr.Rewrite(t.Left, fn)
-		}
-		sub := &Subquery{
-			Source: RewriteExprs(t.Sub.Source, fn),
-			Where:  rewritePred(t.Sub.Where, fn),
-			OutCol: t.Sub.OutCol,
-			Agg:    t.Sub.Agg,
-		}
-		if t.Sub.Agg != nil {
-			specs := rewriteAggs([]agg.Spec{*t.Sub.Agg}, fn)
-			sub.Agg = &specs[0]
-		}
-		return &SubPred{Kind: t.Kind, Op: t.Op, Left: left, Sub: sub}
-	default:
-		return p
-	}
+	})
 }
 
 // WalkExprs visits every scalar expression node in the plan (the same
@@ -207,21 +193,11 @@ func collectTables(n Node, seen map[string]bool) {
 }
 
 func collectPredTables(p Pred, seen map[string]bool) {
-	switch t := p.(type) {
-	case nil:
-		return
-	case *PredAnd:
-		for _, q := range t.Terms {
-			collectPredTables(q, seen)
+	WalkPred(p, func(q Pred) bool {
+		if t, ok := q.(*SubPred); ok {
+			collectTables(t.Sub.Source, seen)
+			collectPredTables(t.Sub.Where, seen)
 		}
-	case *PredOr:
-		for _, q := range t.Terms {
-			collectPredTables(q, seen)
-		}
-	case *PredNot:
-		collectPredTables(t.P, seen)
-	case *SubPred:
-		collectTables(t.Sub.Source, seen)
-		collectPredTables(t.Sub.Where, seen)
-	}
+		return true
+	})
 }

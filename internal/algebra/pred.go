@@ -214,6 +214,31 @@ func WalkPred(p Pred, fn func(Pred) bool) {
 	}
 }
 
+// MapPred rebuilds p's connectives over fn of each leaf, an Atom or a
+// SubPred. Like WalkPred it does not descend into subquery Where
+// clauses.
+func MapPred(p Pred, fn func(Pred) Pred) Pred {
+	terms := func(ts []Pred) []Pred {
+		out := make([]Pred, len(ts))
+		for i, t := range ts {
+			out[i] = MapPred(t, fn)
+		}
+		return out
+	}
+	switch t := p.(type) {
+	case nil:
+		return nil
+	case *PredAnd:
+		return &PredAnd{Terms: terms(t.Terms)}
+	case *PredOr:
+		return &PredOr{Terms: terms(t.Terms)}
+	case *PredNot:
+		return &PredNot{P: MapPred(t.P, fn)}
+	default:
+		return fn(p)
+	}
+}
+
 // HasSubquery reports whether p contains any subquery predicate.
 func HasSubquery(p Pred) bool {
 	found := false

@@ -251,6 +251,7 @@ type condProg struct {
 	// out under. Read-only during the fold.
 	detailHash *detailHashVec
 	passHash   bool
+	pair       bool // an aggregate argument reads the base: the aggregates fold base++detail
 	publish    string
 	// detailPredOK, when non-nil, is the detail pass's outcome of
 	// detailPred per detail row. Read-only during the fold.
@@ -536,13 +537,15 @@ func compile(base, detail *relation.Relation, conds []algebra.GMDJCond, opts Opt
 	for i, c := range conds {
 		cp := &p.conds[i]
 		cp.aggs[0] = len(p.specs)
-		for _, spec := range c.Aggs {
-			bound, err := spec.Bind(detail.Schema)
-			if err != nil {
-				return nil, fmt.Errorf("gmdj: condition %d: %w", i, err)
-			}
-			p.specs = append(p.specs, bound)
+		specs, err := bindAggs(p.specs, c.Aggs, detail.Schema)
+		if err != nil { // an argument may read the base: fold base++detail (match)
+			cp.pair = true
+			specs, err = bindAggs(p.specs, c.Aggs, combined)
 		}
+		if err != nil {
+			return nil, fmt.Errorf("gmdj: condition %d: %w", i, err)
+		}
+		p.specs = specs
 		cp.aggs[1] = len(p.specs)
 		if err := classifyTheta(cp, c.Theta, base.Schema, detail.Schema, combined); err != nil {
 			return nil, fmt.Errorf("gmdj: condition %d (%s): %w", i, c.Theta, err)
@@ -569,6 +572,18 @@ func compile(base, detail *relation.Relation, conds []algebra.GMDJCond, opts Opt
 	p.route = routed && p.bits > 0
 	p.attachHashes()
 	return p, nil
+}
+
+// bindAggs appends specs bound against s to dst.
+func bindAggs(dst, specs []agg.Spec, s *relation.Schema) ([]agg.Spec, error) {
+	for _, spec := range specs {
+		bound, err := spec.Bind(s)
+		if err != nil {
+			return nil, err
+		}
+		dst = append(dst, bound)
+	}
+	return dst, nil
 }
 
 // buildIndex indexes a partition's tuples, one relation.HashIndex per
@@ -1104,8 +1119,12 @@ func (s *state) match(i, ci int, detailRow relation.Tuple) error {
 	p := s.p
 	cp := &p.conds[ci]
 	s.stats.Matches++
+	row := detailRow
+	if cp.pair {
+		row = append(append(s.combined[:0], s.rows[i]...), detailRow...)
+	}
 	for j := cp.aggs[0]; j < cp.aggs[1]; j++ {
-		if err := s.res.fold.Add(j, s.lo+i, detailRow); err != nil {
+		if err := s.res.fold.Add(j, s.lo+i, row); err != nil {
 			return err
 		}
 	}

@@ -645,15 +645,44 @@ func TestBadCompletionAtomIndex(t *testing.T) {
 	}
 }
 
+// TestAggregateBindingErrors: an aggregate argument that reads neither
+// the base nor the detail fails to bind.
 func TestAggregateBindingErrors(t *testing.T) {
 	hours, flow := hoursFlow()
 	_, err := Evaluate(hours, flow, []algebra.GMDJCond{{
 		Theta: timeWindow(),
-		// Aggregate over a base column violates Definition 2.1.
-		Aggs: []agg.Spec{{Func: agg.Sum, Arg: expr.C("H.HourDsc"), As: "s"}},
+		Aggs:  []agg.Spec{{Func: agg.Sum, Arg: expr.C("X.Nope"), As: "s"}},
 	}}, Options{})
 	if err == nil {
-		t.Error("aggregate over base attribute must be rejected")
+		t.Error("aggregate over an unknown column must be rejected")
+	}
+}
+
+// TestAggregateReadsBase: an aggregate argument may read the base tuple
+// as well as the detail (SQL's SUM(b.v + a.x) correlated to a). Its
+// condition folds base ++ detail; a detail-only condition beside it
+// folds the detail row, at either degree.
+func TestAggregateReadsBase(t *testing.T) {
+	hours, flow := hoursFlow()
+	plus := expr.NewArith(expr.OpAdd, expr.C("F.NumBytes"), expr.C("H.HourDsc"))
+	for _, workers := range []int{1, 4} {
+		out, err := Evaluate(hours, flow, []algebra.GMDJCond{
+			{Theta: timeWindow(), Aggs: []agg.Spec{
+				{Func: agg.Sum, Arg: expr.C("F.NumBytes"), As: "bytes"},
+				{Func: agg.Sum, Arg: plus, As: "plus"},
+			}},
+			{Theta: timeWindow(), Aggs: []agg.Spec{{Func: agg.Max, Arg: expr.C("F.NumBytes"), As: "most"}}},
+		}, Options{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, row := range out.Rows {
+			got = append(got, fmt.Sprint(row[3:]))
+		}
+		if want := "[[12, 13, 12] [84, 88, 48] [96, 105, 48]]"; fmt.Sprint(got) != want {
+			t.Errorf("workers %d: bytes, plus, most = %v, want %s", workers, got, want)
+		}
 	}
 }
 

@@ -136,10 +136,10 @@ peel:
 	if !same {
 		return cur, nil
 	}
-	// The outer conditions must not reference the inner GMDJ's
-	// aggregate outputs (merging would change their meaning), and every
-	// base-side column they reference must survive each peeled
-	// projection.
+	// The outer conditions (θs and aggregate arguments) must not
+	// reference the inner GMDJ's aggregate outputs (merging would change
+	// their meaning), and every base-side column they reference must
+	// survive each peeled projection.
 	innerAggs := aggNames(ig)
 	detailAlias := ""
 	if sc, isScan := cur.Detail.(*algebra.Scan); isScan {
@@ -431,15 +431,6 @@ func condColNames(conds []algebra.GMDJCond) map[string]bool {
 	out := map[string]bool{}
 	for _, c := range condCols(conds) {
 		out[c.Name] = true
-	}
-	for _, cond := range conds {
-		for _, a := range cond.Aggs {
-			if a.Arg != nil {
-				for _, c := range expr.Cols(a.Arg) {
-					out[c.Name] = true
-				}
-			}
-		}
 	}
 	return out
 }

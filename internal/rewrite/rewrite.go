@@ -14,10 +14,10 @@
 //     3.2): the inner block's GMDJ becomes the detail relation of the
 //     enclosing block's GMDJ;
 //  4. non-neighboring correlation predicates are repaired by pushing
-//     the referenced outer base table down into the offending block's
-//     base (Theorems 3.3/3.4), with a fresh alias and a glue equality
-//     added one level up — introducing exactly the n−1 joins the paper
-//     proves necessary.
+//     the referenced outer block down into the offending block's base
+//     (Theorems 3.3/3.4) with algebra.Scope, which Unnest shares: a
+//     fresh alias and a row-id glue equality added one level up —
+//     introducing exactly the n−1 joins the paper proves necessary.
 //
 // The optimizations of §4 — coalescing (Proposition 4.1) and tuple
 // completion (Theorems 4.1/4.2) — live in optimize.go and are applied
@@ -30,7 +30,6 @@ import (
 	"github.com/olaplab/gmdj/internal/agg"
 	"github.com/olaplab/gmdj/internal/algebra"
 	"github.com/olaplab/gmdj/internal/expr"
-	"github.com/olaplab/gmdj/internal/relation"
 	"github.com/olaplab/gmdj/internal/value"
 )
 
@@ -55,7 +54,7 @@ type Options struct {
 // SubqueryToGMDJOpts is SubqueryToGMDJ with explicit options.
 func SubqueryToGMDJOpts(plan algebra.Node, res algebra.SchemaResolver, opts Options) (algebra.Node, error) {
 	rw := &rewriter{res: res, opts: opts}
-	return rw.rewriteNode(plan)
+	return algebra.MapSubqueries(plan, rw.rewriteRestrict)
 }
 
 type rewriter struct {
@@ -69,126 +68,31 @@ func (rw *rewriter) fresh(prefix string) string {
 	return fmt.Sprintf("%s%d", prefix, rw.counter)
 }
 
-// rewriteNode walks the plan, transforming subquery-bearing Restricts.
-func (rw *rewriter) rewriteNode(n algebra.Node) (algebra.Node, error) {
-	out, err := algebra.MapInputs(n, rw.rewriteNode)
-	if err != nil {
-		return nil, err
-	}
-	if r, ok := out.(*algebra.Restrict); ok {
-		return rw.rewriteRestrict(r.Input, r.Where)
-	}
-	return out, nil
-}
-
 // rewriteRestrict is the top-level entry of the algorithm: it receives
-// the (already rewritten) input B and the predicate W of σ[W](B).
+// the (already rewritten) input B and the predicate W of σ[W](B), its
+// negations pushed down.
 func (rw *rewriter) rewriteRestrict(input algebra.Node, w algebra.Pred) (algebra.Node, error) {
-	w = algebra.PushDownNegations(w)
-	if !algebra.HasSubquery(w) {
-		return algebra.NewRestrict(input, w), nil
-	}
 	inSchema, err := input.Schema(rw.res)
 	if err != nil {
 		return nil, err
 	}
-	base, w2, err := rw.eliminate(input, inSchema, w, nil)
+	base, sel, err := rw.lift(&algebra.Subquery{Source: input, Where: w}, algebra.NewScope(rw.fresh))
 	if err != nil {
 		return nil, err
 	}
-	sel, err := algebra.PredExpr(w2)
-	if err != nil {
-		return nil, err
-	}
-	filtered := algebra.Filter(base, sel)
 	// Project back to the original schema (drop the count columns).
-	items := make([]algebra.ProjItem, inSchema.Len())
-	for i, c := range inSchema.Columns {
-		items[i] = algebra.ProjItem{E: expr.NewCol(c.Qualifier, c.Name)}
-	}
-	return algebra.NewProject(filtered, false, items...), nil
-}
-
-// envEntry is one enclosing block visible to a nested subquery: the
-// block's base plan and its schema. Free references into it are
-// repaired by push-down.
-type envEntry struct {
-	node   algebra.Node
-	schema *relation.Schema
-}
-
-// eliminate removes every subquery predicate from w by stacking GMDJs
-// on top of base. It returns the stacked plan and the rewritten
-// predicate. env lists the enclosing blocks (outermost first) for
-// non-neighboring repair; glue conjuncts needed by the caller are
-// appended to *w2* by the caller via lift — at the top level env is nil
-// and any remaining free reference is an error.
-func (rw *rewriter) eliminate(base algebra.Node, baseSchema *relation.Schema, w algebra.Pred, env []envEntry) (algebra.Node, algebra.Pred, error) {
-	type pending struct {
-		sp     *algebra.SubPred
-		detail algebra.Node
-		conds  []algebra.GMDJCond
-		repl   expr.Expr
-	}
-	var work []pending
-	collect := func(p algebra.Pred) {
-		algebra.WalkPred(p, func(q algebra.Pred) bool {
-			if sp, ok := q.(*algebra.SubPred); ok {
-				work = append(work, pending{sp: sp})
-			}
-			return true
-		})
-	}
-	collect(w)
-
-	envForNested := append(append([]envEntry{}, env...), envEntry{node: base, schema: baseSchema})
-
-	cur := base
-	replacements := map[*algebra.SubPred]algebra.Pred{}
-	for i := range work {
-		p := &work[i]
-		detail, theta, err := rw.lift(p.sp.Sub, envForNested)
-		if err != nil {
-			return nil, nil, err
-		}
-		conds, repl, err := rw.table1(p.sp, theta)
-		if err != nil {
-			return nil, nil, err
-		}
-		// Free-reference check: θ must range over base ∪ detail.
-		detailSchema, err := detail.Schema(rw.res)
-		if err != nil {
-			return nil, nil, err
-		}
-		for _, c := range condCols(conds) {
-			if resolvesIn(c, baseSchema) || resolvesIn(c, detailSchema) {
-				continue
-			}
-			return nil, nil, fmt.Errorf("rewrite: free reference %s cannot be resolved at the outermost block", c)
-		}
-		g := algebra.NewGMDJ(cur, detail, conds...)
-		cur = g
-		// base schema grows by the new aggregate columns; recompute so
-		// later free-reference checks see them.
-		baseSchema, err = cur.Schema(rw.res)
-		if err != nil {
-			return nil, nil, err
-		}
-		replacements[p.sp] = &algebra.Atom{E: repl}
-	}
-	w2 := substitute(w, replacements)
-	return cur, w2, nil
+	return algebra.NewProject(algebra.Filter(base, sel), false, algebra.SchemaItems(inSchema)...), nil
 }
 
 // lift converts a subquery block S into (detail plan, θ condition) for
-// use in an enclosing GMDJ (Theorem 3.2). Nested subqueries inside S's
+// use in an enclosing GMDJ (Theorem 3.2); at the top level, S is the
+// selection itself and scope is empty. Nested subqueries inside S's
 // predicate are themselves eliminated by stacking GMDJs over S's
-// source. Non-neighboring references are repaired here: the referenced
-// enclosing base is pushed (cross-joined, freshly aliased) into S's
-// source and a glue equality is appended to the returned θ.
-func (rw *rewriter) lift(sub *algebra.Subquery, env []envEntry) (algebra.Node, expr.Expr, error) {
-	source := sub.Source
-	srcSchema, err := source.Schema(rw.res)
+// source. Non-neighboring references are repaired here (Theorems
+// 3.3/3.4): a copy of the enclosing block that owns one is pushed into
+// S's source and its glue is appended to the returned θ.
+func (rw *rewriter) lift(sub *algebra.Subquery, scope *algebra.Scope) (algebra.Node, expr.Expr, error) {
+	srcSchema, err := sub.Source.Schema(rw.res)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -213,9 +117,9 @@ func (rw *rewriter) lift(sub *algebra.Subquery, env []envEntry) (algebra.Node, e
 		repl   expr.Expr
 	}
 	var lifted []liftedSub
-	envForNested := append(append([]envEntry{}, env...), envEntry{node: source, schema: srcSchema})
+	inner := scope.Enter(sub.Source, srcSchema)
 	for _, sp := range nested {
-		d, theta, err := rw.lift(sp.Sub, envForNested)
+		d, theta, err := rw.lift(sp.Sub, inner)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -226,57 +130,31 @@ func (rw *rewriter) lift(sub *algebra.Subquery, env []envEntry) (algebra.Node, e
 		lifted = append(lifted, liftedSub{sp: sp, detail: d, conds: conds, repl: repl})
 	}
 
-	// Non-neighboring repair (Theorems 3.3/3.4): any condition column
-	// that resolves neither in this block's source nor in its own
-	// detail must come from an enclosing block — push that block's base
-	// down into source under a fresh alias and remember the glue.
-	var glue []expr.Expr
-	pushed := map[*envEntry]string{} // env entry -> fresh alias
-	for i := range lifted {
-		ls := &lifted[i]
+	// A θ or aggregate argument of a nested GMDJ ranges over this
+	// block's source and that GMDJ's detail; any other column it reads
+	// is pushed down from the enclosing block that owns it.
+	source, srcSchema := inner.Own()
+	push := scope.Push(source)
+	for _, ls := range lifted {
 		dSchema, err := ls.detail.Schema(rw.res)
 		if err != nil {
 			return nil, nil, err
 		}
-		for _, c := range condCols(ls.conds) {
-			if resolvesIn(c, srcSchema) || resolvesIn(c, dSchema) {
-				continue
+		for ci := range ls.conds {
+			c := &ls.conds[ci]
+			err := push.Resolve(&c.Theta, srcSchema, dSchema)
+			for ai := 0; err == nil && ai < len(c.Aggs); ai++ {
+				err = push.Resolve(&c.Aggs[ai].Arg, srcSchema, dSchema)
 			}
-			// Find the enclosing block providing this column.
-			entry := findEnv(env, c)
-			if entry == nil {
-				return nil, nil, fmt.Errorf("rewrite: free reference %s resolves in no enclosing block", c)
-			}
-			alias, ok := pushed[entry]
-			if !ok {
-				alias = rw.fresh("pd")
-				pushed[entry] = alias
-				copyNode := algebra.NewAlias(entry.node, alias)
-				source = algebra.NewJoin(algebra.InnerJoin, copyNode, source, expr.TrueExpr())
-				srcSchema, err = source.Schema(rw.res)
-				if err != nil {
-					return nil, nil, err
-				}
-				// Glue: every column of the pushed block must agree
-				// between the enclosing base and the pushed copy.
-				for _, col := range entry.schema.Columns {
-					glue = append(glue, expr.Eq(
-						expr.NewCol(col.Qualifier, col.Name),
-						expr.NewCol(alias, col.Name),
-					))
-				}
-			}
-			// Re-qualify the free reference to the pushed copy in all
-			// of this lifted sub's conditions.
-			for ci := range ls.conds {
-				ls.conds[ci].Theta = expr.RenameQualifier(ls.conds[ci].Theta, c.Qualifier, alias)
+			if err != nil {
+				return nil, nil, err
 			}
 		}
 	}
 
 	// Stack the GMDJs for nested subqueries over the (possibly
 	// augmented) source, and substitute count conditions into pred.
-	cur := source
+	cur := push.Plan
 	replacements := map[*algebra.SubPred]algebra.Pred{}
 	for _, ls := range lifted {
 		cur = algebra.NewGMDJ(cur, ls.detail, ls.conds...)
@@ -287,8 +165,8 @@ func (rw *rewriter) lift(sub *algebra.Subquery, env []envEntry) (algebra.Node, e
 	if err != nil {
 		return nil, nil, err
 	}
-	if len(glue) > 0 {
-		theta = expr.NewAnd(append([]expr.Expr{theta}, glue...)...)
+	if len(push.Glue) > 0 {
+		theta = expr.NewAnd(append([]expr.Expr{theta}, push.Glue...)...)
 	}
 	return cur, theta, nil
 }
@@ -383,55 +261,27 @@ func (rw *rewriter) table1(sp *algebra.SubPred, theta expr.Expr) ([]algebra.GMDJ
 
 func colRef(c *expr.Col) expr.Expr { return expr.NewCol(c.Qualifier, c.Name) }
 
-// condCols lists every column referenced by a condition list.
+// condCols lists every column a condition list reads: its θs and its
+// aggregate arguments.
 func condCols(conds []algebra.GMDJCond) []*expr.Col {
 	var out []*expr.Col
 	for _, c := range conds {
 		out = append(out, expr.Cols(c.Theta)...)
+		for _, a := range c.Aggs {
+			if a.Arg != nil {
+				out = append(out, expr.Cols(a.Arg)...)
+			}
+		}
 	}
 	return out
 }
 
-func resolvesIn(c *expr.Col, s *relation.Schema) bool {
-	_, err := s.Find(c.Qualifier, c.Name)
-	return err == nil
-}
-
-func findEnv(env []envEntry, c *expr.Col) *envEntry {
-	// Innermost enclosing block wins.
-	for i := len(env) - 1; i >= 0; i-- {
-		if resolvesIn(c, env[i].schema) {
-			return &env[i]
-		}
-	}
-	return nil
-}
-
 // substitute replaces subquery predicates by their count conditions.
 func substitute(p algebra.Pred, repl map[*algebra.SubPred]algebra.Pred) algebra.Pred {
-	switch n := p.(type) {
-	case *algebra.Atom:
-		return n
-	case *algebra.PredAnd:
-		terms := make([]algebra.Pred, len(n.Terms))
-		for i, t := range n.Terms {
-			terms[i] = substitute(t, repl)
+	return algebra.MapPred(p, func(q algebra.Pred) algebra.Pred {
+		if sp, ok := q.(*algebra.SubPred); ok && repl[sp] != nil {
+			return repl[sp]
 		}
-		return &algebra.PredAnd{Terms: terms}
-	case *algebra.PredOr:
-		terms := make([]algebra.Pred, len(n.Terms))
-		for i, t := range n.Terms {
-			terms[i] = substitute(t, repl)
-		}
-		return &algebra.PredOr{Terms: terms}
-	case *algebra.PredNot:
-		return &algebra.PredNot{P: substitute(n.P, repl)}
-	case *algebra.SubPred:
-		if r, ok := repl[n]; ok {
-			return r
-		}
-		return n
-	default:
-		return p
-	}
+		return q
+	})
 }
