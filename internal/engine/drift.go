@@ -37,12 +37,7 @@ func annotateOp(m *costModel, n algebra.Node, op *obs.Op) {
 	if op.Label != label {
 		return
 	}
-	// A selection fused into a GMDJ's detail scan reports the rows it
-	// handed on — its predicate runs inside the GMDJ — so there is no
-	// actual to set the estimate against.
-	if op.Get("fused") == 0 {
-		op.SetEst(int64(math.Round(m.node(n).rows)))
-	}
+	op.SetEst(int64(math.Round(m.node(n).rows)))
 	used := make([]bool, len(op.Children))
 	for _, ch := range n.Children() {
 		chLabel, _ := algebra.Describe(ch)
@@ -52,6 +47,12 @@ func annotateOp(m *costModel, n algebra.Node, op *obs.Op) {
 			}
 			used[i] = true
 			annotateOp(m, ch, oc)
+			// A selection fused into a GMDJ's detail scan reports the rows
+			// it handed on — its predicate runs inside the GMDJ — so there
+			// is no actual to set the estimate against.
+			if g, ok := n.(*algebra.GMDJ); ok && ch == g.Detail && oc.Get("fused") != 0 {
+				oc.EstRows = nil
+			}
 			break
 		}
 	}

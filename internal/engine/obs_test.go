@@ -211,9 +211,9 @@ Project [H.HourDsc, H.StartInterval, H.EndInterval]
 `
 
 const goldenAnalyze = `strategy: gmdj-opt (analyzed)
-Project [H.HourDsc, H.StartInterval, H.EndInterval] (time=X act=4 est=1 bytes=480 workers=1)
-  Select [cnt1 > 0] (time=X act=4 est=1 bytes=608 workers=1)
-    GMDJ +completion+freeze (1 conditions) (time=X act=4 est=3 bytes=608 workers=1 detail_rows=33 probes=4 matches=4 completed=4 short_circuit_rows=267 fallback_conds=1)
+Project [H.HourDsc, H.StartInterval, H.EndInterval] (time=X act=4 est=1 bytes=480 fused=1)
+  Select [cnt1 > 0] (time=X act=4 est=1 fused=1)
+    GMDJ +completion+freeze (1 conditions) (time=X act=4 est=3 workers=1 detail_rows=33 probes=4 matches=4 completed=4 short_circuit_rows=267 fallback_conds=1)
       cond: (count(*) -> cnt1 | θ: (F.StartTime >= H.StartInterval AND F.StartTime < H.EndInterval))
       Scan Hours->H (time=X act=4 est=4 bytes=480)
       Select [F.Protocol = 'FTP'] (time=X rows=300 bytes=63000 fused=1 segments_total=1)
@@ -224,9 +224,9 @@ Project [H.HourDsc, H.StartInterval, H.EndInterval] (time=X act=4 est=1 bytes=48
 // owns two of the four hours and scans the detail for them, so the
 // GMDJ line says detail_scans=2 and its detail counters sum both scans.
 const goldenAnalyzeTwoWorkers = `strategy: gmdj-opt (analyzed)
-Project [H.HourDsc, H.StartInterval, H.EndInterval] (time=X act=4 est=1 bytes=480 workers=1)
-  Select [cnt1 > 0] (time=X act=4 est=1 bytes=608 workers=1)
-    GMDJ +completion+freeze (1 conditions) (time=X act=4 est=3 bytes=608 workers=2 detail_scans=2 detail_rows=64 probes=4 matches=4 completed=4 short_circuit_rows=536 fallback_conds=1 worker0_rows=31 worker1_rows=33)
+Project [H.HourDsc, H.StartInterval, H.EndInterval] (time=X act=4 est=1 bytes=480 fused=1)
+  Select [cnt1 > 0] (time=X act=4 est=1 fused=1)
+    GMDJ +completion+freeze (1 conditions) (time=X act=4 est=3 workers=2 detail_scans=2 detail_rows=64 probes=4 matches=4 completed=4 short_circuit_rows=536 fallback_conds=1 worker0_rows=31 worker1_rows=33)
       cond: (count(*) -> cnt1 | θ: (F.StartTime >= H.StartInterval AND F.StartTime < H.EndInterval))
       Scan Hours->H (time=X act=4 est=4 bytes=480)
       Select [F.Protocol = 'FTP'] (time=X rows=300 bytes=63000 fused=1 segments_total=1)

@@ -237,7 +237,7 @@ const goldenSlowLog = `[
       "elapsed_ns": 0,
       "counters": [
         {
-          "name": "workers",
+          "name": "fused",
           "value": 1
         }
       ],
@@ -245,11 +245,10 @@ const goldenSlowLog = `[
         {
           "label": "Select [cnt1 > 0]",
           "rows": 4,
-          "bytes": 608,
           "elapsed_ns": 0,
           "counters": [
             {
-              "name": "workers",
+              "name": "fused",
               "value": 1
             }
           ],
@@ -260,7 +259,6 @@ const goldenSlowLog = `[
                 "cond: (count(*) -> cnt1 | θ: (F.StartTime >= H.StartInterval AND F.StartTime < H.EndInterval))"
               ],
               "rows": 4,
-              "bytes": 608,
               "elapsed_ns": 0,
               "counters": [
                 {

@@ -196,12 +196,14 @@ func (q *query) account(row relation.Tuple) error {
 	return q.gov.AccountAppend(1, bytes)
 }
 
-// fire triggers any injected fault at a named operator site, recording
-// an instant trace event when one fires.
-func (q *query) fire(site string) error {
+// fire records n as the node under evaluation (the locus a recovered
+// panic reports) and triggers any injected fault at its named operator
+// site, recording an instant trace event when one fires.
+func (q *query) fire(n algebra.Node, site string) error {
 	if q == nil {
 		return nil
 	}
+	q.node = n
 	err := q.faults.Fire(site, q.gov)
 	if err != nil {
 		q.col.Instant("fault", site, err.Error())
@@ -209,23 +211,14 @@ func (q *query) fire(site string) error {
 	return err
 }
 
-// env carries the outer tuple context for correlated subquery
-// evaluation — the concatenated schemas and values of all enclosing
-// query blocks — plus the per-run governance state.
+// env carries the per-run governance state into every operator. A
+// correlated subquery needs no outer context of its own: its predicate
+// is compiled against the enclosing block's rows (compilePred).
 type env struct {
-	schema *relation.Schema
-	row    relation.Tuple
-	q      *query
+	q *query
 }
 
-func newEnv(q *query) *env {
-	return &env{schema: relation.NewSchema(), row: relation.Tuple{}, q: q}
-}
-
-// extend returns an env with an extra block appended.
-func (v *env) extend(s *relation.Schema, row relation.Tuple) *env {
-	return &env{schema: v.schema.Concat(s), row: v.row.Concat(row), q: v.q}
-}
+func newEnv(q *query) *env { return &env{q: q} }
 
 // eval dispatches one plan node, wrapping it in a stats-tree node when
 // a collector is attached. The nil-collector path adds a single branch
@@ -277,8 +270,7 @@ func (e *Executor) evalNode(n algebra.Node, ev *env) (*relation.Relation, error)
 		if err != nil {
 			return nil, err
 		}
-		ev.q.node = node
-		if err := ev.q.fire("exec.number"); err != nil {
+		if err := ev.q.fire(node, "exec.number"); err != nil {
 			return nil, err
 		}
 		out := relation.New(algebra.NumberSchema(in.Schema, node.As))
@@ -296,18 +288,14 @@ func (e *Executor) evalNode(n algebra.Node, ev *env) (*relation.Relation, error)
 		}
 		ev.q.recordWorkers(1)
 		return out, nil
-	case *algebra.Restrict:
-		return e.evalRestrict(node, ev)
-	case *algebra.Project:
-		return e.evalProject(node, ev)
-	case *algebra.Distinct:
-		return e.evalDistinct(node, ev)
+	case *algebra.Restrict, *algebra.Project, *algebra.Distinct:
+		return e.evalChain(node, ev)
 	case *algebra.Join:
 		return e.evalJoin(node, ev)
 	case *algebra.GroupBy:
 		return e.evalGroupBy(node, ev)
 	case *algebra.GMDJ:
-		return e.evalGMDJ(node, ev)
+		return e.evalGMDJ(node, ev, nil)
 	case *algebra.Sort:
 		return e.evalSort(node, ev)
 	case *algebra.SetOp:
@@ -332,7 +320,7 @@ func (e *Executor) evalScan(s *algebra.Scan, ev *env) (*relation.Relation, error
 // scanTable resolves a Scan to its table and the table's rows under
 // the scan's alias.
 func (e *Executor) scanTable(s *algebra.Scan, ev *env) (*storage.Table, *relation.Relation, error) {
-	if err := ev.q.fire("exec.scan"); err != nil {
+	if err := ev.q.fire(s, "exec.scan"); err != nil {
 		return nil, nil, err
 	}
 	t, err := e.Cat.Table(s.Table)
@@ -355,223 +343,12 @@ func (e *Executor) chargeScan(rows int, ev *env) {
 	ev.q.live.AddScanned(int64(rows))
 }
 
-func (e *Executor) evalRestrict(r *algebra.Restrict, ev *env) (*relation.Relation, error) {
-	var in *relation.Relation
-	var err error
-	if s, ok := r.Input.(*algebra.Scan); ok {
-		in, _, err = e.pruneScanInput(s, r.Where, ev)
-	} else {
-		in, err = e.eval(r.Input, ev)
-	}
-	if err != nil {
-		return nil, err
-	}
-	ev.q.node = r
-	if err := ev.q.fire("exec.restrict"); err != nil {
-		return nil, err
-	}
-	cp, err := e.compilePred(r.Where, ev.schema.Concat(in.Schema), ev.q)
-	if err != nil {
-		return nil, err
-	}
-	workers := e.pipelineWorkers(in.Len())
-	if predHasSub(cp) {
-		// Subquery predicates carry per-query mutable state (the
-		// memoization table, result-cache plumbing) that is not safe off
-		// the query goroutine, so they keep the serial pipeline.
-		workers = 1
-	}
-	// Workers pull morsels and buffer passing rows per morsel index, so
-	// concatenating the buffers in order reproduces the serial emit
-	// order exactly. Passing rows are appended by reference: output
-	// tuples are the input's.
-	fulls := workerScratch(workers, ev.row, in.Schema.Len())
-	outs := make([][]relation.Tuple, govern.MorselCount(in.Len()))
-	used, err := govern.RunMorsels(in.Len(), workers, func(w, m, lo, hi int) error {
-		full := fulls[w]
-		for _, row := range in.Rows[lo:hi] {
-			if err := ev.q.tick(); err != nil {
-				return err
-			}
-			copy(full[len(ev.row):], row)
-			tr, err := cp.eval(full)
-			if err != nil {
-				return err
-			}
-			if tr != value.True { // where-clause truncation
-				continue
-			}
-			if err := ev.q.account(row); err != nil {
-				return err
-			}
-			outs[m] = append(outs[m], row)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	ev.q.recordWorkers(used)
-	return concatMorsels(in.Schema, outs), nil
-}
-
-// predHasSub reports whether a compiled predicate contains a subquery
-// predicate anywhere — the marker that pins its pipeline to the query
-// goroutine.
-func predHasSub(p compiledPred) bool {
-	switch c := p.(type) {
-	case *cpAtom:
-		return false
-	case *cpAnd:
-		for _, t := range c.terms {
-			if predHasSub(t) {
-				return true
-			}
-		}
-		return false
-	case *cpOr:
-		for _, t := range c.terms {
-			if predHasSub(t) {
-				return true
-			}
-		}
-		return false
-	case *cpNot:
-		return predHasSub(c.p)
-	default:
-		return true // *cpSub and anything unknown: be conservative
-	}
-}
-
-func (e *Executor) evalProject(p *algebra.Project, ev *env) (*relation.Relation, error) {
-	in, err := e.eval(p.Input, ev)
-	if err != nil {
-		return nil, err
-	}
-	ev.q.node = p
-	if err := ev.q.fire("exec.project"); err != nil {
-		return nil, err
-	}
-	outSchema, err := algebra.ProjectSchema(in.Schema, p.Items)
-	if err != nil {
-		return nil, err
-	}
-	bound := make([]expr.Expr, len(p.Items))
-	full := ev.schema.Concat(in.Schema)
-	for i, it := range p.Items {
-		b, err := it.E.Bind(full)
-		if err != nil {
-			return nil, err
-		}
-		bound[i] = b
-	}
-	// project evaluates the bound items over one scratch row (outer
-	// context ++ input row) into a freshly materialized output tuple.
-	project := func(full, row relation.Tuple) (relation.Tuple, error) {
-		copy(full[len(ev.row):], row)
-		outRow := make(relation.Tuple, len(bound))
-		for i, b := range bound {
-			v, err := b.Eval(full)
-			if err != nil {
-				return nil, err
-			}
-			outRow[i] = v
-		}
-		return outRow, nil
-	}
-	if p.Distinct {
-		// Distinct projection folds rows into first-seen order — a
-		// serial consumer.
-		out := relation.New(outSchema)
-		fullRow := workerScratch(1, ev.row, in.Schema.Len())[0]
-		seen := map[string]bool{}
-		for _, row := range in.Rows {
-			if err := ev.q.tick(); err != nil {
-				return nil, err
-			}
-			outRow, err := project(fullRow, row)
-			if err != nil {
-				return nil, err
-			}
-			k := outRow.Key()
-			if seen[k] {
-				continue
-			}
-			seen[k] = true
-			if err := ev.q.account(outRow); err != nil {
-				return nil, err
-			}
-			out.Append(outRow)
-		}
-		ev.q.recordWorkers(1)
-		return out, nil
-	}
-	// Non-distinct projection is embarrassingly parallel: bound
-	// expression trees are immutable, so workers share them and differ
-	// only in their scratch row.
-	workers := e.pipelineWorkers(in.Len())
-	fulls := workerScratch(workers, ev.row, in.Schema.Len())
-	outs := make([][]relation.Tuple, govern.MorselCount(in.Len()))
-	used, err := govern.RunMorsels(in.Len(), workers, func(w, m, lo, hi int) error {
-		for _, row := range in.Rows[lo:hi] {
-			if err := ev.q.tick(); err != nil {
-				return err
-			}
-			outRow, err := project(fulls[w], row)
-			if err != nil {
-				return err
-			}
-			if err := ev.q.account(outRow); err != nil {
-				return err
-			}
-			outs[m] = append(outs[m], outRow)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	ev.q.recordWorkers(used)
-	return concatMorsels(outSchema, outs), nil
-}
-
-func (e *Executor) evalDistinct(d *algebra.Distinct, ev *env) (*relation.Relation, error) {
-	in, err := e.eval(d.Input, ev)
-	if err != nil {
-		return nil, err
-	}
-	ev.q.node = d
-	if err := ev.q.fire("exec.distinct"); err != nil {
-		return nil, err
-	}
-	out := relation.New(in.Schema)
-	seen := map[string]bool{}
-	// Duplicate elimination keeps first-seen order — a serial fold.
-	for _, row := range in.Rows {
-		if err := ev.q.tick(); err != nil {
-			return nil, err
-		}
-		k := row.Key()
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		if err := ev.q.account(row); err != nil {
-			return nil, err
-		}
-		out.Append(row)
-	}
-	ev.q.recordWorkers(1)
-	return out, nil
-}
-
 func (e *Executor) evalGroupBy(g *algebra.GroupBy, ev *env) (*relation.Relation, error) {
 	in, err := e.eval(g.Input, ev)
 	if err != nil {
 		return nil, err
 	}
-	ev.q.node = g
-	if err := ev.q.fire("exec.groupby"); err != nil {
+	if err := ev.q.fire(g, "exec.groupby"); err != nil {
 		return nil, err
 	}
 	outSchema, err := algebra.GroupBySchema(in.Schema, g.Keys, g.Aggs)
@@ -635,7 +412,10 @@ func (e *Executor) evalGroupBy(g *algebra.GroupBy, ev *env) (*relation.Relation,
 	return out, nil
 }
 
-func (e *Executor) evalGMDJ(g *algebra.GMDJ, ev *env) (*relation.Relation, error) {
+// evalGMDJ evaluates a GMDJ node. fuse, when non-nil, compiles the σ/π
+// chain above it (evalChain) against the GMDJ's wide columns, for emit to
+// run.
+func (e *Executor) evalGMDJ(g *algebra.GMDJ, ev *env, fuse func(wide *relation.Schema) (*gmdj.Emit, error)) (*relation.Relation, error) {
 	base, err := e.eval(g.Base, ev)
 	if err != nil {
 		return nil, err
@@ -643,6 +423,16 @@ func (e *Executor) evalGMDJ(g *algebra.GMDJ, ev *env) (*relation.Relation, error
 	detail, conds, table, err := e.gmdjDetail(g, ev)
 	if err != nil {
 		return nil, err
+	}
+	var emit *gmdj.Emit
+	if fuse != nil {
+		wide, err := algebra.GMDJSchema(base.Schema, g.Conds)
+		if err == nil {
+			emit, err = fuse(wide)
+		}
+		if err != nil {
+			return nil, err
+		}
 	}
 	ev.q.node = g
 	// Collect this operator's counters separately so the stats tree can
@@ -659,6 +449,7 @@ func (e *Executor) evalGMDJ(g *algebra.GMDJ, ev *env) (*relation.Relation, error
 		Live:       ev.q.live,
 		Mem:        ev.q.tracker("gmdj"),
 		Spill:      e.Spill,
+		Emit:       emit,
 	}
 	// Cross-query hash-partition reuse and packed-column hashing are
 	// sound only when the detail relation IS a base table, row for row
@@ -682,11 +473,10 @@ func (e *Executor) evalGMDJ(g *algebra.GMDJ, ev *env) (*relation.Relation, error
 	e.gmdjTotals.WorkerRows = nil
 	e.gmdjMu.Unlock()
 	if op := ev.q.col.Current(); op != nil {
-		workers := int64(len(local.WorkerRows))
-		if workers == 0 {
-			workers = 1 // single-range fold (or partitioned single-range folds)
-		}
-		op.Add("workers", workers) // fold ranges or key partitions; the detail pass's degree is its own counter
+		// Fold ranges or key partitions, 1 for a single-range fold (or
+		// partitioned single-range folds); the detail pass's degree is its
+		// own counter. Add drops a zero counter.
+		op.Add("workers", max(int64(len(local.WorkerRows)), 1))
 		if local.DetailPassWorkers > 1 {
 			op.Add("detail_pass_workers", local.DetailPassWorkers)
 		}
@@ -703,19 +493,13 @@ func (e *Executor) evalGMDJ(g *algebra.GMDJ, ev *env) (*relation.Relation, error
 		op.Add("completed", local.Completed)
 		op.Add("short_circuit_rows", local.ShortCircuitRows)
 		op.Add("fallback_conds", int64(local.FallbackConds))
-		if local.HashCacheHits+local.HashCacheMisses > 0 {
-			op.Add("hash_cache_hits", local.HashCacheHits)
-			op.Add("hash_cache_misses", local.HashCacheMisses)
-		}
-		if local.PackedHashConds > 0 {
-			op.Add("packed_hash_conds", local.PackedHashConds)
-		}
-		if local.SpillPartitions > 0 {
-			op.Add("spill_partitions", local.SpillPartitions)
-			op.Add("spill_bytes_written", local.SpillBytesWritten)
-			op.Add("spill_bytes_read", local.SpillBytesRead)
-			op.Add("extra_detail_scans", local.ExtraDetailScans)
-		}
+		op.Add("hash_cache_hits", local.HashCacheHits)
+		op.Add("hash_cache_misses", local.HashCacheMisses)
+		op.Add("packed_hash_conds", local.PackedHashConds)
+		op.Add("spill_partitions", local.SpillPartitions)
+		op.Add("spill_bytes_written", local.SpillBytesWritten)
+		op.Add("spill_bytes_read", local.SpillBytesRead)
+		op.Add("extra_detail_scans", local.ExtraDetailScans)
 		for w, rows := range local.WorkerRows {
 			op.Add(fmt.Sprintf("worker%d_rows", w), rows)
 		}
@@ -754,8 +538,7 @@ func (e *Executor) gmdjDetail(g *algebra.GMDJ, ev *env) (detail *relation.Relati
 // a block is no longer the table's rows, hence no table.
 func (e *Executor) fusedDetail(g *algebra.GMDJ, r *algebra.Restrict, s *algebra.Scan, c expr.Expr, ev *env) (detail *relation.Relation, conds []algebra.GMDJCond, table *storage.Table, err error) {
 	detail, err = e.observe(r, ev, func() (*relation.Relation, error) {
-		ev.q.node = r
-		if err := ev.q.fire("exec.restrict"); err != nil {
+		if err := ev.q.fire(r, "exec.restrict"); err != nil {
 			return nil, err
 		}
 		ev.q.col.Current().Add("fused", 1)

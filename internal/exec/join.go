@@ -31,8 +31,7 @@ func (e *Executor) evalJoin(j *algebra.Join, ev *env) (*relation.Relation, error
 	if err != nil {
 		return nil, err
 	}
-	ev.q.node = j
-	if err := ev.q.fire("exec.join"); err != nil {
+	if err := ev.q.fire(j, "exec.join"); err != nil {
 		return nil, err
 	}
 	combined := left.Schema.Concat(right.Schema)
@@ -83,7 +82,10 @@ func (e *Executor) evalJoin(j *algebra.Join, ev *env) (*relation.Relation, error
 	// carries its own scratch full row; each morsel buffers its
 	// emissions so the final concatenation preserves left-row order.
 	workers := e.pipelineWorkers(len(left.Rows))
-	fulls := workerScratch(workers, nil, combined.Len())
+	fulls := make([]relation.Tuple, workers)
+	for w := range fulls {
+		fulls[w] = make(relation.Tuple, combined.Len())
+	}
 	nullPad := make(relation.Tuple, right.Schema.Len())
 	outs := make([][]relation.Tuple, govern.MorselCount(len(left.Rows)))
 

@@ -17,8 +17,12 @@ import (
 // those columns identically share one evaluation.
 type subqueryMemo struct {
 	keyPos []int // positions in the outer row forming the key
-	cache  map[string]value.Tri
-	errs   map[string]error
+	cache  map[string]outcome
+}
+
+type outcome struct {
+	tr  value.Tri
+	err error
 }
 
 // newSubqueryMemo derives the correlation key columns of a subquery
@@ -39,36 +43,29 @@ func newSubqueryMemo(sp *algebra.SubPred, outer *relation.Schema) (*subqueryMemo
 		addExpr(sp.Left)
 	}
 	sound := true
-	var walkPred func(p algebra.Pred)
-	walkPred = func(p algebra.Pred) {
-		switch n := p.(type) {
-		case nil:
-		case *algebra.Atom:
-			addExpr(n.E)
-		case *algebra.PredAnd:
-			for _, t := range n.Terms {
-				walkPred(t)
+	var walk func(p algebra.Pred)
+	walk = func(p algebra.Pred) {
+		algebra.WalkPred(p, func(q algebra.Pred) bool {
+			switch n := q.(type) {
+			case *algebra.Atom:
+				addExpr(n.E)
+			case *algebra.SubPred:
+				// Nested subqueries may reference the outer block too.
+				if n.Left != nil {
+					addExpr(n.Left)
+				}
+				if n.Sub.Agg != nil && n.Sub.Agg.Arg != nil {
+					addExpr(n.Sub.Agg.Arg)
+				}
+				walk(n.Sub.Where)
+			case *algebra.PredAnd, *algebra.PredOr, *algebra.PredNot:
+			default:
+				sound = false
 			}
-		case *algebra.PredOr:
-			for _, t := range n.Terms {
-				walkPred(t)
-			}
-		case *algebra.PredNot:
-			walkPred(n.P)
-		case *algebra.SubPred:
-			// Nested subqueries may reference the outer block too.
-			if n.Left != nil {
-				addExpr(n.Left)
-			}
-			if n.Sub.Agg != nil && n.Sub.Agg.Arg != nil {
-				addExpr(n.Sub.Agg.Arg)
-			}
-			walkPred(n.Sub.Where)
-		default:
-			sound = false
-		}
+			return true
+		})
 	}
-	walkPred(sp.Sub.Where)
+	walk(sp.Sub.Where)
 	if sp.Sub.Agg != nil && sp.Sub.Agg.Arg != nil {
 		addExpr(sp.Sub.Agg.Arg)
 	}
@@ -80,11 +77,7 @@ func newSubqueryMemo(sp *algebra.SubPred, outer *relation.Schema) (*subqueryMemo
 		keys = append(keys, i)
 	}
 	slices.Sort(keys) // deterministic order for the key tuple
-	return &subqueryMemo{
-		keyPos: keys,
-		cache:  make(map[string]value.Tri),
-		errs:   make(map[string]error),
-	}, true
+	return &subqueryMemo{keyPos: keys, cache: map[string]outcome{}}, true
 }
 
 // key renders the correlation values of one outer row.
@@ -98,20 +91,11 @@ func (m *subqueryMemo) key(outerRow relation.Tuple) string {
 
 // lookup returns a cached outcome.
 func (m *subqueryMemo) lookup(k string) (value.Tri, error, bool) {
-	if err, ok := m.errs[k]; ok {
-		return value.Unknown, err, true
-	}
-	if tr, ok := m.cache[k]; ok {
-		return tr, nil, true
-	}
-	return value.Unknown, nil, false
+	o, ok := m.cache[k]
+	return o.tr, o.err, ok
 }
 
 // store records an outcome.
 func (m *subqueryMemo) store(k string, tr value.Tri, err error) {
-	if err != nil {
-		m.errs[k] = err
-		return
-	}
-	m.cache[k] = tr
+	m.cache[k] = outcome{tr, err}
 }

@@ -12,18 +12,6 @@ func (e *Executor) pipelineWorkers(n int) int {
 	return govern.MorselWorkers(e.Parallelism, n)
 }
 
-// workerScratch allocates each worker's scratch tuple: the outer
-// context followed by room for width more values, which the operator's
-// row loop overwrites per input row before evaluating against it.
-func workerScratch(workers int, outer relation.Tuple, width int) []relation.Tuple {
-	fulls := make([]relation.Tuple, workers)
-	for w := range fulls {
-		fulls[w] = make(relation.Tuple, len(outer)+width)
-		copy(fulls[w], outer)
-	}
-	return fulls
-}
-
 // concatMorsels joins the per-morsel output buffers in morsel order,
 // which is what makes the output independent of which worker claimed
 // which morsel.

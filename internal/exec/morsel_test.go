@@ -7,6 +7,7 @@ import (
 	"math"
 	"testing"
 
+	"github.com/olaplab/gmdj/internal/agg"
 	"github.com/olaplab/gmdj/internal/algebra"
 	"github.com/olaplab/gmdj/internal/expr"
 	"github.com/olaplab/gmdj/internal/govern"
@@ -187,7 +188,11 @@ func (c *cancelWhen) String() string        { return fmt.Sprintf("cancelWhen(%s,
 // the predicate, behind a kernel conjunct, and a row budget each stop the
 // plan at the row they always did: the typed error, and the rows
 // materialized by then as recorded from the tree-walking interpreter at
-// the parent of the typed-kernel change.
+// the parent of the typed-kernel change. A σ/π over a GMDJ runs inside
+// the GMDJ's emit, which polls cancellation every 256 base tuples and
+// charges only the chain's output: cancelled at L.k = 1002 it has charged
+// the 410 survivors below the poll at 1024, of 1 679, and the row budget
+// trips on its 1 001st one-column row, not on a wide row.
 func TestPredSitesGoverned(t *testing.T) {
 	left := morselInput(govern.MorselRows + 100)
 	right := relation.New(relation.NewSchema(relation.Column{Qualifier: "R", Name: "r", Type: value.KindInt}))
@@ -200,16 +205,24 @@ func TestPredSitesGoverned(t *testing.T) {
 		plan       func(stop expr.Expr) algebra.Node
 		at         int64 // the L.k whose row cancels: one that reaches the last conjunct
 		cancelRows int64 // rows materialized when the cancelled query stopped
+		width      int   // columns of each row charged
 	}{
 		{"restrict", func(stop expr.Expr) algebra.Node {
 			return algebra.Filter(in, expr.NewAnd(expr.NewCmp(value.GE, expr.C("L.r"), expr.IntLit(2)), stop))
-		}, 1002, 613},
+		}, 1002, 613, 2},
 		{"join ON", func(stop expr.Expr) algebra.Node {
 			return algebra.NewJoin(algebra.InnerJoin, in, r, expr.NewAnd(expr.Eq(expr.C("L.r"), expr.C("R.r")), expr.NewCmp(value.GE, expr.C("L.k"), expr.IntLit(0)), stop))
-		}, 1002, 672},
+		}, 1002, 672, 3},
 		{"nested-loop join ON", func(stop expr.Expr) algebra.Node {
 			return algebra.NewJoin(algebra.SemiJoin, in, r, expr.NewAnd(expr.NewCmp(value.LT, expr.C("L.r"), expr.C("R.r")), stop))
-		}, 1001, 410},
+		}, 1001, 410, 2},
+		{"σ/π over GMDJ", func(stop expr.Expr) algebra.Node {
+			g := algebra.NewGMDJ(in, r, algebra.GMDJCond{
+				Theta: expr.Eq(expr.C("L.r"), expr.C("R.r")),
+				Aggs:  []agg.Spec{{Func: agg.CountStar, As: "cnt"}},
+			})
+			return algebra.ProjectCols(algebra.Filter(g, expr.NewAnd(expr.NewCmp(value.GT, expr.C("cnt"), expr.IntLit(0)), stop)), false, "L.k")
+		}, 1002, 410, 1},
 	} {
 		e := New(storage.NewCatalog())
 		e.Parallelism = 1
@@ -221,8 +234,9 @@ func TestPredSitesGoverned(t *testing.T) {
 			t.Errorf("%s, cancelled at L.k = %d: err = %v after %d rows; want ErrCanceled after %d", c.name, c.at, err, gov.Rows(), c.cancelRows)
 		}
 		gov = govern.New(context.Background(), govern.Budget{MaxRows: 1000})
-		if _, err := e.RunObserved(c.plan(expr.BoolLit(true)), gov, nil); !errors.Is(err, govern.ErrRowBudget) || gov.Rows() != 1001 {
-			t.Errorf("%s, row budget: err = %v after %d rows; want ErrRowBudget on row 1001", c.name, err, gov.Rows())
+		bytes := 1001 * make(relation.Tuple, c.width).ApproxBytes()
+		if _, err := e.RunObserved(c.plan(expr.BoolLit(true)), gov, nil); !errors.Is(err, govern.ErrRowBudget) || gov.Rows() != 1001 || gov.Bytes() != bytes {
+			t.Errorf("%s, row budget: err = %v after %d rows, %d bytes; want ErrRowBudget on row 1001, %d bytes", c.name, err, gov.Rows(), gov.Bytes(), bytes)
 		}
 	}
 }

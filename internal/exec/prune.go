@@ -32,10 +32,8 @@ type pruneConjunct struct {
 // top-level AND terms (both predicate-level PredAnd and
 // expression-level expr.And inside an Atom) of the shape
 // col ⟨cmp⟩ lit (either orientation) whose column resolves in the
-// scan's schema and nowhere in the outer environment (a name that
-// could bind to an enclosing block must not prune — the real binding
-// would resolve there first).
-func pruneConjuncts(where algebra.Pred, scan, outer *relation.Schema) []pruneConjunct {
+// scan's schema.
+func pruneConjuncts(where algebra.Pred, scan *relation.Schema) []pruneConjunct {
 	preds := []algebra.Pred{where}
 	if and, ok := where.(*algebra.PredAnd); ok {
 		preds = and.Terms
@@ -60,9 +58,6 @@ func pruneConjuncts(where algebra.Pred, scan, outer *relation.Schema) []pruneCon
 		}
 		col, lit, op, ok := splitCmp(cmp)
 		if !ok {
-			continue
-		}
-		if _, err := outer.Find(col.Qualifier, col.Name); err == nil {
 			continue
 		}
 		pos, err := scan.Find(col.Qualifier, col.Name)
@@ -91,12 +86,13 @@ func splitCmp(c *expr.Cmp) (*expr.Col, *expr.Lit, value.CmpOp, bool) {
 }
 
 // pruneScanInput evaluates Scan s as the input of a selection on where —
-// an evalRestrict's, or the one a GMDJ evaluation fuses with its detail
-// — handing on only the rows of the blocks whose zone maps cannot rule
-// where out, and records segments_pruned / segments_total on the
-// selection's stats node. The scan keeps its own stats node and charges
-// the rows it hands on. whole is the table when no block was skipped —
-// the relation is then the table's, row for row — and nil otherwise.
+// a chain's bottom σ (evalChain), or the one a GMDJ evaluation fuses
+// with its detail — handing on only the rows of the blocks whose zone
+// maps cannot rule where out, and records segments_pruned /
+// segments_total on the selection's stats node. The scan keeps its own
+// stats node and charges the rows it hands on. whole is the table when no
+// block was skipped — the relation is then the table's, row for row —
+// and nil otherwise.
 func (e *Executor) pruneScanInput(s *algebra.Scan, where algebra.Pred, ev *env) (in *relation.Relation, whole *storage.Table, err error) {
 	pruned, total := 0, 0
 	in, err = e.observe(s, ev, func() (*relation.Relation, error) {
@@ -104,7 +100,7 @@ func (e *Executor) pruneScanInput(s *algebra.Scan, where algebra.Pred, ev *env) 
 		if err != nil {
 			return nil, err
 		}
-		rel, pruned, total = pruneBlocks(t, rel, pruneConjuncts(where, rel.Schema, ev.schema))
+		rel, pruned, total = pruneBlocks(t, rel, pruneConjuncts(where, rel.Schema))
 		if pruned == 0 {
 			whole = t
 		}

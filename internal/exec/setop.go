@@ -21,8 +21,7 @@ func (e *Executor) evalSetOp(s *algebra.SetOp, ev *env) (*relation.Relation, err
 	if l.Schema.Len() != r.Schema.Len() {
 		return nil, fmt.Errorf("exec: %s operands have %d and %d columns", s.Kind, l.Schema.Len(), r.Schema.Len())
 	}
-	ev.q.node = s
-	if err := ev.q.fire("exec.setop"); err != nil {
+	if err := ev.q.fire(s, "exec.setop"); err != nil {
 		return nil, err
 	}
 	out := relation.New(l.Schema)

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"slices"
 	"sort"
 
 	"github.com/olaplab/gmdj/internal/algebra"
@@ -16,37 +17,28 @@ func (e *Executor) evalSort(s *algebra.Sort, ev *env) (*relation.Relation, error
 	if err != nil {
 		return nil, err
 	}
-	ev.q.node = s
-	if err := ev.q.fire("exec.sort"); err != nil {
+	if err := ev.q.fire(s, "exec.sort"); err != nil {
 		return nil, err
 	}
-	full := ev.schema.Concat(in.Schema)
-	bound := make([]expr.Expr, len(s.Keys))
+	// The keys are a π over the input (chain.row): precomputed, so
+	// comparisons during sorting are cheap and expression errors surface
+	// before sort.Slice (which cannot fail).
+	c := &chain{steps: []step{{items: make([]expr.Expr, len(s.Keys))}}}
 	for i, k := range s.Keys {
-		b, err := k.E.Bind(full)
-		if err != nil {
+		if c.steps[0].items[i], err = k.E.Bind(in.Schema); err != nil {
 			return nil, err
 		}
-		bound[i] = b
 	}
-	// Precompute key tuples so comparisons during sorting are cheap and
-	// expression errors surface before sort.Slice (which cannot fail).
-	keys := make([]relation.Tuple, in.Len())
-	fullRow := workerScratch(1, ev.row, in.Schema.Len())[0]
+	keys, bufs := make([]relation.Tuple, in.Len()), c.scratch()
 	for i, row := range in.Rows {
 		if err := ev.q.tick(); err != nil {
 			return nil, err
 		}
-		copy(fullRow[len(ev.row):], row)
-		key := make(relation.Tuple, len(bound))
-		for j, b := range bound {
-			v, err := b.Eval(fullRow)
-			if err != nil {
-				return nil, err
-			}
-			key[j] = v
+		key, err := c.row(bufs, row, nil)
+		if err != nil {
+			return nil, err
 		}
-		keys[i] = key
+		keys[i] = slices.Clone(key)
 	}
 	idx := make([]int, in.Len())
 	for i := range idx {

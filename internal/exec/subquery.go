@@ -12,105 +12,34 @@ import (
 	"github.com/olaplab/gmdj/internal/value"
 )
 
-// compiledPred is a predicate compiled against a fixed outer schema;
-// eval receives the full concatenated outer row.
-type compiledPred interface {
-	eval(row relation.Tuple) (value.Tri, error)
-}
-
-type cpAtom struct{ p *expr.Pred }
-
-func (c *cpAtom) eval(row relation.Tuple) (value.Tri, error) { return c.p.Tri(row) }
-
-type cpAnd struct{ terms []compiledPred }
-
-func (c *cpAnd) eval(row relation.Tuple) (value.Tri, error) {
-	acc := value.True
-	for _, t := range c.terms {
-		tr, err := t.eval(row)
-		if err != nil {
-			return value.Unknown, err
-		}
-		acc = acc.And(tr)
-		if acc == value.False {
-			return value.False, nil
-		}
-	}
-	return acc, nil
-}
-
-type cpOr struct{ terms []compiledPred }
-
-func (c *cpOr) eval(row relation.Tuple) (value.Tri, error) {
-	acc := value.False
-	for _, t := range c.terms {
-		tr, err := t.eval(row)
-		if err != nil {
-			return value.Unknown, err
-		}
-		acc = acc.Or(tr)
-		if acc == value.True {
-			return value.True, nil
-		}
-	}
-	return acc, nil
-}
-
-type cpNot struct{ p compiledPred }
-
-func (c *cpNot) eval(row relation.Tuple) (value.Tri, error) {
-	tr, err := c.p.eval(row)
-	if err != nil {
-		return value.Unknown, err
-	}
-	return tr.Not(), nil
-}
-
-// compilePred compiles a predicate tree against the outer schema
-// (already including any enclosing blocks). Subquery sources are
+// compilePred compiles a predicate tree against the outer schema — the
+// rows of the block it filters — into one expr.Pred, each
+// subquery predicate a leaf of it (cpSub). Subquery sources are
 // materialized once — the "reuse of invariants" refinement — and their
 // correlation predicates are compiled against outer ++ inner. The
 // query state q rides along so subquery evaluation loops stay
 // governed.
-func (e *Executor) compilePred(p algebra.Pred, outer *relation.Schema, q *query) (compiledPred, error) {
-	switch n := p.(type) {
-	case *algebra.Atom:
-		b, err := n.E.Bind(outer)
-		if err != nil {
-			return nil, err
+func (e *Executor) compilePred(p algebra.Pred, outer *relation.Schema, q *query) (*expr.Pred, error) {
+	var err error
+	p = algebra.MapPred(p, func(p algebra.Pred) algebra.Pred {
+		if sp, ok := p.(*algebra.SubPred); ok && err == nil {
+			var leaf *cpSub
+			leaf, err = e.compileSubPred(sp, outer, q)
+			return &algebra.Atom{E: leaf}
 		}
-		return &cpAtom{p: expr.Compile(b)}, nil
-	case *algebra.PredAnd:
-		terms := make([]compiledPred, len(n.Terms))
-		for i, t := range n.Terms {
-			c, err := e.compilePred(t, outer, q)
-			if err != nil {
-				return nil, err
-			}
-			terms[i] = c
-		}
-		return &cpAnd{terms: terms}, nil
-	case *algebra.PredOr:
-		terms := make([]compiledPred, len(n.Terms))
-		for i, t := range n.Terms {
-			c, err := e.compilePred(t, outer, q)
-			if err != nil {
-				return nil, err
-			}
-			terms[i] = c
-		}
-		return &cpOr{terms: terms}, nil
-	case *algebra.PredNot:
-		c, err := e.compilePred(n.P, outer, q)
-		if err != nil {
-			return nil, err
-		}
-		return &cpNot{p: c}, nil
-	case *algebra.SubPred:
-		return e.compileSubPred(n, outer, q)
-	default:
-		return nil, fmt.Errorf("exec: unknown predicate node %T", p)
+		return p
+	})
+	var x expr.Expr
+	if err == nil {
+		x, err = algebra.PredExpr(p)
 	}
+	if err == nil {
+		x, err = x.Bind(outer)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return expr.Compile(x), nil
 }
 
 // accessPath is an optional index acceleration for one subquery: probe
@@ -133,7 +62,7 @@ type cpSub struct {
 	left expr.Expr // bound to outer schema; nil for EXISTS kinds
 
 	inner     *relation.Relation // materialized subquery source
-	innerPred compiledPred       // compiled against outer ++ inner; nil = TRUE
+	innerPred *expr.Pred         // compiled against outer ++ inner; nil = TRUE
 	outPos    int                // position of OutCol in inner schema; -1
 	aggSpec   *agg.Spec          // bound against outer ++ inner; nil unless aggregate subquery
 	outerW    int
@@ -229,8 +158,8 @@ func (e *Executor) epochTags(src algebra.Node) ([]string, bool) {
 	return tags, true
 }
 
-func (e *Executor) compileSubPred(sp *algebra.SubPred, outer *relation.Schema, q *query) (compiledPred, error) {
-	if err := q.fire("exec.subquery"); err != nil {
+func (e *Executor) compileSubPred(sp *algebra.SubPred, outer *relation.Schema, q *query) (*cpSub, error) {
+	if err := q.fire(sp.Sub.Source, "exec.subquery"); err != nil {
 		return nil, err
 	}
 	inner, err := e.evalSubquerySource(sp.Sub.Source, q)
@@ -443,6 +372,21 @@ func (c *cpSub) candidates(outerRow relation.Tuple) (cand []int, hasPath bool, e
 	return c.path.sorted.Range(lo, loIncl, hi, hiIncl), true, nil
 }
 
+// A cpSub is a bound leaf of its predicate's expression: it evaluates
+// to the subquery predicate's truth value, NULL for Unknown.
+func (c *cpSub) Bind(*relation.Schema) (expr.Expr, error) { return c, nil }
+func (c *cpSub) Children() []expr.Expr                    { return nil }
+func (c *cpSub) String() string                           { return "subquery" }
+
+func (c *cpSub) Eval(outerRow relation.Tuple) (value.Value, error) {
+	switch tr, err := c.eval(outerRow); {
+	case err != nil || tr == value.Unknown:
+		return value.Null, err
+	default:
+		return value.Bool(tr == value.True), nil
+	}
+}
+
 // eval implements the SQL semantics of each construct (the proof
 // obligations of Theorem 3.1), with the native engine's early exits:
 // EXISTS stops on first match, ALL stops on first counterexample (the
@@ -500,7 +444,7 @@ func (c *cpSub) evalUncached(outerRow relation.Tuple) (value.Tri, error) {
 			return value.True, nil
 		}
 		copy(full[c.outerW:], innerRow)
-		return c.innerPred.eval(full)
+		return c.innerPred.Tri(full)
 	}
 
 	switch c.kind {

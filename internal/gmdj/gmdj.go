@@ -151,8 +151,8 @@ type Options struct {
 	// Stats, when non-nil, receives evaluation counters.
 	Stats *Stats
 	// Gov, when non-nil, governs the evaluation: cancellation is polled
-	// every scanChunk rows per scan and once per detail-pass morsel (no
-	// shared write), and emitted rows are charged against the budgets.
+	// every scanChunk rows per scan and in emit, and once per detail-pass
+	// morsel (no shared write); emitted rows are charged against the budgets.
 	Gov *govern.Governor
 	// Faults injects deterministic failures at the gmdj.compile,
 	// gmdj.worker, and gmdj.emit sites (nil = no injection).
@@ -189,6 +189,18 @@ type Options struct {
 	// partitions under memory pressure. Nil turns reservation exhaustion
 	// into a hard govern.ErrMemBudget error — the "kill" regime.
 	Spill *spill.Store
+	// Emit, when non-nil, runs the σ/π above the GMDJ inside emit.
+	Emit *Emit
+}
+
+// Emit is the selection and projection directly above a GMDJ. emit hands
+// Row each kept tuple's wide row (base columns, then every aggregate) in
+// a scratch tuple reused for the next; Row returns the row to emit in
+// its place, of Schema and read only until the next call, or nil to drop
+// it. The result has Schema and only the rows Row kept.
+type Emit struct {
+	Schema *relation.Schema
+	Row    func(wide relation.Tuple) (relation.Tuple, error)
 }
 
 // HashCache is the minimal cache surface the evaluator needs for
@@ -1226,30 +1238,48 @@ func evalTree(t *algebra.BoolTree, atoms []algebra.CompletionAtom, matched []boo
 	}
 }
 
-// emit materializes the output relation from the final result,
-// charging each emitted row against the query budgets.
+// emit materializes the output relation from the final result: each
+// kept tuple's wide row is built in one scratch tuple and handed to
+// Options.Emit, when set, and only the rows emitted are copied out and
+// charged against the query budgets. Cancellation is polled every
+// scanChunk base tuples.
 func (p *program) emit(res result) (*relation.Relation, error) {
 	if err := p.Faults.Fire("gmdj.emit", p.Gov); err != nil {
 		return nil, err
 	}
+	step := p.Emit
+	if step == nil {
+		step = &Emit{Schema: p.outSchema, Row: func(wide relation.Tuple) (relation.Tuple, error) { return wide, nil }}
+	}
 	// One slab holds every kept row, each capped at its width.
-	kept, w := len(res.decided), p.baseW+len(p.specs)
+	kept, w, wide := len(res.decided), step.Schema.Len(), make(relation.Tuple, 0, p.baseW+len(p.specs))
 	for _, d := range res.decided {
 		if d == -1 {
 			kept--
 		}
 	}
-	out, slab := relation.New(p.outSchema), make(relation.Tuple, kept*w)
+	out, slab := relation.New(step.Schema), make(relation.Tuple, kept*w)
 	out.Rows = make([]relation.Tuple, 0, kept)
 	for bi, baseRow := range p.base.Rows {
+		if bi%scanChunk == 0 {
+			if err := p.Gov.Check(); err != nil {
+				return nil, err
+			}
+		}
 		if res.decided[bi] == -1 {
 			continue
 		}
-		row := append(slab[:0:w], baseRow...)
+		wide = append(wide[:0], baseRow...)
 		for j := range p.specs {
-			row = append(row, res.fold.Result(j, bi))
+			wide = append(wide, res.fold.Result(j, bi))
 		}
-		slab = slab[w:]
+		row, err := step.Row(wide)
+		if err != nil {
+			return nil, err
+		} else if row == nil {
+			continue
+		}
+		row, slab = append(slab[:0:w], row...), slab[w:]
 		if p.Gov != nil || p.Live != nil {
 			bytes := row.ApproxBytes()
 			p.Live.AddOut(1, bytes)

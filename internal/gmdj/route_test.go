@@ -104,7 +104,11 @@ func TestRouteFaultsAndCancellation(t *testing.T) {
 // base tuples as over 1 024 — the partitions are carved from slabs, the
 // index is flat arrays, emit fills one slab of presized output — and a
 // spilled one reads no more than 12 bytes a base row beside its frame
-// headers: a position delta and a key hash, never the row.
+// headers: a position delta and a key hash, never the row. A fused chain
+// (Options.Emit) that keeps none, half or all of the large base's rows,
+// as one narrow column, allocates as often as the bare emit over the
+// small base: each wide row is built in one scratch tuple and only
+// survivors are copied, into the one slab.
 func TestEmitAllocsFlat(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops pooled vectors")
@@ -135,8 +139,33 @@ func TestEmitAllocsFlat(t *testing.T) {
 		})
 	}
 	small, large := baseOf(1024), baseOf(16384)
-	if sa, la := allocs(small), allocs(large); la > sa {
+	sa, la := allocs(small), allocs(large)
+	if la > sa {
 		t.Errorf("%v allocations over %d base tuples, %v over %d: the fold or emit allocates per tuple", la, large.Len(), sa, small.Len())
+	}
+	narrow, scratch := relation.NewSchema(relation.Column{Qualifier: "B", Name: "name", Type: value.KindString}), make(relation.Tuple, 1)
+	for _, keep := range []int64{0, 10, 20} { // B.k < keep: none, half, all
+		want := 0
+		for _, row := range large.Rows {
+			if row[0].AsInt() < keep {
+				want++
+			}
+		}
+		emit := &Emit{Schema: narrow, Row: func(wide relation.Tuple) (relation.Tuple, error) {
+			if wide[0].AsInt() >= keep {
+				return nil, nil
+			}
+			scratch[0] = wide[1]
+			return scratch, nil
+		}}
+		fa := testing.AllocsPerRun(10, func() {
+			if out, err := Evaluate(large, detail, conds, Options{Workers: 2, Emit: emit}); err != nil || out.Len() != want {
+				t.Fatalf("fused Evaluate: %v, %d rows; want %d", err, out.Len(), want)
+			}
+		})
+		if fa > sa {
+			t.Errorf("fused chain keeping B.k < %d of %d base tuples: %v allocations, over the bare emit's %v: emit allocates per tuple or per survivor", keep, large.Len(), fa, sa)
+		}
 	}
 	tr, release := tinyTracker(t)
 	defer release()
