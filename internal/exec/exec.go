@@ -473,8 +473,9 @@ func (e *Executor) evalGMDJ(g *algebra.GMDJ, ev *env, fuse func(wide *relation.S
 	e.gmdjTotals.WorkerRows = nil
 	e.gmdjMu.Unlock()
 	if op := ev.q.col.Current(); op != nil {
-		// Fold ranges or key partitions, 1 for a single-range fold (or
-		// partitioned single-range folds); the detail pass's degree is its
+		// Fold tasks — ranges, key partitions, a spilled run's partitions
+		// folded together — and 1 for a single-range fold (or a spilled
+		// run of one-partition rounds); the detail pass's degree is its
 		// own counter. Add drops a zero counter.
 		op.Add("workers", max(int64(len(local.WorkerRows)), 1))
 		if local.DetailPassWorkers > 1 {

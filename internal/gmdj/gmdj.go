@@ -88,8 +88,9 @@ type Stats struct {
 	FallbackConds int
 	// WorkerRows records, for a fold split across base ranges or key
 	// partitions, how many detail rows each fed (recorded at drain time).
-	// Nil for a single-range fold. Merge concatenates, so a spilled run
-	// lists every partition's workers in order.
+	// Nil for a single-range fold. A spilled run lists, in order, one
+	// entry per partition folded in a concurrent round (per range, for a
+	// fallback θ); a round of one single-range partition adds none.
 	WorkerRows []int64
 	// HashCacheHits / HashCacheMisses count detail-side key-hash
 	// partitions reused from (or computed and published to) the
@@ -1312,8 +1313,10 @@ type partition struct {
 func (p *program) parts() []partition {
 	shift, hs, counts := 64-p.bits, make([]uint64, len(p.base.Rows)), make([]int, 1<<p.bits)
 	for bi, row := range p.base.Rows {
-		if hs[bi] = row.Hash(); p.route {
+		if p.route {
 			hs[bi], _ = row.KeyHash(p.conds[0].baseKey)
+		} else {
+			hs[bi] = row.Hash()
 		}
 		counts[hs[bi]>>shift]++
 	}

@@ -52,7 +52,13 @@ func spillFixture() (*relation.Relation, *relation.Relation, []algebra.GMDJCond)
 // the fixture's state estimate — so Evaluate must spill.
 func tinyTracker(t *testing.T) (*mem.Tracker, func()) {
 	t.Helper()
-	p := mem.NewPool(8<<10, time.Second)
+	return poolTracker(t, 8<<10)
+}
+
+// poolTracker acquires a reservation from a pool of limit bytes.
+func poolTracker(t *testing.T, limit int64) (*mem.Tracker, func()) {
+	t.Helper()
+	p := mem.NewPool(limit, time.Second)
 	res, err := p.Acquire(context.Background(), mem.DefaultQueryReserve)
 	if err != nil {
 		t.Fatal(err)
@@ -101,6 +107,126 @@ func TestSpillParity(t *testing.T) {
 		if n := store.LiveFiles(); n != 0 {
 			t.Errorf("workers=%d: %d spill files leaked", workers, n)
 		}
+	}
+}
+
+// bigSpillFixture is spillFixture's base and condition over a detail of
+// 2×MorselRows+1 rows, the fewest that give the detail pass two
+// workers: at Workers > 1 a spilled run then folds two partitions or
+// more in one round. spillFixture keeps its sizes, which the cuts pin.
+func bigSpillFixture() (*relation.Relation, *relation.Relation, []algebra.GMDJCond) {
+	base, small, conds := spillFixture()
+	rng := rand.New(rand.NewSource(29))
+	detail := relation.New(small.Schema)
+	for i := 0; i < 2*govern.MorselRows+1; i++ {
+		detail.Append(relation.Tuple{value.Int(int64(rng.Intn(40))), value.Int(int64(rng.Intn(100)))})
+	}
+	return base, detail, conds
+}
+
+// spillRun evaluates under a 40 KiB pool, which cuts the base state
+// (48 000 B) into four partitions and holds two or three at once, with a
+// fresh spill store; it returns what the tracker still holds and how
+// many spill files are left.
+func spillRun(t *testing.T, base, detail *relation.Relation, conds []algebra.GMDJCond, opts Options, faults string) (out *relation.Relation, used int64, live int, err error) {
+	t.Helper()
+	in, err := govern.ParseFaults(faults)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, release := poolTracker(t, 40<<10)
+	defer release()
+	store, err := spill.NewStore(filepath.Join(t.TempDir(), "scratch"), in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.Mem, opts.Spill = tr, store
+	out, err = Evaluate(base, detail, conds, opts)
+	return out, tr.Used(), store.LiveFiles(), err
+}
+
+// TestSpillParityConcurrent: at Workers 2 and 4 the detail is large
+// enough for a pass of two workers, so a round folds two partitions or
+// more at once — with the unlimited run's result, Workers 1's counters,
+// every round's charge given back and every spill file swept.
+func TestSpillParityConcurrent(t *testing.T) {
+	base, detail, conds := bigSpillFixture()
+	full, err := Evaluate(base, detail, conds, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var serial Stats
+	for _, workers := range []int{1, 2, 4} {
+		var stats Stats
+		got, used, live, err := spillRun(t, base, detail, conds, Options{Workers: workers, Stats: &stats}, "")
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if d := full.Diff(got); d != "" {
+			t.Errorf("workers=%d: spilled result differs: %s", workers, d)
+		}
+		if used != 0 || live != 0 {
+			t.Errorf("workers=%d: %d bytes still charged, %d spill files left; want 0 and 0", workers, used, live)
+		}
+		if stats.SpillPartitions < 2 {
+			t.Errorf("workers=%d: SpillPartitions = %d, want >= 2", workers, stats.SpillPartitions)
+		}
+		if workers == 1 {
+			serial = stats
+			continue
+		}
+		if stats.Matches != serial.Matches || stats.Completed != serial.Completed || stats.DetailRows != serial.DetailRows || stats.Probes != serial.Probes {
+			t.Errorf("workers=%d: matches/completed/detail rows/probes = %d/%d/%d/%d, want Workers 1's %d/%d/%d/%d", workers,
+				stats.Matches, stats.Completed, stats.DetailRows, stats.Probes, serial.Matches, serial.Completed, serial.DetailRows, serial.Probes)
+		}
+		if len(stats.WorkerRows) < 2 {
+			t.Errorf("workers=%d: WorkerRows = %v, want a round of two partitions or more", workers, stats.WorkerRows)
+		}
+	}
+}
+
+// TestSpillConcurrentRoundFailures: a round that fails — a read-back
+// after a partition of the round was admitted, a worker's error or
+// panic, a cancel while a partition folds — ends in its typed error,
+// gives every admitted partition's charge back and sweeps every file.
+func TestSpillConcurrentRoundFailures(t *testing.T) {
+	base, detail, conds := bigSpillFixture()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var fired atomic.Bool
+	var seen atomic.Int64
+	at := &cancelAt{col: expr.NewArith(expr.OpSub, expr.C("B.k"), expr.C("R.k")), cancel: cancel, fired: &fired, seen: &seen}
+	canceling := []algebra.GMDJCond{{Theta: expr.NewAnd(conds[0].Theta, at), Aggs: conds[0].Aggs}}
+	for _, tc := range []struct {
+		name, faults string
+		conds        []algebra.GMDJCond
+		opts         Options
+		want         error
+	}{
+		{"spill.read=corrupt", "spill.read=corrupt", conds, Options{}, spill.ErrSpillIO},
+		{"spill.read=corrupt@3", "spill.read=corrupt@3", conds, Options{}, spill.ErrSpillIO},
+		{"gmdj.worker=error", "", conds, Options{Faults: govern.NewInjector(map[string]string{"gmdj.worker": "error"})}, govern.ErrInjected},
+		{"gmdj.worker=panic", "", conds, Options{Faults: govern.NewInjector(map[string]string{"gmdj.worker": "panic"})}, govern.ErrInternal},
+		{"cancel", "", canceling, Options{Gov: govern.New(ctx, govern.Budget{})}, govern.ErrCanceled},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var stats Stats
+			tc.opts.Workers, tc.opts.Stats = 2, &stats
+			_, used, live, err := spillRun(t, base, detail, tc.conds, tc.opts, tc.faults)
+			if !errors.Is(err, tc.want) || stats.SpillPartitions < 2 {
+				t.Fatalf("err = %v after spilling %d partitions, want %v after spilling", err, stats.SpillPartitions, tc.want)
+			}
+			var ie *govern.InternalError
+			if tc.want == govern.ErrInternal && !errors.As(err, &ie) {
+				t.Errorf("err = %T, want *govern.InternalError", err)
+			}
+			if used != 0 || live != 0 {
+				t.Errorf("%d bytes still charged, %d spill files left; want 0 and 0", used, live)
+			}
+		})
+	}
+	if !fired.Load() {
+		t.Error("the cancel never fired")
 	}
 }
 
