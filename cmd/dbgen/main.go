@@ -1,6 +1,7 @@
-// Command dbgen writes the synthetic experiment datasets as CSV files
-// (one per table), mirroring the role of the TPC-R dbgen program the
-// paper derived its test databases from.
+// Command dbgen writes the synthetic experiment datasets as a directory
+// of CSV files with .schema sidecars (storage.SaveDir; gmdj.OpenDir reads
+// it back), mirroring the role of the TPC-R dbgen program the paper
+// derived its test databases from.
 //
 // Usage:
 //
@@ -44,7 +45,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	if err := os.MkdirAll(*out, 0o755); err != nil {
+	if err := storage.SaveDir(cat, *out); err != nil {
 		fmt.Fprintln(os.Stderr, "dbgen:", err)
 		os.Exit(1)
 	}
@@ -54,21 +55,6 @@ func main() {
 			fmt.Fprintln(os.Stderr, "dbgen:", err)
 			os.Exit(1)
 		}
-		path := filepath.Join(*out, name+".csv")
-		f, err := os.Create(path)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "dbgen:", err)
-			os.Exit(1)
-		}
-		if err := storage.WriteCSV(f, t.Rel); err != nil {
-			f.Close()
-			fmt.Fprintln(os.Stderr, "dbgen:", err)
-			os.Exit(1)
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "dbgen:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s (%d rows)\n", path, t.Rel.Len())
+		fmt.Printf("wrote %s (%d rows)\n", filepath.Join(*out, name+".csv"), t.Rel.Len())
 	}
 }
