@@ -62,7 +62,7 @@ func TestEstimateBoundsState(t *testing.T) {
 		runtime.GC()
 		runtime.ReadMemStats(&before)
 		res := p.newResult(n)
-		s, err := p.newState(&part, p.buildIndex(&part), 0, n, res)
+		s, err := p.newState(&part, 0, n, res)
 		runtime.ReadMemStats(&after)
 		if err != nil {
 			t.Fatal(err)

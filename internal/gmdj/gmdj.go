@@ -26,7 +26,8 @@
 // aggregates are fed by one goroutine in detail order, so results are
 // byte-identical at any degree. A routed program (bound on one key) reads
 // R once in every regime, each key partition of B folding the rows routed
-// to it; only a fallback θ shards the fold by base range (degree).
+// to it; only a fallback θ shards the fold by base range (degree). Each
+// range indexes only the tuples it owns, so no probe is repeated.
 //
 // The optional tuple-completion optimization (§4.2) drops a base tuple
 // from the active set the moment the downstream selection's outcome is
@@ -37,6 +38,7 @@ package gmdj
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"runtime"
 	"slices"
 	"sort"
@@ -267,8 +269,10 @@ type condProg struct {
 	pair       bool // an aggregate argument reads the base: the aggregates fold base++detail
 	publish    string
 	// detailPredOK, when non-nil, is the detail pass's outcome of
-	// detailPred per detail row. Read-only during the fold.
+	// detailPred per detail row; unreached records that it holds on none,
+	// so a fallback condition needs no scan list. Read-only during the fold.
 	detailPredOK []bool
+	unreached    bool
 }
 
 // program is one compiled GMDJ: everything about the evaluation that
@@ -441,9 +445,11 @@ func (p *program) detailPass() error {
 	}
 	p.Stats.DetailPassWorkers += int64(used)
 	for ci := range p.conds {
-		if cp := &p.conds[ci]; cp.publish != "" {
+		cp := &p.conds[ci]
+		if cp.publish != "" {
 			p.HashCache.Put(cp.publish, cp.detailHash, int64(n)*9)
 		}
+		cp.unreached = cp.detailPredOK != nil && !slices.Contains(cp.detailPredOK, true)
 	}
 	return nil
 }
@@ -598,28 +604,6 @@ func bindAggs(dst, specs []agg.Spec, s *relation.Schema) ([]agg.Spec, error) {
 		dst = append(dst, bound)
 	}
 	return dst, nil
-}
-
-// buildIndex indexes a partition's tuples, one relation.HashIndex per
-// base key, from the key hashes a routed partition brings; a NULL key,
-// which never matches through equality, is left out, a fallback
-// condition gets nil.
-func (p *program) buildIndex(part *partition) []*relation.HashIndex {
-	index := make([]*relation.HashIndex, len(p.conds))
-	for ci := range p.conds {
-		key := p.conds[ci].baseKey
-		if j := slices.IndexFunc(p.conds, func(cp condProg) bool { return slices.Equal(cp.baseKey, key) }); j < ci || len(key) == 0 {
-			index[ci] = index[j] // nil for a fallback condition
-			continue
-		}
-		index[ci] = relation.NewHashIndex(len(part.rows), func(i int) (uint64, bool) {
-			if part.hash != nil && part.hash[i] != 0 {
-				return part.hash[i], true
-			}
-			return part.rows[i].KeyHash(key) // 0 is a NULL key's hash, and rarely a key's
-		})
-	}
-	return index
 }
 
 // attachHashes gives every indexed condition its detail-side key-hash
@@ -821,9 +805,9 @@ type state struct {
 	rows   []relation.Tuple
 	lo     int
 	detail []int32 // routed: the detail rows the scan walks
-	// index is the partition's hash index (buildIndex), shared read-only
-	// by every range of the partition. Its buckets hand out partition
-	// positions, so a hit outside the owned range is another worker's.
+	// index is, per indexed condition, a relation.HashIndex over the owned
+	// tuples, handing out offsets into rows (nil for a fallback one);
+	// conditions on one base key share it.
 	index []*relation.HashIndex
 	// res is the partition's result: owned tuple i folds and is decided
 	// at position lo+i, already where emit (or the scatter) reads it.
@@ -838,15 +822,17 @@ type state struct {
 	// basePredOK[c][i] caches base-only conjunct outcomes.
 	basePredOK [][]bool
 	// condScan is, per condition, the fallback iteration list of owned
-	// tuples (nil for indexed conditions). Conditions with a
-	// base-only predicate list only the rows that pass it, so e.g. an
-	// "x IS NULL" counterexample condition costs nothing on NULL-free
-	// data. A range-bound one's is sorted if it can be (rng is then set).
-	// Lists are compacted lazily as completion retires entries:
-	// inactive counts retirements since the last compaction.
+	// tuples (nil for indexed conditions, and for one no detail row
+	// reaches). Conditions with a base-only predicate list only the rows
+	// that pass it, so e.g. an "x IS NULL" counterexample condition costs
+	// nothing on NULL-free data. A range-bound one's is sorted if it can
+	// be (rng is then set). Lists are compacted lazily as completion
+	// retires entries: inactive counts retirements since the last
+	// compaction, compacted is stats.Probes at it.
 	condScan, ext [][]int32
 	rng           []*rangeBind
 	inactive      int
+	compacted     int64
 	// remaining counts still-active owned tuples; when completion
 	// retires the last one the detail scan short-circuits (no base
 	// tuple this state owns can change its output anymore).
@@ -867,18 +853,18 @@ func (s *state) flushLive() {
 }
 
 // newState builds evaluation state for positions [lo,hi) of a
-// partition: the completion flags, base-predicate cache, and fallback
-// scan lists cover only the owned range, so a sharded fold splits the
-// O(base) construction cost and memory across workers. res holds the
-// partition's decisions and fold state.
-func (p *program) newState(part *partition, index []*relation.HashIndex, lo, hi int, res result) (*state, error) {
+// partition: the hash indexes, completion flags, base-predicate cache,
+// and fallback scan lists cover only the owned range, so a sharded fold
+// splits the O(base) construction cost and memory across workers. res
+// holds the partition's decisions and fold state.
+func (p *program) newState(part *partition, lo, hi int, res result) (*state, error) {
 	n := hi - lo
 	s := &state{
 		p:         p,
 		rows:      part.rows[lo:hi],
 		lo:        lo,
 		detail:    part.detail,
-		index:     index,
+		index:     make([]*relation.HashIndex, len(p.conds)),
 		res:       res,
 		active:    make([]bool, n),
 		combined:  make(relation.Tuple, p.baseW+p.detail.Schema.Len()),
@@ -890,25 +876,35 @@ func (p *program) newState(part *partition, index []*relation.HashIndex, lo, hi 
 	if p.Completion != nil {
 		s.matched = make([]bool, n*len(p.Completion.Atoms))
 	}
+	// One index per base key, fed the key hashes a routed partition
+	// brings; a NULL key, which never matches through equality, is left out.
+	for ci := range p.conds {
+		key := p.conds[ci].baseKey
+		if j := slices.IndexFunc(p.conds, func(cp condProg) bool { return slices.Equal(cp.baseKey, key) }); j < ci || len(key) == 0 {
+			s.index[ci] = s.index[j] // nil for a fallback condition
+			continue
+		}
+		s.index[ci] = relation.NewHashIndex(n, func(i int) (uint64, bool) {
+			if part.hash != nil && part.hash[lo+i] != 0 {
+				return part.hash[lo+i], true
+			}
+			return s.rows[i].KeyHash(key) // 0 is a NULL key's hash, and rarely a key's
+		})
+	}
 	s.basePredOK = make([][]bool, len(p.conds))
 	for ci := range p.conds {
 		cp := &p.conds[ci]
-		if cp.basePred == nil {
+		if cp.basePred == nil || cp.unreached {
 			continue
 		}
-		oks := make([]bool, n)
-		for i, row := range s.rows {
-			tr, err := cp.basePred.Tri(row)
-			if err != nil {
-				return nil, err
-			}
-			oks[i] = tr == value.True
+		s.basePredOK[ci] = make([]bool, n)
+		if err := cp.basePred.Filter(s.rows, s.basePredOK[ci]); err != nil {
+			return nil, err
 		}
-		s.basePredOK[ci] = oks
 	}
 	s.condScan, s.ext, s.rng = make([][]int32, len(p.conds)), make([][]int32, len(p.conds)), make([]*rangeBind, len(p.conds))
 	for ci := range p.conds {
-		if index[ci] != nil {
+		if s.index[ci] != nil || p.conds[ci].unreached {
 			continue
 		}
 		list := make([]int32, 0, n)
@@ -933,55 +929,96 @@ var sortPool = sync.Pool{New: func() any { return new([]uint64) }}
 
 // sortRun orders a scan list on y if its cells are all INT, FLOAT or
 // STRING. Numeric keys are packed above each tuple's offset (ranked first
-// if too far apart) for one slices.Sort; strings compare where they lie.
+// if too far apart); the offsets ascend in the list newState builds, so a
+// stable radix sort on the bytes above them orders it as a sort of the
+// whole keys would. Strings compare where they lie.
 func (s *state) sortRun(rb *rangeBind, list []int32) bool {
-	for _, i := range list {
-		if k := s.rows[i][rb.y].Kind(); k != s.rows[list[0]][rb.y].Kind() || k == value.KindBool {
-			return false
-		}
+	n := len(list)
+	if n == 0 {
+		return true
 	}
-	if len(list) > 0 && s.rows[list[0]][rb.y].Kind() == value.KindString {
+	kind := s.rows[list[0]][rb.y].Kind()
+	switch kind {
+	case value.KindBool:
+		return false
+	case value.KindString:
+		for _, i := range list {
+			if s.rows[i][rb.y].Kind() != kind {
+				return false
+			}
+		}
 		slices.SortStableFunc(list, func(a, b int32) int {
 			return strings.Compare(s.rows[a][rb.y].AsString(), s.rows[b][rb.y].AsString())
 		})
 		return true
 	}
 	bp := sortPool.Get().(*[]uint64)
-	n := len(list)
-	keys, lo, hi := slices.Grow((*bp)[:0], 2*n)[:n], uint64(math.MaxUint64), uint64(0)
+	defer sortPool.Put(bp)
+	*bp = slices.Grow((*bp)[:0], 2*n)[:2*n]
+	keys, free, lo, hi := (*bp)[:n], (*bp)[n:], uint64(math.MaxUint64), uint64(0)
 	for k, i := range list {
-		// value.Compare's order: NaN above all, -0.0 (+0 makes it 0.0) as 0.0.
-		switch v := s.rows[i][rb.y]; {
-		case v.Kind() == value.KindInt:
-			keys[k] = uint64(v.AsInt()) ^ 1<<63
-		case v.AsFloat() != v.AsFloat():
-			keys[k] = math.MaxUint64
-		case v.AsFloat() < 0:
-			keys[k] = ^math.Float64bits(v.AsFloat())
-		default:
-			keys[k] = math.Float64bits(v.AsFloat()+0) | 1<<63
+		v := s.rows[i][rb.y]
+		if v.Kind() != kind {
+			return false
 		}
+		keys[k] = sortKey(v)
 		lo, hi = min(lo, keys[k]), max(hi, keys[k])
 	}
-	if n > 0 && hi-lo >= 1<<32 {
-		ranks := append(keys[n:n], keys...)
-		slices.Sort(ranks)
-		for k, key := range keys {
-			r, _ := slices.BinarySearch(ranks, key)
-			keys[k] = uint64(r)
+	if hi-lo >= 1<<32 { // rank: a key's is the count of smaller keys
+		sorted, ranks := radix(keys, free, 0, 64)
+		for k, i := range list {
+			r, _ := slices.BinarySearch(sorted, sortKey(s.rows[i][rb.y]))
+			ranks[k] = uint64(r)
 		}
-		lo = 0
+		keys, free, lo, hi = ranks, sorted, 0, uint64(n)
 	}
 	for k, i := range list {
 		keys[k] = (keys[k]-lo)<<32 | uint64(i)
 	}
-	slices.Sort(keys)
-	for k, key := range keys {
+	sorted, _ := radix(keys, free, 32, 32+bits.Len64(hi-lo))
+	for k, key := range sorted {
 		list[k] = int32(uint32(key))
 	}
-	*bp = keys
-	sortPool.Put(bp)
 	return true
+}
+
+// sortKey maps a numeric cell to value.Compare's order: NaN above all,
+// -0.0 (+0 makes it 0.0) as 0.0.
+func sortKey(v value.Value) uint64 {
+	switch {
+	case v.Kind() == value.KindInt:
+		return uint64(v.AsInt()) ^ 1<<63
+	case v.AsFloat() != v.AsFloat():
+		return math.MaxUint64
+	case v.AsFloat() < 0:
+		return ^math.Float64bits(v.AsFloat())
+	}
+	return math.Float64bits(v.AsFloat()+0) | 1<<63
+}
+
+// radix sorts keys stably on bits [from, to), a byte a pass, least
+// significant first, through free (as long as keys); a byte every key
+// shares costs no pass. It returns the sorted keys and the other buffer.
+func radix(keys, free []uint64, from, to int) (sorted, other []uint64) {
+	var count [256]int
+	for shift := from; shift < to; shift += 8 {
+		clear(count[:])
+		for _, k := range keys {
+			count[byte(k>>shift)]++
+		}
+		if count[byte(keys[0]>>shift)] == len(keys) {
+			continue
+		}
+		for d, at := 0, 0; d < len(count); d++ {
+			count[d], at = at, at+count[d]
+		}
+		for _, k := range keys {
+			d := byte(k >> shift)
+			free[count[d]], count[d] = k, count[d]+1
+		}
+		keys, free = free, keys
+	}
+	return keys, free
 }
 
 // extremes returns per entry the tuple with the largest z at or before
@@ -1009,7 +1046,7 @@ func (s *state) extremes(rb *rangeBind, list, ext []int32) []int32 {
 
 // feed folds one detail row (at detail position di) into the state.
 func (s *state) feed(di int) error {
-	if s.inactive*2 > len(s.rows) {
+	if s.inactive*2 > len(s.rows) || s.inactive > 0 && s.stats.Probes-s.compacted >= int64(len(s.rows)) {
 		s.compact()
 	}
 	p := s.p
@@ -1044,8 +1081,8 @@ func (s *state) feed(di int) error {
 					continue
 				}
 				s.stats.Probes++
-				i := int(e.Pos) - s.lo
-				if uint(i) >= uint(len(s.active)) || !s.active[i] {
+				i := int(e.Pos)
+				if !s.active[i] {
 					continue
 				}
 				baseRow := s.rows[i]
@@ -1180,9 +1217,12 @@ func (s *state) retire(i int, decision int8) {
 }
 
 // compact drops retired tuples from the fallback scan lists, in order,
-// and recomputes their extremes. feed calls it between detail rows,
-// never from retire: a list compacted while feed iterates it would skip
-// some tuples and visit others twice for the current row.
+// and recomputes their extremes. feed calls it between detail rows once
+// half the owned tuples retired, or some did and the probes since the
+// last compaction pay for this one: a stab's extreme that completion
+// retired stops no walk until it is recomputed. Never from retire: a
+// list compacted while feed iterates it would skip some tuples and visit
+// others twice for the current row.
 func (s *state) compact() {
 	for ci, list := range s.condScan {
 		kept := list[:0]
@@ -1196,7 +1236,7 @@ func (s *state) compact() {
 			s.ext[ci] = s.extremes(s.rng[ci], kept, s.ext[ci])
 		}
 	}
-	s.inactive = 0
+	s.inactive, s.compacted = 0, s.stats.Probes
 }
 
 // evalTree Kleene-evaluates the completion formula: unmatched atoms are
@@ -1295,9 +1335,9 @@ func (p *program) emit(res result) (*relation.Relation, error) {
 }
 
 // partition is a set of base positions the driver evaluates together:
-// its tuples are resident at once and one hash index covers exactly
-// them. Evaluate hands the driver the whole base (or its key partitions);
-// the spill regime hands it one hash-prefix slice of it at a time.
+// its tuples are resident at once, each fold range indexing its own.
+// Evaluate hands the driver the whole base (or its key partitions); the
+// spill regime hands it one hash-prefix slice of it at a time.
 type partition struct {
 	rows []relation.Tuple // the partition's tuples, in base order
 	// idx[i] is rows[i]'s base position. Nil for the whole base, where
@@ -1343,12 +1383,12 @@ func (p *program) parts() []partition {
 // degree is the fold's degree policy: how many base ranges a partition
 // of nBase tuples is split into, one detail scan each — chosen by what
 // a detail row costs the fold, not by the cores on offer. A hash-bound
-// row costs a bitmap test and a probe, and a second walker would repeat
-// both (every scan probes the partition's shared index and discards
-// hits outside its range): one scan, or a key partition each. A
-// fallback θ costs |active base| evaluations per row, which split
-// perfectly by base range: shard, given base and detail rows enough
-// for every worker to own a real range.
+// row costs a bitmap test, a hash read and one bucket's probes; a second
+// walker would split only the probes (each range indexes its own tuples)
+// and repeat the rest: one scan, or a key partition each. A fallback θ
+// costs |active base| evaluations per row, which split perfectly by base
+// range: shard, given base and detail rows enough for every worker to
+// own a real range.
 func (p *program) degree(nBase int) int {
 	w := p.Workers
 	if !p.fallback || w <= 1 || nBase < 2*w || len(p.detail.Rows) < 2*w {
@@ -1358,19 +1398,19 @@ func (p *program) degree(nBase int) int {
 }
 
 // evalPartition is the one driver behind serial, parallel and spilled
-// folds. It indexes each partition, splits its positions into one
-// contiguous range per worker (degree), builds state sized to each
-// range, runs the detail scan once per range — inline for one range, on
-// govern.RunTasks' pool otherwise — and leaves every tuple's decision
-// and aggregates in out by base position, for the single emit.
+// folds. It splits each partition's positions into one contiguous range
+// per worker (degree), builds state sized to each range, its hash
+// indexes included, runs the detail scan once per range — inline for one
+// range, on govern.RunTasks' pool otherwise — and leaves every tuple's
+// decision and aggregates in out by base position, for the single emit.
 //
 // The fold is base-owned, never detail-sharded: every base tuple's
 // aggregates are fed by one goroutine in detail order, so results are
 // byte-identical to serial at any degree with no state merge
 // (float sums and order-sensitive aggregates included); completion is
 // final, and short-circuits, per range; the O(base) state construction
-// splits across ranges. The price is one detail scan per range — none
-// for a key partition, which walks the rows routed to it.
+// splits across ranges, on the pool. The price is one detail scan per
+// range — none for a key partition, which walks the rows routed to it.
 //
 // Failure semantics: the first scan to fail (operator error, budget
 // violation, cancellation, or recovered panic) trips the pool's stop
@@ -1379,12 +1419,12 @@ func (p *program) degree(nBase int) int {
 func (p *program) evalPartition(out result, parts ...partition) error {
 	type task struct{ part, lo, hi int }
 	var tasks []task
-	res, index, workers := make([]result, len(parts)), make([][]*relation.HashIndex, len(parts)), p.passWorkers
+	res, workers := make([]result, len(parts)), p.passWorkers
 	for pi, part := range parts {
 		n, degree := len(part.rows), p.degree(len(part.rows))
 		// The whole base folds straight into out; a position list folds
 		// into scratch columns that are scattered once the scans are done.
-		if res[pi], index[pi], workers = out, p.buildIndex(&parts[pi]), max(workers, degree); part.idx != nil {
+		if res[pi], workers = out, max(workers, degree); part.idx != nil {
 			res[pi] = p.newResult(n)
 		}
 		for w := 0; w < degree; w++ {
@@ -1396,7 +1436,7 @@ func (p *program) evalPartition(out result, parts ...partition) error {
 	states := make([]*state, len(tasks))
 	if _, err := govern.RunTasks(len(tasks), workers, func(_, t int, _ *atomic.Bool) (err error) {
 		tk := tasks[t]
-		states[t], err = p.newState(&parts[tk.part], index[tk.part], tk.lo, tk.hi, res[tk.part])
+		states[t], err = p.newState(&parts[tk.part], tk.lo, tk.hi, res[tk.part])
 		return err
 	}); err != nil {
 		return err

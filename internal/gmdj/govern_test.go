@@ -136,6 +136,37 @@ func TestParallelWorkerPanicRecovered(t *testing.T) {
 	}
 }
 
+// TestWorkerPanicEveryTaskCount: a scan's panic comes back as
+// *govern.InternalError whether the fold runs one task inline (serial, or
+// a spilled round of one partition) or two on the pool, and a spilled
+// run gives back its charge and sweeps its files.
+func TestWorkerPanicEveryTaskCount(t *testing.T) {
+	base, detail := governData(10, 1000)
+	spillBase, spillDetail, spillConds := spillFixture()
+	for _, c := range []struct {
+		name    string
+		workers int
+		spilled bool
+	}{{"one task", 1, false}, {"two ranges", 2, false}, {"spilled, one partition a round", 1, true}} {
+		var stats Stats
+		opts := Options{Workers: c.workers, Stats: &stats, Faults: govern.NewInjector(map[string]string{"gmdj.worker": "panic"})}
+		var err error
+		if c.spilled {
+			var used int64
+			var live int
+			if _, used, live, err = spillRun(t, 8<<10, spillBase, spillDetail, spillConds, opts, ""); used != 0 || live != 0 || stats.SpillPartitions == 0 {
+				t.Errorf("%s: %d bytes charged, %d files left after spilling %d partitions; want 0, 0 after spilling", c.name, used, live, stats.SpillPartitions)
+			}
+		} else {
+			_, err = Evaluate(base, detail, nonEquiCond(), opts)
+		}
+		var ie *govern.InternalError
+		if !errors.As(err, &ie) || len(ie.Stack) == 0 {
+			t.Errorf("%s: err = %v, want *govern.InternalError with stack", c.name, err)
+		}
+	}
+}
+
 // TestSerialCancellation: the serial scan honors the governor too.
 func TestSerialCancellation(t *testing.T) {
 	base, detail := governData(10, 30_000)

@@ -3,6 +3,7 @@ package gmdj
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -148,16 +149,51 @@ func TestRangeEdgeCases(t *testing.T) {
 	}
 }
 
+// TestRangeStabProbesByPartition: under completion, a stab column's
+// running extremes are rebuilt once the probes since the last compaction
+// pay for it, so a tuple completion retired stops no walk for long, and
+// cutting the base finer costs no probes. "range: two-column band" of
+// TestDetailPassEquivalence over 4 096 detail rows, its base in 1, 2 and
+// 4 hash partitions, probed 1 712, 2 508 and 7 131 times while extremes
+// were rebuilt only when half the base had retired.
+func TestRangeStabProbesByPartition(t *testing.T) {
+	base := rangeRel("B", []string{"id", "k"})
+	for i := int64(0); i < 64; i++ {
+		base.Append(relation.Tuple{value.Int(i), value.Int(i * 11 % 30)})
+	}
+	conds := []algebra.GMDJCond{{Theta: expr.NewAnd(expr.NewCmp(value.GE, expr.C("R.v"), expr.C("B.k")), expr.NewCmp(value.LT, expr.C("R.v"), expr.C("B.id")),
+		expr.Eq(expr.C("R.tag"), expr.StrLit("odd"))), Aggs: []agg.Spec{{Func: agg.CountStar, As: "cnt"}}}}
+	comp := &algebra.CompletionInfo{Atoms: []algebra.CompletionAtom{{Cond: 0, Kind: algebra.AtomNonZero}}, Tree: algebra.Leaf(0), FreezeTrue: true}
+	var want string
+	for bits, ceiling := range []int64{156, 143, 135} {
+		var stats Stats
+		out := evalParts(t, base, passDetail(4096), conds, Options{Completion: comp, Stats: &stats}, func(base *relation.Relation) []partition {
+			parts := make([]partition, 1<<bits)
+			for bi, row := range base.Rows {
+				part := &parts[row.Hash()>>(63-bits)>>1]
+				part.rows, part.idx = append(part.rows, row), append(part.idx, int32(bi))
+			}
+			return parts
+		})
+		if bits == 0 {
+			want = out.String()
+		}
+		if out.String() != want || stats.Probes > ceiling || stats.Matches != 44 || stats.Completed != 44 {
+			t.Errorf("%d partitions: probes/matches/completed %d/%d/%d, want ≤ %d/44/44 and the output of one", 1<<bits, stats.Probes, stats.Matches, stats.Completed, ceiling)
+		}
+	}
+}
+
 // rangeState compiles θ over base and detail and builds the state of one
 // range holding the whole base.
-func rangeState(t *testing.T, base, detail *relation.Relation, theta expr.Expr) *state {
+func rangeState(t testing.TB, base, detail *relation.Relation, theta expr.Expr) *state {
 	t.Helper()
 	p, err := compile(base, detail, []algebra.GMDJCond{{Theta: theta, Aggs: []agg.Spec{{Func: agg.CountStar, As: "cnt"}}}}, Options{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	n := len(base.Rows)
-	s, err := p.newState(&partition{rows: base.Rows}, p.buildIndex(&partition{rows: base.Rows}), 0, n, p.newResult(n))
+	s, err := p.newState(&partition{rows: base.Rows}, 0, n, p.newResult(n))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,6 +232,80 @@ func TestRangeSortRun(t *testing.T) {
 		if got := s.condScan[0]; (s.rng[0] != nil) != c.sorted || !slices.Equal(got, c.want) {
 			t.Errorf("%s: list %v sorted %v, want %v sorted %v", c.name, got, s.rng[0] != nil, c.want, c.sorted)
 		}
+	}
+}
+
+// TestRangeSortOrder: on random lists the radix sort orders a scan list
+// exactly as a stable comparison sort by value.Compare does — INT spans
+// from 1 to 2^40 and the whole int64 range, FLOAT cells with NaN, ±0,
+// infinities and negatives, many ties, and lists of zero to two entries.
+func TestRangeSortOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	floats := []float64{math.NaN(), 0, math.Copysign(0, -1), -1, 1, -0.5, math.Inf(1), math.Inf(-1), 1e300, -1e-300}
+	gens := []struct {
+		name string
+		gen  func(span int64) value.Value
+	}{
+		{"INT", func(span int64) value.Value { return value.Int(rng.Int63n(span) - span/2) }},
+		{"INT at the int64 ends", func(int64) value.Value {
+			return value.Int([]int64{math.MinInt64, math.MaxInt64, 0, -1}[rng.Intn(4)])
+		}},
+		{"FLOAT", func(span int64) value.Value {
+			if rng.Intn(2) == 0 {
+				return value.Float(floats[rng.Intn(len(floats))])
+			}
+			return value.Float(float64(rng.Int63n(span)-span/2) / 4)
+		}},
+	}
+	detail := rangeRel("R", []string{"x"}, relation.Tuple{value.Int(0)})
+	theta := expr.NewCmp(value.LT, expr.C("B.y"), expr.C("R.x"))
+	for _, g := range gens {
+		name, gen := g.name, g.gen
+		for _, span := range []int64{1, 2, 255, 256, 1 << 16, 1<<32 - 1, 1 << 32, 1 << 40} {
+			for _, n := range []int{0, 1, 2, 3, 100, 1000} {
+				base := rangeRel("B", []string{"y"})
+				for i := 0; i < n; i++ {
+					y := gen(span)
+					if rng.Intn(10) == 0 {
+						y = value.Null
+					}
+					base.Append(relation.Tuple{y})
+				}
+				var want []int32
+				for i, row := range base.Rows {
+					if !row[0].IsNull() {
+						want = append(want, int32(i))
+					}
+				}
+				slices.SortStableFunc(want, func(a, b int32) int {
+					c, _ := value.Compare(base.Rows[a][0], base.Rows[b][0])
+					return c
+				})
+				s := rangeState(t, base, detail, theta)
+				if got := s.condScan[0]; s.rng[0] == nil || !slices.Equal(got, want) {
+					t.Fatalf("%s, span %d, %d cells: radix order %v, comparison order %v", name, span, n, got, want)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkRangeSortRun sorts a scan list of 20 000 INT keys over 1 000
+// values, restored to base order before each sort.
+func BenchmarkRangeSortRun(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	base := rangeRel("B", []string{"y"})
+	for i := 0; i < 20_000; i++ {
+		base.Append(relation.Tuple{value.Int(rng.Int63n(1000))})
+	}
+	s := rangeState(b, base, rangeRel("R", []string{"x"}, relation.Tuple{value.Int(0)}), expr.NewCmp(value.LT, expr.C("B.y"), expr.C("R.x")))
+	list := s.condScan[0]
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for k := range list {
+			list[k] = int32(k)
+		}
+		s.sortRun(s.rng[0], list)
 	}
 }
 

@@ -155,7 +155,7 @@ func (p *program) admit(tracker *mem.Tracker, work *[]spillPart, perRow int64) (
 // half and all above it (a hot key, which no key cut splits).
 func (p *program) split(part spillPart) []spillPart {
 	mid, depth := part.n/2, part.depth+1
-	halves := []spillPart{ // a hot key's halves drop its one hash: buildIndex redoes it
+	halves := []spillPart{ // a hot key's halves drop its one hash: newState redoes it
 		{partition: partition{rows: part.rows[:mid], idx: part.idx[:mid], detail: part.detail}, n: mid, depth: depth},
 		{partition: partition{rows: part.rows[mid:], idx: part.idx[mid:], detail: part.detail}, n: part.n - mid, depth: depth},
 	}

@@ -42,19 +42,27 @@ func MorselWorkers(want, n int) int {
 // distinct worker ids; worker-local scratch is indexed by the id. With
 // workers <= 1 or a single task everything runs inline on the calling
 // goroutine — the serial engine, bit for bit, with no goroutine or
-// channel cost (and inside the caller's own panic boundary).
+// channel cost.
 //
-// Failure semantics: the first error (or recovered worker panic,
-// surfaced as *InternalError — workers run outside the engine's panic
-// boundary, which lives on the query goroutine) trips stop; other
+// Failure semantics: the first error (or recovered panic, surfaced as
+// *InternalError at every degree — workers run outside the engine's
+// panic boundary, which lives on the query goroutine) trips stop; other
 // workers quit at their next claim, a long task may poll stop itself to
 // quit sooner, and the first error in order of occurrence is returned
 // with the number of workers used.
 func RunTasks(n, workers int, fn func(worker, task int, stop *atomic.Bool) error) (int, error) {
 	var stop atomic.Bool
+	run := func(w, t int) (err error) {
+		defer func() {
+			if r := recover(); r != nil {
+				err = &InternalError{Panic: r, Node: fmt.Sprintf("worker %d", w), Stack: debug.Stack()}
+			}
+		}()
+		return fn(w, t, &stop)
+	}
 	if workers <= 1 || n <= 1 {
 		for t := 0; t < n; t++ {
-			if err := fn(0, t, &stop); err != nil {
+			if err := run(0, t); err != nil {
 				return 1, err
 			}
 		}
@@ -75,17 +83,12 @@ func RunTasks(n, workers int, fn func(worker, task int, stop *atomic.Bool) error
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					fail(&InternalError{Panic: r, Node: fmt.Sprintf("worker %d", w), Stack: debug.Stack()})
-				}
-			}()
 			for !stop.Load() {
 				t := int(next.Add(1)) - 1
 				if t >= n {
 					return
 				}
-				if err := fn(w, t, &stop); err != nil {
+				if err := run(w, t); err != nil {
 					fail(err)
 					return
 				}

@@ -64,3 +64,21 @@ func TestRunTasksFirstFailureStopsPool(t *testing.T) {
 		}
 	}
 }
+
+// TestRunTasksTaskPanicIsInternalError: a panicking task comes back as
+// *InternalError, with its stack, whether it ran inline (one task, or one
+// worker) or on the pool.
+func TestRunTasksTaskPanicIsInternalError(t *testing.T) {
+	for _, c := range []struct{ tasks, workers int }{{1, 1}, {1, 4}, {2, 1}, {2, 2}, {8, 4}} {
+		used, err := RunTasks(c.tasks, c.workers, func(_, task int, _ *atomic.Bool) error {
+			if task == c.tasks-1 {
+				panic("boom")
+			}
+			return nil
+		})
+		var ie *InternalError
+		if !errors.As(err, &ie) || ie.Panic != "boom" || len(ie.Stack) == 0 || !errors.Is(err, ErrInternal) {
+			t.Errorf("%d tasks, %d workers: err = %v (used %d), want *InternalError", c.tasks, c.workers, err, used)
+		}
+	}
+}

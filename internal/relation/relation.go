@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"math/bits"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
 
 	"github.com/olaplab/gmdj/internal/value"
 )
@@ -90,12 +92,16 @@ type HashEntry struct {
 	Pos  int32
 }
 
+// entPool recycles NewHashIndex's unplaced entries, so a build allocates
+// only the index it returns.
+var entPool = sync.Pool{New: func() any { return new([]HashEntry) }}
+
 // NewHashIndex indexes positions 0..n-1 under key(i), leaving out a
 // position whose ok is false (a NULL key). It is a counting sort: a
 // bucket lists its positions in ascending order.
 func NewHashIndex(n int, key func(i int) (h uint64, ok bool)) *HashIndex {
-	nb := bits.Len(uint(n))
-	ix, ents := &HashIndex{shift: uint(64 - nb), off: make([]int32, 1<<nb+1)}, make([]HashEntry, 0, n)
+	nb, bp := bits.Len(uint(n)), entPool.Get().(*[]HashEntry)
+	ix, ents := &HashIndex{shift: uint(64 - nb), off: make([]int32, 1<<nb+1)}, slices.Grow((*bp)[:0], n)
 	for i := 0; i < n; i++ {
 		if h, ok := key(i); ok {
 			ents = append(ents, HashEntry{h, int32(i)})
@@ -111,6 +117,8 @@ func NewHashIndex(n int, key func(i int) (h uint64, ok bool)) *HashIndex {
 		b := ix.bucket(ents[k].Hash)
 		ix.off[b], ix.ents[ix.off[b]-1] = ix.off[b]-1, ents[k]
 	}
+	*bp = ents
+	entPool.Put(bp)
 	return ix
 }
 
