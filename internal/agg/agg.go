@@ -210,16 +210,23 @@ func (s *State) Add(j, pos int, row relation.Tuple) error {
 	return c.add(pos, row)
 }
 
+// AddValue folds v, spec j's argument already read, at position pos.
+func (s *State) AddValue(j, pos int, v value.Value) error {
+	return s.cols[j].addValue(pos, v)
+}
+
 func (c *column) add(pos int, row relation.Tuple) error {
-	var v value.Value
 	if uint(c.at) < uint(len(row)) {
-		v = row[c.at]
-	} else {
-		var err error
-		if v, err = c.arg.Eval(row); err != nil {
-			return err
-		}
+		return c.addValue(pos, row[c.at])
 	}
+	v, err := c.arg.Eval(row)
+	if err != nil {
+		return err
+	}
+	return c.addValue(pos, v)
+}
+
+func (c *column) addValue(pos int, v value.Value) error {
 	if v.IsNull() {
 		return nil
 	}

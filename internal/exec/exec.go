@@ -451,21 +451,16 @@ func (e *Executor) evalGMDJ(g *algebra.GMDJ, ev *env, fuse func(wide *relation.S
 		Spill:      e.Spill,
 		Emit:       emit,
 	}
-	// Cross-query hash-partition reuse and packed-column hashing are
+	// Cross-query hash-partition reuse and the table's typed columns are
 	// sound only when the detail relation IS a base table, row for row
 	// (gmdjDetail); any operator in between, or a skipped block, makes
-	// it a relation of this query's own. The PackedHash closure is lazy
-	// — the columnar segment is only built (or fetched from the
-	// per-version cache) when the evaluator actually needs a hash vector
-	// the cross-query cache cannot supply.
+	// it a relation of this query's own.
 	if table != nil {
 		if e.Results != nil {
 			opts.HashCache = e.Results
 			opts.DetailID = plancache.EpochTag(table.Name, table.ID(), table.Version())
 		}
-		opts.PackedHash = func(key []int) ([]uint64, []bool) {
-			return table.Segment().KeyHashes(key)
-		}
+		opts.Columns = func(col int) *relation.ColVec { return table.Column(col, detail.Rows) }
 	}
 	out, err := gmdj.Evaluate(base, detail, conds, opts)
 	e.gmdjMu.Lock()

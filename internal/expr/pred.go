@@ -3,6 +3,7 @@ package expr
 import (
 	"cmp"
 	"strings"
+	"sync"
 
 	"github.com/olaplab/gmdj/internal/relation"
 	"github.com/olaplab/gmdj/internal/value"
@@ -43,6 +44,8 @@ type leaf struct {
 	e    Expr // the conjunct: all a generic leaf has, and how a kernel reports a column out of range
 	l, r int
 	lit  value.Value
+	// litCol is lit as a column of one cell, for the typed loops (filter).
+	litCol relation.ColVec
 	// holds[c+1] is φ's answer when the left operand compares c to the right.
 	holds   [3]bool
 	negated bool
@@ -80,6 +83,7 @@ func lower(cj Expr) leaf {
 		switch r := r.(type) {
 		case *Lit:
 			lf.kind, lf.l, lf.lit = leafColLit, lc.idx, r.V
+			lf.litCol.Append([]relation.Tuple{{r.V}}, 0)
 		case *Col:
 			if r.idx >= 0 {
 				lf.kind, lf.l, lf.r = leafColCol, lc.idx, r.idx
@@ -169,12 +173,43 @@ func (p *Pred) Tri(row relation.Tuple) (value.Tri, error) {
 // predicate is True on rows[i] (sel holds at least len(rows)): conjunct by
 // conjunct over the morsel, each one run only on the rows still selected.
 func (p *Pred) Filter(rows []relation.Tuple, sel []bool) error {
+	return p.FilterColumns(nil, rows, 0, sel)
+}
+
+// gathered recycles the columns Filter gathers a morsel's cells into.
+var gathered = sync.Pool{New: func() any { return new(relation.ColVec) }}
+
+// FilterColumns is Filter over a morsel starting at row lo of cols, its
+// relation's typed columns by position (nil: none). A kernel leaf is one
+// typed loop (filter) over cols' vector, else over the morsel's cells
+// gathered into one; a generic leaf, or a row too narrow, goes by row.
+func (p *Pred) FilterColumns(cols []*relation.ColVec, rows []relation.Tuple, lo int, sel []bool) error {
 	sel = sel[:len(rows)]
 	for i := range sel {
 		sel[i] = true
 	}
+	var scratch [2]*relation.ColVec
+	defer func() {
+		for _, c := range scratch {
+			if c != nil {
+				gathered.Put(c)
+			}
+		}
+	}()
 	for i := range p.leaves {
 		lf := &p.leaves[i]
+		if lf.kind != leafGeneric {
+			a, ao := column(cols, lf.l, lo, rows, &scratch[0])
+			b, bo, bs := &lf.litCol, 0, 0
+			if lf.kind == leafColCol {
+				b, bo = column(cols, lf.r, lo, rows, &scratch[1])
+				bs = 1
+			}
+			if a != nil && b != nil {
+				lf.filter(sel, a, ao, b, bo, bs)
+				continue
+			}
+		}
 		for ri, row := range rows {
 			if !sel[ri] {
 				continue
@@ -187,6 +222,97 @@ func (p *Pred) Filter(rows []relation.Tuple, sel []bool) error {
 		}
 	}
 	return nil
+}
+
+// column returns column c of the morsel and the row it starts at: cols[c]
+// at lo, else the cells gathered into *scratch at 0; nil for a short row.
+func column(cols []*relation.ColVec, c, lo int, rows []relation.Tuple, scratch **relation.ColVec) (*relation.ColVec, int) {
+	if c < len(cols) && cols[c] != nil {
+		return cols[c], lo
+	}
+	if *scratch == nil {
+		*scratch = gathered.Get().(*relation.ColVec)
+	}
+	v := *scratch
+	v.Nulls, v.Ints, v.Floats, v.Strs, v.Boxed = v.Nulls[:0], v.Ints[:0], v.Floats[:0], v.Strs[:0], nil
+	if !v.Append(rows, c) {
+		return nil, 0
+	}
+	return v, 0
+}
+
+// filter sets sel[i], where set, to whether the leaf is True on cell ao+i
+// of a and cell bo+i*bs of b (bs 0: the literal), as kernel answers. The
+// loop is chosen once by the two kinds; a boxed column and BOOL take
+// value.Compare per cell, kinds that never compare no loop.
+func (lf *leaf) filter(sel []bool, a *relation.ColVec, ao int, b *relation.ColVec, bo, bs int) {
+	n, h := len(sel), lf.holds // a copy: sel's stores cannot change it
+	an, bn := a.Nulls[ao:ao+n], b.Nulls[bo:]
+	switch ak, bk := a.Kind, b.Kind; {
+	case lf.kind == leafIsNull:
+		for i := range sel {
+			sel[i] = sel[i] && an[i] != lf.negated
+		}
+	case ak == value.KindInt && bk == value.KindInt:
+		ints(sel, &h, an, a.Ints[ao:ao+n], bn, b.Ints[bo:], bs)
+	case ak == value.KindString && bk == value.KindString:
+		strs(sel, &h, an, a.Strs[ao:ao+n], bn, b.Strs[bo:], bs)
+	case ak == value.KindInt && bk == value.KindFloat:
+		widened(sel, &h, an, a.Ints[ao:ao+n], bn, b.Floats[bo:], bs)
+	case ak == value.KindFloat && bk == value.KindInt:
+		widened(sel, &h, an, a.Floats[ao:ao+n], bn, b.Ints[bo:], bs)
+	case ak == value.KindFloat && bk == value.KindFloat:
+		widened(sel, &h, an, a.Floats[ao:ao+n], bn, b.Floats[bo:], bs)
+	case a.Boxed == nil && b.Boxed == nil && (ak != bk || ak == value.KindNull): // never compare
+		clear(sel)
+	default:
+		for i := range sel {
+			if sel[i] {
+				c, ok := value.Compare(a.Value(ao+i), b.Value(bo+i*bs))
+				sel[i] = ok && h[c+1]
+			}
+		}
+	}
+}
+
+// ints, strs and widened are filter's loops over INT, STRING and numeric
+// cells (INT beside FLOAT widens).
+func ints(sel []bool, h *[3]bool, an []bool, av []int64, bn []bool, bv []int64, bs int) {
+	for i, ok := range sel {
+		if j := i * bs; ok {
+			sel[i] = !an[i] && !bn[j] && h[cmp.Compare(av[i], bv[j])+1]
+		}
+	}
+}
+
+func strs(sel []bool, h *[3]bool, an []bool, av []string, bn []bool, bv []string, bs int) {
+	for i, ok := range sel {
+		if j := i * bs; ok {
+			sel[i] = !an[i] && !bn[j] && h[strings.Compare(av[i], bv[j])+1]
+		}
+	}
+}
+
+func widened[A, B int64 | float64](sel []bool, h *[3]bool, an []bool, av []A, bn []bool, bv []B, bs int) {
+	for i, ok := range sel {
+		if j := i * bs; ok {
+			sel[i] = !an[i] && !bn[j] && h[value.CompareFloat(float64(av[i]), float64(bv[j]))+1]
+		}
+	}
+}
+
+// Columns lists the positions the kernel leaves read: what FilterColumns
+// takes from typed vectors when it is handed them.
+func (p *Pred) Columns() (cols []int) {
+	for _, lf := range p.leaves {
+		if lf.kind == leafColCol {
+			cols = append(cols, lf.r)
+		}
+		if lf.kind != leafGeneric {
+			cols = append(cols, lf.l)
+		}
+	}
+	return cols
 }
 
 // Pair reports whether the predicate, bound to base ++ detail, is True

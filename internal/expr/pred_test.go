@@ -201,11 +201,20 @@ func checkPredEquivalence(t *testing.T, seed int64) {
 	if err := p.Filter(rows, got); (err != nil) != failing || (err == nil && !slices.Equal(got, want)) {
 		t.Fatalf("seed %d: %s: Filter = %v, %v; want %v, failing %v", seed, bound, got, err, want, failing)
 	}
+	// The same morsel as the tail of a stored relation's typed columns.
+	lo := rng.Intn(3)
+	stored := append(make([]relation.Tuple, 0, lo+len(rows)), rows[:min(lo, len(rows))]...)
+	lo = len(stored)
+	cols := columnsOf(append(stored, rows...), value.KindNull)
+	if err := p.FilterColumns(cols, rows, lo, got); (err != nil) != failing || (err == nil && !slices.Equal(got, want)) {
+		t.Fatalf("seed %d: %s: FilterColumns = %v, %v; want %v, failing %v", seed, bound, got, err, want, failing)
+	}
 }
 
 // TestPredEquivalence: kernel ≡ interpreter, by property. For every
 // generated predicate and row, Tri is EvalTri — value and failure alike —
-// and Filter and Pair are the interpreter truncated to True (truncate).
+// and Filter, FilterColumns and Pair are the interpreter truncated to
+// True (truncate).
 func TestPredEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= 3000; seed++ {
 		checkPredEquivalence(t, *predSeed+seed)
@@ -292,8 +301,12 @@ func kernelPred(t testing.TB) *Pred {
 	return Compile(bound)
 }
 
+// raceEnabled is set by race_test.go.
+var raceEnabled bool
+
 // TestPredAllocs: a predicate of kernels allocates nothing through any
-// entry point.
+// entry point (Filter's, pooled, is not measured under the race
+// detector, which drops pooled items).
 func TestPredAllocs(t *testing.T) {
 	p := kernelPred(t)
 	row := relation.Tuple{value.Int(3), value.Float(2.5), value.Str("a"), value.Bool(true), value.Null, value.Int(1), value.Float(9), value.Str("b")}
@@ -310,15 +323,16 @@ func TestPredAllocs(t *testing.T) {
 		"Pair":   func() { p.Pair(row[:4], row[4:], buf) },
 		"Tri":    func() { p.Tri(row) },
 	} {
-		if n := testing.AllocsPerRun(20, fn); n != 0 {
+		if n := testing.AllocsPerRun(20, fn); n != 0 && !(raceEnabled && name == "Filter") {
 			t.Errorf("%s: %v allocations per run, want 0", name, n)
 		}
 	}
 }
 
 // BenchmarkPredFilter prints, per (cell kind × literal kind), ns/row of
-// one comparison through Pred.Filter beside the same conjunct through
-// EvalTri — the table in CHANGES.md.
+// one comparison through Pred.Filter over rows and FilterColumns over
+// the column's typed vector, beside the same conjunct through EvalTri —
+// the table in CHANGES.md.
 func BenchmarkPredFilter(b *testing.B) {
 	const n = 4096
 	cells := map[string]func(i int) value.Value{
@@ -349,6 +363,15 @@ func BenchmarkPredFilter(b *testing.B) {
 			}
 			perRow(b)
 		})
+		b.Run(fmt.Sprintf("%s-%s/Columns", pair[0], pair[1]), func(b *testing.B) {
+			p, sel, cols := Compile(bound), make([]bool, n), columnsOf(rows, value.KindNull)
+			for i := 0; i < b.N; i++ {
+				if err := p.FilterColumns(cols, rows, 0, sel); err != nil {
+					b.Fatal(err)
+				}
+			}
+			perRow(b)
+		})
 		b.Run(fmt.Sprintf("%s-%s/EvalTri", pair[0], pair[1]), func(b *testing.B) {
 			sel := make([]bool, n)
 			for i := 0; i < b.N; i++ {
@@ -363,4 +386,98 @@ func BenchmarkPredFilter(b *testing.B) {
 			perRow(b)
 		})
 	}
+}
+
+// TestFilterColumns: FilterColumns over typed columns — the vectors of
+// a stored table, from a row that is not the morsel's first — and
+// Filter over rows, which gathers the same vectors, both answer as the
+// kernels do cell by cell (Tri), for every cell kind × literal kind ×
+// operator, column beside column and IS [NOT] NULL: NULLs, NaN payloads,
+// ±0, INTs beyond 2^53 beside FLOATs, BOOL, a column with no non-NULL
+// cell and a boxed (mixed-kind) one.
+func TestFilterColumns(t *testing.T) {
+	nan2 := math.Float64frombits(0x7ff8000000000001)
+	var lits []value.Value
+	kinds := map[string][]value.Value{"null": {value.Null}}
+	for _, x := range edgeInts {
+		kinds["int"] = append(kinds["int"], value.Int(x))
+	}
+	for _, x := range append(edgeFloats, nan2, 1<<53+1) {
+		kinds["float"] = append(kinds["float"], value.Float(x))
+	}
+	for _, x := range edgeStrs {
+		kinds["string"] = append(kinds["string"], value.Str(x))
+	}
+	kinds["bool"] = []value.Value{value.Bool(false), value.Bool(true)}
+	names := []string{"int", "float", "string", "bool", "null", "mixed"}
+	for _, k := range names[:5] {
+		lits = append(lits, kinds[k]...)
+		kinds["mixed"] = append(kinds["mixed"], kinds[k]...)
+	}
+	cols := make([]relation.Column, len(names))
+	for i, k := range names {
+		cols[i] = relation.Column{Qualifier: "t", Name: k}
+	}
+	schema := relation.NewSchema(cols...)
+	rows := make([]relation.Tuple, 97)
+	for r := range rows {
+		rows[r] = make(relation.Tuple, len(names))
+		for i, k := range names {
+			if cells := kinds[k]; r%7 != 3 { // a NULL now and then in every column
+				rows[r][i] = cells[(r*(i+1))%len(cells)]
+			}
+		}
+	}
+	// The schema's word for a column is INT, then none: the cells decide,
+	// but for the column with no non-NULL cell.
+	typed, untyped := columnsOf(rows, value.KindInt), columnsOf(rows, value.KindNull)
+	if typed[5].Boxed == nil || typed[4].Kind != value.KindInt || untyped[4].Kind != value.KindNull || typed[1].Kind != value.KindFloat {
+		t.Fatalf("vectors packed as %v, %v, %v, %v; want the mixed column boxed", typed[5].Kind, typed[4].Kind, untyped[4].Kind, typed[1].Kind)
+	}
+	var preds []Expr
+	for _, c := range names {
+		preds = append(preds, NewIsNull(C("t."+c), false), NewIsNull(C("t."+c), true))
+		for op := value.EQ; op <= value.GE; op++ {
+			for _, lit := range lits {
+				preds = append(preds, NewCmp(op, C("t."+c), &Lit{V: lit}), NewCmp(op, &Lit{V: lit}, C("t."+c)))
+			}
+			for _, d := range names {
+				preds = append(preds, NewCmp(op, C("t."+c), C("t."+d)))
+			}
+		}
+	}
+	const lo = 5 // the morsel starts inside the vectors
+	want, got := make([]bool, len(rows)-lo), make([]bool, len(rows)-lo)
+	for _, e := range preds {
+		bound, err := e.Bind(schema)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := Compile(bound)
+		for i, row := range rows[lo:] {
+			tr, err := p.Tri(row)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[i] = tr == value.True
+		}
+		if err := p.Filter(rows[lo:], got); err != nil || !slices.Equal(got, want) {
+			t.Fatalf("%s: Filter over rows = %v, %v; want %v", e, got, err, want)
+		}
+		for _, vecs := range [][]*relation.ColVec{typed, untyped} {
+			if err := p.FilterColumns(vecs, rows[lo:], lo, got); err != nil || !slices.Equal(got, want) {
+				t.Fatalf("%s: FilterColumns = %v, %v; want %v", e, got, err, want)
+			}
+		}
+	}
+}
+
+// columnsOf packs every column of rows, starting each from kind.
+func columnsOf(rows []relation.Tuple, kind value.Kind) []*relation.ColVec {
+	vecs := make([]*relation.ColVec, len(rows[0]))
+	for i := range vecs {
+		vecs[i] = &relation.ColVec{Kind: kind}
+		vecs[i].Append(rows, i)
+	}
+	return vecs
 }

@@ -68,8 +68,8 @@ type Stats struct {
 	// == DetailScans × |detail| at every degree and in every regime, but
 	// for a hot key's partition split in two: both halves walk its rows.
 	DetailScans int64
-	// DetailPassWorkers is how many goroutines shared the detail pass;
-	// 0 when the pass did not run (serial, or a detail under two morsels).
+	// DetailPassWorkers is how many goroutines shared the detail pass
+	// (1 serial, or a detail under two morsels); 0 when none ran.
 	DetailPassWorkers int64
 	// DetailRows is the number of detail tuples fed, summed over scans (a
 	// row routed nowhere is fed by the pass).
@@ -100,9 +100,8 @@ type Stats struct {
 	// hashing pass over the detail relation per condition key set.
 	HashCacheHits   int64
 	HashCacheMisses int64
-	// PackedHashConds counts condition key sets whose detail hash
-	// vector was read from the packed columnar segment
-	// (Options.PackedHash) instead of hashing row-oriented tuples.
+	// PackedHashConds counts indexed conditions whose detail key hashes
+	// came from typed columns (Options.Columns or PackedHash).
 	PackedHashConds int64
 	// SpillPartitions counts base-state partitions evicted to the spill
 	// store because the memory reservation could not hold the whole
@@ -176,12 +175,16 @@ type Options struct {
 	// DetailID identifies the detail relation for HashCache keys
 	// (e.g. "Flow#3@7"). Empty disables hash-partition caching.
 	DetailID string
+	// Columns, when non-nil, supplies the detail's typed columns by
+	// position (storage.Table.Column; nil: none), for exactly the rows
+	// passed to Evaluate (a vector of another length is not read). The
+	// pass and the hash-bound fold then read cells from them (DESIGN §14).
+	Columns func(col int) *relation.ColVec
 	// PackedHash, when non-nil, supplies a serial evaluation's key-hash
-	// vectors from the detail table's packed columnar segment
+	// vectors from a segment of the detail table
 	// (storage.Segment.KeyHashes): per-row hash and validity for the
 	// given detail-schema key positions, bit-identical to hashing the
-	// tuples. The vectors must describe exactly the rows passed to
-	// Evaluate (the executor sets this only for bare table scans).
+	// tuples, for exactly the rows passed to Evaluate.
 	PackedHash func(key []int) (h []uint64, ok []bool)
 	// Mem, when non-nil, charges the estimated base-state footprint
 	// (hash indexes, fold state, completion flags) against the query's
@@ -287,11 +290,14 @@ type program struct {
 	conds        []condProg
 	specs        []agg.Spec // every condition's bound aggregates, in output order
 	outSchema    *relation.Schema
+	// cols are the detail's typed columns by position, nil where Columns
+	// gave none: what cell reads first.
+	cols []*relation.ColVec
 	// passWorkers is the detail pass's degree; 1 — serial, or a detail
-	// under two morsels, too small to repay the goroutines — means no
-	// pass: feed does the per-row work inline. fallback records that some
-	// condition lacks an equi-binding, which is what makes sharding the
-	// fold pay (degree).
+	// under two morsels, too small to repay the goroutines — runs it on
+	// the query goroutine, and feed hashes keys inline. fallback records
+	// that some condition lacks an equi-binding, which is what makes
+	// sharding the fold pay (degree).
 	passWorkers int
 	fallback    bool
 	pooled      []*detailHashVec // unpublished pass vectors, back to vecPool after the fold
@@ -380,12 +386,12 @@ func Evaluate(base, detail *relation.Relation, conds []algebra.GMDJCond, opts Op
 // program's rows are counted per (morsel, key partition), then placed at
 // the counts' prefix sums. Workers write disjoint index ranges of shared
 // vectors, so there is no merge and the outcome cannot depend on which
-// worker claimed which morsel. At passWorkers 1 a pass runs only to
-// route or to fill a vector the cross-query cache is owed.
+// worker claimed which morsel. A pass runs when there is a detail
+// predicate, a route or an owed vector, at passWorkers 1 too.
 func (p *program) detailPass() error {
 	n, work, preds := len(p.detail.Rows), p.route, 0
 	for _, cp := range p.conds {
-		if work = work || cp.passHash || cp.detailPred != nil && p.passWorkers > 1; cp.detailPred != nil {
+		if work = work || cp.passHash || cp.detailPred != nil; cp.detailPred != nil {
 			preds++
 		}
 	}
@@ -455,20 +461,19 @@ func (p *program) detailPass() error {
 }
 
 // detailMorsel is the detail pass over rows [lo, hi): cancellation polled
-// once, then per condition one Filter over the morsel, straight into its
-// detailPredOK range, and the key hash of the rows it kept — of every row
-// when the vector goes out to the cross-query cache. A row an earlier
-// condition on the key already hashed is not hashed again (a NULL key
-// is: OK stays false).
+// once, then per condition one Filter over the morsel (over the detail's
+// columns), straight into its detailPredOK range, and the key hash of the
+// rows it kept — of every row when the vector goes out to the cross-query
+// cache. A row an earlier condition on the key already hashed is not
+// hashed again (a NULL key is: OK stays false).
 func (p *program) detailMorsel(lo, hi int) error {
 	if err := p.Gov.Check(); err != nil {
 		return err
 	}
-	rows := p.detail.Rows[lo:hi]
 	for ci := range p.conds {
 		cp := &p.conds[ci]
 		if cp.detailPredOK != nil {
-			if err := cp.detailPred.Filter(rows, cp.detailPredOK[lo:hi]); err != nil {
+			if err := cp.detailPred.FilterColumns(p.cols, p.detail.Rows[lo:hi], lo, cp.detailPredOK[lo:hi]); err != nil {
 				return err
 			}
 		}
@@ -476,13 +481,35 @@ func (p *program) detailMorsel(lo, hi int) error {
 			continue
 		}
 		all, vec := cp.detailPredOK == nil || cp.publish != "", cp.detailHash
-		for i, row := range rows {
-			if di := lo + i; (all || cp.detailPredOK[di]) && !vec.OK[di] {
-				vec.H[di], vec.OK[di] = row.KeyHash(cp.detailKey)
+		for di := lo; di < hi; di++ {
+			if (all || cp.detailPredOK[di]) && !vec.OK[di] {
+				vec.H[di], vec.OK[di] = p.keyHash(di, cp.detailKey)
 			}
 		}
 	}
 	return nil
+}
+
+// cell is detail row di's cell at column c, from the column's typed
+// vector if it has one: the pass and the hash-bound fold read cells here.
+func (p *program) cell(di, c int) value.Value {
+	if v := p.cols[c]; v != nil {
+		return v.Value(di)
+	}
+	return p.detail.Rows[di][c]
+}
+
+// keyHash is relation.Tuple.KeyHash of detail row di, read through cell.
+func (p *program) keyHash(di int, key []int) (uint64, bool) {
+	h := value.HashInit
+	for _, c := range key {
+		v := p.cell(di, c)
+		if v.IsNull() {
+			return 0, false
+		}
+		h = value.FoldHash(h, v)
+	}
+	return h, true
 }
 
 // routeMorsel bumps at[j] for each row of [lo, hi) routed to key partition
@@ -575,6 +602,7 @@ func compile(base, detail *relation.Relation, conds []algebra.GMDJCond, opts Opt
 			p.fallback = true
 		}
 	}
+	p.attachColumns()
 	if p.Completion != nil {
 		for ai, a := range p.Completion.Atoms {
 			if a.Cond < 0 || a.Cond >= len(conds) {
@@ -594,6 +622,39 @@ func compile(base, detail *relation.Relation, conds []algebra.GMDJCond, opts Opt
 	return p, nil
 }
 
+// attachColumns takes from Columns the vectors of the columns cell reads:
+// kernel leaves of detail predicates, keys, bare aggregate arguments.
+func (p *program) attachColumns() {
+	p.cols = make([]*relation.ColVec, p.detail.Schema.Len())
+	var want []int
+	for ci := range p.conds {
+		cp := &p.conds[ci]
+		if want = append(want, cp.detailKey...); cp.detailPred != nil {
+			want = append(want, cp.detailPred.Columns()...)
+		}
+		for j := cp.aggs[0]; j < cp.aggs[1]; j++ {
+			if c := p.argCol(cp, j); c >= 0 {
+				want = append(want, c)
+			}
+		}
+	}
+	for _, c := range want {
+		if p.Columns != nil && p.cols[c] == nil {
+			if v := p.Columns(c); v != nil && v.Len() == len(p.detail.Rows) {
+				p.cols[c] = v
+			}
+		}
+	}
+}
+
+// argCol is the detail column spec j of cp reads, if a bare one, else -1.
+func (p *program) argCol(cp *condProg, j int) int {
+	if c, ok := p.specs[j].Arg.(*expr.Col); ok && !cp.pair {
+		return c.Index()
+	}
+	return -1
+}
+
 // bindAggs appends specs bound against s to dst.
 func bindAggs(dst, specs []agg.Spec, s *relation.Schema) ([]agg.Spec, error) {
 	for _, spec := range specs {
@@ -610,9 +671,9 @@ func bindAggs(dst, specs []agg.Spec, s *relation.Schema) ([]agg.Spec, error) {
 // vector, one per distinct key-column set (coalesced subqueries probing
 // the same binding, the common GMDJOpt shape, share it). A cross-query
 // cache hit always replaces the hashing. Otherwise a parallel run owes
-// the vector to the detail pass; a serial one reads it from the packed
-// columnar segment, or — a cache miss with no segment — owes it to an
-// inline pass that publishes or routes it, or leaves feed to hash per row.
+// the vector to the detail pass; a serial one reads it from PackedHash,
+// or owes it to an inline pass that publishes or routes it, or leaves
+// feed to hash per row (from typed columns where it has them).
 func (p *program) attachHashes() {
 	for i := range p.conds {
 		cp := &p.conds[i]
@@ -627,7 +688,7 @@ func (p *program) attachHashes() {
 		if cp.detailHash != nil { // served by the earlier condition's source
 			if p.HashCache != nil {
 				p.Stats.HashCacheHits++
-			} else if !cp.passHash {
+			} else if !cp.passHash || p.typedKey(cp.detailKey) {
 				p.Stats.PackedHashConds++
 			}
 			continue
@@ -652,6 +713,9 @@ func (p *program) attachHashes() {
 		if p.passWorkers <= 1 {
 			cp.detailHash = p.packedVec(cp.detailKey)
 		}
+		if cp.detailHash == nil && p.typedKey(cp.detailKey) {
+			p.Stats.PackedHashConds++
+		}
 		switch {
 		case cp.detailHash != nil:
 			if key != "" {
@@ -662,9 +726,7 @@ func (p *program) attachHashes() {
 			if key == "" {
 				p.pooled = append(p.pooled, cp.detailHash)
 			}
-		default:
-			return // no supplier: feed hashes inline
-		}
+		} // else no supplier: feed hashes inline
 	}
 }
 
@@ -787,9 +849,14 @@ func (rb *rangeBind) add(bi, di int, op value.CmpOp) *rangeBind {
 	return rb
 }
 
-func keysEqual(baseRow, detailRow relation.Tuple, baseKey, detailKey []int) bool {
+// typedKey reports whether every column of a detail key has a vector.
+func (p *program) typedKey(key []int) bool {
+	return !slices.ContainsFunc(key, func(c int) bool { return p.cols[c] == nil })
+}
+
+func (p *program) keysEqual(baseRow relation.Tuple, di int, baseKey, detailKey []int) bool {
 	for k := range baseKey {
-		if !value.Equal(baseRow[baseKey[k]], detailRow[detailKey[k]]) {
+		if !value.Equal(baseRow[baseKey[k]], p.cell(di, detailKey[k])) {
 			return false
 		}
 	}
@@ -818,7 +885,6 @@ type state struct {
 	// conjuncts are handed (expr.Pred.Pair); its kernels read the two
 	// tuples where they lie.
 	combined relation.Tuple
-	sel      [1]bool // Filter's answer for a morsel of one row (feed)
 	// basePredOK[c][i] caches base-only conjunct outcomes.
 	basePredOK [][]bool
 	// condScan is, per condition, the fallback iteration list of owned
@@ -1054,24 +1120,15 @@ func (s *state) feed(di int) error {
 	s.stats.DetailRows++
 	for ci := range p.conds {
 		cp := &p.conds[ci]
-		if cp.detailPredOK != nil {
-			if !cp.detailPredOK[di] {
-				continue
-			}
-		} else if cp.detailPred != nil { // no pass ran: a morsel of one row
-			if err := cp.detailPred.Filter(p.detail.Rows[di:di+1], s.sel[:]); err != nil {
-				return err
-			}
-			if !s.sel[0] {
-				continue
-			}
+		if cp.detailPredOK != nil && !cp.detailPredOK[di] {
+			continue
 		}
 		if ix := s.index[ci]; ix != nil {
 			h, ok := uint64(0), false
 			if vec := cp.detailHash; vec != nil {
 				h, ok = vec.H[di], vec.OK[di]
 			} else {
-				h, ok = detailRow.KeyHash(cp.detailKey)
+				h, ok = p.keyHash(di, cp.detailKey)
 			}
 			if !ok {
 				continue
@@ -1086,7 +1143,7 @@ func (s *state) feed(di int) error {
 					continue
 				}
 				baseRow := s.rows[i]
-				if !keysEqual(baseRow, detailRow, cp.baseKey, cp.detailKey) {
+				if !p.keysEqual(baseRow, di, cp.baseKey, cp.detailKey) {
 					continue
 				}
 				if oks := s.basePredOK[ci]; oks != nil && !oks[i] {
@@ -1097,13 +1154,13 @@ func (s *state) feed(di int) error {
 				} else if !ok {
 					continue
 				}
-				if err := s.match(i, ci, detailRow); err != nil {
+				if err := s.match(i, ci, di, detailRow); err != nil {
 					return err
 				}
 			}
 			continue
 		}
-		if err := s.walk(ci, cp, detailRow); err != nil {
+		if err := s.walk(ci, cp, di, detailRow); err != nil {
 			return err
 		}
 	}
@@ -1113,7 +1170,7 @@ func (s *state) feed(di int) error {
 // walk visits the active tuples on a fallback condition's scan list —
 // of a range-bound θ only the run the row's bounds select, from its inner
 // end out — then trims retired entries off both ends.
-func (s *state) walk(ci int, cp *condProg, detailRow relation.Tuple) error {
+func (s *state) walk(ci int, cp *condProg, di int, detailRow relation.Tuple) error {
 	list, ext, rb := s.condScan[ci], s.ext[ci], s.rng[ci]
 	run := [2]int{len(list), 0} // [end, start): cut by an upper and a lower bound
 	for side := 0; rb != nil && side < 2 && len(list) > 0; side++ {
@@ -1144,7 +1201,7 @@ func (s *state) walk(ci int, cp *condProg, detailRow relation.Tuple) error {
 			s.stats.Probes++
 			ok, err := cp.mixedPred.Pair(s.rows[i], detailRow, s.combined)
 			if err == nil && ok {
-				err = s.match(int(i), ci, detailRow)
+				err = s.match(int(i), ci, di, detailRow)
 			}
 			if err != nil {
 				return err
@@ -1164,9 +1221,10 @@ func (s *state) walk(ci int, cp *condProg, detailRow relation.Tuple) error {
 	return nil
 }
 
-// match records that detailRow satisfied condition ci for owned tuple
-// i: aggregates are folded and completion is advanced.
-func (s *state) match(i, ci int, detailRow relation.Tuple) error {
+// match records that detailRow, at position di, satisfied condition ci
+// for owned tuple i: aggregates are folded (a bare column through cell)
+// and completion is advanced.
+func (s *state) match(i, ci, di int, detailRow relation.Tuple) error {
 	p := s.p
 	cp := &p.conds[ci]
 	s.stats.Matches++
@@ -1175,7 +1233,13 @@ func (s *state) match(i, ci int, detailRow relation.Tuple) error {
 		row = append(append(s.combined[:0], s.rows[i]...), detailRow...)
 	}
 	for j := cp.aggs[0]; j < cp.aggs[1]; j++ {
-		if err := s.res.fold.Add(j, s.lo+i, row); err != nil {
+		var err error
+		if c := p.argCol(cp, j); c >= 0 {
+			err = s.res.fold.AddValue(j, s.lo+i, p.cell(di, c))
+		} else {
+			err = s.res.fold.Add(j, s.lo+i, row)
+		}
+		if err != nil {
 			return err
 		}
 	}

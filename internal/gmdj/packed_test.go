@@ -1,11 +1,17 @@
 package gmdj
 
 import (
+	"runtime"
+	"runtime/debug"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/olaplab/gmdj/internal/agg"
 	"github.com/olaplab/gmdj/internal/algebra"
 	"github.com/olaplab/gmdj/internal/expr"
+	"github.com/olaplab/gmdj/internal/govern"
 	"github.com/olaplab/gmdj/internal/relation"
 	"github.com/olaplab/gmdj/internal/storage"
 	"github.com/olaplab/gmdj/internal/value"
@@ -175,5 +181,143 @@ func TestPackedHashSharedAcrossConds(t *testing.T) {
 	}
 	if d := want.Diff(got); d != "" {
 		t.Errorf("shared vector changed the result: %s", d)
+	}
+}
+
+// TestColumnsStaleIgnored: typed columns of another length than the
+// detail (a table read at another moment) are not read: same results,
+// no key hash counted as typed.
+func TestColumnsStaleIgnored(t *testing.T) {
+	base, detail := packedCorpus()
+	conds := packedConds()
+	want, err := Evaluate(base, detail, conds, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	short := detailColumns(&relation.Relation{Schema: detail.Schema, Rows: detail.Rows[:detail.Len()/2]})
+	var stats Stats
+	got, err := Evaluate(base, detail, conds, Options{Stats: &stats, Columns: func(c int) *relation.ColVec { return short[c] }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := want.Diff(got); d != "" || stats.PackedHashConds != 0 {
+		t.Fatalf("stale columns: PackedHashConds = %d, diff %s", stats.PackedHashConds, d)
+	}
+}
+
+// TestColumnAllocsFlat: a hash-bound query whose detail is a stored
+// table read through its typed vectors allocates as often, and about as
+// many bytes, over four times the detail rows: nothing per detail row,
+// so nothing is packed per query. The vectors are built by the first
+// query over the table and only read after.
+func TestColumnAllocsFlat(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled vectors")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	base := relation.New(relation.NewSchema(relation.Column{Qualifier: "B", Name: "k", Type: value.KindInt}))
+	for i := 0; i < 64; i++ {
+		base.Append(relation.Tuple{value.Int(int64(i % 20))})
+	}
+	conds := []algebra.GMDJCond{{
+		Theta: expr.NewAnd(expr.Eq(expr.C("B.k"), expr.C("R.k")), expr.NewCmp(value.GT, expr.C("R.v"), expr.IntLit(30))),
+		Aggs:  []agg.Spec{{Func: agg.CountStar, As: "cnt"}, {Func: agg.Avg, Arg: expr.C("R.f"), As: "af"}},
+	}}
+	measure := func(n int) (allocs, bytes float64) {
+		tab := storage.NewTable("R", passDetail(n))
+		eval := func() {
+			var stats Stats
+			opts := Options{Workers: 2, Stats: &stats, Columns: func(c int) *relation.ColVec { return tab.Column(c, tab.Rel.Rows) }}
+			if _, err := Evaluate(base, tab.Rel, conds, opts); err != nil || stats.PackedHashConds != 1 {
+				t.Fatalf("Evaluate: %v, PackedHashConds %d", err, stats.PackedHashConds)
+			}
+		}
+		runtime.GC() // twice: empties the pools of vectors sized for other details
+		runtime.GC()
+		eval()
+		allocs = testing.AllocsPerRun(10, eval)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < 10; i++ {
+			eval()
+		}
+		runtime.ReadMemStats(&after)
+		return allocs, float64(after.TotalAlloc-before.TotalAlloc) / 10
+	}
+	small, large := 2*govern.MorselRows+1, 8*govern.MorselRows+1
+	sa, sb := measure(small)
+	la, lb := measure(large)
+	if la > sa || (lb-sb)/float64(large-small) > 0.5 {
+		t.Errorf("%d rows: %v allocations, %.0f B; %d rows: %v allocations, %.0f B: the query allocates per detail row", small, sa, sb, large, la, lb)
+	}
+}
+
+// TestColumnConcurrentAppend (for -race, at GOMAXPROCS 1 and 4): queries
+// read a stored table's typed vectors over the rows they hold while a
+// writer appends rows — the key column's kind changing partway — as the
+// benchmark's stager does, Rel.Append then BumpVersion; every answer is
+// the one over the same rows without the vectors.
+func TestColumnConcurrentAppend(t *testing.T) {
+	tab := storage.NewTable("R", passDetail(2*govern.MorselRows))
+	base := relation.New(relation.NewSchema(relation.Column{Qualifier: "B", Name: "k", Type: value.KindInt}))
+	for i := 0; i < 30; i++ {
+		base.Append(relation.Tuple{value.Int(int64(i))})
+	}
+	conds := []algebra.GMDJCond{{
+		Theta: expr.NewAnd(expr.Eq(expr.C("B.k"), expr.C("R.k")), expr.Eq(expr.C("R.tag"), expr.StrLit("odd"))),
+		Aggs:  []agg.Spec{{Func: agg.CountStar, As: "cnt"}, {Func: agg.Sum, Arg: expr.C("R.f"), As: "sf"}},
+	}}
+	var held atomic.Pointer[[]relation.Tuple]
+	rows := tab.Rel.Rows
+	held.Store(&rows)
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				rows := *held.Load()
+				detail := &relation.Relation{Schema: tab.Rel.Schema, Rows: rows}
+				want, err := Evaluate(base, detail, conds, Options{Workers: 2})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got, err := Evaluate(base, detail, conds, Options{Workers: 2, Columns: func(c int) *relation.ColVec { return tab.Column(c, rows) }})
+				if err != nil || want.Diff(got) != "" {
+					t.Errorf("%d rows: columns on and off differ: %v %s", len(rows), err, want.Diff(got))
+					return
+				}
+			}
+		}()
+	}
+	more := passDetail(3000).Rows
+	for i := 0; i < 30; i++ {
+		batch := more[i*100 : (i+1)*100]
+		if i == 20 { // FLOAT keys from here on: R.k is boxed
+			for _, row := range batch {
+				if !row[0].IsNull() {
+					row[0] = value.Float(float64(row[0].AsInt()))
+				}
+			}
+		}
+		for _, row := range batch {
+			tab.Rel.Append(row)
+		}
+		tab.BumpVersion()
+		rows := tab.Rel.Rows
+		held.Store(&rows)
+		time.Sleep(time.Millisecond)
+	}
+	close(done)
+	wg.Wait()
+	if v := tab.Column(0, tab.Rel.Rows); v.Boxed == nil {
+		t.Error("R.k of INT and FLOAT keys is not boxed")
 	}
 }

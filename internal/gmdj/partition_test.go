@@ -272,6 +272,17 @@ func passDetail(n int) *relation.Relation {
 	return detail
 }
 
+// detailColumns packs every column of a detail into a typed vector, as
+// storage.Table.Column does for a stored table.
+func detailColumns(detail *relation.Relation) []*relation.ColVec {
+	cols := make([]*relation.ColVec, detail.Schema.Len())
+	for c := range cols {
+		cols[c] = &relation.ColVec{Kind: detail.Schema.Columns[c].Type}
+		cols[c].Append(detail.Rows, c)
+	}
+	return cols
+}
+
 // goldenLine renders one evaluation as the evaluator-independent facts
 // the goldens pin: a hash of the output and the five data counters.
 func goldenLine(name string, out *relation.Relation, s *Stats) string {
@@ -506,32 +517,54 @@ func TestDetailPassEquivalence(t *testing.T) {
 	table := passDetail(4 * m)
 	details = append(details, &relation.Relation{Schema: table.Schema, Rows: table.Rows[m+7 : 3*m+8]})
 	for _, detail := range details {
-		n := len(detail.Rows)
+		n, cols := len(detail.Rows), detailColumns(detail)
 		for _, sh := range shapes {
 			for _, spilled := range []bool{false, true} {
 				var want string
 				var ref Stats
 				for _, workers := range []int{1, 2, 4, 8} {
-					var stats Stats
-					opts := Options{Completion: sh.comp, Workers: workers, Stats: &stats}
-					release := func() {}
-					if spilled {
-						store, err := spill.NewStore(filepath.Join(t.TempDir(), "scratch"), nil)
-						if err != nil {
-							t.Fatal(err)
+					// run evaluates the shape on the detail's rows, or with its
+					// typed columns when cols is set.
+					run := func(cols []*relation.ColVec) (*relation.Relation, Stats, error) {
+						var stats Stats
+						opts := Options{Completion: sh.comp, Workers: workers, Stats: &stats}
+						if cols != nil {
+							opts.Columns = func(c int) *relation.ColVec { return cols[c] }
 						}
-						opts.Spill = store
-						opts.Mem, release = tinyTracker(t)
+						release := func() {}
+						if spilled {
+							store, err := spill.NewStore(filepath.Join(t.TempDir(), "scratch"), nil)
+							if err != nil {
+								t.Fatal(err)
+							}
+							opts.Spill = store
+							opts.Mem, release = tinyTracker(t)
+						}
+						b := base
+						if sh.base != nil {
+							b = sh.base
+						}
+						defer release()
+						out, err := Evaluate(b, detail, sh.conds, opts)
+						return out, stats, err
 					}
-					b := base
-					if sh.base != nil {
-						b = sh.base
-					}
-					out, err := Evaluate(b, detail, sh.conds, opts)
-					release()
+					out, stats, err := run(nil)
 					name := fmt.Sprintf("n=%d/%s/spilled=%v/workers=%d", n, sh.name, spilled, workers)
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)
+					}
+					// Read from typed columns, the same answer and counters.
+					if workers <= 4 {
+						colOut, colStats, err := run(cols)
+						if err != nil {
+							t.Fatalf("%s, columns: %v", name, err)
+						}
+						if d := out.Diff(colOut); d != "" || goldenLine(name, out, &stats) != goldenLine(name, colOut, &colStats) {
+							t.Errorf("%s: columns on and off differ: %s\noff: %+v\non:  %+v", name, d, stats, colStats)
+						}
+						if sh.hashBound && colStats.PackedHashConds == 0 {
+							t.Errorf("%s: no key hash from the typed columns", name)
+						}
 					}
 					if spilled && stats.SpillPartitions == 0 && sh.base != hot { // one key partition: resident, and split
 						t.Fatalf("%s: nothing spilled", name)

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"github.com/olaplab/gmdj/internal/relation"
@@ -533,4 +534,114 @@ func TestTableAppendChecksBeforeMutating(t *testing.T) {
 	if f := tab.Rel.Rows[0][1]; f.Kind() != value.KindFloat || f.AsFloat() != 2 {
 		t.Errorf("INT 2 into a FLOAT column stored as %v", f)
 	}
+}
+
+// columnsMatch checks every column's vector over the rows a reader
+// holds against those rows, cell for cell.
+func columnsMatch(t *testing.T, what string, tab *Table, rows []relation.Tuple) {
+	t.Helper()
+	for c := range tab.Rel.Schema.Columns {
+		v := tab.Column(c, rows)
+		if v.Len() != len(rows) {
+			t.Fatalf("%s: column %d covers %d rows, the reader holds %d", what, c, v.Len(), len(rows))
+		}
+		for i, row := range rows {
+			if !cellIdentical(v.Value(i), row[c]) {
+				t.Fatalf("%s: column %d row %d: vector %v, row %v", what, c, i, v.Value(i), row[c])
+			}
+		}
+	}
+}
+
+// TestTableColumnCatchesUp: a table's typed vectors follow its rows —
+// after Table.Append, after a direct Rel.Append and BumpVersion, after
+// recovery, and when a column's kind changes partway — extended, not
+// rebuilt: a new version over the same rows hands out the same vector,
+// and a reader holding an older snapshot sees its own rows only.
+func TestTableColumnCatchesUp(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	cat := NewCatalog()
+	tab := newLog("log", rng, 2*ZoneBlockRows+5)
+	cat.Register(tab)
+	columnsMatch(t, "built", tab, tab.Rel.Rows)
+	old := tab.Rel.Rows
+	held := tab.Column(3, old)
+	tab.BumpVersion() // an index change: a new version, no new row
+	if tab.Column(3, tab.Rel.Rows) != held {
+		t.Fatal("a new version over the same rows rebuilt the vector")
+	}
+
+	if err := tab.Append([]relation.Tuple{{value.Int(-1), value.Int(2), value.Str("x"), value.Int(3)}}); err != nil {
+		t.Fatal(err)
+	}
+	columnsMatch(t, "after Table.Append", tab, tab.Rel.Rows)
+	appendLog(tab, rng, 700)
+	columnsMatch(t, "after Rel.Append and BumpVersion", tab, tab.Rel.Rows)
+
+	// g (INT so far) takes a STRING, f a BOOL: both are boxed from here.
+	tab.Rel.Append(relation.Tuple{value.Int(0), value.Str("g"), value.Null, value.Bool(true)})
+	appendLog(tab, rng, 3)
+	columnsMatch(t, "after a kind change", tab, tab.Rel.Rows)
+	if tab.Column(1, tab.Rel.Rows).Boxed == nil {
+		t.Fatal("a column of two kinds is not boxed")
+	}
+	columnsMatch(t, "an older snapshot", tab, old)
+	if held.Len() != len(old) || held.Kind != value.KindFloat {
+		t.Fatalf("a held vector changed: %d rows of %v", held.Len(), held.Kind)
+	}
+
+	dir := t.TempDir()
+	mustCheckpoint(t, mustOpen(t, dir, nil), cat)
+	got, _ := mustRecover(t, dir)
+	rec, err := got.Table("log")
+	if err != nil {
+		t.Fatal(err)
+	}
+	columnsMatch(t, "after recovery", rec, rec.Rel.Rows)
+	appendLog(rec, rng, 9)
+	columnsMatch(t, "an append after recovery", rec, rec.Rel.Rows)
+}
+
+// TestColumnReaderKeepsVectorAcrossExtend (for -race): readers hold the
+// vectors Column gave them outside the table's lock, and scan them while
+// a writer appends rows and extends the vectors; extending must write
+// only past what any reader holds.
+func TestColumnReaderKeepsVectorAcrossExtend(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	tab := newLog("log", rng, 500)
+	rows := tab.Rel.Rows
+	held := make([]*relation.ColVec, tab.Rel.Schema.Len())
+	for c := range held {
+		held[c] = tab.Column(c, rows)
+	}
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				for c, v := range held {
+					for i, row := range rows {
+						if !cellIdentical(v.Value(i), row[c]) {
+							t.Errorf("column %d row %d changed under a reader", c, i)
+							return
+						}
+					}
+				}
+			}
+		}()
+	}
+	for i := 0; i < 100; i++ {
+		appendLog(tab, rng, 1+rng.Intn(40))
+		tab.Column(rng.Intn(len(held)), tab.Rel.Rows)
+	}
+	close(done)
+	wg.Wait()
+	columnsMatch(t, "after the appends", tab, tab.Rel.Rows)
 }

@@ -3,7 +3,9 @@ package storage
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 
+	"github.com/olaplab/gmdj/internal/relation"
 	"github.com/olaplab/gmdj/internal/value"
 )
 
@@ -31,7 +33,7 @@ const (
 )
 
 // encodeColumn serializes one column, choosing the encoding.
-func encodeColumn(c *ColVec) []byte {
+func encodeColumn(c *relation.ColVec) []byte {
 	n := c.Len()
 	out := []byte{0, byte(c.Kind)}
 	out = binary.AppendUvarint(out, uint64(n))
@@ -64,7 +66,7 @@ func encodeColumn(c *ColVec) []byte {
 // count is validated against what the encoding's body can possibly
 // describe before anything row-sized is allocated, so a forged header
 // cannot force an oversized allocation.
-func decodeColumn(buf []byte) (*ColVec, error) {
+func decodeColumn(buf []byte) (*relation.ColVec, error) {
 	r := value.NewReader(buf)
 	enc := r.Byte()
 	kind := value.Kind(r.Byte())
@@ -95,7 +97,7 @@ func decodeColumn(buf []byte) (*ColVec, error) {
 		return nil, fmt.Errorf("column encoding %d unknown", enc)
 	}
 	n := int(n64)
-	c := &ColVec{Kind: kind}
+	c := &relation.ColVec{Kind: kind}
 	switch enc {
 	case encBoxed:
 		if kind != value.KindNull {
@@ -121,12 +123,11 @@ func decodeColumn(buf []byte) (*ColVec, error) {
 			return nil, err
 		}
 	case encPlain:
-		c.Nulls = make([]bool, n)
+		c.Resize(n)
 		readBitmap(r, c.Nulls)
-		allocTyped(c, n)
 		for i := 0; i < n; i++ {
 			if !c.Nulls[i] {
-				c.set(i, r.Payload(c.Kind))
+				c.Set(i, r.Payload(c.Kind))
 			}
 		}
 	}
@@ -136,7 +137,7 @@ func decodeColumn(buf []byte) (*ColVec, error) {
 	return c, nil
 }
 
-func nonNullCount(c *ColVec) int {
+func nonNullCount(c *relation.ColVec) int {
 	n := 0
 	for _, isNull := range c.Nulls {
 		if !isNull {
@@ -146,7 +147,7 @@ func nonNullCount(c *ColVec) int {
 	return n
 }
 
-func distinctStrings(c *ColVec) int {
+func distinctStrings(c *relation.ColVec) int {
 	seen := make(map[string]struct{})
 	for i, s := range c.Strs {
 		if !c.Nulls[i] {
@@ -156,29 +157,57 @@ func distinctStrings(c *ColVec) int {
 	return len(seen)
 }
 
-func runCount(c *ColVec) int {
+func runCount(c *relation.ColVec) int {
 	n := c.Len()
 	if n == 0 {
 		return 0
 	}
 	runs := 1
 	for i := 1; i < n; i++ {
-		if !c.sameCell(i-1, i) {
+		if !sameCell(c, i-1, i) {
 			runs++
 		}
 	}
 	return runs
 }
 
-func allocTyped(c *ColVec, n int) {
+// sameCell reports whether rows i and j of the column hold
+// bit-identical cells. Run-length encoding groups by this, not by SQL
+// equality: FLOAT 0.0 and -0.0 compare equal but must round-trip to
+// their own bit patterns.
+func sameCell(c *relation.ColVec, i, j int) bool {
+	if c.Nulls[i] != c.Nulls[j] {
+		return false
+	}
+	if c.Nulls[i] {
+		return true
+	}
+	if c.Boxed != nil {
+		a, b := c.Boxed[i], c.Boxed[j]
+		if a.Kind() != b.Kind() {
+			return false
+		}
+		switch a.Kind() {
+		case value.KindInt:
+			return a.AsInt() == b.AsInt()
+		case value.KindFloat:
+			return math.Float64bits(a.AsFloat()) == math.Float64bits(b.AsFloat())
+		case value.KindString:
+			return a.AsString() == b.AsString()
+		case value.KindBool:
+			return a.AsBool() == b.AsBool()
+		}
+		return false
+	}
 	switch c.Kind {
 	case value.KindInt, value.KindBool:
-		c.Ints = make([]int64, n)
+		return c.Ints[i] == c.Ints[j]
 	case value.KindFloat:
-		c.Floats = make([]float64, n)
+		return math.Float64bits(c.Floats[i]) == math.Float64bits(c.Floats[j])
 	case value.KindString:
-		c.Strs = make([]string, n)
+		return c.Strs[i] == c.Strs[j]
 	}
+	return false
 }
 
 func appendBitmap(dst []byte, nulls []bool) []byte {
@@ -198,12 +227,12 @@ func appendBitmap(dst []byte, nulls []bool) []byte {
 	return dst
 }
 
-func appendRLE(dst []byte, c *ColVec) []byte {
+func appendRLE(dst []byte, c *relation.ColVec) []byte {
 	n := c.Len()
 	var runs [][2]int // start, length
 	for i := 0; i < n; {
 		j := i + 1
-		for j < n && c.sameCell(i, j) {
+		for j < n && sameCell(c, i, j) {
 			j++
 		}
 		runs = append(runs, [2]int{i, j - i})
@@ -222,7 +251,7 @@ func appendRLE(dst []byte, c *ColVec) []byte {
 	return dst
 }
 
-func readRLE(r *value.Reader, c *ColVec, n int) error {
+func readRLE(r *value.Reader, c *relation.ColVec, n int) error {
 	// Pre-scan the run structure on a copy of the cursor without
 	// allocating anything row-sized: the declared row count is only
 	// trusted once the runs add up to it. A run covers 1..n-total rows;
@@ -251,8 +280,7 @@ func readRLE(r *value.Reader, c *ColVec, n int) error {
 		return fmt.Errorf("rle runs cover %d of %d rows", total, n)
 	}
 
-	c.Nulls = make([]bool, n)
-	allocTyped(c, n)
+	c.Resize(n)
 	r.Count()
 	at := 0
 	for ri := 0; ri < runs; ri++ {
@@ -264,7 +292,7 @@ func readRLE(r *value.Reader, c *ColVec, n int) error {
 		} else {
 			v := r.Payload(c.Kind)
 			for i := at; i < at+length; i++ {
-				c.set(i, v)
+				c.Set(i, v)
 			}
 		}
 		at += length
@@ -272,7 +300,7 @@ func readRLE(r *value.Reader, c *ColVec, n int) error {
 	return nil
 }
 
-func appendDict(dst []byte, c *ColVec) []byte {
+func appendDict(dst []byte, c *relation.ColVec) []byte {
 	index := make(map[string]uint64)
 	var dict []string
 	for i, s := range c.Strs {
@@ -296,7 +324,7 @@ func appendDict(dst []byte, c *ColVec) []byte {
 	return dst
 }
 
-func readDict(r *value.Reader, c *ColVec, n int) error {
+func readDict(r *value.Reader, c *relation.ColVec, n int) error {
 	c.Strs = make([]string, n)
 	dictLen := r.Count()
 	dict := make([]string, 0, min(dictLen, 1024))

@@ -169,13 +169,11 @@ type Table struct {
 	// this table's writes and index changes move.
 	cat *Catalog
 
-	// segMu guards the lazily built packed-columnar image of the table
-	// (segVersion records which table version it reflects) and the
-	// per-column zone maps, each of which records the rows it covers.
-	segMu      sync.Mutex
-	seg        *Segment
-	segVersion uint64
-	zones      map[int]colZones
+	// colMu guards the lazily built per-column typed vectors and zone
+	// maps, each of which records the rows it covers.
+	colMu sync.Mutex
+	cols  []*relation.ColVec
+	zones map[int]colZones
 
 	// quarantine, when set, records why the table's durable segment
 	// failed recovery; queries touching the table fail with

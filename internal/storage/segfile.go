@@ -58,7 +58,7 @@ func decodeSegment(buf []byte) (*Segment, error) {
 	if err := r.Finish(); err != nil {
 		return nil, fmt.Errorf("segment header: %w", err)
 	}
-	s := &Segment{Table: table, Schema: schema, Rows: int(rows), Cols: make([]*ColVec, schema.Len())}
+	s := &Segment{Table: table, Schema: schema, Rows: int(rows), Cols: make([]*relation.ColVec, schema.Len())}
 	rest := buf[n:]
 	for c := range s.Cols {
 		payload, fn, err := spill.DecodeFrame(rest)

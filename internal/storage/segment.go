@@ -53,15 +53,15 @@ func (z ZoneMap) CanPrune(op value.CmpOp, lit value.Value) bool {
 	return false
 }
 
-// Segment is an immutable packed-columnar image of one table: the
-// schema and every column as a ColVec. Segments are what the durable
-// store persists and what the GMDJ's detail-key hashing reads; zone
-// maps are not part of one (Table.Zones builds them from the rows).
+// Segment is an immutable packed-columnar image of rows of one table:
+// the schema and every column as a relation.ColVec. Segments are what
+// the durable store persists; zone maps are not part of one
+// (Table.Zones builds them from the rows).
 type Segment struct {
 	Table  string
 	Schema *relation.Schema
 	Rows   int
-	Cols   []*ColVec
+	Cols   []*relation.ColVec
 }
 
 // BuildSegment packs rel into a segment.
@@ -70,10 +70,11 @@ func BuildSegment(table string, rel *relation.Relation) *Segment {
 		Table:  table,
 		Schema: rel.Schema.Clone(),
 		Rows:   len(rel.Rows),
-		Cols:   make([]*ColVec, rel.Schema.Len()),
+		Cols:   make([]*relation.ColVec, rel.Schema.Len()),
 	}
-	for c := range s.Cols {
-		s.Cols[c] = buildColVec(rel, c)
+	for c := range s.Cols { // the cells decide the packed kind, NULLs alone the schema
+		s.Cols[c] = &relation.ColVec{Kind: rel.Schema.Columns[c].Type}
+		s.Cols[c].Append(rel.Rows, c)
 	}
 	return s
 }
@@ -126,7 +127,7 @@ func (z colZones) extend(rows []relation.Tuple, col int) colZones {
 		}
 		zones[b] = zm
 	}
-	if z.mixed { // what buildColVec stores Boxed: no bounds in any block
+	if z.mixed { // what a segment stores Boxed: no bounds in any block
 		for b := range zones {
 			zones[b].Min, zones[b].Max = value.Null, value.Null
 		}
@@ -162,7 +163,7 @@ func (s *Segment) appendRows(dst []relation.Tuple) []relation.Tuple {
 	return dst
 }
 
-// KeyHashes computes the GMDJ detail-key hash vector straight from the
+// KeyHashes computes a GMDJ detail-key hash vector straight from the
 // packed columns: for each row, value.FoldHash over the key columns,
 // with ok=false (and hash 0) when any key cell is NULL. That is
 // relation.Tuple.KeyHash applied column-wise, so the result is
@@ -189,18 +190,36 @@ func (s *Segment) KeyHashes(key []int) (h []uint64, ok []bool) {
 	return h, ok
 }
 
-// Segment returns the table's packed columnar image, built lazily and
-// cached until the table's version changes (any insert or index
-// mutation). Safe for concurrent readers.
-func (t *Table) Segment() *Segment {
-	t.segMu.Lock()
-	defer t.segMu.Unlock()
-	v := t.Version()
-	if t.seg == nil || t.segVersion != v {
-		t.seg = BuildSegment(t.Name, t.Rel)
-		t.segVersion = v
+// Column returns column col's typed vector over rows, the table's rows as
+// a reader holds them (rows are only appended, see Table): built when a
+// query first asks, then extended from the last row it covers, like
+// Zones, never rebuilt. A vector handed out is never written again (a
+// longer one writes past its end). Safe for concurrent readers.
+func (t *Table) Column(col int, rows []relation.Tuple) *relation.ColVec {
+	t.colMu.Lock()
+	defer t.colMu.Unlock()
+	if t.cols == nil {
+		t.cols = make([]*relation.ColVec, t.Rel.Schema.Len())
 	}
-	return t.seg
+	if v := t.cols[col]; v == nil || v.Len() < len(rows) {
+		next := relation.ColVec{Kind: t.Rel.Schema.Columns[col].Type}
+		if v != nil {
+			next = *v
+		}
+		next.Append(rows[next.Len():], col)
+		t.cols[col] = &next
+	}
+	return t.cols[col].Prefix(len(rows))
+}
+
+// Segment returns a snapshot of the table's columns (Column) as a segment.
+func (t *Table) Segment() *Segment {
+	rows := t.Rel.Rows
+	s := &Segment{Table: t.Name, Schema: t.Rel.Schema, Rows: len(rows), Cols: make([]*relation.ColVec, t.Rel.Schema.Len())}
+	for c := range s.Cols {
+		s.Cols[c] = t.Column(c, rows)
+	}
+	return s
 }
 
 // Zones returns the zone maps of column col over the table's rows as
@@ -211,8 +230,8 @@ func (t *Table) Segment() *Segment {
 // and an insert costs the next scan one block, not the table. Safe for
 // concurrent readers.
 func (t *Table) Zones(col int) []ZoneMap {
-	t.segMu.Lock()
-	defer t.segMu.Unlock()
+	t.colMu.Lock()
+	defer t.colMu.Unlock()
 	rows := t.Rel.Rows
 	z := t.zones[col]
 	if z.rows != len(rows) {

@@ -374,20 +374,25 @@ func TestSegmentKeyHashes(t *testing.T) {
 	}
 }
 
+// TestTableSegmentCachedPerVersion: Segment is a snapshot of the
+// table's column vectors. Without growth — a new version over the same
+// rows included — it hands out the same vectors; after an append it
+// extends them, and an older snapshot keeps its own rows.
 func TestTableSegmentCachedPerVersion(t *testing.T) {
 	tab := NewTable("t", trickyRel(50))
 	s1 := tab.Segment()
-	if s2 := tab.Segment(); s2 != s1 {
-		t.Fatal("segment rebuilt without a version change")
+	tab.BumpVersion()
+	if s2 := tab.Segment(); !slices.Equal(s2.Cols, s1.Cols) {
+		t.Fatal("column vectors rebuilt without an append")
 	}
 	tab.Rel.Append(make(relation.Tuple, tab.Rel.Schema.Len()))
 	tab.BumpVersion()
 	s3 := tab.Segment()
-	if s3 == s1 {
-		t.Fatal("segment not rebuilt after BumpVersion")
+	if s3.Rows != 51 || s3.Cols[0].Len() != 51 {
+		t.Fatalf("segment after an append has %d rows (column 0: %d), want 51", s3.Rows, s3.Cols[0].Len())
 	}
-	if s3.Rows != 51 {
-		t.Fatalf("rebuilt segment has %d rows, want 51", s3.Rows)
+	if s1.Rows != 50 || s1.Cols[0].Len() != 50 || s1.Relation().Diff(BuildSegment("t", &relation.Relation{Schema: tab.Rel.Schema, Rows: tab.Rel.Rows[:50]}).Relation()) != "" {
+		t.Fatal("an older snapshot changed under an append")
 	}
 }
 
@@ -406,8 +411,8 @@ func TestTableZonesWithoutSegment(t *testing.T) {
 		t.Fatalf("%d columns cached, want the one asked for", len(tab.zones))
 	}
 	zonesMatchSegment(t, tab)
-	if tab.seg != nil {
-		t.Fatal("Zones packed a segment")
+	if tab.cols != nil {
+		t.Fatal("Zones built a column vector")
 	}
 
 	first := tab.Zones(0)
@@ -427,7 +432,7 @@ func TestTableZonesWithoutSegment(t *testing.T) {
 
 // zonesMatchSegment checks every column's Table.Zones against the zone
 // maps computed from a segment packed from the table's rows as they are
-// now (segmentZones), which reach the cells by other code (buildColVec).
+// now (segmentZones), which reach the cells by other code (BuildSegment).
 func zonesMatchSegment(t *testing.T, tab *Table) {
 	t.Helper()
 	want := segmentZones(BuildSegment(tab.Name, tab.Rel))

@@ -75,6 +75,10 @@ none "one σ/π pass (no staged operators)" "$(grep -rnE 'func \(e \*Executor\) 
 test "$(grep -rn 'concatMorsels(' --include=*.go internal/exec | grep -v -e _test.go -e 'func concatMorsels' | cut -d: -f1 | sort | tr '\n' ' ')" = "internal/exec/chain.go internal/exec/join.go " || fail "one σ/π pass (concatMorsels callers)"
 none "one σ/π pass (no fusion field)" "$({ awk '/^type Options struct/,/^}/' internal/gmdj/gmdj.go; awk '/^type Config struct/,/^}/' internal/engine/engine.go; } | grep -E '^\s+[A-Za-z]*(Fus|Stag)[A-Za-z]*\s')"
 none "one σ/π pass (no fusion env)" "$(grep -rnE 'GMDJ_[A-Z_]*(FUS|STAG)' --include=*.go internal *.go)"
+# The documents that describe the system stay readable in one sitting:
+# DESIGN.md and CHANGES.md together hold at most 80 KiB.
+docs=$(cat DESIGN.md CHANGES.md | wc -c)
+test "$docs" -le 81920 || fail "docs under 80 KiB (DESIGN.md + CHANGES.md hold $docs B)"
 
 # Every DESIGN §N or DESIGN.md §N.M cited in a tracked file outside
 # bench/ names a numbered ## or ### heading of DESIGN.md. One quoted as
