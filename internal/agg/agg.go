@@ -215,6 +215,42 @@ func (s *State) AddValue(j, pos int, v value.Value) error {
 	return s.cols[j].addValue(pos, v)
 }
 
+// AddVector folds arg's cell at row rows[k] into spec j's state at pos[k],
+// in k order (COUNT(*) reads no arg): COUNT, and SUM or AVG over an INT or
+// FLOAT vector, on its slices, the rest a cell at a time as AddValue.
+func (s *State) AddVector(j int, pos, rows []int32, arg *relation.ColVec) error {
+	c := &s.cols[j]
+	kind := value.KindNull
+	if arg != nil && arg.Boxed == nil && (c.fn == Sum || c.fn == Avg) {
+		kind = arg.Kind
+	}
+	for k, p := range pos {
+		switch r := rows[k]; {
+		case c.fn == CountStar:
+			c.n[p]++
+		case arg.Nulls[r]:
+		case c.fn == Count:
+			c.n[p]++
+		case kind == value.KindFloat || kind == value.KindInt:
+			if kind == value.KindFloat {
+				c.f[p] += arg.Floats[r]
+			} else if c.f[p] += float64(arg.Ints[r]); c.fn == Sum {
+				c.i[p] += arg.Ints[r]
+			}
+			if c.fn == Avg {
+				c.n[p]++
+			} else if c.flags[p] |= sumAny; kind == value.KindFloat {
+				c.flags[p] |= sumFloat
+			}
+		default:
+			if err := c.addValue(int(p), arg.Value(int(r))); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
 func (c *column) add(pos int, row relation.Tuple) error {
 	if uint(c.at) < uint(len(row)) {
 		return c.addValue(pos, row[c.at])

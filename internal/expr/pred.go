@@ -315,6 +315,10 @@ func (p *Pred) Columns() (cols []int) {
 	return cols
 }
 
+// Empty reports whether the predicate has no conjunct: it holds on every
+// row.
+func (p *Pred) Empty() bool { return len(p.leaves) == 0 }
+
 // Pair reports whether the predicate, bound to base ++ detail, is True
 // on the pair. Kernels read each column from the tuple that holds it;
 // only a generic leaf needs the concatenation, built in buf (capacity

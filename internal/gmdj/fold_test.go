@@ -76,20 +76,110 @@ func TestEstimateBoundsState(t *testing.T) {
 }
 
 // BenchmarkFold is the GMDJ's fold per aggregate kind: a 40k base, each
-// tuple bound by key to five of 200k detail rows, one aggregate, serial.
-// ns/detail-row is the whole Evaluate over the detail rows it folds.
+// tuple bound by key to five of 200k detail rows, one aggregate, serial,
+// over the detail's rows and over its typed columns (Options.Columns).
+// ns/detail-row is the whole Evaluate over the detail rows it folds;
+// net-ns/detail-row leaves out what the one-row case costs, the state
+// build and the emit of the 40k base, which no detail row pays.
 func BenchmarkFold(b *testing.B) {
 	base, detail := foldRels(40000, 200000)
+	cols := detailColumns(detail)
+	columns := func(c int) *relation.ColVec { return cols[c] }
+	_, one := foldRels(40000, 1)
+	count := []algebra.GMDJCond{{Theta: expr.Eq(expr.C("B.k"), expr.C("R.k")), Aggs: []agg.Spec{kindSpec(agg.CountStar, "a")}}}
+	fixed := 0.0 // ns an op of the one-row case; 0 until it ran
+	b.Run("one-row", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := Evaluate(base, one, count, Options{Workers: 1}); err != nil {
+				b.Fatal(err)
+			}
+		}
+		fixed = float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+	})
 	for _, f := range []agg.Func{agg.CountStar, agg.Count, agg.Sum, agg.Avg, agg.Min} {
 		conds := []algebra.GMDJCond{{Theta: expr.Eq(expr.C("B.k"), expr.C("R.k")), Aggs: []agg.Spec{kindSpec(f, "a")}}}
-		b.Run(fmt.Sprint(f), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := Evaluate(base, detail, conds, Options{Workers: 1}); err != nil {
-					b.Fatal(err)
-				}
+		for _, typed := range []bool{false, true} {
+			opts, name := Options{Workers: 1}, "rows/"+f.String()
+			if typed {
+				opts.Columns, name = columns, "typed/"+f.String()
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(detail.Rows)), "ns/detail-row")
-		})
+			b.Run(name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := Evaluate(base, detail, conds, opts); err != nil {
+						b.Fatal(err)
+					}
+				}
+				op := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+				b.ReportMetric(op/float64(len(detail.Rows)), "ns/detail-row")
+				if fixed > 0 {
+					b.ReportMetric((op-fixed)/float64(len(detail.Rows)), "net-ns/detail-row")
+				}
+			})
+		}
+	}
+}
+
+// TestColumnFoldEligibility pins which conditions take the typed fold
+// (DESIGN §14): hash-bound on unboxed key vectors, no mixed conjunct, no
+// completion atom, every aggregate a COUNT(*) or over a bare column with a
+// vector. Either way the answer, the counters and an error — a SUM over a
+// STRING column — are the row path's.
+func TestColumnFoldEligibility(t *testing.T) {
+	base, _ := foldRels(8, 0)
+	detail := passDetail(64)
+	cols := detailColumns(detail)
+	boxed := &relation.ColVec{Nulls: make([]bool, detail.Len()), Boxed: make([]value.Value, detail.Len())}
+	for i, row := range detail.Rows {
+		boxed.Nulls[i], boxed.Boxed[i] = row[0].IsNull(), row[0]
+	}
+	bind := expr.Eq(expr.C("B.k"), expr.C("R.k"))
+	on := func(f agg.Func, arg expr.Expr) []agg.Spec { return []agg.Spec{{Func: f, Arg: arg, As: "a"}} }
+	frozen := &algebra.CompletionInfo{Atoms: []algebra.CompletionAtom{{Cond: 0, Kind: algebra.AtomNonZero}}, Tree: algebra.Leaf(0), FreezeTrue: true}
+	for _, c := range []struct {
+		name    string
+		cond    algebra.GMDJCond
+		comp    *algebra.CompletionInfo
+		boxKey  bool
+		typed   bool
+		wantErr bool
+	}{
+		{"count(*)", algebra.GMDJCond{Theta: bind, Aggs: on(agg.CountStar, nil)}, nil, false, true, false},
+		{"every kind over columns", algebra.GMDJCond{Theta: bind, Aggs: []agg.Spec{{Func: agg.Sum, Arg: expr.C("R.v"), As: "s"},
+			{Func: agg.Avg, Arg: expr.C("R.f"), As: "a"}, {Func: agg.Min, Arg: expr.C("R.tag"), As: "m"},
+			{Func: agg.CountDistinct, Arg: expr.C("R.v"), As: "d"}, {Func: agg.Var, Arg: expr.C("R.g"), As: "var"}}}, nil, false, true, false},
+		{"detail-only and base-only conjuncts", algebra.GMDJCond{Theta: expr.NewAnd(bind, expr.Eq(expr.C("R.tag"), expr.StrLit("odd")),
+			expr.NewCmp(value.GT, expr.C("B.y"), expr.IntLit(3))), Aggs: on(agg.Sum, expr.C("R.f"))}, nil, false, true, false},
+		{"mixed conjunct", algebra.GMDJCond{Theta: expr.NewAnd(bind, expr.NewCmp(value.LT, expr.C("B.y"), expr.C("R.v"))), Aggs: on(agg.CountStar, nil)}, nil, false, false, false},
+		{"computed argument", algebra.GMDJCond{Theta: bind, Aggs: on(agg.Sum, expr.NewArith(expr.OpAdd, expr.C("R.v"), expr.IntLit(1)))}, nil, false, false, false},
+		{"argument reads the base", algebra.GMDJCond{Theta: bind, Aggs: on(agg.Sum, expr.C("B.y"))}, nil, false, false, false},
+		{"completion atom", algebra.GMDJCond{Theta: bind, Aggs: on(agg.CountStar, nil)}, frozen, false, false, false},
+		{"boxed key", algebra.GMDJCond{Theta: bind, Aggs: on(agg.CountStar, nil)}, nil, true, false, false},
+		{"fallback", algebra.GMDJCond{Theta: expr.NewCmp(value.LT, expr.C("B.k"), expr.C("R.k")), Aggs: on(agg.CountStar, nil)}, nil, false, false, false},
+		{"sum over STRING", algebra.GMDJCond{Theta: bind, Aggs: on(agg.Sum, expr.C("R.tag"))}, nil, false, true, true},
+	} {
+		columns := func(col int) *relation.ColVec {
+			if col == 0 && c.boxKey {
+				return boxed
+			}
+			return cols[col]
+		}
+		conds := []algebra.GMDJCond{c.cond}
+		p, err := compile(base, detail, conds, Options{Completion: c.comp, Columns: columns}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.conds[0].typed != c.typed {
+			t.Errorf("%s: typed = %v, want %v", c.name, p.conds[0].typed, c.typed)
+		}
+		var offStats, onStats Stats
+		off, offErr := Evaluate(base, detail, conds, Options{Completion: c.comp, Stats: &offStats})
+		got, onErr := Evaluate(base, detail, conds, Options{Completion: c.comp, Stats: &onStats, Columns: columns})
+		switch {
+		case (offErr != nil) != c.wantErr || fmt.Sprint(offErr) != fmt.Sprint(onErr):
+			t.Errorf("%s: error %v with columns off, %v on; want an error: %v", c.name, offErr, onErr, c.wantErr)
+		case offErr == nil && goldenLine("", off, &offStats) != goldenLine("", got, &onStats):
+			t.Errorf("%s: columns on and off differ: %s", c.name, off.Diff(got))
+		}
 	}
 }

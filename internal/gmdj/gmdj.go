@@ -276,6 +276,7 @@ type condProg struct {
 	// so a fallback condition needs no scan list. Read-only during the fold.
 	detailPredOK []bool
 	unreached    bool
+	typed        bool // its matches take the typed fold (foldable)
 }
 
 // program is one compiled GMDJ: everything about the evaluation that
@@ -480,14 +481,32 @@ func (p *program) detailMorsel(lo, hi int) error {
 		if !cp.passHash {
 			continue
 		}
-		all, vec := cp.detailPredOK == nil || cp.publish != "", cp.detailHash
-		for di := lo; di < hi; di++ {
-			if (all || cp.detailPredOK[di]) && !vec.OK[di] {
-				vec.H[di], vec.OK[di] = p.keyHash(di, cp.detailKey)
-			}
+		keep := cp.detailPredOK
+		if cp.publish != "" {
+			keep = nil // the vector goes out whole
 		}
+		p.hashRows(cp.detailHash.H[lo:hi], cp.detailHash.OK[lo:hi], keep, cp.detailKey, lo)
 	}
 	return nil
+}
+
+// hashRows sets h[k], ok[k] to row lo+k's key hash where keep (nil: all)
+// holds and ok is unset: one INT or FLOAT key from its vector, else keyHash.
+func (p *program) hashRows(h []uint64, ok, keep []bool, key []int, lo int) {
+	v := p.cols[key[0]]
+	typed := len(key) == 1 && v != nil && v.Boxed == nil && (v.Kind == value.KindInt || v.Kind == value.KindFloat)
+	for k := range h {
+		switch di := lo + k; {
+		case keep != nil && !keep[di] || ok[k]:
+		case !typed:
+			h[k], ok[k] = p.keyHash(di, key)
+		case v.Nulls[di]:
+		case v.Kind == value.KindInt:
+			h[k], ok[k] = value.FoldHash(value.HashInit, value.Int(v.Ints[di])), true
+		default:
+			h[k], ok[k] = value.FoldHash(value.HashInit, value.Float(v.Floats[di])), true
+		}
+	}
 }
 
 // cell is detail row di's cell at column c, from the column's typed
@@ -514,8 +533,9 @@ func (p *program) keyHash(di int, key []int) (uint64, bool) {
 
 // routeMorsel bumps at[j] for each row of [lo, hi) routed to key partition
 // j (some condition keeps it, its key is not NULL), placing it at
-// route[at[j]] first when route is set.
-func (p *program) routeMorsel(at, route []int32, lo, hi int) {
+// route[at[j]] first when route is set, bumping a copy: counts' lines are shared.
+func (p *program) routeMorsel(counts, route []int32, lo, hi int) {
+	at := append(make([]int32, 0, maxSpillParts), counts...)
 	vec := p.conds[0].detailHash
 rows:
 	for di := lo; di < hi; di++ {
@@ -530,6 +550,7 @@ rows:
 			}
 		}
 	}
+	copy(counts, at)
 }
 
 // estimateStateBytes approximates the resident footprint of the GMDJ
@@ -611,6 +632,9 @@ func compile(base, detail *relation.Relation, conds []algebra.GMDJCond, opts Opt
 			p.conds[a.Cond].atoms = append(p.conds[a.Cond].atoms, ai)
 		}
 	}
+	for ci := range p.conds {
+		p.conds[ci].typed = p.foldable(&p.conds[ci])
+	}
 	routed := !p.fallback && len(conds) > 0 && !slices.ContainsFunc(p.conds, func(cp condProg) bool {
 		return !slices.Equal(cp.baseKey, p.conds[0].baseKey) || !slices.Equal(cp.detailKey, p.conds[0].detailKey)
 	})
@@ -653,6 +677,21 @@ func (p *program) argCol(cp *condProg, j int) int {
 		return c.Index()
 	}
 	return -1
+}
+
+// foldable: cp is hash-bound on unboxed key vectors, with no mixed
+// conjunct or completion atom, each aggregate COUNT(*) or over a vector.
+func (p *program) foldable(cp *condProg) bool {
+	if len(cp.baseKey) == 0 || cp.pair || len(cp.atoms) > 0 || !cp.mixedPred.Empty() ||
+		slices.ContainsFunc(cp.detailKey, func(c int) bool { return p.cols[c] == nil || p.cols[c].Boxed != nil }) {
+		return false
+	}
+	for j := cp.aggs[0]; j < cp.aggs[1]; j++ {
+		if c := p.argCol(cp, j); p.specs[j].Func != agg.CountStar && (c < 0 || p.cols[c] == nil) {
+			return false
+		}
+	}
+	return true
 }
 
 // bindAggs appends specs bound against s to dst.
@@ -854,9 +893,16 @@ func (p *program) typedKey(key []int) bool {
 	return !slices.ContainsFunc(key, func(c int) bool { return p.cols[c] == nil })
 }
 
-func (p *program) keysEqual(baseRow relation.Tuple, di int, baseKey, detailKey []int) bool {
-	for k := range baseKey {
-		if !value.Equal(baseRow[baseKey[k]], p.cell(di, detailKey[k])) {
+// keysEqual reports whether baseRow and detail row di agree on cp's key:
+// INT–INT by ==, FLOAT–FLOAT by value.CompareFloat, the rest by value.Equal.
+func (p *program) keysEqual(baseRow relation.Tuple, di int, cp *condProg) bool {
+	for k, c := range cp.detailKey {
+		switch b, v := baseRow[cp.baseKey[k]], p.cols[c]; {
+		case v == nil || v.Boxed != nil || b.Kind() != v.Kind || v.Kind > value.KindFloat:
+			if !value.Equal(b, p.cell(di, c)) {
+				return false
+			}
+		case v.Kind == value.KindInt && b.AsInt() != v.Ints[di], v.Kind == value.KindFloat && value.CompareFloat(b.AsFloat(), v.Floats[di]) != 0:
 			return false
 		}
 	}
@@ -903,6 +949,7 @@ type state struct {
 	// retires the last one the detail scan short-circuits (no base
 	// tuple this state owns can change its output anymore).
 	remaining int
+	chunks    []*chunk // per indexed condition (nil for a fallback one)
 	// liveFlushed is how many fed detail rows flushLive has published to
 	// the live-query registry: per chunk, not per row (a shared atomic).
 	liveFlushed int64
@@ -956,6 +1003,13 @@ func (p *program) newState(part *partition, lo, hi int, res result) (*state, err
 			}
 			return s.rows[i].KeyHash(key) // 0 is a NULL key's hash, and rarely a key's
 		})
+	}
+	s.chunks = make([]*chunk, len(p.conds))
+	for ci, cp := range p.conds {
+		if s.index[ci] != nil {
+			s.chunks[ci] = chunkPool.Get().(*chunk)
+			s.chunks[ci].n, s.chunks[ci].exact = 0, p.exactKey(&cp, s.rows)
+		}
 	}
 	s.basePredOK = make([][]bool, len(p.conds))
 	for ci := range p.conds {
@@ -1110,61 +1164,96 @@ func (s *state) extremes(rb *rangeBind, list, ext []int32) []int32 {
 	return ext
 }
 
-// feed folds one detail row (at detail position di) into the state.
-func (s *state) feed(di int) error {
-	if s.inactive*2 > len(s.rows) || s.inactive > 0 && s.stats.Probes-s.compacted >= int64(len(s.rows)) {
-		s.compact()
+// chunk is an indexed condition's scratch for a chunk of the walk: key hashes
+// no vector holds, a typed condition's matches in walk order, exactKey.
+type chunk struct {
+	h        [scanChunk]uint64
+	ok       [scanChunk]bool
+	n        int
+	pos, det [scanChunk]int32
+	exact    bool
+}
+
+var chunkPool = sync.Pool{New: func() any { return new(chunk) }}
+
+// exactKey: equal hashes are equal keys for cp over rows: one INT or FLOAT
+// key vector, base keys FLOATs or INTs within ±2^53 (value.Hash is 1:1 there).
+func (p *program) exactKey(cp *condProg, rows []relation.Tuple) bool {
+	if v := p.cols[cp.detailKey[0]]; len(cp.detailKey) > 1 || v == nil || v.Boxed != nil || v.Kind != value.KindInt && v.Kind != value.KindFloat {
+		return false
 	}
+	return !slices.ContainsFunc(rows, func(row relation.Tuple) bool {
+		c := row[cp.baseKey[0]]
+		return c.Kind() == value.KindInt && (c.AsInt() <= -1<<53 || c.AsInt() >= 1<<53) || c.Kind() > value.KindFloat
+	})
+}
+
+// feed folds the walk's rows [blo, bhi), each across the conditions, up to
+// the row it returns: bhi, or the first with every owned tuple decided.
+func (s *state) feed(blo, bhi int) (int, error) {
 	p := s.p
-	detailRow := p.detail.Rows[di]
-	s.stats.DetailRows++
-	for ci := range p.conds {
-		cp := &p.conds[ci]
-		if cp.detailPredOK != nil && !cp.detailPredOK[di] {
-			continue
+	for j := blo; j < bhi; j++ {
+		if s.remaining == 0 {
+			return j, nil
 		}
-		if ix := s.index[ci]; ix != nil {
-			h, ok := uint64(0), false
+		if s.inactive > 0 && (s.inactive*2 > len(s.rows) || s.stats.Probes-s.compacted >= int64(len(s.rows))) {
+			s.compact()
+		}
+		di := j
+		if p.route {
+			di = int(s.detail[j])
+		}
+		s.stats.DetailRows++
+		for ci, ch := range s.chunks {
+			cp := &p.conds[ci]
+			if cp.detailPredOK != nil && !cp.detailPredOK[di] {
+				continue
+			}
+			if ch == nil {
+				if err := s.walk(ci, cp, di, p.detail.Rows[di]); err != nil {
+					return 0, err
+				}
+				continue
+			}
+			h, ok := ch.h[j-blo], ch.ok[j-blo]
 			if vec := cp.detailHash; vec != nil {
 				h, ok = vec.H[di], vec.OK[di]
-			} else {
-				h, ok = p.keyHash(di, cp.detailKey)
 			}
 			if !ok {
 				continue
 			}
-			for _, e := range ix.Bucket(h) {
+			// One bucket walk, two sinks: the typed fold's buffer, or match.
+			for _, e := range s.index[ci].Bucket(h) {
 				if e.Hash != h {
 					continue
 				}
 				s.stats.Probes++
 				i := int(e.Pos)
-				if !s.active[i] {
+				if !s.active[i] || !ch.exact && !p.keysEqual(s.rows[i], di, cp) || s.basePredOK[ci] != nil && !s.basePredOK[ci][i] {
 					continue
 				}
-				baseRow := s.rows[i]
-				if !p.keysEqual(baseRow, di, cp.baseKey, cp.detailKey) {
+				if cp.typed {
+					ch.pos[ch.n], ch.det[ch.n], ch.n = int32(s.lo+i), int32(di), ch.n+1
+					if s.stats.Matches++; ch.n == scanChunk {
+						if err := s.flush(); err != nil {
+							return 0, err
+						}
+					}
 					continue
 				}
-				if oks := s.basePredOK[ci]; oks != nil && !oks[i] {
-					continue
-				}
-				if ok, err := cp.mixedPred.Pair(baseRow, detailRow, s.combined); err != nil {
-					return err
+				detailRow := p.detail.Rows[di]
+				if ok, err := cp.mixedPred.Pair(s.rows[i], detailRow, s.combined); err != nil {
+					return 0, err
 				} else if !ok {
 					continue
 				}
 				if err := s.match(i, ci, di, detailRow); err != nil {
-					return err
+					return 0, err
 				}
 			}
-			continue
-		}
-		if err := s.walk(ci, cp, di, detailRow); err != nil {
-			return err
 		}
 	}
-	return nil
+	return bhi, nil
 }
 
 // walk visits the active tuples on a fallback condition's scan list —
@@ -1263,6 +1352,25 @@ func (s *state) match(i, ci, di int, detailRow relation.Tuple) error {
 	case value.True:
 		if p.Completion.FreezeTrue {
 			s.retire(i, 1)
+		}
+	}
+	return nil
+}
+
+// flush folds the typed conditions' matches, a loop per aggregate.
+func (s *state) flush() error {
+	for ci, ch := range s.chunks {
+		if cp := &s.p.conds[ci]; cp.typed {
+			for j := cp.aggs[0]; j < cp.aggs[1]; j++ {
+				var arg *relation.ColVec
+				if c := s.p.argCol(cp, j); c >= 0 {
+					arg = s.p.cols[c]
+				}
+				if err := s.res.fold.AddVector(j, ch.pos[:ch.n], ch.det[:ch.n], arg); err != nil {
+					return err
+				}
+			}
+			ch.n = 0
 		}
 	}
 	return nil
@@ -1511,6 +1619,11 @@ func (p *program) evalPartition(out result, parts ...partition) error {
 		return err
 	}
 	for _, st := range states {
+		for _, ch := range st.chunks {
+			if ch != nil {
+				chunkPool.Put(ch)
+			}
+		}
 		p.Stats.Merge(&st.stats)
 		if len(states) > 1 {
 			p.Stats.WorkerRows = append(p.Stats.WorkerRows, st.stats.DetailRows)
@@ -1556,24 +1669,25 @@ func (p *program) scan(w int, st *state, stop *atomic.Bool) error {
 		if err := p.Gov.Check(); err != nil {
 			return err
 		}
-		for j, bhi := blo, min(blo+scanChunk, n); j < bhi; j++ {
-			if stop.Load() {
-				return nil
+		if stop.Load() {
+			return nil
+		}
+		bhi := min(blo+scanChunk, n)
+		for ci, ch := range st.chunks { // keys no vector holds: an unrouted walk's rows are contiguous
+			if cp := &p.conds[ci]; ch != nil && cp.detailHash == nil {
+				clear(ch.ok[:bhi-blo])
+				p.hashRows(ch.h[:bhi-blo], ch.ok[:bhi-blo], cp.detailPredOK, cp.detailKey, blo)
 			}
-			if st.remaining == 0 {
-				// Every base tuple this scan owns is decided: no remaining
-				// detail row can change its output, so the scan
-				// short-circuits (§4.2 taken to its limit).
-				st.stats.ShortCircuitRows += int64(n - j)
-				return nil
-			}
-			di := j
-			if p.route {
-				di = int(st.detail[j])
-			}
-			if err := st.feed(di); err != nil {
-				return err
-			}
+		}
+		j, err := st.feed(blo, bhi)
+		if err == nil {
+			err = st.flush()
+		}
+		if err != nil {
+			return err
+		} else if st.remaining == 0 { // every owned tuple is decided: the scan short-circuits (§4.2 to its limit)
+			st.stats.ShortCircuitRows += int64(n - j)
+			return nil
 		}
 		st.flushLive()
 	}

@@ -95,8 +95,9 @@ func evalParts(t *testing.T, base, detail *relation.Relation, conds []algebra.GM
 // range, worker ranges, consecutive chunks, hash-prefix position
 // lists — the driver produces the single-partition result, in base
 // order, with or without completion, through the hash index or the
-// fallback scan; and every partitioning keeps the counter invariant
-// fed + skipped == scans × |detail|.
+// fallback scan, over the detail's rows or its typed columns; and every
+// partitioning keeps the counter invariant fed + skipped == scans ×
+// |detail|.
 func TestPartitionEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	newBase := func(n int) *relation.Relation {
@@ -207,6 +208,8 @@ func TestPartitionEquivalence(t *testing.T) {
 		{"empty detail, chunks of 4", newBase(25), relation.New(detailSchema), 1, chunks(4)},
 	}
 	for _, pt := range partitionings {
+		cols := detailColumns(pt.detail)
+		columns := func(col int) *relation.ColVec { return cols[col] }
 		for _, th := range thetas {
 			for _, c := range completions {
 				t.Run(fmt.Sprintf("%s/%s/completion %s", pt.name, th.name, c.name), func(t *testing.T) {
@@ -238,6 +241,13 @@ func TestPartitionEquivalence(t *testing.T) {
 					if fed, skipped, all := stats.DetailRows, stats.ShortCircuitRows, stats.DetailScans*int64(len(pt.detail.Rows)); fed+skipped != all {
 						t.Errorf("DetailRows(%d) + ShortCircuitRows(%d) != DetailScans(%d) × |detail|(%d)", fed, skipped, stats.DetailScans, len(pt.detail.Rows))
 					}
+					// Over the detail's typed columns (the typed fold where θ
+					// allows it), the same rows and counters.
+					var colStats Stats
+					colGot := evalParts(t, pt.base, pt.detail, conds, Options{Completion: c.comp, Workers: pt.workers, Stats: &colStats, Columns: columns}, pt.split)
+					if goldenLine("", got, &stats) != goldenLine("", colGot, &colStats) {
+						t.Errorf("columns on and off differ: %s\noff: %+v\non:  %+v", got.Diff(colGot), stats, colStats)
+					}
 				})
 			}
 		}
@@ -247,27 +257,33 @@ func TestPartitionEquivalence(t *testing.T) {
 	}
 }
 
-// passDetail builds R(k, tag, v, f) with n rows: keys 0..19 with every
-// 13th NULL, tags alternating, v cycling below 100, f in halves below 100
-// with every 11th NULL and every 17th otherwise NaN.
+// passDetail builds R(k, tag, v, f, big, g) with n rows: keys 0..19 with
+// every 13th NULL, tags alternating, v cycling below 100, f in halves
+// below 100 with every 11th NULL and every 17th otherwise NaN, big the
+// key moved to 2^53-10 .. 2^53+9 (NULL with it), where float64 rounds
+// odd INTs together, and g cycling 1e16, 1, -1e16 over each key's rows,
+// a FLOAT sum that only detail order adds up the same.
 func passDetail(n int) *relation.Relation {
 	detail := relation.New(relation.NewSchema(
 		relation.Column{Qualifier: "R", Name: "k", Type: value.KindInt},
 		relation.Column{Qualifier: "R", Name: "tag", Type: value.KindString},
 		relation.Column{Qualifier: "R", Name: "v", Type: value.KindInt},
 		relation.Column{Qualifier: "R", Name: "f", Type: value.KindFloat},
+		relation.Column{Qualifier: "R", Name: "big", Type: value.KindInt},
+		relation.Column{Qualifier: "R", Name: "g", Type: value.KindFloat},
 	))
 	for i := 0; i < n; i++ {
-		k, f := value.Int(int64(i*7%20)), value.Float(float64(i*37%200)/2)
+		k, f, big := value.Int(int64(i*7%20)), value.Float(float64(i*37%200)/2), value.Int(1<<53+int64(i*7%20)-10)
 		if i%13 == 0 {
-			k = value.Null
+			k, big = value.Null, value.Null
 		}
 		if i%11 == 0 {
 			f = value.Null
 		} else if i%17 == 0 {
 			f = value.Float(math.NaN())
 		}
-		detail.Append(relation.Tuple{k, value.Str([]string{"even", "odd"}[i%2]), value.Int(int64(i * 31 % 100)), f})
+		g := value.Float([]float64{1e16, 1, -1e16}[i/20%3])
+		detail.Append(relation.Tuple{k, value.Str([]string{"even", "odd"}[i%2]), value.Int(int64(i * 31 % 100)), f, big, g})
 	}
 	return detail
 }
@@ -377,6 +393,29 @@ func TestDetailPassEquivalence(t *testing.T) {
 		}
 		return value.Null
 	})
+	// FLOAT keys, NaN, -0.0 and halves among them, against R.f's (0.0 and
+	// NaN among them), and one STRING key, so the walk compares the keys;
+	// INT keys about 2^53, NULL on every fifth, against R.big's, where
+	// hashes collide.
+	floats := newBase(func(i int) value.Value {
+		switch i % 5 {
+		case 4:
+			if i == 59 {
+				return value.Str("59")
+			}
+		case 0:
+			return value.Float(math.NaN())
+		case 1:
+			return value.Float(math.Copysign(0, -1))
+		}
+		return value.Float(float64(i*3%40) / 2)
+	})
+	bigKeys := newBase(func(i int) value.Value {
+		if i%5 == 0 {
+			return value.Null
+		}
+		return value.Int(1<<53 + int64(i*11%30) - 15)
+	})
 	bind := expr.Eq(expr.C("B.k"), expr.C("R.k"))
 	count := []agg.Spec{{Func: agg.CountStar, As: "cnt"}}
 	exists := func(atoms ...int) *algebra.CompletionInfo {
@@ -422,6 +461,22 @@ func TestDetailPassEquivalence(t *testing.T) {
 		{"INT key against FLOAT key", []algebra.GMDJCond{
 			{Theta: expr.Eq(expr.C("B.k"), expr.C("R.f")), Aggs: []agg.Spec{{Func: agg.CountStar, As: "cnt"}, {Func: agg.Max, Arg: expr.C("R.v"), As: "mx"}}},
 		}, nil, true, true, kinds},
+		// The typed fold's cases (DESIGN §14), each against the row path.
+		{"FLOAT key against FLOAT key", []algebra.GMDJCond{
+			{Theta: expr.Eq(expr.C("B.k"), expr.C("R.f")), Aggs: []agg.Spec{{Func: agg.CountStar, As: "cnt"}, {Func: agg.Sum, Arg: expr.C("R.v"), As: "s"}, {Func: agg.Avg, Arg: expr.C("R.f"), As: "a"}}},
+		}, nil, true, true, floats},
+		{"INT keys beyond 2^53", []algebra.GMDJCond{
+			{Theta: expr.Eq(expr.C("B.k"), expr.C("R.big")), Aggs: []agg.Spec{{Func: agg.CountStar, As: "cnt"}, {Func: agg.Count, Arg: expr.C("R.f"), As: "n"}, {Func: agg.Min, Arg: expr.C("R.tag"), As: "mn"}}},
+		}, nil, true, true, bigKeys},
+		{"FLOAT sums in detail order", []algebra.GMDJCond{
+			{Theta: bind, Aggs: []agg.Spec{{Func: agg.Sum, Arg: expr.C("R.g"), As: "s"}, {Func: agg.Avg, Arg: expr.C("R.g"), As: "a"}, {Func: agg.Var, Arg: expr.C("R.g"), As: "var"}}},
+		}, nil, true, true, nil},
+		// A typed condition beside one completion watches, whose frozen
+		// tuples it must stop feeding at the row that froze them.
+		{"typed beside completion", []algebra.GMDJCond{
+			{Theta: expr.NewAnd(bind, expr.NewCmp(value.GT, expr.C("R.v"), expr.IntLit(50))), Aggs: count},
+			{Theta: bind, Aggs: []agg.Spec{{Func: agg.Sum, Arg: expr.C("R.g"), As: "s"}, {Func: agg.CountDistinct, Arg: expr.C("R.v"), As: "d"}}},
+		}, exists(0), true, true, nil},
 		{"two keys", []algebra.GMDJCond{
 			{Theta: bind, Aggs: count},
 			{Theta: expr.Eq(expr.C("B.id"), expr.C("R.v")), Aggs: []agg.Spec{{Func: agg.Sum, Arg: expr.C("R.f"), As: "s"}}},
@@ -489,6 +544,10 @@ func TestDetailPassEquivalence(t *testing.T) {
 		"NULL keys on both sides":               {0xe7743ba44a610b20, 269958},
 		"hot key":                               {0x837fda27847d81a6, 407424},
 		"INT key against FLOAT key":             {0x30f1a2664342a1e8, 35364},
+		"FLOAT key against FLOAT key":           {0x6e1e1de60108b88a, 156354},
+		"INT keys beyond 2^53":                  {0x8cee358978c5b78, 460404},
+		"FLOAT sums in detail order":            {0x4f56633f14266b3c, 341406},
+		"typed beside completion":               {0x1a0e388c189137d6, 450260},
 		"two keys":                              {0x537dd3384ae0440c, 451524},
 		"completion decides a partition early":  {0x1581b2159bf3d512, 377880},
 		"fallback beside hash-bound":            {0x359d5deac902c618, 756942},

@@ -336,7 +336,7 @@ func TestRangeWalkBounds(t *testing.T) {
 		{"stab past the last hour", hour, value.Int(5000), value.Int(5000), 0},
 	} {
 		s := rangeState(t, base, rangeRel("R", []string{"x", "w"}, relation.Tuple{c.x, c.w}), c.theta)
-		if err := s.feed(0); err != nil {
+		if _, err := s.feed(0, 1); err != nil {
 			t.Fatal(err)
 		}
 		if s.stats.Probes != c.probes {

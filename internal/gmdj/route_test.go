@@ -102,7 +102,8 @@ func TestRouteFaultsAndCancellation(t *testing.T) {
 
 // TestEmitAllocsFlat: a routed Evaluate allocates as often over 16 384
 // base tuples as over 1 024 — the partitions are carved from slabs, the
-// index is flat arrays, emit fills one slab of presized output — and a
+// index is flat arrays, emit fills one slab of presized output, over the
+// detail's rows or its typed columns — and a
 // spilled one reads no more than 12 bytes a base row beside its frame
 // headers: a position delta and a key hash, never the row. A fused chain
 // (Options.Emit) that keeps none, half or all of the large base's rows,
@@ -130,18 +131,25 @@ func TestEmitAllocsFlat(t *testing.T) {
 		}
 		return base
 	}
-	allocs := func(base *relation.Relation) float64 {
+	cols := detailColumns(detail)
+	allocs := func(base *relation.Relation, columns func(int) *relation.ColVec) float64 {
 		return testing.AllocsPerRun(10, func() {
 			var stats Stats
-			if out, err := Evaluate(base, detail, conds, Options{Workers: 2, Stats: &stats}); err != nil || out.Len() != base.Len() || len(stats.WorkerRows) != 2 {
+			if out, err := Evaluate(base, detail, conds, Options{Workers: 2, Stats: &stats, Columns: columns}); err != nil || out.Len() != base.Len() || len(stats.WorkerRows) != 2 {
 				t.Fatalf("Evaluate: %v, WorkerRows %v; want every tuple out of a fold of two key partitions", err, stats.WorkerRows)
 			}
 		})
 	}
 	small, large := baseOf(1024), baseOf(16384)
-	sa, la := allocs(small), allocs(large)
+	sa, la := allocs(small, nil), allocs(large, nil)
 	if la > sa {
 		t.Errorf("%v allocations over %d base tuples, %v over %d: the fold or emit allocates per tuple", la, large.Len(), sa, small.Len())
+	}
+	// Over typed columns the fold is the typed one, its chunk buffers per
+	// state and pooled.
+	columns := func(c int) *relation.ColVec { return cols[c] }
+	if ta, tl := allocs(small, columns), allocs(large, columns); tl > ta {
+		t.Errorf("typed fold: %v allocations over %d base tuples, %v over %d: it allocates per tuple", tl, large.Len(), ta, small.Len())
 	}
 	narrow, scratch := relation.NewSchema(relation.Column{Qualifier: "B", Name: "name", Type: value.KindString}), make(relation.Tuple, 1)
 	for _, keep := range []int64{0, 10, 20} { // B.k < keep: none, half, all
