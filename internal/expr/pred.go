@@ -2,6 +2,7 @@ package expr
 
 import (
 	"cmp"
+	"slices"
 	"strings"
 	"sync"
 
@@ -44,8 +45,10 @@ type leaf struct {
 	e    Expr // the conjunct: all a generic leaf has, and how a kernel reports a column out of range
 	l, r int
 	lit  value.Value
-	// litCol is lit as a column of one cell, for the typed loops (filter).
+	// litCol is lit as a column of one cell, for the typed loops (filter);
+	// litF a numeric lit widened once, as value.Compare widens it.
 	litCol relation.ColVec
+	litF   float64
 	// holds[c+1] is φ's answer when the left operand compares c to the right.
 	holds   [3]bool
 	negated bool
@@ -84,6 +87,9 @@ func lower(cj Expr) leaf {
 		case *Lit:
 			lf.kind, lf.l, lf.lit = leafColLit, lc.idx, r.V
 			lf.litCol.Append([]relation.Tuple{{r.V}}, 0)
+			if k := r.V.Kind(); k == value.KindInt || k == value.KindFloat {
+				lf.litF = r.V.AsFloat()
+			}
 		case *Col:
 			if r.idx >= 0 {
 				lf.kind, lf.l, lf.r = leafColCol, lc.idx, r.idx
@@ -170,24 +176,63 @@ func (p *Pred) Tri(row relation.Tuple) (value.Tri, error) {
 }
 
 // Filter sets sel[i], for every row of the morsel, to whether the
-// predicate is True on rows[i] (sel holds at least len(rows)): conjunct by
-// conjunct over the morsel, each one run only on the rows still selected.
+// predicate is True on rows[i] (sel holds at least len(rows)): a Scan of
+// the rows' cells, 1 024 rows at a time.
 func (p *Pred) Filter(rows []relation.Tuple, sel []bool) error {
-	return p.FilterColumns(nil, rows, 0, sel)
+	var pos [1024]int32
+	s := Scan{p: p}
+	for lo := 0; lo < len(rows); lo += len(pos) {
+		n := min(len(pos), len(rows)-lo)
+		for i := range n {
+			pos[i] = int32(i)
+		}
+		kept, err := s.Select(rows[lo:lo+n], 0, pos[:n])
+		if err != nil {
+			return err
+		}
+		clear(sel[lo : lo+n])
+		for _, i := range kept {
+			sel[lo+int(i)] = true
+		}
+	}
+	return nil
 }
 
-// gathered recycles the columns Filter gathers a morsel's cells into.
+// gathered recycles the columns a morsel's cells are gathered into.
 var gathered = sync.Pool{New: func() any { return new(relation.ColVec) }}
 
-// FilterColumns is Filter over a morsel starting at row lo of cols, its
-// relation's typed columns by position (nil: none). A kernel leaf is one
-// typed loop (filter) over cols' vector, else over the morsel's cells
-// gathered into one; a generic leaf, or a row too narrow, goes by row.
-func (p *Pred) FilterColumns(cols []*relation.ColVec, rows []relation.Tuple, lo int, sel []bool) error {
-	sel = sel[:len(rows)]
-	for i := range sel {
-		sel[i] = true
+// Scan is a Pred over one relation's typed columns for one pass: Bind
+// evaluates each Col φ 'lit' leaf over a dictionary-coded vector once per
+// entry (strings.Compare order) into a truth table, Select runs the
+// leaves over a morsel, each over the positions the last kept. A bound
+// Scan is only read, so workers share it; the Pred stays immutable.
+type Scan struct {
+	p     *Pred
+	cols  []*relation.ColVec
+	truth [][]bool // by leaf: the answer per code of a coded column, else nil
+	slab  []bool
+}
+
+// Bind readies s to run p over cols, the typed columns by position.
+func (s *Scan) Bind(p *Pred, cols []*relation.ColVec) {
+	s.p, s.cols, s.slab = p, cols, s.slab[:0]
+	s.truth = slices.Grow(s.truth[:0], len(p.leaves))[:len(p.leaves)]
+	for i := range p.leaves {
+		lf, at := &p.leaves[i], len(s.slab)
+		if s.truth[i] = nil; lf.kind == leafColLit && lf.l < len(cols) && cols[lf.l] != nil && cols[lf.l].Dict != nil && lf.lit.Kind() == value.KindString {
+			for _, d := range cols[lf.l].Dict {
+				s.slab = append(s.slab, lf.holds[strings.Compare(d, lf.lit.AsString())+1])
+			}
+			s.truth[i] = s.slab[at:len(s.slab):len(s.slab)]
+		}
 	}
+}
+
+// Select keeps, in place, the ascending positions sel of the morsel at
+// row lo of the bound columns (rows its cells) whose row the predicate is
+// True on. A kernel leaf is one typed loop (filter) over the column's
+// vector or the cells gathered; a generic leaf or a short row goes by row.
+func (s *Scan) Select(rows []relation.Tuple, lo int, sel []int32) ([]int32, error) {
 	var scratch [2]*relation.ColVec
 	defer func() {
 		for _, c := range scratch {
@@ -196,32 +241,32 @@ func (p *Pred) FilterColumns(cols []*relation.ColVec, rows []relation.Tuple, lo 
 			}
 		}
 	}()
-	for i := range p.leaves {
-		lf := &p.leaves[i]
+	for li := 0; li < len(s.p.leaves) && len(sel) > 0; li++ {
+		lf := &s.p.leaves[li]
 		if lf.kind != leafGeneric {
-			a, ao := column(cols, lf.l, lo, rows, &scratch[0])
+			a, ao := column(s.cols, lf.l, lo, rows, &scratch[0])
 			b, bo, bs := &lf.litCol, 0, 0
 			if lf.kind == leafColCol {
-				b, bo = column(cols, lf.r, lo, rows, &scratch[1])
+				b, bo = column(s.cols, lf.r, lo, rows, &scratch[1])
 				bs = 1
 			}
 			if a != nil && b != nil {
-				lf.filter(sel, a, ao, b, bo, bs)
+				sel = s.filter(li, sel, a, ao, b, bo, bs)
 				continue
 			}
 		}
-		for ri, row := range rows {
-			if !sel[ri] {
-				continue
-			}
-			tr, err := lf.tri(row)
+		k := 0
+		for _, i := range sel {
+			tr, err := lf.tri(rows[i])
 			if err != nil {
-				return err
+				return nil, err
 			}
-			sel[ri] = tr == value.True
+			sel[k] = i
+			k += b2i(tr == value.True)
 		}
+		sel = sel[:k]
 	}
-	return nil
+	return sel, nil
 }
 
 // column returns column c of the morsel and the row it starts at: cols[c]
@@ -241,68 +286,103 @@ func column(cols []*relation.ColVec, c, lo int, rows []relation.Tuple, scratch *
 	return v, 0
 }
 
-// filter sets sel[i], where set, to whether the leaf is True on cell ao+i
-// of a and cell bo+i*bs of b (bs 0: the literal), as kernel answers. The
-// loop is chosen once by the two kinds; a boxed column and BOOL take
-// value.Compare per cell, kinds that never compare no loop.
-func (lf *leaf) filter(sel []bool, a *relation.ColVec, ao int, b *relation.ColVec, bo, bs int) {
-	n, h := len(sel), lf.holds // a copy: sel's stores cannot change it
-	an, bn := a.Nulls[ao:ao+n], b.Nulls[bo:]
+// filter keeps the positions i of sel where leaf li is True on cell ao+i
+// of a and cell bo+i*bs of b (bs 0: the literal), as kernel answers, in
+// a loop chosen once by the kinds: a coded column reads the truth table;
+// boxed and BOOL cells take value.Compare, kinds that never compare none.
+func (s *Scan) filter(li int, sel []int32, a *relation.ColVec, ao int, b *relation.ColVec, bo, bs int) []int32 {
+	lf := &s.p.leaves[li]
+	h, k := lf.holds, 0 // a copy: sel's stores cannot change it
+	an, bn := a.Nulls[ao:], b.Nulls[bo:]
 	switch ak, bk := a.Kind, b.Kind; {
 	case lf.kind == leafIsNull:
-		for i := range sel {
-			sel[i] = sel[i] && an[i] != lf.negated
+		for _, i := range sel {
+			sel[k] = i
+			k += b2i(an[i] != lf.negated)
 		}
-	case ak == value.KindInt && bk == value.KindInt:
-		ints(sel, &h, an, a.Ints[ao:ao+n], bn, b.Ints[bo:], bs)
-	case ak == value.KindString && bk == value.KindString:
-		strs(sel, &h, an, a.Strs[ao:ao+n], bn, b.Strs[bo:], bs)
+	case ak == value.KindString && bk == value.KindString && a.Dict != nil && bs == 0 && len(s.truth[li]) > 0: // none: all NULL
+		codes, truth := a.Codes[ao:], s.truth[li]
+		for _, i := range sel {
+			sel[k] = i
+			k += b2i(truth[codes[i]]) &^ b2i(an[i])
+		}
+	case bs == 0 && ak == value.KindInt && bk == value.KindInt:
+		k = lits(sel, &h, an, a.Ints[ao:], lf.lit.AsInt())
+	case bs == 0 && ak == value.KindFloat && (bk == value.KindInt || bk == value.KindFloat) && lf.litF == lf.litF:
+		k = lits(sel, &h, an, a.Floats[ao:], lf.litF)
+	case bs == 0 && ak == value.KindInt && bk == value.KindFloat && lf.litF == lf.litF:
+		k = lits(sel, &h, an, a.Ints[ao:], lf.litF)
+	case ak == value.KindString && bk == value.KindString && a.Dict == nil && b.Dict == nil:
+		k = strs(sel, &h, an, a.Strs[ao:], bn, b.Strs[bo:], bs)
 	case ak == value.KindInt && bk == value.KindFloat:
-		widened(sel, &h, an, a.Ints[ao:ao+n], bn, b.Floats[bo:], bs)
+		k = widened(sel, &h, an, a.Ints[ao:], bn, b.Floats[bo:], bs)
 	case ak == value.KindFloat && bk == value.KindInt:
-		widened(sel, &h, an, a.Floats[ao:ao+n], bn, b.Ints[bo:], bs)
+		k = widened(sel, &h, an, a.Floats[ao:], bn, b.Ints[bo:], bs)
 	case ak == value.KindFloat && bk == value.KindFloat:
-		widened(sel, &h, an, a.Floats[ao:ao+n], bn, b.Floats[bo:], bs)
+		k = widened(sel, &h, an, a.Floats[ao:], bn, b.Floats[bo:], bs)
 	case a.Boxed == nil && b.Boxed == nil && (ak != bk || ak == value.KindNull): // never compare
-		clear(sel)
 	default:
-		for i := range sel {
-			if sel[i] {
-				c, ok := value.Compare(a.Value(ao+i), b.Value(bo+i*bs))
-				sel[i] = ok && h[c+1]
-			}
+		for _, i := range sel {
+			c, ok := value.Compare(a.Value(ao+int(i)), b.Value(bo+int(i)*bs))
+			sel[k] = i
+			k += b2i(ok && h[c+1])
 		}
 	}
+	return sel[:k]
 }
 
-// ints, strs and widened are filter's loops over INT, STRING and numeric
-// cells (INT beside FLOAT widens).
-func ints(sel []bool, h *[3]bool, an []bool, av []int64, bn []bool, bv []int64, bs int) {
-	for i, ok := range sel {
-		if j := i * bs; ok {
-			sel[i] = !an[i] && !bn[j] && h[cmp.Compare(av[i], bv[j])+1]
+// lits is filter's loop beside a numeric literal not NaN, cells widened as
+// it is: φ is <, <= or =, or one negated, true of NaN (value.CompareFloat).
+// strs and widened are its loops over plain STRING and numeric cells.
+func lits[A, L int64 | float64](sel []int32, h *[3]bool, an []bool, av []A, l L) (k int) {
+	neg := h[2] // φ is >=, > or <>: not <, <= or =
+	switch {
+	case h[0] != neg && h[1] == neg:
+		for _, i := range sel {
+			sel[k] = i
+			k += b2i((L(av[i]) < l) != neg) &^ b2i(an[i])
+		}
+	case h[0] != neg:
+		for _, i := range sel {
+			sel[k] = i
+			k += b2i((L(av[i]) <= l) != neg) &^ b2i(an[i])
+		}
+	default:
+		for _, i := range sel {
+			sel[k] = i
+			k += b2i((L(av[i]) == l) != neg) &^ b2i(an[i])
 		}
 	}
+	return k
 }
 
-func strs(sel []bool, h *[3]bool, an []bool, av []string, bn []bool, bv []string, bs int) {
-	for i, ok := range sel {
-		if j := i * bs; ok {
-			sel[i] = !an[i] && !bn[j] && h[strings.Compare(av[i], bv[j])+1]
-		}
+func strs(sel []int32, h *[3]bool, an []bool, av []string, bn []bool, bv []string, bs int) (k int) {
+	for _, i := range sel {
+		j := int(i) * bs
+		sel[k] = i
+		k += b2i(h[strings.Compare(av[i], bv[j])+1]) &^ b2i(an[i] || bn[j])
 	}
+	return k
 }
 
-func widened[A, B int64 | float64](sel []bool, h *[3]bool, an []bool, av []A, bn []bool, bv []B, bs int) {
-	for i, ok := range sel {
-		if j := i * bs; ok {
-			sel[i] = !an[i] && !bn[j] && h[value.CompareFloat(float64(av[i]), float64(bv[j]))+1]
-		}
+func widened[A, B int64 | float64](sel []int32, h *[3]bool, an []bool, av []A, bn []bool, bv []B, bs int) (k int) {
+	for _, i := range sel {
+		j := int(i) * bs
+		sel[k] = i
+		k += b2i(h[value.CompareFloat(float64(av[i]), float64(bv[j]))+1]) &^ b2i(an[i] || bn[j])
 	}
+	return k
 }
 
-// Columns lists the positions the kernel leaves read: what FilterColumns
-// takes from typed vectors when it is handed them.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// Columns lists the positions the kernel leaves read: what a Scan takes
+// from typed vectors when it is handed them.
 func (p *Pred) Columns() (cols []int) {
 	for _, lf := range p.leaves {
 		if lf.kind == leafColCol {

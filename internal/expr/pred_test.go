@@ -201,20 +201,52 @@ func checkPredEquivalence(t *testing.T, seed int64) {
 	if err := p.Filter(rows, got); (err != nil) != failing || (err == nil && !slices.Equal(got, want)) {
 		t.Fatalf("seed %d: %s: Filter = %v, %v; want %v, failing %v", seed, bound, got, err, want, failing)
 	}
-	// The same morsel as the tail of a stored relation's typed columns.
+	// The same morsel as the tail of a stored relation's typed columns,
+	// plain and dictionary-coded, from every position and from a few.
 	lo := rng.Intn(3)
 	stored := append(make([]relation.Tuple, 0, lo+len(rows)), rows[:min(lo, len(rows))]...)
 	lo = len(stored)
-	cols := columnsOf(append(stored, rows...), value.KindNull)
-	if err := p.FilterColumns(cols, rows, lo, got); (err != nil) != failing || (err == nil && !slices.Equal(got, want)) {
-		t.Fatalf("seed %d: %s: FilterColumns = %v, %v; want %v, failing %v", seed, bound, got, err, want, failing)
+	all := append(stored, rows...)
+	for _, cols := range [][]*relation.ColVec{columnsOf(all, value.KindNull), codedOf(all, value.KindNull)} {
+		if err := scanFilter(p, cols, rows, lo, got); (err != nil) != failing || (err == nil && !slices.Equal(got, want)) {
+			t.Fatalf("seed %d: %s: Select = %v, %v; want %v, failing %v", seed, bound, got, err, want, failing)
+		}
+		var in, keep []int32
+		for i := range rows {
+			if rng.Intn(3) == 0 {
+				if in = append(in, int32(i)); want[i] {
+					keep = append(keep, int32(i))
+				}
+			}
+		}
+		var sc Scan
+		sc.Bind(p, cols)
+		if kept, err := sc.Select(rows, lo, in); !failing && (err != nil || !slices.Equal(kept, keep)) {
+			t.Fatalf("seed %d: %s: Select over %v = %v, %v; want %v", seed, bound, in, kept, err, keep)
+		}
 	}
+}
+
+// scanFilter is Filter over the morsel at row lo of cols, through a Scan.
+func scanFilter(p *Pred, cols []*relation.ColVec, rows []relation.Tuple, lo int, sel []bool) error {
+	var s Scan
+	s.Bind(p, cols)
+	pos := make([]int32, len(rows))
+	for i := range pos {
+		pos[i] = int32(i)
+	}
+	kept, err := s.Select(rows, lo, pos)
+	clear(sel)
+	for _, i := range kept {
+		sel[i] = true
+	}
+	return err
 }
 
 // TestPredEquivalence: kernel ≡ interpreter, by property. For every
 // generated predicate and row, Tri is EvalTri — value and failure alike —
-// and Filter, FilterColumns and Pair are the interpreter truncated to
-// True (truncate).
+// and Filter, Scan.Select (over plain and coded vectors, all positions
+// or some) and Pair are the interpreter truncated to True (truncate).
 func TestPredEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= 3000; seed++ {
 		checkPredEquivalence(t, *predSeed+seed)
@@ -330,9 +362,10 @@ func TestPredAllocs(t *testing.T) {
 }
 
 // BenchmarkPredFilter prints, per (cell kind × literal kind), ns/row of
-// one comparison through Pred.Filter over rows and FilterColumns over
-// the column's typed vector, beside the same conjunct through EvalTri —
-// the table in CHANGES.md.
+// one comparison through Pred.Filter over rows and a Scan over the
+// column's plain typed vector, beside the same conjunct through EvalTri —
+// the table in CHANGES.md; then a Scan's "= 'O'" over a dictionary-coded
+// vector, and a two-leaf chain whose first leaf keeps 1% of the rows.
 func BenchmarkPredFilter(b *testing.B) {
 	const n = 4096
 	cells := map[string]func(i int) value.Value{
@@ -342,17 +375,41 @@ func BenchmarkPredFilter(b *testing.B) {
 		"null":   func(int) value.Value { return value.Null },
 	}
 	lits := map[string]Expr{"int": IntLit(50), "float": FloatLit(49.5), "string": StrLit("O")}
+	perRow := func(b *testing.B) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/row")
+	}
+	all := make([]int32, n)
+	for i := range all {
+		all[i] = int32(i)
+	}
+	// scan runs e over the columns from every position, b.N times.
+	scan := func(e Expr, schema *relation.Schema, rows []relation.Tuple, cols []*relation.ColVec) func(b *testing.B) {
+		return func(b *testing.B) {
+			bound, err := e.Bind(schema)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var s Scan
+			s.Bind(Compile(bound), cols)
+			sel := make([]int32, n)
+			for i := 0; i < b.N; i++ {
+				if _, err := s.Select(rows, 0, sel[:copy(sel, all)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			perRow(b)
+		}
+	}
+	schema := relation.NewSchema(relation.Column{Name: "c"}, relation.Column{Name: "d"})
 	for _, pair := range [][2]string{{"int", "int"}, {"int", "float"}, {"float", "int"}, {"float", "float"}, {"string", "string"}, {"null", "int"}, {"string", "int"}} {
 		rows := make([]relation.Tuple, n)
 		for i := range rows {
 			rows[i] = relation.Tuple{cells[pair[0]](i)}
 		}
-		bound, err := NewCmp(value.GT, C("c"), lits[pair[1]]).Bind(relation.NewSchema(relation.Column{Name: "c"}))
+		e := NewCmp(value.GT, C("c"), lits[pair[1]])
+		bound, err := e.Bind(schema)
 		if err != nil {
 			b.Fatal(err)
-		}
-		perRow := func(b *testing.B) {
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/row")
 		}
 		b.Run(fmt.Sprintf("%s-%s/Filter", pair[0], pair[1]), func(b *testing.B) {
 			p, sel := Compile(bound), make([]bool, n)
@@ -363,15 +420,7 @@ func BenchmarkPredFilter(b *testing.B) {
 			}
 			perRow(b)
 		})
-		b.Run(fmt.Sprintf("%s-%s/Columns", pair[0], pair[1]), func(b *testing.B) {
-			p, sel, cols := Compile(bound), make([]bool, n), columnsOf(rows, value.KindNull)
-			for i := 0; i < b.N; i++ {
-				if err := p.FilterColumns(cols, rows, 0, sel); err != nil {
-					b.Fatal(err)
-				}
-			}
-			perRow(b)
-		})
+		b.Run(fmt.Sprintf("%s-%s/Columns", pair[0], pair[1]), scan(e, schema, rows, columnsOf(rows, value.KindNull)))
 		b.Run(fmt.Sprintf("%s-%s/EvalTri", pair[0], pair[1]), func(b *testing.B) {
 			sel := make([]bool, n)
 			for i := 0; i < b.N; i++ {
@@ -386,15 +435,22 @@ func BenchmarkPredFilter(b *testing.B) {
 			perRow(b)
 		})
 	}
+	rows := make([]relation.Tuple, n)
+	for i := range rows {
+		rows[i] = relation.Tuple{cells["string"](i), cells["float"](i * 7)}
+	}
+	b.Run("string-dict-eq/Columns", scan(Eq(C("c"), StrLit("O")), schema, rows, codedOf(rows, value.KindNull)))
+	b.Run("chain-1%/Columns", scan(NewAnd(NewCmp(value.GT, C("d"), IntLit(98)), NewCmp(value.EQ, C("c"), StrLit("O"))), schema, rows, codedOf(rows, value.KindNull)))
 }
 
-// TestFilterColumns: FilterColumns over typed columns — the vectors of
-// a stored table, from a row that is not the morsel's first — and
-// Filter over rows, which gathers the same vectors, both answer as the
-// kernels do cell by cell (Tri), for every cell kind × literal kind ×
-// operator, column beside column and IS [NOT] NULL: NULLs, NaN payloads,
-// ±0, INTs beyond 2^53 beside FLOATs, BOOL, a column with no non-NULL
-// cell and a boxed (mixed-kind) one.
+// TestFilterColumns: a Scan over typed columns — the vectors of a
+// stored table, plain and dictionary-coded, from a row that is not the
+// morsel's first — and Filter over rows, which gathers plain vectors,
+// both answer as the kernels do cell by cell (Tri), for every cell kind ×
+// literal kind × operator, column beside column and IS [NOT] NULL: NULLs,
+// NaN payloads, ±0, INTs beyond 2^53 beside FLOATs, BOOL, a column with
+// no non-NULL cell, a boxed (mixed-kind) one, and a coded one whose
+// dictionary is not in string order, against literals it lacks.
 func TestFilterColumns(t *testing.T) {
 	nan2 := math.Float64frombits(0x7ff8000000000001)
 	var lits []value.Value
@@ -409,11 +465,15 @@ func TestFilterColumns(t *testing.T) {
 		kinds["string"] = append(kinds["string"], value.Str(x))
 	}
 	kinds["bool"] = []value.Value{value.Bool(false), value.Bool(true)}
-	names := []string{"int", "float", "string", "bool", "null", "mixed"}
+	for _, x := range []string{"b", "", "a", "ab", "Z", "a%"} {
+		kinds["coded"] = append(kinds["coded"], value.Str(x))
+	}
+	names := []string{"int", "float", "string", "bool", "null", "mixed", "coded"}
 	for _, k := range names[:5] {
 		lits = append(lits, kinds[k]...)
 		kinds["mixed"] = append(kinds["mixed"], kinds[k]...)
 	}
+	lits = append(lits, value.Str("aa"), value.Str("c"))
 	cols := make([]relation.Column, len(names))
 	for i, k := range names {
 		cols[i] = relation.Column{Qualifier: "t", Name: k}
@@ -430,9 +490,12 @@ func TestFilterColumns(t *testing.T) {
 	}
 	// The schema's word for a column is INT, then none: the cells decide,
 	// but for the column with no non-NULL cell.
-	typed, untyped := columnsOf(rows, value.KindInt), columnsOf(rows, value.KindNull)
+	typed, untyped, coded := columnsOf(rows, value.KindInt), columnsOf(rows, value.KindNull), codedOf(rows, value.KindString)
 	if typed[5].Boxed == nil || typed[4].Kind != value.KindInt || untyped[4].Kind != value.KindNull || typed[1].Kind != value.KindFloat {
 		t.Fatalf("vectors packed as %v, %v, %v, %v; want the mixed column boxed", typed[5].Kind, typed[4].Kind, untyped[4].Kind, typed[1].Kind)
+	}
+	if d := coded[6].Dict; len(d) != 6 || slices.IsSorted(d) || coded[2].Dict == nil || coded[5].Dict != nil || typed[6].Dict != nil || len(coded[4].Dict) != 0 || coded[4].Kind != value.KindString {
+		t.Fatalf("coded dictionary %q; want the STRING columns coded, in an order not sorted, the NULL one coded empty", d)
 	}
 	var preds []Expr
 	for _, c := range names {
@@ -464,9 +527,9 @@ func TestFilterColumns(t *testing.T) {
 		if err := p.Filter(rows[lo:], got); err != nil || !slices.Equal(got, want) {
 			t.Fatalf("%s: Filter over rows = %v, %v; want %v", e, got, err, want)
 		}
-		for _, vecs := range [][]*relation.ColVec{typed, untyped} {
-			if err := p.FilterColumns(vecs, rows[lo:], lo, got); err != nil || !slices.Equal(got, want) {
-				t.Fatalf("%s: FilterColumns = %v, %v; want %v", e, got, err, want)
+		for _, vecs := range [][]*relation.ColVec{typed, untyped, coded} {
+			if err := scanFilter(p, vecs, rows[lo:], lo, got); err != nil || !slices.Equal(got, want) {
+				t.Fatalf("%s: Select = %v, %v; want %v", e, got, err, want)
 			}
 		}
 	}
@@ -477,6 +540,17 @@ func columnsOf(rows []relation.Tuple, kind value.Kind) []*relation.ColVec {
 	vecs := make([]*relation.ColVec, len(rows[0]))
 	for i := range vecs {
 		vecs[i] = &relation.ColVec{Kind: kind}
+		vecs[i].Append(rows, i)
+	}
+	return vecs
+}
+
+// codedOf is columnsOf as storage.Table.Column packs: STRING cells
+// dictionary-coded.
+func codedOf(rows []relation.Tuple, kind value.Kind) []*relation.ColVec {
+	vecs := make([]*relation.ColVec, len(rows[0]))
+	for i := range vecs {
+		vecs[i] = relation.Coded(kind)
 		vecs[i].Append(rows, i)
 	}
 	return vecs

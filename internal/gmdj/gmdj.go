@@ -36,6 +36,7 @@
 package gmdj
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/bits"
@@ -242,11 +243,22 @@ func newVec(n int) *detailHashVec {
 }
 
 // passBuf is the rest of what the pass fills for one query, recycled like
-// the hash vectors: every detailPredOK, and the routed rows.
+// the hash vectors: every detailPredOK, the routed rows (staged: each
+// morsel's, at its first row), each detail predicate's Scan, and the
+// workers' position lists (pos, three morsels' worth a worker).
 type passBuf struct {
-	ok    []bool
-	route []int32
+	ok                 []bool
+	route, staged, pos []int32
+	scans              []expr.Scan
 }
+
+// morselRows lists a whole morsel's positions: 0, 1, ...
+var morselRows = func() (pos [govern.MorselRows]int32) {
+	for i := range pos {
+		pos[i] = int32(i)
+	}
+	return pos
+}()
 
 var bufPool = sync.Pool{New: func() any { return new(passBuf) }}
 
@@ -272,8 +284,9 @@ type condProg struct {
 	pair       bool // an aggregate argument reads the base: the aggregates fold base++detail
 	publish    string
 	// detailPredOK, when non-nil, is the detail pass's outcome of
-	// detailPred per detail row; unreached records that it holds on none,
-	// so a fallback condition needs no scan list. Read-only during the fold.
+	// detailPred per detail row; unreached records that it holds on none
+	// (where newState asks), so a fallback condition needs no scan list.
+	// Read-only during the fold.
 	detailPredOK []bool
 	unreached    bool
 	typed        bool // its matches take the typed fold (foldable)
@@ -382,13 +395,13 @@ func Evaluate(base, detail *relation.Relation, conds []algebra.GMDJCond, opts Op
 }
 
 // detailPass is the first phase: it walks the detail once, in morsels
-// claimed from an atomic counter, filling every condition's
-// detailPredOK and every owed key-hash vector, and routing: a routed
-// program's rows are counted per (morsel, key partition), then placed at
-// the counts' prefix sums. Workers write disjoint index ranges of shared
-// vectors, so there is no merge and the outcome cannot depend on which
-// worker claimed which morsel. A pass runs when there is a detail
-// predicate, a route or an owed vector, at passWorkers 1 too.
+// claimed from an atomic counter, filling every condition's detailPredOK
+// and every owed key-hash vector, and routing: a routed program's rows
+// are counted per (morsel, key partition) and staged, then placed at the
+// counts' prefix sums. Workers write disjoint ranges of shared vectors,
+// so there is no merge and the outcome cannot depend on which worker
+// claimed which morsel. A pass runs when there is a detail predicate, a
+// route or an owed vector, at passWorkers 1 too.
 func (p *program) detailPass() error {
 	n, work, preds := len(p.detail.Rows), p.route, 0
 	for _, cp := range p.conds {
@@ -399,33 +412,40 @@ func (p *program) detailPass() error {
 	if !work {
 		return nil
 	}
-	p.buf = bufPool.Get().(*passBuf)
-	p.buf.ok = slices.Grow(p.buf.ok[:0], preds*n)[:preds*n]
-	for ci, slab := 0, p.buf.ok; ci < len(p.conds); ci++ {
+	b := bufPool.Get().(*passBuf)
+	p.buf = b
+	b.ok = slices.Grow(b.ok[:0], preds*n)[:preds*n]
+	b.scans = slices.Grow(b.scans[:0], len(p.conds))[:len(p.conds)]
+	for ci, slab := 0, b.ok; ci < len(p.conds); ci++ {
 		if cp := &p.conds[ci]; cp.detailPred != nil {
 			cp.detailPredOK, slab = slab[:n:n], slab[n:]
+			b.scans[ci].Bind(cp.detailPred, p.cols)
 		}
 	}
+	const mr = govern.MorselRows
+	b.pos = slices.Grow(b.pos[:0], p.passWorkers*3*mr)[:p.passWorkers*3*mr]
 	if p.route {
 		p.routes = make([][]int32, 1<<p.bits)
+		b.staged = slices.Grow(b.staged[:0], n)[:n]
 	}
-	k, counts := len(p.routes), make([]int32, govern.MorselCount(n)*len(p.routes)) // per (morsel, key partition)
+	k, counts, kept := len(p.routes), make([]int32, govern.MorselCount(n)*len(p.routes)), make([]int32, govern.MorselCount(n)) // per (morsel, key partition); per morsel
 	// One span per worker, from the pass's start to its last morsel's end.
 	start, ends := time.Now(), make([]time.Time, p.passWorkers)
 	var route []int32 // nil while counting
-	morsel := func(w, m, lo, hi int) (err error) {
-		if route == nil {
-			err = p.detailMorsel(lo, hi)
-		}
-		if p.route && err == nil {
-			p.routeMorsel(counts[m*k:(m+1)*k], route, lo, hi)
+	morsel := func(w, m, lo, hi int) error {
+		if route != nil {
+			p.placeMorsel(counts[m*k:(m+1)*k], route, b.staged[lo:lo+int(kept[m])])
+		} else if keep, err := p.detailMorsel(b.pos[w*3*mr:(w+1)*3*mr], lo, hi); err != nil {
+			return err
+		} else if p.route {
+			kept[m] = p.routeMorsel(counts[m*k:(m+1)*k], b.staged[lo:hi], lo, keep)
 		}
 		ends[w] = time.Now()
-		return err
+		return nil
 	}
 	used, err := govern.RunMorsels(n, p.passWorkers, morsel)
 	if err == nil && p.route {
-		route = slices.Grow(p.buf.route[:0], n)[:n]
+		route = slices.Grow(b.route[:0], n)[:n]
 		at := int32(0)
 		for j := range p.routes {
 			first := at
@@ -437,7 +457,7 @@ func (p *program) detailPass() error {
 		_, err = govern.RunMorsels(n, p.passWorkers, morsel)
 		// The pass is the one walk of the detail: a row routed nowhere is
 		// fed here.
-		p.buf.route = route
+		b.route = route
 		p.Stats.DetailScans++
 		p.Stats.DetailRows += int64(n) - int64(at)
 		p.Live.AddDetail(int64(n) - int64(at))
@@ -456,55 +476,87 @@ func (p *program) detailPass() error {
 		if cp.publish != "" {
 			p.HashCache.Put(cp.publish, cp.detailHash, int64(n)*9)
 		}
-		cp.unreached = cp.detailPredOK != nil && !slices.Contains(cp.detailPredOK, true)
+		// Where newState asks: a base-only conjunct, or no key.
+		cp.unreached = cp.detailPredOK != nil && (cp.basePred != nil || len(cp.baseKey) == 0) && !slices.Contains(cp.detailPredOK, true)
 	}
 	return nil
 }
 
-// detailMorsel is the detail pass over rows [lo, hi): cancellation polled
-// once, then per condition one Filter over the morsel (over the detail's
-// columns), straight into its detailPredOK range, and the key hash of the
-// rows it kept — of every row when the vector goes out to the cross-query
-// cache. A row an earlier condition on the key already hashed is not
-// hashed again (a NULL key is: OK stays false).
-func (p *program) detailMorsel(lo, hi int) error {
-	if err := p.Gov.Check(); err != nil {
-		return err
+// detailMorsel is the detail pass over rows [lo, hi) in a worker's
+// position lists pos: cancellation polled and gmdj.pass fired once, then
+// per condition a Scan of its detail predicate into its detailPredOK
+// range. Each owed key-hash vector hashes the rows some indexed condition
+// keeps (all when it goes out to the cross-query cache): those returned.
+func (p *program) detailMorsel(pos []int32, lo, hi int) ([]int32, error) {
+	if err := cmp.Or(p.Gov.Check(), p.Faults.Fire("gmdj.pass", p.Gov)); err != nil {
+		return nil, err
+	}
+	const mr = govern.MorselRows
+	all, u := morselRows[:hi-lo], 0
+	var keep []int32 // the union so far, alternating between pos's last two lists
+	for ci := range p.conds {
+		cp, sel := &p.conds[ci], all
+		if cp.detailPredOK != nil {
+			var err error
+			if sel, err = p.buf.scans[ci].Select(p.detail.Rows[lo:hi], lo, pos[:copy(pos[:mr], all)]); err != nil {
+				return nil, err
+			}
+			ok := cp.detailPredOK[lo:hi]
+			clear(ok)
+			for _, i := range sel {
+				ok[i] = true
+			}
+		}
+		if cp.detailHash != nil {
+			keep, u = union(pos[(1+u)*mr:][:0], keep, sel, all), 1-u
+		}
 	}
 	for ci := range p.conds {
 		cp := &p.conds[ci]
-		if cp.detailPredOK != nil {
-			if err := cp.detailPred.FilterColumns(p.cols, p.detail.Rows[lo:hi], lo, cp.detailPredOK[lo:hi]); err != nil {
-				return err
+		if cp.passHash && !slices.ContainsFunc(p.conds[:ci], func(c condProg) bool { return c.detailHash == cp.detailHash }) {
+			hash := keep
+			if cp.publish != "" {
+				hash = all
 			}
+			p.hashRows(cp.detailHash.H[lo:hi], cp.detailHash.OK[lo:hi], hash, cp.detailKey, lo)
 		}
-		if !cp.passHash {
-			continue
-		}
-		keep := cp.detailPredOK
-		if cp.publish != "" {
-			keep = nil // the vector goes out whole
-		}
-		p.hashRows(cp.detailHash.H[lo:hi], cp.detailHash.OK[lo:hi], keep, cp.detailKey, lo)
 	}
-	return nil
+	return keep, nil
 }
 
-// hashRows sets h[k], ok[k] to row lo+k's key hash where keep (nil: all)
-// holds and ok is unset: one INT or FLOAT key from its vector, else keyHash.
-func (p *program) hashRows(h []uint64, ok, keep []bool, key []int, lo int) {
+// union appends to dst the ascending positions in a or b; it is all, the
+// list of every position, when either is.
+func union(dst, a, b, all []int32) []int32 {
+	if len(a) == len(all) || len(b) == len(all) {
+		return all
+	}
+	for len(a) > 0 || len(b) > 0 {
+		if len(b) == 0 || len(a) > 0 && a[0] < b[0] {
+			dst, a = append(dst, a[0]), a[1:]
+		} else if dst, b = append(dst, b[0]), b[1:]; len(a) > 0 && a[0] == dst[len(dst)-1] {
+			a = a[1:]
+		}
+	}
+	return dst
+}
+
+// hashRows sets h[i], ok[i] to row lo+i's key hash for each position i of
+// sel: one INT, FLOAT or coded STRING key from its vector, else keyHash.
+func (p *program) hashRows(h []uint64, ok []bool, sel []int32, key []int, lo int) {
 	v := p.cols[key[0]]
-	typed := len(key) == 1 && v != nil && v.Boxed == nil && (v.Kind == value.KindInt || v.Kind == value.KindFloat)
-	for k := range h {
-		switch di := lo + k; {
-		case keep != nil && !keep[di] || ok[k]:
-		case !typed:
-			h[k], ok[k] = p.keyHash(di, key)
+	for _, i := range sel {
+		switch di := lo + int(i); {
+		case v == nil || len(key) > 1 || v.Boxed != nil:
+			h[i], ok[i] = p.keyHash(di, key)
 		case v.Nulls[di]:
+		case v.Kind == value.KindString && v.Dict != nil:
+			h[i], ok[i] = v.DictHash[v.Codes[di]], true
 		case v.Kind == value.KindInt:
-			h[k], ok[k] = value.FoldHash(value.HashInit, value.Int(v.Ints[di])), true
+			h[i], ok[i] = value.FoldHash(value.HashInit, value.Int(v.Ints[di])), true
+		case v.Kind == value.KindFloat:
+			h[i], ok[i] = value.FoldHash(value.HashInit, value.Float(v.Floats[di])), true
 		default:
-			h[k], ok[k] = value.FoldHash(value.HashInit, value.Float(v.Floats[di])), true
+			h[i], ok[i] = p.keyHash(di, key)
 		}
 	}
 }
@@ -531,26 +583,28 @@ func (p *program) keyHash(di int, key []int) (uint64, bool) {
 	return h, true
 }
 
-// routeMorsel bumps at[j] for each row of [lo, hi) routed to key partition
-// j (some condition keeps it, its key is not NULL), placing it at
-// route[at[j]] first when route is set, bumping a copy: counts' lines are shared.
-func (p *program) routeMorsel(counts, route []int32, lo, hi int) {
-	at := append(make([]int32, 0, maxSpillParts), counts...)
-	vec := p.conds[0].detailHash
-rows:
-	for di := lo; di < hi; di++ {
-		for ci := range p.conds {
-			if ok := p.conds[ci].detailPredOK; vec.OK[di] && (ok == nil || ok[di]) {
-				j := vec.H[di] >> (64 - p.bits)
-				if route != nil {
-					route[at[j]] = int32(di)
-				}
-				at[j]++
-				continue rows
-			}
+// routeMorsel counts (in a copy: counts' lines are shared) and stages the
+// rows of keep (from lo) routed to each key partition; it returns how many.
+func (p *program) routeMorsel(counts, staged []int32, lo int, keep []int32) int32 {
+	at, vec, c := append(make([]int32, 0, maxSpillParts), counts...), p.conds[0].detailHash, 0
+	for _, i := range keep {
+		if di := lo + int(i); vec.OK[di] {
+			at[vec.H[di]>>(64-p.bits)]++
+			staged[c], c = int32(di), c+1
 		}
 	}
 	copy(counts, at)
+	return int32(c)
+}
+
+// placeMorsel places a morsel's staged rows, each at route[at[j]] for its
+// key partition j, bumping a copy: at's lines are shared.
+func (p *program) placeMorsel(at, route, staged []int32) {
+	at, h := append(make([]int32, 0, maxSpillParts), at...), p.conds[0].detailHash.H
+	for _, di := range staged {
+		j := h[di] >> (64 - p.bits)
+		route[at[j]], at[j] = di, at[j]+1
+	}
 }
 
 // estimateStateBytes approximates the resident footprint of the GMDJ
@@ -711,8 +765,9 @@ func bindAggs(dst, specs []agg.Spec, s *relation.Schema) ([]agg.Spec, error) {
 // the same binding, the common GMDJOpt shape, share it). A cross-query
 // cache hit always replaces the hashing. Otherwise a parallel run owes
 // the vector to the detail pass; a serial one reads it from PackedHash,
-// or owes it to an inline pass that publishes or routes it, or leaves
-// feed to hash per row (from typed columns where it has them).
+// or owes it to an inline pass that publishes or routes it or runs a
+// detail predicate, or leaves the scan to hash each chunk (from typed
+// columns where it has them).
 func (p *program) attachHashes() {
 	for i := range p.conds {
 		cp := &p.conds[i]
@@ -760,7 +815,7 @@ func (p *program) attachHashes() {
 			if key != "" {
 				p.HashCache.Put(key, cp.detailHash, int64(n)*9)
 			}
-		case p.passWorkers > 1 || key != "" || p.route:
+		case p.passWorkers > 1 || key != "" || p.route || slices.ContainsFunc(p.conds, func(c condProg) bool { return c.detailPred != nil }):
 			cp.detailHash, cp.passHash, cp.publish = newVec(n), true, key
 			if key == "" {
 				p.pooled = append(p.pooled, cp.detailHash)
@@ -1673,10 +1728,10 @@ func (p *program) scan(w int, st *state, stop *atomic.Bool) error {
 			return nil
 		}
 		bhi := min(blo+scanChunk, n)
-		for ci, ch := range st.chunks { // keys no vector holds: an unrouted walk's rows are contiguous
+		for ci, ch := range st.chunks { // keys no vector holds (no detail predicate): an unrouted walk's rows are contiguous
 			if cp := &p.conds[ci]; ch != nil && cp.detailHash == nil {
 				clear(ch.ok[:bhi-blo])
-				p.hashRows(ch.h[:bhi-blo], ch.ok[:bhi-blo], cp.detailPredOK, cp.detailKey, blo)
+				p.hashRows(ch.h[:], ch.ok[:], morselRows[:bhi-blo], cp.detailKey, blo)
 			}
 		}
 		j, err := st.feed(blo, bhi)

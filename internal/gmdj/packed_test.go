@@ -208,8 +208,9 @@ func TestColumnsStaleIgnored(t *testing.T) {
 // TestColumnAllocsFlat: a hash-bound query whose detail is a stored
 // table read through its typed vectors allocates as often, and about as
 // many bytes, over four times the detail rows: nothing per detail row,
-// so nothing is packed per query. The vectors are built by the first
-// query over the table and only read after.
+// so nothing is packed per query, and the pass's truth tables and
+// position lists are pooled. The vectors are built by the first query
+// over the table and only read after.
 func TestColumnAllocsFlat(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops pooled vectors")
@@ -219,16 +220,20 @@ func TestColumnAllocsFlat(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		base.Append(relation.Tuple{value.Int(int64(i % 20))})
 	}
+	bind := expr.Eq(expr.C("B.k"), expr.C("R.k"))
 	conds := []algebra.GMDJCond{{
-		Theta: expr.NewAnd(expr.Eq(expr.C("B.k"), expr.C("R.k")), expr.NewCmp(value.GT, expr.C("R.v"), expr.IntLit(30))),
+		Theta: expr.NewAnd(bind, expr.NewCmp(value.GT, expr.C("R.v"), expr.IntLit(30))),
 		Aggs:  []agg.Spec{{Func: agg.CountStar, As: "cnt"}, {Func: agg.Avg, Arg: expr.C("R.f"), As: "af"}},
+	}, { // a selective leaf, then a dictionary's: truth table and position lists
+		Theta: expr.NewAnd(bind, expr.NewCmp(value.GT, expr.C("R.f"), expr.IntLit(97)), expr.Eq(expr.C("R.tag"), expr.StrLit("odd"))),
+		Aggs:  []agg.Spec{{Func: agg.CountStar, As: "odd"}},
 	}}
 	measure := func(n int) (allocs, bytes float64) {
 		tab := storage.NewTable("R", passDetail(n))
 		eval := func() {
 			var stats Stats
 			opts := Options{Workers: 2, Stats: &stats, Columns: func(c int) *relation.ColVec { return tab.Column(c, tab.Rel.Rows) }}
-			if _, err := Evaluate(base, tab.Rel, conds, opts); err != nil || stats.PackedHashConds != 1 {
+			if _, err := Evaluate(base, tab.Rel, conds, opts); err != nil || stats.PackedHashConds != 2 {
 				t.Fatalf("Evaluate: %v, PackedHashConds %d", err, stats.PackedHashConds)
 			}
 		}

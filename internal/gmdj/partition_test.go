@@ -271,6 +271,8 @@ func passDetail(n int) *relation.Relation {
 		relation.Column{Qualifier: "R", Name: "f", Type: value.KindFloat},
 		relation.Column{Qualifier: "R", Name: "big", Type: value.KindInt},
 		relation.Column{Qualifier: "R", Name: "g", Type: value.KindFloat},
+		relation.Column{Qualifier: "R", Name: "s", Type: value.KindString},
+		relation.Column{Qualifier: "R", Name: "u", Type: value.KindString},
 	))
 	for i := 0; i < n; i++ {
 		k, f, big := value.Int(int64(i*7%20)), value.Float(float64(i*37%200)/2), value.Int(1<<53+int64(i*7%20)-10)
@@ -283,17 +285,24 @@ func passDetail(n int) *relation.Relation {
 			f = value.Float(math.NaN())
 		}
 		g := value.Float([]float64{1e16, 1, -1e16}[i/20%3])
-		detail.Append(relation.Tuple{k, value.Str([]string{"even", "odd"}[i%2]), value.Int(int64(i * 31 % 100)), f, big, g})
+		// R.s's dictionary takes "b", "a", "c", "" in that order, not string
+		// order; R.u holds a string per row, past relation.MaxDict from there.
+		s := value.Str([]string{"b", "a", "", "c", "", "a"}[i%6])
+		if i%6 == 2 {
+			s = value.Null
+		}
+		detail.Append(relation.Tuple{k, value.Str([]string{"even", "odd"}[i%2]), value.Int(int64(i * 31 % 100)), f, big, g, s, value.Str(fmt.Sprintf("u%05d", i))})
 	}
 	return detail
 }
 
 // detailColumns packs every column of a detail into a typed vector, as
-// storage.Table.Column does for a stored table.
+// storage.Table.Column does for a stored table: STRING cells
+// dictionary-coded.
 func detailColumns(detail *relation.Relation) []*relation.ColVec {
 	cols := make([]*relation.ColVec, detail.Schema.Len())
 	for c := range cols {
-		cols[c] = &relation.ColVec{Kind: detail.Schema.Columns[c].Type}
+		cols[c] = relation.Coded(detail.Schema.Columns[c].Type)
 		cols[c].Append(detail.Rows, c)
 	}
 	return cols
@@ -416,8 +425,17 @@ func TestDetailPassEquivalence(t *testing.T) {
 		}
 		return value.Int(1<<53 + int64(i*11%30) - 15)
 	})
+	// STRING keys against R.s's (NULL and "" among both) and R.u's.
+	strKeys := newBase(func(i int) value.Value {
+		if i%7 == 6 {
+			return value.Null
+		}
+		return value.Str([]string{"a", "b", "c", "", "zz", "A"}[i%7])
+	})
+	rowKeys := newBase(func(i int) value.Value { return value.Str(fmt.Sprintf("u%05d", i*131%5000)) })
 	bind := expr.Eq(expr.C("B.k"), expr.C("R.k"))
 	count := []agg.Spec{{Func: agg.CountStar, As: "cnt"}}
+	cnt := func(as string) []agg.Spec { return []agg.Spec{{Func: agg.CountStar, As: as}} }
 	exists := func(atoms ...int) *algebra.CompletionInfo {
 		c := &algebra.CompletionInfo{FreezeTrue: true}
 		kids := make([]*algebra.BoolTree, len(atoms))
@@ -534,8 +552,32 @@ func TestDetailPassEquivalence(t *testing.T) {
 			{Theta: expr.NewAnd(expr.NewCmp(value.LE, expr.C("B.id"), expr.C("R.v")), expr.NewCmp(value.NE, expr.C("R.k"), expr.C("B.k")),
 				expr.NewCmp(value.GE, expr.C("B.k"), expr.IntLit(10)), expr.NewCmp(value.GT, expr.C("R.v"), expr.IntLit(3))), Aggs: count},
 		}, &algebra.CompletionInfo{Atoms: []algebra.CompletionAtom{{Cond: 0, Kind: algebra.AtomZero}}, Tree: algebra.Leaf(0)}, false, false, nil},
+		// Dictionary-coded STRING columns (DESIGN §15): every operator
+		// against R.s, whose code order is not its string order, a literal
+		// the dictionary lacks, a STRING key, and R.u past the bound.
+		{"coded string compares", []algebra.GMDJCond{
+			{Theta: expr.NewAnd(bind, expr.Eq(expr.C("R.s"), expr.StrLit("a"))), Aggs: count},
+			{Theta: expr.NewAnd(bind, expr.NewCmp(value.NE, expr.C("R.s"), expr.StrLit("b"))), Aggs: cnt("ne")},
+			{Theta: expr.NewAnd(bind, expr.NewCmp(value.LT, expr.C("R.s"), expr.StrLit("b"))), Aggs: cnt("lt")},
+			{Theta: expr.NewAnd(bind, expr.NewCmp(value.GE, expr.C("R.s"), expr.StrLit(""))), Aggs: cnt("ge")},
+			{Theta: expr.NewAnd(bind, expr.NewCmp(value.GT, expr.StrLit("b"), expr.C("R.s"))), Aggs: cnt("gt")},
+		}, nil, true, true, nil},
+		{"literal absent from the dictionary", []algebra.GMDJCond{
+			{Theta: expr.NewAnd(bind, expr.NewCmp(value.GT, expr.C("R.s"), expr.StrLit("ab")), expr.NewCmp(value.LT, expr.C("R.v"), expr.IntLit(60))), Aggs: count},
+			{Theta: expr.NewAnd(bind, expr.Eq(expr.C("R.s"), expr.StrLit("ab"))), Aggs: cnt("eq")},
+			{Theta: expr.NewAnd(bind, expr.NewCmp(value.LE, expr.C("R.s"), expr.StrLit("bb")), expr.Eq(expr.C("R.tag"), expr.StrLit("odd"))), Aggs: cnt("le")},
+		}, exists(0), true, true, nil},
+		{"STRING key", []algebra.GMDJCond{
+			{Theta: expr.Eq(expr.C("B.k"), expr.C("R.s")), Aggs: []agg.Spec{{Func: agg.CountStar, As: "cnt"}, {Func: agg.Sum, Arg: expr.C("R.v"), As: "s"}, {Func: agg.Max, Arg: expr.C("R.u"), As: "mx"}}},
+			{Theta: expr.NewAnd(expr.Eq(expr.C("B.k"), expr.C("R.s")), expr.NewCmp(value.GT, expr.C("R.v"), expr.IntLit(50))), Aggs: cnt("big")},
+		}, nil, true, true, strKeys},
+		{"past the dictionary bound", []algebra.GMDJCond{
+			{Theta: expr.NewAnd(expr.Eq(expr.C("B.k"), expr.C("R.u")), expr.NewCmp(value.GE, expr.C("R.u"), expr.StrLit("u00100"))), Aggs: count},
+			{Theta: expr.NewAnd(expr.Eq(expr.C("B.k"), expr.C("R.u")), expr.NewCmp(value.NE, expr.C("R.u"), expr.StrLit("u04717"))), Aggs: []agg.Spec{{Func: agg.Min, Arg: expr.C("R.s"), As: "mn"}}},
+		}, exists(0), true, true, rowKeys},
 	}
-	// Recorded at the parent of the routed fold.
+	// Recorded at the parent of the routed fold; the last four at the
+	// parent of dictionary coding.
 	golden := map[string]golden{
 		"no detail predicate":                   {0xb67f7c3a7eb98a98, 341406},
 		"one detail predicate":                  {0x5bf73258fcb34296, 167040},
@@ -560,6 +602,10 @@ func TestDetailPassEquivalence(t *testing.T) {
 		"range: two-column band":                {0x6bd55effdbde4ce0, 99606},
 		"range: two-column band, suffix mirror": {0xaa485b80d6f3d394, 2646306},
 		"range: filtered list, <> residual":     {0xa6cfcd35e6625f10, 1284},
+		"coded string compares":                 {0xd47272106accfa3a, 976608},
+		"literal absent from the dictionary":    {0xbe5a21dc72bd871e, 164774},
+		"STRING key":                            {0x81845aec59a95df0, 2011188},
+		"past the dictionary bound":             {0x2991e0255f7eafb6, 2886},
 	}
 	lines := map[string]*strings.Builder{}
 	for _, sh := range shapes {

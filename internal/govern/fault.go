@@ -20,7 +20,7 @@ import (
 // Known sites are named at the point of injection; the current set is
 // exec.scan, exec.restrict, exec.project, exec.distinct, exec.join,
 // exec.groupby, exec.sort, exec.setop, exec.subquery, exec.number,
-// gmdj.compile, gmdj.worker, gmdj.emit, spill.write, spill.read, and
+// gmdj.compile, gmdj.pass, gmdj.worker, gmdj.emit, spill.write, spill.read, and
 // the serving-layer sites serve.accept (request admission), serve.write
 // (response serialization), and serve.cancel (drain/abort handling).
 //

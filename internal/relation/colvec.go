@@ -14,6 +14,10 @@ import (
 // falls back to Boxed, which stores the cells verbatim. Readers iterate
 // the typed slices and rebuild value.Value structs on the stack, so a
 // cell read never costs a heap allocation.
+//
+// A STRING column Coded made keeps codes into a dictionary, not Strs, up
+// to MaxDict distinct strings: Append extends it, never renumbering, so
+// an earlier copy reads on; past the bound the column moves to new Strs.
 type ColVec struct {
 	// Kind is the runtime kind of every non-NULL cell. KindNull marks a
 	// mixed column stored in Boxed, or one with no non-NULL cell.
@@ -24,11 +28,23 @@ type ColVec struct {
 	Ints []int64
 	// Floats holds KindFloat payloads.
 	Floats []float64
-	// Strs holds KindString payloads.
+	// Strs holds KindString payloads of a plain column.
 	Strs []string
+	// A coded column's (Dict != nil) row i is Dict[Codes[i]], Dict in the
+	// order Append met the strings; DictHash[c] is Dict[c]'s key hash.
+	Codes    []uint32
+	Dict     []string
+	DictHash []uint64
+	index    map[string]uint32 // Dict's inverse, for the column's writer
 	// Boxed holds the cells of a mixed column verbatim (nil otherwise).
 	Boxed []value.Value
 }
+
+// MaxDict bounds a coded column's dictionary.
+const MaxDict = 1 << 12
+
+// Coded returns an empty column of kind k whose STRING cells Append codes.
+func Coded(k value.Kind) *ColVec { return &ColVec{Kind: k, index: map[string]uint32{}} }
 
 // Len returns the row count.
 func (c *ColVec) Len() int { return len(c.Nulls) }
@@ -48,6 +64,9 @@ func (c *ColVec) Value(i int) value.Value {
 	case value.KindFloat:
 		return value.Float(c.Floats[i])
 	case value.KindString:
+		if c.Dict != nil {
+			return value.Str(c.Dict[c.Codes[i]])
+		}
 		return value.Str(c.Strs[i])
 	case value.KindBool:
 		return value.Bool(c.Ints[i] != 0)
@@ -64,7 +83,11 @@ func (c *ColVec) Set(i int, v value.Value) {
 	case value.KindFloat:
 		c.Floats[i] = v.AsFloat()
 	case value.KindString:
-		c.Strs[i] = v.AsString()
+		if c.Dict != nil {
+			c.code(i, v.AsString())
+		} else {
+			c.Strs[i] = v.AsString()
+		}
 	case value.KindBool:
 		if v.AsBool() {
 			c.Ints[i] = 1
@@ -96,7 +119,7 @@ func (c *ColVec) Append(rows []Tuple, col int) bool {
 			c.Ints[n+i] = v.AsInt()
 		case c.Kind == value.KindFloat:
 			c.Floats[n+i] = v.AsFloat()
-		case c.Kind == value.KindString:
+		case c.Kind == value.KindString && c.Dict == nil:
 			c.Strs[n+i] = v.AsString()
 		default:
 			c.Set(n+i, *v)
@@ -114,9 +137,35 @@ func (c *ColVec) Resize(n int) {
 		c.Ints = resize(c.Ints, n)
 	case c.Kind == value.KindFloat:
 		c.Floats = resize(c.Floats, n)
+	case c.Kind == value.KindString && (c.Dict != nil || c.index != nil):
+		if c.Codes = resize(c.Codes, n); c.Dict == nil {
+			c.Dict = []string{} // coded from the first row on
+		}
 	case c.Kind == value.KindString:
 		c.Strs = resize(c.Strs, n)
 	}
+}
+
+// code stores s at row i of a coded column, a new string taking the next
+// code; past MaxDict, or in one Coded did not make, the column goes plain.
+func (c *ColVec) code(i int, s string) {
+	code, ok := c.index[s]
+	if !ok && (len(c.Dict) == MaxDict || c.index == nil) {
+		strs := make([]string, len(c.Nulls))
+		for j := range i {
+			if !c.Nulls[j] {
+				strs[j] = c.Dict[c.Codes[j]]
+			}
+		}
+		c.Strs, c.Codes, c.Dict, c.DictHash, c.index = strs, nil, nil, nil, nil
+		c.Strs[i] = s
+		return
+	}
+	if !ok {
+		code, c.index[s] = uint32(len(c.Dict)), uint32(len(c.Dict))
+		c.Dict, c.DictHash = append(c.Dict, s), append(c.DictHash, value.FoldHash(value.HashInit, value.Str(s)))
+	}
+	c.Codes[i] = code
 }
 
 func resize[T any](s []T, n int) []T {
@@ -131,7 +180,7 @@ func resize[T any](s []T, n int) []T {
 // of an earlier copy of c keep theirs).
 func (c *ColVec) retype(k value.Kind, at int) {
 	if !slices.Contains(c.Nulls[:at], false) {
-		c.Kind, c.Ints, c.Floats, c.Strs = k, c.Ints[:0], c.Floats[:0], c.Strs[:0]
+		c.Kind, c.Ints, c.Floats, c.Strs, c.Codes, c.Dict = k, c.Ints[:0], c.Floats[:0], c.Strs[:0], c.Codes[:0], nil
 		c.Resize(len(c.Nulls))
 		return
 	}
@@ -140,6 +189,7 @@ func (c *ColVec) retype(k value.Kind, at int) {
 		boxed[i] = c.Value(i)
 	}
 	c.Kind, c.Boxed, c.Ints, c.Floats, c.Strs = value.KindNull, boxed, nil, nil, nil
+	c.Codes, c.Dict, c.DictHash, c.index = nil, nil, nil, nil
 }
 
 // Prefix returns c's first n rows (c itself when it has n), sharing

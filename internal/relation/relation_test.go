@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -428,5 +429,47 @@ func TestHashIndexBuckets(t *testing.T) {
 				t.Fatalf("hashes differing in bit 0 share bucket %d", ix.bucket(hi))
 			}
 		})
+	}
+}
+
+// TestColumnDictBound pins a coded column's bound: Append codes up to
+// MaxDict distinct strings, in the order it meets them, a repeat taking
+// its first code and each entry's hash the one-column key hash; the next
+// distinct string moves the column to Strs in a new slice, and a copy
+// taken before — a reader's — keeps its codes and reads what it read.
+// A kind change boxes a coded column as it does a plain one.
+func TestColumnDictBound(t *testing.T) {
+	rows := make([]Tuple, MaxDict+3)
+	for i := range rows {
+		rows[i] = Tuple{value.Str(fmt.Sprintf("s%05d", MaxDict-i))} // descending: code order is not string order
+	}
+	rows[3], rows[5] = Tuple{value.Null}, rows[0]
+	c := Coded(value.KindInt) // the cells decide the kind
+	c.Append(rows[:MaxDict+2], 0)
+	if c.Kind != value.KindString || len(c.Dict) != MaxDict || c.Strs != nil || c.Codes[5] != c.Codes[0] {
+		t.Fatalf("kind %v, %d entries, Strs %v: want MaxDict codes", c.Kind, len(c.Dict), c.Strs != nil)
+	}
+	for code, d := range c.Dict {
+		if c.DictHash[code] != value.FoldHash(value.HashInit, value.Str(d)) {
+			t.Fatalf("entry %d %q: hash %x", code, d, c.DictHash[code])
+		}
+	}
+	if c.Dict[0] != "s04096" || c.Dict[1] != "s04095" {
+		t.Fatalf("dictionary starts %q, want insertion order", c.Dict[:2])
+	}
+	reader := *c
+	c.Append(rows[MaxDict+2:], 0) // a string the dictionary lacks
+	if c.Dict != nil || c.Codes != nil || len(c.Strs) != len(rows) {
+		t.Fatalf("past the bound: Dict %v, Codes %v, %d Strs; want plain", c.Dict != nil, c.Codes != nil, len(c.Strs))
+	}
+	for i, row := range rows {
+		if !value.Equal(c.Value(i), row[0]) || i < reader.Len() && !value.Equal(reader.Value(i), row[0]) {
+			t.Fatalf("row %d: %v, reader's %v; want %v", i, c.Value(i), reader.Value(i), row[0])
+		}
+	}
+	boxed := Coded(value.KindString)
+	boxed.Append([]Tuple{{value.Str("a")}, {value.Int(1)}}, 0)
+	if boxed.Boxed == nil || boxed.Dict != nil || !value.Equal(boxed.Value(0), value.Str("a")) {
+		t.Fatalf("a coded column of STRING and INT cells: Boxed %v, Dict %v", boxed.Boxed != nil, boxed.Dict != nil)
 	}
 }

@@ -32,11 +32,14 @@ const (
 	encBoxed
 )
 
-// encodeColumn serializes one column, choosing the encoding.
+// encodeColumn serializes one column, choosing the encoding. A STRING
+// column is dictionary-encoded when its strings repeat twice on average:
+// a coded column with its own dictionary and codes (dictOf).
 func encodeColumn(c *relation.ColVec) []byte {
 	n := c.Len()
 	out := []byte{0, byte(c.Kind)}
 	out = binary.AppendUvarint(out, uint64(n))
+	dict, codes := dictOf(c)
 	switch {
 	case c.Boxed != nil:
 		out[0] = encBoxed
@@ -46,10 +49,18 @@ func encodeColumn(c *relation.ColVec) []byte {
 	case runCount(c)*2 <= n:
 		out[0] = encRLE
 		out = appendRLE(out, c)
-	case c.Kind == value.KindString && distinctStrings(c)*2 <= nonNullCount(c):
+	case dict != nil && len(dict)*2 <= nonNullCount(c):
 		out[0] = encDict
 		out = appendBitmap(out, c.Nulls)
-		out = appendDict(out, c)
+		out = binary.AppendUvarint(out, uint64(len(dict)))
+		for _, s := range dict {
+			out = value.AppendString(out, s)
+		}
+		for i, code := range codes {
+			if !c.Nulls[i] {
+				out = binary.AppendUvarint(out, uint64(code))
+			}
+		}
 	default:
 		out[0] = encPlain
 		out = appendBitmap(out, c.Nulls)
@@ -147,14 +158,36 @@ func nonNullCount(c *relation.ColVec) int {
 	return n
 }
 
-func distinctStrings(c *relation.ColVec) int {
-	seen := make(map[string]struct{})
-	for i, s := range c.Strs {
-		if !c.Nulls[i] {
-			seen[s] = struct{}{}
+// dictOf returns a STRING column's strings as a dictionary in order of
+// first occurrence, and each row's code. A coded column has them already:
+// Append numbers in that order, so its rows use a prefix of its
+// dictionary (a copy of a column that grew since leaves the rest unused).
+func dictOf(c *relation.ColVec) (dict []string, codes []uint32) {
+	if c.Kind != value.KindString || c.Boxed != nil {
+		return nil, nil
+	} else if c.Dict != nil {
+		used := 0
+		for i, code := range c.Codes {
+			if !c.Nulls[i] {
+				used = max(used, int(code)+1)
+			}
 		}
+		return c.Dict[:used], c.Codes
 	}
-	return len(seen)
+	index := make(map[string]uint32)
+	dict, codes = []string{}, make([]uint32, c.Len())
+	for i, s := range c.Strs {
+		if c.Nulls[i] {
+			continue
+		}
+		code, ok := index[s]
+		if !ok {
+			code = uint32(len(dict))
+			index[s], dict = code, append(dict, s)
+		}
+		codes[i] = code
+	}
+	return dict, codes
 }
 
 func runCount(c *relation.ColVec) int {
@@ -205,7 +238,7 @@ func sameCell(c *relation.ColVec, i, j int) bool {
 	case value.KindFloat:
 		return math.Float64bits(c.Floats[i]) == math.Float64bits(c.Floats[j])
 	case value.KindString:
-		return c.Strs[i] == c.Strs[j]
+		return c.Value(i).AsString() == c.Value(j).AsString()
 	}
 	return false
 }
@@ -300,40 +333,19 @@ func readRLE(r *value.Reader, c *relation.ColVec, n int) error {
 	return nil
 }
 
-func appendDict(dst []byte, c *relation.ColVec) []byte {
-	index := make(map[string]uint64)
-	var dict []string
-	for i, s := range c.Strs {
-		if c.Nulls[i] {
-			continue
-		}
-		if _, ok := index[s]; !ok {
-			index[s] = uint64(len(dict))
-			dict = append(dict, s)
-		}
-	}
-	dst = binary.AppendUvarint(dst, uint64(len(dict)))
-	for _, s := range dict {
-		dst = value.AppendString(dst, s)
-	}
-	for i, s := range c.Strs {
-		if !c.Nulls[i] {
-			dst = binary.AppendUvarint(dst, index[s])
-		}
-	}
-	return dst
-}
-
+// readDict reads a dictionary and codes into c, coded: the dictionary
+// as written, so the column encodes back to the same bytes.
 func readDict(r *value.Reader, c *relation.ColVec, n int) error {
-	c.Strs = make([]string, n)
 	dictLen := r.Count()
-	dict := make([]string, 0, min(dictLen, 1024))
+	c.Dict = make([]string, 0, min(dictLen, 1024))
 	for i := 0; i < dictLen && r.Err() == nil; i++ {
-		dict = append(dict, r.Str())
+		s := r.Str()
+		c.Dict, c.DictHash = append(c.Dict, s), append(c.DictHash, value.FoldHash(value.HashInit, value.Str(s)))
 	}
 	if r.Err() != nil {
 		return r.Err()
 	}
+	c.Codes = make([]uint32, n)
 	for i := 0; i < n; i++ {
 		if c.Nulls[i] {
 			continue
@@ -342,10 +354,10 @@ func readDict(r *value.Reader, c *relation.ColVec, n int) error {
 		if r.Err() != nil {
 			return r.Err()
 		}
-		if idx >= uint64(len(dict)) {
-			return fmt.Errorf("dict index %d out of range (%d entries)", idx, len(dict))
+		if idx >= uint64(len(c.Dict)) {
+			return fmt.Errorf("dict index %d out of range (%d entries)", idx, len(c.Dict))
 		}
-		c.Strs[i] = dict[idx]
+		c.Codes[i] = uint32(idx)
 	}
 	return nil
 }

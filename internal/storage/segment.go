@@ -73,7 +73,7 @@ func BuildSegment(table string, rel *relation.Relation) *Segment {
 		Cols:   make([]*relation.ColVec, rel.Schema.Len()),
 	}
 	for c := range s.Cols { // the cells decide the packed kind, NULLs alone the schema
-		s.Cols[c] = &relation.ColVec{Kind: rel.Schema.Columns[c].Type}
+		s.Cols[c] = relation.Coded(rel.Schema.Columns[c].Type)
 		s.Cols[c].Append(rel.Rows, c)
 	}
 	return s
@@ -193,8 +193,9 @@ func (s *Segment) KeyHashes(key []int) (h []uint64, ok []bool) {
 // Column returns column col's typed vector over rows, the table's rows as
 // a reader holds them (rows are only appended, see Table): built when a
 // query first asks, then extended from the last row it covers, like
-// Zones, never rebuilt. A vector handed out is never written again (a
-// longer one writes past its end). Safe for concurrent readers.
+// Zones, never rebuilt; STRING cells dictionary-coded (relation.Coded).
+// A vector handed out is never written again (a longer one writes past
+// its end). Safe for concurrent readers.
 func (t *Table) Column(col int, rows []relation.Tuple) *relation.ColVec {
 	t.colMu.Lock()
 	defer t.colMu.Unlock()
@@ -202,9 +203,11 @@ func (t *Table) Column(col int, rows []relation.Tuple) *relation.ColVec {
 		t.cols = make([]*relation.ColVec, t.Rel.Schema.Len())
 	}
 	if v := t.cols[col]; v == nil || v.Len() < len(rows) {
-		next := relation.ColVec{Kind: t.Rel.Schema.Columns[col].Type}
+		var next relation.ColVec
 		if v != nil {
 			next = *v
+		} else {
+			next = *relation.Coded(t.Rel.Schema.Columns[col].Type)
 		}
 		next.Append(rows[next.Len():], col)
 		t.cols[col] = &next

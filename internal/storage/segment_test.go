@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -672,4 +674,76 @@ func FuzzManifestDecode(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestColumnEncodeIdempotent: a STRING column encodes, decodes and
+// encodes again to the same bytes, and decodes to the same cells, for
+// every way one is held: coded by Append (a dictionary in insertion
+// order, not string order), coded but the prefix of a longer column
+// (its dictionary has entries its rows do not use), plain, in runs, all
+// NULL, and past relation.MaxDict. A dictionary-encoded column decodes
+// coded, with the dictionary it was written with; a forged index past
+// the dictionary is an error.
+func TestColumnEncodeIdempotent(t *testing.T) {
+	column := func(coded bool, n int, cell func(i int) value.Value) *relation.ColVec {
+		rows := make([]relation.Tuple, n)
+		for i := range rows {
+			rows[i] = relation.Tuple{cell(i)}
+		}
+		c := &relation.ColVec{Kind: value.KindString}
+		if coded {
+			c = relation.Coded(value.KindString)
+		}
+		c.Append(rows, 0)
+		return c
+	}
+	few := func(i int) value.Value {
+		if i%7 == 3 {
+			return value.Null
+		}
+		return value.Str([]string{"b", "", "a", "c"}[i*5%4])
+	}
+	long := column(true, 300, func(i int) value.Value { return value.Str(fmt.Sprintf("%03d", i%20+i/200*i)) })
+	cases := map[string]*relation.ColVec{
+		"coded":          column(true, 200, few),
+		"coded prefix":   long.Prefix(200),
+		"plain":          column(false, 200, few),
+		"runs":           column(true, 200, func(i int) value.Value { return value.Str([]string{"x", "y"}[i/50%2]) }),
+		"all NULL":       column(true, 50, func(int) value.Value { return value.Null }),
+		"past the bound": column(true, relation.MaxDict+50, func(i int) value.Value { return value.Str(fmt.Sprintf("v%d", i%(relation.MaxDict+1))) }),
+	}
+	if cases["past the bound"].Dict != nil || long.Dict == nil {
+		t.Fatal("want the column past the bound plain, the others coded")
+	}
+	for name, c := range cases {
+		enc := encodeColumn(c)
+		got, err := decodeColumn(enc)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if again := encodeColumn(got); !bytes.Equal(again, enc) {
+			t.Errorf("%s: encode → decode → encode moved the bytes", name)
+		}
+		for i := 0; i < c.Len(); i++ {
+			if !cellIdentical(got.Value(i), c.Value(i)) {
+				t.Fatalf("%s: row %d decoded %v, want %v", name, i, got.Value(i), c.Value(i))
+			}
+		}
+		if enc[0] == encDict && (got.Dict == nil || len(got.DictHash) != len(got.Dict)) {
+			t.Errorf("%s: a dictionary-encoded column decoded plain", name)
+		}
+	}
+	for _, name := range []string{"coded", "coded prefix", "plain"} {
+		if enc := encodeColumn(cases[name]); enc[0] != encDict {
+			t.Fatalf("%s: encoding %d, want the dictionary's", name, enc[0])
+		}
+	}
+	if len(long.Dict) <= 20 {
+		t.Fatal("the prefix's column has no entries the prefix does not use")
+	}
+	// One row, one dictionary entry, index 1.
+	forged := []byte{encDict, byte(value.KindString), 1, 0, 1, 1, 'a', 1}
+	if _, err := decodeColumn(forged); err == nil || !strings.Contains(err.Error(), "dict index 1 out of range") {
+		t.Errorf("forged index: %v", err)
+	}
 }

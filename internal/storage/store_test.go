@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
@@ -441,4 +442,60 @@ func TestCatalogConcurrentDDL(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestCheckpointCodedColumns: a table whose STRING columns queries read
+// dictionary-coded — one of few strings in insertion order, NULL and ""
+// among them, one past relation.MaxDict — checkpoints in two files, an
+// append between, and reopens Diff-identical, its columns coded as
+// before when read.
+func TestCheckpointCodedColumns(t *testing.T) {
+	rows := func(from, to int) []relation.Tuple {
+		var out []relation.Tuple
+		for i := from; i < to; i++ {
+			s := value.Str([]string{"b", "a", ""}[i%3])
+			if i%5 == 0 {
+				s = value.Null
+			}
+			out = append(out, relation.Tuple{value.Int(int64(i)), s, value.Str(fmt.Sprintf("u%d", i))})
+		}
+		return out
+	}
+	tab := NewTable("coded", relation.New(relation.NewSchema(
+		relation.Column{Qualifier: "c", Name: "k", Type: value.KindInt},
+		relation.Column{Qualifier: "c", Name: "s", Type: value.KindString},
+		relation.Column{Qualifier: "c", Name: "u", Type: value.KindString},
+	)))
+	cat := NewCatalog()
+	cat.Register(tab)
+	dir := t.TempDir()
+	ds := mustOpen(t, dir, nil)
+	for _, batch := range [][2]int{{0, 3000}, {3000, relation.MaxDict + 1000}} {
+		if err := tab.Append(rows(batch[0], batch[1])); err != nil {
+			t.Fatal(err)
+		}
+		for c := 1; c < 3; c++ {
+			tab.Column(c, tab.Rel.Rows)
+		}
+		if _, err := ds.Checkpoint(cat); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cat2 := NewCatalog()
+	if _, err := mustOpen(t, dir, nil).Recover(cat2); err != nil {
+		t.Fatal(err)
+	}
+	got, err := cat2.Table("coded")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := tab.Rel.Diff(got.Rel); d != "" {
+		t.Fatalf("reopened table differs: %s", d)
+	}
+	for c, coded := range []bool{false, true, false} {
+		before, after := tab.Column(c, tab.Rel.Rows), got.Column(c, got.Rel.Rows)
+		if (before.Dict != nil) != coded || (after.Dict != nil) != coded || coded && !slices.Equal(before.Dict, after.Dict) {
+			t.Errorf("column %d: coded %v before, %v after; want %v", c, before.Dict != nil, after.Dict != nil, coded)
+		}
+	}
 }

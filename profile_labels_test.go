@@ -22,7 +22,10 @@ import (
 // tenant label and the detail-pass frame, on a goroutine other than
 // the query's own (no engine frame beneath it), proves the inheritance
 // end to end. Run with -race to also pin the handoff's memory ordering.
+// A gmdj.pass delay holds each worker in its morsel: the pass alone is
+// too quick for a profile to land in it reliably at GOMAXPROCS=1.
 func TestWorkerPoolInheritsProfileLabels(t *testing.T) {
+	t.Setenv("GMDJ_FAULTS", "gmdj.pass=delay:20ms")
 	// 200k flows make one worker's share of the pass outlast the
 	// scheduler's preemption slice, so even on a single P the profile
 	// below catches a worker mid-morsel instead of only ever running
