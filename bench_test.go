@@ -357,13 +357,11 @@ func BenchmarkPartitionedGMDJ(b *testing.B) {
 // dashboard-replay pattern the plan cache and prepared statements
 // exist for:
 //
-//	unprepared    — Query against a DB with the plan cache disabled:
-//	                every replay parses, resolves, and rewrites.
-//	plancache     — plain Query (Open's default): constants are lifted
-//	                into parameters and the compiled template is shared.
-//	prepared      — an explicit prepared statement, bound per replay.
-//	prepared-memo — prepared plus WithResultCache: replays also reuse
-//	                GMDJ detail-side hash vectors across queries.
+//	unprepared — Query against a DB with the plan cache disabled:
+//	             every replay parses, resolves, and rewrites.
+//	plancache  — plain Query (Open's default): constants are lifted
+//	             into parameters and the compiled template is shared.
+//	prepared   — an explicit prepared statement, bound per replay.
 func BenchmarkPreparedReplay(b *testing.B) {
 	const flows = 125
 	tmpl := `SELECT u.IPAddress FROM User u
@@ -400,21 +398,6 @@ func BenchmarkPreparedReplay(b *testing.B) {
 	})
 	b.Run("prepared", func(b *testing.B) {
 		db := OpenNetflowSample(flows)
-		stmt, err := db.Prepare(fmt.Sprintf(tmpl, "$1", "$2", "$3"))
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer stmt.Close()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			d := dests[i%len(dests)]
-			if _, err := stmt.Query(d[0], d[1], d[2]); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("prepared-memo", func(b *testing.B) {
-		db := OpenNetflowSample(flows, WithResultCache(0))
 		stmt, err := db.Prepare(fmt.Sprintf(tmpl, "$1", "$2", "$3"))
 		if err != nil {
 			b.Fatal(err)

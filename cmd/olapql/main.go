@@ -19,9 +19,8 @@
 //
 // Caching: the parameterized plan cache is on by default (-plancache
 // sets its byte budget; negative disables it); -resultcache enables
-// the cross-query memo of uncorrelated subquery results and GMDJ
-// detail-side hash vectors, invalidated by table version on any write
-// (negative, the default, leaves it off). \caches shows both caches'
+// the cross-query memo of uncorrelated subquery sources, invalidated by
+// table version on any write (negative, the default, leaves it off). \caches shows both caches'
 // hit/miss/eviction counters.
 //
 // Memory-adaptive execution: -mem-limit bounds tracked operator state

@@ -35,19 +35,16 @@ var preparedDests = [][3]string{
 
 // Prepared is the prepared-replay experiment: the same Example 2.3
 // query replayed preparedIters times with rotating constants, under
-// three API regimes —
+// two API regimes —
 //
-//	unprepared    — every replay parses, resolves, and strategy-
-//	                rewrites from scratch (the pre-Prepare API);
-//	prepared      — the template compiles once; each replay binds
-//	                parameters into the cached physical plan;
-//	prepared-memo — prepared, plus the cross-query result memo, so
-//	                replays also reuse the GMDJ detail-side hash
-//	                vectors across queries.
+//	unprepared — every replay parses, resolves, and strategy-rewrites
+//	             from scratch (the pre-Prepare API);
+//	prepared   — the template compiles once; each replay binds
+//	             parameters into the cached physical plan.
 func (r *Runner) Prepared() *Experiment {
 	exp := &Experiment{
 		ID:    "prepared",
-		Title: "Prepared replay of the Example 2.3 workload (compile-once + memo vs per-query compilation)",
+		Title: "Prepared replay of the Example 2.3 workload (compile-once vs per-query compilation)",
 		Sizes: []Size{
 			{Label: "2k flows", Outer: 40, Inner: r.scaleN(2_000)},
 			{Label: "16k flows", Outer: 40, Inner: r.scaleN(16_000)},
@@ -56,7 +53,6 @@ func (r *Runner) Prepared() *Experiment {
 		Variants: []Variant{
 			{Name: "unprepared", Strategy: engine.GMDJOpt},
 			{Name: "prepared", Strategy: engine.GMDJOpt},
-			{Name: "prepared-memo", Strategy: engine.GMDJOpt},
 		},
 	}
 	exp.Run = r.runPrepared
@@ -68,11 +64,7 @@ func (r *Runner) Prepared() *Experiment {
 func (r *Runner) runPrepared(_ *Runner, exp *Experiment, s Size, v Variant) (Result, error) {
 	res := Result{Figure: exp.ID, Variant: v.Name, Label: s.Label, Outer: s.Outer, Inner: s.Inner}
 	cat := datagen.Netflow(datagen.NetflowOpts{Flows: s.Inner, Hours: 24, Users: s.Outer, Seed: 9})
-	eng := engine.New(cat, r.config(v), func(c *engine.Config) {
-		if v.Name == "prepared-memo" {
-			c.ResultCacheBytes = 0 // the default size
-		}
-	})
+	eng := engine.New(cat, r.config(v))
 	defer eng.Close()
 
 	// The prepared arms compile the template once, outside the replay
@@ -123,8 +115,8 @@ func (r *Runner) runPrepared(_ *Runner, exp *Experiment, s Size, v Variant) (Res
 		return nil
 	}
 
-	// Warm once untimed (memo population, allocator steady state), then
-	// measure r.Repeat times keeping the best.
+	// Warm once untimed (allocator steady state), then measure r.Repeat
+	// times keeping the best.
 	if err := replay(); err != nil {
 		return res, fmt.Errorf("prepared/%s: %w", v.Name, err)
 	}

@@ -13,7 +13,7 @@ func TestPreparedSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Log("\n" + FormatTable(results))
-	if len(results) != 9 {
+	if len(results) != 6 { // three sizes × unprepared, prepared
 		t.Fatalf("got %d cells", len(results))
 	}
 }

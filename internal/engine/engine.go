@@ -97,9 +97,8 @@ type Engine struct {
 	// API layers above the engine; the engine itself only hosts it so
 	// one cache serves every entry point over this catalog.
 	plans *plancache.Cache
-	// results, when non-nil, memoizes cross-query invariants (subquery
-	// source materializations, GMDJ detail-side hash vectors); it is
-	// threaded into the executor.
+	// results, when non-nil, memoizes uncorrelated subquery source
+	// materializations across queries; it is threaded into the executor.
 	results *plancache.ResultCache
 	// pool is the engine-wide byte pool queries draw reservations from;
 	// spillStore holds the GMDJ base partitions spilled under it. Both
@@ -156,8 +155,9 @@ type Config struct {
 	// binding.
 	MemoizeSubqueries bool
 	// PlanCacheBytes and ResultCacheBytes size the parameterized plan
-	// cache and the cross-query result memo: 0 takes the cache's default
-	// size, a negative value builds no cache. The plan cache is on by
+	// cache and the cross-query result memo (uncorrelated subquery
+	// sources): 0 takes the cache's default size, a negative value builds
+	// no cache. The plan cache is on by
 	// default (0), the result memo off (-1).
 	PlanCacheBytes, ResultCacheBytes int64
 	// MemoryLimit sizes the engine-wide pool bounding tracked operator

@@ -54,10 +54,10 @@ type Executor struct {
 	// during evaluation, so concurrent queries are safe.
 	Faults *govern.Injector
 	// Results, when non-nil, is the engine-level cross-query memo:
-	// uncorrelated subquery source materializations and GMDJ
-	// detail-side hash partitions are published to it under keys that
-	// embed each dependency table's id@version, so entries computed
-	// before a write are unreachable afterwards (see internal/plancache).
+	// uncorrelated subquery source materializations are published to it
+	// under keys that embed each dependency table's id@version, so
+	// entries computed before a write are unreachable afterwards (see
+	// internal/plancache).
 	Results *plancache.ResultCache
 	// Spill, when non-nil, is the engine's file-backed store for
 	// operator state evicted under memory pressure; GMDJ nodes use it
@@ -451,15 +451,10 @@ func (e *Executor) evalGMDJ(g *algebra.GMDJ, ev *env, fuse func(wide *relation.S
 		Spill:      e.Spill,
 		Emit:       emit,
 	}
-	// Cross-query hash-partition reuse and the table's typed columns are
-	// sound only when the detail relation IS a base table, row for row
-	// (gmdjDetail); any operator in between, or a skipped block, makes
-	// it a relation of this query's own.
+	// The table's typed columns are sound only when the detail relation
+	// IS a base table, row for row (gmdjDetail); any operator in between,
+	// or a skipped block, makes it a relation of this query's own.
 	if table != nil {
-		if e.Results != nil {
-			opts.HashCache = e.Results
-			opts.DetailID = plancache.EpochTag(table.Name, table.ID(), table.Version())
-		}
 		opts.Columns = func(col int) *relation.ColVec { return table.Column(col, detail.Rows) }
 	}
 	out, err := gmdj.Evaluate(base, detail, conds, opts)
@@ -489,8 +484,6 @@ func (e *Executor) evalGMDJ(g *algebra.GMDJ, ev *env, fuse func(wide *relation.S
 		op.Add("completed", local.Completed)
 		op.Add("short_circuit_rows", local.ShortCircuitRows)
 		op.Add("fallback_conds", int64(local.FallbackConds))
-		op.Add("hash_cache_hits", local.HashCacheHits)
-		op.Add("hash_cache_misses", local.HashCacheMisses)
 		op.Add("packed_hash_conds", local.PackedHashConds)
 		op.Add("spill_partitions", local.SpillPartitions)
 		op.Add("spill_bytes_written", local.SpillBytesWritten)

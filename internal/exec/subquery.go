@@ -89,10 +89,8 @@ func (e *Executor) evalSubquerySource(src algebra.Node, q *query) (*relation.Rel
 		return e.eval(src, newEnv(q))
 	}
 	key := plancache.ResultKey("subsrc", src.String(), tags)
-	if v, ok := e.Results.Get(key); ok {
-		if rel, ok := v.(*relation.Relation); ok {
-			return rel, nil
-		}
+	if rel, ok := e.Results.Get(key); ok {
+		return rel, nil
 	}
 	rel, err := e.eval(src, newEnv(q))
 	if err != nil {

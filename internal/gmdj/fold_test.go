@@ -3,7 +3,9 @@ package gmdj
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
+	"time"
 
 	"github.com/olaplab/gmdj/internal/agg"
 	"github.com/olaplab/gmdj/internal/algebra"
@@ -80,7 +82,8 @@ func TestEstimateBoundsState(t *testing.T) {
 // over the detail's rows and over its typed columns (Options.Columns).
 // ns/detail-row is the whole Evaluate over the detail rows it folds;
 // net-ns/detail-row leaves out what the one-row case costs, the state
-// build and the emit of the 40k base, which no detail row pays.
+// build and the emit of the 40k base, which no detail row pays: the
+// median of five timed batches, as one batch swings by a third.
 func BenchmarkFold(b *testing.B) {
 	base, detail := foldRels(40000, 200000)
 	cols := detailColumns(detail)
@@ -89,12 +92,18 @@ func BenchmarkFold(b *testing.B) {
 	count := []algebra.GMDJCond{{Theta: expr.Eq(expr.C("B.k"), expr.C("R.k")), Aggs: []agg.Spec{kindSpec(agg.CountStar, "a")}}}
 	fixed := 0.0 // ns an op of the one-row case; 0 until it ran
 	b.Run("one-row", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := Evaluate(base, one, count, Options{Workers: 1}); err != nil {
-				b.Fatal(err)
+		var batches [5]float64
+		for k := range batches {
+			start, n := time.Now(), max(b.N/len(batches), 1)
+			for i := 0; i < n; i++ {
+				if _, err := Evaluate(base, one, count, Options{Workers: 1}); err != nil {
+					b.Fatal(err)
+				}
 			}
+			batches[k] = float64(time.Since(start).Nanoseconds()) / float64(n)
 		}
-		fixed = float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+		slices.Sort(batches[:])
+		fixed = batches[len(batches)/2]
 	})
 	for _, f := range []agg.Func{agg.CountStar, agg.Count, agg.Sum, agg.Avg, agg.Min} {
 		conds := []algebra.GMDJCond{{Theta: expr.Eq(expr.C("B.k"), expr.C("R.k")), Aggs: []agg.Spec{kindSpec(f, "a")}}}

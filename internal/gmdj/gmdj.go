@@ -43,7 +43,6 @@ import (
 	"runtime"
 	"slices"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -70,7 +69,8 @@ type Stats struct {
 	// for a hot key's partition split in two: both halves walk its rows.
 	DetailScans int64
 	// DetailPassWorkers is how many goroutines shared the detail pass
-	// (1 serial, or a detail under two morsels); 0 when none ran.
+	// (1 serial, or a detail under two morsels); 0 when none ran, for want
+	// of a detail predicate, a route or a key vector it owes.
 	DetailPassWorkers int64
 	// DetailRows is the number of detail tuples fed, summed over scans (a
 	// row routed nowhere is fed by the pass).
@@ -95,12 +95,6 @@ type Stats struct {
 	// entry per partition folded in a concurrent round (per range, for a
 	// fallback θ); a round of one single-range partition adds none.
 	WorkerRows []int64
-	// HashCacheHits / HashCacheMisses count detail-side key-hash
-	// partitions reused from (or computed and published to) the
-	// cross-query hash cache (Options.HashCache). A hit saves one full
-	// hashing pass over the detail relation per condition key set.
-	HashCacheHits   int64
-	HashCacheMisses int64
 	// PackedHashConds counts indexed conditions whose detail key hashes
 	// came from typed columns (Options.Columns or PackedHash).
 	PackedHashConds int64
@@ -133,8 +127,6 @@ func (s *Stats) Merge(src *Stats) {
 	s.ShortCircuitRows += src.ShortCircuitRows
 	s.FallbackConds += src.FallbackConds
 	s.WorkerRows = append(s.WorkerRows, src.WorkerRows...)
-	s.HashCacheHits += src.HashCacheHits
-	s.HashCacheMisses += src.HashCacheMisses
 	s.PackedHashConds += src.PackedHashConds
 	s.SpillPartitions += src.SpillPartitions
 	s.SpillBytesWritten += src.SpillBytesWritten
@@ -166,16 +158,6 @@ type Options struct {
 	// Live, when non-nil, receives detail-row progress for the live query
 	// dashboard, so a long detail scan shows advancing numbers as it runs.
 	Live *obs.LiveQuery
-	// HashCache, together with a non-empty DetailID, lets the evaluator
-	// reuse detail-side key-hash partitions across queries: the vector
-	// for (detail relation, key columns) is looked up before being
-	// computed, and published — complete — after. DetailID must capture
-	// the detail relation's identity AND version, so a stale vector is
-	// unreachable by construction.
-	HashCache HashCache
-	// DetailID identifies the detail relation for HashCache keys
-	// (e.g. "Flow#3@7"). Empty disables hash-partition caching.
-	DetailID string
 	// Columns, when non-nil, supplies the detail's typed columns by
 	// position (storage.Table.Column; nil: none), for exactly the rows
 	// passed to Evaluate (a vector of another length is not read). The
@@ -210,27 +192,19 @@ type Emit struct {
 	Row    func(wide relation.Tuple) (relation.Tuple, error)
 }
 
-// HashCache is the minimal cache surface the evaluator needs for
-// detail-hash reuse (satisfied by plancache.ResultCache). Values are
-// immutable after Put.
-type HashCache interface {
-	Get(key string) (any, bool)
-	Put(key string, v any, bytes int64)
-}
-
 // detailHashVec is the per-detail-row key-hash partition for one
 // key-column set: H[i] is the KeyHash of row i's key columns and OK[i]
 // is false where any key component is NULL (never matches) — or, in a
-// vector the detail pass filled for this query only, where no condition
-// accepted row i and so none will read it.
+// vector the detail pass filled, where no condition accepted row i and
+// so none will read it.
 type detailHashVec struct {
 	H  []uint64
 	OK []bool
 }
 
-// vecPool recycles the vectors the detail pass fills for one query only
-// (nine bytes a detail row, most of what a hash-bound query allocates):
-// Evaluate returns them after the fold, newVec hands them out again.
+// vecPool recycles the vectors the detail pass fills (nine bytes a
+// detail row, most of what a hash-bound query allocates): Evaluate
+// returns them after the fold, newVec hands them out again.
 var vecPool sync.Pool
 
 func newVec(n int) *detailHashVec {
@@ -245,7 +219,8 @@ func newVec(n int) *detailHashVec {
 // passBuf is the rest of what the pass fills for one query, recycled like
 // the hash vectors: every detailPredOK, the routed rows (staged: each
 // morsel's, at its first row), each detail predicate's Scan, and the
-// workers' position lists (pos, three morsels' worth a worker).
+// workers' position lists (pos: three lists a worker, each as long as a
+// morsel or the detail, whichever is shorter).
 type passBuf struct {
 	ok                 []bool
 	route, staged, pos []int32
@@ -273,16 +248,13 @@ type condProg struct {
 	aggs       [2]int     // this cond's aggregates: positions [aggs[0], aggs[1]) of program.specs
 	atoms      []int      // completion atom indexes watching this condition
 
-	// detailHash, when non-nil, holds the precomputed key hash per detail
-	// row, replacing per-row KeyHash calls in feed; conditions on one
-	// detailKey share it. passHash marks it as owed to the detail pass,
-	// which hashes the rows this condition accepts — every row when
-	// publish names the cross-query cache key the complete vector goes
-	// out under. Read-only during the fold.
+	// detailHash is an indexed condition's key hash per detail row, which
+	// feed reads; conditions on one detailKey share it. passHash marks it
+	// as owed to the detail pass, which hashes the rows some indexed
+	// condition accepts. Read-only during the fold.
 	detailHash *detailHashVec
 	passHash   bool
 	pair       bool // an aggregate argument reads the base: the aggregates fold base++detail
-	publish    string
 	// detailPredOK, when non-nil, is the detail pass's outcome of
 	// detailPred per detail row; unreached records that it holds on none
 	// (where newState asks), so a fallback condition needs no scan list.
@@ -296,8 +268,8 @@ type condProg struct {
 // does not depend on which base tuples are resident. It is built once
 // per Evaluate and shared by every partition the driver runs.
 type program struct {
-	// Options are the caller's, normalized: Stats is never nil, HashCache
-	// is nil without a DetailID, PackedHash is dropped once found stale.
+	// Options are the caller's, normalized: Stats is never nil,
+	// PackedHash is dropped once found stale.
 	Options
 	base, detail *relation.Relation
 	baseW        int
@@ -309,12 +281,11 @@ type program struct {
 	cols []*relation.ColVec
 	// passWorkers is the detail pass's degree; 1 — serial, or a detail
 	// under two morsels, too small to repay the goroutines — runs it on
-	// the query goroutine, and feed hashes keys inline. fallback records
-	// that some condition lacks an equi-binding, which is what makes
-	// sharding the fold pay (degree).
+	// the query goroutine. fallback records that some condition lacks an
+	// equi-binding, which is what makes sharding the fold pay (degree).
 	passWorkers int
 	fallback    bool
-	pooled      []*detailHashVec // unpublished pass vectors, back to vecPool after the fold
+	pooled      []*detailHashVec // the pass's vectors, back to vecPool after the fold
 	// bits cuts the base into 1<<bits partitions (parts); by key when all
 	// conditions are indexed on one (baseKey, detailKey) pair — route — and
 	// the pass, run even at degree 1, lists key partition j's rows: routes[j].
@@ -401,7 +372,8 @@ func Evaluate(base, detail *relation.Relation, conds []algebra.GMDJCond, opts Op
 // counts' prefix sums. Workers write disjoint ranges of shared vectors,
 // so there is no merge and the outcome cannot depend on which worker
 // claimed which morsel. A pass runs when there is a detail predicate, a
-// route or an owed vector, at passWorkers 1 too.
+// route or an owed vector, at passWorkers 1 too: every indexed condition
+// without a PackedHash vector owes one.
 func (p *program) detailPass() error {
 	n, work, preds := len(p.detail.Rows), p.route, 0
 	for _, cp := range p.conds {
@@ -422,8 +394,8 @@ func (p *program) detailPass() error {
 			b.scans[ci].Bind(cp.detailPred, p.cols)
 		}
 	}
-	const mr = govern.MorselRows
-	b.pos = slices.Grow(b.pos[:0], p.passWorkers*3*mr)[:p.passWorkers*3*mr]
+	stride := min(n, govern.MorselRows) // a position list: at most a morsel
+	b.pos = slices.Grow(b.pos[:0], p.passWorkers*3*stride)[:p.passWorkers*3*stride]
 	if p.route {
 		p.routes = make([][]int32, 1<<p.bits)
 		b.staged = slices.Grow(b.staged[:0], n)[:n]
@@ -435,7 +407,7 @@ func (p *program) detailPass() error {
 	morsel := func(w, m, lo, hi int) error {
 		if route != nil {
 			p.placeMorsel(counts[m*k:(m+1)*k], route, b.staged[lo:lo+int(kept[m])])
-		} else if keep, err := p.detailMorsel(b.pos[w*3*mr:(w+1)*3*mr], lo, hi); err != nil {
+		} else if keep, err := p.detailMorsel(b.pos[w*3*stride:(w+1)*3*stride], stride, lo, hi); err != nil {
 			return err
 		} else if p.route {
 			kept[m] = p.routeMorsel(counts[m*k:(m+1)*k], b.staged[lo:hi], lo, keep)
@@ -473,25 +445,22 @@ func (p *program) detailPass() error {
 	p.Stats.DetailPassWorkers += int64(used)
 	for ci := range p.conds {
 		cp := &p.conds[ci]
-		if cp.publish != "" {
-			p.HashCache.Put(cp.publish, cp.detailHash, int64(n)*9)
-		}
 		// Where newState asks: a base-only conjunct, or no key.
 		cp.unreached = cp.detailPredOK != nil && (cp.basePred != nil || len(cp.baseKey) == 0) && !slices.Contains(cp.detailPredOK, true)
 	}
 	return nil
 }
 
-// detailMorsel is the detail pass over rows [lo, hi) in a worker's
-// position lists pos: cancellation polled and gmdj.pass fired once, then
-// per condition a Scan of its detail predicate into its detailPredOK
-// range. Each owed key-hash vector hashes the rows some indexed condition
-// keeps (all when it goes out to the cross-query cache): those returned.
-func (p *program) detailMorsel(pos []int32, lo, hi int) ([]int32, error) {
+// detailMorsel is the detail pass over rows [lo, hi) in a worker's three
+// position lists of mr rows each (pos): cancellation polled and gmdj.pass
+// fired once, then per condition a Scan of its detail predicate into its
+// detailPredOK range. Each owed key-hash vector hashes the rows some
+// indexed condition keeps: those returned. It is the one place a detail
+// key is hashed.
+func (p *program) detailMorsel(pos []int32, mr, lo, hi int) ([]int32, error) {
 	if err := cmp.Or(p.Gov.Check(), p.Faults.Fire("gmdj.pass", p.Gov)); err != nil {
 		return nil, err
 	}
-	const mr = govern.MorselRows
 	all, u := morselRows[:hi-lo], 0
 	var keep []int32 // the union so far, alternating between pos's last two lists
 	for ci := range p.conds {
@@ -514,11 +483,7 @@ func (p *program) detailMorsel(pos []int32, lo, hi int) ([]int32, error) {
 	for ci := range p.conds {
 		cp := &p.conds[ci]
 		if cp.passHash && !slices.ContainsFunc(p.conds[:ci], func(c condProg) bool { return c.detailHash == cp.detailHash }) {
-			hash := keep
-			if cp.publish != "" {
-				hash = all
-			}
-			p.hashRows(cp.detailHash.H[lo:hi], cp.detailHash.OK[lo:hi], hash, cp.detailKey, lo)
+			p.hashRows(cp.detailHash.H[lo:hi], cp.detailHash.OK[lo:hi], keep, cp.detailKey, lo)
 		}
 	}
 	return keep, nil
@@ -632,10 +597,10 @@ func estimateStateBytes(base *relation.Relation, conds []algebra.GMDJCond, comp 
 }
 
 // compile is the preamble every regime shares: it binds and classifies
-// every condition, resolves the detail-side key-hash vectors (or leaves
-// them to the detail pass), and counts the fallback conditions — once
-// per Evaluate, however many partitions the base is then evaluated in.
-// spillBits is the spill regime's fan-out, 0 in memory.
+// every condition, resolves the detail-side key-hash vectors (from
+// PackedHash, or owed by the detail pass), and counts the fallback
+// conditions — once per Evaluate, however many partitions the base is
+// then evaluated in. spillBits is the spill regime's fan-out, 0 in memory.
 func compile(base, detail *relation.Relation, conds []algebra.GMDJCond, opts Options, spillBits int) (*program, error) {
 	combined := base.Schema.Concat(detail.Schema)
 	p := &program{
@@ -648,9 +613,6 @@ func compile(base, detail *relation.Relation, conds []algebra.GMDJCond, opts Opt
 	}
 	if p.Stats == nil {
 		p.Stats = new(Stats)
-	}
-	if p.DetailID == "" {
-		p.HashCache = nil
 	}
 	var err error
 	if p.outSchema, err = algebra.GMDJSchema(base.Schema, conds); err != nil {
@@ -762,12 +724,8 @@ func bindAggs(dst, specs []agg.Spec, s *relation.Schema) ([]agg.Spec, error) {
 
 // attachHashes gives every indexed condition its detail-side key-hash
 // vector, one per distinct key-column set (coalesced subqueries probing
-// the same binding, the common GMDJOpt shape, share it). A cross-query
-// cache hit always replaces the hashing. Otherwise a parallel run owes
-// the vector to the detail pass; a serial one reads it from PackedHash,
-// or owes it to an inline pass that publishes or routes it or runs a
-// detail predicate, or leaves the scan to hash each chunk (from typed
-// columns where it has them).
+// the same binding, the common GMDJOpt shape, share it): a serial run's
+// from PackedHash when it supplies one, else one the detail pass owes.
 func (p *program) attachHashes() {
 	for i := range p.conds {
 		cp := &p.conds[i]
@@ -779,48 +737,18 @@ func (p *program) attachHashes() {
 				cp.detailHash, cp.passHash = prev.detailHash, prev.passHash
 			}
 		}
-		if cp.detailHash != nil { // served by the earlier condition's source
-			if p.HashCache != nil {
-				p.Stats.HashCacheHits++
-			} else if !cp.passHash || p.typedKey(cp.detailKey) {
-				p.Stats.PackedHashConds++
+		if cp.detailHash == nil && p.passWorkers <= 1 {
+			if cp.detailHash = p.packedVec(cp.detailKey); cp.detailHash != nil {
+				continue
 			}
-			continue
 		}
-		key := ""
-		if p.HashCache != nil {
-			keyCols := make([]string, len(cp.detailKey))
-			for k, pos := range cp.detailKey {
-				keyCols[k] = strconv.Itoa(pos)
-			}
-			key = "gmdjhash|" + p.DetailID + "|k" + strings.Join(keyCols, ",")
-			if v, ok := p.HashCache.Get(key); ok {
-				if vec, ok := v.(*detailHashVec); ok && len(vec.H) == len(p.detail.Rows) {
-					cp.detailHash = vec
-					p.Stats.HashCacheHits++
-					continue
-				}
-			}
-			p.Stats.HashCacheMisses++
+		if cp.detailHash == nil {
+			cp.detailHash, cp.passHash = newVec(len(p.detail.Rows)), true
+			p.pooled = append(p.pooled, cp.detailHash)
 		}
-		n := len(p.detail.Rows)
-		if p.passWorkers <= 1 {
-			cp.detailHash = p.packedVec(cp.detailKey)
-		}
-		if cp.detailHash == nil && p.typedKey(cp.detailKey) {
+		if !cp.passHash || p.typedKey(cp.detailKey) {
 			p.Stats.PackedHashConds++
 		}
-		switch {
-		case cp.detailHash != nil:
-			if key != "" {
-				p.HashCache.Put(key, cp.detailHash, int64(n)*9)
-			}
-		case p.passWorkers > 1 || key != "" || p.route || slices.ContainsFunc(p.conds, func(c condProg) bool { return c.detailPred != nil }):
-			cp.detailHash, cp.passHash, cp.publish = newVec(n), true, key
-			if key == "" {
-				p.pooled = append(p.pooled, cp.detailHash)
-			}
-		} // else no supplier: feed hashes inline
 	}
 }
 
@@ -1219,11 +1147,9 @@ func (s *state) extremes(rb *rangeBind, list, ext []int32) []int32 {
 	return ext
 }
 
-// chunk is an indexed condition's scratch for a chunk of the walk: key hashes
-// no vector holds, a typed condition's matches in walk order, exactKey.
+// chunk is an indexed condition's scratch for a chunk of the walk: a typed
+// condition's matches in walk order, exactKey.
 type chunk struct {
-	h        [scanChunk]uint64
-	ok       [scanChunk]bool
 	n        int
 	pos, det [scanChunk]int32
 	exact    bool
@@ -1270,11 +1196,8 @@ func (s *state) feed(blo, bhi int) (int, error) {
 				}
 				continue
 			}
-			h, ok := ch.h[j-blo], ch.ok[j-blo]
-			if vec := cp.detailHash; vec != nil {
-				h, ok = vec.H[di], vec.OK[di]
-			}
-			if !ok {
+			h := cp.detailHash.H[di]
+			if !cp.detailHash.OK[di] {
 				continue
 			}
 			// One bucket walk, two sinks: the typed fold's buffer, or match.
@@ -1727,14 +1650,7 @@ func (p *program) scan(w int, st *state, stop *atomic.Bool) error {
 		if stop.Load() {
 			return nil
 		}
-		bhi := min(blo+scanChunk, n)
-		for ci, ch := range st.chunks { // keys no vector holds (no detail predicate): an unrouted walk's rows are contiguous
-			if cp := &p.conds[ci]; ch != nil && cp.detailHash == nil {
-				clear(ch.ok[:bhi-blo])
-				p.hashRows(ch.h[:], ch.ok[:], morselRows[:bhi-blo], cp.detailKey, blo)
-			}
-		}
-		j, err := st.feed(blo, bhi)
+		j, err := st.feed(blo, min(blo+scanChunk, n))
 		if err == nil {
 			err = st.flush()
 		}

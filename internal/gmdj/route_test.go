@@ -63,6 +63,43 @@ func TestRouteAllocsFlat(t *testing.T) {
 	}
 }
 
+// TestPassAllocsSmallDetail: a fresh pass buffer holds a worker's
+// position lists for the detail's rows, not for a morsel: the serial pass
+// over a 300-row detail allocates less than one morsel of positions.
+func TestPassAllocsSmallDetail(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled vectors")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	base, _ := packedCorpus()
+	detail := passDetail(300)
+	conds := []algebra.GMDJCond{{
+		Theta: expr.NewAnd(expr.Eq(expr.C("R.k"), expr.C("B.k")), expr.Eq(expr.C("R.tag"), expr.StrLit("odd"))),
+		Aggs:  []agg.Spec{{Func: agg.CountStar, As: "cnt"}},
+	}}
+	var bytes uint64
+	for i := 0; i < 10; i++ {
+		p, err := compile(base, detail, conds, Options{Workers: 1}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for bufPool.Get().(*passBuf).pos != nil { // empty the pool: the pass gets a fresh buffer
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err = p.detailPass()
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bytes += after.TotalAlloc - before.TotalAlloc
+	}
+	if morsel := uint64(govern.MorselRows * 4); bytes/10 >= morsel {
+		t.Errorf("the pass over %d rows allocates %d B, a morsel of positions is %d B", detail.Len(), bytes/10, morsel)
+	}
+}
+
 // TestRouteFaultsAndCancellation: a routed fold failing in one key
 // partition — an injected error or panic at gmdj.worker, or a cancel
 // landing mid-walk — fails the evaluation with that error, stops the

@@ -1,9 +1,9 @@
 // Package plancache implements the cross-query caching layers behind
 // prepared statements: a parameterized plan cache (normalized SQL →
 // compiled physical plan template) and a result cache used for
-// engine-level memoization of uncorrelated subquery materializations
-// and GMDJ detail-side hash partitions. Both are one byte-budgeted,
-// in-memory LRU (lru), keyed and validated differently.
+// engine-level memoization of uncorrelated subquery materializations.
+// Both are one byte-budgeted, in-memory LRU (lru), keyed and validated
+// differently.
 //
 // Correctness relies on two epoch mechanisms (see DESIGN.md):
 //

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/olaplab/gmdj/internal/algebra"
+	"github.com/olaplab/gmdj/internal/relation"
 )
 
 func entry(tables ...string) *Entry {
@@ -65,18 +66,26 @@ func TestPlanCachePurge(t *testing.T) {
 	}
 }
 
+// rels are distinct relations to cache: rels[i] is value i.
+var rels = func() (r [4]*relation.Relation) {
+	for i := range r {
+		r[i] = relation.New(relation.NewSchema())
+	}
+	return r
+}()
+
 func TestResultCacheLRU(t *testing.T) {
 	c := NewResults(100)
-	c.Put("a", 1, 60)
-	c.Put("b", 2, 60) // evicts a
+	c.Put("a", rels[1], 60)
+	c.Put("b", rels[2], 60) // evicts a
 	if _, ok := c.Get("a"); ok {
 		t.Fatal("a should have been evicted")
 	}
-	if v, ok := c.Get("b"); !ok || v != 2 {
+	if v, ok := c.Get("b"); !ok || v != rels[2] {
 		t.Fatalf("b = %v, %v", v, ok)
 	}
 	// Oversized values are refused outright.
-	c.Put("huge", 3, 1000)
+	c.Put("huge", rels[3], 1000)
 	if _, ok := c.Get("huge"); ok {
 		t.Fatal("oversized value cached")
 	}
@@ -92,9 +101,9 @@ func TestResultCacheLRU(t *testing.T) {
 		run    func(t *testing.T, c *ResultCache)
 	}{
 		{"same key replaces", 100, func(t *testing.T, c *ResultCache) {
-			c.Put("a", 1, 60)
-			c.Put("a", 2, 30)
-			if v, ok := c.Get("a"); !ok || v != 2 {
+			c.Put("a", rels[1], 60)
+			c.Put("a", rels[2], 30)
+			if v, ok := c.Get("a"); !ok || v != rels[2] {
 				t.Fatalf("a = %v, %v; want the newer value", v, ok)
 			}
 			if s := c.Stats(); s.Entries != 1 || s.Bytes != 30 || s.Evictions != 0 {
@@ -102,10 +111,10 @@ func TestResultCacheLRU(t *testing.T) {
 			}
 		}},
 		{"get refreshes recency", 100, func(t *testing.T, c *ResultCache) {
-			c.Put("a", 1, 40)
-			c.Put("b", 2, 40)
+			c.Put("a", rels[1], 40)
+			c.Put("b", rels[2], 40)
 			c.Get("a")
-			c.Put("c", 3, 40) // evicts b, the least recent
+			c.Put("c", rels[3], 40) // evicts b, the least recent
 			if _, ok := c.Get("b"); ok {
 				t.Fatal("b should have been evicted")
 			}
@@ -114,8 +123,8 @@ func TestResultCacheLRU(t *testing.T) {
 			}
 		}},
 		{"oversized keeps residents", 100, func(t *testing.T, c *ResultCache) {
-			c.Put("a", 1, 60)
-			c.Put("huge", 2, 101)
+			c.Put("a", rels[1], 60)
+			c.Put("huge", rels[2], 101)
 			if _, ok := c.Get("a"); !ok {
 				t.Fatal("a refused value evicted a resident")
 			}
@@ -124,13 +133,13 @@ func TestResultCacheLRU(t *testing.T) {
 			}
 		}},
 		{"negative estimate is free", 100, func(t *testing.T, c *ResultCache) {
-			c.Put("a", 1, -5)
+			c.Put("a", rels[1], -5)
 			if s := c.Stats(); s.Entries != 1 || s.Bytes != 0 {
 				t.Fatalf("stats after a negative estimate: %+v", s)
 			}
 		}},
 		{"purge keeps counters", 100, func(t *testing.T, c *ResultCache) {
-			c.Put("a", 1, 60)
+			c.Put("a", rels[1], 60)
 			c.Get("a")
 			c.Purge()
 			if _, ok := c.Get("a"); ok {
@@ -142,7 +151,7 @@ func TestResultCacheLRU(t *testing.T) {
 		}},
 		{"hits and misses counted", 100, func(t *testing.T, c *ResultCache) {
 			c.Get("a")
-			c.Put("a", 1, 10)
+			c.Put("a", rels[1], 10)
 			c.Get("a")
 			c.Get("a")
 			if s := c.Stats(); s.Hits != 2 || s.Misses != 1 {
@@ -150,8 +159,8 @@ func TestResultCacheLRU(t *testing.T) {
 			}
 		}},
 		{"default budget", 0, func(t *testing.T, c *ResultCache) {
-			c.Put("full", 1, DefaultResultBytes)
-			c.Put("over", 2, DefaultResultBytes+1)
+			c.Put("full", rels[1], DefaultResultBytes)
+			c.Put("over", rels[2], DefaultResultBytes+1)
 			if _, ok := c.Get("full"); !ok {
 				t.Fatal("a value of the whole default budget refused")
 			}
@@ -191,7 +200,7 @@ func TestCachesConcurrent(t *testing.T) {
 				}
 				rk := fmt.Sprintf("r%d", i%13)
 				if _, ok := rc.Get(rk); !ok {
-					rc.Put(rk, i, 8)
+					rc.Put(rk, rels[i%len(rels)], 8)
 				}
 			}
 		}(g)

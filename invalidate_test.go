@@ -8,13 +8,15 @@ import (
 )
 
 // invalidationQueries exercise each cache layer: q1 the parameterized
-// plan cache, q2 the GMDJ detail-hash memo, q3 the uncorrelated
-// subquery-source memo.
+// plan cache, q2 a GMDJ over the indexed detail, q3 the uncorrelated
+// subquery-source memo (under Native; its source is a join, not a bare
+// scan).
 var invalidationQueries = []string{
 	`SELECT name FROM users WHERE score > 15`,
 	`SELECT u.name FROM users u WHERE EXISTS (
 		SELECT * FROM flows f WHERE f.src = u.ip AND f.bytes > 1000)`,
-	`SELECT name FROM users WHERE score > (SELECT AVG(bytes) FROM flows WHERE bytes < 50)`,
+	`SELECT name FROM users WHERE score > (
+		SELECT AVG(f.bytes) FROM flows f, users v WHERE f.src = v.ip AND f.bytes < 50)`,
 }
 
 func invalidationDB(t *testing.T) *DB {
@@ -137,9 +139,9 @@ func TestCacheInvalidation(t *testing.T) {
 // records an invalidation.
 func TestCacheInvalidationCounters(t *testing.T) {
 	db := invalidationDB(t)
-	q := invalidationQueries[1]
+	q := invalidationQueries[2]
 	for i := 0; i < 2; i++ {
-		if _, err := db.Query(q); err != nil {
+		if _, err := db.QueryStrategy(q, Native); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -149,7 +151,7 @@ func TestCacheInvalidationCounters(t *testing.T) {
 		t.Fatalf("warmup did not hit: plan %+v memo %+v", planBefore, memoBefore)
 	}
 	db.MustInsert("flows", []any{"10.0.0.3", int64(1)})
-	if _, err := db.Query(q); err != nil {
+	if _, err := db.QueryStrategy(q, Native); err != nil {
 		t.Fatal(err)
 	}
 	planAfter := db.PlanCacheStats()
@@ -166,7 +168,7 @@ func TestCacheInvalidationCounters(t *testing.T) {
 	if err := db.BuildHashIndex("flows", "bytes"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.Query(q); err != nil {
+	if _, err := db.QueryStrategy(q, Native); err != nil {
 		t.Fatal(err)
 	}
 	if got := db.PlanCacheStats(); got.Invalidations != planAfter.Invalidations+1 {

@@ -66,9 +66,9 @@ func WithPlanCache(maxBytes int64) Option {
 }
 
 // WithResultCache enables cross-query memoization: uncorrelated
-// subquery source materializations and GMDJ detail-side hash vectors
-// are cached across queries, keyed by table versions so any write to a
-// dependency invalidates them. maxBytes bounds the memo; 0 is not set
+// subquery source materializations are cached across queries, keyed by
+// table versions so any write to a dependency invalidates them; a GMDJ
+// neither reads nor writes the memo. maxBytes bounds the memo; 0 is not set
 // and takes the 64 MiB default, a negative value disables the memo
 // (the Open default).
 func WithResultCache(maxBytes int64) Option {

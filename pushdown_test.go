@@ -73,15 +73,13 @@ func TestPushSelectionsPreparedPrunes(t *testing.T) {
 	}
 }
 
-// TestPushSelectionsResultCache: with the cross-query cache on, a
-// detail that lost blocks to pruning is not the table's rows, so its
-// evaluation neither looks a hash vector up nor publishes one (a vector
-// over the survivors filed under the table's id would poison the next
-// query); a detail no block was pruned from still shares its vector;
-// and after an INSERT the pruned query sees the new rows.
+// TestPushSelectionsResultCache: with the cross-query memo on, a GMDJ
+// query over a detail pruned or whole neither reads nor writes the memo
+// and counts what it counts with the memo off. A subquery source over ev
+// that the memo holds misses after an INSERT into ev, and it and the
+// pruned query both see the new row.
 func TestPushSelectionsResultCache(t *testing.T) {
-	db := eventsDB(t, WithResultCache(0))
-	pruning := fmt.Sprintf(eventsExists, "8000", "90")
+	db, plain := eventsDB(t, WithResultCache(0)), eventsDB(t)
 	check := func(q string) {
 		t.Helper()
 		got, err := db.Query(q)
@@ -96,42 +94,48 @@ func TestPushSelectionsResultCache(t *testing.T) {
 			t.Fatalf("%s:\n gmdj-opt %v\n native   %v", q, sortedCells(got), sortedCells(want))
 		}
 	}
-
-	check(pruning)
-	check(pruning)
-	if s := db.ResultCacheStats(); s.Hits+s.Misses != 0 || s.Entries != 0 {
-		t.Fatalf("a pruned detail touched the hash-vector cache: %+v", s)
-	}
-
-	whole := fmt.Sprintf(eventsExists, "-1", "90")
-	check(whole)
-	published := db.ResultCacheStats()
-	if published.Entries != 1 || published.Misses != 1 {
-		t.Fatalf("an unpruned fused detail should publish its hash vector once: %+v", published)
-	}
-	check(whole)
-	if s := db.ResultCacheStats(); s.Hits != published.Hits+1 {
-		t.Fatalf("replay over the unpruned detail should reuse the vector: %+v", s)
-	}
-	check(pruning) // beside a published vector for the whole table: still not read
-	if s := db.ResultCacheStats(); s.Hits != published.Hits+1 || s.Misses != published.Misses {
-		t.Fatalf("a pruned detail read the whole table's vector: %+v", s)
+	pruning, whole := fmt.Sprintf(eventsExists, "8000", "90"), fmt.Sprintf(eventsExists, "-1", "90")
+	for _, q := range []string{pruning, whole, pruning, whole} {
+		check(q)
+		gmdjIgnoresMemo(t, db, plain, q)
 	}
 
 	// Group 3 gains its only qualifying row in a new ninth block.
+	db.MustCreateTable("cut", Col("k", Int))
+	db.MustInsert("cut", []any{int64(8191)})
+	const src = `SELECT b.g FROM grp b WHERE b.g IN (SELECT e.g FROM ev e, cut c WHERE e.k > c.k)`
 	none := fmt.Sprintf(eventsExists, "8191", "90")
-	if r, err := db.Query(none); err != nil || r.Len() != 0 {
-		t.Fatalf("before the insert: %v rows, err %v", r, err)
+	run := func(q string) *Result { // the memo serves Native's subquery sources
+		t.Helper()
+		s := GMDJOpt
+		if q == src {
+			s = Native
+		}
+		r, err := db.QueryStrategy(q, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	for _, q := range []string{none, src, src} {
+		if r := run(q); r.Len() != 0 {
+			t.Fatalf("before the insert, %s: %v", q, r.Rows)
+		}
+	}
+	held := db.ResultCacheStats()
+	if held.Entries != 1 || held.Hits != 1 {
+		t.Fatalf("the source over ev should be held and served: %+v", held)
 	}
 	if _, err := db.Exec(`INSERT INTO ev VALUES (8192, 3, 99)`); err != nil {
 		t.Fatal(err)
 	}
-	r, err := db.Query(none)
-	if err != nil {
-		t.Fatal(err)
+	for _, q := range []string{none, src} {
+		if r := run(q); r.Len() != 1 || r.Rows[0][0] != int64(3) {
+			t.Fatalf("after the insert, %s: %v, want [[3]]", q, r.Rows)
+		}
 	}
-	if r.Len() != 1 || r.Rows[0][0] != int64(3) {
-		t.Fatalf("after the insert: %v, want [[3]]", r.Rows)
+	if s := db.ResultCacheStats(); s.Hits != held.Hits || s.Misses != held.Misses+1 {
+		t.Errorf("after the insert the source should miss: %+v -> %+v", held, s)
 	}
 	check(none)
 	check(whole)

@@ -56,6 +56,12 @@ none "one way to configure" "$(grep -rnE 'func \(e \*Engine\) Set(Budget|FaultIn
 grep -A1 '^type Value struct' internal/value/value.go | grep -qE '^\s+_\s+\[0\]func\(\)$' || fail "a non-comparable Value"
 # One fold state: aggregates fold into agg.State's typed columns.
 none "one fold state" "$(grep -rnE 'agg\.(Accumulator|NewAccumulator|NewRows)' --include=*.go internal *.go | grep -v _test.go)"
+# The GMDJ knows nothing of the memo: the result memo holds subquery
+# sources, and no detail-key hash goes in or out of it.
+none "the GMDJ knows nothing of the memo" "$(grep -rnE 'HashCache|DetailID|gmdjhash' --include=*.go internal | grep -v _test.go)"
+# One detail-key hasher: the detail pass (detailMorsel) hashes every key
+# a hash-bound fold reads; hashRows, unexported, has no caller elsewhere.
+none "one detail-key hasher (hashRows called from detailMorsel only)" "$(awk '/^func /{f=$0} /hashRows\(/ && !/^func / && f !~ /\) detailMorsel\(/{print FILENAME": "f}' $(ls internal/gmdj/*.go | grep -v _test.go))"
 # One memo tier: the result memo is one in-memory LRU.
 none "one memo tier" "$(grep -rnE 'SetReclaim|SpillDown|EncodeRelation|DecodeRelation|demoteLocked' --include=*.go internal cmd *.go | grep -v _test.go)"
 # One plan rebuilder, one output-column rule, one zone-map builder:
