@@ -7,7 +7,7 @@
 //	olapd [-addr :8080] [-data netflow|tpcr|none] [-scale f] [-parallel n]
 //	      [-data-dir dir] [-timeout d] [-max-timeout d]
 //	      [-mem-limit bytes] [-spill-dir dir] [-admission-timeout d]
-//	      [-plancache bytes] [-resultcache bytes]
+//	      [-plancache bytes]
 //	      [-quota spec] [-tenants spec] [-slo spec] [-drain-timeout d]
 //	      [-admin] [-slow-ms n] [-slowlog out.json] [-leak-check]
 //	      [-trace-cap n] [-log-level debug|info|warn|error|off]
@@ -144,7 +144,6 @@ func run() int {
 	spillDir := flag.String("spill-dir", "auto", "spill scratch root ('auto' = system temp dir, '' disables spilling)")
 	admission := flag.Duration("admission-timeout", 0, "memory-pool admission deadline (0 = 10s default)")
 	planCacheBytes := flag.Int64("plancache", 0, "parameterized plan cache byte budget (0 = default, negative disables)")
-	resultCacheBytes := flag.Int64("resultcache", -1, "cross-query result memo byte budget (negative = off)")
 	quota := flag.String("quota", "", "default tenant quota spec, e.g. inflight=64,mem=64MiB,admission=2s")
 	tenants := flag.String("tenants", "", "per-tenant quota specs, e.g. 'a:inflight=8;b:inflight=2'")
 	sloSpec := flag.String("slo", "", "per-tenant SLOs published on /metrics, e.g. 'a:avail=0.999,p99=250ms;b:avail=0.99'")
@@ -190,7 +189,6 @@ func run() int {
 	opts := []gmdj.Option{
 		gmdj.WithParallelism(*parallel),
 		gmdj.WithPlanCache(*planCacheBytes),
-		gmdj.WithResultCache(*resultCacheBytes),
 	}
 	if *memLimit > 0 {
 		opts = append(opts, gmdj.WithMemoryLimit(*memLimit))

@@ -5,7 +5,7 @@
 //	olapql [-data netflow|tpcr|none] [-scale f] [-strategy s] [-parallel n]
 //	       [-timeout d] [-max-rows n] [-max-mem bytes]
 //	       [-mem-limit bytes] [-spill-dir dir] [-admission-timeout d]
-//	       [-data-dir dir] [-plancache bytes] [-resultcache bytes]
+//	       [-data-dir dir] [-plancache bytes]
 //	       [-explain] [-trace out.json] [-metrics-addr :8080]
 //	       [-slowlog out.json] [-slow-ms n] [-profile-dir dir]
 //
@@ -18,14 +18,12 @@
 // \checkpoint; \segments shows each table's durable state.
 //
 // Caching: the parameterized plan cache is on by default (-plancache
-// sets its byte budget; negative disables it); -resultcache enables
-// the cross-query memo of uncorrelated subquery sources, invalidated by
-// table version on any write (negative, the default, leaves it off). \caches shows both caches'
+// sets its byte budget; negative disables it); \caches shows its
 // hit/miss/eviction counters.
 //
 // Memory-adaptive execution: -mem-limit bounds tracked operator state
-// across all concurrent queries; under the limit, GMDJ state and cached
-// results spill to temp files under -spill-dir instead of failing
+// across all concurrent queries; under the limit, GMDJ state spills to
+// temp files under -spill-dir instead of failing
 // (an empty -spill-dir disables spilling, turning exhaustion into a
 // hard abort), and queries queue up to -admission-timeout for pool capacity
 // before being shed. \mem shows the pool and spill-store counters.
@@ -52,7 +50,7 @@
 //	\prepare <query>     compile a statement with ? or $n placeholders
 //	\execute <args...>   run the prepared statement with bound arguments
 //	                     ('quoted' strings, numbers, true/false, null)
-//	\caches              show plan-cache and result-memo counters
+//	\caches              show plan-cache counters
 //	\mem                 show memory-pool and spill-store counters
 //	\stats               show process-wide engine counters
 //	\hist                show workload latency/row histograms (p50/p90/p99)
@@ -118,7 +116,6 @@ func main() {
 	admission := flag.Duration("admission-timeout", 0, "how long a query may queue for pool memory before being shed (0 = 10s default)")
 	dataDir := flag.String("data-dir", "", "persist tables as columnar segments under this directory, recovering committed state on startup ('' = in-memory only)")
 	planCacheBytes := flag.Int64("plancache", 0, "parameterized plan cache byte budget (0 = default 16 MiB, negative disables)")
-	resultCacheBytes := flag.Int64("resultcache", -1, "cross-query result memo byte budget (0 = default 64 MiB, negative = off)")
 	execQuery := flag.String("e", "", "execute one query and exit")
 	explain := flag.Bool("explain", false, "with -e: print the EXPLAIN ANALYZE plan alongside the result")
 	traceOut := flag.String("trace", "", "record query spans and write Chrome trace_event JSON to this file on exit")
@@ -132,7 +129,6 @@ func main() {
 		gmdj.WithParallelism(*parallel),
 		gmdj.WithBudget(gmdj.Budget{Timeout: *timeout, MaxRows: *maxRows, MaxMemBytes: *maxMem}),
 		gmdj.WithPlanCache(*planCacheBytes),
-		gmdj.WithResultCache(*resultCacheBytes),
 	}
 	if *memLimit > 0 {
 		opts = append(opts, gmdj.WithMemoryLimit(*memLimit))
@@ -462,11 +458,9 @@ func printSegments(db *gmdj.DB) {
 }
 
 func printCacheStats(db *gmdj.DB) {
-	p, r := db.PlanCacheStats(), db.ResultCacheStats()
-	fmt.Printf("  plan cache:  hits=%d misses=%d evictions=%d invalidations=%d entries=%d bytes=%d\n",
+	p := db.PlanCacheStats()
+	fmt.Printf("  plan cache: hits=%d misses=%d evictions=%d invalidations=%d entries=%d bytes=%d\n",
 		p.Hits, p.Misses, p.Evictions, p.Invalidations, p.Entries, p.Bytes)
-	fmt.Printf("  result memo: hits=%d misses=%d evictions=%d entries=%d bytes=%d\n",
-		r.Hits, r.Misses, r.Evictions, r.Entries, r.Bytes)
 }
 
 // splitArgs parses \execute arguments: whitespace- or comma-separated

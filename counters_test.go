@@ -38,8 +38,8 @@ func hermeticEnv(t *testing.T) {
 
 // corpusDB opens the fig4/fig5 corpus (the key-pair tables plus a
 // TPC-R-like warehouse) under a memory limit small enough to spill,
-// with a data directory and the result memo on — the configuration in
-// which every owner of a counter has something to count.
+// with a data directory — the configuration in which every owner of a
+// counter has something to count.
 func corpusDB(t *testing.T) *DB {
 	t.Helper()
 	hermeticEnv(t)
@@ -54,15 +54,15 @@ func corpusDB(t *testing.T) *DB {
 	}
 	db := newDB(cat, []Option{
 		WithMemoryLimit(memSpillLimit), WithSpillDir(t.TempDir()),
-		WithDataDir(t.TempDir()), WithResultCache(0),
+		WithDataDir(t.TempDir()),
 	})
 	t.Cleanup(func() { db.Close() })
 	return db
 }
 
 // runCorpus runs both figure queries under every strategy and a derived
-// table under Native (a relation the result memo caches), twice, so the
-// second pass hits the plan cache.
+// table under Native (a source charged to the query's subquery
+// tracker), twice, so the second pass hits the plan cache.
 func runCorpus(t *testing.T, db *DB) {
 	t.Helper()
 	for pass := 0; pass < 2; pass++ {
@@ -159,9 +159,6 @@ func TestMetricsOneSource(t *testing.T) {
 		{"plancache.miss", "gmdj_plan_cache_misses_total"},
 		{"plancache.eviction", "gmdj_plan_cache_evictions_total"},
 		{"plancache.invalidation", "gmdj_plan_cache_invalidations_total"},
-		{"resultcache.hit", "gmdj_result_cache_hits_total"},
-		{"resultcache.miss", "gmdj_result_cache_misses_total"},
-		{"resultcache.eviction", "gmdj_result_cache_evictions_total"},
 		{"mem.admitted", "gmdj_mem_pool_admitted_total"},
 		{"mem.admission_timeouts", "gmdj_mem_pool_timed_out_total"},
 		{"spill.bytes_written", "gmdj_spill_bytes_written_total"},
@@ -196,8 +193,9 @@ func TestMetricsOneSource(t *testing.T) {
 // spilling limit with a data directory, Metrics holds exactly the keys
 // the process-global registry held for the same work (the list below
 // was recorded at the commit before the registry went, plus the
-// derived table's mem.subquery_overcommit, less the result memo's disk
-// tier and the pool's reclaim valve, which are gone; serve.* and
+// derived table's mem.subquery_overcommit, less the cross-query cache
+// of subquery sources, its disk tier and the pool's reclaim valve,
+// which are gone; serve.* and
 // profile.* belong to the serving layer, see internal/serve's
 // TestServeEventLabels).
 func TestMetricsKeySet(t *testing.T) {
@@ -209,7 +207,6 @@ func TestMetricsKeySet(t *testing.T) {
 		"mem.admitted", "mem.subquery_overcommit",
 		"plancache.hit", "plancache.miss",
 		"queries.gmdj", "queries.gmdj-opt", "queries.native", "queries.unnest",
-		"resultcache.hit", "resultcache.miss",
 		"rows_scanned",
 		"spill.bytes_read", "spill.bytes_written", "spill.reads", "spill.writes",
 		"storage.bytes_written", "storage.checkpoints", "storage.opens", "storage.recoveries",

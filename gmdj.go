@@ -142,7 +142,7 @@ type DB struct {
 // options the database has the parameterized plan cache enabled
 // (16 MiB LRU; see WithPlanCache), secondary-index use on,
 // morsel-driven parallelism at runtime.GOMAXPROCS(0) (see
-// WithParallelism), no budget, and no cross-query result memo.
+// WithParallelism) and no budget.
 //
 // Configuration is resolved once, here: the built-in defaults, then
 // the process environment, then the options in order, where a zero
@@ -152,7 +152,7 @@ type DB struct {
 // root, admission timeout), GMDJ_DATA_DIR (a root under which each DB
 // claims a private data directory, deleted on Close) and GMDJ_FAULTS
 // (fault injection), read in one place (internal/engine's
-// envDefaults). The plan cache, result memo, memory pool, scratch
+// envDefaults). The plan cache, memory pool, scratch
 // directory and durable store are then built once each; no setting
 // changes afterwards. Three things attach to an open DB: SetDataDir
 // (opening a directory can fail, and callers report what recovery

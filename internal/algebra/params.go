@@ -163,8 +163,7 @@ func BindParams(n Node, args []value.Value) (Node, error) {
 
 // Tables returns the sorted set of base tables the plan reads,
 // including tables referenced only inside subquery sources at any
-// depth. Cache layers use it to tie a compiled plan (or a memoized
-// result) to the epochs of everything it depends on.
+// depth. The plan cache records it with each compiled plan.
 func Tables(n Node) []string {
 	seen := map[string]bool{}
 	collectTables(n, seen)

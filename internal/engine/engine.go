@@ -97,9 +97,6 @@ type Engine struct {
 	// API layers above the engine; the engine itself only hosts it so
 	// one cache serves every entry point over this catalog.
 	plans *plancache.Cache
-	// results, when non-nil, memoizes uncorrelated subquery source
-	// materializations across queries; it is threaded into the executor.
-	results *plancache.ResultCache
 	// pool is the engine-wide byte pool queries draw reservations from;
 	// spillStore holds the GMDJ base partitions spilled under it. Both
 	// nil without a memory limit (see memory.go).
@@ -154,12 +151,10 @@ type Config struct {
 	// strategy: subquery outcomes are cached per distinct correlation
 	// binding.
 	MemoizeSubqueries bool
-	// PlanCacheBytes and ResultCacheBytes size the parameterized plan
-	// cache and the cross-query result memo (uncorrelated subquery
-	// sources): 0 takes the cache's default size, a negative value builds
-	// no cache. The plan cache is on by
-	// default (0), the result memo off (-1).
-	PlanCacheBytes, ResultCacheBytes int64
+	// PlanCacheBytes sizes the parameterized plan cache: 0 (the
+	// default) takes the cache's default size, a negative value builds
+	// no cache.
+	PlanCacheBytes int64
 	// MemoryLimit sizes the engine-wide pool bounding tracked operator
 	// state across all concurrent queries (<= 0: no pool, the default);
 	// GMDJ_MEM's limit= supplies a default.
@@ -190,7 +185,7 @@ type Option func(*Config)
 
 // New creates an engine over a catalog in four steps: Config from the
 // defaults and the GMDJ_* environment (envDefaults); the options, in
-// order; the durable store, the pool, the scratch store and the caches,
+// order; the durable store, the pool, the scratch store and the plan cache,
 // once each; the degree clamp on the executor.
 func New(cat *storage.Catalog, opts ...Option) *Engine {
 	c, envDataDir := envDefaults()
@@ -205,10 +200,6 @@ func New(cat *storage.Catalog, opts ...Option) *Engine {
 	e.buildMemory()
 	if c.PlanCacheBytes >= 0 {
 		e.plans = plancache.New(c.PlanCacheBytes)
-	}
-	if c.ResultCacheBytes >= 0 {
-		e.results = plancache.NewResults(c.ResultCacheBytes)
-		e.exec.Results = e.results
 	}
 	e.exec.Parallelism = mem.ClampParallelism(c.MemoryLimit, c.Parallelism)
 	return e
@@ -234,7 +225,7 @@ func envDefaults() (c Config, envDataDir string) {
 	ignore := func(name string, err error) {
 		fmt.Fprintf(os.Stderr, "engine: ignoring %s: %v\n", name, err)
 	}
-	c = Config{Parallelism: runtime.GOMAXPROCS(0), UseIndexes: true, ResultCacheBytes: -1, SpillDir: spill.DefaultRoot()}
+	c = Config{Parallelism: runtime.GOMAXPROCS(0), UseIndexes: true, SpillDir: spill.DefaultRoot()}
 	if s := strings.TrimSpace(os.Getenv(EnvParallel)); s != "" {
 		if n, err := strconv.Atoi(s); err == nil && n > 0 {
 			c.Parallelism = n
@@ -268,9 +259,6 @@ func (e *Engine) Catalog() *storage.Catalog { return e.cat }
 
 // PlanCache returns the engine's plan cache, or nil.
 func (e *Engine) PlanCache() *plancache.Cache { return e.plans }
-
-// ResultCache returns the engine's result memo, or nil.
-func (e *Engine) ResultCache() *plancache.ResultCache { return e.results }
 
 // TableSchema implements algebra.SchemaResolver.
 func (e *Engine) TableSchema(name string) (*relation.Schema, error) {

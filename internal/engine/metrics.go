@@ -62,11 +62,6 @@ func (e *Engine) Metrics() map[string]int64 {
 	add("plancache.invalidation", pc.Invalidations)
 	add("plancache.eviction", pc.Evictions)
 
-	rc := e.results.Stats()
-	add("resultcache.hit", rc.Hits)
-	add("resultcache.miss", rc.Misses)
-	add("resultcache.eviction", rc.Evictions)
-
 	pool := e.pool.Stats()
 	add("mem.admitted", pool.Admitted)
 	add("mem.queued", pool.QueuedTotal)

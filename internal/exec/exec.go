@@ -24,7 +24,6 @@ import (
 	"github.com/olaplab/gmdj/internal/govern"
 	"github.com/olaplab/gmdj/internal/mem"
 	"github.com/olaplab/gmdj/internal/obs"
-	"github.com/olaplab/gmdj/internal/plancache"
 	"github.com/olaplab/gmdj/internal/relation"
 	"github.com/olaplab/gmdj/internal/spill"
 	"github.com/olaplab/gmdj/internal/storage"
@@ -53,12 +52,6 @@ type Executor struct {
 	// (nil = no injection). Set once at engine construction; read-only
 	// during evaluation, so concurrent queries are safe.
 	Faults *govern.Injector
-	// Results, when non-nil, is the engine-level cross-query memo:
-	// uncorrelated subquery source materializations are published to it
-	// under keys that embed each dependency table's id@version, so
-	// entries computed before a write are unreachable afterwards (see
-	// internal/plancache).
-	Results *plancache.ResultCache
 	// Spill, when non-nil, is the engine's file-backed store for
 	// operator state evicted under memory pressure; GMDJ nodes use it
 	// to spill base partitions when the query reservation (carried by

@@ -6,7 +6,6 @@ import (
 	"github.com/olaplab/gmdj/internal/agg"
 	"github.com/olaplab/gmdj/internal/algebra"
 	"github.com/olaplab/gmdj/internal/expr"
-	"github.com/olaplab/gmdj/internal/plancache"
 	"github.com/olaplab/gmdj/internal/relation"
 	"github.com/olaplab/gmdj/internal/storage"
 	"github.com/olaplab/gmdj/internal/value"
@@ -75,34 +74,15 @@ type cpSub struct {
 // evalSubquerySource materializes a subquery's source relation.
 // Sources are resolved standalone — they can never reference the outer
 // scope (sql/resolve.go resolves them against their own schema only) —
-// so a source materialization is an invariant of the whole query. With
-// the engine-level result cache attached, non-trivial sources (derived
-// tables: anything beyond a bare scan) are shared across queries under
-// a key embedding the id@version of every table they read; a write to
-// any of those tables makes the entry unreachable.
+// so a source materialization is an invariant of the whole query. A
+// derived source (anything beyond a bare scan) is new state and is
+// charged to the query's reservation (chargeSubquery).
 func (e *Executor) evalSubquerySource(src algebra.Node, q *query) (*relation.Relation, error) {
-	if e.Results == nil || !cacheableSource(src) {
-		return e.eval(src, newEnv(q))
-	}
-	tags, ok := e.epochTags(src)
-	if !ok {
-		return e.eval(src, newEnv(q))
-	}
-	key := plancache.ResultKey("subsrc", src.String(), tags)
-	if rel, ok := e.Results.Get(key); ok {
-		return rel, nil
-	}
 	rel, err := e.eval(src, newEnv(q))
-	if err != nil {
-		return nil, err
+	if err == nil && derivedSource(src) {
+		e.chargeSubquery(q, rel)
 	}
-	var bytes int64
-	for _, row := range rel.Rows {
-		bytes += row.ApproxBytes()
-	}
-	e.chargeSubquery(q, bytes)
-	e.Results.Put(key, rel, bytes)
-	return rel, nil
+	return rel, err
 }
 
 // chargeSubquery accounts a materialized subquery source against the
@@ -110,50 +90,32 @@ func (e *Executor) evalSubquerySource(src algebra.Node, q *query) (*relation.Rel
 // time its size is known, so on exhaustion there is nothing to spill —
 // the overcommit is recorded (mem.subquery_overcommit) and the query
 // proceeds.
-func (e *Executor) chargeSubquery(q *query, bytes int64) {
-	if q == nil || bytes <= 0 {
-		return
-	}
+func (e *Executor) chargeSubquery(q *query, rel *relation.Relation) {
 	t := q.tracker("subquery")
 	if t == nil {
 		return
+	}
+	var bytes int64
+	for _, row := range rel.Rows {
+		bytes += row.ApproxBytes()
 	}
 	if err := t.Grow(bytes); err != nil {
 		e.subqueryOvercommit.Add(1)
 	}
 }
 
-// cacheableSource reports whether materializing src does work worth
-// caching: bare table scans (and aliases over them) share the table's
-// rows and cost nothing, so caching them would only duplicate state.
-func cacheableSource(src algebra.Node) bool {
+// derivedSource reports whether materializing src builds new rows:
+// bare table scans (and aliases over them) share the table's rows and
+// hold nothing of their own.
+func derivedSource(src algebra.Node) bool {
 	switch t := src.(type) {
 	case *algebra.Scan, *algebra.Raw:
 		return false
 	case *algebra.Alias:
-		return cacheableSource(t.Input)
+		return derivedSource(t.Input)
 	default:
 		return true
 	}
-}
-
-// epochTags resolves the id@version tag of every base table src reads;
-// ok is false when any table is missing (don't cache what we can't
-// version).
-func (e *Executor) epochTags(src algebra.Node) ([]string, bool) {
-	names := algebra.Tables(src)
-	if len(names) == 0 {
-		return nil, false // Raw-only subtree: no versioned dependencies
-	}
-	tags := make([]string, len(names))
-	for i, name := range names {
-		t, err := e.Cat.Table(name)
-		if err != nil {
-			return nil, false
-		}
-		tags[i] = plancache.EpochTag(name, t.ID(), t.Version())
-	}
-	return tags, true
 }
 
 func (e *Executor) compileSubPred(sp *algebra.SubPred, outer *relation.Schema, q *query) (*cpSub, error) {

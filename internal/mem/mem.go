@@ -19,8 +19,7 @@
 // Governor does — so ungoverned evaluation pays one nil check.
 //
 // When the pool cannot satisfy a grow request the request fails and the
-// operator falls back to its own spill path. The result memo is not a
-// pool user: it is bounded by its own budget (see internal/plancache).
+// operator falls back to its own spill path.
 package mem
 
 import (

@@ -1,26 +1,19 @@
-// Package plancache implements the cross-query caching layers behind
-// prepared statements: a parameterized plan cache (normalized SQL →
-// compiled physical plan template) and a result cache used for
-// engine-level memoization of uncorrelated subquery materializations.
-// Both are one byte-budgeted, in-memory LRU (lru), keyed and validated
-// differently.
+// Package plancache implements the parameterized plan cache behind
+// prepared statements: normalized SQL → compiled physical plan
+// template, one byte-budgeted, in-memory LRU.
 //
-// Correctness relies on two epoch mechanisms (see DESIGN.md):
-//
-//   - Plan entries record the catalog schema epoch at compile time and
-//     are revalidated on every hit; CREATE/DROP and index changes bump
-//     the epoch, so a stale plan is never served.
-//   - Result entries embed each dependency table's id@version pair in
-//     their keys. Writers bump versions, so a write does not so much
-//     invalidate old entries as make them unreachable; LRU pressure
-//     eventually evicts them.
-//
-// Both caches are safe for concurrent use and keep their own hit/miss/
-// eviction counters (Stats), which the engine's counter snapshot and
-// the Prometheus families both render.
+// Entries record the catalog schema epoch at compile time and are
+// revalidated on every hit; CREATE/DROP and index changes bump the
+// epoch, so a stale plan is never served (see DESIGN.md §9). The cache
+// is safe for concurrent use and keeps its own hit/miss/eviction
+// counters (Stats), which the engine's counter snapshot and the
+// Prometheus families both render.
 package plancache
 
 import (
+	"container/list"
+	"sync"
+
 	"github.com/olaplab/gmdj/internal/algebra"
 	"github.com/olaplab/gmdj/internal/expr"
 )
@@ -47,8 +40,30 @@ type Entry struct {
 	SchemaEpoch uint64
 }
 
-// Cache is a byte-budgeted LRU plan cache.
-type Cache struct{ lru[Key, *Entry] }
+// Stats is a point-in-time snapshot of the cache's counters.
+type Stats struct {
+	Hits, Misses, Evictions, Invalidations int64
+	Entries                                int
+	Bytes                                  int64
+}
+
+// Cache is a byte-budgeted LRU plan cache: a map into a list whose
+// front is the most recent entry, a byte total the planBytes estimates
+// add up to, and the counters.
+type Cache struct {
+	mu    sync.Mutex
+	max   int64
+	cur   int64
+	ll    *list.List // front = most recent; values are *item
+	items map[Key]*list.Element
+	stats Stats
+}
+
+type item struct {
+	key   Key
+	entry *Entry
+	bytes int64
+}
 
 // DefaultPlanBytes is the plan-cache budget used when callers pass a
 // non-positive limit: generous for plan templates (a plan is a few KB)
@@ -61,32 +76,75 @@ func New(maxBytes int64) *Cache {
 	if maxBytes <= 0 {
 		maxBytes = DefaultPlanBytes
 	}
-	return &Cache{newLRU[Key, *Entry](maxBytes)}
+	return &Cache{max: maxBytes, ll: list.New(), items: make(map[Key]*list.Element)}
 }
 
 // Get returns the entry for k when present and compiled under
-// schemaEpoch. A present-but-stale entry is dropped and counted as an
-// invalidation (plus a miss: the caller must recompile either way).
+// schemaEpoch, and marks it most recent. A present-but-stale entry is
+// dropped and counted as an invalidation (plus a miss: the caller must
+// recompile either way).
 func (c *Cache) Get(k Key, schemaEpoch uint64) (*Entry, bool) {
-	return c.get(k, func(e *Entry) bool {
-		if e.SchemaEpoch != schemaEpoch {
-			c.stats.Invalidations++
-			return false
-		}
-		return true
-	})
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.items[k]
+	if ok && el.Value.(*item).entry.SchemaEpoch != schemaEpoch {
+		c.stats.Invalidations++
+		c.removeLocked(el)
+		ok = false
+	}
+	if !ok {
+		c.stats.Misses++
+		return nil, false
+	}
+	c.ll.MoveToFront(el)
+	c.stats.Hits++
+	return el.Value.(*item).entry, true
 }
 
 // Put inserts (or replaces) the entry for k and evicts from the LRU
-// tail until the byte budget holds.
-func (c *Cache) Put(k Key, e *Entry) { c.put(k, e, planBytes(k, e)) }
+// tail until the byte budget holds, always keeping the newest entry.
+func (c *Cache) Put(k Key, e *Entry) {
+	bytes := planBytes(k, e)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.items[k]; ok {
+		c.removeLocked(el)
+	}
+	c.items[k] = c.ll.PushFront(&item{key: k, entry: e, bytes: bytes})
+	c.cur += bytes
+	for c.cur > c.max && c.ll.Len() > 1 {
+		c.stats.Evictions++
+		c.removeLocked(c.ll.Back())
+	}
+}
+
+func (c *Cache) removeLocked(el *list.Element) {
+	it := el.Value.(*item)
+	c.ll.Remove(el)
+	delete(c.items, it.key)
+	c.cur -= it.bytes
+}
+
+// Purge drops every entry (counters are preserved).
+func (c *Cache) Purge() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.ll.Init()
+	c.items = make(map[Key]*list.Element)
+	c.cur = 0
+}
 
 // Stats snapshots the cache counters (zero value for a nil cache).
 func (c *Cache) Stats() Stats {
 	if c == nil {
 		return Stats{}
 	}
-	return c.snapshot()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	s := c.stats
+	s.Entries = c.ll.Len()
+	s.Bytes = c.cur
+	return s
 }
 
 // planBytes estimates an entry's resident size: key text plus a flat

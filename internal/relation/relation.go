@@ -152,7 +152,7 @@ func (t Tuple) ApproxBytes() int64 {
 }
 
 // Key encodes the tuple as a map key for exact grouping (DISTINCT,
-// GROUP BY, set operations, the result memo): the concatenation of each
+// GROUP BY, set operations): the concatenation of each
 // cell's value.AppendKey form. That form is self-delimiting and
 // canonical, so Key is collision-free and two tuples share a Key exactly
 // when Equal holds — INT 1 ≡ FLOAT 1.0 and -0.0 ≡ 0.0, as under = and

@@ -313,9 +313,8 @@ func (t *Table) Append(rows []relation.Tuple) error {
 }
 
 // BumpVersion records a data or index mutation: it advances the
-// table's version (unreaching every memoized result keyed on the old
-// one) and the owning catalog's write epoch (so the next query
-// checkpoints). Compiled plans name tables, not rows, and stay valid.
+// table's version (so the next checkpoint rewrites it) and the owning
+// catalog's write epoch (so the next query checkpoints). Compiled plans name tables, not rows, and stay valid.
 func (t *Table) BumpVersion() {
 	t.version.Add(1)
 	if t.cat != nil {

@@ -7,10 +7,9 @@ import (
 	"testing"
 )
 
-// invalidationQueries exercise each cache layer: q1 the parameterized
-// plan cache, q2 a GMDJ over the indexed detail, q3 the uncorrelated
-// subquery-source memo (under Native; its source is a join, not a bare
-// scan).
+// invalidationQueries exercise the plan cache over three shapes: q1 a
+// plain selection, q2 a GMDJ over the indexed detail, q3 an
+// uncorrelated subquery whose source is a join, not a bare scan.
 var invalidationQueries = []string{
 	`SELECT name FROM users WHERE score > 15`,
 	`SELECT u.name FROM users u WHERE EXISTS (
@@ -21,7 +20,7 @@ var invalidationQueries = []string{
 
 func invalidationDB(t *testing.T) *DB {
 	t.Helper()
-	db := Open(WithResultCache(0))
+	db := Open()
 	t.Cleanup(func() { db.Close() })
 	db.MustCreateTable("users",
 		Col("name", String), Col("ip", String), Col("score", Int))
@@ -51,9 +50,9 @@ func rowsKey(t *testing.T, res *Result) string {
 	return strings.Join(lines, "\n")
 }
 
-// TestCacheInvalidation is the staleness proof for every cache layer:
+// TestCacheInvalidation is the staleness proof for the plan cache:
 // after each kind of write to a referenced table, a warmed database
-// (plan cache + result memo populated by two prior runs) must answer
+// (its plan cache populated by two prior runs) must answer
 // exactly like a cold database built directly in the post-write state.
 func TestCacheInvalidation(t *testing.T) {
 	mutations := []struct {
@@ -98,8 +97,8 @@ func TestCacheInvalidation(t *testing.T) {
 		for _, s := range []Strategy{Native, GMDJOpt} {
 			t.Run(mut.name+"/"+s.String(), func(t *testing.T) {
 				warm := invalidationDB(t)
-				// Warm every cache: two runs so the second is served from
-				// the plan cache and the memo.
+				// Warm the cache: two runs so the second is served from
+				// the plan cache.
 				for i := 0; i < 2; i++ {
 					for _, q := range invalidationQueries {
 						if _, err := warm.QueryStrategy(q, s); err != nil {
@@ -133,10 +132,9 @@ func TestCacheInvalidation(t *testing.T) {
 
 // TestCacheInvalidationCounters pins the mechanism, not just the
 // outcome. An insert moves the table's version, not the schema epoch:
-// the compiled plan names tables, not rows, and is served again, while
-// the result memo's version-tagged keys miss rather than hit. An index
-// change moves the schema epoch too, and the next lookup of the plan
-// records an invalidation.
+// the compiled plan names tables, not rows, and is served again. An
+// index change moves the schema epoch too, and the next lookup of the
+// plan records an invalidation.
 func TestCacheInvalidationCounters(t *testing.T) {
 	db := invalidationDB(t)
 	q := invalidationQueries[2]
@@ -146,24 +144,16 @@ func TestCacheInvalidationCounters(t *testing.T) {
 		}
 	}
 	planBefore := db.PlanCacheStats()
-	memoBefore := db.ResultCacheStats()
-	if planBefore.Hits == 0 || memoBefore.Hits == 0 {
-		t.Fatalf("warmup did not hit: plan %+v memo %+v", planBefore, memoBefore)
+	if planBefore.Hits == 0 {
+		t.Fatalf("warmup did not hit: %+v", planBefore)
 	}
 	db.MustInsert("flows", []any{"10.0.0.3", int64(1)})
 	if _, err := db.QueryStrategy(q, Native); err != nil {
 		t.Fatal(err)
 	}
 	planAfter := db.PlanCacheStats()
-	memoAfter := db.ResultCacheStats()
 	if planAfter.Hits != planBefore.Hits+1 || planAfter.Invalidations != planBefore.Invalidations {
 		t.Errorf("an insert should leave the plan cached: %+v -> %+v", planBefore, planAfter)
-	}
-	if memoAfter.Hits != memoBefore.Hits {
-		t.Errorf("memo served a stale hit after write: %+v -> %+v", memoBefore, memoAfter)
-	}
-	if memoAfter.Misses == memoBefore.Misses {
-		t.Errorf("memo should have missed on new version keys: %+v -> %+v", memoBefore, memoAfter)
 	}
 	if err := db.BuildHashIndex("flows", "bytes"); err != nil {
 		t.Fatal(err)

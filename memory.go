@@ -8,8 +8,8 @@ import (
 
 // Memory-adaptive execution. WithMemoryLimit bounds the bytes of
 // tracked operator state (GMDJ base-side hash state, materialized
-// subquery sources) across all concurrent queries on the DB; the
-// result memo is bounded by its own WithResultCache budget instead. Under the limit, the engine degrades instead of failing:
+// subquery sources) across all concurrent queries on the DB. Under the
+// limit, the engine degrades instead of failing:
 //
 //   - A GMDJ node whose state does not fit its reservation partitions
 //     its base state by hash prefix and spills cold partitions to temp

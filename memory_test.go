@@ -196,11 +196,11 @@ func TestConfigPrecedence(t *testing.T) {
 	envSpill, optSpill := t.TempDir(), t.TempDir()
 	const env = "env"
 	type knobs struct {
-		parallel            int
-		limit               int64
-		admission           time.Duration
-		spill               string
-		planBytes, resBytes int64
+		parallel  int
+		limit     int64
+		admission time.Duration
+		spill     string
+		planBytes int64
 	}
 	for _, c := range []struct {
 		name string
@@ -208,17 +208,17 @@ func TestConfigPrecedence(t *testing.T) {
 		opts []Option
 		want knobs
 	}{
-		{"defaults", "", nil, knobs{runtime.GOMAXPROCS(0), 0, 0, spill.DefaultRoot(), 0, -1}},
-		{"env", env, nil, knobs{3, 1 << 20, 2 * time.Second, envSpill, 0, -1}},
+		{"defaults", "", nil, knobs{runtime.GOMAXPROCS(0), 0, 0, spill.DefaultRoot(), 0}},
+		{"env", env, nil, knobs{3, 1 << 20, 2 * time.Second, envSpill, 0}},
 		{"zero options keep env", env, []Option{WithParallelism(0), WithMemoryLimit(0), WithAdmissionTimeout(0)},
-			knobs{3, 1 << 20, 2 * time.Second, envSpill, 0, -1}},
-		{"zero caches take the default size", "", []Option{WithPlanCache(0), WithResultCache(0)},
-			knobs{runtime.GOMAXPROCS(0), 0, 0, spill.DefaultRoot(), 0, 0}},
+			knobs{3, 1 << 20, 2 * time.Second, envSpill, 0}},
+		{"zero plan cache takes the default size", "", []Option{WithPlanCache(0)},
+			knobs{runtime.GOMAXPROCS(0), 0, 0, spill.DefaultRoot(), 0}},
 		{"options beat env", env, []Option{WithParallelism(5), WithMemoryLimit(2 << 20),
-			WithAdmissionTimeout(time.Second), WithSpillDir(optSpill), WithPlanCache(-1), WithResultCache(-1)},
-			knobs{5, 2 << 20, time.Second, optSpill, -1, -1}},
+			WithAdmissionTimeout(time.Second), WithSpillDir(optSpill), WithPlanCache(-1)},
+			knobs{5, 2 << 20, time.Second, optSpill, -1}},
 		{"negative limit unsets env", env, []Option{WithMemoryLimit(-1), WithSpillDir("")},
-			knobs{3, -1, 2 * time.Second, "", 0, -1}},
+			knobs{3, -1, 2 * time.Second, "", 0}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			t.Setenv("GMDJ_PARALLEL", "")
@@ -230,7 +230,7 @@ func TestConfigPrecedence(t *testing.T) {
 			db := Open(c.opts...)
 			defer db.Close()
 			cfg := db.eng.Config()
-			got := knobs{cfg.Parallelism, cfg.MemoryLimit, cfg.AdmissionTimeout, cfg.SpillDir, cfg.PlanCacheBytes, cfg.ResultCacheBytes}
+			got := knobs{cfg.Parallelism, cfg.MemoryLimit, cfg.AdmissionTimeout, cfg.SpillDir, cfg.PlanCacheBytes}
 			if got != c.want {
 				t.Fatalf("resolved %+v, want %+v", got, c.want)
 			}
@@ -239,8 +239,8 @@ func TestConfigPrecedence(t *testing.T) {
 				ms.SpillEnabled != (c.want.limit > 0 && c.want.spill != "") {
 				t.Errorf("built memory posture %+v does not follow the config", ms)
 			}
-			if (db.eng.PlanCache() != nil) != (c.want.planBytes >= 0) || (db.eng.ResultCache() != nil) != (c.want.resBytes >= 0) {
-				t.Errorf("caches built: plan %v result %v", db.eng.PlanCache() != nil, db.eng.ResultCache() != nil)
+			if (db.eng.PlanCache() != nil) != (c.want.planBytes >= 0) {
+				t.Errorf("plan cache built: %v", db.eng.PlanCache() != nil)
 			}
 		})
 	}

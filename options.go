@@ -11,7 +11,7 @@ import (
 //	db := gmdj.Open(
 //		gmdj.WithParallelism(4),
 //		gmdj.WithBudget(gmdj.Budget{Timeout: time.Second}),
-//		gmdj.WithResultCache(0),
+//		gmdj.WithPlanCache(1<<20),
 //	)
 //
 // A zero numeric argument means "not set": the GMDJ_* environment, then
@@ -65,26 +65,14 @@ func WithPlanCache(maxBytes int64) Option {
 	return func(c *engine.Config) { c.PlanCacheBytes = maxBytes }
 }
 
-// WithResultCache enables cross-query memoization: uncorrelated
-// subquery source materializations are cached across queries, keyed by
-// table versions so any write to a dependency invalidates them; a GMDJ
-// neither reads nor writes the memo. maxBytes bounds the memo; 0 is not set
-// and takes the 64 MiB default, a negative value disables the memo
-// (the Open default).
-func WithResultCache(maxBytes int64) Option {
-	return func(c *engine.Config) { c.ResultCacheBytes = maxBytes }
-}
-
-// CacheStats snapshots one cache's counters (PlanCacheStats,
-// ResultCacheStats).
+// CacheStats snapshots the plan cache's counters (PlanCacheStats).
 type CacheStats struct {
 	// Hits and Misses count lookups.
 	Hits, Misses int64
 	// Evictions counts entries dropped for space (LRU order).
 	Evictions int64
-	// Invalidations counts plan-cache entries dropped because the
-	// catalog changed under them. (The result cache invalidates by key
-	// construction, so this stays 0 there.)
+	// Invalidations counts entries dropped because the catalog changed
+	// under them.
 	Invalidations int64
 	// Entries and Bytes describe current occupancy.
 	Entries int
@@ -102,7 +90,3 @@ func toCacheStats(s plancache.Stats) CacheStats {
 // PlanCacheStats snapshots the plan cache's counters. All zeros when
 // plan caching is disabled.
 func (db *DB) PlanCacheStats() CacheStats { return toCacheStats(db.eng.PlanCache().Stats()) }
-
-// ResultCacheStats snapshots the cross-query memo's counters. All
-// zeros unless WithResultCache enabled it.
-func (db *DB) ResultCacheStats() CacheStats { return toCacheStats(db.eng.ResultCache().Stats()) }

@@ -25,7 +25,6 @@ const PromContentType = obs.PromContentType
 //	                                      strategy, governance trips,
 //	                                      spill traffic, cache churn)
 //	gmdj_plan_cache_*_total               plan-cache hits/misses/evictions
-//	gmdj_result_cache_*_total             result-memo hits/misses/evictions
 //	gmdj_mem_pool_*                       memory-pool gauges (when enabled)
 //	gmdj_spill_bytes_{written,read}_total scratch-store traffic
 //	gmdj_query_duration_seconds{strategy} latency histograms (observer)
@@ -55,11 +54,6 @@ func (db *DB) PromCollect(p *obs.PromWriter, extra map[string]int64) {
 	p.Counter("gmdj_plan_cache_misses_total", "Parameterized plan cache misses.", nil, pc.Misses)
 	p.Counter("gmdj_plan_cache_evictions_total", "Parameterized plan cache evictions.", nil, pc.Evictions)
 	p.Counter("gmdj_plan_cache_invalidations_total", "Parameterized plan cache schema invalidations.", nil, pc.Invalidations)
-	rc := db.ResultCacheStats()
-	p.Counter("gmdj_result_cache_hits_total", "Cross-query result memo hits.", nil, rc.Hits)
-	p.Counter("gmdj_result_cache_misses_total", "Cross-query result memo misses.", nil, rc.Misses)
-	p.Counter("gmdj_result_cache_evictions_total", "Cross-query result memo evictions.", nil, rc.Evictions)
-	p.Counter("gmdj_result_cache_invalidations_total", "Cross-query result memo invalidations.", nil, rc.Invalidations)
 
 	// Pool families are emitted unconditionally (zero without a pool):
 	// dashboards and olapcheck prom -require can rely on their presence, and

@@ -50,20 +50,18 @@ none "one scenario format (no YAML parser)" "$(grep -rn 'func ParseYAML' --inclu
 none "one scenario format (no YAML scenarios)" "$(ls scenarios/*.yaml 2>/dev/null)"
 # One way to configure: engine.New resolves every execution knob into
 # one Config; no setter changes one afterwards.
-none "one way to configure" "$(grep -rnE 'func \(e \*Engine\) Set(Budget|FaultInjector|UseIndexes|Parallelism|MemoizeSubqueries|PlanCache|ResultCache|MemoryLimit|SpillDir|AdmissionTimeout)\(' internal/engine)"
+none "one way to configure" "$(grep -rnE 'func \(e \*Engine\) Set(Budget|FaultInjector|UseIndexes|Parallelism|MemoizeSubqueries|PlanCache|MemoryLimit|SpillDir|AdmissionTimeout)\(' internal/engine)"
 # A non-comparable 32-byte Value: the zero-size func field comes first,
 # so it adds no padding and == on a Value does not compile.
 grep -A1 '^type Value struct' internal/value/value.go | grep -qE '^\s+_\s+\[0\]func\(\)$' || fail "a non-comparable Value"
 # One fold state: aggregates fold into agg.State's typed columns.
 none "one fold state" "$(grep -rnE 'agg\.(Accumulator|NewAccumulator|NewRows)' --include=*.go internal *.go | grep -v _test.go)"
-# The GMDJ knows nothing of the memo: the result memo holds subquery
-# sources, and no detail-key hash goes in or out of it.
-none "the GMDJ knows nothing of the memo" "$(grep -rnE 'HashCache|DetailID|gmdjhash' --include=*.go internal | grep -v _test.go)"
+# No cross-query result memo: a query shares no materialized relation
+# with another; the plan cache is the one cache layer.
+none "no cross-query result memo" "$(grep -rnE 'ResultCache|ResultKey|EpochTag|WithResultCache' --include=*.go internal cmd examples *.go | grep -v _test.go)"
 # One detail-key hasher: the detail pass (detailMorsel) hashes every key
 # a hash-bound fold reads; hashRows, unexported, has no caller elsewhere.
 none "one detail-key hasher (hashRows called from detailMorsel only)" "$(awk '/^func /{f=$0} /hashRows\(/ && !/^func / && f !~ /\) detailMorsel\(/{print FILENAME": "f}' $(ls internal/gmdj/*.go | grep -v _test.go))"
-# One memo tier: the result memo is one in-memory LRU.
-none "one memo tier" "$(grep -rnE 'SetReclaim|SpillDown|EncodeRelation|DecodeRelation|demoteLocked' --include=*.go internal cmd *.go | grep -v _test.go)"
 # One plan rebuilder, one output-column rule, one zone-map builder:
 # passes rebuild through algebra.MapInputs (only internal/sql builds Sort
 # and SetOp), output columns come from algebra's *Schema functions, and
