@@ -7,6 +7,7 @@ import (
 	"github.com/olaplab/gmdj/internal/agg"
 	"github.com/olaplab/gmdj/internal/expr"
 	"github.com/olaplab/gmdj/internal/relation"
+	"github.com/olaplab/gmdj/internal/value"
 )
 
 // GMDJCond pairs one θᵢ condition with its aggregate list lᵢ
@@ -113,28 +114,97 @@ const (
 )
 
 // ConjunctSide classifies one conjunct of a θ by the inputs its columns
-// resolve in. It is the one definition behind the evaluator's split of θ
-// (a base-only conjunct is evaluated once per base tuple, a detail-only
-// one once per detail tuple) and the rewriter's selection push-down,
-// which moves exactly those conjuncts below the operator. A column that
-// resolves in both inputs, or in neither, is an error.
+// resolve in: a base-only conjunct is evaluated once per base tuple, a
+// detail-only one once per detail tuple, and selection push-down moves
+// exactly those below the operator. A column that resolves in both
+// inputs, or in neither, is an error.
 func ConjunctSide(e expr.Expr, base, detail *relation.Schema) (Side, error) {
 	var side Side
 	for _, c := range expr.Cols(e) {
-		_, errB := base.Find(c.Qualifier, c.Name)
-		_, errD := detail.Find(c.Qualifier, c.Name)
-		switch {
-		case errB == nil && errD == nil:
-			return 0, fmt.Errorf("column %s is ambiguous between base and detail", c)
-		case errB == nil:
-			side |= SideBase
-		case errD == nil:
-			side |= SideDetail
-		default:
-			return 0, fmt.Errorf("column %s resolves in neither base nor detail", c)
+		_, s, err := colSide(c, base, detail)
+		if err != nil {
+			return 0, err
 		}
+		side |= s
 	}
 	return side, nil
+}
+
+// colSide resolves c in base or detail: its position there and its side.
+func colSide(c *expr.Col, base, detail *relation.Schema) (int, Side, error) {
+	bi, errB := base.Find(c.Qualifier, c.Name)
+	di, errD := detail.Find(c.Qualifier, c.Name)
+	switch {
+	case errB == nil && errD == nil:
+		return 0, 0, fmt.Errorf("column %s is ambiguous between base and detail", c)
+	case errB == nil:
+		return bi, SideBase, nil
+	case errD == nil:
+		return di, SideDetail, nil
+	}
+	return 0, 0, fmt.Errorf("column %s resolves in neither base nor detail", c)
+}
+
+// ThetaSplit is a θ over left ++ right split for hash evaluation
+// (DESIGN §5). LeftKey[k] and RightKey[k] are the k-th equi-key's
+// positions in left and right, in conjunct order; Ranges are the
+// cross-side bounds; Left, Right and Mixed are the other conjuncts by
+// ConjunctSide, Mixed holding both-side and constant ones.
+type ThetaSplit struct {
+	LeftKey, RightKey  []int
+	Ranges             []ThetaRange
+	Left, Right, Mixed []expr.Expr
+}
+
+// ThetaRange is a conjunct left[L] Op right[R] with Op one of <, <=, >,
+// >=, written left column first whichever side θ named first.
+type ThetaRange struct {
+	L, R int
+	Op   value.CmpOp
+}
+
+// SplitTheta is the one split of θ's conjuncts, which the GMDJ, the
+// hash join and selection push-down all read. A column = column across
+// the sides is a key and nothing else; a range bound also stays among
+// the mixed conjuncts, which a pair must still satisfy. A column that
+// is ambiguous or unresolved is an error.
+func SplitTheta(e expr.Expr, left, right *relation.Schema) (ThetaSplit, error) {
+	var sp ThetaSplit
+	for _, cj := range expr.Conjuncts(e) {
+		if cmp, ok := cj.(*expr.Cmp); ok {
+			lc, lok := cmp.L.(*expr.Col)
+			rc, rok := cmp.R.(*expr.Col)
+			if lok && rok {
+				li, ls, lerr := colSide(lc, left, right)
+				ri, rs, rerr := colSide(rc, left, right)
+				if op := cmp.Op; lerr == nil && rerr == nil && ls != rs {
+					if ls == SideDetail {
+						li, ri, op = ri, li, op.Flip()
+					}
+					if op == value.EQ {
+						sp.LeftKey, sp.RightKey = append(sp.LeftKey, li), append(sp.RightKey, ri)
+						continue
+					}
+					if op >= value.LT {
+						sp.Ranges = append(sp.Ranges, ThetaRange{L: li, R: ri, Op: op})
+					}
+				}
+			}
+		}
+		side, err := ConjunctSide(cj, left, right)
+		if err != nil {
+			return ThetaSplit{}, err
+		}
+		switch side {
+		case SideBase:
+			sp.Left = append(sp.Left, cj)
+		case SideDetail:
+			sp.Right = append(sp.Right, cj)
+		default:
+			sp.Mixed = append(sp.Mixed, cj)
+		}
+	}
+	return sp, nil
 }
 
 // ---------------------------------------------------------------------------

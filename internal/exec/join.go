@@ -40,9 +40,12 @@ func (e *Executor) evalJoin(j *algebra.Join, ev *env) (*relation.Relation, error
 		return nil, err
 	}
 	on := expr.Compile(boundOn)
-	leftQ := schemaQualifiers(left.Schema)
-	rightQ := schemaQualifiers(right.Schema)
-	bindings, _ := expr.SplitBindings(j.On, leftQ, rightQ)
+	// ON bound over left ++ right, so every column resolves on one side:
+	// the split cannot fail, and its keys are sound.
+	split, err := algebra.SplitTheta(j.On, left.Schema, right.Schema)
+	if err != nil {
+		return nil, err
+	}
 
 	var outSchema *relation.Schema
 	switch j.Kind {
@@ -53,27 +56,7 @@ func (e *Executor) evalJoin(j *algebra.Join, ev *env) (*relation.Relation, error
 	}
 	lw := left.Schema.Len()
 
-	// Keep only bindings that verifiably resolve on exactly one side:
-	// probe keys must be sound (the full predicate re-checks every pair,
-	// but a wrong key would wrongly *miss* pairs).
-	var leftPos, rightPos []int
-	for _, b := range bindings {
-		lp, lerr := left.Schema.Find(b.Left.Qualifier, b.Left.Name)
-		rp, rerr := right.Schema.Find(b.Right.Qualifier, b.Right.Name)
-		if lerr != nil || rerr != nil {
-			continue
-		}
-		if _, err := right.Schema.Find(b.Left.Qualifier, b.Left.Name); err == nil {
-			continue // also resolves on the right — ambiguous, skip
-		}
-		if _, err := left.Schema.Find(b.Right.Qualifier, b.Right.Name); err == nil {
-			continue
-		}
-		leftPos = append(leftPos, lp)
-		rightPos = append(rightPos, rp)
-	}
-
-	index, err := e.buildJoinIndex(right, rightPos, ev)
+	index, err := e.buildJoinIndex(right, split.RightKey, ev)
 	if err != nil {
 		return nil, err
 	}
@@ -137,7 +120,7 @@ func (e *Executor) evalJoin(j *algebra.Join, ev *env) (*relation.Relation, error
 			if err := ev.q.tick(); err != nil {
 				return err
 			}
-			h, keyOK := lRow.KeyHash(leftPos)
+			h, keyOK := lRow.KeyHash(split.LeftKey)
 			matched := false
 			if keyOK {
 				var err error
@@ -190,12 +173,4 @@ func (e *Executor) buildJoinIndex(right *relation.Relation, rightPos []int, ev *
 		return nil, err
 	}
 	return relation.NewHashIndex(n, func(i int) (uint64, bool) { return hs[i], okv[i] }), nil
-}
-
-func schemaQualifiers(s *relation.Schema) map[string]bool {
-	out := map[string]bool{}
-	for _, c := range s.Columns {
-		out[c.Qualifier] = true
-	}
-	return out
 }

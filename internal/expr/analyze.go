@@ -1,12 +1,8 @@
 package expr
 
-import (
-	"github.com/olaplab/gmdj/internal/value"
-)
-
 // Conjuncts flattens nested conjunctions into a list of terms. A
-// non-AND expression is its own single conjunct. The rewriter and the
-// GMDJ's binding extractor both work conjunct-by-conjunct.
+// non-AND expression is its own single conjunct. The rewriter and
+// algebra.SplitTheta both work conjunct by conjunct.
 func Conjuncts(e Expr) []Expr {
 	if a, ok := e.(*And); ok {
 		var out []Expr
@@ -51,69 +47,6 @@ func Cols(e Expr) []*Col {
 		return true
 	})
 	return out
-}
-
-// Qualifiers returns the set of distinct qualifiers referenced by e.
-func Qualifiers(e Expr) map[string]bool {
-	out := map[string]bool{}
-	for _, c := range Cols(e) {
-		out[c.Qualifier] = true
-	}
-	return out
-}
-
-// RefersOnly reports whether every column in e has a qualifier in the
-// allowed set. Used to detect free references / correlation predicates
-// (a predicate with a qualifier outside the local scope is correlated).
-func RefersOnly(e Expr, allowed map[string]bool) bool {
-	for _, c := range Cols(e) {
-		if !allowed[c.Qualifier] {
-			return false
-		}
-	}
-	return true
-}
-
-// EquiBinding is an equality conjunct "left.x = right.y" split by side.
-// The GMDJ evaluator hashes base tuples on Left and probes with Right.
-type EquiBinding struct {
-	Left  *Col // column of the base (outer) side
-	Right *Col // column of the detail (inner) side
-}
-
-// SplitBindings partitions the conjuncts of theta into equi-bindings
-// between the two given qualifier sets and a residual predicate.
-// A conjunct qualifies as a binding when it is `a = b` with a referring
-// only to leftQuals and b only to rightQuals (either order). Everything
-// else — non-equality comparisons, complex terms — lands in residual.
-//
-// This mirrors the paper's hash-index GMDJ strategy: bindings feed the
-// hash index over the base values; the residual is checked per probed
-// pair. When no binding exists the evaluator degrades to scanning the
-// active base entries (the Fig. 4 situation).
-func SplitBindings(theta Expr, leftQuals, rightQuals map[string]bool) (bindings []EquiBinding, residual []Expr) {
-	for _, c := range Conjuncts(theta) {
-		cmp, ok := c.(*Cmp)
-		if !ok || cmp.Op != value.EQ {
-			residual = append(residual, c)
-			continue
-		}
-		lc, lok := cmp.L.(*Col)
-		rc, rok := cmp.R.(*Col)
-		if !lok || !rok {
-			residual = append(residual, c)
-			continue
-		}
-		switch {
-		case leftQuals[lc.Qualifier] && rightQuals[rc.Qualifier]:
-			bindings = append(bindings, EquiBinding{Left: lc, Right: rc})
-		case leftQuals[rc.Qualifier] && rightQuals[lc.Qualifier]:
-			bindings = append(bindings, EquiBinding{Left: rc, Right: lc})
-		default:
-			residual = append(residual, c)
-		}
-	}
-	return bindings, residual
 }
 
 // RenameQualifier returns a copy of e with every column reference whose

@@ -4,7 +4,8 @@
 //
 // Evaluation follows the hash-index strategy of Chatziantoniou et al.
 // and Akinde & Böhlen: the base-values relation B is materialized in
-// memory; each θᵢ is compiled by splitting its conjuncts into
+// memory; each θᵢ is compiled by splitting its conjuncts
+// (algebra.SplitTheta) into
 //
 //   - equi-bindings B.x = R.y, which key a hash index over B,
 //   - base-only conjuncts, evaluated once per base tuple,
@@ -770,47 +771,17 @@ func (p *program) packedVec(key []int) *detailHashVec {
 	return &detailHashVec{H: h, OK: ok}
 }
 
-// classifyTheta splits θ's conjuncts into bindings and side-local
-// predicates as described in the package comment; which side a conjunct
-// reads is algebra.ConjunctSide's call.
+// classifyTheta compiles θ as algebra.SplitTheta splits it (the package
+// comment's four classes): keys and range bounds index the base, and
+// each side-local class is lowered once.
 func classifyTheta(cp *condProg, theta expr.Expr, baseS, detailS, combined *relation.Schema) error {
-	var basePreds, detailPreds, mixedPreds []expr.Expr
-	for _, cj := range expr.Conjuncts(theta) {
-		// col φ col across sides: = keys the index; <, <=, >, >= stay mixed.
-		if cmp, ok := cj.(*expr.Cmp); ok {
-			lc, lok := cmp.L.(*expr.Col)
-			rc, rok := cmp.R.(*expr.Col)
-			if lok && rok {
-				ls, lerr := algebra.ConjunctSide(lc, baseS, detailS)
-				rs, rerr := algebra.ConjunctSide(rc, baseS, detailS)
-				if op := cmp.Op; lerr == nil && rerr == nil && ls != rs {
-					if ls == algebra.SideDetail {
-						lc, rc, op = rc, lc, op.Flip()
-					}
-					bi, _ := baseS.Find(lc.Qualifier, lc.Name)
-					di, _ := detailS.Find(rc.Qualifier, rc.Name)
-					if op == value.EQ {
-						cp.baseKey = append(cp.baseKey, bi)
-						cp.detailKey = append(cp.detailKey, di)
-						continue
-					} else if op >= value.LT {
-						cp.rng = cp.rng.add(bi, di, op)
-					}
-				}
-			}
-		}
-		side, err := algebra.ConjunctSide(cj, baseS, detailS)
-		if err != nil {
-			return err
-		}
-		switch side {
-		case algebra.SideBase:
-			basePreds = append(basePreds, cj)
-		case algebra.SideDetail:
-			detailPreds = append(detailPreds, cj)
-		default: // both sides, or a constant
-			mixedPreds = append(mixedPreds, cj)
-		}
+	sp, err := algebra.SplitTheta(theta, baseS, detailS)
+	if err != nil {
+		return err
+	}
+	cp.baseKey, cp.detailKey = sp.LeftKey, sp.RightKey
+	for _, r := range sp.Ranges {
+		cp.rng = cp.rng.add(r.L, r.R, r.Op)
 	}
 
 	// θ holds on a pair exactly when its three classes do, so the fallback
@@ -823,18 +794,17 @@ func classifyTheta(cp *condProg, theta expr.Expr, baseS, detailS, combined *rela
 		}
 		return expr.Compile(bound), nil
 	}
-	var err error
-	if len(basePreds) > 0 {
-		if cp.basePred, err = lower(basePreds, baseS); err != nil {
+	if len(sp.Left) > 0 {
+		if cp.basePred, err = lower(sp.Left, baseS); err != nil {
 			return err
 		}
 	}
-	if len(detailPreds) > 0 {
-		if cp.detailPred, err = lower(detailPreds, detailS); err != nil {
+	if len(sp.Right) > 0 {
+		if cp.detailPred, err = lower(sp.Right, detailS); err != nil {
 			return err
 		}
 	}
-	cp.mixedPred, err = lower(mixedPreds, combined)
+	cp.mixedPred, err = lower(sp.Mixed, combined)
 	return err
 }
 

@@ -18,32 +18,6 @@ import (
 // bytes back through it, so the writer cannot drift from the format
 // without a test noticing.
 
-// PromSanitize maps an internal dotted name ("serve.queued",
-// "http_ns.default") to a legal Prometheus metric-name suffix:
-// [a-zA-Z0-9_], with every other byte folded to '_' and a leading
-// digit prefixed.
-func PromSanitize(name string) string {
-	if name == "" {
-		return "_"
-	}
-	var b strings.Builder
-	for i := 0; i < len(name); i++ {
-		c := name[i]
-		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c == '_':
-			b.WriteByte(c)
-		case c >= '0' && c <= '9':
-			if i == 0 {
-				b.WriteByte('_')
-			}
-			b.WriteByte(c)
-		default:
-			b.WriteByte('_')
-		}
-	}
-	return b.String()
-}
-
 // promEscapeLabel escapes a label value per the exposition format:
 // backslash, double-quote, and newline.
 func promEscapeLabel(v string) string {

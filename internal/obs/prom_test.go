@@ -5,22 +5,6 @@ import (
 	"testing"
 )
 
-func TestPromSanitize(t *testing.T) {
-	for in, want := range map[string]string{
-		"serve.queued":   "serve_queued",
-		"http_ns.a-b":    "http_ns_a_b",
-		"9lives":         "_9lives",
-		"ok_name":        "ok_name",
-		"":               "_",
-		"weird name!":    "weird_name_",
-		"gmdj.spill/дsk": "gmdj_spill___sk",
-	} {
-		if got := PromSanitize(in); got != want {
-			t.Errorf("PromSanitize(%q) = %q, want %q", in, got, want)
-		}
-	}
-}
-
 func TestPromWriterRoundTrip(t *testing.T) {
 	p := NewPromWriter()
 	p.Counter("olap_requests_total", "requests accepted", map[string]string{"tenant": "a"}, 3)

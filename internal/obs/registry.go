@@ -265,15 +265,6 @@ func (o *Observer) Histograms() map[string]HistSnapshot {
 	return out
 }
 
-// LatencyHistogram returns the per-strategy query latency histogram
-// (created on demand; nil on a nil observer).
-func (o *Observer) LatencyHistogram(strategy string) *Histogram {
-	if o == nil {
-		return nil
-	}
-	return o.latency.Get("query_ns." + strategy)
-}
-
 // InFlight snapshots the live registry, ordered by query id (oldest
 // first). Nil-safe (empty slice).
 func (o *Observer) InFlight() []LiveSnapshot {

@@ -37,11 +37,6 @@ func TestNilObserverHooks(t *testing.T) {
 				t.Error("nil Histograms not empty")
 			}
 		},
-		"LatencyHistogram": func() {
-			if o.LatencyHistogram("gmdj") != nil {
-				t.Error("nil LatencyHistogram not nil")
-			}
-		},
 		"InFlight": func() {
 			if len(o.InFlight()) != 0 {
 				t.Error("nil InFlight not empty")

@@ -125,15 +125,6 @@ func (c *Cache) removeLocked(el *list.Element) {
 	c.cur -= it.bytes
 }
 
-// Purge drops every entry (counters are preserved).
-func (c *Cache) Purge() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.ll.Init()
-	c.items = make(map[Key]*list.Element)
-	c.cur = 0
-}
-
 // Stats snapshots the cache counters (zero value for a nil cache).
 func (c *Cache) Stats() Stats {
 	if c == nil {

@@ -56,15 +56,6 @@ func TestPlanCacheLRUEviction(t *testing.T) {
 	}
 }
 
-func TestPlanCachePurge(t *testing.T) {
-	c := New(0)
-	c.Put(Key{Text: "q"}, entry())
-	c.Purge()
-	if s := c.Stats(); s.Entries != 0 || s.Bytes != 0 {
-		t.Fatalf("purge left %+v", s)
-	}
-}
-
 // TestPlanCacheLRU: the LRU's edges, one fresh cache per row. Keys of
 // one length over equal entries cost the same planBytes, b.
 func TestPlanCacheLRU(t *testing.T) {
@@ -127,17 +118,6 @@ func TestPlanCacheLRU(t *testing.T) {
 			}
 			if s := c.Stats(); s.Entries != 0 || s.Bytes != 0 || s.Invalidations != 1 || s.Misses != 1 {
 				t.Fatalf("stats after an invalidation: %+v", s)
-			}
-		}},
-		{"purge keeps counters", 0, func(t *testing.T, c *Cache) {
-			c.Put(k("a"), entry())
-			c.Get(k("a"), 1)
-			c.Purge()
-			if _, ok := c.Get(k("a"), 1); ok {
-				t.Fatal("purged entry served")
-			}
-			if s := c.Stats(); s.Entries != 0 || s.Bytes != 0 || s.Hits != 1 || s.Misses != 1 {
-				t.Fatalf("stats after purge: %+v", s)
 			}
 		}},
 		{"hits and misses counted", 0, func(t *testing.T, c *Cache) {

@@ -319,11 +319,3 @@ func (r *Relation) String() string {
 	}
 	return b.String()
 }
-
-// SortByKey orders rows by their canonical key, giving deterministic
-// output for display and golden tests.
-func (r *Relation) SortByKey() {
-	sort.Slice(r.Rows, func(i, j int) bool {
-		return r.Rows[i].Key() < r.Rows[j].Key()
-	})
-}

@@ -333,18 +333,6 @@ func TestRelationStringTruncates(t *testing.T) {
 	}
 }
 
-func TestSortByKeyDeterministic(t *testing.T) {
-	r := New(NewSchema(Column{Name: "N", Type: value.KindInt}))
-	for _, v := range []int64{3, 1, 2} {
-		r.Append(Tuple{value.Int(v)})
-	}
-	r.SortByKey()
-	got := []int64{r.Rows[0][0].AsInt(), r.Rows[1][0].AsInt(), r.Rows[2][0].AsInt()}
-	if got[0] != 1 || got[1] != 2 || got[2] != 3 {
-		t.Errorf("SortByKey order = %v", got)
-	}
-}
-
 func TestTupleApproxBytes(t *testing.T) {
 	empty := Tuple{}
 	if got := empty.ApproxBytes(); got != 24 {

@@ -141,21 +141,22 @@ func (p *pusher) pushGMDJ(g *algebra.GMDJ, outer *relation.Schema) (algebra.Node
 }
 
 // commonDetailConjuncts returns the conjuncts rule (a) may move: those
-// of the first θ that read the detail alone, name no column of an
-// enclosing block, and occur in every other θ. A θ the classifier
-// rejects moves nothing; the evaluator reports it.
+// of the first θ that read the detail alone (algebra.SplitTheta's right
+// class), name no column of an enclosing block, and occur in every
+// other θ. A θ that fails to split moves nothing; the evaluator reports
+// it.
 func commonDetailConjuncts(conds []algebra.GMDJCond, baseS, detailS, outer *relation.Schema) []expr.Expr {
 	if len(conds) == 0 {
 		return nil
 	}
+	split, err := algebra.SplitTheta(conds[0].Theta, baseS, detailS)
+	if err != nil {
+		return nil
+	}
 	scope := outer.Concat(detailS)
 	var common []expr.Expr
-	for _, c := range expr.Conjuncts(conds[0].Theta) {
-		side, err := algebra.ConjunctSide(c, baseS, detailS)
-		if err != nil {
-			return nil
-		}
-		if side != algebra.SideDetail || containsExpr(common, c) {
+	for _, c := range split.Right {
+		if containsExpr(common, c) {
 			continue
 		}
 		// One match in outer ++ detail is the detail's: no enclosing block

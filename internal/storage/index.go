@@ -321,23 +321,3 @@ func (t *Table) BumpVersion() {
 		t.cat.writeEpoch.Add(1)
 	}
 }
-
-// IndexedColumns lists columns that carry any index, sorted for
-// deterministic EXPLAIN output.
-func (t *Table) IndexedColumns() []string {
-	t.idxMu.Lock()
-	defer t.idxMu.Unlock()
-	set := map[string]bool{}
-	for c := range t.hashIdx {
-		set[c] = true
-	}
-	for c := range t.sortedIdx {
-		set[c] = true
-	}
-	out := make([]string, 0, len(set))
-	for c := range set {
-		out = append(out, c)
-	}
-	sort.Strings(out)
-	return out
-}

@@ -178,12 +178,10 @@ func TestTableIndexManagement(t *testing.T) {
 	if _, ok := tbl.HashIndexOn("name"); ok {
 		t.Error("unexpected index")
 	}
-	cols := tbl.IndexedColumns()
-	if len(cols) != 2 || cols[0] != "id" || cols[1] != "score" {
-		t.Errorf("IndexedColumns = %v", cols)
-	}
 	tbl.DropIndexes()
-	if len(tbl.IndexedColumns()) != 0 {
+	_, hashed := tbl.HashIndexOn("id")
+	_, sorted := tbl.SortedIndexOn("score")
+	if hashed || sorted {
 		t.Error("DropIndexes left indexes behind")
 	}
 	if err := tbl.BuildHashIndex("missing"); err == nil {

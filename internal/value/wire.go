@@ -6,12 +6,13 @@ import (
 	"math"
 )
 
-// This file is the one wire form of a cell, shared by the durable tier
-// (segments, manifests) and the scratch tier (spill partitions, cached
-// relations): AppendBinary writes it, Reader decodes it, and Tuple.Key
-// reuses it through AppendKey. Stored cells keep their kind and every
-// payload bit (-0.0 stays -0.0, FLOAT 1.0 stays a FLOAT); only Hash and
-// AppendKey canonicalise.
+// This file is the one wire form of a cell, which the durable tier
+// (segments, manifests) stores: AppendBinary writes it, Reader decodes
+// it, and Tuple.Key reuses it through AppendKey. The scratch tier holds
+// no cells: a spill partition's positions and key hashes decode through
+// Reader alone. Stored cells keep their kind and every payload bit
+// (-0.0 stays -0.0, FLOAT 1.0 stays a FLOAT); only Hash and AppendKey
+// canonicalise.
 
 // AppendBinary appends the kind-tagged encoding of v: the kind byte,
 // then AppendPayload. Committed segments and manifests hold this form,

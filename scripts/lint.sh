@@ -79,6 +79,9 @@ none "one σ/π pass (no staged operators)" "$(grep -rnE 'func \(e \*Executor\) 
 test "$(grep -rn 'concatMorsels(' --include=*.go internal/exec | grep -v -e _test.go -e 'func concatMorsels' | cut -d: -f1 | sort | tr '\n' ' ')" = "internal/exec/chain.go internal/exec/join.go " || fail "one σ/π pass (concatMorsels callers)"
 none "one σ/π pass (no fusion field)" "$({ awk '/^type Options struct/,/^}/' internal/gmdj/gmdj.go; awk '/^type Config struct/,/^}/' internal/engine/engine.go; } | grep -E '^\s+[A-Za-z]*(Fus|Stag)[A-Za-z]*\s')"
 none "one σ/π pass (no fusion env)" "$(grep -rnE 'GMDJ_[A-Z_]*(FUS|STAG)' --include=*.go internal *.go)"
+# One θ split: the GMDJ, the hash join and selection push-down split a
+# θ or an ON clause with algebra.SplitTheta (DESIGN §5), not by qualifier.
+none "one θ split" "$(grep -rnE 'SplitBindings|EquiBinding|schemaQualifiers' --include=*.go internal cmd examples *.go | grep -v _test.go)"
 # The documents that describe the system stay readable in one sitting:
 # DESIGN.md and CHANGES.md together hold at most 80 KiB.
 docs=$(cat DESIGN.md CHANGES.md | wc -c)
