@@ -478,6 +478,7 @@ func (e *Executor) evalGMDJ(g *algebra.GMDJ, ev *env, fuse func(wide *relation.S
 		op.Add("short_circuit_rows", local.ShortCircuitRows)
 		op.Add("fallback_conds", int64(local.FallbackConds))
 		op.Add("packed_hash_conds", local.PackedHashConds)
+		op.Add("slot_conds", local.SlotConds)
 		op.Add("spill_partitions", local.SpillPartitions)
 		op.Add("spill_bytes_written", local.SpillBytesWritten)
 		op.Add("spill_bytes_read", local.SpillBytesRead)

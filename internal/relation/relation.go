@@ -100,8 +100,16 @@ var entPool = sync.Pool{New: func() any { return new([]HashEntry) }}
 // position whose ok is false (a NULL key). It is a counting sort: a
 // bucket lists its positions in ascending order.
 func NewHashIndex(n int, key func(i int) (h uint64, ok bool)) *HashIndex {
+	return new(HashIndex).Build(n, key)
+}
+
+// Build is NewHashIndex into ix, reusing its arrays, which an index
+// built before (and no longer read) leaves there; it returns ix.
+func (ix *HashIndex) Build(n int, key func(i int) (h uint64, ok bool)) *HashIndex {
 	nb, bp := bits.Len(uint(n)), entPool.Get().(*[]HashEntry)
-	ix, ents := &HashIndex{shift: uint(64 - nb), off: make([]int32, 1<<nb+1)}, slices.Grow((*bp)[:0], n)
+	ix.shift, ix.off = uint(64-nb), slices.Grow(ix.off[:0], 1<<nb+1)[:1<<nb+1]
+	clear(ix.off)
+	ents := slices.Grow((*bp)[:0], n)
 	for i := 0; i < n; i++ {
 		if h, ok := key(i); ok {
 			ents = append(ents, HashEntry{h, int32(i)})
@@ -112,7 +120,7 @@ func NewHashIndex(n int, key func(i int) (h uint64, ok bool)) *HashIndex {
 	for b := 1; b < len(ix.off); b++ {
 		ix.off[b] += ix.off[b-1]
 	}
-	ix.ents = make([]HashEntry, len(ents))
+	ix.ents = slices.Grow(ix.ents[:0], len(ents))[:len(ents)]
 	for k := len(ents) - 1; k >= 0; k-- {
 		b := ix.bucket(ents[k].Hash)
 		ix.off[b], ix.ents[ix.off[b]-1] = ix.off[b]-1, ents[k]
