@@ -200,18 +200,26 @@ func TestEmptyDetailYieldsBaseWithEmptyAggregates(t *testing.T) {
 	}
 }
 
+// TestEmptyBase: |X| = |B| = 0, and a scan that owns no tuple skips
+// every detail row, under a fallback θ and a hash-bound one alike.
 func TestEmptyBase(t *testing.T) {
 	hours, flow := hoursFlow()
 	hours.Rows = nil
-	out, err := Evaluate(hours, flow, []algebra.GMDJCond{{
-		Theta: timeWindow(),
-		Aggs:  []agg.Spec{{Func: agg.CountStar, As: "cnt"}},
-	}}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Len() != 0 {
-		t.Errorf("output size %d, want 0", out.Len())
+	for _, theta := range []expr.Expr{timeWindow(), expr.Eq(expr.C("H.HourDsc"), expr.C("F.NumBytes"))} {
+		var stats Stats
+		out, err := Evaluate(hours, flow, []algebra.GMDJCond{{
+			Theta: theta,
+			Aggs:  []agg.Spec{{Func: agg.CountStar, As: "cnt"}},
+		}}, Options{Stats: &stats})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%s: output size %d, want 0", theta, out.Len())
+		}
+		if stats.DetailRows != 0 || stats.ShortCircuitRows != int64(flow.Len()) {
+			t.Errorf("%s: DetailRows = %d, ShortCircuitRows = %d; want 0 and %d", theta, stats.DetailRows, stats.ShortCircuitRows, flow.Len())
+		}
 	}
 }
 
