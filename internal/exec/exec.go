@@ -444,11 +444,16 @@ func (e *Executor) evalGMDJ(g *algebra.GMDJ, ev *env, fuse func(wide *relation.S
 		Spill:      e.Spill,
 		Emit:       emit,
 	}
-	// The table's typed columns are sound only when the detail relation
-	// IS a base table, row for row (gmdjDetail); any operator in between,
-	// or a skipped block, makes it a relation of this query's own.
+	// A table's typed columns are sound only for a relation that IS the
+	// table, row for row: a bare scan (gmdjDetail); any operator in
+	// between, or a skipped block, makes it a relation of this query's own.
 	if table != nil {
 		opts.Columns = func(col int) *relation.ColVec { return table.Column(col, detail.Rows) }
+	}
+	if s, ok := g.Base.(*algebra.Scan); ok {
+		if t, err := e.Cat.Table(s.Table); err == nil {
+			opts.BaseColumns = func(col int) *relation.ColVec { return t.Column(col, base.Rows) }
+		}
 	}
 	out, err := gmdj.Evaluate(base, detail, conds, opts)
 	e.gmdjMu.Lock()

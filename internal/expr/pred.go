@@ -102,24 +102,15 @@ func lower(cj Expr) leaf {
 	return lf
 }
 
-// kernel answers a kernel leaf over the row lo ++ hi. ok is false for a
-// generic leaf and for a column beyond the row, which the interpreter
-// reports: the caller hands both to EvalTri.
-func (lf *leaf) kernel(lo, hi relation.Tuple) (tr value.Tri, ok bool) {
-	if lf.kind == leafGeneric {
+// kernel answers a kernel leaf over its operands' cells, a and b (IS
+// NULL reads a alone). ok is false for a generic leaf and an operand
+// beyond the row (nil), which the caller hands to EvalTri.
+func (lf *leaf) kernel(a, b *value.Value) (tr value.Tri, ok bool) {
+	switch {
+	case lf.kind == leafGeneric || a == nil || b == nil:
 		return value.Unknown, false
-	}
-	a, b := cell(lo, hi, lf.l), &lf.lit
-	if a == nil {
-		return value.Unknown, false
-	}
-	switch lf.kind {
-	case leafIsNull:
+	case lf.kind == leafIsNull:
 		return value.TriOf(a.IsNull() != lf.negated), true
-	case leafColCol:
-		if b = cell(lo, hi, lf.r); b == nil {
-			return value.Unknown, false
-		}
 	}
 	c, known := 0, true
 	switch ak, bk := a.Kind(), b.Kind(); {
@@ -142,19 +133,20 @@ func (lf *leaf) kernel(lo, hi relation.Tuple) (tr value.Tri, ok bool) {
 
 // tri answers the leaf over one row: the kernel, else the interpreter.
 func (lf *leaf) tri(row relation.Tuple) (value.Tri, error) {
-	if tr, ok := lf.kernel(nil, row); ok {
+	b := &lf.lit
+	if lf.kind == leafColCol {
+		b = cell(row, lf.r)
+	}
+	if tr, ok := lf.kernel(cell(row, lf.l), b); ok {
 		return tr, nil
 	}
 	return EvalTri(lf.e, row)
 }
 
-// cell returns position i of lo ++ hi, nil beyond it.
-func cell(lo, hi relation.Tuple, i int) *value.Value {
-	if i < len(lo) {
-		return &lo[i]
-	}
-	if i -= len(lo); i < len(hi) {
-		return &hi[i]
+// cell returns row's column i, nil beyond it.
+func cell(row relation.Tuple, i int) *value.Value {
+	if i < len(row) {
+		return &row[i]
 	}
 	return nil
 }
@@ -399,18 +391,72 @@ func (p *Pred) Columns() (cols []int) {
 // row.
 func (p *Pred) Empty() bool { return len(p.leaves) == 0 }
 
+// Side is one side of a Pair: row At of Rows, whose column c is read
+// from Cols[c] at At where that is a vector, leaving the row unread.
+// Cols has an entry per column of the side.
+type Side struct {
+	Rows []relation.Tuple
+	Cols []*relation.ColVec
+	At   int
+}
+
+// operand returns position i of base ++ detail, base w columns wide:
+// the cell in its side's vector, copied to dst, else in its row; nil
+// beyond the row.
+func operand(dst *value.Value, base, detail *Side, w, i int) *value.Value {
+	s := base
+	if i >= w {
+		s, i = detail, i-w
+	}
+	if i < len(s.Cols) && s.Cols[i] != nil {
+		*dst = s.Cols[i].Value(s.At)
+		return dst
+	}
+	if row := s.Rows[s.At]; i < len(row) {
+		return &row[i]
+	}
+	return nil
+}
+
+// pairInt returns position i of base ++ detail from an INT vector, ok
+// false where it has none or the cell is NULL.
+func pairInt(base, detail *Side, w, i int) (int64, bool) {
+	s := base
+	if i >= w {
+		s, i = detail, i-w
+	}
+	if i >= len(s.Cols) || s.Cols[i] == nil || s.Cols[i].Kind != value.KindInt || s.Cols[i].Boxed != nil || s.Cols[i].Nulls[s.At] {
+		return 0, false
+	}
+	return s.Cols[i].Ints[s.At], true
+}
+
 // Pair reports whether the predicate, bound to base ++ detail, is True
-// on the pair. Kernels read each column from the tuple that holds it;
-// only a generic leaf needs the concatenation, built in buf (capacity
+// on the pair. Kernels read each cell from its side (operand); only a
+// generic leaf needs the concatenation, built in buf (capacity
 // len(base)+len(detail) keeps Pair allocation-free).
-func (p *Pred) Pair(base, detail, buf relation.Tuple) (bool, error) {
-	var full relation.Tuple
+func (p *Pred) Pair(base, detail *Side, buf relation.Tuple) (bool, error) {
+	w, full := len(base.Cols), relation.Tuple(nil)
 	for i := range p.leaves {
 		lf := &p.leaves[i]
-		tr, ok := lf.kernel(base, detail)
+		if lf.kind == leafColCol { // two INT vectors: no Value built
+			a, aok := pairInt(base, detail, w, lf.l)
+			if b, bok := pairInt(base, detail, w, lf.r); aok && bok {
+				if !lf.holds[cmp.Compare(a, b)+1] {
+					return false, nil
+				}
+				continue
+			}
+		}
+		var av, bv value.Value
+		a, b := operand(&av, base, detail, w, lf.l), &lf.lit
+		if lf.kind == leafColCol {
+			b = operand(&bv, base, detail, w, lf.r)
+		}
+		tr, ok := lf.kernel(a, b)
 		if !ok {
 			if full == nil {
-				full = append(append(buf[:0], base...), detail...)
+				full = append(append(buf[:0], base.Rows[base.At]...), detail.Rows[detail.At]...)
 			}
 			var err error
 			if tr, err = EvalTri(lf.e, full); err != nil {

@@ -179,7 +179,7 @@ func checkPredEquivalence(t *testing.T, seed int64) {
 		rows[i] = genRow(rng)
 	}
 	want, failing := make([]bool, len(rows)), false
-	buf := make(relation.Tuple, predSchema.Len())
+	buf, ws, fails := make(relation.Tuple, predSchema.Len()), make([]int, len(rows)), make([]bool, len(rows))
 	for i, row := range rows {
 		wantTri, wantErr := EvalTri(bound, row)
 		if tr, err := p.Tri(row); (err != nil) != (wantErr != nil) || (err == nil && tr != wantTri) {
@@ -192,9 +192,10 @@ func checkPredEquivalence(t *testing.T, seed int64) {
 			t.Fatalf("seed %d: %s over %v: truncated = %v, %v; EvalTri = %v, %v", seed, bound, row, ok, err, wantTri, wantErr)
 		}
 		w := rng.Intn(len(row) + 1)
-		if got, gotErr := p.Pair(row[:w], row[w:], buf); got != ok || (gotErr != nil) != (err != nil) {
+		if got, gotErr := p.Pair(rowSide(row[:w]), rowSide(row[w:]), buf); got != ok || (gotErr != nil) != (err != nil) {
 			t.Fatalf("seed %d: %s over %v ++ %v: Pair = %v, %v; want %v, %v", seed, bound, row[:w], row[w:], got, gotErr, ok, err)
 		}
+		ws[i], fails[i] = w, err != nil
 		want[i], failing = ok, failing || err != nil
 	}
 	got := make([]bool, len(rows))
@@ -224,7 +225,28 @@ func checkPredEquivalence(t *testing.T, seed int64) {
 		if kept, err := sc.Select(rows, lo, in); !failing && (err != nil || !slices.Equal(kept, keep)) {
 			t.Fatalf("seed %d: %s: Select over %v = %v, %v; want %v", seed, bound, in, kept, err, keep)
 		}
+		// Pair with each side's cells read from its vectors, some left
+		// out: a kernel reads the tuple's cell there.
+		some := slices.Clone(cols)
+		for c := range some {
+			if rng.Intn(4) == 0 {
+				some[c] = nil
+			}
+		}
+		for i, row := range rows {
+			w, tails := ws[i], make([]relation.Tuple, lo+i+1)
+			tails[lo+i] = row[ws[i]:]
+			base, detail := &Side{Rows: all, Cols: some[:w], At: lo + i}, &Side{Rows: tails, Cols: some[w:], At: lo + i}
+			if got, err := p.Pair(base, detail, buf); got != want[i] || (err != nil) != fails[i] {
+				t.Fatalf("seed %d: %s over %v ++ %v from vectors: Pair = %v, %v; want %v", seed, bound, row[:w], row[w:], got, err, want[i])
+			}
+		}
 	}
+}
+
+// rowSide is a Pair side of one row and no vectors.
+func rowSide(row relation.Tuple) *Side {
+	return &Side{Rows: []relation.Tuple{row}, Cols: make([]*relation.ColVec, len(row))}
 }
 
 // scanFilter is Filter over the morsel at row lo of cols, through a Scan.
@@ -286,7 +308,7 @@ func TestPredGenericBehindUnknown(t *testing.T) {
 	if err := p.Filter(rows, sel); err != nil || sel[0] {
 		t.Errorf("Filter = %v, %v; want the row rejected unevaluated", sel, err)
 	}
-	if ok, err := p.Pair(row[:3], row[3:], buf); err != nil || ok {
+	if ok, err := p.Pair(rowSide(row[:3]), rowSide(row[3:]), buf); err != nil || ok {
 		t.Errorf("Pair = %v, %v; want the pair rejected unevaluated", ok, err)
 	}
 
@@ -294,7 +316,7 @@ func TestPredGenericBehindUnknown(t *testing.T) {
 	if err := p.Filter(rows, sel); err == nil {
 		t.Error("Filter: a failure on a surviving row must surface")
 	}
-	if _, err := p.Pair(row[:3], row[3:], buf); err == nil {
+	if _, err := p.Pair(rowSide(row[:3]), rowSide(row[3:]), buf); err == nil {
 		t.Error("Pair: a failure on a surviving pair must surface")
 	}
 }
@@ -314,7 +336,7 @@ func TestPredColumnOutOfRange(t *testing.T) {
 	if err := p.Filter([]relation.Tuple{short}, make([]bool, 1)); err == nil {
 		t.Error("Filter over a short row: no error")
 	}
-	if _, err := p.Pair(short[:1], short[1:], nil); err == nil {
+	if _, err := p.Pair(rowSide(short[:1]), rowSide(short[1:]), nil); err == nil {
 		t.Error("Pair over a short pair: no error")
 	}
 }
@@ -347,12 +369,13 @@ func TestPredAllocs(t *testing.T) {
 		rows[i] = row
 	}
 	sel, buf := make([]bool, len(rows)), make(relation.Tuple, len(row))
+	base, detail := &Side{Rows: rows, Cols: codedOf(rows, value.KindNull)[:4], At: 7}, rowSide(row[4:])
 	if err := p.Filter(rows, sel); err != nil || slices.Contains(sel, false) {
 		t.Fatalf("Filter rejected a row every kernel accepts, %v", err)
 	}
 	for name, fn := range map[string]func(){
 		"Filter": func() { p.Filter(rows, sel) },
-		"Pair":   func() { p.Pair(row[:4], row[4:], buf) },
+		"Pair":   func() { p.Pair(base, detail, buf) },
 		"Tri":    func() { p.Tri(row) },
 	} {
 		if n := testing.AllocsPerRun(20, fn); n != 0 && !(raceEnabled && name == "Filter") {

@@ -2,8 +2,10 @@ package gmdj
 
 import (
 	"fmt"
+	"math/rand"
 	"runtime"
 	"slices"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -81,12 +83,16 @@ func TestEstimateBoundsState(t *testing.T) {
 // tuple bound by key to five of 200k detail rows, one aggregate, serial,
 // over the detail's rows and over its typed columns (Options.Columns) —
 // a slot map's fold (typed/) and, over a base whose keys each two tuples
-// hold, the hash walk's (walk/).
+// hold, the hash walk's (walk/). Then Fig 4's two conditions under ALL's
+// completion over the base shuffled, ne_all's key with a <> residual and
+// gt_all's <= beside it: their residual reads the base's cells from its
+// rows (rows/) or its typed columns (base-cols/, Options.BaseColumns).
 // ns/detail-row is the whole Evaluate over the detail rows it folds;
 // net-ns/detail-row leaves out what the same case costs over a one-row
 // detail, the state build and the emit of the 40k base, which no detail
 // row pays: the median of five timed batches, as one batch swings by a
-// third.
+// third. Fig 4's net-ns/probe times the fold's scan alone, its state
+// built with the timer stopped, over the probes it makes.
 func BenchmarkFold(b *testing.B) {
 	base, detail := foldRels(40000, 200000)
 	_, one := foldRels(40000, 1)
@@ -95,39 +101,91 @@ func BenchmarkFold(b *testing.B) {
 	for i, row := range dup.Rows {
 		row[0] = value.Int(int64(i / 2 * 2)) // keys 0, 0, 2, 2, ...: each on five rows
 	}
+	// fold times b0's fold over detail under opts, less the one-row
+	// detail's under oneOpts, per detail row.
+	fold := func(name string, b0 *relation.Relation, conds []algebra.GMDJCond, opts, oneOpts Options) {
+		b.Run(name, func(b *testing.B) {
+			var batches [5]float64
+			for k := range batches {
+				start := time.Now()
+				for i := 0; i < 3; i++ {
+					if _, err := Evaluate(b0, one, conds, oneOpts); err != nil {
+						b.Fatal(err)
+					}
+				}
+				batches[k] = float64(time.Since(start).Nanoseconds()) / 3
+			}
+			slices.Sort(batches[:])
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := Evaluate(b0, detail, conds, opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+			op := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+			b.ReportMetric(op/float64(len(detail.Rows)), "ns/detail-row")
+			b.ReportMetric((op-batches[len(batches)/2])/float64(len(detail.Rows)), "net-ns/detail-row")
+		})
+	}
+	typed := func(c int) *relation.ColVec { return cols[c] }
+	oneTyped := func(c int) *relation.ColVec { return oneCols[c] }
 	for _, f := range []agg.Func{agg.CountStar, agg.Count, agg.Sum, agg.Avg, agg.Min} {
 		conds := []algebra.GMDJCond{{Theta: expr.Eq(expr.C("B.k"), expr.C("R.k")), Aggs: []agg.Spec{kindSpec(f, "a")}}}
 		for _, path := range []string{"rows/", "typed/", "walk/"} {
 			opts, oneOpts, b0 := Options{Workers: 1}, Options{Workers: 1}, base
 			if path != "rows/" {
-				opts.Columns = func(c int) *relation.ColVec { return cols[c] }
-				oneOpts.Columns = func(c int) *relation.ColVec { return oneCols[c] }
+				opts.Columns, oneOpts.Columns = typed, oneTyped
 			}
 			if path == "walk/" {
 				b0 = dup
 			}
-			b.Run(path+f.String(), func(b *testing.B) {
-				var batches [5]float64
-				for k := range batches {
-					start := time.Now()
-					for i := 0; i < 3; i++ {
-						if _, err := Evaluate(b0, one, conds, oneOpts); err != nil {
-							b.Fatal(err)
-						}
-					}
-					batches[k] = float64(time.Since(start).Nanoseconds()) / 3
-				}
-				slices.Sort(batches[:])
-				b.ReportAllocs()
-				b.ResetTimer()
+			fold(path+f.String(), b0, conds, opts, oneOpts)
+		}
+	}
+	shuffled := relation.New(base.Schema)
+	for _, i := range rand.New(rand.NewSource(1)).Perm(len(base.Rows)) {
+		shuffled.Append(base.Rows[i])
+	}
+	baseCols := detailColumns(shuffled)
+	ne := expr.NewCmp(value.NE, expr.C("R.k"), expr.C("B.k"))
+	comp := &algebra.CompletionInfo{Atoms: []algebra.CompletionAtom{{Cond: 0, Kind: algebra.AtomZero}}, Tree: algebra.Leaf(0)}
+	for _, sh := range []struct {
+		name  string
+		first expr.Expr
+	}{
+		{"ne_all", expr.Eq(expr.C("B.y"), expr.C("R.x"))},
+		{"gt_all", expr.NewCmp(value.LE, expr.C("B.y"), expr.C("R.x"))},
+	} {
+		conds := []algebra.GMDJCond{{Theta: expr.NewAnd(ne, sh.first), Aggs: []agg.Spec{kindSpec(agg.CountStar, "c")}}}
+		for _, path := range []string{"rows/", "base-cols/"} {
+			opts := Options{Workers: 1, Completion: comp, Columns: typed}
+			if path == "base-cols/" {
+				opts.BaseColumns = func(c int) *relation.ColVec { return baseCols[c] }
+			}
+			b.Run(path+sh.name, func(b *testing.B) {
+				var probes int64
 				for i := 0; i < b.N; i++ {
-					if _, err := Evaluate(b0, detail, conds, opts); err != nil {
+					b.StopTimer()
+					p, err := compile(shuffled, detail, conds, opts, 0)
+					if err == nil {
+						err = p.detailPass()
+					}
+					var st *state
+					if err == nil {
+						st, err = p.newState(&partition{rows: shuffled.Rows}, 0, len(shuffled.Rows), p.newResult(len(shuffled.Rows)))
+					}
+					if err != nil {
 						b.Fatal(err)
 					}
+					b.StartTimer()
+					if err := p.scan(0, st, new(atomic.Bool)); err != nil {
+						b.Fatal(err)
+					}
+					probes += st.stats.Probes
 				}
-				op := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-				b.ReportMetric(op/float64(len(detail.Rows)), "ns/detail-row")
-				b.ReportMetric((op-batches[len(batches)/2])/float64(len(detail.Rows)), "net-ns/detail-row")
+				b.ReportMetric(float64(probes)/float64(b.N), "probes/op")
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(probes), "net-ns/probe")
 			})
 		}
 	}

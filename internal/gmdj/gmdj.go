@@ -170,7 +170,8 @@ type Options struct {
 	// position (storage.Table.Column; nil: none), for exactly the rows
 	// passed to Evaluate (a vector of another length is not read). The
 	// pass and the hash-bound fold then read cells from them (DESIGN §14).
-	Columns func(col int) *relation.ColVec
+	// BaseColumns is the same for the base, whose cells mixed conjuncts read.
+	Columns, BaseColumns func(col int) *relation.ColVec
 	// PackedHash, when non-nil, supplies a serial evaluation's key-hash
 	// vectors from a segment of the detail table
 	// (storage.Segment.KeyHashes): per-row hash and validity for the
@@ -316,8 +317,8 @@ type program struct {
 	specs        []agg.Spec // every condition's bound aggregates, in output order
 	outSchema    *relation.Schema
 	// cols are the detail's typed columns by position, nil where Columns
-	// gave none: what cell reads first.
-	cols []*relation.ColVec
+	// gave none: what cell reads first; baseCols the base's, unboxed.
+	cols, baseCols []*relation.ColVec
 	// passWorkers is the detail pass's degree; 1 — serial, or a detail
 	// under two morsels, too small to repay the goroutines — runs it on
 	// the query goroutine. fallback records that some condition lacks an
@@ -804,12 +805,22 @@ func (p *program) newSlotMap(cp *condProg) *slotMap {
 }
 
 // attachColumns takes from Columns the vectors of the columns cell reads:
-// kernel leaves of detail predicates, keys, bare aggregate arguments.
+// kernel leaves of detail predicates, keys, bare aggregate arguments; and
+// those mixed kernels read, the base's from BaseColumns.
 func (p *program) attachColumns() {
-	p.cols = make([]*relation.ColVec, p.detail.Schema.Len())
+	p.cols, p.baseCols = make([]*relation.ColVec, p.detail.Schema.Len()), make([]*relation.ColVec, p.baseW)
 	var want []int
 	for ci := range p.conds {
 		cp := &p.conds[ci]
+		for _, c := range cp.mixedPred.Columns() {
+			if c >= p.baseW {
+				want = append(want, c-p.baseW)
+			} else if v := p.BaseColumns; v != nil {
+				if v := v(c); v != nil && v.Len() == len(p.base.Rows) && v.Boxed == nil {
+					p.baseCols[c] = v
+				}
+			}
+		}
 		if want = append(want, cp.detailKey...); cp.detailPred != nil {
 			want = append(want, cp.detailPred.Columns()...)
 		}
@@ -1026,9 +1037,9 @@ type state struct {
 	active  []bool
 	matched []bool // [tuple × completion atom], one slab
 	// combined is the base++detail scratch a mixed predicate's generic
-	// conjuncts are handed (expr.Pred.Pair); its kernels read the two
-	// tuples where they lie.
-	combined relation.Tuple
+	// conjuncts are handed (expr.Pred.Pair); its kernels read the sides.
+	combined     relation.Tuple
+	bside, dside expr.Side
 	// basePredOK[c][i] caches base-only conjunct outcomes.
 	basePredOK [][]bool
 	// condScan is, per condition, the fallback iteration list of owned
@@ -1079,6 +1090,8 @@ func (p *program) newState(part *partition, lo, hi int, res result) (*state, err
 		res:       res,
 		active:    make([]bool, n),
 		combined:  make(relation.Tuple, p.baseW+p.detail.Schema.Len()),
+		bside:     expr.Side{Rows: p.base.Rows, Cols: p.baseCols},
+		dside:     expr.Side{Rows: p.detail.Rows, Cols: p.cols},
 		remaining: n,
 	}
 	for i := range s.active {
@@ -1323,6 +1336,7 @@ func (s *state) feed(blo, bhi int) (int, error) {
 		if p.route {
 			di = int(s.detail[j])
 		}
+		s.dside.At = di
 		for ci, ch := range s.chunks {
 			cp := &p.conds[ci]
 			if cp.detailPredOK != nil && !cp.detailPredOK[di] {
@@ -1343,13 +1357,14 @@ func (s *state) feed(blo, bhi int) (int, error) {
 				bucket = s.index[ci].Bucket(h)
 			}
 			// One bucket walk, two sinks: the typed fold's buffer, or match.
+			probes, done := s.stats.Probes, s.stats.Completed
 			for _, e := range bucket {
-				if e.Hash != h {
+				i := int(e.Pos)
+				if e.Hash != h || !s.active[i] {
 					continue
 				}
 				s.stats.Probes++
-				i := int(e.Pos)
-				if !s.active[i] || !ch.exact && !p.keysEqual(s.rows[i], di, cp) || s.basePredOK[ci] != nil && !s.basePredOK[ci][i] {
+				if !ch.exact && !p.keysEqual(s.rows[i], di, cp) || s.basePredOK[ci] != nil && !s.basePredOK[ci][i] {
 					continue
 				}
 				if cp.typed {
@@ -1361,19 +1376,31 @@ func (s *state) feed(blo, bhi int) (int, error) {
 					}
 					continue
 				}
-				detailRow := p.detail.Rows[di]
-				if ok, err := cp.mixedPred.Pair(s.rows[i], detailRow, s.combined); err != nil {
+				s.bside.At = s.base(i)
+				if ok, err := cp.mixedPred.Pair(&s.bside, &s.dside, s.combined); err != nil {
 					return 0, err
 				} else if !ok {
 					continue
 				}
-				if err := s.match(i, ci, di, detailRow); err != nil {
+				if err := s.match(i, ci, di, p.detail.Rows[di]); err != nil {
 					return 0, err
 				}
+			}
+			// What the walk retired or skipped leaves the live entries after it.
+			if comp && cp.slot == nil && (s.stats.Completed != done || s.stats.Probes-probes != int64(len(bucket))) {
+				s.index[ci].Retire(h, s.active)
 			}
 		}
 	}
 	return bhi, nil
+}
+
+// base is owned tuple i's base position.
+func (s *state) base(i int) int {
+	if s.idx != nil {
+		return int(s.idx[i])
+	}
+	return s.lo + i
 }
 
 // own is base position bi's offset in rows, -1 when bi is -1 or s does
@@ -1421,7 +1448,8 @@ func (s *state) walk(ci int, cp *condProg, di int, detailRow relation.Tuple) err
 		}
 		if i := list[k]; s.active[i] {
 			s.stats.Probes++
-			ok, err := cp.mixedPred.Pair(s.rows[i], detailRow, s.combined)
+			s.bside.At = s.base(int(i))
+			ok, err := cp.mixedPred.Pair(&s.bside, &s.dside, s.combined)
 			if err == nil && ok {
 				err = s.match(int(i), ci, di, detailRow)
 			}

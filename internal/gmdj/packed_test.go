@@ -260,8 +260,10 @@ func TestColumnAllocsFlat(t *testing.T) {
 // TestColumnConcurrentAppend (for -race, at GOMAXPROCS 1 and 4): queries
 // read a stored table's typed vectors over the rows they hold while a
 // writer appends rows — the key column's kind changing partway — as the
-// benchmark's stager does, Rel.Append then BumpVersion; every answer is
-// the one over the same rows without the vectors.
+// benchmark's stager does, Rel.Append then BumpVersion; the table is the
+// detail of one GMDJ and the base of another, whose mixed conjuncts read
+// its vectors (Options.BaseColumns). Every answer is the one over the
+// same rows without the vectors.
 func TestColumnConcurrentAppend(t *testing.T) {
 	tab := storage.NewTable("R", passDetail(2*govern.MorselRows))
 	base := relation.New(relation.NewSchema(relation.Column{Qualifier: "B", Name: "k", Type: value.KindInt}))
@@ -271,6 +273,12 @@ func TestColumnConcurrentAppend(t *testing.T) {
 	conds := []algebra.GMDJCond{{
 		Theta: expr.NewAnd(expr.Eq(expr.C("B.k"), expr.C("R.k")), expr.Eq(expr.C("R.tag"), expr.StrLit("odd"))),
 		Aggs:  []agg.Spec{{Func: agg.CountStar, As: "cnt"}, {Func: agg.Sum, Arg: expr.C("R.f"), As: "sf"}},
+	}}
+	// The table as a base: its R.v and R.f against a small detail's.
+	small := passDetail(40)
+	mixed := []algebra.GMDJCond{{
+		Theta: expr.NewAnd(expr.NewCmp(value.LT, expr.C("B.v"), expr.C("R.v")), expr.NewCmp(value.NE, expr.C("B.f"), expr.C("R.f"))),
+		Aggs:  []agg.Spec{{Func: agg.CountStar, As: "cnt"}},
 	}}
 	var held atomic.Pointer[[]relation.Tuple]
 	rows := tab.Rel.Rows
@@ -297,6 +305,17 @@ func TestColumnConcurrentAppend(t *testing.T) {
 				got, err := Evaluate(base, detail, conds, Options{Workers: 2, Columns: func(c int) *relation.ColVec { return tab.Column(c, rows) }})
 				if err != nil || want.Diff(got) != "" {
 					t.Errorf("%d rows: columns on and off differ: %v %s", len(rows), err, want.Diff(got))
+					return
+				}
+				asBase := detail.Rename("B")
+				want, err = Evaluate(asBase, small, mixed, Options{Workers: 2})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got, err = Evaluate(asBase, small, mixed, Options{Workers: 2, BaseColumns: func(c int) *relation.ColVec { return tab.Column(c, rows) }})
+				if err != nil || want.Diff(got) != "" {
+					t.Errorf("%d rows: base columns on and off differ: %v %s", len(rows), err, want.Diff(got))
 					return
 				}
 			}

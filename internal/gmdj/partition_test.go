@@ -6,7 +6,9 @@ import (
 	"math"
 	"math/rand"
 	"path/filepath"
+	"reflect"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -451,6 +453,12 @@ func TestDetailPassEquivalence(t *testing.T) {
 		return value.Str(append([]string{"b", "a", "", "c"}, fmt.Sprint(i))[min(i, 4)])
 	})
 	floatKeys := newBase(func(i int) value.Value { return value.Float(float64(i)) })
+	// Base columns a mixed conjunct reads, each kind with NULLs: FLOATs
+	// with NaN and both zeros; STRINGs, whose vector is coded or, for the
+	// shapes plain names, plain as past relation.MaxDict.
+	floatNulls := newBase(func(i int) value.Value {
+		return []value.Value{value.Null, value.Float(math.NaN()), value.Float(math.Copysign(0, -1)), value.Float(0), value.Float(float64(i*3%40) / 2)}[min(i%7, 4)]
+	})
 	bind := expr.Eq(expr.C("B.k"), expr.C("R.k"))
 	count := []agg.Spec{{Func: agg.CountStar, As: "cnt"}}
 	cnt := func(as string) []agg.Spec { return []agg.Spec{{Func: agg.CountStar, As: as}} }
@@ -464,6 +472,35 @@ func TestDetailPassEquivalence(t *testing.T) {
 		c.Tree = algebra.AndTree(kids...)
 		return c
 	}
+	zeroAtoms := func(n int) *algebra.CompletionInfo { // ALL's: a match in any of n conditions decides
+		c := &algebra.CompletionInfo{}
+		kids := make([]*algebra.BoolTree, n)
+		for i := range kids {
+			c.Atoms = append(c.Atoms, algebra.CompletionAtom{Cond: i, Kind: algebra.AtomZero})
+			kids[i] = algebra.Leaf(i)
+		}
+		c.Tree = algebra.AndTree(kids...)
+		return c
+	}
+	// Fig 4's counterexample conditions: θ's <> beside a = or <= (the
+	// first), a NULL on the base side, a NULL on the detail side.
+	fig4 := func(first expr.Expr, detailNull string) []algebra.GMDJCond {
+		ne := expr.NewCmp(value.NE, expr.C("R.k"), expr.C("B.id"))
+		return []algebra.GMDJCond{
+			{Theta: expr.NewAnd(ne, first), Aggs: cnt("c1")},
+			{Theta: expr.NewAnd(ne, expr.NewIsNull(expr.C("B.k"), false)), Aggs: cnt("c2")},
+			{Theta: expr.NewAnd(ne, expr.NewIsNull(expr.C("R."+detailNull), false)), Aggs: cnt("c3")},
+		}
+	}
+	// A base column against detail columns: residuals behind a key on
+	// B.id, and a fallback <> beside a detail-only conjunct.
+	against := func(x, y string) []algebra.GMDJCond {
+		return []algebra.GMDJCond{
+			{Theta: expr.NewAnd(expr.Eq(expr.C("B.id"), expr.C("R.v")), expr.NewCmp(value.NE, expr.C("B.k"), expr.C("R."+x)), expr.NewCmp(value.LE, expr.C("R."+y), expr.C("B.k"))), Aggs: count},
+			{Theta: expr.NewAnd(expr.NewCmp(value.NE, expr.C("B.k"), expr.C("R."+y)), expr.Eq(expr.C("R.tag"), expr.StrLit("odd"))), Aggs: cnt("ne")},
+		}
+	}
+	plain := map[string]bool{"base STRING column, plain": true}
 	// hashBound: every condition indexed; routed: on one key as well.
 	type shape struct {
 		name              string
@@ -570,6 +607,19 @@ func TestDetailPassEquivalence(t *testing.T) {
 			{Theta: expr.NewAnd(expr.NewCmp(value.LE, expr.C("B.id"), expr.C("R.v")), expr.NewCmp(value.NE, expr.C("R.k"), expr.C("B.k")),
 				expr.NewCmp(value.GE, expr.C("B.k"), expr.IntLit(10)), expr.NewCmp(value.GT, expr.C("R.v"), expr.IntLit(3))), Aggs: count},
 		}, &algebra.CompletionInfo{Atoms: []algebra.CompletionAtom{{Cond: 0, Kind: algebra.AtomZero}}, Tree: algebra.Leaf(0)}, false, false, nil},
+		// Fig 4's two statements, and a band, as gmdj-opt plans them: the
+		// mixed conjuncts read the base's vectors when it has them, and a
+		// decided tuple leaves its bucket.
+		{"ne_all: key with a <> residual", fig4(expr.Eq(expr.C("B.k"), expr.C("R.k")), "k"), zeroAtoms(3), false, false, nullKeys},
+		{"gt_all: <= with a <> residual", fig4(expr.NewCmp(value.LE, expr.C("B.k"), expr.C("R.f")), "f"), zeroAtoms(3), false, false, nullKeys},
+		{"band with a <> residual", []algebra.GMDJCond{
+			{Theta: expr.NewAnd(expr.NewCmp(value.GE, expr.C("B.k"), expr.C("R.k")), expr.NewCmp(value.LT, expr.C("B.k"), expr.C("R.v")), expr.NewCmp(value.NE, expr.C("R.f"), expr.C("B.id")), expr.Eq(expr.C("R.tag"), expr.StrLit("even"))), Aggs: count},
+		}, exists(0), false, false, nil},
+		{"base INT column", against("f", "k"), exists(0), false, false, nullKeys},
+		{"base FLOAT column", against("f", "g"), zeroAtoms(2), false, false, floatNulls},
+		{"base STRING column, coded", against("s", "u"), exists(1), false, false, strKeys},
+		{"base STRING column, plain", against("u", "s"), nil, false, false, strKeys},
+		{"base column of mixed kinds", against("f", "k"), exists(0), false, false, kinds},
 		// Dictionary-coded STRING columns (DESIGN §15): every operator
 		// against R.s, whose code order is not its string order, a literal
 		// the dictionary lacks, a STRING key, and R.u past the bound.
@@ -658,6 +708,15 @@ func TestDetailPassEquivalence(t *testing.T) {
 		"unique STRING keys, coded":                {0x18a483a214a6509a, 143370},
 		"unique STRING keys, plain past the bound": {0x67bbcfff6fc6130, 1458},
 		"unique FLOAT keys against INT keys":       {0xc4ba901dcc92b3d0, 158796},
+		// Recorded at the parent of the base vectors, over the base's rows.
+		"ne_all: key with a <> residual": {0xb38dbae64a712fe6, 552230},
+		"gt_all: <= with a <> residual":  {0xe8894a44488ab43a, 4260},
+		"band with a <> residual":        {0x566a96dd5e2f81e4, 1944},
+		"base INT column":                {0x57f5e4067483b96a, 2811786},
+		"base FLOAT column":              {0xf6740bebbe7e7b88, 967648},
+		"base STRING column, coded":      {0xfc366eee03f06828, 875023},
+		"base STRING column, plain":      {0x3a795a267d8fb0ba, 5615142},
+		"base column of mixed kinds":     {0x64b1d835a148e870, 4002774},
 	}
 	lines := map[string]*strings.Builder{}
 	for _, sh := range shapes {
@@ -673,20 +732,51 @@ func TestDetailPassEquivalence(t *testing.T) {
 	// the table's do, and there is no hash vector to take from the table.
 	table := passDetail(4 * m)
 	details = append(details, &relation.Relation{Schema: table.Schema, Rows: table.Rows[m+7 : 3*m+8]})
+	// Each shape's base vectors, and how many of them its mixed conjuncts
+	// read: none where they are boxed.
+	shapeCols, read := map[string][]*relation.ColVec{}, map[string]int{}
+	for _, sh := range shapes {
+		b := base
+		if sh.base != nil {
+			b = sh.base
+		}
+		bcols := detailColumns(b)
+		if plain[sh.name] {
+			for c, v := range bcols {
+				bcols[c] = &relation.ColVec{Kind: v.Kind}
+				bcols[c].Append(b.Rows, c)
+			}
+		}
+		p, err := compile(b, details[0], sh.conds, Options{BaseColumns: func(c int) *relation.ColVec { return bcols[c] }}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shapeCols[sh.name], read[sh.name] = bcols, len(slices.DeleteFunc(p.baseCols, func(v *relation.ColVec) bool { return v == nil }))
+	}
+	for name, want := range map[string]int{"ne_all: key with a <> residual": 1, "gt_all: <= with a <> residual": 2, "band with a <> residual": 2,
+		"base INT column": 1, "base FLOAT column": 1, "base STRING column, coded": 1, "base STRING column, plain": 1, "base column of mixed kinds": 0} {
+		if read[name] != want {
+			t.Errorf("%s: the mixed conjuncts read %d base vectors, want %d", name, read[name], want)
+		}
+	}
 	for _, detail := range details {
 		n, cols := len(detail.Rows), detailColumns(detail)
 		for _, sh := range shapes {
+			baseCols := shapeCols[sh.name]
 			for _, spilled := range []bool{false, true} {
 				var want string
 				var ref Stats
 				for _, workers := range []int{1, 2, 4, 8} {
 					// run evaluates the shape on the detail's rows, or with its
-					// typed columns when cols is set.
-					run := func(cols []*relation.ColVec) (*relation.Relation, Stats, error) {
+					// typed columns when cols is set, and the base's, bcols.
+					run := func(cols, bcols []*relation.ColVec) (*relation.Relation, Stats, error) {
 						var stats Stats
 						opts := Options{Completion: sh.comp, Workers: workers, Stats: &stats}
 						if cols != nil {
 							opts.Columns = func(c int) *relation.ColVec { return cols[c] }
+						}
+						if bcols != nil {
+							opts.BaseColumns = func(c int) *relation.ColVec { return bcols[c] }
 						}
 						release := func() {}
 						if spilled {
@@ -705,19 +795,27 @@ func TestDetailPassEquivalence(t *testing.T) {
 						out, err := Evaluate(b, detail, sh.conds, opts)
 						return out, stats, err
 					}
-					out, stats, err := run(nil)
+					out, stats, err := run(nil, nil)
 					name := fmt.Sprintf("n=%d/%s/spilled=%v/workers=%d", n, sh.name, spilled, workers)
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)
 					}
 					// Read from typed columns, the same answer and counters.
 					if workers <= 4 {
-						colOut, colStats, err := run(cols)
+						colOut, colStats, err := run(cols, nil)
 						if err != nil {
 							t.Fatalf("%s, columns: %v", name, err)
 						}
 						if d := out.Diff(colOut); d != "" || goldenLine(name, out, &stats) != goldenLine(name, colOut, &colStats) {
 							t.Errorf("%s: columns on and off differ: %s\noff: %+v\non:  %+v", name, d, stats, colStats)
+						}
+						// And the base's: the same answer and every counter.
+						bOut, bStats, err := run(cols, baseCols)
+						if err != nil {
+							t.Fatalf("%s, base columns: %v", name, err)
+						}
+						if d := colOut.Diff(bOut); d != "" || !reflect.DeepEqual(colStats, bStats) {
+							t.Errorf("%s: base columns on and off differ: %s\noff: %+v\non:  %+v", name, d, colStats, bStats)
 						}
 						if sh.hashBound && colStats.PackedHashConds+colStats.SlotConds == 0 {
 							t.Errorf("%s: no key hash from the typed columns", name)

@@ -79,11 +79,12 @@ func (t Tuple) KeyHash(cols []int) (h uint64, ok bool) {
 // Fibonacci constant, so hashes that share their top bits (a routed GMDJ
 // partition's) or differ only in their low bits still spread. Buckets
 // are shared by distinct hashes: a prober skips the entries whose Hash
-// is not its own.
+// is not its own, and those past the bucket's live end (Retire).
 type HashIndex struct {
 	shift uint
 	off   []int32
 	ents  []HashEntry
+	live  []int32 // bucket b's live end; empty until Retire: every bucket whole
 }
 
 // HashEntry is one indexed position and its key hash.
@@ -107,7 +108,7 @@ func NewHashIndex(n int, key func(i int) (h uint64, ok bool)) *HashIndex {
 // built before (and no longer read) leaves there; it returns ix.
 func (ix *HashIndex) Build(n int, key func(i int) (h uint64, ok bool)) *HashIndex {
 	nb, bp := bits.Len(uint(n)), entPool.Get().(*[]HashEntry)
-	ix.shift, ix.off = uint(64-nb), slices.Grow(ix.off[:0], 1<<nb+1)[:1<<nb+1]
+	ix.shift, ix.off, ix.live = uint(64-nb), slices.Grow(ix.off[:0], 1<<nb+1)[:1<<nb+1], ix.live[:0]
 	clear(ix.off)
 	ents := slices.Grow((*bp)[:0], n)
 	for i := 0; i < n; i++ {
@@ -132,11 +133,31 @@ func (ix *HashIndex) Build(n int, key func(i int) (h uint64, ok bool)) *HashInde
 
 func (ix *HashIndex) bucket(h uint64) int { return int(h * 0x9E3779B97F4A7C15 >> ix.shift) }
 
-// Bucket returns the entries that share h's bucket, in ascending
+// Bucket returns the live entries that share h's bucket, in ascending
 // position; only those whose Hash equals h can match.
 func (ix *HashIndex) Bucket(h uint64) []HashEntry {
 	b := ix.bucket(h)
+	if len(ix.live) > 0 {
+		return ix.ents[ix.off[b]:ix.live[b]]
+	}
 	return ix.ents[ix.off[b]:ix.off[b+1]]
+}
+
+// Retire moves the entries of h's bucket that live reports false past its
+// live end, the rest in order; never mid-walk, which would skip entries.
+func (ix *HashIndex) Retire(h uint64, live []bool) {
+	if len(ix.live) == 0 {
+		ix.live = append(ix.live, ix.off[1:]...)
+	}
+	b := ix.bucket(h)
+	w := ix.off[b]
+	for k := w; k < ix.live[b]; k++ {
+		if e := ix.ents[k]; live[e.Pos] {
+			ix.ents[k], ix.ents[w] = ix.ents[w], e
+			w++
+		}
+	}
+	ix.live[b] = w
 }
 
 // valueSize is one cell's struct size, taken from the type so that a

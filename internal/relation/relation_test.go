@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -459,5 +460,49 @@ func TestColumnDictBound(t *testing.T) {
 	boxed.Append([]Tuple{{value.Str("a")}, {value.Int(1)}}, 0)
 	if boxed.Boxed == nil || boxed.Dict != nil || !value.Equal(boxed.Value(0), value.Str("a")) {
 		t.Fatalf("a coded column of STRING and INT cells: Boxed %v, Dict %v", boxed.Boxed != nil, boxed.Dict != nil)
+	}
+}
+
+// TestHashIndexRetire: Retire moves a bucket's dead entries past its
+// live end, whichever end of the bucket they sit at and in either order,
+// keeps the live ones in position order, and leaves them all stored; a
+// bucket two hashes share keeps the other hash's live entries. Build
+// makes every bucket whole again.
+func TestHashIndexRetire(t *testing.T) {
+	const n = 8
+	h1, h2 := uint64(0x1234_5678_9abc_def0), uint64(0)
+	probe := NewHashIndex(n, func(int) (uint64, bool) { return 0, true })
+	for h2 = h1 + 1; probe.bucket(h2) != probe.bucket(h1); h2++ {
+	}
+	key := func(i int) (uint64, bool) { return []uint64{h1, h2}[i%2], i < 6 } // 0, 2, 4 under h1; 1, 3, 5 under h2
+	positions := func(ents []HashEntry) (pos []int32) {
+		for _, e := range ents {
+			pos = append(pos, e.Pos)
+		}
+		return pos
+	}
+	for _, order := range [][]int32{{0, 5}, {5, 0}, {4, 1}, {0, 1, 2, 3, 4, 5}} {
+		ix, live := NewHashIndex(n, key), []bool{true, true, true, true, true, true, true, true}
+		var want []int32
+		for _, pos := range order {
+			live[pos] = false
+			h, _ := key(int(pos))
+			ix.Retire(h, live)
+		}
+		for i := int32(0); i < 6; i++ {
+			if live[i] {
+				want = append(want, i)
+			}
+		}
+		if got := positions(ix.Bucket(h1)); !slices.Equal(got, want) {
+			t.Errorf("retiring %v: bucket %v, want %v", order, got, want)
+		}
+		b := ix.bucket(h1)
+		if whole := positions(ix.ents[ix.off[b]:ix.off[b+1]]); len(whole) != 6 || !slices.Equal(whole[:len(want)], want) {
+			t.Errorf("retiring %v: stored %v, want %v then the retired", order, whole, want)
+		}
+		if ix.Build(n, key); len(ix.Bucket(h2)) != 6 {
+			t.Errorf("retiring %v: a rebuilt bucket holds %v", order, ix.Bucket(h2))
+		}
 	}
 }

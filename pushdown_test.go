@@ -154,7 +154,7 @@ func TestPushSelectionsExplainFused(t *testing.T) {
 Project [b.g] (time=X act=15 est=4 bytes=840 fused=1)
   Project [b.g] (time=X act=15 est=4 fused=1)
     Select [cnt1 > 0] (time=X act=15 est=4 fused=1)
-      GMDJ +completion+freeze (1 conditions) (time=X act=16 est=13 workers=1 detail_rows=1024 probes=17 matches=15 completed=15)
+      GMDJ +completion+freeze (1 conditions) (time=X act=16 est=13 workers=1 detail_rows=1024 probes=15 matches=15 completed=15)
         cond: (count(*) -> cnt1 | θ: e.g = b.g)
         Scan grp->b (time=X act=16 est=16 bytes=896)
         Select [(e.k > 8000 AND e.v > 90)] (time=X rows=1024 bytes=122880 fused=1 segments_pruned=7 segments_total=8)
